@@ -42,6 +42,7 @@ from .search import (
     NUMERIC_EXACT_D,
     SIGN_PATTERNS,
     Triad,
+    _check_threshold,
     _d_ratio,
     _iter_pairs,
     _min_pattern,
@@ -347,8 +348,7 @@ def classify_modes(spec: DispersionSpec, domain: SpectralDomain,
     (0 < |Omega| <= omega_max) none of whose pairs lies inside a resonant
     triad.  Neutral: everything else.
     """
-    if omega_max <= 0:
-        raise UsageError("omega_max must be positive")
+    _check_threshold("omega_max", omega_max)
     convention = dict(patterns=patterns, closure=resolve_closure(spec, closure),
                       n_selection=n_selection, bridge_mode=bridge_mode,
                       skip_equal_n_pairs=skip_equal_n_pairs)

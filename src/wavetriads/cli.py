@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -42,6 +43,20 @@ _CLI_KINDS = {
     "gravity-tanh": "gravity_tanh",
     "bve-plane": "bve_plane",
 }
+
+
+def _threshold(text: str) -> float:
+    """argparse type of the search thresholds: a finite float.  An
+    infinite or NaN threshold selects all or nothing, and JSON output
+    cannot carry it."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _add_dispersion_args(p: argparse.ArgumentParser):
@@ -115,23 +130,23 @@ def build_domain(args, spec) -> SpectralDomain:
     return domain_for(spec, args.T)
 
 
-def _emit(args, header: dict, payload, text: str | None, csv_text: str | None):
+def _emit(args, header: dict, records, table, csv=None):
+    """Render and write the one format ``--format`` asks for.
+
+    ``records`` (the JSON payload), ``table`` and ``csv`` (text) are
+    zero-argument callables and only the chosen one is called, so a run
+    builds no output it does not write.  ``csv`` is None for commands
+    without a CSV form."""
     if args.format == "json":
-        out = report.to_json(payload, None if args.no_header else header)
-    elif args.format == "csv":
-        if csv_text is None:
-            raise UsageError(f"csv output is not defined for this command")
-        out = csv_text
-        if not args.no_header:
-            hdr = "".join(f"# {k}={json.dumps(v, sort_keys=True)}\n"
-                          for k, v in header.items())
-            out = hdr + out
+        out = report.to_json(records(), None if args.no_header else header)
     else:
-        out = text if text is not None else report.to_json(payload)
+        render = csv if args.format == "csv" else table
+        if render is None:
+            raise UsageError("csv output is not defined for this command")
+        out = render()
         if not args.no_header:
-            hdr = "".join(f"# {k}={json.dumps(v, sort_keys=True)}\n"
-                          for k, v in header.items())
-            out = hdr + out
+            out = "".join(f"# {k}={json.dumps(v, sort_keys=True)}\n"
+                          for k, v in header.items()) + out
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(out)
@@ -173,8 +188,9 @@ def cmd_find_triads(args):
         "domain": {"T": domain.truncation, "shape": domain.shape}, **mode,
         "patterns": args.patterns, "closure": args.closure,
     })
-    _emit(args, header, report.triads_to_records(triads),
-          report.triads_to_table(triads), report.triads_to_csv(triads))
+    _emit(args, header, lambda: report.triads_to_records(triads),
+          lambda: report.triads_to_table(triads),
+          lambda: report.triads_to_csv(triads))
 
 
 def cmd_classify(args):
@@ -190,8 +206,9 @@ def cmd_classify(args):
         "closure": args.closure, "n_selection": args.n_selection,
         "bridge_mode": args.bridge_mode,
     })
-    _emit(args, header, report.partition_to_records(part),
-          report.partition_to_table(part), report.partition_to_csv(part))
+    _emit(args, header, lambda: report.partition_to_records(part),
+          lambda: report.partition_to_table(part),
+          lambda: report.partition_to_csv(part))
 
 
 def cmd_bound(args):
@@ -200,8 +217,8 @@ def cmd_bound(args):
     rep = discrepancy_lower_bound(spec, domain, workers=args.threads)
     header = _header(args, spec, {
         "domain": {"T": domain.truncation, "shape": domain.shape}})
-    rec = report.bound_to_record(rep)
-    _emit(args, header, rec, report.to_json(rec), None)
+    _emit(args, header, lambda: report.bound_to_record(rep),
+          lambda: report.to_json(report.bound_to_record(rep)))
 
 
 def cmd_plan(args):
@@ -213,8 +230,8 @@ def cmd_plan(args):
         "domain": {"T": domain.truncation, "shape": domain.shape},
         "d_max": args.d_max, "d_min": args.d_min, "epsilon": args.epsilon,
     })
-    _emit(args, header, report.plan_to_record(plan),
-          report.plan_to_table(plan), None)
+    _emit(args, header, lambda: report.plan_to_record(plan),
+          lambda: report.plan_to_table(plan))
 
 
 def cmd_sweep(args):
@@ -232,8 +249,8 @@ def cmd_sweep(args):
         "d_max": args.d_max, "omega_max": args.omega_max,
         "lx_values": lxs, "ly_values": lys,
     })
-    _emit(args, header, report.sweep_to_record(rep),
-          report.sweep_to_table(rep), None)
+    _emit(args, header, lambda: report.sweep_to_record(rep),
+          lambda: report.sweep_to_table(rep))
 
 
 def cmd_eval(args):
@@ -249,7 +266,7 @@ def cmd_eval(args):
         payload = {"m": args.m, "n": args.n, "omega": freq.omega,
                    "hz": freq.hz}
     header = _header(args, spec, {"m": args.m, "n": args.n})
-    _emit(args, header, payload, text, None)
+    _emit(args, header, lambda: payload, lambda: text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-triads", help="enumerate resonant triads")
     _add_dispersion_args(p)
     _add_common_args(p)
-    p.add_argument("--d-max", type=float, dest="d_max", default=None,
+    p.add_argument("--d-max", type=_threshold, dest="d_max", default=None,
                    help="near-resonance ceiling on d_ratio (default 1e-6)")
-    p.add_argument("--d-min", type=float, dest="d_min", default=None,
+    p.add_argument("--d-min", type=_threshold, dest="d_min", default=None,
                    help="max-discrepancy floor on d_ratio")
     p.add_argument("--exact", action="store_true",
                    help="exact rational search (spherical dispersion only)")
@@ -276,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="partition modes into classes")
     _add_dispersion_args(p)
     _add_common_args(p)
-    p.add_argument("--omega-max", type=float, dest="omega_max", required=True,
+    p.add_argument("--omega-max", type=_threshold, dest="omega_max",
+                   required=True,
                    help="approximate-resonance threshold on |Omega|")
     p.add_argument("--patterns", choices=("sum", "all"), default="sum")
     p.add_argument("--closure", choices=("auto", "both", "zonal", "box"),
@@ -296,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="experiment plan (frequencies, amplitudes)")
     _add_dispersion_args(p)
     _add_common_args(p)
-    p.add_argument("--d-max", type=float, dest="d_max", default=1e-6)
-    p.add_argument("--d-min", type=float, dest="d_min", default=0.1)
+    p.add_argument("--d-max", type=_threshold, dest="d_max", default=1e-6)
+    p.add_argument("--d-min", type=_threshold, dest="d_min", default=0.1)
     p.add_argument("--epsilon", type=float, default=0.1,
                    help="wave steepness for amplitude selection")
     p.set_defaults(func=cmd_plan)
@@ -309,8 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated Lx grid")
     p.add_argument("--ly-values", dest="ly_values", required=True,
                    help="comma-separated Ly grid")
-    p.add_argument("--d-max", type=float, dest="d_max", default=1e-6)
-    p.add_argument("--omega-max", type=float, dest="omega_max", default=0.3)
+    p.add_argument("--d-max", type=_threshold, dest="d_max", default=1e-6)
+    p.add_argument("--omega-max", type=_threshold, dest="omega_max",
+                   default=0.3)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("eval", help="evaluate the dispersion at one mode")

@@ -49,9 +49,6 @@ class WaveVector(NamedTuple):
     m: int
     n: int
 
-    def norm_sq(self) -> int:
-        return self.m * self.m + self.n * self.n
-
     def __str__(self) -> str:
         return f"[{self.m},{self.n}]"
 

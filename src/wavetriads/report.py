@@ -65,15 +65,31 @@ def triads_to_records(triads) -> list:
     return [triad_to_record(t) for t in triads]
 
 
+def _triad_row(t: Triad, rational: bool) -> list:
+    """CSV cells of one triad: the values of its record under
+    TRIAD_COLUMNS, then under RATIONAL_EXTRA_COLUMNS when ``rational``
+    (left empty for a float triad in a rational list)."""
+    w1, w2, w3 = t.omegas
+    row = [t.k1.m, t.k1.n, t.k2.m, t.k2.n, t.k3.m, t.k3.n,
+           _num(w1), _num(w2), _num(w3), to_hz(w1), to_hz(w2), to_hz(w3),
+           _num(t.discrepancy), t.d_ratio, _signs_str(t.signs)]
+    if rational:
+        if isinstance(t.discrepancy, Fraction):
+            row += [float(w1), float(w2), float(w3), float(t.discrepancy)]
+        else:
+            row += [""] * len(RATIONAL_EXTRA_COLUMNS)
+    return row
+
+
 def triads_to_csv(triads) -> str:
-    records = triads_to_records(triads)
-    rational = any("omega1_float" in r for r in records)
-    cols = TRIAD_COLUMNS + (RATIONAL_EXTRA_COLUMNS if rational else [])
+    """One row per triad under TRIAD_COLUMNS; the RATIONAL_EXTRA_COLUMNS
+    are added when any triad carries an exact rational discrepancy."""
+    triads = list(triads)
+    rational = any(isinstance(t.discrepancy, Fraction) for t in triads)
     buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
-    w.writeheader()
-    for r in records:
-        w.writerow({c: r.get(c, "") for c in cols})
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(TRIAD_COLUMNS + (RATIONAL_EXTRA_COLUMNS if rational else []))
+    w.writerows(_triad_row(t, rational) for t in triads)
     return buf.getvalue()
 
 

@@ -157,10 +157,44 @@ def _min_pattern(ws):
     return best
 
 
-def _make_triad(spec, k1, k2, k3, signs=(1, 1, -1)) -> Triad:
-    ws = tuple(eval_frequency(spec, k).omega for k in (k1, k2, k3))
-    om = signs[0] * ws[0] + signs[1] * ws[1] + signs[2] * ws[2]
-    return Triad(k1, k2, k3, ws, om, _d_ratio(om, ws), tuple(signs))
+def _check_threshold(name: str, value, ceiling: bool = False) -> None:
+    """Reject a search threshold that is NaN, not positive or infinite.
+
+    A NaN compares false against everything, so it would silently select
+    no triad, and so would an infinite floor.  Only a ``ceiling`` may be
+    infinite: ``d_max = inf`` keeps every closed triad."""
+    if math.isnan(value) or value <= 0:
+        raise UsageError(f"{name} must be positive, got {value!r}")
+    if math.isinf(value) and not ceiling:
+        raise UsageError(f"{name} must be finite, got {value!r}")
+
+
+class _FrequencyMemo(dict):
+    """Scalar frequencies by mode, evaluated on first lookup.
+
+    One ``eval_frequency`` call per distinct mode looked up, and only for
+    those: a search fills it from its hits, never from the whole domain.
+    The values are the scalar function's own, so stored frequencies
+    reproduce bit for bit on re-evaluation."""
+
+    def __init__(self, spec: DispersionSpec):
+        super().__init__()
+        self.spec = spec
+
+    def __missing__(self, k: WaveVector) -> OmegaValue:
+        w = self[k] = eval_frequency(self.spec, k).omega
+        return w
+
+
+class _GridFrequencies:
+    """Frequencies read from an omega grid, for searches that skip the
+    scalar rebuild."""
+
+    def __init__(self, W):
+        self.W = W
+
+    def __getitem__(self, k: WaveVector) -> float:
+        return float(self.W[k.m, k.n])
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +254,7 @@ def find_exact_triads(spec: DispersionSpec, domain: SpectralDomain,
         k3 = WaveVector(m3, n3)
         if k3 not in domain:
             continue
-        out.append(_make_triad(spec, k1, k2, k3))
+        out.append(_best_pattern_triad(freqs, k1, k2, k3, "sum"))
     out.sort(key=lambda t: t.key())
     return out
 
@@ -336,26 +370,26 @@ def _search_both_closure(spec, domain, *, d_max=None, d_min=None,
             parts = list(ex.map(run, chunks))
         all_hits = [h for part in parts for h in part]
 
+    freqs = _FrequencyMemo(spec) if scalar_rebuild else _GridFrequencies(W)
     triads = []
     for m1, n1, m2_arr, n2_arr in all_hits:
         k1 = WaveVector(m1, n1)
         for m2, n2 in zip(m2_arr.tolist(), n2_arr.tolist()):
             k2 = WaveVector(m2, n2)
             k3 = WaveVector(m1 + m2, n1 + n2)
-            triads.append(_best_pattern_triad(
-                spec, k1, k2, k3, patterns,
-                W=None if scalar_rebuild else W))
+            triads.append(_best_pattern_triad(freqs, k1, k2, k3, patterns))
     return triads
 
 
-def _best_pattern_triad(spec, k1, k2, k3, patterns, W=None) -> Triad:
+def _best_pattern_triad(freqs, k1, k2, k3, patterns) -> Triad:
     """Rebuild a candidate triad, choosing the minimal-|Omega| sign pattern
-    when patterns="all".  Frequencies come from scalar evaluation unless a
-    grid W is supplied."""
-    if W is None:
-        ws = tuple(eval_frequency(spec, k).omega for k in (k1, k2, k3))
-    else:
-        ws = (float(W[k1.m, k1.n]), float(W[k2.m, k2.n]), float(W[k3.m, k3.n]))
+    when patterns="all".
+
+    ``freqs`` maps a mode to its frequency.  On the scalar rebuild it is a
+    per-search :class:`_FrequencyMemo`, so each distinct mode costs one
+    scalar ``eval_frequency`` call however many hits it takes part in;
+    otherwise it reads the search's omega grid."""
+    ws = (freqs[k1], freqs[k2], freqs[k3])
     if patterns == "sum":
         om, signs = ws[0] + ws[1] - ws[2], (1, 1, -1)
     else:
@@ -374,7 +408,7 @@ def _search_zonal_float(spec, domain, *, d_max=None, d_min=None,
     T = domain.truncation
     triangular = domain.shape == "triangular"
     W = omega_grid(spec, T)
-    Wout = None if scalar_rebuild else W
+    freqs = _FrequencyMemo(spec) if scalar_rebuild else _GridFrequencies(W)
     triads = []
     for m1 in range(1, T):
         n1_lo = m1 if triangular else 1
@@ -420,7 +454,7 @@ def _search_zonal_float(spec, domain, *, d_max=None, d_min=None,
                         k2 = WaveVector(m2, n2_lo + i)
                         k3 = WaveVector(m3, n3_lo + j)
                         triads.append(_best_pattern_triad(
-                            spec, k1, k2, k3, patterns, W=Wout))
+                            freqs, k1, k2, k3, patterns))
     return triads
 
 
@@ -451,7 +485,7 @@ def _search_box_float(spec, domain, *, d_max=None, d_min=None, abs_max=None,
     if domain.shape != "square":
         raise UsageError("box closure expects a square domain")
     W = omega_grid(spec, T)
-    Wout = None if scalar_rebuild else W
+    freqs = _FrequencyMemo(spec) if scalar_rebuild else _GridFrequencies(W)
     triads = []
     modes = list(domain.modes())
     for i, k1 in enumerate(modes):
@@ -476,8 +510,8 @@ def _search_box_float(spec, domain, *, d_max=None, d_min=None, abs_max=None,
                         continue
                     if d_min is not None and d < d_min:
                         continue
-                triads.append(_best_pattern_triad(spec, k1, k2, k3, patterns,
-                                                  W=Wout))
+                triads.append(_best_pattern_triad(freqs, k1, k2, k3,
+                                                  patterns))
     return triads
 
 
@@ -494,9 +528,9 @@ def find_near_triads(spec: DispersionSpec, domain: SpectralDomain,
                      closure: str = "auto", workers: int = 1,
                      skip_equal_n_pairs: bool = True) -> list:
     """All vector-closed triads with d_ratio <= d_max, sorted by d_ratio
-    ascending then lexicographically.  Deterministic for any worker count."""
-    if d_max <= 0:
-        raise UsageError("d_max must be positive")
+    ascending then lexicographically.  Deterministic for any worker count.
+    ``d_max = inf`` keeps every closed triad; a NaN d_max is rejected."""
+    _check_threshold("d_max", d_max, ceiling=True)
     conv = resolve_closure(spec, closure)
     if spec.exactness:
         triads = []
@@ -524,8 +558,7 @@ def find_max_discrepancy_triads(spec: DispersionSpec, domain: SpectralDomain,
                                 workers: int = 1) -> list:
     """All vector-closed triads with d_ratio >= d_min, sorted by d_ratio
     descending; the head attains the domain maximum."""
-    if d_min <= 0:
-        raise UsageError("d_min must be positive")
+    _check_threshold("d_min", d_min)
     conv = resolve_closure(spec, closure)
     if spec.exactness:
         triads = []
@@ -551,8 +584,7 @@ def iter_ari_triads(spec: DispersionSpec, domain: SpectralDomain,
     """Vector-closed triads with 0 < |Omega| <= omega_max (approximate
     resonant interactions).  The absolute threshold is in frequency units,
     unlike the dimensionless d_ratio filters."""
-    if omega_max <= 0:
-        raise UsageError("omega_max must be positive")
+    _check_threshold("omega_max", omega_max)
     conv = resolve_closure(spec, closure)
     if spec.exactness:
         for k1, k2, k3, w1, w2, w3, om in _iter_sphere_candidates(
@@ -661,7 +693,8 @@ def _float_min_nonzero(spec, domain, conv, workers):
                     amin = np.minimum(np.minimum(np.abs(W2), np.abs(W3)),
                                       abs(w1))
                     abs_om[abs_om <= NUMERIC_EXACT_D * amin] = np.inf
-                    i, j = np.unravel_index(np.argmin(abs_om), abs_om.shape)
+                    i, j = map(int, np.unravel_index(np.argmin(abs_om),
+                                                     abs_om.shape))
                     v = abs_om[i, j]
                     if math.isfinite(v) and v <= best_val * (1 + 1e-9):
                         best_val = min(best_val, v)
@@ -694,7 +727,8 @@ def _float_min_nonzero(spec, domain, conv, workers):
                     idx = n1 - n2_lo
                     if 0 <= idx < abs_om.shape[0]:
                         abs_om[idx, :] = np.inf
-                    i, j = np.unravel_index(np.argmin(abs_om), abs_om.shape)
+                    i, j = map(int, np.unravel_index(np.argmin(abs_om),
+                                                     abs_om.shape))
                     v = abs_om[i, j]
                     if math.isfinite(v) and v <= best_val * (1 + 1e-9):
                         best_val = min(best_val, v)
@@ -703,6 +737,7 @@ def _float_min_nonzero(spec, domain, conv, workers):
                                        WaveVector(m1 + m2, n3_lo + j))))
     if not cands:
         return None
+    freqs = _FrequencyMemo(spec)
     best = None
     for c in cands:
         if conv == "both":
@@ -710,7 +745,7 @@ def _float_min_nonzero(spec, domain, conv, workers):
             k3 = WaveVector(k1.m + k2.m, k1.n + k2.n)
         else:
             k1, k2, k3 = c
-        t = _make_triad(spec, k1, k2, k3)
+        t = _best_pattern_triad(freqs, k1, k2, k3, "sum")
         if t.is_exact:
             continue
         if best is None or abs(t.discrepancy) < abs(best.discrepancy):

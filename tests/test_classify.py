@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,12 @@ def test_classic_members_active_for_any_threshold(sphere, sphere_t14, omega_max)
     part = classify_modes(sphere, sphere_t14, omega_max)
     for k in CLASSIC:
         assert part.mode_class(k) == ACTIVE
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_omega_max_rejected(sphere, bad):
+    with pytest.raises(UsageError):
+        classify_modes(sphere, SpectralDomain(4, "triangular"), bad)
 
 
 def test_trivial_domain_is_all_neutral(sphere):

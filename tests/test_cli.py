@@ -3,6 +3,7 @@ import json
 import pytest
 
 from wavetriads import DispersionSpec, SpectralDomain, find_near_triads
+from wavetriads import report
 from wavetriads.cli import main
 from wavetriads.report import (
     RATIONAL_EXTRA_COLUMNS,
@@ -97,6 +98,62 @@ def test_usage_errors_exit_2(capsys):
     code, _, _ = run_cli(capsys, "find-triads", "--liquid", "water",
                          "--mu-nu", "75")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["find-triads", "--liquid", "water", "--T", "6", "--d-max", "nan"],
+    ["find-triads", "--liquid", "water", "--T", "6", "--d-max", "inf"],
+    ["find-triads", "--liquid", "water", "--T", "6", "--d-min", "inf"],
+    ["classify", "--dispersion", "rossby-sphere", "--T", "6",
+     "--omega-max", "nan"],
+    ["plan", "--liquid", "water", "--T", "6", "--d-min", "inf"],
+    ["sweep", "--liquid", "water", "--T", "6", "--lx-values", "1",
+     "--ly-values", "1", "--omega-max", "nan"],
+], ids=["near-nan", "near-inf", "maxd-inf", "classify-nan", "plan-inf",
+        "sweep-nan"])
+def test_non_finite_threshold_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "must be finite" in err and out == ""
+
+
+def test_bound_float_dispersion_json(capsys):
+    code, out, err = run_cli(capsys, "bound", "--liquid", "water", "--T", "8",
+                             "--format", "json")
+    assert code == 0, err
+    witness = json.loads(out)["result"]["finite_domain_min"]["witness"]
+    assert witness["m1"] + witness["m2"] == witness["m3"]
+
+
+# Renderers of each format, per command; the JSON renderers also use to_json.
+RENDERERS = {
+    "find-triads": {"json": "triads_to_records", "csv": "triads_to_csv",
+                    "table": "triads_to_table"},
+    "classify": {"json": "partition_to_records", "csv": "partition_to_csv",
+                 "table": "partition_to_table"},
+}
+COMMAND_ARGS = {
+    "find-triads": ["--liquid", "benzaldehyde", "--T", "8", "--d-min", "0.5"],
+    "classify": ["--dispersion", "rossby-sphere", "--T", "8",
+                 "--omega-max", "0.03"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("command", sorted(RENDERERS))
+def test_only_requested_format_is_rendered(capsys, monkeypatch, command, fmt):
+    def unrequested(*args, **kwargs):
+        raise AssertionError("rendered a format that was not requested")
+
+    for other, name in RENDERERS[command].items():
+        if other != fmt:
+            monkeypatch.setattr(report, name, unrequested)
+    if fmt != "json":
+        monkeypatch.setattr(report, "to_json", unrequested)
+    code, out, err = run_cli(capsys, command, *COMMAND_ARGS[command],
+                             "--format", fmt)
+    assert code == 0, err
+    assert out
 
 
 def test_io_error_exit_4(capsys, tmp_path):

@@ -129,6 +129,9 @@ def test_plan_threshold_contract():
     with pytest.raises(UsageError):
         plan_experiment(gc_spec(75), SpectralDomain(5, "square"),
                         d_max=0.2, d_min=0.1, epsilon=0.1)
+    with pytest.raises(UsageError):
+        plan_experiment(gc_spec(75), SpectralDomain(5, "square"),
+                        d_max=1e-5, d_min=math.inf, epsilon=0.1)
 
 
 # -- geometry sweeps ----------------------------------------------------------
@@ -168,6 +171,16 @@ def test_sweep_neutral_counts_differ_square_vs_quarter_rectangle():
     rep = geometry_sweep(spec, domain, [1.0], [1.0, 4.0],
                          d_max=1e-5, omega_max=0.01, closure="zonal")
     assert rep.cell(1.0, 1.0).counts[2] != rep.cell(1.0, 4.0).counts[2]
+
+
+@pytest.mark.parametrize("thresholds", [
+    {"d_max": math.nan, "omega_max": 0.3},
+    {"d_max": 1e-5, "omega_max": math.nan},
+])
+def test_sweep_rejects_non_finite_thresholds(thresholds):
+    with pytest.raises(UsageError):
+        geometry_sweep(gc_spec(16), SpectralDomain(5, "square"), [1.0], [1.0],
+                       **thresholds)
 
 
 def test_sweep_rejects_empty_grid(square_t30):

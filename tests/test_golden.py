@@ -1,0 +1,94 @@
+"""Byte-for-byte comparison of CLI output with committed golden files.
+
+Each case runs ``wavetriads.cli.main`` on a small domain (T <= 10) and
+compares the bytes it writes with ``tests/golden/<case>``.  The files pin
+every subcommand in each format it supports, so a refactor of the search,
+report or CLI layers that changes any output byte fails here.
+
+Regenerate the files only for an intended output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from wavetriads.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+ALL = ("json", "csv", "table")
+NO_CSV = ("json", "table")
+
+# (case name, arguments without --format, formats)
+_COMMANDS = [
+    ("find-triads-near",
+     ["find-triads", "--liquid", "water", "--T", "10", "--d-max", "1e-2"],
+     ALL),
+    ("find-triads-near-zonal",
+     ["find-triads", "--liquid", "water", "--T", "8", "--d-max", "1e-2",
+      "--closure", "zonal"], ("csv",)),
+    ("find-triads-near-sphere",
+     ["find-triads", "--dispersion", "rossby-sphere", "--T", "8",
+      "--d-max", "0.05", "--patterns", "all"], ("csv",)),
+    ("find-triads-maxd",
+     ["find-triads", "--liquid", "benzaldehyde", "--T", "8", "--d-min", "0.5"],
+     ALL),
+    ("find-triads-maxd-box",
+     ["find-triads", "--dispersion", "gravity-capillary", "--mu-nu", "16",
+      "--T", "5", "--d-min", "0.5", "--closure", "box", "--patterns", "all"],
+     ("csv",)),
+    ("find-triads-exact",
+     ["find-triads", "--dispersion", "rossby-sphere", "--T", "10", "--exact"],
+     ALL),
+    ("classify-sphere",
+     ["classify", "--dispersion", "rossby-sphere", "--T", "8",
+      "--omega-max", "0.03"], ALL),
+    ("classify-plane-box",
+     ["classify", "--dispersion", "bve-plane", "--plane-form", "squared",
+      "--T", "8", "--omega-max", "0.013", "--patterns", "all",
+      "--closure", "box"], ("json",)),
+    ("bound-sphere",
+     ["bound", "--dispersion", "rossby-sphere", "--T", "8"], NO_CSV),
+    ("plan",
+     ["plan", "--liquid", "glycerine", "--T", "8", "--d-max", "1e-3",
+      "--d-min", "0.8"], NO_CSV),
+    ("sweep",
+     ["sweep", "--liquid", "benzaldehyde", "--T", "8", "--lx-values", "1,2",
+      "--ly-values", "1,2.5", "--d-max", "0.01", "--omega-max", "20"],
+     NO_CSV),
+    ("eval-water",
+     ["eval", "--liquid", "water", "--m", "3", "--n", "4"], NO_CSV),
+    ("eval-sphere",
+     ["eval", "--dispersion", "rossby-sphere", "--m", "1", "--n", "2"],
+     NO_CSV),
+]
+
+CASES = {f"{name}.{fmt}": [*argv, "--format", fmt]
+         for name, argv, formats in _COMMANDS for fmt in formats}
+CASES["find-triads-maxd-no-header.csv"] = [
+    "find-triads", "--liquid", "benzaldehyde", "--T", "8", "--d-min", "0.5",
+    "--format", "csv", "--no-header"]
+
+
+def render(argv, path: Path) -> bytes:
+    code = main([*argv, "--output", str(path)])
+    assert code == 0, argv
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, tmp_path):
+    got = render(CASES[case], tmp_path / case)
+    assert got == (GOLDEN / case).read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, argv in sorted(CASES.items()):
+            (GOLDEN / case).write_bytes(render(argv, Path(tmp) / case))
+            print(case)

@@ -17,6 +17,7 @@ from wavetriads import (
     find_near_triads,
     to_hz,
 )
+from wavetriads import search
 from wavetriads.report import triads_to_csv
 from conftest import TYPE_A, TYPE_B, gc_spec, wv
 
@@ -192,6 +193,48 @@ def test_thresholds_validated(square_t30, sphere, sphere_t14):
         find_max_discrepancy_triads(sphere, sphere_t14, -1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_thresholds_rejected(bad, sphere):
+    for spec, dom in ((gc_spec(75), SpectralDomain(6, "square")),
+                      (sphere, SpectralDomain(6, "triangular"))):
+        if bad != math.inf:  # an infinite ceiling keeps every triad
+            with pytest.raises(UsageError):
+                find_near_triads(spec, dom, bad)
+        with pytest.raises(UsageError):
+            find_max_discrepancy_triads(spec, dom, bad)
+        with pytest.raises(UsageError):
+            list(search.iter_ari_triads(spec, dom, bad))
+
+
+def test_infinite_d_max_keeps_every_closed_triad():
+    dom = SpectralDomain(5, "square")
+    assert (find_near_triads(gc_spec(75), dom, math.inf)
+            == find_near_triads(gc_spec(75), dom, 1e300))
+
+
+@pytest.mark.parametrize("closure,patterns", [("both", "sum"),
+                                              ("zonal", "all"),
+                                              ("box", "all")])
+def test_rebuild_evaluates_each_output_mode_once(closure, patterns,
+                                                 monkeypatch):
+    """The scalar rebuild evaluates each distinct mode of the output once,
+    not three frequencies per triad."""
+    calls = []
+    scalar = search.eval_frequency
+
+    def counting(spec, k):
+        calls.append(k)
+        return scalar(spec, k)
+
+    monkeypatch.setattr(search, "eval_frequency", counting)
+    triads = find_max_discrepancy_triads(
+        gc_spec(16), SpectralDomain(7, "square"), 0.5, patterns=patterns,
+        closure=closure)
+    modes = {k for t in triads for k in t.members()}
+    assert triads
+    assert len(calls) <= len(modes)
+
+
 # -- discrepancy lower bounds -------------------------------------------------
 
 def test_apriori_bound_small_case(sphere):
@@ -225,6 +268,14 @@ def test_bound_report_float_spec(square_t30):
     for t in near:
         if t.discrepancy != 0:
             assert abs(t.discrepancy) >= rep.finite_min.value
+
+
+@pytest.mark.parametrize("closure", ["both", "zonal"])
+def test_float_bound_witness_has_integer_components(closure):
+    rep = discrepancy_lower_bound(gc_spec(75), SpectralDomain(8, "square"),
+                                  closure=closure)
+    assert all(type(c) is int
+               for k in rep.finite_min.witness.members() for c in k)
 
 
 def test_bound_undefined_over_empty_set(sphere):
