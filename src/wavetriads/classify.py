@@ -40,16 +40,14 @@ from .dispersion import (
 from .errors import UsageError
 from .search import (
     NUMERIC_EXACT_D,
-    SIGN_PATTERNS,
     Triad,
     _check_threshold,
     _d_ratio,
-    _iter_pairs,
     _min_pattern,
     _search_box_float,
+    _search_exact,
     _search_zonal_float,
     _search_both_closure,
-    _sphere_exact_n3,
     box_completions,
     find_exact_triads,
     iter_ari_triads,
@@ -127,37 +125,6 @@ class ModePartition:
 # resonant seeds
 # ---------------------------------------------------------------------------
 
-def _find_exact_sphere_all_patterns(spec, domain, skip_equal_n_pairs=True):
-    """Exact rational triads under any sign pattern: for each ordered pair
-    and each pattern, solve for the closing n3."""
-    T = domain.truncation
-    freqs = {k: eval_frequency(spec, k).omega for k in domain.modes()}
-    out = {}
-    for k1, k2 in _iter_pairs(domain):
-        if skip_equal_n_pairs and k1.n == k2.n:
-            continue
-        m3 = k1.m + k2.m
-        if m3 > T:
-            continue
-        w1, w2 = freqs[k1], freqs[k2]
-        # w3 solving each pattern: s1*w1 + s2*w2 + s3*w3 = 0
-        for signs in SIGN_PATTERNS:
-            w3 = -(signs[0] * w1 + signs[1] * w2) * signs[2]
-            n3 = _sphere_exact_n3(m3, w3)
-            if n3 is None:
-                continue
-            k3 = WaveVector(m3, n3)
-            if k3 not in domain or k3 == k1 or k3 == k2:
-                continue
-            ws = (w1, w2, freqs[k3])
-            om = signs[0] * ws[0] + signs[1] * ws[1] + signs[2] * ws[2]
-            if om != 0:
-                continue
-            t = Triad(k1, k2, k3, ws, om, 0.0, signs)
-            out.setdefault((k1, k2, k3), t)
-    return sorted(out.values(), key=lambda t: t.key())
-
-
 def resonant_seed_triads(spec: DispersionSpec, domain: SpectralDomain,
                          patterns: str = "sum", closure: str = "auto",
                          n_selection: str = "none",
@@ -167,8 +134,8 @@ def resonant_seed_triads(spec: DispersionSpec, domain: SpectralDomain,
     conv = resolve_closure(spec, closure)
     if spec.exactness:
         if patterns == "all":
-            triads = _find_exact_sphere_all_patterns(
-                spec, domain, skip_equal_n_pairs)
+            triads = _search_exact(spec, domain, d_max=0, patterns="all",
+                                   skip_equal_n_pairs=skip_equal_n_pairs)
         else:
             triads = find_exact_triads(spec, domain, skip_equal_n_pairs)
     elif conv == "zonal":

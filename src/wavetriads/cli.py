@@ -5,7 +5,7 @@ Exit codes: 0 success, 2 usage error, 3 domain error, 4 I/O error.
 
 Every run embeds its resolved configuration in the output header
 (suppressed with --no-header); payloads carry no timestamps, so identical
-configurations produce byte-identical output regardless of --threads.
+configurations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -85,8 +85,6 @@ def _add_common_args(p: argparse.ArgumentParser):
     p.add_argument("--output", help="write to file instead of stdout")
     p.add_argument("--no-header", action="store_true",
                    help="suppress the configuration header")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for searches (same output for any N)")
 
 
 def build_spec(args) -> DispersionSpec:
@@ -175,14 +173,13 @@ def cmd_find_triads(args):
     elif args.d_min is not None:
         triads = find_max_discrepancy_triads(spec, domain, args.d_min,
                                              patterns=args.patterns,
-                                             closure=args.closure,
-                                             workers=args.threads)
+                                             closure=args.closure)
         mode = {"mode": "max-discrepancy", "d_min": args.d_min}
     else:
         d_max = args.d_max if args.d_max is not None else 1e-6
         triads = find_near_triads(spec, domain, d_max,
                                   patterns=args.patterns,
-                                  closure=args.closure, workers=args.threads)
+                                  closure=args.closure)
         mode = {"mode": "near", "d_max": d_max}
     header = _header(args, spec, {
         "domain": {"T": domain.truncation, "shape": domain.shape}, **mode,
@@ -214,7 +211,7 @@ def cmd_classify(args):
 def cmd_bound(args):
     spec = build_spec(args)
     domain = build_domain(args, spec)
-    rep = discrepancy_lower_bound(spec, domain, workers=args.threads)
+    rep = discrepancy_lower_bound(spec, domain)
     header = _header(args, spec, {
         "domain": {"T": domain.truncation, "shape": domain.shape}})
     _emit(args, header, lambda: report.bound_to_record(rep),
@@ -224,8 +221,7 @@ def cmd_bound(args):
 def cmd_plan(args):
     spec = build_spec(args)
     domain = build_domain(args, spec)
-    plan = plan_experiment(spec, domain, args.d_max, args.d_min, args.epsilon,
-                           workers=args.threads)
+    plan = plan_experiment(spec, domain, args.d_max, args.d_min, args.epsilon)
     header = _header(args, spec, {
         "domain": {"T": domain.truncation, "shape": domain.shape},
         "d_max": args.d_max, "d_min": args.d_min, "epsilon": args.epsilon,
@@ -242,8 +238,7 @@ def cmd_sweep(args):
         lys = [float(v) for v in args.ly_values.split(",") if v]
     except ValueError as exc:
         raise UsageError(f"bad grid value: {exc}") from exc
-    rep = geometry_sweep(spec, domain, lxs, lys, args.d_max, args.omega_max,
-                         workers=args.threads)
+    rep = geometry_sweep(spec, domain, lxs, lys, args.d_max, args.omega_max)
     header = _header(args, spec, {
         "domain": {"T": domain.truncation, "shape": domain.shape},
         "d_max": args.d_max, "omega_max": args.omega_max,

@@ -77,8 +77,9 @@ class BasinGeometry:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise DomainError(f"unknown basin kind {self.kind!r}")
-        if self.lx <= 0 or self.ly <= 0:
-            raise DomainError("basin side lengths must be positive")
+        if not (0 < self.lx < math.inf and 0 < self.ly < math.inf):
+            raise DomainError("basin side lengths must be positive and "
+                              f"finite, got {self.lx!r} x {self.ly!r}")
         if self.kind == "unit_square" and (self.lx != 1.0 or self.ly != 1.0):
             raise DomainError("unit_square basin requires Lx = Ly = 1")
 
@@ -107,8 +108,12 @@ class DispersionSpec:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise DomainError(f"unknown dispersion kind {self.kind!r}")
-        if self.g <= 0:
-            raise DomainError("g must be positive")
+        if not 0 < self.g < math.inf:
+            raise DomainError(f"g must be positive and finite, got {self.g!r}")
+        for name in ("mu_over_nu", "alpha"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if self.kind == "gravity_capillary":
             if self.mu_over_nu is None or self.mu_over_nu <= 0:
                 raise DomainError("gravity_capillary requires mu_over_nu > 0")

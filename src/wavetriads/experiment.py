@@ -26,6 +26,14 @@ from .search import find_max_discrepancy_triads, find_near_triads
 WEAKLY_NONLINEAR_EPS = 0.2
 
 
+def _check_steepness(epsilon: float) -> None:
+    """Reject a negative or non-finite steepness; a NaN passes every
+    comparison and would reach the amplitudes and the JSON output."""
+    if not 0 <= epsilon < math.inf:
+        raise DomainError(
+            f"steepness must be non-negative and finite, got {epsilon!r}")
+
+
 def steepness_amplitude(k: WaveVector, epsilon: float,
                         spec: DispersionSpec | None = None) -> float:
     """Wave amplitude a = epsilon / |k| (cm) for a target steepness.
@@ -34,8 +42,7 @@ def steepness_amplitude(k: WaveVector, epsilon: float,
     plain Euclidean norm otherwise.  Warns outside 0 < epsilon <= 0.2.
     """
     k = check_wavevector(WaveVector(*k))
-    if epsilon < 0:
-        raise DomainError("steepness must be non-negative")
+    _check_steepness(epsilon)
     if epsilon == 0:
         warnings.warn("steepness 0 gives a degenerate zero amplitude")
     elif epsilon > WEAKLY_NONLINEAR_EPS:
@@ -97,8 +104,8 @@ class ExperimentPlan:
 
 
 def plan_experiment(spec: DispersionSpec, domain: SpectralDomain,
-                    d_max: float, d_min: float, epsilon: float,
-                    workers: int = 1) -> ExperimentPlan:
+                    d_max: float, d_min: float,
+                    epsilon: float) -> ExperimentPlan:
     """Assemble driving frequencies and amplitudes for a laboratory run.
 
     d_max is the Type-A ceiling and d_min the Type-B floor; the plan
@@ -107,8 +114,9 @@ def plan_experiment(spec: DispersionSpec, domain: SpectralDomain,
     """
     if not (0 < d_max < d_min):
         raise UsageError("thresholds must satisfy 0 < d_max < d_min")
-    type_a = find_near_triads(spec, domain, d_max, workers=workers)
-    type_b = find_max_discrepancy_triads(spec, domain, d_min, workers=workers)
+    _check_steepness(epsilon)
+    type_a = find_near_triads(spec, domain, d_max)
+    type_b = find_max_discrepancy_triads(spec, domain, d_min)
     amplitudes = {}
     for t in list(type_a) + list(type_b):
         for k in t.members():
@@ -147,7 +155,7 @@ class GeometrySweepReport:
 
 def geometry_sweep(base_spec: DispersionSpec, domain: SpectralDomain,
                    lx_values, ly_values, d_max: float, omega_max: float,
-                   workers: int = 1, **class_convention) -> GeometrySweepReport:
+                   **class_convention) -> GeometrySweepReport:
     """Rescale the spec over an (Lx, Ly) grid; report triad inventories and
     class counts per cell.  A cell with no near triad at d_max is flagged
     resonance-free."""
@@ -159,7 +167,7 @@ def geometry_sweep(base_spec: DispersionSpec, domain: SpectralDomain,
                                  float(omega_max))
     for lx, ly in product(lxs, lys):
         spec = rescale_for_basin(base_spec, lx, ly)
-        triads = find_near_triads(spec, domain, d_max, workers=workers)
+        triads = find_near_triads(spec, domain, d_max)
         counts = class_counts(spec, domain, omega_max, **class_convention)
         report.cells.append(SweepCell(lx, ly, triads, len(triads), counts,
                                       resonance_free=not triads))

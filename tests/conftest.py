@@ -2,9 +2,19 @@
 tables the acceptance suite reproduces (wave numbers in brackets,
 frequencies in Hz)."""
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from wavetriads import DispersionSpec, SpectralDomain, WaveVector
+
+# Property tests (hypothesis): "ci" replays a fixed set of examples, so a
+# run cannot flake; "dev" draws fresh ones.  Select with HYPOTHESIS_PROFILE.
+settings.register_profile("ci", derandomize=True, max_examples=20,
+                          deadline=None, print_blob=True)
+settings.register_profile("dev", max_examples=20, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 # Near-resonant ("Type A") triads per surface-tension ratio:
 # (k1, k2, k3, (hz1, hz2, hz3))

@@ -117,6 +117,23 @@ def test_non_finite_threshold_exit_2(capsys, argv):
     assert "must be finite" in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--liquid", "water", "--T", "5", "--lx-values", "nan",
+     "--ly-values", "1"],
+    ["find-triads", "--liquid", "water", "--T", "5", "--lx", "nan",
+     "--ly", "1"],
+    ["find-triads", "--dispersion", "gravity-capillary", "--T", "5",
+     "--mu-nu", "nan"],
+    ["find-triads", "--liquid", "water", "--T", "5", "--g", "inf"],
+    ["plan", "--liquid", "water", "--T", "5", "--epsilon", "nan",
+     "--format", "json"],
+], ids=["sweep-lx", "find-lx", "find-mu-nu", "find-g", "plan-epsilon"])
+def test_non_finite_physical_parameter_exit_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert "domain error" in err and out == ""
+
+
 def test_bound_float_dispersion_json(capsys):
     code, out, err = run_cli(capsys, "bound", "--liquid", "water", "--T", "8",
                              "--format", "json")
@@ -162,14 +179,6 @@ def test_io_error_exit_4(capsys, tmp_path):
                            "--output", str(tmp_path / "no" / "dir" / "x"))
     assert code == 4
     assert "i/o error" in err
-
-
-def test_reproducible_output_across_threads(capsys):
-    args = ["find-triads", "--liquid", "benzaldehyde", "--T", "25",
-            "--d-max", "1e-4", "--format", "json"]
-    a = run_cli(capsys, *args, "--threads", "1")
-    b = run_cli(capsys, *args, "--threads", "3")
-    assert a == b
 
 
 def test_config_file_round_trip(capsys, tmp_path):

@@ -148,6 +148,26 @@ def test_spec_validation():
         BasinGeometry("rectangle", lx=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_basin_rejects_non_finite_sides(bad):
+    for lx, ly in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(DomainError):
+            BasinGeometry("rectangle", lx=lx, ly=ly)
+        with pytest.raises(DomainError):
+            rescale_for_basin(gc_spec(16), lx, ly)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("kind, field", [
+    ("gravity_capillary", "g"), ("gravity_capillary", "mu_over_nu"),
+    ("gravity_tanh", "alpha"), ("capillary", "mu_over_nu")])
+def test_spec_rejects_non_finite_parameters(kind, field, bad):
+    params = {"gravity_capillary": {"mu_over_nu": 75.0},
+              "gravity_tanh": {"alpha": 0.5}, "capillary": {}}[kind]
+    with pytest.raises(DomainError):
+        DispersionSpec(kind, **{**params, field: bad})
+
+
 def test_config_round_trip():
     spec = DispersionSpec("gravity_capillary", mu_over_nu=47.0,
                           basin=BasinGeometry("rectangle", lx=2.0, ly=3.0))

@@ -37,6 +37,20 @@ def test_steepness_degenerate_and_warning_paths():
         steepness_amplitude(wv(1, 1), -0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_steepness_rejects_non_finite(bad):
+    with pytest.raises(DomainError):
+        steepness_amplitude(wv(1, 1), bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_plan_rejects_non_finite_steepness(bad):
+    # T = 1 has no triad, so no amplitude is computed to catch it.
+    with pytest.raises(DomainError):
+        plan_experiment(gc_spec(75), SpectralDomain(1, "square"),
+                        d_max=1e-5, d_min=0.1, epsilon=bad)
+
+
 def test_steepness_inverse_property():
     for m in range(1, 12, 2):
         for n in range(1, 12, 3):

@@ -1,0 +1,343 @@
+"""The array kernels of the box-closure and exact-sphere scans against
+brute-force oracles: the per-candidate loops they replaced, kept here as
+references.  Emitted triads are compared field by field (floats by
+``float.hex``, rationals exactly), in emission order, and so are the
+discrepancy-bound witnesses."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from wavetriads import (
+    BasinGeometry,
+    DispersionSpec,
+    SpectralDomain,
+    WaveVector,
+    discrepancy_lower_bound,
+    eval_frequency,
+    find_exact_triads,
+    find_max_discrepancy_triads,
+    find_near_triads,
+)
+from wavetriads import search
+from wavetriads.dispersion import omega_grid
+from wavetriads.classify import resonant_seed_triads
+from wavetriads.search import (
+    NUMERIC_EXACT_D,
+    SIGN_PATTERNS,
+    Triad,
+    box_completions,
+    iter_ari_triads,
+)
+
+SPHERE = DispersionSpec("rossby_sphere")
+
+FLOAT_SPECS = [
+    DispersionSpec("capillary"),
+    DispersionSpec("capillary", basin=BasinGeometry("rectangle", 1.0, 2.5)),
+    DispersionSpec("gravity_capillary", mu_over_nu=75.0),
+    DispersionSpec("gravity_capillary", mu_over_nu=16.0,
+                   basin=BasinGeometry("rectangle", 2.0, 2.0)),
+    DispersionSpec("gravity_capillary", mu_over_nu=27.0,
+                   basin=BasinGeometry("rectangle", 1.0, 1.7)),
+    DispersionSpec("gravity_tanh", alpha=0.5),
+    DispersionSpec("bve_plane"),
+    DispersionSpec("bve_plane", plane_form="squared"),
+    DispersionSpec("bve_plane", plane_form="squared",
+                   basin=BasinGeometry("rectangle", 1.0, 4.0)),
+]
+
+
+# -- field-by-field comparison ----------------------------------------------------
+
+def _num(x):
+    if isinstance(x, Fraction):
+        return (type(x).__name__, x.numerator, x.denominator)
+    return (type(x).__name__, float.hex(x))
+
+
+def fields(triads):
+    out = []
+    for t in triads:
+        assert all(type(c) is int for k in t.members() for c in k)
+        out.append((t.k1, t.k2, t.k3, tuple(_num(w) for w in t.omegas),
+                    _num(t.discrepancy), _num(t.d_ratio), t.signs))
+    return out
+
+
+def _candidate_triad(k1, k2, k3, ws, patterns):
+    if patterns == "all":
+        best = None
+        for signs in SIGN_PATTERNS:
+            om = signs[0] * ws[0] + signs[1] * ws[1] + signs[2] * ws[2]
+            if best is None or abs(om) < abs(best[0]):
+                best = (om, signs)
+        om, signs = best
+    else:
+        om, signs = ws[0] + ws[1] - ws[2], (1, 1, -1)
+    d = abs(float(om)) / min(abs(float(w)) for w in ws)
+    return Triad(k1, k2, k3, ws, om, d, signs)
+
+
+def _first_min_nonzero(triads):
+    best = None
+    for t in triads:
+        if t.is_exact:
+            continue
+        if best is None or abs(t.discrepancy) < abs(best.discrepancy):
+            best = t
+    return best
+
+
+# -- box closure: the per-pair loop -----------------------------------------------
+
+def oracle_completions(k1, k2, T):
+    return sorted(WaveVector(m3, n3)
+                  for m3 in {k1.m + k2.m, abs(k1.m - k2.m)}
+                  for n3 in {k1.n + k2.n, abs(k1.n - k2.n)}
+                  if 1 <= m3 <= T and 1 <= n3 <= T)
+
+
+def box_oracle(spec, domain, *, d_max=None, d_min=None, abs_max=None,
+               patterns="all", scalar_rebuild=True):
+    """Every pair k1 < k2, every completion k3 > k2, the predicate on the
+    grid frequencies, and the rebuild from scalar (or grid) values."""
+    T = domain.truncation
+    W = omega_grid(spec, T)
+    scalar = {}
+    modes = list(domain.modes())
+    out = []
+    for i, k1 in enumerate(modes):
+        for k2 in modes[i + 1:]:
+            for k3 in oracle_completions(k1, k2, T):
+                if not k3 > k2:
+                    continue
+                ws = tuple(W[k.m, k.n] for k in (k1, k2, k3))
+                if patterns == "sum":
+                    om = ws[0] + ws[1] - ws[2]
+                else:
+                    om = _candidate_triad(k1, k2, k3, ws, "all").discrepancy
+                a = abs(om)
+                if abs_max is not None:
+                    if not 0 < a <= abs_max:
+                        continue
+                else:
+                    d = a / min(abs(w) for w in ws)
+                    if d_max is not None and d > d_max:
+                        continue
+                    if d_min is not None and d < d_min:
+                        continue
+                if scalar_rebuild:
+                    for k in (k1, k2, k3):
+                        if k not in scalar:
+                            scalar[k] = eval_frequency(spec, k).omega
+                    ws = tuple(scalar[k] for k in (k1, k2, k3))
+                else:
+                    ws = tuple(float(w) for w in ws)
+                out.append(_candidate_triad(k1, k2, k3, ws, patterns))
+    return out
+
+
+def test_box_completions_ascending():
+    T = 7
+    for k1 in SpectralDomain(T).modes():
+        for k2 in SpectralDomain(T).modes():
+            assert list(box_completions(k1, k2, T)) == \
+                oracle_completions(k1, k2, T)
+
+
+@given(spec=st.sampled_from(FLOAT_SPECS), T=st.integers(1, 9),
+       patterns=st.sampled_from(["sum", "all"]),
+       predicate=st.sampled_from(["d_max", "d_min", "abs_max", "seeds"]),
+       scalar_rebuild=st.booleans(), data=st.data())
+def test_box_kernel_matches_pair_loop(spec, T, patterns, predicate,
+                                      scalar_rebuild, data):
+    domain = SpectralDomain(T)
+    closed = box_oracle(spec, domain, d_max=math.inf, patterns=patterns)
+    if predicate == "seeds":
+        kw = {"d_max": NUMERIC_EXACT_D}
+    elif predicate == "abs_max":
+        # thresholds at candidate values probe the boundary of the predicate
+        values = [abs(t.discrepancy) for t in closed if t.discrepancy] or [1.0]
+        kw = {"abs_max": data.draw(st.sampled_from(values))}
+    else:
+        values = [t.d_ratio for t in closed if t.d_ratio] or [0.5]
+        kw = {predicate: data.draw(st.sampled_from(values))}
+    got = search._search_box_float(spec, domain, patterns=patterns,
+                                   scalar_rebuild=scalar_rebuild, **kw)
+    want = box_oracle(spec, domain, patterns=patterns,
+                      scalar_rebuild=scalar_rebuild, **kw)
+    assert fields(got) == fields(want)
+
+
+@given(spec=st.sampled_from(FLOAT_SPECS), T=st.integers(1, 9))
+def test_box_bound_matches_pair_loop(spec, T):
+    domain = SpectralDomain(T)
+    rep = discrepancy_lower_bound(spec, domain, closure="box")
+    want = _first_min_nonzero(box_oracle(spec, domain, d_max=math.inf))
+    if want is None:
+        assert rep.finite_min is None
+    else:
+        assert fields([rep.finite_min.witness]) == fields([want])
+        assert rep.finite_min.value == abs(want.discrepancy)
+
+
+# -- exact sphere: the Fraction loop ----------------------------------------------
+
+def sphere_candidates(domain, skip_equal_n_pairs, rows=None):
+    """(k1, k2, k3, ws, Omega of the sum pattern) for every zonally closed
+    candidate whose k1 is in ``rows`` (all modes by default), in
+    (k1, k2, n3) order, on Fraction frequencies."""
+    T = domain.truncation
+    freqs = {k: eval_frequency(SPHERE, k).omega for k in domain.modes()}
+    triangular = domain.shape == "triangular"
+    modes = list(domain.modes())
+    for i, k1 in enumerate(modes):
+        if rows is not None and k1 not in rows:
+            continue
+        for k2 in modes[i + 1:]:
+            if skip_equal_n_pairs and k1.n == k2.n:
+                continue
+            m3 = k1.m + k2.m
+            if m3 > T:
+                continue
+            w_sum = freqs[k1] + freqs[k2]
+            for n3 in range(m3 if triangular else 1, T + 1):
+                k3 = WaveVector(m3, n3)
+                yield k1, k2, k3, (freqs[k1], freqs[k2], freqs[k3]), \
+                    w_sum - freqs[k3]
+
+
+def _closing_n3(m3, w3):
+    """Integer n3 >= 1 with -2 m3 / (n3 (n3 + 1)) == w3, or None."""
+    if w3 >= 0:
+        return None
+    x = Fraction(-2 * m3) / w3
+    if x.denominator != 1:
+        return None
+    r = math.isqrt(4 * x.numerator + 1)
+    if r * r != 4 * x.numerator + 1 or (r - 1) % 2:
+        return None
+    n3 = (r - 1) // 2
+    return n3 if n3 >= 1 else None
+
+
+def exact_oracle(domain, skip_equal_n_pairs, patterns, rows):
+    """Exact resonances with k1 in ``rows``, by solving each sign pattern
+    for the closing n3; the first pattern in SIGN_PATTERNS order wins."""
+    freqs = {k: eval_frequency(SPHERE, k).omega for k in domain.modes()}
+    modes = list(domain.modes())
+    out = {}
+    for i, k1 in enumerate(modes):
+        if k1 not in rows:
+            continue
+        for k2 in modes[i + 1:]:
+            if skip_equal_n_pairs and k1.n == k2.n:
+                continue
+            m3 = k1.m + k2.m
+            for signs in (SIGN_PATTERNS if patterns == "all"
+                          else SIGN_PATTERNS[:1]):
+                w3 = -(signs[0] * freqs[k1] + signs[1] * freqs[k2]) * signs[2]
+                n3 = _closing_n3(m3, w3)
+                if n3 is None or WaveVector(m3, n3) not in domain:
+                    continue
+                k3 = WaveVector(m3, n3)
+                ws = (freqs[k1], freqs[k2], freqs[k3])
+                om = signs[0] * ws[0] + signs[1] * ws[1] + signs[2] * ws[2]
+                assert om == 0
+                out.setdefault((k1, k2, k3), Triad(k1, k2, k3, ws, om, 0.0,
+                                                   signs))
+    return sorted(out.values(), key=lambda t: t.key())
+
+
+def _near_key(t):
+    return (t.d_ratio, t.k1, t.k2, t.k3)
+
+
+@given(T=st.integers(1, 20), shape=st.sampled_from(["triangular", "square"]),
+       skip=st.booleans(), patterns=st.sampled_from(["sum", "all"]),
+       data=st.data())
+def test_exact_kernel_matches_fraction_loop(T, shape, skip, patterns, data):
+    """Each search against the Fraction loop over a few k1 rows (the
+    kernels work row by row); thresholds are drawn from the candidates'
+    own values, at the edge of the float prefilters."""
+    domain = SpectralDomain(T, shape)
+    modes = list(domain.modes())
+    # The first row holds the most candidates, among them the extreme
+    # values the thresholds are drawn from.
+    rows = {modes[0], *data.draw(st.lists(st.sampled_from(modes), max_size=2),
+                                 label="rows")}
+
+    def in_rows(triads):
+        return [t for t in triads if t.k1 in rows]
+
+    cands = [_candidate_triad(k1, k2, k3, ws, patterns)
+             for k1, k2, k3, ws, _ in sphere_candidates(domain, skip, rows)]
+    d_ratios = sorted({t.d_ratio for t in cands if t.d_ratio}) or [0.5]
+    omegas = sorted({abs(t.discrepancy) for t in cands if t.discrepancy})
+    d_max = data.draw(st.sampled_from(d_ratios[:3]), label="d_max")
+    omega_max = data.draw(st.sampled_from([float(w) for w in omegas[:3]]
+                                          or [0.03]), label="omega_max")
+
+    exact = exact_oracle(domain, skip, patterns, rows)
+    assert [t for t in cands if t.discrepancy == 0] == exact
+    assert fields(in_rows(resonant_seed_triads(
+        SPHERE, domain, patterns=patterns, skip_equal_n_pairs=skip))) == \
+        fields(exact)
+    if patterns == "sum":
+        assert fields(in_rows(find_exact_triads(SPHERE, domain, skip))) == \
+            fields(exact)
+    assert fields(in_rows(find_near_triads(
+        SPHERE, domain, d_max, patterns=patterns,
+        skip_equal_n_pairs=skip))) == \
+        fields(sorted((t for t in cands if t.d_ratio <= d_max), key=_near_key))
+    assert fields(in_rows(iter_ari_triads(
+        SPHERE, domain, omega_max, patterns=patterns,
+        skip_equal_n_pairs=skip))) == \
+        fields([t for t in cands
+                if t.discrepancy != 0 and abs(t.discrepancy) <= omega_max])
+    if skip:  # the max-discrepancy search always skips n1 = n2
+        d_min = data.draw(st.sampled_from(d_ratios[-3:]), label="d_min")
+        assert fields(in_rows(find_max_discrepancy_triads(
+            SPHERE, domain, d_min, patterns=patterns))) == fields(sorted(
+                (t for t in cands if t.d_ratio >= d_min),
+                key=lambda t: (-t.d_ratio, t.k1, t.k2, t.k3)))
+
+
+@given(T=st.integers(1, 20), shape=st.sampled_from(["triangular", "square"]))
+def test_exact_bound_matches_fraction_loop(T, shape):
+    """The first least nonzero sum-pattern |Omega| over every candidate."""
+    domain = SpectralDomain(T, shape)
+    best = None
+    for k1, k2, k3, ws, om in sphere_candidates(domain, True):
+        if om != 0 and (best is None or abs(om) < abs(best[-1])):
+            best = (k1, k2, k3, ws, om)
+    rep = discrepancy_lower_bound(SPHERE, domain)
+    if best is None:
+        assert rep.finite_min is None
+    else:
+        assert fields([rep.finite_min.witness]) == \
+            fields([_candidate_triad(*best[:4], "sum")])
+        assert rep.finite_min.value == abs(best[-1])
+
+
+@pytest.mark.parametrize("shape", ["triangular", "square"])
+def test_exact_kernel_python_int_fallback(shape, monkeypatch):
+    """Above the int64 bound on |N| the kernel computes N in Python
+    integers, with the same results."""
+    domain = SpectralDomain(12, shape)
+
+    def run():
+        return [fields(find_exact_triads(SPHERE, domain)),
+                fields(resonant_seed_triads(SPHERE, domain, patterns="all")),
+                fields(find_near_triads(SPHERE, domain, 0.01, patterns="all")),
+                fields(find_max_discrepancy_triads(SPHERE, domain, 20.0)),
+                fields(iter_ari_triads(SPHERE, domain, 0.03)),
+                fields([discrepancy_lower_bound(SPHERE, domain)
+                        .finite_min.witness])]
+
+    int64 = run()
+    monkeypatch.setattr(search, "_N_INT64_LIMIT", 0)
+    assert run() == int64

@@ -18,7 +18,6 @@ from wavetriads import (
     to_hz,
 )
 from wavetriads import search
-from wavetriads.report import triads_to_csv
 from conftest import TYPE_A, TYPE_B, gc_spec, wv
 
 CLASSIC = (wv(4, 12), wv(5, 14), wv(9, 13))
@@ -176,14 +175,6 @@ def test_type_b_ratio_value(square_t30):
     triads = find_max_discrepancy_triads(gc_spec(16), square_t30, 0.1)
     match = [t for t in triads if t.key() == (k1, k2, k3)][0]
     assert abs(match.d_ratio - 1.3416) < 1e-3
-
-
-def test_parallel_search_is_deterministic(square_t30):
-    spec = gc_spec(75)
-    base = triads_to_csv(find_near_triads(spec, square_t30, 1e-4, workers=1))
-    for workers in (2, 3, 7):
-        assert triads_to_csv(
-            find_near_triads(spec, square_t30, 1e-4, workers=workers)) == base
 
 
 def test_thresholds_validated(square_t30, sphere, sphere_t14):
