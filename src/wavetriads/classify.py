@@ -41,35 +41,35 @@ from .errors import UsageError
 from .search import (
     NUMERIC_EXACT_D,
     Triad,
+    _FrequencyMemo,
+    _best_pattern_triad,
     _check_threshold,
-    _d_ratio,
-    _min_pattern,
-    _search_box_float,
-    _search_exact,
-    _search_zonal_float,
-    _search_both_closure,
-    box_completions,
-    find_exact_triads,
+    _dispatch,
+    _pattern,
     iter_ari_triads,
-    resolve_closure,
 )
 
 ACTIVE = "active"
 PASSIVE = "passive"
 NEUTRAL = "neutral"
 
-
-def _passes_n_selection(n_selection: str, n1: int, n2: int, n3: int) -> bool:
-    if n_selection in ("parity", "both") and (n1 + n2 + n3) % 2 == 0:
-        return False
-    if n_selection in ("triangle", "both"):
-        if not (abs(n1 - n2) < n3 < n1 + n2):
-            return False
-    return True
+N_SELECTIONS = ("none", "parity", "triangle", "both")
 
 
-def _triad_passes(n_selection: str, t: Triad) -> bool:
-    return _passes_n_selection(n_selection, t.k1.n, t.k2.n, t.k3.n)
+def _n_rule(rule, n_selection: str):
+    """The latitudinal selection test (n1, n2, n3) -> bool of a classifier
+    call.  It keeps everything under ``none`` and under a closure that
+    fixes n3: the rules are conditions on zonally closed triads."""
+    if n_selection not in N_SELECTIONS:
+        raise UsageError(f"unknown n_selection {n_selection!r}; expected "
+                         f"one of {', '.join(N_SELECTIONS)}")
+    parity = rule.free_n3 and n_selection in ("parity", "both")
+    triangle = rule.free_n3 and n_selection in ("triangle", "both")
+
+    def passes(n1: int, n2: int, n3: int) -> bool:
+        return (not (parity and (n1 + n2 + n3) % 2 == 0)
+                and not (triangle and not abs(n1 - n2) < n3 < n1 + n2))
+    return passes
 
 
 @dataclass(frozen=True)
@@ -130,95 +130,21 @@ def resonant_seed_triads(spec: DispersionSpec, domain: SpectralDomain,
                          n_selection: str = "none",
                          skip_equal_n_pairs: bool = True) -> list:
     """Exact (rational) or numerically exact (float) resonant triads under
-    the given convention; these seed the Active class."""
-    conv = resolve_closure(spec, closure)
-    if spec.exactness:
-        if patterns == "all":
-            triads = _search_exact(spec, domain, d_max=0, patterns="all",
-                                   skip_equal_n_pairs=skip_equal_n_pairs)
-        else:
-            triads = find_exact_triads(spec, domain, skip_equal_n_pairs)
-    elif conv == "zonal":
-        triads = [t for t in _search_zonal_float(
-            spec, domain, d_max=NUMERIC_EXACT_D, patterns=patterns,
-            skip_equal_n_pairs=skip_equal_n_pairs) if t.is_exact]
-    elif conv == "box":
-        triads = [t for t in _search_box_float(
-            spec, domain, d_max=NUMERIC_EXACT_D, patterns=patterns)
-            if t.is_exact]
-    else:
-        triads = [t for t in _search_both_closure(
-            spec, domain, d_max=NUMERIC_EXACT_D, patterns=patterns)
-            if t.is_exact]
-    if conv == "zonal" and n_selection != "none":
-        triads = [t for t in triads if _triad_passes(n_selection, t)]
-    return sorted(triads, key=lambda t: t.key())
+    the given convention; these seed the Active class.  On the exact path
+    a zero residual has d_ratio 0, so the numerically-exact threshold
+    keeps the rational zeros too, and ``is_exact`` drops the rest."""
+    scan = _dispatch(spec, domain, closure, patterns)
+    passes = _n_rule(scan.rule, n_selection)
+    triads = scan.search(d_max=NUMERIC_EXACT_D,
+                         skip_equal_n_pairs=skip_equal_n_pairs)
+    return sorted((t for t in triads
+                   if t.is_exact and passes(t.k1.n, t.k2.n, t.k3.n)),
+                  key=Triad.key)
 
 
 # ---------------------------------------------------------------------------
 # minimal near-resonant bridge waves
 # ---------------------------------------------------------------------------
-
-def _bridge_candidates_zonal(spec, domain, ka, kb, patterns, n_selection,
-                             exclude):
-    T = domain.truncation
-    triangular = domain.shape == "triangular"
-    m_options = [ka.m + kb.m]
-    if patterns == "all" and abs(ka.m - kb.m) >= 1:
-        m_options.append(abs(ka.m - kb.m))
-    wa = eval_frequency(spec, ka).omega
-    wb = eval_frequency(spec, kb).omega
-    for mw in m_options:
-        if mw > T:
-            continue
-        n_lo = mw if triangular else 1
-        for nw in range(n_lo, T + 1):
-            w = WaveVector(mw, nw)
-            if w in exclude:
-                continue
-            if not _passes_n_selection(n_selection, ka.n, kb.n, nw):
-                continue
-            ww = eval_frequency(spec, w).omega
-            if patterns == "all":
-                om, _ = _min_pattern((wa, wb, ww))
-            else:
-                om = wa + wb - ww
-            yield w, om, min(abs(float(x)) for x in (wa, wb, ww))
-
-
-def _bridge_candidates_both(spec, domain, ka, kb, patterns, exclude):
-    cands = [WaveVector(ka.m + kb.m, ka.n + kb.n)]
-    if patterns == "all":
-        for da, db in ((ka, kb), (kb, ka)):
-            m, n = da.m - db.m, da.n - db.n
-            if m >= 1 and n >= 1:
-                cands.append(WaveVector(m, n))
-    wa = eval_frequency(spec, ka).omega
-    wb = eval_frequency(spec, kb).omega
-    for w in cands:
-        if w in exclude or w not in domain:
-            continue
-        ww = eval_frequency(spec, w).omega
-        if patterns == "all":
-            om, _ = _min_pattern((wa, wb, ww))
-        else:
-            om = wa + wb - ww
-        yield w, om, min(abs(float(x)) for x in (wa, wb, ww))
-
-
-def _bridge_candidates_box(spec, domain, ka, kb, patterns, exclude):
-    wa = eval_frequency(spec, ka).omega
-    wb = eval_frequency(spec, kb).omega
-    for w in box_completions(ka, kb, domain.truncation):
-        if w in exclude or w not in domain:
-            continue
-        ww = eval_frequency(spec, w).omega
-        if patterns == "all":
-            om, _ = _min_pattern((wa, wb, ww))
-        else:
-            om = wa + wb - ww
-        yield w, om, min(abs(float(x)) for x in (wa, wb, ww))
-
 
 def _minimal_bridge(spec, domain, triad, donor_pair, patterns, closure,
                     n_selection):
@@ -228,20 +154,20 @@ def _minimal_bridge(spec, domain, triad, donor_pair, patterns, closure,
     members = set(triad.members())
     if not {ka, kb} <= members:
         raise UsageError("donor pair must consist of triad members")
-    conv = resolve_closure(spec, closure)
-    if conv == "zonal":
-        it = _bridge_candidates_zonal(spec, domain, ka, kb, patterns,
-                                      n_selection, members)
-    elif conv == "box":
-        it = _bridge_candidates_box(spec, domain, ka, kb, patterns, members)
-    else:
-        it = _bridge_candidates_both(spec, domain, ka, kb, patterns, members)
+    rule = _dispatch(spec, domain, closure, patterns).rule
+    passes = _n_rule(rule, n_selection)
+    wa, wb = (eval_frequency(spec, k).omega for k in donor_pair)
     best = None
-    for w, om, denom in it:
+    for w in rule.completions(ka, kb, domain, patterns):
+        if w in members or not passes(ka.n, kb.n, w.n):
+            continue
+        ws = (wa, wb, eval_frequency(spec, w).omega)
+        om, _ = _pattern(ws, patterns)
         # An exact completion is a resonance, not a near one; on the float
         # path "exact" includes rounding-level residue of rational-valued
         # dispersions (numerically exact).
-        if om == 0 or abs(float(om)) <= NUMERIC_EXACT_D * denom:
+        if om == 0 or abs(float(om)) <= NUMERIC_EXACT_D * min(
+                abs(float(x)) for x in ws):
             continue
         key = (abs(om), w)
         if best is None or key < best[0]:
@@ -273,6 +199,10 @@ def _triad_pairs(t: Triad) -> list:
     return [(ks[0], ks[1]), (ks[0], ks[2]), (ks[1], ks[2])]
 
 
+def _step_key(step: CascadeStep) -> tuple:
+    return (step.abs_discrepancy, step.bridge_wave)
+
+
 def select_bridges(spec, domain, seeds, omega_max, patterns="sum",
                    closure="auto", n_selection="none",
                    bridge_mode="per_pair") -> list:
@@ -281,21 +211,15 @@ def select_bridges(spec, domain, seeds, omega_max, patterns="sum",
         raise UsageError(f"unknown bridge_mode {bridge_mode!r}")
     steps = []
     for t in seeds:
-        best_for_triad = None
-        for pair in _triad_pairs(t):
-            step = minimal_near_resonant(spec, domain, t, pair,
-                                         patterns=patterns, closure=closure,
-                                         n_selection=n_selection)
-            if step is None or step.abs_discrepancy > omega_max:
-                continue
-            if bridge_mode == "per_pair":
-                steps.append(step)
-            else:
-                key = (step.abs_discrepancy, step.bridge_wave)
-                if best_for_triad is None or key < best_for_triad[0]:
-                    best_for_triad = (key, step)
-        if bridge_mode == "per_triad" and best_for_triad is not None:
-            steps.append(best_for_triad[1])
+        found = [s for s in (minimal_near_resonant(
+                     spec, domain, t, pair, patterns=patterns,
+                     closure=closure, n_selection=n_selection)
+                     for pair in _triad_pairs(t))
+                 if s is not None and s.abs_discrepancy <= omega_max]
+        if bridge_mode == "per_pair":
+            steps.extend(found)
+        elif found:
+            steps.append(min(found, key=_step_key))
     return steps
 
 
@@ -316,7 +240,9 @@ def classify_modes(spec: DispersionSpec, domain: SpectralDomain,
     triad.  Neutral: everything else.
     """
     _check_threshold("omega_max", omega_max)
-    convention = dict(patterns=patterns, closure=resolve_closure(spec, closure),
+    rule = _dispatch(spec, domain, closure, patterns).rule
+    passes = _n_rule(rule, n_selection)
+    convention = dict(patterns=patterns, closure=rule.name,
                       n_selection=n_selection, bridge_mode=bridge_mode,
                       skip_equal_n_pairs=skip_equal_n_pairs)
 
@@ -343,8 +269,7 @@ def classify_modes(spec: DispersionSpec, domain: SpectralDomain,
     for t in iter_ari_triads(spec, domain, omega_max, patterns=patterns,
                              closure=closure,
                              skip_equal_n_pairs=skip_equal_n_pairs):
-        if convention["closure"] == "zonal" and n_selection != "none" \
-                and not _triad_passes(n_selection, t):
+        if not passes(t.k1.n, t.k2.n, t.k3.n):
             continue
         pairs = [frozenset(p) for p in _triad_pairs(t)]
         if any(p in resonant_pairs for p in pairs):
@@ -385,22 +310,12 @@ def class_counts(spec: DispersionSpec, domain: SpectralDomain,
 # energy cascade construction
 # ---------------------------------------------------------------------------
 
-def _canonical_triad(spec, ka, kb, kw, patterns, conv) -> Triad:
-    """Normal form of the triad {ka, kb, kw}: under zonal/component-wise
-    closure the largest-m vector is the sum slot; under box closure the
-    lexicographically largest member takes the third slot."""
-    if conv == "box":
-        k1, k2, k3 = sorted((ka, kb, kw))
-    else:
-        ks = sorted((ka, kb, kw), key=lambda k: (k.m, k.n))
-        k3 = ks[-1]
-        k1, k2 = sorted(ks[:2])
-    ws = tuple(eval_frequency(spec, k).omega for k in (k1, k2, k3))
-    if patterns == "all":
-        om, signs = _min_pattern(ws)
-    else:
-        om, signs = ws[0] + ws[1] - ws[2], (1, 1, -1)
-    return Triad(k1, k2, k3, ws, om, _d_ratio(om, ws), signs)
+def _canonical_triad(spec, ka, kb, kw, patterns) -> Triad:
+    """Normal form of the triad {ka, kb, kw}, the same under every
+    closure: members in lexicographic order, so the largest-m vector takes
+    the sum slot."""
+    return _best_pattern_triad(_FrequencyMemo(spec), *sorted((ka, kb, kw)),
+                               patterns)
 
 
 def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
@@ -415,26 +330,21 @@ def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
         raise UsageError("depth must be >= 1")
     if not seed.is_exact:
         raise UsageError("cascade_path expects a resonant seed triad")
-    conv = resolve_closure(spec, closure)
+    _n_rule(_dispatch(spec, domain, closure, patterns).rule, n_selection)
     visited = {frozenset(seed.members())}
     current = seed
     steps = []
     for _ in range(depth):
-        best = None
-        for pair in _triad_pairs(current):
-            step = _minimal_bridge(spec, domain, current, pair, patterns,
-                                   closure, n_selection)
-            if step is None:
-                continue
-            key = (step.abs_discrepancy, step.bridge_wave)
-            if best is None or key < best[0]:
-                best = (key, step)
-        if best is None:
+        found = [s for s in (_minimal_bridge(spec, domain, current, pair,
+                                             patterns, closure, n_selection)
+                             for pair in _triad_pairs(current))
+                 if s is not None]
+        if not found:
             break
-        step = best[1]
+        step = min(found, key=_step_key)
         steps.append(step)
         nxt = _canonical_triad(spec, step.donor_pair[0], step.donor_pair[1],
-                               step.bridge_wave, patterns, conv)
+                               step.bridge_wave, patterns)
         sig = frozenset(nxt.members())
         if sig in visited:
             break

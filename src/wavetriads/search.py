@@ -1,40 +1,48 @@
 """Exhaustive enumeration of exact and approximate resonant triads.
 
-Three vector-closure conventions are supported:
+The closure table (``CLOSURES``) states for each vector-closure convention
+its candidates per k1 row, its completions of a donor pair (the
+classifier's bridge waves), the domain shapes it accepts and the sign
+patterns of its bound.  Candidates are pairs k1 <= k2 in lexicographic
+order with their third vector, so outputs are duplicate-free:
 
 ``both``
-    Component-wise closure m1+m2 = m3 and n1+n2 = n3.  Used for square,
-    rectangular and plane dispersions.
+    Component-wise closure k3 = k1 + k2, self-pair k2 = k1 included.
+    Square domains only.  Used for square, rectangular and plane spectra.
 ``zonal``
-    Closure in the zonal wavenumber only, m1+m2 = m3 with n3 free.  Used
-    for the spherical dispersion, whose derived exact triad
-    (4,12)+(5,14) -> (9,13) closes in m but not in n.
+    m3 = m1 + m2 with every n3 of the domain.  The float kernel includes
+    the self-pair; ``skip_equal_n_pairs`` drops the pairs n1 = n2.  Square
+    and triangular domains; the classifier's latitudinal selection rules
+    apply under this closure only.  Used on the sphere, whose derived
+    exact triad (4,12)+(5,14) -> (9,13) closes in m but not in n.
 ``box``
     Independent +/- per component, the selection rule of cosine basin
-    modes; square domains only.
+    modes: k1 < k2 < k3, no self-pair.  Square domains only.
 
 ``closure="auto"`` picks ``zonal`` for ``rossby_sphere`` and ``both``
-otherwise; ``box`` is never chosen automatically.
+otherwise; ``box`` is never chosen automatically.  One dispatch point
+resolves the closure, rejects unknown sign patterns and domain shapes the
+closure does not accept, and picks the kernel.  Each kernel takes one k1
+row at a time and builds a :class:`Triad` only for the candidates it
+emits, in scan order (k1, k2, k3):
 
-Searches iterate over ordered pairs (k1 < k2 lexicographically) and derive
-the third vector from closure, so outputs are duplicate-free.  Every scan is
-a numpy kernel that takes one k1 row at a time and builds a :class:`Triad`
-only for the candidates it emits:
-
-* The float kernels (``both``, ``zonal`` and ``box`` closure) evaluate the
-  residuals on the omega grid with the float64 expressions of the scalar
-  sign-pattern rule, so each accept/reject decision is the one a scalar
-  loop over the same grid would make.  Emitted triads are rebuilt from
-  scalar ``eval_frequency`` values, except in the approximate-resonance
-  pass, which keeps the grid values.
-* The exact kernel (spherical dispersion, zonal closure) writes
-  omega = -2m/a with a = n(n+1), so each sign pattern's residual is
-  -2 N / (a1 a2 a3) with the integer
+* The float kernel evaluates the residuals on the omega grid with the
+  float64 expressions of the scalar sign-pattern rule, so each
+  accept/reject decision is the one a scalar loop over the same grid would
+  make.  Emitted triads are rebuilt from scalar ``eval_frequency`` values,
+  except in the approximate-resonance pass, which keeps the grid values.
+* The exact kernel (the rational spherical dispersion) is zonal-only and
+  skips the self-pair.  It writes omega = -2m/a with a = n(n+1), so each
+  sign pattern's residual is -2 N / (a1 a2 a3) with the integer
   N = s1 m1 a2 a3 + s2 m2 a1 a3 + s3 m3 a1 a2, computed in int64 (in Python
   integers where |N| could exceed the int64 range).  Omega = 0 is decided
   by N == 0, never by a tolerance.  The d_ratio and |Omega| thresholds get
   a float prefilter widened by a margin far above its rounding error, and
   the survivors are re-checked on exact ``Fraction`` residuals.
+
+The discrepancy bound scans the same candidates, on scalar frequencies;
+under every closure its witness is the first triad of least nonzero
+|Omega| in scan order (sum pattern; any sign pattern under box closure).
 """
 
 from __future__ import annotations
@@ -42,7 +50,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -128,17 +137,6 @@ class BoundReport:
     note: str = ""
 
 
-def resolve_closure(spec: DispersionSpec, closure: str = "auto") -> str:
-    """``auto`` picks zonal on the sphere and component-wise closure
-    elsewhere.  ``box`` (independent +/- per component, the selection rule
-    of cosine basin modes) is never chosen automatically."""
-    if closure == "auto":
-        return "zonal" if spec.kind == "rossby_sphere" else "both"
-    if closure not in ("both", "zonal", "box"):
-        raise UsageError(f"unknown closure convention {closure!r}")
-    return closure
-
-
 # ---------------------------------------------------------------------------
 # single-triad discrepancy
 # ---------------------------------------------------------------------------
@@ -158,13 +156,11 @@ def discrepancy(spec: DispersionSpec, triple: Sequence, signs=(1, 1, -1)) -> Ome
     return signs[0] * ws[0] + signs[1] * ws[1] + signs[2] * ws[2]
 
 
-def _d_ratio(om: OmegaValue, ws: Iterable) -> float:
-    denom = min(abs(float(w)) for w in ws)
-    return abs(float(om)) / denom
-
-
-def _min_pattern(ws):
-    """Signed residual and signs of the minimal-|Omega| sign pattern."""
+def _pattern(ws, patterns):
+    """Signed residual and signs of the sum pattern, or of the
+    minimal-|Omega| sign pattern when patterns="all"."""
+    if patterns == "sum":
+        return ws[0] + ws[1] - ws[2], (1, 1, -1)
     best = None
     for signs in SIGN_PATTERNS:
         om = signs[0] * ws[0] + signs[1] * ws[1] + signs[2] * ws[2]
@@ -222,11 +218,9 @@ def _best_pattern_triad(freqs, k1, k2, k3, patterns) -> Triad:
     scalar ``eval_frequency`` call however many hits it takes part in;
     otherwise it reads the search's omega grid."""
     ws = (freqs[k1], freqs[k2], freqs[k3])
-    if patterns == "sum":
-        om, signs = ws[0] + ws[1] - ws[2], (1, 1, -1)
-    else:
-        om, signs = _min_pattern(ws)
-    return Triad(k1, k2, k3, ws, om, _d_ratio(om, ws), signs)
+    om, signs = _pattern(ws, patterns)
+    d_ratio = abs(float(om)) / min(abs(float(w)) for w in ws)
+    return Triad(k1, k2, k3, ws, om, d_ratio, signs)
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +288,17 @@ def _exact_rows(domain: SpectralDomain, patterns: str,
         yield k1, m2, n2, n3, N, om, amin
 
 
-def _search_exact(spec, domain, *, d_max=None, d_min=None, abs_max=None,
-                  patterns="sum", skip_equal_n_pairs=True) -> list:
+def _search_exact(spec, domain, *, patterns, d_max=None, d_min=None,
+                  abs_max=None, skip_equal_n_pairs=True,
+                  scalar_rebuild=True) -> list:
     """Exact-path search in (k1, k2, n3) order.
 
     Exactly one threshold is given: d_ratio <= d_max (``d_max = 0`` keeps
     the exact resonances, N == 0), d_ratio >= d_min, or
     0 < |Omega| <= abs_max.  A float prefilter with a conservative margin
     selects the survivors; each is rebuilt on exact Fractions and kept
-    only if it passes the threshold exactly."""
+    only if it passes the threshold exactly, whatever
+    ``scalar_rebuild`` says."""
     hi, lo = 1.0 + _PREFILTER_MARGIN, 1.0 - _PREFILTER_MARGIN
     if abs_max is not None:
         exact_max = Fraction(abs_max)  # compares as the float itself does
@@ -333,15 +329,15 @@ def _search_exact(spec, domain, *, d_max=None, d_min=None, abs_max=None,
     return triads
 
 
-def _exact_min_nonzero(spec, domain) -> Triad | None:
-    """Sum-pattern triad with the least nonzero |Omega| on the exact path;
-    the first minimum in (k1, k2, n3) order wins.  Per row, only the
+def _exact_min_nonzero(spec, domain, patterns) -> Triad | None:
+    """Triad with the least nonzero |Omega| on the exact path; the first
+    minimum in (k1, k2, n3) order wins.  Per row, only the
     candidates whose float |Omega| lies within the prefilter margin of the
     row minimum and of the best so far are compared exactly."""
     hi = 1.0 + _PREFILTER_MARGIN
     freqs = _FrequencyMemo(spec)
     best, best_f = None, math.inf
-    for k1, m2, n2, n3, N, om, _ in _exact_rows(domain, "sum", True):
+    for k1, m2, n2, n3, N, om, _ in _exact_rows(domain, patterns, True):
         om[N == 0] = math.inf
         row_min = float(om.min())
         if row_min == math.inf or row_min > best_f * hi:
@@ -350,7 +346,7 @@ def _exact_min_nonzero(spec, domain) -> Triad | None:
         for m, n, nw in zip(m2[close].tolist(), n2[close].tolist(),
                             n3[close].tolist()):
             t = _best_pattern_triad(freqs, k1, WaveVector(m, n),
-                                    WaveVector(k1.m + m, nw), "sum")
+                                    WaveVector(k1.m + m, nw), patterns)
             if best is None or abs(t.discrepancy) < abs(best.discrepancy):
                 best, best_f = t, float(abs(t.discrepancy))
     return best
@@ -370,10 +366,160 @@ def find_exact_triads(spec: DispersionSpec, domain: SpectralDomain,
         raise UsageError(
             "find_exact_triads requires an exact rational dispersion; "
             "use find_near_triads with a threshold for floating dispersions")
-    out = _search_exact(spec, domain, d_max=0, patterns="sum",
-                        skip_equal_n_pairs=skip_equal_n_pairs)
-    out.sort(key=lambda t: t.key())
+    out = _dispatch(spec, domain).search(
+        d_max=0, skip_equal_n_pairs=skip_equal_n_pairs)
+    out.sort(key=Triad.key)
     return out
+
+
+# ---------------------------------------------------------------------------
+# closure table
+# ---------------------------------------------------------------------------
+
+def _index_grids(T):
+    """Read-only views of (T+1)^3 index grids: I[a, b, c] is a, J[a, b, c]
+    is b and K[a, b, c] is c.  A window of them gives the coordinates of a
+    window of the omega grid, without copying."""
+    ar = np.arange(T + 1)
+    shape = (T + 1,) * 3
+    return (np.broadcast_to(ar[:, None, None], shape),
+            np.broadcast_to(ar[:, None], shape), np.broadcast_to(ar, shape))
+
+
+def _both_blocks(W, domain, skip_equal_n_pairs):
+    """Pairs k1 <= k2 with k3 = k1 + k2 in the square: the rest of row
+    m2 = m1 (n2 >= n1), then the rows m2 > m1, as two grid windows."""
+    T = domain.truncation
+    _, J, K = _index_grids(T)
+    M, N = J[0], K[0]  # M[a, b] = a, N[a, b] = b
+    for m1 in range(1, T // 2 + 1):
+        for n1 in range(1, T):
+            if 2 * n1 <= T:
+                win2 = (slice(m1, m1 + 1), slice(n1, T - n1 + 1))
+                yield (m1, n1, W[win2], W[2 * m1:2 * m1 + 1, 2 * n1:],
+                       M[win2], N[win2], N[m1:m1 + 1, 2 * n1:])
+            if 2 * m1 < T:
+                win2 = (slice(m1 + 1, T - m1 + 1), slice(1, T - n1 + 1))
+                yield (m1, n1, W[win2], W[2 * m1 + 1:, n1 + 1:],
+                       M[win2], N[win2], N[m1 + 1:T - m1 + 1, n1 + 1:])
+
+
+def _both_completions(ka, kb, domain, patterns):
+    """ka + kb; under any sign pattern also ka - kb and kb - ka."""
+    ks = [WaveVector(ka.m + kb.m, ka.n + kb.n)]
+    if patterns == "all":
+        ks += [WaveVector(ka.m - kb.m, ka.n - kb.n),
+               WaveVector(kb.m - ka.m, kb.n - ka.n)]
+    return [k for k in ks if k in domain]
+
+
+def _zonal_blocks(W, domain, skip_equal_n_pairs):
+    """Pairs k1 <= k2 with m3 = m1 + m2, each with every n3 of the domain:
+    one (n2, n3) grid per m2.  With ``skip_equal_n_pairs`` the pairs
+    n2 = n1 read NaN, which no predicate keeps."""
+    T = domain.truncation
+    triangular = domain.shape == "triangular"
+    I, J, K = _index_grids(T)
+    for m1 in range(1, T // 2 + 1):
+        for n1 in range(m1 if triangular else 1, T + 1):
+            W2 = W
+            if skip_equal_n_pairs:
+                W2 = W.copy()
+                W2[:, n1] = np.nan
+            for m2 in range(m1, T - m1 + 1):
+                n2_lo = n1 if m2 == m1 else (m2 if triangular else 1)
+                n3_lo = m1 + m2 if triangular else 1
+                yield (m1, n1, W2[m2, n2_lo:, None], W[m1 + m2, None, n3_lo:],
+                       I[m2, n2_lo:, n3_lo:], J[m2, n2_lo:, n3_lo:],
+                       K[m2, n2_lo:, n3_lo:])
+
+
+def _zonal_completions(ka, kb, domain, patterns):
+    """Every n3 at m3 = ma + mb; under any sign pattern also at
+    m3 = |ma - mb|."""
+    T = domain.truncation
+    ms = ((ka.m + kb.m,) if patterns == "sum"
+          else (ka.m + kb.m, abs(ka.m - kb.m)))
+    for m in ms:
+        if 1 <= m <= T:
+            for n in range(m if domain.shape == "triangular" else 1, T + 1):
+                yield WaveVector(m, n)
+
+
+def box_completions(k1: WaveVector, k2: WaveVector, T: int):
+    """Wave vectors closing (k1, k2) under independent component-wise +/-:
+    m3 = m1 +/- m2 and n3 = n1 -/+ n2 in any combination, in ascending
+    (m3, n3) order (|a - b| < a + b for positive components)."""
+    for m3 in (abs(k1.m - k2.m), k1.m + k2.m):
+        if not 1 <= m3 <= T:
+            continue
+        for n3 in (abs(k1.n - k2.n), k1.n + k2.n):
+            if 1 <= n3 <= T:
+                yield WaveVector(m3, n3)
+
+
+def _box_blocks(W, domain, skip_equal_n_pairs):
+    """Box-closed candidates, one k1 row at a time, gathered by index
+    arrays, with k3 in :func:`box_completions` order.
+
+    Each unordered triple regenerates from any of its three pairs, so a
+    candidate is emitted only from its two lexicographically smallest
+    members: k1 < k2 < k3.  As k2 follows k1, m2 >= m1 and a completion
+    with m3 = |m1 - m2| < m2 precedes k2; only m3 = m1 + m2 <= T remains,
+    with n3 = |n1 - n2| then n1 + n2.
+    """
+    T = domain.truncation
+    m_all = np.repeat(np.arange(1, T + 1), T)
+    n_all = np.tile(np.arange(1, T + 1), T)
+    for i in range(T * T):
+        m1, n1 = i // T + 1, i % T + 1
+        stop = (T - m1) * T  # modes with m2 <= T - m1
+        if stop <= i + 1:
+            break
+        n2 = n_all[i + 1:stop]
+        n3 = np.stack((np.abs(n1 - n2), n1 + n2), axis=1).ravel()
+        keep = (n3 >= 1) & (n3 <= T)
+        m2, n2, n3 = (np.repeat(m_all[i + 1:stop], 2)[keep],
+                      np.repeat(n2, 2)[keep], n3[keep])
+        yield m1, n1, W[m2, n2], W[m1 + m2, n3], m2, n2, n3
+
+
+@dataclass(frozen=True)
+class _Closure:
+    """A closure convention, as the kernels, the bound and the bridge
+    search see it.
+
+    ``blocks(W, domain, skip_equal_n_pairs)`` yields the candidates of
+    each k1 row as blocks (m1, n1, w2, w3, m2, n2, n3): the k2 and k3
+    frequencies read from the table W, as arrays that broadcast against
+    each other, and the coordinates of k2 and n3 (m3 = m1 + m2 under every
+    closure), as arrays of the block's shape.  Blocks come in (k1, k2)
+    order and each holds its candidates in (k2, k3) order, so a row-major
+    walk gives scan order (k1, k2, k3).
+    ``completions(ka, kb, domain, patterns)`` yields the waves of the
+    domain that close a donor pair.
+    """
+
+    name: str
+    shapes: tuple            # domain shapes it accepts
+    blocks: Callable
+    completions: Callable
+    bound_patterns: str = "sum"  # sign patterns of the least nonzero |Omega|
+    exact: bool = False      # the exact kernel implements it
+    free_n3: bool = False    # n3 is free: the n-selection rules apply
+
+
+#: The closure table: ``both``, ``zonal`` and ``box`` by name.
+CLOSURES = {c.name: c for c in (
+    _Closure("both", ("square",), _both_blocks, _both_completions),
+    _Closure("zonal", ("square", "triangular"), _zonal_blocks,
+             _zonal_completions, exact=True, free_n3=True),
+    _Closure("box", ("square",), _box_blocks,
+             # on a square domain every completion within 1..T is a mode
+             lambda ka, kb, domain, patterns:
+                 box_completions(ka, kb, domain.truncation),
+             bound_patterns="all"),
+)}
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +528,7 @@ def find_exact_triads(spec: DispersionSpec, domain: SpectralDomain,
 
 def _abs_residual(w1, w2, w3, patterns):
     """|Omega| of the sum pattern, or the least |Omega| over the sign
-    patterns, in the float64 expressions of :func:`_min_pattern`."""
+    patterns, in the float64 expressions of :func:`_pattern`."""
     if patterns == "sum":
         return np.abs(w1 + w2 - w3)
     p1 = np.abs(w1 + w2 - w3)
@@ -405,192 +551,118 @@ def _select(abs_om, w1, w2, w3, d_max, d_min, abs_max):
     return (d <= d_max) if d_max is not None else (d >= d_min)
 
 
-def _grid_block_rows(T: int, m1: int, n1: int):
-    """Index windows of the k2 block for a fixed k1 = (m1, n1) under the
-    lexicographic dedup k1 <= k2: full rows m2 > m1, plus the partial row
-    m2 = m1 with n2 >= n1."""
-    m2_max = T - m1
-    n2_max = T - n1
-    if m2_max < 1 or n2_max < 1:
-        return
-    if m1 <= m2_max:
-        yield m1, m1, n1, n2_max            # partial row, n2 in [n1, n2_max]
-        if m1 + 1 <= m2_max:
-            yield m1 + 1, m2_max, 1, n2_max  # full rows
-
-
-def _search_both_closure(spec, domain, *, d_max=None, d_min=None,
-                         abs_max=None, patterns="sum", scalar_rebuild=True):
-    """Float search over component-wise closed triads; returns Triads
-    (unsorted).
+def _search_float(spec, domain, rule, *, patterns, d_max=None, d_min=None,
+                  abs_max=None, skip_equal_n_pairs=True,
+                  scalar_rebuild=True) -> list:
+    """Float search over the closure's candidates, in scan order.
 
     With ``scalar_rebuild`` the output triads are rebuilt from scalar
     dispersion evaluation so stored frequencies reproduce bit-for-bit on
     re-evaluation; without it they carry the grid values (used by the
     classifier, which only thresholds on |Omega|).
     """
-    T = domain.truncation
-    if domain.shape != "square":
-        raise UsageError("component-wise closure expects a square domain")
-    W = omega_grid(spec, T)
+    W = omega_grid(spec, domain.truncation)
     freqs = _FrequencyMemo(spec) if scalar_rebuild else _GridFrequencies(W)
+    if abs_max is not None:
+        abs_max = float(abs_max)
     triads = []
-    for m1 in range(1, T):
-        for n1 in range(1, T):
-            w1 = W[m1, n1]
-            for m2_lo, m2_hi, n2_lo, n2_hi in _grid_block_rows(T, m1, n1):
-                W2 = W[m2_lo:m2_hi + 1, n2_lo:n2_hi + 1]
-                W3 = W[m1 + m2_lo:m1 + m2_hi + 1, n1 + n2_lo:n1 + n2_hi + 1]
-                keep = _select(_abs_residual(w1, W2, W3, patterns),
-                               w1, W2, W3, d_max, d_min, abs_max)
-                if not keep.any():
-                    continue
-                k1 = WaveVector(m1, n1)
-                i2, j2 = np.nonzero(keep)
-                for m2, n2 in zip((i2 + m2_lo).tolist(), (j2 + n2_lo).tolist()):
-                    triads.append(_best_pattern_triad(
-                        freqs, k1, WaveVector(m2, n2),
-                        WaveVector(m1 + m2, n1 + n2), patterns))
-    return triads
-
-
-def _search_zonal_float(spec, domain, *, d_max=None, d_min=None,
-                        abs_max=None, patterns="sum",
-                        skip_equal_n_pairs=True, scalar_rebuild=True):
-    """Float search over zonally closed triads (free n3)."""
-    T = domain.truncation
-    triangular = domain.shape == "triangular"
-    W = omega_grid(spec, T)
-    freqs = _FrequencyMemo(spec) if scalar_rebuild else _GridFrequencies(W)
-    triads = []
-    for m1 in range(1, T):
-        n1_lo = m1 if triangular else 1
-        for n1 in range(n1_lo, T + 1):
-            w1 = W[m1, n1]
-            for m2 in range(m1, T - m1 + 1):
-                m3 = m1 + m2
-                if m2 == m1:
-                    n2_lo = n1
-                else:
-                    n2_lo = m2 if triangular else 1
-                n3_lo = m3 if triangular else 1
-                if n2_lo > T or n3_lo > T:
-                    continue
-                w2 = W[m2, n2_lo:T + 1][:, None]            # n2 axis
-                w3 = W[m3, n3_lo:T + 1][None, :]            # n3 axis
-                mask = _select(_abs_residual(w1, w2, w3, patterns),
-                               w1, w2, w3, d_max, d_min, abs_max)
-                if skip_equal_n_pairs:
-                    # exclude candidate pairs with n1 == n2
-                    idx = n1 - n2_lo
-                    if 0 <= idx < mask.shape[0]:
-                        mask[idx, :] = False
-                if mask.any():
-                    i2, j3 = np.nonzero(mask)
-                    k1 = WaveVector(m1, n1)
-                    for i, j in zip(i2.tolist(), j3.tolist()):
-                        k2 = WaveVector(m2, n2_lo + i)
-                        k3 = WaveVector(m3, n3_lo + j)
-                        triads.append(_best_pattern_triad(
-                            freqs, k1, k2, k3, patterns))
-    return triads
-
-
-def box_completions(k1: WaveVector, k2: WaveVector, T: int):
-    """Wave vectors closing (k1, k2) under independent component-wise +/-:
-    m3 = m1 +/- m2 and n3 = n1 -/+ n2 in any combination, in ascending
-    (m3, n3) order (|a - b| < a + b for positive components)."""
-    for m3 in (abs(k1.m - k2.m), k1.m + k2.m):
-        if not 1 <= m3 <= T:
-            continue
-        for n3 in (abs(k1.n - k2.n), k1.n + k2.n):
-            if 1 <= n3 <= T:
-                yield WaveVector(m3, n3)
-
-
-def _box_rows(T: int) -> Iterator[tuple]:
-    """Box-closed candidates on a square domain, one k1 row at a time, in
-    (k1, k2, k3) order with k3 in :func:`box_completions` order.
-
-    Each unordered triple regenerates from any of its three pairs, so a
-    candidate is emitted only from its two lexicographically smallest
-    members: k1 < k2 < k3.  As k2 follows k1, m2 >= m1 and a completion
-    with m3 = |m1 - m2| < m2 precedes k2; only m3 = m1 + m2 <= T remains,
-    with n3 = |n1 - n2| then n1 + n2.  Yields (m1, n1, m2, n2, n3).
-    """
-    m_all = np.repeat(np.arange(1, T + 1), T)
-    n_all = np.tile(np.arange(1, T + 1), T)
-    for i in range(T * T):
-        m1, n1 = i // T + 1, i % T + 1
-        stop = (T - m1) * T  # modes with m2 <= T - m1
-        if stop <= i + 1:
-            break
-        n2 = n_all[i + 1:stop]
-        n3 = np.stack((np.abs(n1 - n2), n1 + n2), axis=1).ravel()
-        keep = (n3 >= 1) & (n3 <= T)
-        yield (m1, n1, np.repeat(m_all[i + 1:stop], 2)[keep],
-               np.repeat(n2, 2)[keep], n3[keep])
-
-
-def _search_box_float(spec, domain, *, d_max=None, d_min=None, abs_max=None,
-                      patterns="all", scalar_rebuild=True):
-    """Float search over box-closed triads on a square domain."""
-    T = domain.truncation
-    if domain.shape != "square":
-        raise UsageError("box closure expects a square domain")
-    W = omega_grid(spec, T)
-    freqs = _FrequencyMemo(spec) if scalar_rebuild else _GridFrequencies(W)
-    triads = []
-    for m1, n1, m2, n2, n3 in _box_rows(T):
-        w1, w2, w3 = W[m1, n1], W[m2, n2], W[m1 + m2, n3]
+    for m1, n1, w2, w3, m2, n2, n3 in rule.blocks(W, domain,
+                                                  skip_equal_n_pairs):
+        w1 = W[m1, n1]
         keep = _select(_abs_residual(w1, w2, w3, patterns),
                        w1, w2, w3, d_max, d_min, abs_max)
-        k1 = WaveVector(m1, n1)
-        for m, n, nw in zip(m2[keep].tolist(), n2[keep].tolist(),
-                            n3[keep].tolist()):
-            triads.append(_best_pattern_triad(
-                freqs, k1, WaveVector(m, n), WaveVector(m1 + m, nw), patterns))
+        if keep.any():
+            k1 = WaveVector(m1, n1)
+            for m, n, nw in zip(m2[keep].tolist(), n2[keep].tolist(),
+                                n3[keep].tolist()):
+                triads.append(_best_pattern_triad(
+                    freqs, k1, WaveVector(m, n), WaveVector(m1 + m, nw),
+                    patterns))
     return triads
 
 
-def _box_min_nonzero(spec, domain) -> Triad | None:
-    """Box-closed triad with the least nonzero |Omega| over the sign
-    patterns; the first minimum in (k1, k2, k3) order wins.
+def _float_min_nonzero(spec, domain, rule) -> Triad | None:
+    """Triad with the least nonzero |Omega| under the closure's bound
+    patterns; the first minimum in scan order wins.
 
-    The kernel runs on a table of scalar ``eval_frequency`` values, so the
-    minimum and the witness are those of the scalar frequencies."""
+    "Nonzero" means d_ratio above the numerically-exact cutoff:
+    rational-valued dispersions leave ~1e-17 rounding residue on exactly
+    resonant triads, which must not masquerade as the bound.  The scan
+    runs on a table of scalar ``eval_frequency`` values, so the minimum
+    and the witness are those of the scalar frequencies."""
     T = domain.truncation
-    if domain.shape != "square":
-        raise UsageError("box closure expects a square domain")
     S = np.full((T + 1, T + 1), np.nan)
     for k in domain.modes():
         S[k] = eval_frequency(spec, k).omega
     best, best_a = None, math.inf
-    for m1, n1, m2, n2, n3 in _box_rows(T):
-        if not n3.size:
+    for m1, n1, w2, w3, m2, n2, n3 in rule.blocks(S, domain, True):
+        w1 = S[m1, n1]
+        a = _abs_residual(w1, w2, w3, rule.bound_patterns)
+        if not a.size:
             continue
-        w1, w2, w3 = S[m1, n1], S[m2, n2], S[m1 + m2, n3]
-        a = _abs_residual(w1, w2, w3, "all")
-        a[a / _min_abs(w1, w2, w3) <= NUMERIC_EXACT_D] = math.inf
+        # "not above the cutoff" also drops the NaN of a skipped pair
+        a[~(a / _min_abs(w1, w2, w3) > NUMERIC_EXACT_D)] = math.inf
         i = int(np.argmin(a))
-        if a[i] < best_a:
-            best_a = a[i]
-            best = (m1, n1, int(m2[i]), int(n2[i]), int(n3[i]))
+        if a.flat[i] < best_a:
+            best_a = a.flat[i]
+            best = (m1, n1, int(m2.flat[i]), int(n2.flat[i]),
+                    int(n3.flat[i]))
     if best is None:
         return None
     m1, n1, m2, n2, n3 = best
     return _best_pattern_triad(_GridFrequencies(S), WaveVector(m1, n1),
                                WaveVector(m2, n2), WaveVector(m1 + m2, n3),
-                               "all")
+                               rule.bound_patterns)
+
+
+# ---------------------------------------------------------------------------
+# dispatch
+# ---------------------------------------------------------------------------
+
+class _Scan(NamedTuple):
+    """A closure rule with the kernels that serve it: ``search`` takes one
+    threshold (d_max, d_min or abs_max) and returns Triads in scan order;
+    ``least`` returns the first triad of least nonzero |Omega|, or None."""
+
+    rule: _Closure
+    search: Callable
+    least: Callable
+
+
+def _dispatch(spec: DispersionSpec, domain: SpectralDomain,
+              closure: str = "auto", patterns: str = "sum") -> _Scan:
+    """Resolve ``closure`` for ``spec``, check it against ``patterns`` and
+    the domain's shape, and pick its kernels: exact on rational
+    dispersions, which serve zonal closure only, float otherwise.
+    ``auto`` picks zonal closure on the sphere and component-wise closure
+    elsewhere; box closure is never chosen automatically."""
+    if patterns not in ("sum", "all"):
+        raise UsageError(f"unknown sign patterns {patterns!r}; "
+                         "expected 'sum' or 'all'")
+    if closure == "auto":
+        closure = "zonal" if spec.kind == "rossby_sphere" else "both"
+    if closure not in CLOSURES:
+        raise UsageError(f"unknown closure convention {closure!r}")
+    rule = CLOSURES[closure]
+    if spec.exactness and not rule.exact:
+        raise UsageError(f"the exact path of {spec.kind} supports zonal "
+                         f"closure only, not {rule.name!r}")
+    if domain.shape not in rule.shapes:
+        raise UsageError(f"{rule.name} closure expects a "
+                         f"{' or '.join(rule.shapes)} domain")
+    if spec.exactness:
+        return _Scan(rule,
+                     partial(_search_exact, spec, domain, patterns=patterns),
+                     partial(_exact_min_nonzero, spec, domain,
+                             rule.bound_patterns))
+    return _Scan(rule,
+                 partial(_search_float, spec, domain, rule, patterns=patterns),
+                 partial(_float_min_nonzero, spec, domain, rule))
 
 
 # ---------------------------------------------------------------------------
 # public searches
 # ---------------------------------------------------------------------------
-
-def _near_sort_key(t: Triad):
-    return (t.d_ratio, t.k1, t.k2, t.k3)
-
 
 def find_near_triads(spec: DispersionSpec, domain: SpectralDomain,
                      d_max: float, patterns: str = "sum",
@@ -600,20 +672,9 @@ def find_near_triads(spec: DispersionSpec, domain: SpectralDomain,
     ascending then lexicographically.  ``d_max = inf`` keeps every closed
     triad; a NaN d_max is rejected."""
     _check_threshold("d_max", d_max, ceiling=True)
-    conv = resolve_closure(spec, closure)
-    if spec.exactness:
-        triads = _search_exact(spec, domain, d_max=d_max, patterns=patterns,
-                               skip_equal_n_pairs=skip_equal_n_pairs)
-    elif conv == "zonal":
-        triads = _search_zonal_float(spec, domain, d_max=d_max,
-                                     patterns=patterns,
-                                     skip_equal_n_pairs=skip_equal_n_pairs)
-    elif conv == "box":
-        triads = _search_box_float(spec, domain, d_max=d_max, patterns=patterns)
-    else:
-        triads = _search_both_closure(spec, domain, d_max=d_max,
-                                      patterns=patterns)
-    triads.sort(key=_near_sort_key)
+    triads = _dispatch(spec, domain, closure, patterns).search(
+        d_max=d_max, skip_equal_n_pairs=skip_equal_n_pairs)
+    triads.sort(key=lambda t: (t.d_ratio, t.k1, t.k2, t.k3))
     return triads
 
 
@@ -623,17 +684,7 @@ def find_max_discrepancy_triads(spec: DispersionSpec, domain: SpectralDomain,
     """All vector-closed triads with d_ratio >= d_min, sorted by d_ratio
     descending; the head attains the domain maximum."""
     _check_threshold("d_min", d_min)
-    conv = resolve_closure(spec, closure)
-    if spec.exactness:
-        triads = _search_exact(spec, domain, d_min=d_min, patterns=patterns)
-    elif conv == "zonal":
-        triads = _search_zonal_float(spec, domain, d_min=d_min,
-                                     patterns=patterns)
-    elif conv == "box":
-        triads = _search_box_float(spec, domain, d_min=d_min, patterns=patterns)
-    else:
-        triads = _search_both_closure(spec, domain, d_min=d_min,
-                                      patterns=patterns)
+    triads = _dispatch(spec, domain, closure, patterns).search(d_min=d_min)
     triads.sort(key=lambda t: (-t.d_ratio, t.k1, t.k2, t.k3))
     return triads
 
@@ -645,33 +696,14 @@ def iter_ari_triads(spec: DispersionSpec, domain: SpectralDomain,
     resonant interactions).  The absolute threshold is in frequency units,
     unlike the dimensionless d_ratio filters."""
     _check_threshold("omega_max", omega_max)
-    conv = resolve_closure(spec, closure)
-    if spec.exactness:
-        yield from _search_exact(spec, domain, abs_max=omega_max,
-                                 patterns=patterns,
-                                 skip_equal_n_pairs=skip_equal_n_pairs)
-        return
-    if conv == "zonal":
-        yield from _search_zonal_float(spec, domain, abs_max=float(omega_max),
-                                       patterns=patterns,
-                                       skip_equal_n_pairs=skip_equal_n_pairs,
-                                       scalar_rebuild=False)
-        return
-    if conv == "box":
-        yield from _search_box_float(spec, domain, abs_max=float(omega_max),
-                                     patterns=patterns, scalar_rebuild=False)
-        return
-    yield from _search_both_closure(spec, domain, abs_max=float(omega_max),
-                                    patterns=patterns, scalar_rebuild=False)
+    yield from _dispatch(spec, domain, closure, patterns).search(
+        abs_max=omega_max, skip_equal_n_pairs=skip_equal_n_pairs,
+        scalar_rebuild=False)
 
 
 # ---------------------------------------------------------------------------
 # discrepancy lower bounds
 # ---------------------------------------------------------------------------
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
 
 def discrepancy_lower_bound(spec: DispersionSpec, domain: SpectralDomain,
                             closure: str = "auto") -> BoundReport:
@@ -681,25 +713,19 @@ def discrepancy_lower_bound(spec: DispersionSpec, domain: SpectralDomain,
     least common multiple of all reduced frequency denominators (any nonzero
     Omega is an integer multiple of 1/lcm, so 1/lcm^2 <= 1/lcm <= |Omega|),
     plus the finite-domain minimum with its witness triad.  Float specs get
-    the finite-domain minimum only.  On the exact path and under box
-    closure the witness is the first triad of least |Omega| in
-    (k1, k2, k3) order.
+    the finite-domain minimum only.  The witness is the first triad of
+    least |Omega| in scan order, under the closure's bound patterns.
     """
     if len(domain) == 0:
         raise DomainError("domain is empty")
-    conv = resolve_closure(spec, closure)
+    scan = _dispatch(spec, domain, closure)
 
     apriori = None
     if spec.exactness:
-        lcm = 1
-        for k in domain.modes():
-            lcm = _lcm(lcm, eval_frequency(spec, k).omega.denominator)
+        lcm = math.lcm(*(eval_frequency(spec, k).omega.denominator
+                         for k in domain.modes()))
         apriori = DiscrepancyBound(Fraction(1, lcm * lcm), "rational_1_over_bd")
-        best = _exact_min_nonzero(spec, domain)
-    elif conv == "box":
-        best = _box_min_nonzero(spec, domain)
-    else:
-        best = _float_min_nonzero(spec, domain, conv)
+    best = scan.least()
 
     if best is None:
         return BoundReport(apriori, None,
@@ -708,92 +734,3 @@ def discrepancy_lower_bound(spec: DispersionSpec, domain: SpectralDomain,
     finite = DiscrepancyBound(abs(best.discrepancy), "finite_domain_min",
                               witness=best)
     return BoundReport(apriori, finite)
-
-
-def _float_min_nonzero(spec, domain, conv):
-    """Minimal nonzero |Omega| over closed triads, float path, ``both`` or
-    ``zonal`` closure.
-
-    "Nonzero" on the float path means d_ratio above the numerically-exact
-    cutoff: rational-valued dispersions leave ~1e-17 rounding residue on
-    exactly resonant triads, which must not masquerade as the bound.  The
-    grid scan nominates near-minimal candidates; scalar re-evaluation picks
-    the true argmin so the reported bound matches emitted triads
-    bit-for-bit.
-    """
-    T = domain.truncation
-    W = omega_grid(spec, T)
-    best_val = math.inf
-    cands = []
-    if conv == "both":
-        for m1 in range(1, T):
-            for n1 in range(1, T):
-                w1 = W[m1, n1]
-                for m2_lo, m2_hi, n2_lo, n2_hi in _grid_block_rows(T, m1, n1):
-                    W2 = W[m2_lo:m2_hi + 1, n2_lo:n2_hi + 1]
-                    W3 = W[m1 + m2_lo:m1 + m2_hi + 1,
-                           n1 + n2_lo:n1 + n2_hi + 1]
-                    if W2.size == 0:
-                        continue
-                    abs_om = np.abs(w1 + W2 - W3)
-                    amin = np.minimum(np.minimum(np.abs(W2), np.abs(W3)),
-                                      abs(w1))
-                    abs_om[abs_om <= NUMERIC_EXACT_D * amin] = np.inf
-                    i, j = map(int, np.unravel_index(np.argmin(abs_om),
-                                                     abs_om.shape))
-                    v = abs_om[i, j]
-                    if math.isfinite(v) and v <= best_val * (1 + 1e-9):
-                        best_val = min(best_val, v)
-                        cands.append((WaveVector(m1, n1),
-                                      WaveVector(m2_lo + i, n2_lo + j)))
-    else:
-        triangular = domain.shape == "triangular"
-        for m1 in range(1, T):
-            n1_lo = m1 if triangular else 1
-            for n1 in range(n1_lo, T + 1):
-                w1 = W[m1, n1]
-                for m2 in range(m1, T - m1 + 1):
-                    if m2 == m1:
-                        n2_lo = n1
-                    else:
-                        n2_lo = m2 if triangular else 1
-                    n3_lo = m1 + m2 if triangular else 1
-                    if n2_lo > T or n3_lo > T:
-                        continue
-                    w2_row = W[m2, n2_lo:T + 1]
-                    w3_row = W[m1 + m2, n3_lo:T + 1]
-                    om = (w1 + w2_row)[:, None] - w3_row[None, :]
-                    if om.size == 0:
-                        continue
-                    abs_om = np.abs(om)
-                    amin = np.minimum(np.abs(w2_row)[:, None],
-                                      np.abs(w3_row)[None, :])
-                    amin = np.minimum(amin, abs(w1))
-                    abs_om[abs_om <= NUMERIC_EXACT_D * amin] = np.inf
-                    idx = n1 - n2_lo
-                    if 0 <= idx < abs_om.shape[0]:
-                        abs_om[idx, :] = np.inf
-                    i, j = map(int, np.unravel_index(np.argmin(abs_om),
-                                                     abs_om.shape))
-                    v = abs_om[i, j]
-                    if math.isfinite(v) and v <= best_val * (1 + 1e-9):
-                        best_val = min(best_val, v)
-                        cands.append(((WaveVector(m1, n1),
-                                       WaveVector(m2, n2_lo + i),
-                                       WaveVector(m1 + m2, n3_lo + j))))
-    if not cands:
-        return None
-    freqs = _FrequencyMemo(spec)
-    best = None
-    for c in cands:
-        if conv == "both":
-            k1, k2 = c
-            k3 = WaveVector(k1.m + k2.m, k1.n + k2.n)
-        else:
-            k1, k2, k3 = c
-        t = _best_pattern_triad(freqs, k1, k2, k3, "sum")
-        if t.is_exact:
-            continue
-        if best is None or abs(t.discrepancy) < abs(best.discrepancy):
-            best = t
-    return best

@@ -249,3 +249,36 @@ def test_zonal_square_seed_contains_2_4():
                                  SpectralDomain(10, "square"),
                                  patterns="sum", closure="zonal")
     assert any(wv(2, 4) in t.members() for t in seeds)
+
+
+# -- convention validation ----------------------------------------------------
+
+@pytest.mark.parametrize("closure", ["both", "box"])
+def test_sphere_classification_rejects_non_zonal_closure(sphere, closure):
+    """The exact path is zonal-only; it must not mix zonal seeds with
+    component-wise or box bridges."""
+    with pytest.raises(UsageError, match="zonal"):
+        classify_modes(sphere, SpectralDomain(14, "triangular"), 0.03,
+                       closure=closure, n_selection="parity")
+
+
+def test_unknown_n_selection_rejected(sphere, sphere_t14):
+    dom = SpectralDomain(10, "triangular")
+    with pytest.raises(UsageError, match="n_selection"):
+        classify_modes(sphere, dom, 0.03, n_selection="partiy")
+    with pytest.raises(UsageError, match="n_selection"):
+        resonant_seed_triads(sphere, dom, n_selection="partiy")
+    seed = classic_triad(sphere, sphere_t14)
+    with pytest.raises(UsageError, match="n_selection"):
+        cascade_path(sphere, sphere_t14, seed, 2, n_selection="partiy")
+    with pytest.raises(UsageError, match="n_selection"):
+        minimal_near_resonant(sphere, sphere_t14, seed, (seed.k1, seed.k2),
+                              n_selection="partiy")
+
+
+def test_unknown_patterns_rejected_by_classifier(sphere, sphere_t14):
+    with pytest.raises(UsageError, match="patterns"):
+        classify_modes(sphere, sphere_t14, 0.03, patterns="any")
+    seed = classic_triad(sphere, sphere_t14)
+    with pytest.raises(UsageError, match="patterns"):
+        cascade_path(sphere, sphere_t14, seed, 2, patterns="any")

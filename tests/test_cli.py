@@ -134,6 +134,21 @@ def test_non_finite_physical_parameter_exit_3(capsys, argv):
     assert "domain error" in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["find-triads", "--dispersion", "rossby-sphere", "--T", "14",
+     "--closure", "box", "--d-max", "1e-9"],
+    ["classify", "--dispersion", "rossby-sphere", "--T", "10",
+     "--omega-max", "0.03", "--closure", "both"],
+    ["bound", "--liquid", "water", "--T", "4", "--shape", "triangular"],
+], ids=["sphere-box", "sphere-both", "bound-triangular"])
+def test_unsupported_closure_or_shape_exit_2(capsys, argv):
+    """The sphere's exact path is zonal-only and the component-wise closure
+    takes only square domains; neither may print results under a header
+    that names another convention."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "usage error" in err and out == ""
+
 def test_bound_float_dispersion_json(capsys):
     code, out, err = run_cli(capsys, "bound", "--liquid", "water", "--T", "8",
                              "--format", "json")

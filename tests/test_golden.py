@@ -49,8 +49,33 @@ _COMMANDS = [
      ["classify", "--dispersion", "bve-plane", "--plane-form", "squared",
       "--T", "8", "--omega-max", "0.013", "--patterns", "all",
       "--closure", "box"], ("json",)),
+    # Water at T=8 has no resonant seed, so these two pin the float
+    # approximate-resonance scans; the bve-plane cases below have seeds
+    # and pin the zonal and component-wise bridges.
+    ("classify-water-zonal",
+     ["classify", "--liquid", "water", "--T", "8", "--omega-max", "1",
+      "--closure", "zonal"], ("json",)),
+    ("classify-water-both",
+     ["classify", "--liquid", "water", "--T", "8", "--omega-max", "3",
+      "--closure", "both"], ("json",)),
+    ("classify-plane-zonal",
+     ["classify", "--dispersion", "bve-plane", "--plane-form", "squared",
+      "--T", "8", "--omega-max", "0.01", "--closure", "zonal"], ("json",)),
+    ("classify-plane-zonal-triangular",
+     ["classify", "--dispersion", "bve-plane", "--plane-form", "squared",
+      "--T", "8", "--shape", "triangular", "--omega-max", "0.03",
+      "--closure", "zonal"], ("json",)),
+    ("classify-plane-both",
+     ["classify", "--dispersion", "bve-plane", "--plane-form", "squared",
+      "--T", "8", "--omega-max", "0.1", "--patterns", "all",
+      "--closure", "both"], ("json",)),
+    ("find-triads-near-box",
+     ["find-triads", "--liquid", "water", "--T", "8", "--d-max", "1e-2",
+      "--closure", "box", "--patterns", "all"], ("csv",)),
     ("bound-sphere",
      ["bound", "--dispersion", "rossby-sphere", "--T", "8"], NO_CSV),
+    ("bound-water",
+     ["bound", "--liquid", "water", "--T", "8"], NO_CSV),
     ("plan",
      ["plan", "--liquid", "glycerine", "--T", "8", "--d-max", "1e-3",
       "--d-min", "0.8"], NO_CSV),

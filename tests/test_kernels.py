@@ -1,8 +1,8 @@
-"""The array kernels of the box-closure and exact-sphere scans against
-brute-force oracles: the per-candidate loops they replaced, kept here as
-references.  Emitted triads are compared field by field (floats by
-``float.hex``, rationals exactly), in emission order, and so are the
-discrepancy-bound witnesses."""
+"""The float and exact-sphere kernels against brute-force oracles: per-pair
+loops over every closed candidate and the per-candidate ``Fraction`` loop
+the exact kernel replaced, kept here as references.  Emitted triads are
+compared field by field (floats by ``float.hex``, rationals exactly), in
+emission order, and so are the discrepancy-bound witnesses."""
 
 import math
 from fractions import Fraction
@@ -91,7 +91,7 @@ def _first_min_nonzero(triads):
     return best
 
 
-# -- box closure: the per-pair loop -----------------------------------------------
+# -- float kernels: the per-pair loops --------------------------------------------
 
 def oracle_completions(k1, k2, T):
     return sorted(WaveVector(m3, n3)
@@ -100,44 +100,89 @@ def oracle_completions(k1, k2, T):
                   if 1 <= m3 <= T and 1 <= n3 <= T)
 
 
-def box_oracle(spec, domain, *, d_max=None, d_min=None, abs_max=None,
-               patterns="all", scalar_rebuild=True):
-    """Every pair k1 < k2, every completion k3 > k2, the predicate on the
-    grid frequencies, and the rebuild from scalar (or grid) values."""
+def closed_candidates(domain, closure, skip_equal_n_pairs=True):
+    """Every closed candidate (k1, k2, k3) in scan order, pair by pair.
+
+    ``both``: k1 <= k2, k3 = k1 + k2.  ``zonal``: k1 <= k2 (n1 != n2 with
+    ``skip_equal_n_pairs``), m3 = m1 + m2, every n3 of the domain.
+    ``box``: k1 < k2, every completion k3 > k2."""
     T = domain.truncation
-    W = omega_grid(spec, T)
-    scalar = {}
     modes = list(domain.modes())
-    out = []
     for i, k1 in enumerate(modes):
-        for k2 in modes[i + 1:]:
-            for k3 in oracle_completions(k1, k2, T):
-                if not k3 > k2:
+        for k2 in modes[i:]:
+            if closure == "both":
+                k3s = [WaveVector(k1.m + k2.m, k1.n + k2.n)]
+            elif closure == "zonal":
+                if skip_equal_n_pairs and k1.n == k2.n:
                     continue
-                ws = tuple(W[k.m, k.n] for k in (k1, k2, k3))
-                if patterns == "sum":
-                    om = ws[0] + ws[1] - ws[2]
-                else:
-                    om = _candidate_triad(k1, k2, k3, ws, "all").discrepancy
-                a = abs(om)
-                if abs_max is not None:
-                    if not 0 < a <= abs_max:
-                        continue
-                else:
-                    d = a / min(abs(w) for w in ws)
-                    if d_max is not None and d > d_max:
-                        continue
-                    if d_min is not None and d < d_min:
-                        continue
-                if scalar_rebuild:
-                    for k in (k1, k2, k3):
-                        if k not in scalar:
-                            scalar[k] = eval_frequency(spec, k).omega
-                    ws = tuple(scalar[k] for k in (k1, k2, k3))
-                else:
-                    ws = tuple(float(w) for w in ws)
-                out.append(_candidate_triad(k1, k2, k3, ws, patterns))
+                k3s = [WaveVector(k1.m + k2.m, n3) for n3 in range(1, T + 1)]
+            elif k2 != k1:
+                k3s = [k3 for k3 in oracle_completions(k1, k2, T) if k3 > k2]
+            else:
+                k3s = []
+            for k3 in k3s:
+                if k3 in domain:
+                    yield k1, k2, k3
+
+
+def pair_oracle(spec, domain, closure, *, d_max=None, d_min=None,
+                abs_max=None, patterns="all", scalar_rebuild=True,
+                skip_equal_n_pairs=True):
+    """Every closed candidate, the predicate on the grid frequencies, and
+    the rebuild from scalar (or grid) values."""
+    W = omega_grid(spec, domain.truncation)
+    scalar = {}
+    out = []
+    for k1, k2, k3 in closed_candidates(domain, closure, skip_equal_n_pairs):
+        ws = tuple(W[k.m, k.n] for k in (k1, k2, k3))
+        if patterns == "sum":
+            om = ws[0] + ws[1] - ws[2]
+        else:
+            om = _candidate_triad(k1, k2, k3, ws, "all").discrepancy
+        a = abs(om)
+        if abs_max is not None:
+            if not 0 < a <= abs_max:
+                continue
+        else:
+            d = a / min(abs(w) for w in ws)
+            if d_max is not None and d > d_max:
+                continue
+            if d_min is not None and d < d_min:
+                continue
+        if scalar_rebuild:
+            for k in (k1, k2, k3):
+                if k not in scalar:
+                    scalar[k] = eval_frequency(spec, k).omega
+            ws = tuple(scalar[k] for k in (k1, k2, k3))
+        else:
+            ws = tuple(float(w) for w in ws)
+        out.append(_candidate_triad(k1, k2, k3, ws, patterns))
     return out
+
+
+def float_scan(spec, domain, closure, **kw):
+    """The float kernel under ``closure``."""
+    return search._search_float(spec, domain, search.CLOSURES[closure], **kw)
+
+
+def check_float_kernel(spec, domain, closure, patterns, predicate,
+                       scalar_rebuild, skip, data):
+    """The kernel against the pair loop, with thresholds drawn at candidate
+    values to probe the boundary of the predicate."""
+    closed = pair_oracle(spec, domain, closure, d_max=math.inf,
+                         patterns=patterns, skip_equal_n_pairs=skip)
+    if predicate == "seeds":
+        kw = {"d_max": NUMERIC_EXACT_D}
+    elif predicate == "abs_max":
+        values = [abs(t.discrepancy) for t in closed if t.discrepancy] or [1.0]
+        kw = {"abs_max": data.draw(st.sampled_from(values))}
+    else:
+        values = [t.d_ratio for t in closed if t.d_ratio] or [0.5]
+        kw = {predicate: data.draw(st.sampled_from(values))}
+    kw.update(patterns=patterns, scalar_rebuild=scalar_rebuild,
+              skip_equal_n_pairs=skip)
+    assert fields(float_scan(spec, domain, closure, **kw)) == \
+        fields(pair_oracle(spec, domain, closure, **kw))
 
 
 def test_box_completions_ascending():
@@ -148,40 +193,64 @@ def test_box_completions_ascending():
                 oracle_completions(k1, k2, T)
 
 
+PREDICATES = st.sampled_from(["d_max", "d_min", "abs_max", "seeds"])
+
+
 @given(spec=st.sampled_from(FLOAT_SPECS), T=st.integers(1, 9),
-       patterns=st.sampled_from(["sum", "all"]),
-       predicate=st.sampled_from(["d_max", "d_min", "abs_max", "seeds"]),
+       patterns=st.sampled_from(["sum", "all"]), predicate=PREDICATES,
        scalar_rebuild=st.booleans(), data=st.data())
 def test_box_kernel_matches_pair_loop(spec, T, patterns, predicate,
                                       scalar_rebuild, data):
-    domain = SpectralDomain(T)
-    closed = box_oracle(spec, domain, d_max=math.inf, patterns=patterns)
-    if predicate == "seeds":
-        kw = {"d_max": NUMERIC_EXACT_D}
-    elif predicate == "abs_max":
-        # thresholds at candidate values probe the boundary of the predicate
-        values = [abs(t.discrepancy) for t in closed if t.discrepancy] or [1.0]
-        kw = {"abs_max": data.draw(st.sampled_from(values))}
-    else:
-        values = [t.d_ratio for t in closed if t.d_ratio] or [0.5]
-        kw = {predicate: data.draw(st.sampled_from(values))}
-    got = search._search_box_float(spec, domain, patterns=patterns,
-                                   scalar_rebuild=scalar_rebuild, **kw)
-    want = box_oracle(spec, domain, patterns=patterns,
-                      scalar_rebuild=scalar_rebuild, **kw)
-    assert fields(got) == fields(want)
+    check_float_kernel(spec, SpectralDomain(T), "box", patterns, predicate,
+                       scalar_rebuild, True, data)
 
 
-@given(spec=st.sampled_from(FLOAT_SPECS), T=st.integers(1, 9))
-def test_box_bound_matches_pair_loop(spec, T):
-    domain = SpectralDomain(T)
-    rep = discrepancy_lower_bound(spec, domain, closure="box")
-    want = _first_min_nonzero(box_oracle(spec, domain, d_max=math.inf))
+@given(spec=st.sampled_from(FLOAT_SPECS), T=st.integers(1, 9),
+       patterns=st.sampled_from(["sum", "all"]), predicate=PREDICATES,
+       scalar_rebuild=st.booleans(), data=st.data())
+def test_both_kernel_matches_pair_loop(spec, T, patterns, predicate,
+                                       scalar_rebuild, data):
+    check_float_kernel(spec, SpectralDomain(T), "both", patterns, predicate,
+                       scalar_rebuild, True, data)
+
+
+@given(spec=st.sampled_from(FLOAT_SPECS), T=st.integers(1, 9),
+       shape=st.sampled_from(["square", "triangular"]), skip=st.booleans(),
+       patterns=st.sampled_from(["sum", "all"]), predicate=PREDICATES,
+       scalar_rebuild=st.booleans(), data=st.data())
+def test_zonal_kernel_matches_pair_loop(spec, T, shape, skip, patterns,
+                                        predicate, scalar_rebuild, data):
+    check_float_kernel(spec, SpectralDomain(T, shape), "zonal", patterns,
+                       predicate, scalar_rebuild, skip, data)
+
+
+def check_float_bound(spec, domain, closure):
+    """The first least nonzero |Omega| in scan order, on scalar
+    frequencies, under the closure's bound patterns (``all`` for box,
+    ``sum`` otherwise)."""
+    rep = discrepancy_lower_bound(spec, domain, closure=closure)
+    want = _first_min_nonzero(pair_oracle(
+        spec, domain, closure, d_max=math.inf,
+        patterns="all" if closure == "box" else "sum"))
     if want is None:
         assert rep.finite_min is None
     else:
         assert fields([rep.finite_min.witness]) == fields([want])
         assert rep.finite_min.value == abs(want.discrepancy)
+
+
+@given(spec=st.sampled_from(FLOAT_SPECS), T=st.integers(1, 9))
+def test_box_bound_matches_pair_loop(spec, T):
+    check_float_bound(spec, SpectralDomain(T), "box")
+
+
+@given(spec=st.sampled_from(FLOAT_SPECS), T=st.integers(1, 9),
+       closure=st.sampled_from(["both", "zonal"]),
+       shape=st.sampled_from(["square", "triangular"]))
+def test_float_bound_matches_pair_loop(spec, T, closure, shape):
+    """Only zonal closure takes a triangular domain."""
+    check_float_bound(spec, SpectralDomain(
+        T, shape if closure == "zonal" else "square"), closure)
 
 
 # -- exact sphere: the Fraction loop ----------------------------------------------

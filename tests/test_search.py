@@ -273,3 +273,56 @@ def test_bound_undefined_over_empty_set(sphere):
     rep = discrepancy_lower_bound(sphere, SpectralDomain(1, "triangular"))
     assert rep.finite_min is None
     assert "no vector-closed triad" in rep.note
+
+
+# -- closure, sign-pattern and domain validation ------------------------------
+
+def _seeds(spec, dom, **kw):
+    from wavetriads.classify import resonant_seed_triads
+    return resonant_seed_triads(spec, dom, **kw)
+
+
+# Every public search with one threshold, and the bound (no patterns).
+SEARCHES = {
+    "near": lambda spec, dom, **kw: find_near_triads(spec, dom, 1e-2, **kw),
+    "maxd": lambda spec, dom, **kw: find_max_discrepancy_triads(spec, dom,
+                                                                0.5, **kw),
+    "ari": lambda spec, dom, **kw: list(search.iter_ari_triads(spec, dom, 0.03,
+                                                               **kw)),
+    "seeds": _seeds,
+    "bound": lambda spec, dom, **kw: discrepancy_lower_bound(
+        spec, dom, closure=kw.get("closure", "auto")),
+}
+
+
+@pytest.mark.parametrize("closure", ["both", "box"])
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_exact_path_rejects_non_zonal_closure(sphere, name, closure):
+    """The exact kernel is zonal-only: it must not answer a component-wise
+    or box query with zonally closed triads."""
+    with pytest.raises(UsageError, match="zonal"):
+        SEARCHES[name](sphere, SpectralDomain(6, "triangular"),
+                       closure=closure)
+
+
+@pytest.mark.parametrize("closure", ["auto", "both", "box"])
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_square_closures_reject_triangular_domain(name, closure):
+    """``both`` and ``box`` accept only square domains, in every search
+    and in the bound (whose witness (1,2)+(3,2)->(4,4) on a triangular
+    T=4 domain is not a mode pair of that domain)."""
+    with pytest.raises(UsageError, match="square domain"):
+        SEARCHES[name](gc_spec(75), SpectralDomain(4, "triangular"),
+                       closure=closure)
+
+
+@pytest.mark.parametrize("spec_name,closure", [
+    ("sphere", "auto"), ("water", "both"), ("water", "zonal"),
+    ("water", "box")])
+@pytest.mark.parametrize("name", ["near", "maxd", "ari", "seeds"])
+def test_unknown_patterns_rejected(sphere, spec_name, closure, name):
+    spec, shape = ((sphere, "triangular") if spec_name == "sphere"
+                   else (gc_spec(75), "square"))
+    with pytest.raises(UsageError, match="patterns"):
+        SEARCHES[name](spec, SpectralDomain(5, shape), closure=closure,
+                       patterns="any")
