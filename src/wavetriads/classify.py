@@ -46,6 +46,7 @@ from .search import (
     _check_threshold,
     _dispatch,
     _pattern,
+    _search,
     iter_ari_triads,
 )
 
@@ -133,10 +134,11 @@ def resonant_seed_triads(spec: DispersionSpec, domain: SpectralDomain,
     the given convention; these seed the Active class.  On the exact path
     a zero residual has d_ratio 0, so the numerically-exact threshold
     keeps the rational zeros too, and ``is_exact`` drops the rest."""
-    scan = _dispatch(spec, domain, closure, patterns)
-    passes = _n_rule(scan.rule, n_selection)
-    triads = scan.search(d_max=NUMERIC_EXACT_D,
-                         skip_equal_n_pairs=skip_equal_n_pairs)
+    rule = _dispatch(spec, domain, closure, patterns)
+    passes = _n_rule(rule, n_selection)
+    triads = _search(spec, domain, rule, patterns=patterns,
+                     d_max=NUMERIC_EXACT_D,
+                     skip_equal_n_pairs=skip_equal_n_pairs)
     return sorted((t for t in triads
                    if t.is_exact and passes(t.k1.n, t.k2.n, t.k3.n)),
                   key=Triad.key)
@@ -154,7 +156,7 @@ def _minimal_bridge(spec, domain, triad, donor_pair, patterns, closure,
     members = set(triad.members())
     if not {ka, kb} <= members:
         raise UsageError("donor pair must consist of triad members")
-    rule = _dispatch(spec, domain, closure, patterns).rule
+    rule = _dispatch(spec, domain, closure, patterns)
     passes = _n_rule(rule, n_selection)
     wa, wb = (eval_frequency(spec, k).omega for k in donor_pair)
     best = None
@@ -240,7 +242,7 @@ def classify_modes(spec: DispersionSpec, domain: SpectralDomain,
     triad.  Neutral: everything else.
     """
     _check_threshold("omega_max", omega_max)
-    rule = _dispatch(spec, domain, closure, patterns).rule
+    rule = _dispatch(spec, domain, closure, patterns)
     passes = _n_rule(rule, n_selection)
     convention = dict(patterns=patterns, closure=rule.name,
                       n_selection=n_selection, bridge_mode=bridge_mode,
@@ -330,7 +332,7 @@ def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
         raise UsageError("depth must be >= 1")
     if not seed.is_exact:
         raise UsageError("cascade_path expects a resonant seed triad")
-    _n_rule(_dispatch(spec, domain, closure, patterns).rule, n_selection)
+    _n_rule(_dispatch(spec, domain, closure, patterns), n_selection)
     visited = {frozenset(seed.members())}
     current = seed
     steps = []

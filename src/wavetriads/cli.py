@@ -72,7 +72,7 @@ def _add_dispersion_args(p: argparse.ArgumentParser):
     p.add_argument("--lx", type=float, default=None, help="basin side Lx (cm)")
     p.add_argument("--ly", type=float, default=None, help="basin side Ly (cm)")
     p.add_argument("--plane-form", choices=("printed", "squared"),
-                   default="printed", help="plane dispersion variant")
+                   help="plane dispersion variant (default printed)")
     p.add_argument("--config", help="JSON file with a dispersion configuration")
 
 
@@ -87,10 +87,19 @@ def _add_common_args(p: argparse.ArgumentParser):
                    help="suppress the configuration header")
 
 
+#: Options that define the dispersion, by argparse destination; a
+#: ``--config`` file replaces every one of them.
+_SPEC_OPTIONS = {"dispersion": "--dispersion", "liquid": "--liquid",
+                 "mu_nu": "--mu-nu", "g": "--g", "alpha": "--alpha",
+                 "lx": "--lx", "ly": "--ly", "plane_form": "--plane-form"}
+
+
 def build_spec(args) -> DispersionSpec:
     if args.config:
-        if args.dispersion or args.liquid:
-            raise UsageError("--config conflicts with --dispersion/--liquid")
+        given = [flag for dest, flag in _SPEC_OPTIONS.items()
+                 if getattr(args, dest) is not None]
+        if given:
+            raise UsageError(f"--config conflicts with {', '.join(given)}")
         with open(args.config) as fh:
             return DispersionSpec.from_config(json.load(fh))
     kind = None
@@ -119,7 +128,7 @@ def build_spec(args) -> DispersionSpec:
     return DispersionSpec(kind=kind,
                           g=args.g if args.g is not None else 981.0,
                           mu_over_nu=mu, alpha=args.alpha, basin=basin,
-                          plane_form=args.plane_form)
+                          plane_form=args.plane_form or "printed")
 
 
 def build_domain(args, spec) -> SpectralDomain:
@@ -168,6 +177,9 @@ def cmd_find_triads(args):
     if args.exact:
         if args.d_max is not None or args.d_min is not None:
             raise UsageError("--exact conflicts with --d-max/--d-min")
+        if args.closure not in ("auto", "zonal") or args.patterns != "sum":
+            raise UsageError("--exact searches zonal closure under the sum "
+                             "pattern only; drop --closure/--patterns")
         triads = find_exact_triads(spec, domain)
         mode = {"mode": "exact"}
     elif args.d_min is not None:

@@ -92,7 +92,8 @@ class DispersionSpec:
     rationals; every other kind is floating point.
     ``plane_form`` selects between the printed plane dispersion
     (``"printed"``: kx/(1+kx+ky)) and the standard squared-wavenumber form
-    (``"squared"``: kx/(kx^2+ky^2)); it is meaningful for ``bve_plane`` only.
+    (``"squared"``: kx/(kx^2+ky^2)); it is meaningful for ``bve_plane`` only
+    and reads ``"printed"`` on every other kind.
     """
 
     kind: str
@@ -122,6 +123,10 @@ class DispersionSpec:
                 raise DomainError("gravity_tanh requires alpha > 0")
         if self.plane_form not in ("printed", "squared"):
             raise DomainError(f"unknown plane_form {self.plane_form!r}")
+        if self.kind != "bve_plane":
+            # Meaningless off the plane and absent from to_config():
+            # normalised, so that configurations round-trip.
+            object.__setattr__(self, "plane_form", "printed")
         if self.kind == "rossby_sphere" and self.basin.kind not in ("sphere",):
             # Allow construction with the default basin, but normalise it.
             object.__setattr__(self, "basin", BasinGeometry(kind="sphere"))

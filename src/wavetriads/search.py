@@ -10,8 +10,8 @@ order with their third vector, so outputs are duplicate-free:
     Component-wise closure k3 = k1 + k2, self-pair k2 = k1 included.
     Square domains only.  Used for square, rectangular and plane spectra.
 ``zonal``
-    m3 = m1 + m2 with every n3 of the domain.  The float kernel includes
-    the self-pair; ``skip_equal_n_pairs`` drops the pairs n1 = n2.  Square
+    m3 = m1 + m2 with every n3 of the domain.  Floats include the
+    self-pair; ``skip_equal_n_pairs`` drops the pairs n1 = n2.  Square
     and triangular domains; the classifier's latitudinal selection rules
     apply under this closure only.  Used on the sphere, whose derived
     exact triad (4,12)+(5,14) -> (9,13) closes in m but not in n.
@@ -21,26 +21,31 @@ order with their third vector, so outputs are duplicate-free:
 
 ``closure="auto"`` picks ``zonal`` for ``rossby_sphere`` and ``both``
 otherwise; ``box`` is never chosen automatically.  One dispatch point
-resolves the closure, rejects unknown sign patterns and domain shapes the
-closure does not accept, and picks the kernel.  Each kernel takes one k1
-row at a time and builds a :class:`Triad` only for the candidates it
-emits, in scan order (k1, k2, k3):
+resolves the closure and rejects unknown sign patterns, domain shapes the
+closure does not accept and closures the exact path does not serve.
 
-* The float kernel evaluates the residuals on the omega grid with the
-  float64 expressions of the scalar sign-pattern rule, so each
-  accept/reject decision is the one a scalar loop over the same grid would
-  make.  Emitted triads are rebuilt from scalar ``eval_frequency`` values,
+One scan kernel serves both number systems: a search loop and a
+least-nonzero loop.  Each takes one k1 row at a time, reads the closure's
+candidates from a per-mode table, computes |Omega| with the number
+system's residual step, and builds a :class:`Triad` only for the
+candidates it emits, in scan order (k1, k2, k3):
+
+* Floats: the table is the omega grid, and the residuals are the float64
+  expressions of the scalar sign-pattern rule, so each accept/reject
+  decision is the one a scalar loop over the same grid would make.
+  Emitted triads are rebuilt from scalar ``eval_frequency`` values,
   except in the approximate-resonance pass, which keeps the grid values.
-* The exact kernel (the rational spherical dispersion) is zonal-only and
-  skips the self-pair.  It writes omega = -2m/a with a = n(n+1), so each
-  sign pattern's residual is -2 N / (a1 a2 a3) with the integer
+* Exact rationals (the spherical dispersion; zonal closure only, without
+  the self-pair): omega = -2m/a with a = n(n+1), and the table holds a.
+  Each sign pattern's residual is -2 N / (a1 a2 a3) with the integer
   N = s1 m1 a2 a3 + s2 m2 a1 a3 + s3 m3 a1 a2, computed in int64 (in Python
-  integers where |N| could exceed the int64 range).  Omega = 0 is decided
-  by N == 0, never by a tolerance.  The d_ratio and |Omega| thresholds get
-  a float prefilter widened by a margin far above its rounding error, and
-  the survivors are re-checked on exact ``Fraction`` residuals.
+  integers where |N| could exceed the int64 range), so Omega = 0 is
+  decided by N == 0, never by a tolerance.  The thresholds apply to the
+  float |Omega| = 2|N| / (a1 a2 a3) widened by a margin far above its
+  rounding error, and the survivors are re-checked on exact ``Fraction``
+  residuals.
 
-The discrepancy bound scans the same candidates, on scalar frequencies;
+The discrepancy bound is the least-nonzero loop, on scalar frequencies;
 under every closure its witness is the first triad of least nonzero
 |Omega| in scan order (sum pattern; any sign pattern under box closure).
 """
@@ -50,8 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -182,41 +186,31 @@ def _check_threshold(name: str, value, ceiling: bool = False) -> None:
 
 
 class _FrequencyMemo(dict):
-    """Scalar frequencies by mode, evaluated on first lookup.
+    """Frequencies by mode, looked up once each: scalar ``eval_frequency``
+    values, or the entries of a search's ``table`` when it skips the
+    scalar rebuild.
 
     One ``eval_frequency`` call per distinct mode looked up, and only for
     those: a search fills it from its hits, never from the whole domain.
     The values are the scalar function's own, so stored frequencies
     reproduce bit for bit on re-evaluation."""
 
-    def __init__(self, spec: DispersionSpec):
+    def __init__(self, spec: DispersionSpec, table=None):
         super().__init__()
-        self.spec = spec
+        self.spec, self.table = spec, table
 
     def __missing__(self, k: WaveVector) -> OmegaValue:
-        w = self[k] = eval_frequency(self.spec, k).omega
+        w = self[k] = (eval_frequency(self.spec, k).omega
+                       if self.table is None else float(self.table[k]))
         return w
-
-
-class _GridFrequencies:
-    """Frequencies read from an omega grid, for searches that skip the
-    scalar rebuild."""
-
-    def __init__(self, W):
-        self.W = W
-
-    def __getitem__(self, k: WaveVector) -> float:
-        return float(self.W[k.m, k.n])
 
 
 def _best_pattern_triad(freqs, k1, k2, k3, patterns) -> Triad:
     """Rebuild a candidate triad, choosing the minimal-|Omega| sign pattern
     when patterns="all".
 
-    ``freqs`` maps a mode to its frequency.  On the scalar rebuild it is a
-    per-search :class:`_FrequencyMemo`, so each distinct mode costs one
-    scalar ``eval_frequency`` call however many hits it takes part in;
-    otherwise it reads the search's omega grid."""
+    ``freqs`` is a per-search :class:`_FrequencyMemo`, so each distinct
+    mode costs one lookup however many hits it takes part in."""
     ws = (freqs[k1], freqs[k2], freqs[k3])
     om, signs = _pattern(ws, patterns)
     d_ratio = abs(float(om)) / min(abs(float(w)) for w in ws)
@@ -224,183 +218,24 @@ def _best_pattern_triad(freqs, k1, k2, k3, patterns) -> Triad:
 
 
 # ---------------------------------------------------------------------------
-# exact kernel (spherical dispersion, zonal closure)
-# ---------------------------------------------------------------------------
-
-#: Largest |N| the int64 kernel may meet.  Every term of N is at most
-#: T (T(T+1))^2, so |N| <= 3 T (T(T+1))^2; beyond this (T near 5,000) the
-#: kernel computes N in Python integers instead.
-_N_INT64_LIMIT = int(np.iinfo(np.int64).max)
-
-#: Relative widening of the float prefilters of the exact path.  The float
-#: |Omega| and d_ratio of the kernel, and the d_ratio a Triad stores, each
-#: lie within a few ulps (~1e-15) of the exact values, so a prefilter
-#: widened by 1e-9 keeps every candidate the exact predicate accepts.
-_PREFILTER_MARGIN = 1e-9
-
-
-def _exact_rows(domain: SpectralDomain, patterns: str,
-                skip_equal_n_pairs: bool) -> Iterator[tuple]:
-    """Zonally closed candidates of the exact path, one k1 row at a time.
-
-    The candidates are the ordered pairs k1 < k2 (lexicographic) with
-    m3 = m1 + m2 <= T, each with every n3 of the domain, in (k1, k2, n3)
-    order; pairs with n1 = n2 are left out with ``skip_equal_n_pairs``.
-    Yields (k1, m2, n2, n3, N, om, amin) per row: the int arrays of k2 and
-    n3, |N| of the sum pattern (or the least |N| over the sign patterns
-    when patterns="all": all patterns share the denominator a1 a2 a3, so
-    it belongs to the minimal-|Omega| pattern), and the float |Omega| and
-    min |w| for the prefilters.
-    """
-    T = domain.truncation
-    triangular = domain.shape == "triangular"
-    python_ints = 3 * T * (T * (T + 1)) ** 2 > _N_INT64_LIMIT
-    modes = list(domain.modes())
-    mm = np.array([k.m for k in modes], dtype=np.int64)
-    nn = np.array([k.n for k in modes], dtype=np.int64)
-    for i, k1 in enumerate(modes):
-        m1, n1 = k1
-        keep = mm[i + 1:] <= T - m1
-        if skip_equal_n_pairs:
-            keep &= nn[i + 1:] != n1
-        m2, n2 = mm[i + 1:][keep], nn[i + 1:][keep]
-        if not m2.size:
-            continue
-        # Each pair takes n3 from n_lo to T: a ragged block per pair.
-        n_lo = m1 + m2 if triangular else np.ones_like(m2)
-        counts = T + 1 - n_lo
-        pair = np.repeat(np.arange(m2.size), counts)
-        n3 = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts - n_lo,
-                                              counts)
-        m2, n2 = m2[pair], n2[pair]
-        m3 = m1 + m2
-        a1, a2, a3 = n1 * (n1 + 1), n2 * (n2 + 1), n3 * (n3 + 1)
-        im2, im3, ia2, ia3 = ((x.astype(object) if python_ints else x)
-                              for x in (m2, m3, a2, a3))
-        t1, t2, t3 = m1 * ia2 * ia3, im2 * a1 * ia3, im3 * a1 * ia2
-        N = np.abs(t1 + t2 - t3)
-        if patterns == "all":
-            N = np.minimum(np.minimum(N, np.abs(t1 - t2 + t3)),
-                           np.abs(t2 + t3 - t1))
-        a2f, a3f = a2.astype(np.float64), a3.astype(np.float64)
-        om = 2.0 * N.astype(np.float64) / (a1 * a2f * a3f)
-        amin = 2.0 * np.minimum(np.minimum(m2 / a2f, m3 / a3f), m1 / a1)
-        yield k1, m2, n2, n3, N, om, amin
-
-
-def _search_exact(spec, domain, *, patterns, d_max=None, d_min=None,
-                  abs_max=None, skip_equal_n_pairs=True,
-                  scalar_rebuild=True) -> list:
-    """Exact-path search in (k1, k2, n3) order.
-
-    Exactly one threshold is given: d_ratio <= d_max (``d_max = 0`` keeps
-    the exact resonances, N == 0), d_ratio >= d_min, or
-    0 < |Omega| <= abs_max.  A float prefilter with a conservative margin
-    selects the survivors; each is rebuilt on exact Fractions and kept
-    only if it passes the threshold exactly, whatever
-    ``scalar_rebuild`` says."""
-    hi, lo = 1.0 + _PREFILTER_MARGIN, 1.0 - _PREFILTER_MARGIN
-    if abs_max is not None:
-        exact_max = Fraction(abs_max)  # compares as the float itself does
-    freqs = _FrequencyMemo(spec)
-    triads = []
-    for k1, m2, n2, n3, N, om, amin in _exact_rows(domain, patterns,
-                                                   skip_equal_n_pairs):
-        if d_max == 0:
-            keep = N == 0
-        elif d_max is not None:
-            keep = om / amin <= d_max * hi
-        elif d_min is not None:
-            keep = om / amin >= d_min * lo
-        else:
-            keep = (N != 0) & (om <= abs_max * hi)
-        for m, n, nw in zip(m2[keep].tolist(), n2[keep].tolist(),
-                            n3[keep].tolist()):
-            t = _best_pattern_triad(freqs, k1, WaveVector(m, n),
-                                    WaveVector(k1.m + m, nw), patterns)
-            if d_max is not None:
-                ok = t.d_ratio <= d_max
-            elif d_min is not None:
-                ok = t.d_ratio >= d_min
-            else:
-                ok = t.discrepancy != 0 and abs(t.discrepancy) <= exact_max
-            if ok:
-                triads.append(t)
-    return triads
-
-
-def _exact_min_nonzero(spec, domain, patterns) -> Triad | None:
-    """Triad with the least nonzero |Omega| on the exact path; the first
-    minimum in (k1, k2, n3) order wins.  Per row, only the
-    candidates whose float |Omega| lies within the prefilter margin of the
-    row minimum and of the best so far are compared exactly."""
-    hi = 1.0 + _PREFILTER_MARGIN
-    freqs = _FrequencyMemo(spec)
-    best, best_f = None, math.inf
-    for k1, m2, n2, n3, N, om, _ in _exact_rows(domain, patterns, True):
-        om[N == 0] = math.inf
-        row_min = float(om.min())
-        if row_min == math.inf or row_min > best_f * hi:
-            continue
-        close = om <= min(row_min, best_f) * hi
-        for m, n, nw in zip(m2[close].tolist(), n2[close].tolist(),
-                            n3[close].tolist()):
-            t = _best_pattern_triad(freqs, k1, WaveVector(m, n),
-                                    WaveVector(k1.m + m, nw), patterns)
-            if best is None or abs(t.discrepancy) < abs(best.discrepancy):
-                best, best_f = t, float(abs(t.discrepancy))
-    return best
-
-
-def find_exact_triads(spec: DispersionSpec, domain: SpectralDomain,
-                      skip_equal_n_pairs: bool = True) -> list:
-    """All triads with Omega = 0 exactly under the sum interaction
-    (w1 + w2 = w3, zonal closure m1 + m2 = m3).
-
-    Only valid on exact rational dispersions.  Pairs with n1 = n2 are
-    skipped by default: on the sphere they generate the same-latitude
-    families (m1,n)+(m2,n) -> (m1+m2,n) that are identically resonant but
-    carry zero interaction coupling.
-    """
-    if not spec.exactness:
-        raise UsageError(
-            "find_exact_triads requires an exact rational dispersion; "
-            "use find_near_triads with a threshold for floating dispersions")
-    out = _dispatch(spec, domain).search(
-        d_max=0, skip_equal_n_pairs=skip_equal_n_pairs)
-    out.sort(key=Triad.key)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # closure table
 # ---------------------------------------------------------------------------
 
-def _index_grids(T):
-    """Read-only views of (T+1)^3 index grids: I[a, b, c] is a, J[a, b, c]
-    is b and K[a, b, c] is c.  A window of them gives the coordinates of a
-    window of the omega grid, without copying."""
-    ar = np.arange(T + 1)
-    shape = (T + 1,) * 3
-    return (np.broadcast_to(ar[:, None, None], shape),
-            np.broadcast_to(ar[:, None], shape), np.broadcast_to(ar, shape))
-
-
-def _both_blocks(W, domain, skip_equal_n_pairs):
+def _both_blocks(X, domain, skip_equal_n_pairs, self_pair):
     """Pairs k1 <= k2 with k3 = k1 + k2 in the square: the rest of row
-    m2 = m1 (n2 >= n1), then the rows m2 > m1, as two grid windows."""
+    m2 = m1 (n2 >= n1), then the rows m2 > m1, as two windows of X."""
     T = domain.truncation
-    _, J, K = _index_grids(T)
-    M, N = J[0], K[0]  # M[a, b] = a, N[a, b] = b
+    ar = np.arange(T + 1)  # read-only index grids: M[a, b] = a, N[a, b] = b
+    M, N = (np.broadcast_to(x, (T + 1, T + 1)) for x in (ar[:, None], ar))
     for m1 in range(1, T // 2 + 1):
         for n1 in range(1, T):
             if 2 * n1 <= T:
                 win2 = (slice(m1, m1 + 1), slice(n1, T - n1 + 1))
-                yield (m1, n1, W[win2], W[2 * m1:2 * m1 + 1, 2 * n1:],
+                yield (m1, n1, X[win2], X[2 * m1:2 * m1 + 1, 2 * n1:],
                        M[win2], N[win2], N[m1:m1 + 1, 2 * n1:])
             if 2 * m1 < T:
                 win2 = (slice(m1 + 1, T - m1 + 1), slice(1, T - n1 + 1))
-                yield (m1, n1, W[win2], W[2 * m1 + 1:, n1 + 1:],
+                yield (m1, n1, X[win2], X[2 * m1 + 1:, n1 + 1:],
                        M[win2], N[win2], N[m1 + 1:T - m1 + 1, n1 + 1:])
 
 
@@ -413,25 +248,35 @@ def _both_completions(ka, kb, domain, patterns):
     return [k for k in ks if k in domain]
 
 
-def _zonal_blocks(W, domain, skip_equal_n_pairs):
-    """Pairs k1 <= k2 with m3 = m1 + m2, each with every n3 of the domain:
-    one (n2, n3) grid per m2.  With ``skip_equal_n_pairs`` the pairs
-    n2 = n1 read NaN, which no predicate keeps."""
+def _zonal_blocks(X, domain, skip_equal_n_pairs, self_pair):
+    """Pairs k1 <= k2 (k1 < k2 without ``self_pair``) with m3 = m1 + m2,
+    each with every n3 of the domain: one ragged block per k1 row, in
+    (k2, n3) order.  ``skip_equal_n_pairs`` leaves out the pairs
+    n1 = n2."""
     T = domain.truncation
     triangular = domain.shape == "triangular"
-    I, J, K = _index_grids(T)
-    for m1 in range(1, T // 2 + 1):
-        for n1 in range(m1 if triangular else 1, T + 1):
-            W2 = W
-            if skip_equal_n_pairs:
-                W2 = W.copy()
-                W2[:, n1] = np.nan
-            for m2 in range(m1, T - m1 + 1):
-                n2_lo = n1 if m2 == m1 else (m2 if triangular else 1)
-                n3_lo = m1 + m2 if triangular else 1
-                yield (m1, n1, W2[m2, n2_lo:, None], W[m1 + m2, None, n3_lo:],
-                       I[m2, n2_lo:, n3_lo:], J[m2, n2_lo:, n3_lo:],
-                       K[m2, n2_lo:, n3_lo:])
+    modes = list(domain.modes())
+    mm = np.array([k.m for k in modes], dtype=np.int64)
+    nn = np.array([k.n for k in modes], dtype=np.int64)
+    for i, (m1, n1) in enumerate(modes):
+        if 2 * m1 > T:
+            break
+        # Modes come in m order, so the k2 with m2 <= T - m1 are a run.
+        j, stop = i + (not self_pair), np.searchsorted(mm, T - m1, "right")
+        m2, n2 = mm[j:stop], nn[j:stop]
+        if skip_equal_n_pairs:
+            keep = n2 != n1
+            m2, n2 = m2[keep], n2[keep]
+        if not m2.size:
+            continue
+        # Each pair takes n3 from n_lo to T.
+        n_lo = m1 + m2 if triangular else np.ones_like(m2)
+        counts = T + 1 - n_lo
+        pair = np.repeat(np.arange(m2.size), counts)
+        n3 = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts - n_lo,
+                                              counts)
+        m2, n2 = m2[pair], n2[pair]
+        yield m1, n1, X[m2, n2], X[m1 + m2, n3], m2, n2, n3
 
 
 def _zonal_completions(ka, kb, domain, patterns):
@@ -458,7 +303,7 @@ def box_completions(k1: WaveVector, k2: WaveVector, T: int):
                 yield WaveVector(m3, n3)
 
 
-def _box_blocks(W, domain, skip_equal_n_pairs):
+def _box_blocks(X, domain, skip_equal_n_pairs, self_pair):
     """Box-closed candidates, one k1 row at a time, gathered by index
     arrays, with k3 in :func:`box_completions` order.
 
@@ -481,7 +326,7 @@ def _box_blocks(W, domain, skip_equal_n_pairs):
         keep = (n3 >= 1) & (n3 <= T)
         m2, n2, n3 = (np.repeat(m_all[i + 1:stop], 2)[keep],
                       np.repeat(n2, 2)[keep], n3[keep])
-        yield m1, n1, W[m2, n2], W[m1 + m2, n3], m2, n2, n3
+        yield m1, n1, X[m2, n2], X[m1 + m2, n3], m2, n2, n3
 
 
 @dataclass(frozen=True)
@@ -489,13 +334,14 @@ class _Closure:
     """A closure convention, as the kernels, the bound and the bridge
     search see it.
 
-    ``blocks(W, domain, skip_equal_n_pairs)`` yields the candidates of
-    each k1 row as blocks (m1, n1, w2, w3, m2, n2, n3): the k2 and k3
-    frequencies read from the table W, as arrays that broadcast against
-    each other, and the coordinates of k2 and n3 (m3 = m1 + m2 under every
-    closure), as arrays of the block's shape.  Blocks come in (k1, k2)
-    order and each holds its candidates in (k2, k3) order, so a row-major
-    walk gives scan order (k1, k2, k3).
+    ``blocks(X, domain, skip_equal_n_pairs, self_pair)`` yields the
+    candidates of each k1 row as blocks (m1, n1, x2, x3, m2, n2, n3): the
+    values at k2 and k3 read from the per-mode table X, and the coordinates
+    of k2 and n3 (m3 = m1 + m2 under every closure), as arrays of one
+    shape.  Blocks come in (k1, k2) order and each holds its candidates in
+    (k2, k3) order, so a row-major walk gives scan order (k1, k2, k3).
+    ``self_pair`` decides whether zonal closure admits k2 = k1; ``both``
+    always does and ``box`` never does.
     ``completions(ka, kb, domain, patterns)`` yields the waves of the
     domain that close a donor pair.
     """
@@ -505,7 +351,7 @@ class _Closure:
     blocks: Callable
     completions: Callable
     bound_patterns: str = "sum"  # sign patterns of the least nonzero |Omega|
-    exact: bool = False      # the exact kernel implements it
+    exact: bool = False      # the exact path serves it
     free_n3: bool = False    # n3 is free: the n-selection rules apply
 
 
@@ -523,119 +369,185 @@ CLOSURES = {c.name: c for c in (
 
 
 # ---------------------------------------------------------------------------
-# float kernels
+# kernels
 # ---------------------------------------------------------------------------
 
-def _abs_residual(w1, w2, w3, patterns):
-    """|Omega| of the sum pattern, or the least |Omega| over the sign
-    patterns, in the float64 expressions of :func:`_pattern`."""
-    if patterns == "sum":
-        return np.abs(w1 + w2 - w3)
-    p1 = np.abs(w1 + w2 - w3)
-    p2 = np.abs(w1 - w2 + w3)
-    p3 = np.abs(-w1 + w2 + w3)
-    return np.minimum(np.minimum(p1, p2), p3)
+#: Largest |N| the int64 exact step may meet.  Every term of N is at most
+#: T (T(T+1))^2, so |N| <= 3 T (T(T+1))^2; beyond this (T near 5,000) the
+#: table holds Python integers and N is computed in them instead.
+_N_INT64_LIMIT = int(np.iinfo(np.int64).max)
+
+#: Relative widening of the thresholds on the exact path.  The float
+#: |Omega| and d_ratio of the exact step, and the d_ratio a Triad stores,
+#: each lie within a few ulps (~1e-15) of the exact values, so thresholds
+#: widened by 1e-9 keep every candidate the exact predicate accepts.
+_PREFILTER_MARGIN = 1e-9
 
 
-def _min_abs(w1, w2, w3):
-    return np.minimum(np.minimum(np.abs(w2), np.abs(w3)), abs(w1))
-
-
-def _select(abs_om, w1, w2, w3, d_max, d_min, abs_max):
-    """Mask of the candidates a float search keeps.  Exactly one of
-    d_max / d_min / abs_max is not None: d <= d_max, d >= d_min, or
-    0 < |Omega| <= abs_max, with d = |Omega| / min |w|."""
-    if abs_max is not None:
-        return (abs_om <= abs_max) & (abs_om > 0)
-    d = abs_om / _min_abs(w1, w2, w3)
-    return (d <= d_max) if d_max is not None else (d >= d_min)
-
-
-def _search_float(spec, domain, rule, *, patterns, d_max=None, d_min=None,
-                  abs_max=None, skip_equal_n_pairs=True,
-                  scalar_rebuild=True) -> list:
-    """Float search over the closure's candidates, in scan order.
-
-    With ``scalar_rebuild`` the output triads are rebuilt from scalar
-    dispersion evaluation so stored frequencies reproduce bit-for-bit on
-    re-evaluation; without it they carry the grid values (used by the
-    classifier, which only thresholds on |Omega|).
-    """
-    W = omega_grid(spec, domain.truncation)
-    freqs = _FrequencyMemo(spec) if scalar_rebuild else _GridFrequencies(W)
-    if abs_max is not None:
-        abs_max = float(abs_max)
-    triads = []
-    for m1, n1, w2, w3, m2, n2, n3 in rule.blocks(W, domain,
-                                                  skip_equal_n_pairs):
-        w1 = W[m1, n1]
-        keep = _select(_abs_residual(w1, w2, w3, patterns),
-                       w1, w2, w3, d_max, d_min, abs_max)
-        if keep.any():
-            k1 = WaveVector(m1, n1)
-            for m, n, nw in zip(m2[keep].tolist(), n2[keep].tolist(),
-                                n3[keep].tolist()):
-                triads.append(_best_pattern_triad(
-                    freqs, k1, WaveVector(m, n), WaveVector(m1 + m, nw),
-                    patterns))
-    return triads
-
-
-def _float_min_nonzero(spec, domain, rule) -> Triad | None:
-    """Triad with the least nonzero |Omega| under the closure's bound
-    patterns; the first minimum in scan order wins.
-
-    "Nonzero" means d_ratio above the numerically-exact cutoff:
-    rational-valued dispersions leave ~1e-17 rounding residue on exactly
-    resonant triads, which must not masquerade as the bound.  The scan
-    runs on a table of scalar ``eval_frequency`` values, so the minimum
-    and the witness are those of the scalar frequencies."""
+def _table(spec, domain, scalar):
+    """The per-mode table the kernels read: a = n(n+1) on the exact path
+    (omega = -2m/a), else the omega grid, or with ``scalar`` the scalar
+    ``eval_frequency`` values of the domain's modes."""
     T = domain.truncation
+    if spec.exactness:
+        n = np.arange(T + 1, dtype=np.int64)
+        if 3 * T * (T * (T + 1)) ** 2 > _N_INT64_LIMIT:
+            n = n.astype(object)
+        return np.broadcast_to(n * (n + 1), (T + 1, T + 1))
+    if not scalar:
+        return omega_grid(spec, T)
     S = np.full((T + 1, T + 1), np.nan)
     for k in domain.modes():
         S[k] = eval_frequency(spec, k).omega
-    best, best_a = None, math.inf
-    for m1, n1, w2, w3, m2, n2, n3 in rule.blocks(S, domain, True):
-        w1 = S[m1, n1]
-        a = _abs_residual(w1, w2, w3, rule.bound_patterns)
-        if not a.size:
+    return S
+
+
+def _float_step(X, m1, n1, w2, w3, m2, patterns, with_min):
+    """|Omega| of a block on the frequency table X, in the float64
+    expressions of :func:`_pattern` (the least over the sign patterns when
+    patterns="all"), and min |w| when ``with_min``."""
+    w1 = X[m1, n1]
+    a = np.abs(w1 + w2 - w3)
+    if patterns == "all":
+        a = np.minimum(np.minimum(a, np.abs(w1 - w2 + w3)),
+                       np.abs(-w1 + w2 + w3))
+    if not with_min:
+        return a, None
+    return a, np.minimum(np.minimum(np.abs(w2), np.abs(w3)), abs(w1))
+
+
+def _exact_step(X, m1, n1, a2, a3, m2, patterns, with_min):
+    """The float |Omega| = 2|N| / (a1 a2 a3) of a block on the table
+    a = n(n+1), and min |w| when ``with_min``.  N is the integer residual
+    of the sum pattern, or its least |N| over the sign patterns (they share
+    the denominator), so |Omega| is 0.0 exactly when N == 0."""
+    a1, m3 = X[m1, n1], m1 + m2
+    t1, t2, t3 = m1 * a2 * a3, m2 * a1 * a3, m3 * a1 * a2
+    N = np.abs(t1 + t2 - t3)
+    if patterns == "all":
+        N = np.minimum(np.minimum(N, np.abs(t1 - t2 + t3)),
+                       np.abs(t2 + t3 - t1))
+    a2, a3 = a2.astype(np.float64), a3.astype(np.float64)
+    a = 2.0 * N.astype(np.float64) / (a1 * a2 * a3)
+    if not with_min:
+        return a, None
+    return a, 2.0 * np.minimum(np.minimum(m2 / a2, m3 / a3), m1 / a1)
+
+
+def _select(a, amin, d_max, d_min, abs_max):
+    """Mask of the candidates a search keeps.  Exactly one of
+    d_max / d_min / abs_max is not None: d <= d_max, d >= d_min, or
+    0 < |Omega| <= abs_max, with d = |Omega| / min |w|.  Without ``amin``
+    the ceiling is 0, which keeps |Omega| == 0."""
+    if abs_max is not None:
+        return (a <= abs_max) & (a > 0)
+    if amin is None:
+        return a == 0
+    d = a / amin
+    return (d <= d_max) if d_max is not None else (d >= d_min)
+
+
+def _search(spec, domain, rule, *, patterns, d_max=None, d_min=None,
+            abs_max=None, skip_equal_n_pairs=True,
+            scalar_rebuild=True) -> list:
+    """Triads of the closure's candidates that pass one threshold, in scan
+    order: d_ratio <= d_max, d_ratio >= d_min, or 0 < |Omega| <= abs_max.
+
+    On floats the step's decision is final, and with ``scalar_rebuild``
+    the output triads are rebuilt from scalar dispersion evaluation so
+    stored frequencies reproduce bit-for-bit on re-evaluation; without it
+    they carry the grid values (used by the classifier, which only
+    thresholds on |Omega|).  On the exact path the thresholds are widened
+    by the prefilter margin, and every survivor is rebuilt on Fractions
+    and kept only if it passes the threshold exactly."""
+    exact = spec.exactness
+    X = _table(spec, domain, False)
+    step = _exact_step if exact else _float_step
+    margin = _PREFILTER_MARGIN if exact else 0.0
+    freqs = _FrequencyMemo(spec, None if exact or scalar_rebuild else X)
+    if abs_max is not None:
+        wide = (None, None, float(abs_max) * (1.0 + margin))
+        abs_max = Fraction(abs_max)  # compares as the float itself does
+    elif d_max is not None:
+        wide = (d_max * (1.0 + margin), None, None)
+    else:
+        wide = (None, d_min * (1.0 - margin), None)
+    with_min = d_min is not None or bool(d_max)  # a zero ceiling needs none
+    triads = []
+    for m1, n1, x2, x3, m2, n2, n3 in rule.blocks(
+            X, domain, skip_equal_n_pairs, not exact):
+        a, amin = step(X, m1, n1, x2, x3, m2, patterns, with_min)
+        keep = _select(a, amin, *wide)
+        if not keep.any():
             continue
-        # "not above the cutoff" also drops the NaN of a skipped pair
-        a[~(a / _min_abs(w1, w2, w3) > NUMERIC_EXACT_D)] = math.inf
-        i = int(np.argmin(a))
-        if a.flat[i] < best_a:
-            best_a = a.flat[i]
-            best = (m1, n1, int(m2.flat[i]), int(n2.flat[i]),
-                    int(n3.flat[i]))
-    if best is None:
-        return None
-    m1, n1, m2, n2, n3 = best
-    return _best_pattern_triad(_GridFrequencies(S), WaveVector(m1, n1),
-                               WaveVector(m2, n2), WaveVector(m1 + m2, n3),
-                               rule.bound_patterns)
+        k1 = WaveVector(m1, n1)
+        for m, n, nw in zip(m2[keep].tolist(), n2[keep].tolist(),
+                            n3[keep].tolist()):
+            t = _best_pattern_triad(freqs, k1, WaveVector(m, n),
+                                    WaveVector(m1 + m, nw), patterns)
+            if not exact or _passes(t, d_max, d_min, abs_max):
+                triads.append(t)
+    return triads
+
+
+def _passes(t: Triad, d_max, d_min, abs_max) -> bool:
+    """The threshold of a search, decided on a rebuilt rational triad."""
+    if d_max is not None:
+        return t.d_ratio <= d_max
+    if d_min is not None:
+        return t.d_ratio >= d_min
+    return t.discrepancy != 0 and abs(t.discrepancy) <= abs_max
+
+
+def _least_nonzero(spec, domain, rule) -> Triad | None:
+    """Triad with the least nonzero |Omega| under the closure's bound
+    patterns; the first minimum in scan order wins.
+
+    Zeros are N == 0 on the exact path, and d_ratio at or below the
+    numerically-exact cutoff on floats: rational-valued dispersions leave
+    ~1e-17 rounding residue on exactly resonant triads, which must not
+    masquerade as the bound.  The float scan runs on a table of scalar
+    ``eval_frequency`` values, so the minimum and the witness are those of
+    the scalar frequencies.  Per block, only the candidates within the
+    prefilter margin of the block minimum and of the best so far are
+    rebuilt and compared."""
+    exact = spec.exactness
+    X = _table(spec, domain, True)
+    step = _exact_step if exact else _float_step
+    hi = 1.0 + (_PREFILTER_MARGIN if exact else 0.0)
+    zero_d = 0 if exact else NUMERIC_EXACT_D
+    freqs = _FrequencyMemo(spec, None if exact else X)
+    best, best_a = None, math.inf
+    for m1, n1, x2, x3, m2, n2, n3 in rule.blocks(X, domain, True, not exact):
+        a, amin = step(X, m1, n1, x2, x3, m2, rule.bound_patterns,
+                       bool(zero_d))
+        a[_select(a, amin, zero_d, None, None)] = math.inf
+        row_min = float(a.min()) if a.size else math.inf
+        if row_min == math.inf or row_min > best_a * hi:
+            continue
+        close = a <= min(row_min, best_a) * hi
+        k1 = WaveVector(m1, n1)
+        for m, n, nw in zip(m2[close].tolist(), n2[close].tolist(),
+                            n3[close].tolist()):
+            t = _best_pattern_triad(freqs, k1, WaveVector(m, n),
+                                    WaveVector(m1 + m, nw),
+                                    rule.bound_patterns)
+            if best is None or abs(t.discrepancy) < abs(best.discrepancy):
+                best, best_a = t, float(abs(t.discrepancy))
+    return best
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
-class _Scan(NamedTuple):
-    """A closure rule with the kernels that serve it: ``search`` takes one
-    threshold (d_max, d_min or abs_max) and returns Triads in scan order;
-    ``least`` returns the first triad of least nonzero |Omega|, or None."""
-
-    rule: _Closure
-    search: Callable
-    least: Callable
-
-
 def _dispatch(spec: DispersionSpec, domain: SpectralDomain,
-              closure: str = "auto", patterns: str = "sum") -> _Scan:
-    """Resolve ``closure`` for ``spec``, check it against ``patterns`` and
-    the domain's shape, and pick its kernels: exact on rational
-    dispersions, which serve zonal closure only, float otherwise.
-    ``auto`` picks zonal closure on the sphere and component-wise closure
-    elsewhere; box closure is never chosen automatically."""
+              closure: str = "auto", patterns: str = "sum") -> _Closure:
+    """Resolve ``closure`` for ``spec`` and check it against ``patterns``,
+    the domain's shape and the number system: the exact path of rational
+    dispersions serves zonal closure only.  ``auto`` picks zonal closure
+    on the sphere and component-wise closure elsewhere; box closure is
+    never chosen automatically."""
     if patterns not in ("sum", "all"):
         raise UsageError(f"unknown sign patterns {patterns!r}; "
                          "expected 'sum' or 'all'")
@@ -650,19 +562,32 @@ def _dispatch(spec: DispersionSpec, domain: SpectralDomain,
     if domain.shape not in rule.shapes:
         raise UsageError(f"{rule.name} closure expects a "
                          f"{' or '.join(rule.shapes)} domain")
-    if spec.exactness:
-        return _Scan(rule,
-                     partial(_search_exact, spec, domain, patterns=patterns),
-                     partial(_exact_min_nonzero, spec, domain,
-                             rule.bound_patterns))
-    return _Scan(rule,
-                 partial(_search_float, spec, domain, rule, patterns=patterns),
-                 partial(_float_min_nonzero, spec, domain, rule))
+    return rule
 
 
 # ---------------------------------------------------------------------------
 # public searches
 # ---------------------------------------------------------------------------
+
+def find_exact_triads(spec: DispersionSpec, domain: SpectralDomain,
+                      skip_equal_n_pairs: bool = True) -> list:
+    """All triads with Omega = 0 exactly under the sum interaction
+    (w1 + w2 = w3, zonal closure m1 + m2 = m3).
+
+    Only valid on exact rational dispersions.  Pairs with n1 = n2 are
+    skipped by default: on the sphere they generate the same-latitude
+    families (m1,n)+(m2,n) -> (m1+m2,n) that are identically resonant but
+    carry zero interaction coupling.
+    """
+    if not spec.exactness:
+        raise UsageError(
+            "find_exact_triads requires an exact rational dispersion; "
+            "use find_near_triads with a threshold for floating dispersions")
+    out = _search(spec, domain, _dispatch(spec, domain), patterns="sum",
+                  d_max=0, skip_equal_n_pairs=skip_equal_n_pairs)
+    out.sort(key=Triad.key)
+    return out
+
 
 def find_near_triads(spec: DispersionSpec, domain: SpectralDomain,
                      d_max: float, patterns: str = "sum",
@@ -672,8 +597,9 @@ def find_near_triads(spec: DispersionSpec, domain: SpectralDomain,
     ascending then lexicographically.  ``d_max = inf`` keeps every closed
     triad; a NaN d_max is rejected."""
     _check_threshold("d_max", d_max, ceiling=True)
-    triads = _dispatch(spec, domain, closure, patterns).search(
-        d_max=d_max, skip_equal_n_pairs=skip_equal_n_pairs)
+    triads = _search(spec, domain, _dispatch(spec, domain, closure, patterns),
+                     patterns=patterns, d_max=d_max,
+                     skip_equal_n_pairs=skip_equal_n_pairs)
     triads.sort(key=lambda t: (t.d_ratio, t.k1, t.k2, t.k3))
     return triads
 
@@ -684,7 +610,8 @@ def find_max_discrepancy_triads(spec: DispersionSpec, domain: SpectralDomain,
     """All vector-closed triads with d_ratio >= d_min, sorted by d_ratio
     descending; the head attains the domain maximum."""
     _check_threshold("d_min", d_min)
-    triads = _dispatch(spec, domain, closure, patterns).search(d_min=d_min)
+    triads = _search(spec, domain, _dispatch(spec, domain, closure, patterns),
+                     patterns=patterns, d_min=d_min)
     triads.sort(key=lambda t: (-t.d_ratio, t.k1, t.k2, t.k3))
     return triads
 
@@ -696,9 +623,10 @@ def iter_ari_triads(spec: DispersionSpec, domain: SpectralDomain,
     resonant interactions).  The absolute threshold is in frequency units,
     unlike the dimensionless d_ratio filters."""
     _check_threshold("omega_max", omega_max)
-    yield from _dispatch(spec, domain, closure, patterns).search(
-        abs_max=omega_max, skip_equal_n_pairs=skip_equal_n_pairs,
-        scalar_rebuild=False)
+    yield from _search(spec, domain, _dispatch(spec, domain, closure, patterns),
+                       patterns=patterns, abs_max=omega_max,
+                       skip_equal_n_pairs=skip_equal_n_pairs,
+                       scalar_rebuild=False)
 
 
 # ---------------------------------------------------------------------------
@@ -718,14 +646,14 @@ def discrepancy_lower_bound(spec: DispersionSpec, domain: SpectralDomain,
     """
     if len(domain) == 0:
         raise DomainError("domain is empty")
-    scan = _dispatch(spec, domain, closure)
+    rule = _dispatch(spec, domain, closure)
 
     apriori = None
     if spec.exactness:
         lcm = math.lcm(*(eval_frequency(spec, k).omega.denominator
                          for k in domain.modes()))
         apriori = DiscrepancyBound(Fraction(1, lcm * lcm), "rational_1_over_bd")
-    best = scan.least()
+    best = _least_nonzero(spec, domain, rule)
 
     if best is None:
         return BoundReport(apriori, None,

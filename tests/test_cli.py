@@ -149,6 +149,60 @@ def test_unsupported_closure_or_shape_exit_2(capsys, argv):
     assert code == 2
     assert "usage error" in err and out == ""
 
+@pytest.mark.parametrize("extra", [
+    ["--closure", "box", "--patterns", "all"],
+    ["--closure", "both"],
+    ["--closure", "box"],
+    ["--patterns", "all"],
+], ids=["box-all", "both", "box", "all"])
+def test_exact_rejects_other_conventions_exit_2(capsys, extra):
+    """The exact search is zonal closure under the sum pattern; any other
+    --closure/--patterns would be dropped but written into the header."""
+    code, out, err = run_cli(capsys, "find-triads", "--dispersion",
+                             "rossby-sphere", "--T", "14", "--exact", *extra)
+    assert code == 2
+    assert "usage error" in err and out == ""
+
+
+def test_exact_accepts_its_own_convention(capsys):
+    argv = ["find-triads", "--dispersion", "rossby-sphere", "--T", "14",
+            "--exact", "--format", "csv", "--no-header"]
+    code, default, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, spelled, _ = run_cli(capsys, *argv, "--closure", "zonal",
+                               "--patterns", "sum")
+    assert code == 0 and spelled == default
+
+
+@pytest.mark.parametrize("extra", [
+    ["--lx", "2", "--ly", "3", "--mu-nu", "16", "--g", "500"],
+    ["--mu-nu", "16"], ["--g", "500"], ["--alpha", "0.5"], ["--lx", "2"],
+    ["--ly", "3"], ["--plane-form", "printed"], ["--plane-form", "squared"],
+], ids=["four", "mu-nu", "g", "alpha", "lx", "ly", "plane-printed",
+        "plane-squared"])
+def test_config_rejects_dispersion_flags_exit_2(capsys, tmp_path, extra):
+    """A --config file defines the whole dispersion; a flag beside it would
+    be ignored."""
+    cfg = tmp_path / "water.json"
+    cfg.write_text(json.dumps(DispersionSpec(
+        "gravity_capillary", mu_over_nu=75.0).to_config()))
+    code, out, err = run_cli(capsys, "eval", "--config", str(cfg), *extra,
+                             "--m", "3", "--n", "4")
+    assert code == 2
+    assert "--config conflicts with" in err and out == ""
+
+
+def test_plane_form_defaults_to_printed(capsys):
+    argv = ["eval", "--dispersion", "bve-plane", "--m", "1", "--n", "2",
+            "--format", "json"]
+    code, default, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, printed, _ = run_cli(capsys, *argv, "--plane-form", "printed")
+    assert code == 0 and printed == default
+    assert json.loads(default)["config"]["dispersion"]["plane_form"] == \
+        "printed"
+
+
 def test_bound_float_dispersion_json(capsys):
     code, out, err = run_cli(capsys, "bound", "--liquid", "water", "--T", "8",
                              "--format", "json")

@@ -88,6 +88,26 @@ _COMMANDS = [
     ("eval-sphere",
      ["eval", "--dispersion", "rossby-sphere", "--m", "1", "--n", "2"],
      NO_CSV),
+    # The exact path off its default: a square domain, the max-discrepancy
+    # threshold, the bound on a square domain and the classifier's
+    # selection rules; and float zonal closure under every sign pattern.
+    ("find-triads-near-sphere-square",
+     ["find-triads", "--dispersion", "rossby-sphere", "--T", "8",
+      "--shape", "square", "--d-max", "0.02", "--patterns", "all"],
+     ("csv",)),
+    ("find-triads-maxd-sphere",
+     ["find-triads", "--dispersion", "rossby-sphere", "--T", "8",
+      "--d-min", "12"], ("csv",)),
+    ("bound-sphere-square",
+     ["bound", "--dispersion", "rossby-sphere", "--T", "8",
+      "--shape", "square"], ("json",)),
+    ("classify-sphere-parity",
+     ["classify", "--dispersion", "rossby-sphere", "--T", "8",
+      "--omega-max", "0.03", "--n-selection", "parity",
+      "--bridge-mode", "per_triad"], ("json",)),
+    ("find-triads-near-zonal-all",
+     ["find-triads", "--liquid", "water", "--T", "8", "--d-max", "1e-2",
+      "--closure", "zonal", "--patterns", "all"], ("csv",)),
 ]
 
 CASES = {f"{name}.{fmt}": [*argv, "--format", fmt]

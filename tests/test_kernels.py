@@ -1,8 +1,9 @@
-"""The float and exact-sphere kernels against brute-force oracles: per-pair
-loops over every closed candidate and the per-candidate ``Fraction`` loop
-the exact kernel replaced, kept here as references.  Emitted triads are
-compared field by field (floats by ``float.hex``, rationals exactly), in
-emission order, and so are the discrepancy-bound witnesses."""
+"""The scan kernel on floats and on the exact sphere against brute-force
+oracles: per-pair loops over every closed candidate and the per-candidate
+``Fraction`` loop the exact path replaced, kept here as references.
+Emitted triads are compared field by field (floats by ``float.hex``,
+rationals exactly), in emission order, and so are the discrepancy-bound
+witnesses."""
 
 import math
 from fractions import Fraction
@@ -91,7 +92,7 @@ def _first_min_nonzero(triads):
     return best
 
 
-# -- float kernels: the per-pair loops --------------------------------------------
+# -- floats: the per-pair loops ---------------------------------------------------
 
 def oracle_completions(k1, k2, T):
     return sorted(WaveVector(m3, n3)
@@ -161,8 +162,8 @@ def pair_oracle(spec, domain, closure, *, d_max=None, d_min=None,
 
 
 def float_scan(spec, domain, closure, **kw):
-    """The float kernel under ``closure``."""
-    return search._search_float(spec, domain, search.CLOSURES[closure], **kw)
+    """The search loop under ``closure``."""
+    return search._search(spec, domain, search.CLOSURES[closure], **kw)
 
 
 def check_float_kernel(spec, domain, closure, patterns, predicate,

@@ -298,7 +298,7 @@ SEARCHES = {
 @pytest.mark.parametrize("closure", ["both", "box"])
 @pytest.mark.parametrize("name", sorted(SEARCHES))
 def test_exact_path_rejects_non_zonal_closure(sphere, name, closure):
-    """The exact kernel is zonal-only: it must not answer a component-wise
+    """The exact path is zonal-only: it must not answer a component-wise
     or box query with zonally closed triads."""
     with pytest.raises(UsageError, match="zonal"):
         SEARCHES[name](sphere, SpectralDomain(6, "triangular"),
