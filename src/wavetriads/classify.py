@@ -30,12 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dispersion import (
     DispersionSpec,
     OmegaValue,
     SpectralDomain,
     WaveVector,
-    eval_frequency,
 )
 from .errors import UsageError
 from .search import (
@@ -43,11 +44,13 @@ from .search import (
     Triad,
     _FrequencyMemo,
     _best_pattern_triad,
+    _build,
     _check_threshold,
     _dispatch,
+    _drop_rounded_up,
     _pattern,
-    _search,
-    iter_ari_triads,
+    _scan,
+    _select,
 )
 
 ACTIVE = "active"
@@ -59,17 +62,20 @@ N_SELECTIONS = ("none", "parity", "triangle", "both")
 
 def _n_rule(rule, n_selection: str):
     """The latitudinal selection test (n1, n2, n3) -> bool of a classifier
-    call.  It keeps everything under ``none`` and under a closure that
-    fixes n3: the rules are conditions on zonally closed triads."""
+    call, on ints or elementwise on integer arrays.  It keeps everything
+    under ``none`` and under a closure that fixes n3: the rules are
+    conditions on zonally closed triads."""
     if n_selection not in N_SELECTIONS:
         raise UsageError(f"unknown n_selection {n_selection!r}; expected "
                          f"one of {', '.join(N_SELECTIONS)}")
     parity = rule.free_n3 and n_selection in ("parity", "both")
     triangle = rule.free_n3 and n_selection in ("triangle", "both")
 
-    def passes(n1: int, n2: int, n3: int) -> bool:
-        return (not (parity and (n1 + n2 + n3) % 2 == 0)
-                and not (triangle and not abs(n1 - n2) < n3 < n1 + n2))
+    def passes(n1, n2, n3):
+        keep = (n1 + n2 + n3) % 2 == 1 if parity else True
+        if triangle:
+            keep = keep & (abs(n1 - n2) < n3) & (n3 < n1 + n2)
+        return keep
     return passes
 
 
@@ -123,25 +129,45 @@ class ModePartition:
 
 
 # ---------------------------------------------------------------------------
-# resonant seeds
+# the walk: resonant seeds and approximate-resonance hits
 # ---------------------------------------------------------------------------
+
+def _walk(spec, domain, rule, passes, patterns, skip_equal_n_pairs, freqs,
+          omega_max=None):
+    """One walk of the closure's candidates: the resonant seeds that pass
+    the n-selection ``passes``, in key order, built from ``freqs`` (N == 0;
+    on floats d_ratio <= NUMERIC_EXACT_D on the grid and on the scalar
+    frequencies), and with ``omega_max`` the hits 0 < |Omega| <= omega_max
+    that pass it, as arrays (m1, n1, m2, n2, n3, |Omega|)."""
+    exact = spec.exactness
+    seeds = []
+    hits = [[np.zeros(0, np.int64)] * 5 + [np.zeros(0)]]
+    for cand, a, amin in _scan(spec, domain, rule, patterns,
+                               skip_equal_n_pairs, not exact):
+        seeds += [t for t in _build(freqs, patterns, cand, _select(
+                      a, amin, NUMERIC_EXACT_D, None, None))
+                  if t.is_exact and passes(t.k1.n, t.k2.n, t.k3.n)]
+        if omega_max is None:
+            continue
+        m1, n1, m2, n2, n3 = cand
+        hit = _select(a, None, None, None, omega_max) & passes(n1, n2, n3)
+        if exact:
+            _drop_rounded_up(hit, a, omega_max, freqs, patterns, cand)
+        count = np.count_nonzero(hit)
+        hits.append([np.full(count, m1), np.full(count, n1),
+                     m2[hit], n2[hit], n3[hit], a[hit]])
+    return sorted(seeds, key=Triad.key), list(map(np.concatenate, zip(*hits)))
+
 
 def resonant_seed_triads(spec: DispersionSpec, domain: SpectralDomain,
                          patterns: str = "sum", closure: str = "auto",
                          n_selection: str = "none",
                          skip_equal_n_pairs: bool = True) -> list:
     """Exact (rational) or numerically exact (float) resonant triads under
-    the given convention; these seed the Active class.  On the exact path
-    a zero residual has d_ratio 0, so the numerically-exact threshold
-    keeps the rational zeros too, and ``is_exact`` drops the rest."""
+    the given convention; these seed the Active class."""
     rule = _dispatch(spec, domain, closure, patterns)
-    passes = _n_rule(rule, n_selection)
-    triads = _search(spec, domain, rule, patterns=patterns,
-                     d_max=NUMERIC_EXACT_D,
-                     skip_equal_n_pairs=skip_equal_n_pairs)
-    return sorted((t for t in triads
-                   if t.is_exact and passes(t.k1.n, t.k2.n, t.k3.n)),
-                  key=Triad.key)
+    return _walk(spec, domain, rule, _n_rule(rule, n_selection), patterns,
+                 skip_equal_n_pairs, _FrequencyMemo(spec))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -149,21 +175,21 @@ def resonant_seed_triads(spec: DispersionSpec, domain: SpectralDomain,
 # ---------------------------------------------------------------------------
 
 def _minimal_bridge(spec, domain, triad, donor_pair, patterns, closure,
-                    n_selection):
-    """Shared bridge search; no resonance validation (cascades bridge from
-    near-resonant intermediate triads)."""
+                    n_selection, freqs):
+    """Shared bridge search on the frequency memo ``freqs``; no resonance
+    validation (cascades bridge from near-resonant intermediate triads)."""
     ka, kb = donor_pair
     members = set(triad.members())
     if not {ka, kb} <= members:
         raise UsageError("donor pair must consist of triad members")
     rule = _dispatch(spec, domain, closure, patterns)
     passes = _n_rule(rule, n_selection)
-    wa, wb = (eval_frequency(spec, k).omega for k in donor_pair)
+    wa, wb = freqs[ka], freqs[kb]
     best = None
     for w in rule.completions(ka, kb, domain, patterns):
         if w in members or not passes(ka.n, kb.n, w.n):
             continue
-        ws = (wa, wb, eval_frequency(spec, w).omega)
+        ws = (wa, wb, freqs[w])
         om, _ = _pattern(ws, patterns)
         # An exact completion is a resonance, not a near one; on the float
         # path "exact" includes rounding-level residue of rational-valued
@@ -183,17 +209,20 @@ def _minimal_bridge(spec, domain, triad, donor_pair, patterns, closure,
 def minimal_near_resonant(spec: DispersionSpec, domain: SpectralDomain,
                           triad: Triad, donor_pair: tuple,
                           patterns: str = "sum", closure: str = "auto",
-                          n_selection: str = "none") -> CascadeStep | None:
+                          n_selection: str = "none", *,
+                          freqs=None) -> CascadeStep | None:
     """The bridge wave with minimal |Omega| completing vector closure with
     the donor pair, excluding the triad's own members.
 
     Ties break lexicographically on (m, n).  Returns None when no wave in
-    the domain completes the pair ("no bridge").
+    the domain completes the pair ("no bridge").  Searches can share their
+    scalar frequencies through one memo ``freqs``.
     """
     if not triad.is_exact:
         raise UsageError("minimal_near_resonant expects a resonant triad")
     return _minimal_bridge(spec, domain, triad, donor_pair, patterns,
-                           closure, n_selection)
+                           closure, n_selection,
+                           _FrequencyMemo(spec) if freqs is None else freqs)
 
 
 def _triad_pairs(t: Triad) -> list:
@@ -207,15 +236,16 @@ def _step_key(step: CascadeStep) -> tuple:
 
 def select_bridges(spec, domain, seeds, omega_max, patterns="sum",
                    closure="auto", n_selection="none",
-                   bridge_mode="per_pair") -> list:
-    """Bridge waves admitted to the Active class."""
+                   bridge_mode="per_pair", *, freqs=None) -> list:
+    """Bridge waves admitted to the Active class; the searches share the
+    frequency memo ``freqs`` when the caller passes one."""
     if bridge_mode not in ("per_pair", "per_triad"):
         raise UsageError(f"unknown bridge_mode {bridge_mode!r}")
     steps = []
     for t in seeds:
         found = [s for s in (minimal_near_resonant(
                      spec, domain, t, pair, patterns=patterns,
-                     closure=closure, n_selection=n_selection)
+                     closure=closure, n_selection=n_selection, freqs=freqs)
                      for pair in _triad_pairs(t))
                  if s is not None and s.abs_discrepancy <= omega_max]
         if bridge_mode == "per_pair":
@@ -228,6 +258,30 @@ def select_bridges(spec, domain, seeds, omega_max, patterns="sum",
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
+
+def _passive_minima(domain, seeds, hits) -> list:
+    """(mode, least |Omega|) over the approximate-resonance ``hits``
+    (arrays from :func:`_walk`) none of whose pairs lies inside a resonant
+    seed, for every mode they touch, in mode order."""
+    m1, n1, m2, n2, n3, a = hits
+    T1 = domain.truncation + 1  # mode key m T1 + n, pair key lo T1^2 + hi
+    # Pairs are looked up by binary search: the first np.isin call of a
+    # process costs it about 2 MB of resident memory.
+    resonant = np.array(sorted(
+        (ka.m * T1 + ka.n) * T1 ** 2 + kb.m * T1 + kb.n
+        for t in seeds for ka, kb in map(sorted, _triad_pairs(t))) or [-1])
+    ks = (m1 * T1 + n1, m2 * T1 + n2, (m1 + m2) * T1 + n3)
+    keep = np.ones(a.size, dtype=bool)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        p = np.minimum(ks[i], ks[j]) * T1 ** 2 + np.maximum(ks[i], ks[j])
+        keep &= resonant[np.searchsorted(resonant, p) % resonant.size] != p
+    least = np.full(T1 * T1, np.inf)
+    for k in ks:
+        np.minimum.at(least, k[keep], a[keep])
+    touched = np.flatnonzero(least < np.inf)
+    return [(WaveVector(*divmod(key, T1)), v) for key, v in
+            zip(touched.tolist(), least[touched].tolist())]
+
 
 def classify_modes(spec: DispersionSpec, domain: SpectralDomain,
                    omega_max: float, patterns: str = "sum",
@@ -243,43 +297,18 @@ def classify_modes(spec: DispersionSpec, domain: SpectralDomain,
     """
     _check_threshold("omega_max", omega_max)
     rule = _dispatch(spec, domain, closure, patterns)
-    passes = _n_rule(rule, n_selection)
     convention = dict(patterns=patterns, closure=rule.name,
                       n_selection=n_selection, bridge_mode=bridge_mode,
                       skip_equal_n_pairs=skip_equal_n_pairs)
-
-    seeds = resonant_seed_triads(spec, domain, patterns, closure,
-                                 n_selection, skip_equal_n_pairs)
+    freqs = _FrequencyMemo(spec)
+    seeds, hits = _walk(spec, domain, rule, _n_rule(rule, n_selection),
+                        patterns, skip_equal_n_pairs, freqs, omega_max)
     bridges = select_bridges(spec, domain, seeds, omega_max, patterns,
-                             closure, n_selection, bridge_mode)
-
-    resonant_pairs = set()
-    for t in seeds:
-        for a, b in _triad_pairs(t):
-            resonant_pairs.add(frozenset((a, b)))
+                             closure, n_selection, bridge_mode, freqs=freqs)
 
     assignments = {k: ModeAssignment(k, NEUTRAL) for k in domain.modes()}
-
-    def touch(k, om):
-        a = assignments[k]
-        v = abs(float(om))
-        if a.min_abs_discrepancy is None or v < a.min_abs_discrepancy:
-            a.min_abs_discrepancy = v
-
-    # Passive eligibility scan over ARI triads.
-    passive_eligible = set()
-    for t in iter_ari_triads(spec, domain, omega_max, patterns=patterns,
-                             closure=closure,
-                             skip_equal_n_pairs=skip_equal_n_pairs):
-        if not passes(t.k1.n, t.k2.n, t.k3.n):
-            continue
-        pairs = [frozenset(p) for p in _triad_pairs(t)]
-        if any(p in resonant_pairs for p in pairs):
-            continue
-        for k in t.members():
-            passive_eligible.add(k)
-            touch(k, t.discrepancy)
-
+    assignments.update((k, ModeAssignment(k, PASSIVE, v))
+                       for k, v in _passive_minima(domain, seeds, hits))
     for t in seeds:
         for k in t.members():
             a = assignments[k]
@@ -288,15 +317,11 @@ def classify_modes(spec: DispersionSpec, domain: SpectralDomain,
             a.min_abs_discrepancy = 0.0
     for step in bridges:
         a = assignments[step.bridge_wave]
-        if a.mode_class != ACTIVE:
-            a.mode_class = ACTIVE
+        a.mode_class = ACTIVE
         a.evidence.append(step)
-        touch(step.bridge_wave, step.bridge_discrepancy)
-
-    for k in passive_eligible:
-        a = assignments[k]
-        if a.mode_class != ACTIVE:
-            a.mode_class = PASSIVE
+        v = step.abs_discrepancy
+        if a.min_abs_discrepancy is None or v < a.min_abs_discrepancy:
+            a.min_abs_discrepancy = v
 
     return ModePartition(spec, domain, float(omega_max), assignments,
                          seeds, bridges, convention)
@@ -312,14 +337,6 @@ def class_counts(spec: DispersionSpec, domain: SpectralDomain,
 # energy cascade construction
 # ---------------------------------------------------------------------------
 
-def _canonical_triad(spec, ka, kb, kw, patterns) -> Triad:
-    """Normal form of the triad {ka, kb, kw}, the same under every
-    closure: members in lexicographic order, so the largest-m vector takes
-    the sum slot."""
-    return _best_pattern_triad(_FrequencyMemo(spec), *sorted((ka, kb, kw)),
-                               patterns)
-
-
 def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
                  depth: int, patterns: str = "sum", closure: str = "auto",
                  n_selection: str = "none") -> list:
@@ -333,20 +350,24 @@ def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
     if not seed.is_exact:
         raise UsageError("cascade_path expects a resonant seed triad")
     _n_rule(_dispatch(spec, domain, closure, patterns), n_selection)
+    freqs = _FrequencyMemo(spec)
     visited = {frozenset(seed.members())}
     current = seed
     steps = []
     for _ in range(depth):
         found = [s for s in (_minimal_bridge(spec, domain, current, pair,
-                                             patterns, closure, n_selection)
+                                             patterns, closure, n_selection,
+                                             freqs)
                              for pair in _triad_pairs(current))
                  if s is not None]
         if not found:
             break
         step = min(found, key=_step_key)
         steps.append(step)
-        nxt = _canonical_triad(spec, step.donor_pair[0], step.donor_pair[1],
-                               step.bridge_wave, patterns)
+        # The next triad in normal form, the same under every closure: the
+        # largest-m vector, last in lexicographic order, takes the sum slot.
+        nxt = _best_pattern_triad(
+            freqs, *sorted((*step.donor_pair, step.bridge_wave)), patterns)
         sig = frozenset(nxt.members())
         if sig in visited:
             break

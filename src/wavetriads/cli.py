@@ -93,6 +93,12 @@ _SPEC_OPTIONS = {"dispersion": "--dispersion", "liquid": "--liquid",
                  "mu_nu": "--mu-nu", "g": "--g", "alpha": "--alpha",
                  "lx": "--lx", "ly": "--ly", "plane_form": "--plane-form"}
 
+#: Options only some kinds read, by argparse destination, with those
+#: kinds; given to any other kind they are refused, not dropped.
+_BASIN_KINDS = tuple(k for k in _CLI_KINDS.values() if k != "rossby_sphere")
+_KIND_OPTIONS = {"alpha": ("gravity_tanh",), "plane_form": ("bve_plane",),
+                 "lx": _BASIN_KINDS, "ly": _BASIN_KINDS}
+
 
 def build_spec(args) -> DispersionSpec:
     if args.config:
@@ -117,6 +123,10 @@ def build_spec(args) -> DispersionSpec:
     if kind is None:
         raise UsageError("a dispersion must be selected "
                          "(--dispersion, --liquid or --config)")
+    ignored = [_SPEC_OPTIONS[dest] for dest, kinds in _KIND_OPTIONS.items()
+               if getattr(args, dest) is not None and kind not in kinds]
+    if ignored:
+        raise UsageError(f"{kind} does not take {', '.join(ignored)}")
     lx = args.lx if args.lx is not None else 1.0
     ly = args.ly if args.ly is not None else 1.0
     if kind == "rossby_sphere":

@@ -20,34 +20,34 @@ order with their third vector, so outputs are duplicate-free:
     modes: k1 < k2 < k3, no self-pair.  Square domains only.
 
 ``closure="auto"`` picks ``zonal`` for ``rossby_sphere`` and ``both``
-otherwise; ``box`` is never chosen automatically.  One dispatch point
-resolves the closure and rejects unknown sign patterns, domain shapes the
-closure does not accept and closures the exact path does not serve.
+otherwise; ``box`` is never chosen automatically.
 
-One scan kernel serves both number systems: a search loop and a
-least-nonzero loop.  Each takes one k1 row at a time, reads the closure's
-candidates from a per-mode table, computes |Omega| with the number
-system's residual step, and builds a :class:`Triad` only for the
-candidates it emits, in scan order (k1, k2, k3):
+One scan kernel serves both number systems.  Its array form takes one k1
+row at a time, reads the closure's candidates from a per-mode table and
+gives their members and |Omega| (and min |w| when asked) as arrays, with
+no :class:`Triad` built.  The searches select on those arrays and build
+triads only for what they return, in scan order (k1, k2, k3); the
+classifier reads the arrays themselves.  The discrepancy bound runs the
+same scan on scalar frequencies; its witness is the first triad of least
+nonzero |Omega| in scan order (sum pattern; any pattern under box closure).
 
 * Floats: the table is the omega grid, and the residuals are the float64
   expressions of the scalar sign-pattern rule, so each accept/reject
   decision is the one a scalar loop over the same grid would make.
-  Emitted triads are rebuilt from scalar ``eval_frequency`` values,
-  except in the approximate-resonance pass, which keeps the grid values.
+  Returned triads are rebuilt from scalar ``eval_frequency`` values
+  (``iter_ari_triads`` keeps the grid values it decided on).
 * Exact rationals (the spherical dispersion; zonal closure only, without
   the self-pair): omega = -2m/a with a = n(n+1), and the table holds a.
   Each sign pattern's residual is -2 N / (a1 a2 a3) with the integer
-  N = s1 m1 a2 a3 + s2 m2 a1 a3 + s3 m3 a1 a2, computed in int64 (in Python
-  integers where |N| could exceed the int64 range), so Omega = 0 is
-  decided by N == 0, never by a tolerance.  The thresholds apply to the
-  float |Omega| = 2|N| / (a1 a2 a3) widened by a margin far above its
-  rounding error, and the survivors are re-checked on exact ``Fraction``
-  residuals.
-
-The discrepancy bound is the least-nonzero loop, on scalar frequencies;
-under every closure its witness is the first triad of least nonzero
-|Omega| in scan order (sum pattern; any sign pattern under box closure).
+  N = s1 m1 a2 a3 + s2 m2 a1 a3 + s3 m3 a1 a2, so Omega = 0 is decided by
+  N == 0, never by a tolerance.  |Omega| = 2|N| / (a1 a2 a3) is correctly
+  rounded: while 2|N| and a1 a2 a3 are below 2**53 (T up to 455) both are
+  exact in float64 and one division rounds once; beyond, the table holds
+  Python integers and Python's int true division rounds once too.  So the
+  float |Omega| is that of the rational one, d = |Omega| / min |w| is the
+  d_ratio of the rebuilt triad, and the thresholds decide on floats.  As
+  rounding is monotone, a float can misjudge 0 < |Omega| <= omega_max only
+  when it equals omega_max; only those ties are rebuilt on ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -186,31 +186,21 @@ def _check_threshold(name: str, value, ceiling: bool = False) -> None:
 
 
 class _FrequencyMemo(dict):
-    """Frequencies by mode, looked up once each: scalar ``eval_frequency``
-    values, or the entries of a search's ``table`` when it skips the
-    scalar rebuild.
+    """Scalar ``eval_frequency`` values by mode, one call per distinct mode
+    looked up, and only for those.  The values are the scalar function's
+    own, so stored frequencies reproduce bit for bit on re-evaluation."""
 
-    One ``eval_frequency`` call per distinct mode looked up, and only for
-    those: a search fills it from its hits, never from the whole domain.
-    The values are the scalar function's own, so stored frequencies
-    reproduce bit for bit on re-evaluation."""
-
-    def __init__(self, spec: DispersionSpec, table=None):
-        super().__init__()
-        self.spec, self.table = spec, table
+    def __init__(self, spec: DispersionSpec):
+        self.spec = spec
 
     def __missing__(self, k: WaveVector) -> OmegaValue:
-        w = self[k] = (eval_frequency(self.spec, k).omega
-                       if self.table is None else float(self.table[k]))
+        w = self[k] = eval_frequency(self.spec, k).omega
         return w
 
 
 def _best_pattern_triad(freqs, k1, k2, k3, patterns) -> Triad:
-    """Rebuild a candidate triad, choosing the minimal-|Omega| sign pattern
-    when patterns="all".
-
-    ``freqs`` is a per-search :class:`_FrequencyMemo`, so each distinct
-    mode costs one lookup however many hits it takes part in."""
+    """Rebuild a candidate triad from ``freqs`` (mode -> omega), choosing
+    the minimal-|Omega| sign pattern when patterns="all"."""
     ws = (freqs[k1], freqs[k2], freqs[k3])
     om, signs = _pattern(ws, patterns)
     d_ratio = abs(float(om)) / min(abs(float(w)) for w in ws)
@@ -372,16 +362,9 @@ CLOSURES = {c.name: c for c in (
 # kernels
 # ---------------------------------------------------------------------------
 
-#: Largest |N| the int64 exact step may meet.  Every term of N is at most
-#: T (T(T+1))^2, so |N| <= 3 T (T(T+1))^2; beyond this (T near 5,000) the
-#: table holds Python integers and N is computed in them instead.
-_N_INT64_LIMIT = int(np.iinfo(np.int64).max)
-
-#: Relative widening of the thresholds on the exact path.  The float
-#: |Omega| and d_ratio of the exact step, and the d_ratio a Triad stores,
-#: each lie within a few ulps (~1e-15) of the exact values, so thresholds
-#: widened by 1e-9 keep every candidate the exact predicate accepts.
-_PREFILTER_MARGIN = 1e-9
+#: float64 holds every integer below 2**53 exactly.  Exact-path
+#: denominators reach (T (T+1))^3 and 2|N| reaches 6 T (T (T+1))^2.
+_FLOAT_EXACT_LIMIT = 2 ** 53
 
 
 def _table(spec, domain, scalar):
@@ -391,7 +374,8 @@ def _table(spec, domain, scalar):
     T = domain.truncation
     if spec.exactness:
         n = np.arange(T + 1, dtype=np.int64)
-        if 3 * T * (T * (T + 1)) ** 2 > _N_INT64_LIMIT:
+        amax = T * (T + 1)
+        if max(6 * T * amax ** 2, amax ** 3) >= _FLOAT_EXACT_LIMIT:
             n = n.astype(object)
         return np.broadcast_to(n * (n + 1), (T + 1, T + 1))
     if not scalar:
@@ -417,21 +401,52 @@ def _float_step(X, m1, n1, w2, w3, m2, patterns, with_min):
 
 
 def _exact_step(X, m1, n1, a2, a3, m2, patterns, with_min):
-    """The float |Omega| = 2|N| / (a1 a2 a3) of a block on the table
-    a = n(n+1), and min |w| when ``with_min``.  N is the integer residual
-    of the sum pattern, or its least |N| over the sign patterns (they share
-    the denominator), so |Omega| is 0.0 exactly when N == 0."""
+    """|Omega| = 2|N| / (a1 a2 a3) of a block on the table a = n(n+1),
+    correctly rounded, and min |w| when ``with_min``.  N is the residual of
+    the sum pattern, or its least |N| over the sign patterns (they share
+    the denominator)."""
     a1, m3 = X[m1, n1], m1 + m2
     t1, t2, t3 = m1 * a2 * a3, m2 * a1 * a3, m3 * a1 * a2
     N = np.abs(t1 + t2 - t3)
     if patterns == "all":
         N = np.minimum(np.minimum(N, np.abs(t1 - t2 + t3)),
                        np.abs(t2 + t3 - t1))
-    a2, a3 = a2.astype(np.float64), a3.astype(np.float64)
-    a = 2.0 * N.astype(np.float64) / (a1 * a2 * a3)
+    if X.dtype == object:  # Python int true division, per element
+        a = (2 * N / (a1 * a2 * a3)).astype(np.float64)
+    else:
+        a2, a3 = a2.astype(np.float64), a3.astype(np.float64)
+        a = 2.0 * N.astype(np.float64) / (a1 * a2 * a3)
     if not with_min:
         return a, None
     return a, 2.0 * np.minimum(np.minimum(m2 / a2, m3 / a3), m1 / a1)
+
+
+def _scan(spec, domain, rule, patterns, skip_equal_n_pairs, with_min,
+          scalar=False):
+    """The array form of the scan kernel: the closure's candidates one k1
+    row at a time, as ((m1, n1, m2, n2, n3), a, amin) with k2 = (m2, n2)
+    and k3 = (m1 + m2, n3) in scan order, a = |Omega| (the least over the
+    sign patterns when patterns="all") and amin = min |w| or None."""
+    exact = spec.exactness
+    X = _table(spec, domain, scalar)
+    step = _exact_step if exact else _float_step
+    for m1, n1, x2, x3, m2, n2, n3 in rule.blocks(
+            X, domain, skip_equal_n_pairs, not exact):
+        a, amin = step(X, m1, n1, x2, x3, m2, patterns, with_min)
+        yield (m1, n1, m2, n2, n3), a, amin
+
+
+def _build(freqs, patterns, cand, keep) -> list:
+    """Triads of the block candidates ``cand`` that the mask ``keep``
+    selects, in scan order, built from ``freqs`` (mode -> omega)."""
+    if not np.count_nonzero(keep):  # cheaper than keep.any() per block
+        return []
+    m1, n1, m2, n2, n3 = cand
+    k1 = WaveVector(m1, n1)
+    return [_best_pattern_triad(freqs, k1, WaveVector(m, n),
+                                WaveVector(m1 + m, nw), patterns)
+            for m, n, nw in zip(m2[keep].tolist(), n2[keep].tolist(),
+                                n3[keep].tolist())]
 
 
 def _select(a, amin, d_max, d_min, abs_max):
@@ -447,56 +462,30 @@ def _select(a, amin, d_max, d_min, abs_max):
     return (d <= d_max) if d_max is not None else (d >= d_min)
 
 
+def _drop_rounded_up(keep, a, abs_max, freqs, patterns, cand):
+    """Clear the exact-path candidates of ``keep`` whose |Omega| rounds to
+    ``abs_max`` but exceeds it as a rational, rebuilt on ``freqs``."""
+    ties = keep & (a == abs_max)
+    keep[ties] = [abs(t.discrepancy) <= abs_max
+                  for t in _build(freqs, patterns, cand, ties)]
+
+
 def _search(spec, domain, rule, *, patterns, d_max=None, d_min=None,
-            abs_max=None, skip_equal_n_pairs=True,
-            scalar_rebuild=True) -> list:
+            abs_max=None, skip_equal_n_pairs=True, freqs=None) -> list:
     """Triads of the closure's candidates that pass one threshold, in scan
-    order: d_ratio <= d_max, d_ratio >= d_min, or 0 < |Omega| <= abs_max.
-
-    On floats the step's decision is final, and with ``scalar_rebuild``
-    the output triads are rebuilt from scalar dispersion evaluation so
-    stored frequencies reproduce bit-for-bit on re-evaluation; without it
-    they carry the grid values (used by the classifier, which only
-    thresholds on |Omega|).  On the exact path the thresholds are widened
-    by the prefilter margin, and every survivor is rebuilt on Fractions
-    and kept only if it passes the threshold exactly."""
-    exact = spec.exactness
-    X = _table(spec, domain, False)
-    step = _exact_step if exact else _float_step
-    margin = _PREFILTER_MARGIN if exact else 0.0
-    freqs = _FrequencyMemo(spec, None if exact or scalar_rebuild else X)
-    if abs_max is not None:
-        wide = (None, None, float(abs_max) * (1.0 + margin))
-        abs_max = Fraction(abs_max)  # compares as the float itself does
-    elif d_max is not None:
-        wide = (d_max * (1.0 + margin), None, None)
-    else:
-        wide = (None, d_min * (1.0 - margin), None)
+    order: d_ratio <= d_max, d_ratio >= d_min, or 0 < |Omega| <= abs_max;
+    built from ``freqs``, by default the scalar dispersion values."""
+    freqs = _FrequencyMemo(spec) if freqs is None else freqs
     with_min = d_min is not None or bool(d_max)  # a zero ceiling needs none
+    ties = spec.exactness and abs_max is not None
     triads = []
-    for m1, n1, x2, x3, m2, n2, n3 in rule.blocks(
-            X, domain, skip_equal_n_pairs, not exact):
-        a, amin = step(X, m1, n1, x2, x3, m2, patterns, with_min)
-        keep = _select(a, amin, *wide)
-        if not keep.any():
-            continue
-        k1 = WaveVector(m1, n1)
-        for m, n, nw in zip(m2[keep].tolist(), n2[keep].tolist(),
-                            n3[keep].tolist()):
-            t = _best_pattern_triad(freqs, k1, WaveVector(m, n),
-                                    WaveVector(m1 + m, nw), patterns)
-            if not exact or _passes(t, d_max, d_min, abs_max):
-                triads.append(t)
+    for cand, a, amin in _scan(spec, domain, rule, patterns,
+                               skip_equal_n_pairs, with_min):
+        keep = _select(a, amin, d_max, d_min, abs_max)
+        if ties:
+            _drop_rounded_up(keep, a, abs_max, freqs, patterns, cand)
+        triads += _build(freqs, patterns, cand, keep)
     return triads
-
-
-def _passes(t: Triad, d_max, d_min, abs_max) -> bool:
-    """The threshold of a search, decided on a rebuilt rational triad."""
-    if d_max is not None:
-        return t.d_ratio <= d_max
-    if d_min is not None:
-        return t.d_ratio >= d_min
-    return t.discrepancy != 0 and abs(t.discrepancy) <= abs_max
 
 
 def _least_nonzero(spec, domain, rule) -> Triad | None:
@@ -506,32 +495,19 @@ def _least_nonzero(spec, domain, rule) -> Triad | None:
     Zeros are N == 0 on the exact path, and d_ratio at or below the
     numerically-exact cutoff on floats: rational-valued dispersions leave
     ~1e-17 rounding residue on exactly resonant triads, which must not
-    masquerade as the bound.  The float scan runs on a table of scalar
-    ``eval_frequency`` values, so the minimum and the witness are those of
-    the scalar frequencies.  Per block, only the candidates within the
-    prefilter margin of the block minimum and of the best so far are
-    rebuilt and compared."""
-    exact = spec.exactness
-    X = _table(spec, domain, True)
-    step = _exact_step if exact else _float_step
-    hi = 1.0 + (_PREFILTER_MARGIN if exact else 0.0)
-    zero_d = 0 if exact else NUMERIC_EXACT_D
-    freqs = _FrequencyMemo(spec, None if exact else X)
+    masquerade as the bound.  On scalar frequencies the float |Omega| are
+    those of the rebuilt triads, and exact ones are correctly rounded, so
+    only the candidates at a block minimum not above the best so far can
+    hold a new least |Omega|; they are rebuilt and compared exactly."""
+    freqs = _FrequencyMemo(spec)
     best, best_a = None, math.inf
-    for m1, n1, x2, x3, m2, n2, n3 in rule.blocks(X, domain, True, not exact):
-        a, amin = step(X, m1, n1, x2, x3, m2, rule.bound_patterns,
-                       bool(zero_d))
-        a[_select(a, amin, zero_d, None, None)] = math.inf
+    for cand, a, amin in _scan(spec, domain, rule, rule.bound_patterns, True,
+                               not spec.exactness, True):
+        a[_select(a, amin, NUMERIC_EXACT_D, None, None)] = math.inf
         row_min = float(a.min()) if a.size else math.inf
-        if row_min == math.inf or row_min > best_a * hi:
+        if row_min == math.inf or row_min > best_a:
             continue
-        close = a <= min(row_min, best_a) * hi
-        k1 = WaveVector(m1, n1)
-        for m, n, nw in zip(m2[close].tolist(), n2[close].tolist(),
-                            n3[close].tolist()):
-            t = _best_pattern_triad(freqs, k1, WaveVector(m, n),
-                                    WaveVector(m1 + m, nw),
-                                    rule.bound_patterns)
+        for t in _build(freqs, rule.bound_patterns, cand, a == row_min):
             if best is None or abs(t.discrepancy) < abs(best.discrepancy):
                 best, best_a = t, float(abs(t.discrepancy))
     return best
@@ -623,10 +599,13 @@ def iter_ari_triads(spec: DispersionSpec, domain: SpectralDomain,
     resonant interactions).  The absolute threshold is in frequency units,
     unlike the dimensionless d_ratio filters."""
     _check_threshold("omega_max", omega_max)
-    yield from _search(spec, domain, _dispatch(spec, domain, closure, patterns),
-                       patterns=patterns, abs_max=omega_max,
-                       skip_equal_n_pairs=skip_equal_n_pairs,
-                       scalar_rebuild=False)
+    rule = _dispatch(spec, domain, closure, patterns)
+    freqs = None
+    if not spec.exactness:  # triads carry the grid values the scan read
+        W = omega_grid(spec, domain.truncation)
+        freqs = {k: float(W[k]) for k in domain.modes()}
+    yield from _search(spec, domain, rule, patterns=patterns, abs_max=omega_max,
+                       skip_equal_n_pairs=skip_equal_n_pairs, freqs=freqs)
 
 
 # ---------------------------------------------------------------------------

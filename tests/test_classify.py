@@ -15,12 +15,17 @@ from wavetriads import (
     find_exact_triads,
     minimal_near_resonant,
 )
+from wavetriads import classify, search
 from wavetriads.classify import (
     ACTIVE,
     NEUTRAL,
     PASSIVE,
+    PLANE_TABLE_CONVENTION,
     REMARK_CONVENTION,
     REMARK_OMEGA_MAX,
+    SPHERE_TABLE_CONVENTION,
+    SPHERE_TABLE_OMEGA_MAX,
+    SQUARE_TABLE_OMEGA_MAX,
     bve_rectangle_quarter_spec,
     bve_square_spec,
     resonant_seed_triads,
@@ -249,6 +254,32 @@ def test_zonal_square_seed_contains_2_4():
                                  SpectralDomain(10, "square"),
                                  patterns="sum", closure="zonal")
     assert any(wv(2, 4) in t.members() for t in seeds)
+
+
+# -- one frequency memo per classification ------------------------------------
+
+@pytest.mark.parametrize("spec, domain, omega_max, convention", [
+    (bve_square_spec(), SpectralDomain(14), 0.01, {"closure": "zonal"}),
+    (bve_square_spec(), SpectralDomain(12), SQUARE_TABLE_OMEGA_MAX,
+     PLANE_TABLE_CONVENTION),
+    (DispersionSpec("rossby_sphere"), SpectralDomain(14, "triangular"),
+     SPHERE_TABLE_OMEGA_MAX, SPHERE_TABLE_CONVENTION),
+], ids=["plane-zonal", "plane-box", "sphere"])
+def test_classification_evaluates_each_mode_at_most_once(
+        monkeypatch, spec, domain, omega_max, convention):
+    """Seeds and every bridge search of one classification read one
+    frequency memo, so eval_frequency runs at most once per domain mode."""
+    calls = []
+
+    def counting(spec, k):
+        calls.append(k)
+        return eval_frequency(spec, k)
+
+    for mod in (search, classify):
+        if hasattr(mod, "eval_frequency"):
+            monkeypatch.setattr(mod, "eval_frequency", counting)
+    part = classify_modes(spec, domain, omega_max, **convention)
+    assert part.bridges and len(calls) <= len(domain)
 
 
 # -- convention validation ----------------------------------------------------

@@ -313,3 +313,18 @@ def test_rational_serialisation(sphere, sphere_t14):
 def test_signs_serialisation(square_t30):
     recs = triads_to_records(find_near_triads(gc_spec(75), square_t30, 1e-5))
     assert recs[0]["signs"] == "++-"
+
+
+@pytest.mark.parametrize("argv", [
+    ["find-triads", "--dispersion", "rossby-sphere", "--lx", "2", "--ly", "3",
+     "--T", "5", "--exact"],
+    ["find-triads", "--liquid", "water", "--plane-form", "squared",
+     "--T", "5"],
+    ["eval", "--liquid", "water", "--alpha", "3", "--m", "3", "--n", "4"],
+], ids=["sphere-basin", "plane-form", "alpha"])
+def test_flags_the_kind_ignores_exit_2(capsys, argv):
+    """A dispersion flag the chosen kind has no use for would be dropped
+    (or written into the header of a relation that ignores it)."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "does not take" in err and out == ""

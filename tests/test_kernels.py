@@ -8,8 +8,9 @@ witnesses."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wavetriads import (
     BasinGeometry,
@@ -22,9 +23,18 @@ from wavetriads import (
     find_max_discrepancy_triads,
     find_near_triads,
 )
-from wavetriads import search
+from wavetriads import classify, search
 from wavetriads.dispersion import omega_grid
-from wavetriads.classify import resonant_seed_triads
+from wavetriads.classify import (
+    ACTIVE,
+    NEUTRAL,
+    PASSIVE,
+    CascadeStep,
+    ModeAssignment,
+    classify_modes,
+    resonant_seed_triads,
+    select_bridges,
+)
 from wavetriads.search import (
     NUMERIC_EXACT_D,
     SIGN_PATTERNS,
@@ -161,9 +171,15 @@ def pair_oracle(spec, domain, closure, *, d_max=None, d_min=None,
     return out
 
 
-def float_scan(spec, domain, closure, **kw):
-    """The search loop under ``closure``."""
-    return search._search(spec, domain, search.CLOSURES[closure], **kw)
+def float_scan(spec, domain, closure, scalar_rebuild=True, **kw):
+    """The search loop under ``closure``, building its triads from the
+    scalar frequencies or, without ``scalar_rebuild``, from the grid."""
+    freqs = None
+    if not scalar_rebuild:
+        W = omega_grid(spec, domain.truncation)
+        freqs = {k: float(W[k]) for k in domain.modes()}
+    return search._search(spec, domain, search.CLOSURES[closure],
+                          freqs=freqs, **kw)
 
 
 def check_float_kernel(spec, domain, closure, patterns, predicate,
@@ -395,8 +411,8 @@ def test_exact_bound_matches_fraction_loop(T, shape):
 
 @pytest.mark.parametrize("shape", ["triangular", "square"])
 def test_exact_kernel_python_int_fallback(shape, monkeypatch):
-    """Above the int64 bound on |N| the kernel computes N in Python
-    integers, with the same results."""
+    """Beyond the float-exact bound the kernel computes N and |Omega| in
+    Python integers, with the same results."""
     domain = SpectralDomain(12, shape)
 
     def run():
@@ -406,8 +422,214 @@ def test_exact_kernel_python_int_fallback(shape, monkeypatch):
                 fields(find_max_discrepancy_triads(SPHERE, domain, 20.0)),
                 fields(iter_ari_triads(SPHERE, domain, 0.03)),
                 fields([discrepancy_lower_bound(SPHERE, domain)
-                        .finite_min.witness])]
+                        .finite_min.witness]),
+                partition_fields(classify_modes(SPHERE, domain, 0.03,
+                                                patterns="all"))]
 
     int64 = run()
-    monkeypatch.setattr(search, "_N_INT64_LIMIT", 0)
+    monkeypatch.setattr(search, "_FLOAT_EXACT_LIMIT", 0)
+    assert search._table(SPHERE, domain, False).dtype == object
     assert run() == int64
+
+
+@given(m1=st.integers(1000, 1500), n1=st.integers(2000, 3000),
+       k2s=st.lists(st.tuples(st.integers(1000, 1500), st.integers(2000, 3000),
+                              st.integers(2000, 3000)), min_size=1, max_size=8),
+       patterns=st.sampled_from(["sum", "all"]))
+@example(m1=1000, n1=2000, k2s=[(1000, 2999, 2001)], patterns="sum")
+def test_exact_step_beyond_2_53_matches_fraction(m1, n1, k2s, patterns):
+    """At T = 3000 the table holds Python integers; |Omega| is the Python
+    int quotient 2|N| / (a1 a2 a3), which equals float(|Omega|) of the
+    rational residual although the denominators exceed 2**53 (and 2|N|
+    does too in the explicit example)."""
+    X = search._table(SPHERE, SpectralDomain(3000), False)
+    assert X.dtype == object
+    m2, n2, n3 = (np.array(c, dtype=np.int64) for c in zip(*k2s))
+    a, amin = search._exact_step(X, m1, n1, X[m2, n2], X[m1 + m2, n3], m2,
+                                 patterns, True)
+    for i, (m, n, nw) in enumerate(k2s):
+        ks = (WaveVector(m1, n1), WaveVector(m, n), WaveVector(m1 + m, nw))
+        t = _candidate_triad(*ks, tuple(eval_frequency(SPHERE, k).omega
+                                        for k in ks), patterns)
+        assert math.prod(k.n * (k.n + 1) for k in ks) >= 2 ** 53
+        assert float.hex(float(a[i])) == float.hex(float(abs(t.discrepancy)))
+        assert float(a[i]) / float(amin[i]) == t.d_ratio
+
+
+# -- the classifier: the Triad-based passive pass -----------------------------
+
+def n_rule(closure, n_selection):
+    parity = closure == "zonal" and n_selection in ("parity", "both")
+    triangle = closure == "zonal" and n_selection in ("triangle", "both")
+    return lambda n1, n2, n3: (
+        not (parity and (n1 + n2 + n3) % 2 == 0)
+        and not (triangle and not abs(n1 - n2) < n3 < n1 + n2))
+
+
+def _pairs(t):
+    k1, k2, k3 = t.members()
+    return [frozenset((k1, k2)), frozenset((k1, k3)), frozenset((k2, k3))]
+
+
+def triad_partition(domain, seeds, bridges, ari, passes):
+    """The passive pass over Triads that the array classifier replaced:
+    every approximate-resonance triad that passes the n-selection and has
+    no pair inside a resonant seed makes its members passive, at its
+    |Omega| (as a float) unless a smaller one comes."""
+    resonant_pairs = {p for t in seeds for p in _pairs(t)}
+    assignments = {k: ModeAssignment(k, NEUTRAL) for k in domain.modes()}
+
+    def touch(k, om):
+        a = assignments[k]
+        v = abs(float(om))
+        if a.min_abs_discrepancy is None or v < a.min_abs_discrepancy:
+            a.min_abs_discrepancy = v
+
+    passive = set()
+    for t in ari:
+        if not passes(t.k1.n, t.k2.n, t.k3.n):
+            continue
+        if any(p in resonant_pairs for p in _pairs(t)):
+            continue
+        for k in t.members():
+            passive.add(k)
+            touch(k, t.discrepancy)
+    for t in seeds:
+        for k in t.members():
+            a = assignments[k]
+            a.mode_class = ACTIVE
+            a.evidence.append(t)
+            a.min_abs_discrepancy = 0.0
+    for step in bridges:
+        a = assignments[step.bridge_wave]
+        a.mode_class = ACTIVE
+        a.evidence.append(step)
+        touch(step.bridge_wave, step.bridge_discrepancy)
+    for k in passive:
+        if assignments[k].mode_class != ACTIVE:
+            assignments[k].mode_class = PASSIVE
+    return assignments
+
+
+def _evidence(e):
+    if isinstance(e, CascadeStep):
+        return (fields([e.source_triad]), e.donor_pair, e.bridge_wave,
+                _num(e.bridge_discrepancy))
+    return fields([e])
+
+
+def assignments_fields(assignments):
+    return [(k, a.mode, a.mode_class,
+             None if a.min_abs_discrepancy is None
+             else _num(a.min_abs_discrepancy),
+             [_evidence(e) for e in a.evidence])
+            for k, a in assignments.items()]
+
+
+def partition_fields(part):
+    return (fields(part.resonant_triads),
+            [_evidence(s) for s in part.bridges],
+            assignments_fields(part.assignments))
+
+
+def oracle_candidates(spec, domain, closure, patterns, skip):
+    """Every closed candidate as a Triad in scan order: on floats from
+    the grid values (the pair loop), on the sphere from Fractions."""
+    if spec.exactness:
+        return [_candidate_triad(k1, k2, k3, ws, patterns) for
+                k1, k2, k3, ws, _ in sphere_candidates(domain, skip)]
+    return pair_oracle(spec, domain, closure, d_max=math.inf,
+                       patterns=patterns, scalar_rebuild=False,
+                       skip_equal_n_pairs=skip)
+
+
+def check_partition(spec, domain, omega_max, closure, patterns, n_selection,
+                    bridge_mode, skip, cands):
+    """classify_modes against the Triad-based pass fed by the oracle
+    candidates ``cands``."""
+    passes = n_rule(closure, n_selection)
+    seeds = [t for t in cands if t.d_ratio <= NUMERIC_EXACT_D]
+    if not spec.exactness:  # grid decision, then the scalar rebuild
+        seeds = [_candidate_triad(*t.members(), tuple(
+                     eval_frequency(spec, k).omega for k in t.members()),
+                     patterns) for t in seeds]
+    seeds = sorted((t for t in seeds if t.is_exact
+                    and passes(t.k1.n, t.k2.n, t.k3.n)), key=Triad.key)
+    bridges = select_bridges(spec, domain, seeds, omega_max, patterns,
+                             closure, n_selection, bridge_mode)
+    ari = [t for t in cands
+           if t.discrepancy != 0 and abs(t.discrepancy) <= omega_max]
+    part = classify_modes(spec, domain, omega_max, patterns=patterns,
+                          closure=closure, n_selection=n_selection,
+                          bridge_mode=bridge_mode, skip_equal_n_pairs=skip)
+    assert partition_fields(part) == (
+        fields(seeds), [_evidence(s) for s in bridges],
+        assignments_fields(triad_partition(domain, seeds, bridges, ari,
+                                           passes)))
+    return part
+
+
+CLOSURE_SHAPES = [("both", "square"), ("zonal", "square"),
+                  ("zonal", "triangular"), ("box", "square")]
+
+
+@given(spec=st.sampled_from(FLOAT_SPECS + [SPHERE]), T=st.integers(1, 9),
+       patterns=st.sampled_from(["sum", "all"]),
+       n_selection=st.sampled_from(["none", "parity", "triangle", "both"]),
+       bridge_mode=st.sampled_from(["per_pair", "per_triad"]),
+       skip=st.booleans(), data=st.data())
+def test_classifier_matches_triad_pass(spec, T, patterns, n_selection,
+                                       bridge_mode, skip, data):
+    """Full partitions (class, min_abs_discrepancy bits and type,
+    evidence, seeds, bridges) over the kinds and their closures, with
+    omega_max drawn at a candidate's |Omega|: on the sphere that is often
+    a float below its rational, decided on Fractions."""
+    closure, shape = data.draw(st.sampled_from(
+        CLOSURE_SHAPES[1:3] if spec.exactness else CLOSURE_SHAPES),
+        label="closure, shape")
+    domain = SpectralDomain(T, shape)
+    cands = oracle_candidates(spec, domain, closure, patterns, skip)
+    values = sorted({float(abs(t.discrepancy)) for t in cands
+                     if t.discrepancy}) or [1.0]
+    omega_max = data.draw(st.sampled_from(values), label="omega_max")
+    check_partition(spec, domain, omega_max, closure, patterns, n_selection,
+                    bridge_mode, skip, cands)
+
+
+@pytest.mark.parametrize("pair", ["k1 k2", "k1 k3", "k2 k3"])
+def test_passive_pass_drops_hits_with_a_resonant_pair(pair):
+    """A hit sharing any one of its pairs with a seed makes no mode
+    passive; a hit sharing none does, at its |Omega|.  Hand-made hits
+    (m1, n1, m2, n2, n3) around the seed (1,1)+(2,2)->(3,3), because small
+    spectra rarely have the (k1, k3) and (k2, k3) cases."""
+    seed = Triad(WaveVector(1, 1), WaveVector(2, 2), WaveVector(3, 3),
+                 (0.0, 0.0, 0.0), 0.0, 0.0)
+    shared = {"k1 k2": (1, 1, 2, 2, 5), "k1 k3": (1, 1, 2, 6, 3),
+              "k2 k3": (1, 7, 2, 2, 3)}[pair]
+    m1, n1, m2, n2, n3 = (np.array(c, dtype=np.int64)
+                          for c in zip(shared, (1, 4, 2, 5, 6)))
+    hits = (m1, n1, m2, n2, n3, np.array([0.25, 0.5]))
+    assert classify._passive_minima(SpectralDomain(9), [seed], hits) == [
+        (WaveVector(1, 4), 0.5), (WaveVector(2, 5), 0.5),
+        (WaveVector(3, 6), 0.5)]
+
+
+@pytest.mark.parametrize("T, rounding", [(8, "down"), (6, "up")])
+def test_sphere_omega_max_tie_is_decided_on_fractions(T, rounding):
+    """omega_max is the float of the least nonzero |Omega| at T.  At T = 8
+    that float lies below the rational 1/1260, so no triad is within
+    omega_max although its float |Omega| equals it; at T = 6 the float of
+    1/210 lies above, and the least triads are in."""
+    domain = SpectralDomain(T, "triangular")
+    least = discrepancy_lower_bound(SPHERE, domain).finite_min.value
+    omega_max = float(least)
+    assert (Fraction(omega_max) < least) == (rounding == "down")
+    cands = oracle_candidates(SPHERE, domain, "zonal", "sum", True)
+    assert any(abs(t.discrepancy) == least for t in cands)
+    want = [t for t in cands
+            if t.discrepancy != 0 and abs(t.discrepancy) <= omega_max]
+    assert bool(want) == (rounding == "up")
+    assert fields(iter_ari_triads(SPHERE, domain, omega_max)) == fields(want)
+    part = check_partition(SPHERE, domain, omega_max, "zonal", "sum", "none",
+                           "per_pair", True, cands)
+    assert bool(part.modes_in_class(PASSIVE)) == (rounding == "up")
