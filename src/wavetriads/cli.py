@@ -96,7 +96,8 @@ _SPEC_OPTIONS = {"dispersion": "--dispersion", "liquid": "--liquid",
 #: Options only some kinds read, by argparse destination, with those
 #: kinds; given to any other kind they are refused, not dropped.
 _BASIN_KINDS = tuple(k for k in _CLI_KINDS.values() if k != "rossby_sphere")
-_KIND_OPTIONS = {"alpha": ("gravity_tanh",), "plane_form": ("bve_plane",),
+_KIND_OPTIONS = {"mu_nu": ("gravity_capillary",), "g": ("gravity_capillary",),
+                 "alpha": ("gravity_tanh",), "plane_form": ("bve_plane",),
                  "lx": _BASIN_KINDS, "ly": _BASIN_KINDS}
 
 
@@ -147,15 +148,15 @@ def build_domain(args, spec) -> SpectralDomain:
     return domain_for(spec, args.T)
 
 
-def _emit(args, header: dict, records, table, csv=None):
+def _emit(args, header: dict, payload, table, csv=None):
     """Render and write the one format ``--format`` asks for.
 
-    ``records`` (the JSON payload), ``table`` and ``csv`` (text) are
-    zero-argument callables and only the chosen one is called, so a run
-    builds no output it does not write.  ``csv`` is None for commands
-    without a CSV form."""
+    ``payload`` (what ``report.to_json`` writes), ``table`` and ``csv``
+    (text) are zero-argument callables and only the chosen one is called,
+    so a run builds no output it does not write.  ``csv`` is None for
+    commands without a CSV form."""
     if args.format == "json":
-        out = report.to_json(records(), None if args.no_header else header)
+        out = report.to_json(payload(), None if args.no_header else header)
     else:
         render = csv if args.format == "csv" else table
         if render is None:
@@ -207,7 +208,7 @@ def cmd_find_triads(args):
         "domain": {"T": domain.truncation, "shape": domain.shape}, **mode,
         "patterns": args.patterns, "closure": args.closure,
     })
-    _emit(args, header, lambda: report.triads_to_records(triads),
+    _emit(args, header, lambda: triads,
           lambda: report.triads_to_table(triads),
           lambda: report.triads_to_csv(triads))
 
@@ -276,7 +277,7 @@ def cmd_eval(args):
     if isinstance(freq.omega, Fraction):
         text = f"{freq.omega.numerator}/{freq.omega.denominator}\n"
         payload = {"m": args.m, "n": args.n,
-                   "omega": report._num(freq.omega),
+                   "omega": freq.omega,
                    "omega_float": float(freq.omega), "hz": freq.hz}
     else:
         text = f"{freq.omega!r}\n"

@@ -1,23 +1,35 @@
 """Serialisation of triad lists, mode partitions, bounds, plans and sweeps
-to JSON records, CSV and fixed-width tables.
+to JSON, CSV and fixed-width tables.
 
 Column order for triad tables is fixed:
 m1,n1,m2,n2,m3,n3,omega1,omega2,omega3,hz1,hz2,hz3,discrepancy,d_ratio,signs
 Exact rationals serialise as "p/q" strings; a float approximation is
 appended in *_float fields.
+
+``to_json`` is the one JSON writer.  It writes the bytes of
+``json.dumps(payload, indent=2)`` itself, because with ``indent`` set
+CPython runs its pure-Python encoder.  Payloads are dicts with str keys,
+lists and tuples of str, int, float, bool, None, ``Fraction`` (written
+"p/q") and ``Triad``.  A triad is written as its ``triad_to_record``
+record: a float triad with finite values fills one %-template per indent
+level, any other triad is written through its record.  So a JSON run
+builds no record dict per float triad.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
+import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from json.encoder import encode_basestring_ascii as _quote
 
 from .classify import CascadeStep, ModePartition
-from .dispersion import to_hz
+from .dispersion import TWO_PI, to_hz
 from .experiment import ExperimentPlan, GeometrySweepReport
-from .search import BoundReport, Triad
+from .search import NUMERIC_EXACT_D, BoundReport, Triad
 
 TRIAD_COLUMNS = ["m1", "n1", "m2", "n2", "m3", "n3",
                  "omega1", "omega2", "omega3", "hz1", "hz2", "hz3",
@@ -187,8 +199,8 @@ def plan_to_record(plan: ExperimentPlan) -> dict:
     return {
         "d_max": plan.d_max, "d_min": plan.d_min, "epsilon": plan.epsilon,
         "units": "frequencies Hz; amplitudes cm (c.g.s.)",
-        "type_a": triads_to_records(plan.type_a),
-        "type_b": triads_to_records(plan.type_b),
+        "type_a": plan.type_a,
+        "type_b": plan.type_b,
         "amplitudes": [{"m": k.m, "n": k.n, "amplitude_cm": a}
                        for k, a in sorted(plan.amplitudes.items())],
         "notes": plan.notes,
@@ -216,7 +228,7 @@ def sweep_to_record(rep: GeometrySweepReport) -> dict:
             "resonance_free": c.resonance_free,
             "counts": {"active": c.counts[0], "passive": c.counts[1],
                        "neutral": c.counts[2]},
-            "triads": triads_to_records(c.triads),
+            "triads": c.triads,
         } for c in rep.cells],
     }
 
@@ -231,10 +243,118 @@ def sweep_to_table(rep: GeometrySweepReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# -- JSON -------------------------------------------------------------------
+
+#: JSON text of each sign pattern's "signs" value.
+_SIGNS_JSON = {s: _quote(_signs_str(s)) for s in product((1, -1), repeat=3)}
+
+
+def _float_json(x: float) -> str:
+    """A float as json.dumps writes it.  ``float.__repr__``, not ``repr``:
+    numpy float scalars repr differently."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+@lru_cache(maxsize=None)
+def _triad_template(level: int) -> str:
+    """%-template of a float triad's record whose braces are indented at
+    ``level``: the keys of ``triad_to_record`` in its order."""
+    fields = [f'"{k}": %d' for k in ("m1", "n1", "m2", "n2", "m3", "n3")]
+    fields += [f'"{k}": %r' for k in ("omega1", "omega2", "omega3", "hz1",
+                                      "hz2", "hz3", "discrepancy", "d_ratio")]
+    fields += ['"signs": %s', '"resonance": "%s"']
+    inner = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level + "}"
+    return "{" + ",".join(inner + f for f in fields) + close
+
+
+def _triad_json(t: Triad, level: int) -> str:
+    """The JSON text of ``triad_to_record(t)`` at ``level``.
+
+    A triad whose frequencies, discrepancy and d_ratio are finite Python
+    floats fills the template: ``%r`` of such a float is its JSON text.
+    Any other triad (rational, non-finite, numpy scalars) is written
+    through its record."""
+    w1, w2, w3 = t.omegas
+    d, r = t.discrepancy, t.d_ratio
+    signs = _SIGNS_JSON.get(t.signs)
+    # x * 0.0 is nan for an infinite or nan x; a sum that overflows only
+    # sends a finite triad down the record path.
+    if (type(w1) is float and type(w2) is float and type(w3) is float
+            and type(d) is float and type(r) is float and signs is not None
+            and (w1 + w2 + w3 + d + r) * 0.0 == 0.0):
+        k1, k2, k3 = t.k1, t.k2, t.k3
+        # hz as to_hz computes it; the label as Triad.resonance_label
+        # gives it for a float discrepancy.
+        return _triad_template(level) % (
+            k1.m, k1.n, k2.m, k2.n, k3.m, k3.n, w1, w2, w3,
+            w1 / TWO_PI, w2 / TWO_PI, w3 / TWO_PI, d, r, signs,
+            "numerically_exact" if r <= NUMERIC_EXACT_D else "near")
+    out = []
+    _write(triad_to_record(t), level, out)
+    return "".join(out)
+
+
+def _write(v, level: int, out: list) -> None:
+    """Append to ``out`` the ``json.dumps(v, indent=2)`` text of ``v``,
+    whose closing bracket is indented at ``level``."""
+    if isinstance(v, Triad):
+        out.append(_triad_json(v, level))
+    elif isinstance(v, str):
+        out.append(_quote(v))
+    elif v is None:
+        out.append("null")
+    elif v is True:
+        out.append("true")
+    elif v is False:
+        out.append("false")
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    elif isinstance(v, float):
+        out.append(_float_json(v))
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        inner = "\n" + "  " * (level + 1)
+        sep = "[" + inner
+        for x in v:
+            out.append(sep)
+            _write(x, level + 1, out)
+            sep = "," + inner
+        out.append("\n" + "  " * level + "]")
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = "\n" + "  " * (level + 1)
+        sep = "{" + inner
+        for k, x in v.items():
+            out.append(sep + _quote(k) + ": ")
+            _write(x, level + 1, out)
+            sep = "," + inner
+        out.append("\n" + "  " * level + "}")
+    elif isinstance(v, Fraction):
+        out.append(_quote(_num(v)))
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} "
+                        "is not JSON serializable")
+
+
 def to_json(payload, header: dict | None = None) -> str:
-    """Deterministic JSON rendering; the run header (resolved config) is
-    embedded unless suppressed."""
+    """Deterministic JSON rendering, byte for byte ``json.dumps(payload,
+    indent=2)`` with ``Fraction`` and ``Triad`` written as in their
+    records; the run header (resolved config) is embedded unless
+    suppressed."""
     if header is not None:
         payload = {"config": header, "result": payload}
-    return json.dumps(payload, indent=2, sort_keys=False,
-                      default=_num) + "\n"
+    out = []
+    _write(payload, 0, out)
+    out.append("\n")
+    return "".join(out)

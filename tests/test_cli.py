@@ -213,7 +213,7 @@ def test_bound_float_dispersion_json(capsys):
 
 # Renderers of each format, per command; the JSON renderers also use to_json.
 RENDERERS = {
-    "find-triads": {"json": "triads_to_records", "csv": "triads_to_csv",
+    "find-triads": {"json": "to_json", "csv": "triads_to_csv",
                     "table": "triads_to_table"},
     "classify": {"json": "partition_to_records", "csv": "partition_to_csv",
                  "table": "partition_to_table"},
@@ -321,7 +321,13 @@ def test_signs_serialisation(square_t30):
     ["find-triads", "--liquid", "water", "--plane-form", "squared",
      "--T", "5"],
     ["eval", "--liquid", "water", "--alpha", "3", "--m", "3", "--n", "4"],
-], ids=["sphere-basin", "plane-form", "alpha"])
+    ["eval", "--dispersion", "capillary", "--mu-nu", "16", "--m", "1",
+     "--n", "1"],
+    ["eval", "--dispersion", "rossby-sphere", "--g", "500", "--m", "1",
+     "--n", "2"],
+    ["find-triads", "--dispersion", "gravity-tanh", "--alpha", "0.5",
+     "--g", "500", "--T", "5"],
+], ids=["sphere-basin", "plane-form", "alpha", "mu-nu", "g-sphere", "g-tanh"])
 def test_flags_the_kind_ignores_exit_2(capsys, argv):
     """A dispersion flag the chosen kind has no use for would be dropped
     (or written into the header of a relation that ignores it)."""

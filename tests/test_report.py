@@ -1,24 +1,36 @@
 import json
 import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, strategies as st
 
 from wavetriads import (
     DispersionSpec,
     SpectralDomain,
+    WaveVector,
     classify_modes,
     discrepancy_lower_bound,
     find_near_triads,
     plan_experiment,
     to_hz,
 )
+from wavetriads.experiment import (ExperimentPlan, GeometrySweepReport,
+                                   SweepCell)
 from wavetriads.report import (
+    _num,
     bound_to_record,
     partition_to_csv,
     partition_to_records,
     plan_to_record,
     plan_to_table,
+    sweep_to_record,
     to_json,
+    triad_to_record,
     triads_to_records,
 )
+from wavetriads.search import NUMERIC_EXACT_D, Triad
 from conftest import gc_spec
 
 
@@ -78,3 +90,133 @@ def test_case3_dispersions_search_smoke():
             assert t.k1.n + t.k2.n == t.k3.n
         rep = discrepancy_lower_bound(spec, dom)
         assert rep.finite_min is None or rep.finite_min.value > 0
+
+
+# -- the JSON writer against json.dumps(indent=2) of the records -------------
+
+def json_oracle(payload, header=None) -> str:
+    """What to_json wrote before it had its own writer: json.dumps(indent=2)
+    of the payload with every Triad replaced by its record."""
+    def records(v):
+        if isinstance(v, Triad):
+            return triad_to_record(v)
+        if isinstance(v, dict):
+            return {k: records(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [records(x) for x in v]
+        return v
+
+    if header is not None:
+        payload = {"config": header, "result": payload}
+    return json.dumps(records(payload), indent=2, default=_num) + "\n"
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                  1e308, -1e308, 1.7976931348623157e308, NUMERIC_EXACT_D,
+                  math.nextafter(NUMERIC_EXACT_D, 1.0), 1e16, 1e-7,
+                  math.nan, math.inf, -math.inf]
+FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+SIGNS = st.tuples(*[st.sampled_from([1, -1])] * 3)
+MODES = st.builds(WaveVector, st.integers(1, 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def float_triads(draw):
+    """Float triads, some values numpy float scalars instead of floats."""
+    w1, w2, w3, d, r = (draw(st.sampled_from([float] * 3 + [np.float64]))(
+        draw(FLOATS)) for _ in range(5))
+    return Triad(draw(MODES), draw(MODES), draw(MODES), (w1, w2, w3), d, r,
+                 draw(SIGNS))
+
+
+FRACTIONS = st.fractions() | st.sampled_from([Fraction(0), Fraction(-2, 6),
+                                              Fraction(10**40, 3)])
+
+
+@st.composite
+def fraction_triads(draw):
+    return Triad(draw(MODES), draw(MODES), draw(MODES),
+                 draw(st.tuples(FRACTIONS, FRACTIONS, FRACTIONS)),
+                 draw(FRACTIONS), draw(FLOATS), draw(SIGNS))
+
+
+TRIADS = float_triads() | fraction_triads()
+TRIAD_LISTS = st.lists(TRIADS, max_size=6)
+
+
+def water_triad(ws, discrepancy, d_ratio, signs=(1, 1, -1)) -> Triad:
+    return Triad(WaveVector(1, 2), WaveVector(9, 1), WaveVector(10, 3), ws,
+                 discrepancy, d_ratio, signs)
+
+
+@given(triads=TRIAD_LISTS)
+@example(triads=[water_triad((-0.0, 5e-324, 1e308), -1e308, math.nan,
+                             (1, -1, 1)),
+                 water_triad((1.0, 2.0, 3.0), 0.0, math.inf, (-1, -1, -1)),
+                 water_triad((1e308, 1e308, 1.0), 1e-300, -math.inf)])
+@example(triads=[water_triad((1.0, 2.0, 3.0), 0.0, d) for d in
+                 (NUMERIC_EXACT_D, math.nextafter(NUMERIC_EXACT_D, 1.0))])
+@example(triads=[water_triad(tuple(np.float64(v) if i == j else v
+                                   for i, v in enumerate((1.0, 2.0, 3.0))),
+                             0.0, 0.1) for j in range(3)]
+         + [water_triad((1.0, 2.0, 3.0), np.float64(0.0), 0.1),
+            water_triad((1.0, 2.0, 3.0), 0.0, np.float64(0.1))])
+def test_triad_list_json_matches_records(triads):
+    """A top-level triad list, bare and under a header."""
+    assert to_json(triads) == json_oracle(triads)
+    header = {"command": "find-triads", "d_max": 1e-6}
+    assert to_json(triads, header) == json_oracle(triads, header)
+    assert to_json(tuple(triads)) == json_oracle(triads)
+
+
+WATER, SQUARE_8 = gc_spec(75), SpectralDomain(8, "square")
+
+
+@given(type_a=TRIAD_LISTS, type_b=TRIAD_LISTS)
+def test_plan_json_matches_records(type_a, type_b):
+    """Triads two levels down, in a plan's type_a and type_b."""
+    plan = ExperimentPlan(WATER, SQUARE_8, 1e-6, 0.1, 0.1, type_a,
+                          type_b, {WaveVector(1, 2): 0.25}, "notes")
+    rec = plan_to_record(plan)
+    header = {"command": "plan"}
+    assert to_json(rec) == json_oracle(rec)
+    assert to_json(rec, header) == json_oracle(rec, header)
+
+
+@given(cells=st.lists(TRIAD_LISTS, max_size=3))
+def test_sweep_json_matches_records(cells):
+    """Triads four levels down, in a sweep's cells[].triads."""
+    rep = GeometrySweepReport(WATER, SQUARE_8, 1e-6, 0.3, [
+        SweepCell(1.0 + i, 2.0, triads, len(triads), (1, 2, 3), not triads)
+        for i, triads in enumerate(cells)])
+    rec = sweep_to_record(rep)
+    header = {"command": "sweep"}
+    assert to_json(rec, header) == json_oracle(rec, header)
+
+
+TEXT = st.text() | st.sampled_from(["", "\x00\x1f\x7f", "caf\u00e9 \u2028",
+                                    "\U0001F600\ud800", '"\\/\b\f\n\r\t'])
+ENVELOPES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | TEXT | FRACTIONS
+    | TRIADS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=12)
+
+
+@given(payload=ENVELOPES, header=st.none() | st.dictionaries(TEXT, ENVELOPES,
+                                                            max_size=3))
+@example(payload={"a": [], "b": {}, "c": [[], {}], "\u00e9\n": None},
+         header={"x": True, "y": False})
+def test_envelope_json_matches_json_dumps(payload, header):
+    assert to_json(payload, header) == json_oracle(payload, header)
+
+
+@pytest.mark.parametrize("payload", [{"x": object()}, {1: "int key"},
+                                     [np.int64(3)]])
+def test_json_refuses_other_types_and_keys(payload):
+    """Other values raise as json.dumps does; keys must be str (json.dumps
+    would turn an int key into a string)."""
+    with pytest.raises(TypeError):
+        to_json(payload)
