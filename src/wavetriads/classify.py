@@ -174,16 +174,13 @@ def resonant_seed_triads(spec: DispersionSpec, domain: SpectralDomain,
 # minimal near-resonant bridge waves
 # ---------------------------------------------------------------------------
 
-def _minimal_bridge(spec, domain, triad, donor_pair, patterns, closure,
-                    n_selection, freqs):
-    """Shared bridge search on the frequency memo ``freqs``; no resonance
-    validation (cascades bridge from near-resonant intermediate triads)."""
+def _minimal_bridge(domain, triad, donor_pair, patterns, rule, passes,
+                    freqs):
+    """Shared bridge search under the resolved closure ``rule`` and
+    n-selection ``passes``, on the frequency memo ``freqs``; no validation
+    (cascades bridge from near-resonant intermediate triads)."""
     ka, kb = donor_pair
     members = set(triad.members())
-    if not {ka, kb} <= members:
-        raise UsageError("donor pair must consist of triad members")
-    rule = _dispatch(spec, domain, closure, patterns)
-    passes = _n_rule(rule, n_selection)
     wa, wb = freqs[ka], freqs[kb]
     best = None
     for w in rule.completions(ka, kb, domain, patterns):
@@ -220,8 +217,11 @@ def minimal_near_resonant(spec: DispersionSpec, domain: SpectralDomain,
     """
     if not triad.is_exact:
         raise UsageError("minimal_near_resonant expects a resonant triad")
-    return _minimal_bridge(spec, domain, triad, donor_pair, patterns,
-                           closure, n_selection,
+    if not set(donor_pair) <= set(triad.members()):
+        raise UsageError("donor pair must consist of triad members")
+    rule = _dispatch(spec, domain, closure, patterns)
+    return _minimal_bridge(domain, triad, donor_pair, patterns, rule,
+                           _n_rule(rule, n_selection),
                            _FrequencyMemo(spec) if freqs is None else freqs)
 
 
@@ -349,15 +349,15 @@ def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
         raise UsageError("depth must be >= 1")
     if not seed.is_exact:
         raise UsageError("cascade_path expects a resonant seed triad")
-    _n_rule(_dispatch(spec, domain, closure, patterns), n_selection)
+    rule = _dispatch(spec, domain, closure, patterns)
+    passes = _n_rule(rule, n_selection)
     freqs = _FrequencyMemo(spec)
     visited = {frozenset(seed.members())}
     current = seed
     steps = []
     for _ in range(depth):
-        found = [s for s in (_minimal_bridge(spec, domain, current, pair,
-                                             patterns, closure, n_selection,
-                                             freqs)
+        found = [s for s in (_minimal_bridge(domain, current, pair, patterns,
+                                             rule, passes, freqs)
                              for pair in _triad_pairs(current))
                  if s is not None]
         if not found:

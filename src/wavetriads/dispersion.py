@@ -3,7 +3,9 @@
 Frequencies are angular (rad/s) everywhere inside the library; Hz appears
 only at presentation time via :func:`to_hz`.  The spherical dispersion is
 evaluated in exact rational arithmetic (`fractions.Fraction`), every other
-relation in floating point.
+relation in floating point.  Each float relation is written once, in
+``_omega``: :func:`eval_frequency` evaluates it on Python numbers with
+``math``, :func:`omega_grid` on float64 grids with numpy.
 
 Supported dispersion kinds
 --------------------------
@@ -246,29 +248,45 @@ def to_hz(omega: OmegaValue) -> float:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _rescaled_norm_sq(spec: DispersionSpec, m: int, n: int) -> float:
+def _rescaled_norm_sq(spec: DispersionSpec, m, n):
     """Basin-scaled squared scalar wavenumber S/(Lx*Ly) with
     S = (m Ly)^2 + (n Lx)^2; reduces to m^2 + n^2 on the unit square and on
-    any square basin."""
+    any square basin.  Elementwise on arrays."""
     lx, ly = spec.basin.lx, spec.basin.ly
     return ((m * ly) ** 2 + (n * lx) ** 2) / (lx * ly)
 
 
-def _omega_gravity_capillary(spec: DispersionSpec, m: int, n: int) -> float:
-    g, mu = spec.g, spec.mu_over_nu
+def _omega(spec: DispersionSpec, m, n, xp):
+    """The float relation of ``spec`` at wavenumbers (m, n), one expression
+    tree for two paths: Python ints with ``xp = math`` (eval_frequency) and
+    float64 grids with ``xp = numpy`` (omega_grid), each in its own
+    arithmetic (``** 1.5`` and tanh are libm on scalars, numpy on grids)."""
+    kind = spec.kind
     lx, ly = spec.basin.lx, spec.basin.ly
-    if lx == ly:
-        # Square of side L.  The published L=2 triad frequencies are
-        # reproduced exactly by omega^2 = g k + (mu/nu) k^3 / L^2 with
-        # k = sqrt(m^2+n^2); this differs from the L-rescaled square form
-        # only by the constant factor 1/L, so resonances and discrepancy
-        # ratios are identical.  L = 1 is the plain unit-square relation.
-        k = math.sqrt(m * m + n * n)
-        return math.sqrt(g * k + mu * (k * k * k) / (lx * lx))
-    # True rectangle: the two-term rectangular formula.
-    s = (m * ly) ** 2 + (n * lx) ** 2
-    area = lx * ly
-    return math.sqrt(g * math.sqrt(s) / area + mu * s ** 1.5 / (area * area))
+    if kind == "capillary":
+        return _rescaled_norm_sq(spec, m, n) ** 1.5
+    if kind == "gravity_capillary":
+        g, mu = spec.g, spec.mu_over_nu
+        if lx == ly:
+            # Square of side L: omega^2 = g k + (mu/nu) k^3 / L^2 with
+            # k = sqrt(m^2+n^2) reproduces the published L=2 frequencies.
+            # It is the L-rescaled square form times 1/L, so resonances and
+            # discrepancy ratios are identical; L = 1 is the unit square.
+            k = xp.sqrt(m * m + n * n)
+            return xp.sqrt(g * k + mu * (k * k * k) / (lx * lx))
+        # True rectangle: the two-term rectangular formula.
+        s = (m * ly) ** 2 + (n * lx) ** 2
+        area = lx * ly
+        return xp.sqrt(g * xp.sqrt(s) / area + mu * s ** 1.5 / (area * area))
+    if kind == "gravity_tanh":
+        k = xp.sqrt(_rescaled_norm_sq(spec, m, n))
+        return k * xp.tanh(spec.alpha * k)
+    if kind == "bve_plane":
+        kx, ky = m / lx, n / ly
+        if spec.plane_form == "printed":
+            return kx / (1.0 + kx + ky)
+        return kx / (kx * kx + ky * ky)
+    raise DomainError(f"{kind} has no float dispersion relation")
 
 
 def eval_frequency(spec: DispersionSpec, k: WaveVector) -> Frequency:
@@ -278,71 +296,27 @@ def eval_frequency(spec: DispersionSpec, k: WaveVector) -> Frequency:
     other kind.  Raises :class:`DomainError` for invalid wave vectors.
     """
     m, n = check_wavevector(k)
-    kind = spec.kind
-    if kind == "rossby_sphere":
+    if spec.kind == "rossby_sphere":
         # Exact path: big-integer rationals, never floats.
         return Frequency(Fraction(-2 * m, n * (n + 1)))
-    if kind == "capillary":
-        return Frequency(_rescaled_norm_sq(spec, m, n) ** 1.5)
-    if kind == "gravity_capillary":
-        return Frequency(_omega_gravity_capillary(spec, m, n))
-    if kind == "gravity_tanh":
-        kk = math.sqrt(_rescaled_norm_sq(spec, m, n))
-        return Frequency(kk * math.tanh(spec.alpha * kk))
-    if kind == "bve_plane":
-        kx = m / spec.basin.lx
-        ky = n / spec.basin.ly
-        if spec.plane_form == "printed":
-            return Frequency(kx / (1.0 + kx + ky))
-        return Frequency(kx / (kx * kx + ky * ky))
-    raise DomainError(f"unknown dispersion kind {kind!r}")
+    return Frequency(_omega(spec, m, n, math))
 
 
 def omega_grid(spec: DispersionSpec, truncation: int) -> np.ndarray:
-    """Frequency table W[m, n] for 1 <= m, n <= truncation as float64.
+    """Frequency table W[m, n] for 1 <= m, n <= truncation as float64, the
+    relation of :func:`eval_frequency` evaluated on numpy grids.
 
     Index 0 rows/columns are NaN padding so W[m, n] addresses wavenumbers
-    directly.  Used by the vectorised searches; the exact spherical path
-    never goes through this table.
+    directly.  Used by the vectorised searches.  ``rossby_sphere`` raises
+    :class:`DomainError`: its frequencies are exact, and its scan reads the
+    integer table a = n(n+1) instead.
     """
     T = truncation
     w = np.full((T + 1, T + 1), np.nan, dtype=np.float64)
     mm = np.arange(1, T + 1, dtype=np.float64)[:, None]
     nn = np.arange(1, T + 1, dtype=np.float64)[None, :]
-    kind = spec.kind
-    if kind == "rossby_sphere":
-        w[1:, 1:] = -2.0 * mm / (nn * (nn + 1.0))
-        return w
-    if kind == "capillary":
-        lx, ly = spec.basin.lx, spec.basin.ly
-        w[1:, 1:] = (((mm * ly) ** 2 + (nn * lx) ** 2) / (lx * ly)) ** 1.5
-        return w
-    if kind == "gravity_capillary":
-        g, mu = spec.g, spec.mu_over_nu
-        lx, ly = spec.basin.lx, spec.basin.ly
-        if lx == ly:
-            kk = np.sqrt(mm * mm + nn * nn)
-            w[1:, 1:] = np.sqrt(g * kk + mu * (kk * kk * kk) / (lx * lx))
-        else:
-            s = (mm * ly) ** 2 + (nn * lx) ** 2
-            area = lx * ly
-            w[1:, 1:] = np.sqrt(g * np.sqrt(s) / area
-                                + mu * s ** 1.5 / (area * area))
-        return w
-    if kind == "gravity_tanh":
-        lx, ly = spec.basin.lx, spec.basin.ly
-        kk = np.sqrt(((mm * ly) ** 2 + (nn * lx) ** 2) / (lx * ly))
-        w[1:, 1:] = kk * np.tanh(spec.alpha * kk)
-        return w
-    if kind == "bve_plane":
-        kx = mm / spec.basin.lx
-        ky = nn / spec.basin.ly
-        if spec.plane_form == "printed":
-            w[1:, 1:] = kx / (1.0 + kx + ky)
-        else:
-            w[1:, 1:] = kx / (kx * kx + ky * ky)
-        return w
-    raise DomainError(f"unknown dispersion kind {kind!r}")
+    w[1:, 1:] = _omega(spec, mm, nn, np)
+    return w
 
 
 def rescale_for_basin(spec: DispersionSpec, lx: float, ly: float) -> DispersionSpec:

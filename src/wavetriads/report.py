@@ -43,10 +43,12 @@ def _signs_str(signs) -> str:
 
 
 def _num(value):
-    """JSON-ready numeric: Fractions as 'p/q' strings, floats unchanged."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return value
+    """JSON-ready numeric: Fractions as 'p/q' strings, floats unchanged.
+    A Python float is let through before the isinstance test, an ABCMeta
+    check."""
+    if type(value) is float or not isinstance(value, Fraction):
+        return value
+    return f"{value.numerator}/{value.denominator}"
 
 
 def triad_to_record(t: Triad) -> dict:
@@ -97,7 +99,8 @@ def triads_to_csv(triads) -> str:
     """One row per triad under TRIAD_COLUMNS; the RATIONAL_EXTRA_COLUMNS
     are added when any triad carries an exact rational discrepancy."""
     triads = list(triads)
-    rational = any(isinstance(t.discrepancy, Fraction) for t in triads)
+    rational = any(type(t.discrepancy) is not float
+                   and isinstance(t.discrepancy, Fraction) for t in triads)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(TRIAD_COLUMNS + (RATIONAL_EXTRA_COLUMNS if rational else []))

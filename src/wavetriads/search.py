@@ -367,10 +367,10 @@ CLOSURES = {c.name: c for c in (
 _FLOAT_EXACT_LIMIT = 2 ** 53
 
 
-def _table(spec, domain, scalar):
+def _table(spec, domain, freqs=None):
     """The per-mode table the kernels read: a = n(n+1) on the exact path
-    (omega = -2m/a), else the omega grid, or with ``scalar`` the scalar
-    ``eval_frequency`` values of the domain's modes."""
+    (omega = -2m/a), else the omega grid, or with a frequency memo
+    ``freqs`` the scalar values of the domain's modes, read from it."""
     T = domain.truncation
     if spec.exactness:
         n = np.arange(T + 1, dtype=np.int64)
@@ -378,11 +378,11 @@ def _table(spec, domain, scalar):
         if max(6 * T * amax ** 2, amax ** 3) >= _FLOAT_EXACT_LIMIT:
             n = n.astype(object)
         return np.broadcast_to(n * (n + 1), (T + 1, T + 1))
-    if not scalar:
+    if freqs is None:
         return omega_grid(spec, T)
     S = np.full((T + 1, T + 1), np.nan)
     for k in domain.modes():
-        S[k] = eval_frequency(spec, k).omega
+        S[k] = freqs[k]
     return S
 
 
@@ -422,13 +422,14 @@ def _exact_step(X, m1, n1, a2, a3, m2, patterns, with_min):
 
 
 def _scan(spec, domain, rule, patterns, skip_equal_n_pairs, with_min,
-          scalar=False):
+          freqs=None):
     """The array form of the scan kernel: the closure's candidates one k1
     row at a time, as ((m1, n1, m2, n2, n3), a, amin) with k2 = (m2, n2)
     and k3 = (m1 + m2, n3) in scan order, a = |Omega| (the least over the
-    sign patterns when patterns="all") and amin = min |w| or None."""
+    sign patterns when patterns="all") and amin = min |w| or None.  With
+    a frequency memo ``freqs`` a float scan reads the scalar values."""
     exact = spec.exactness
-    X = _table(spec, domain, scalar)
+    X = _table(spec, domain, freqs)
     step = _exact_step if exact else _float_step
     for m1, n1, x2, x3, m2, n2, n3 in rule.blocks(
             X, domain, skip_equal_n_pairs, not exact):
@@ -488,7 +489,7 @@ def _search(spec, domain, rule, *, patterns, d_max=None, d_min=None,
     return triads
 
 
-def _least_nonzero(spec, domain, rule) -> Triad | None:
+def _least_nonzero(spec, domain, rule, freqs) -> Triad | None:
     """Triad with the least nonzero |Omega| under the closure's bound
     patterns; the first minimum in scan order wins.
 
@@ -498,11 +499,11 @@ def _least_nonzero(spec, domain, rule) -> Triad | None:
     masquerade as the bound.  On scalar frequencies the float |Omega| are
     those of the rebuilt triads, and exact ones are correctly rounded, so
     only the candidates at a block minimum not above the best so far can
-    hold a new least |Omega|; they are rebuilt and compared exactly."""
-    freqs = _FrequencyMemo(spec)
+    hold a new least |Omega|; they are rebuilt and compared exactly on the
+    frequency memo ``freqs``, which the float scan reads too."""
     best, best_a = None, math.inf
     for cand, a, amin in _scan(spec, domain, rule, rule.bound_patterns, True,
-                               not spec.exactness, True):
+                               not spec.exactness, freqs):
         a[_select(a, amin, NUMERIC_EXACT_D, None, None)] = math.inf
         row_min = float(a.min()) if a.size else math.inf
         if row_min == math.inf or row_min > best_a:
@@ -626,13 +627,13 @@ def discrepancy_lower_bound(spec: DispersionSpec, domain: SpectralDomain,
     if len(domain) == 0:
         raise DomainError("domain is empty")
     rule = _dispatch(spec, domain, closure)
+    freqs = _FrequencyMemo(spec)
 
     apriori = None
     if spec.exactness:
-        lcm = math.lcm(*(eval_frequency(spec, k).omega.denominator
-                         for k in domain.modes()))
+        lcm = math.lcm(*(freqs[k].denominator for k in domain.modes()))
         apriori = DiscrepancyBound(Fraction(1, lcm * lcm), "rational_1_over_bd")
-    best = _least_nonzero(spec, domain, rule)
+    best = _least_nonzero(spec, domain, rule, freqs)
 
     if best is None:
         return BoundReport(apriori, None,

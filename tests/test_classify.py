@@ -168,6 +168,15 @@ def test_minimal_bridge_requires_resonant_triad(sphere, sphere_t14):
                               (near[0].k1, near[0].k2))
 
 
+@pytest.mark.parametrize("pair", [(wv(4, 12), wv(5, 13)),
+                                  (wv(1, 2), wv(9, 13))])
+def test_minimal_bridge_refuses_a_pair_outside_the_triad(sphere, sphere_t14,
+                                                         pair):
+    triad = classic_triad(sphere, sphere_t14)
+    with pytest.raises(UsageError, match="donor pair"):
+        minimal_near_resonant(sphere, sphere_t14, triad, pair)
+
+
 def test_bridge_not_below_domain_minimum(sphere, sphere_t14):
     bound = discrepancy_lower_bound(sphere, sphere_t14).finite_min.value
     triad = classic_triad(sphere, sphere_t14)
@@ -280,6 +289,26 @@ def test_classification_evaluates_each_mode_at_most_once(
             monkeypatch.setattr(mod, "eval_frequency", counting)
     part = classify_modes(spec, domain, omega_max, **convention)
     assert part.bridges and len(calls) <= len(domain)
+
+
+@pytest.mark.parametrize("spec, domain", [
+    (gc_spec(75), SpectralDomain(12)),
+    (DispersionSpec("bve_plane"), SpectralDomain(12)),
+    (DispersionSpec("rossby_sphere"), SpectralDomain(12, "triangular")),
+], ids=["gc75", "bve-plane", "sphere"])
+def test_bound_evaluates_each_mode_at_most_once(monkeypatch, spec, domain):
+    """The bound's scalar table, its rebuilt witness candidates and the
+    rational lcm read one frequency memo: one eval_frequency per mode."""
+    calls = []
+
+    def counting(spec, k):
+        calls.append(k)
+        return eval_frequency(spec, k)
+
+    monkeypatch.setattr(search, "eval_frequency", counting)
+    rep = discrepancy_lower_bound(spec, domain)
+    assert rep.finite_min is not None
+    assert len(calls) == len(set(calls)) <= len(domain)
 
 
 # -- convention validation ----------------------------------------------------

@@ -2,7 +2,9 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from wavetriads import (
     BasinGeometry,
@@ -14,6 +16,7 @@ from wavetriads import (
     rescale_for_basin,
     to_hz,
 )
+from wavetriads.dispersion import omega_grid
 from conftest import L2_TRIAD, TYPE_A, gc_spec, wv
 
 TWO_PI = 2.0 * math.pi
@@ -181,3 +184,104 @@ def test_config_rejects_unknown_keys():
     with pytest.raises(DomainError):
         DispersionSpec.from_config({"kind": "capillary",
                                     "basin": {"kind": "unit_square", "zz": 2}})
+
+
+# -- eval_frequency and omega_grid evaluate one expression per relation -------
+
+def oracle_scalar(spec, m, n):
+    """The scalar relations as eval_frequency wrote them, each kind on its
+    own, before the scalar and grid paths shared one expression."""
+    lx, ly = spec.basin.lx, spec.basin.ly
+    if spec.kind == "capillary":
+        return (((m * ly) ** 2 + (n * lx) ** 2) / (lx * ly)) ** 1.5
+    if spec.kind == "gravity_capillary":
+        g, mu = spec.g, spec.mu_over_nu
+        if lx == ly:
+            k = math.sqrt(m * m + n * n)
+            return math.sqrt(g * k + mu * (k * k * k) / (lx * lx))
+        s = (m * ly) ** 2 + (n * lx) ** 2
+        area = lx * ly
+        return math.sqrt(g * math.sqrt(s) / area
+                         + mu * s ** 1.5 / (area * area))
+    if spec.kind == "gravity_tanh":
+        kk = math.sqrt(((m * ly) ** 2 + (n * lx) ** 2) / (lx * ly))
+        return kk * math.tanh(spec.alpha * kk)
+    kx, ky = m / lx, n / ly
+    if spec.plane_form == "printed":
+        return kx / (1.0 + kx + ky)
+    return kx / (kx * kx + ky * ky)
+
+
+def oracle_grid(spec, T):
+    """The per-kind branches of omega_grid as they were written."""
+    w = np.full((T + 1, T + 1), np.nan, dtype=np.float64)
+    mm = np.arange(1, T + 1, dtype=np.float64)[:, None]
+    nn = np.arange(1, T + 1, dtype=np.float64)[None, :]
+    lx, ly = spec.basin.lx, spec.basin.ly
+    if spec.kind == "capillary":
+        w[1:, 1:] = (((mm * ly) ** 2 + (nn * lx) ** 2) / (lx * ly)) ** 1.5
+    elif spec.kind == "gravity_capillary":
+        g, mu = spec.g, spec.mu_over_nu
+        if lx == ly:
+            kk = np.sqrt(mm * mm + nn * nn)
+            w[1:, 1:] = np.sqrt(g * kk + mu * (kk * kk * kk) / (lx * lx))
+        else:
+            s = (mm * ly) ** 2 + (nn * lx) ** 2
+            area = lx * ly
+            w[1:, 1:] = np.sqrt(g * np.sqrt(s) / area
+                                + mu * s ** 1.5 / (area * area))
+    elif spec.kind == "gravity_tanh":
+        kk = np.sqrt(((mm * ly) ** 2 + (nn * lx) ** 2) / (lx * ly))
+        w[1:, 1:] = kk * np.tanh(spec.alpha * kk)
+    else:
+        kx, ky = mm / lx, nn / ly
+        if spec.plane_form == "printed":
+            w[1:, 1:] = kx / (1.0 + kx + ky)
+        else:
+            w[1:, 1:] = kx / (kx * kx + ky * ky)
+    return w
+
+
+FLOAT_KINDS = [("capillary", "printed"), ("gravity_capillary", "printed"),
+               ("gravity_tanh", "printed"), ("bve_plane", "printed"),
+               ("bve_plane", "squared")]
+SIDES = st.floats(0.1, 10.0)
+
+
+@pytest.mark.parametrize("kind, plane_form", FLOAT_KINDS)
+@pytest.mark.parametrize("basin", ["unit", "L-square", "rectangle"])
+@given(T=st.integers(1, 40), lx=SIDES, ly=SIDES,
+       mu=st.floats(1.0, 100.0), g=st.floats(1.0, 2000.0),
+       alpha=st.floats(0.01, 5.0))
+@example(T=40, lx=2.0, ly=2.7, mu=75.0, g=981.0, alpha=0.7)
+@example(T=40, lx=1.3, ly=0.7, mu=16.0, g=981.0, alpha=0.5)
+def test_grid_and_scalar_match_the_per_kind_expressions(
+        kind, plane_form, basin, T, lx, ly, mu, g, alpha):
+    """omega_grid and eval_frequency bit for bit against the expressions
+    each path had before they shared one: the grid in numpy arithmetic,
+    the scalar in libm's, over the float kinds, both plane forms, and unit,
+    L-square and rectangular basins (lx == ly picks the L-square form of
+    gravity_capillary)."""
+    if basin == "unit":
+        geometry = BasinGeometry()
+    elif basin == "L-square":
+        geometry = BasinGeometry("rectangle", lx=lx, ly=lx)
+    else:
+        assume(lx != ly)
+        geometry = BasinGeometry("rectangle", lx=lx, ly=ly)
+    params = {"gravity_capillary": {"mu_over_nu": mu, "g": g},
+              "gravity_tanh": {"alpha": alpha}}.get(kind, {})
+    spec = DispersionSpec(kind, basin=geometry, plane_form=plane_form,
+                          **params)
+    assert omega_grid(spec, T).tobytes() == oracle_grid(spec, T).tobytes()
+    for m in range(1, T + 1):
+        for n in range(1, T + 1):
+            w = eval_frequency(spec, wv(m, n)).omega
+            assert type(w) is float
+            assert float.hex(w) == float.hex(oracle_scalar(spec, m, n))
+
+
+def test_omega_grid_refuses_the_sphere(sphere):
+    """The sphere's frequencies are exact; no float table is made for it."""
+    with pytest.raises(DomainError):
+        omega_grid(sphere, 5)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from fractions import Fraction
@@ -19,6 +21,8 @@ from wavetriads import (
 from wavetriads.experiment import (ExperimentPlan, GeometrySweepReport,
                                    SweepCell)
 from wavetriads.report import (
+    RATIONAL_EXTRA_COLUMNS,
+    TRIAD_COLUMNS,
     _num,
     bound_to_record,
     partition_to_csv,
@@ -28,6 +32,7 @@ from wavetriads.report import (
     sweep_to_record,
     to_json,
     triad_to_record,
+    triads_to_csv,
     triads_to_records,
 )
 from wavetriads.search import NUMERIC_EXACT_D, Triad
@@ -167,6 +172,35 @@ def test_triad_list_json_matches_records(triads):
     header = {"command": "find-triads", "d_max": 1e-6}
     assert to_json(triads, header) == json_oracle(triads, header)
     assert to_json(tuple(triads)) == json_oracle(triads)
+
+
+def csv_oracle(triads) -> str:
+    """csv.writer over each triad's record: its values under TRIAD_COLUMNS,
+    then under RATIONAL_EXTRA_COLUMNS when any triad is rational (blank
+    where a float triad's record has none)."""
+    rational = any(isinstance(t.discrepancy, Fraction) for t in triads)
+    columns = TRIAD_COLUMNS + (RATIONAL_EXTRA_COLUMNS if rational else [])
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(columns)
+    for t in triads:
+        rec = triad_to_record(t)
+        w.writerow([rec.get(c, "") for c in columns])
+    return buf.getvalue()
+
+
+@given(triads=TRIAD_LISTS)
+@example(triads=[water_triad((-0.0, 5e-324, 1e308), -1e308, math.nan,
+                             (1, -1, 1)),
+                 water_triad((np.float64(1.0), 2.0, math.inf),
+                             np.float64(-math.inf), 0.5)])
+@example(triads=[water_triad((Fraction(1, 3), Fraction(2, 3), Fraction(1)),
+                             Fraction(0), 0.0),
+                 water_triad((1.0, np.float64(2.0), 3.0), 0.0, math.nan)])
+def test_triad_csv_matches_records(triads):
+    """Each CSV row is its triad's record in column order."""
+    assert triads_to_csv(triads) == csv_oracle(triads)
+    assert triads_to_csv(iter(triads)) == csv_oracle(triads)
 
 
 WATER, SQUARE_8 = gc_spec(75), SpectralDomain(8, "square")
