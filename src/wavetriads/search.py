@@ -48,6 +48,26 @@ nonzero |Omega| in scan order (sum pattern; any pattern under box closure).
   d_ratio of the rebuilt triad, and the thresholds decide on floats.  As
   rounding is monotone, a float can misjudge 0 < |Omega| <= omega_max only
   when it equals omega_max; only those ties are rebuilt on ``Fraction``s.
+
+Certified tile pruning.  A float search under ``both`` closure with a
+finite d_max ceiling (``find_near_triads``, and so ``plan_experiment`` and
+``geometry_sweep``) skips the k2 it can prove out of reach.  Per m1 row,
+one vectorised pass cuts the k2 box of every k1 into 8 x 8 tiles and bounds
+D = w3 - w2 on each: D at the tile centre, plus or minus the steps to the
+farthest tile edge times the most one step can move it, which is at most
+the spread between the extremes of the grid's forward differences over
+the tile and over the tile shifted by k1 (sliding-window minimum and
+maximum tables, built once per search).  Under patterns="all" the same
+bound holds for S = w2 + w3.  A tile is dropped when, in every sign
+pattern, the lower bound on |Omega| exceeds d_max |w1| (and so
+d_max min |w|) by a slack that covers every rounding of the bound, the
+residuals and d; a grid with inf or NaN, or near overflow, drops nothing.
+The bound reads only the grid, so it holds for every float kind, the
+non-monotone ``bve_plane`` included.  The other tiles are gathered and
+decided by the scan's own float64 expressions, and the hits are handed on
+in scan order, so the triads and every output are those of the dense
+scan.  ``d_max = inf``, ``zonal`` and ``box`` closure, the exact path, the
+max-discrepancy search, the bound and the classifier scan densely.
 """
 
 from __future__ import annotations
@@ -211,22 +231,32 @@ def _best_pattern_triad(freqs, k1, k2, k3, patterns) -> Triad:
 # closure table
 # ---------------------------------------------------------------------------
 
+def _both_window(T, m1, n1):
+    """The k2 of k1 = (m1, n1) under ``both`` closure: those of the box
+    m1 <= m2 <= T - m1, 1 <= n2 <= T - n1, which keeps k3 = k1 + k2 in the
+    square, that do not precede k1 in lexicographic order (the order rule
+    drops n2 < n1 from the box's first row).  Returns the box as inclusive
+    ranges (m_lo, m_hi, n_lo, n_hi).  ``n1`` may be an array."""
+    return m1, T - m1, 1, T - n1
+
+
 def _both_blocks(X, domain, skip_equal_n_pairs, self_pair):
-    """Pairs k1 <= k2 with k3 = k1 + k2 in the square: the rest of row
-    m2 = m1 (n2 >= n1), then the rows m2 > m1, as two windows of X."""
+    """Pairs k1 <= k2 with k3 = k1 + k2 in the square: per k1 the box of
+    :func:`_both_window` as two blocks of X, the rest of row m2 = m1 from
+    k2 = k1 on, then the rows m2 > m1."""
     T = domain.truncation
     ar = np.arange(T + 1)  # read-only index grids: M[a, b] = a, N[a, b] = b
     M, N = (np.broadcast_to(x, (T + 1, T + 1)) for x in (ar[:, None], ar))
     for m1 in range(1, T // 2 + 1):
         for n1 in range(1, T):
-            if 2 * n1 <= T:
-                win2 = (slice(m1, m1 + 1), slice(n1, T - n1 + 1))
-                yield (m1, n1, X[win2], X[2 * m1:2 * m1 + 1, 2 * n1:],
-                       M[win2], N[win2], N[m1:m1 + 1, 2 * n1:])
-            if 2 * m1 < T:
-                win2 = (slice(m1 + 1, T - m1 + 1), slice(1, T - n1 + 1))
-                yield (m1, n1, X[win2], X[2 * m1 + 1:, n1 + 1:],
-                       M[win2], N[win2], N[m1 + 1:T - m1 + 1, n1 + 1:])
+            m_lo, m_hi, n_lo, n_hi = _both_window(T, m1, n1)
+            for a, b, c, d in ((m_lo, m_lo, n1, n_hi),
+                               (m_lo + 1, m_hi, n_lo, n_hi)):
+                if a <= b and c <= d:
+                    win2 = (slice(a, b + 1), slice(c, d + 1))
+                    win3 = (slice(m1 + a, m1 + b + 1),
+                            slice(n1 + c, n1 + d + 1))
+                    yield m1, n1, X[win2], X[win3], M[win2], N[win2], N[win3]
 
 
 def _both_completions(ka, kb, domain, patterns):
@@ -437,6 +467,147 @@ def _scan(spec, domain, rule, patterns, skip_equal_n_pairs, with_min,
         yield (m1, n1, m2, n2, n3), a, amin
 
 
+#: Side of the k2 tiles that the pruned near search bounds as one; the
+#: rounding slack of :func:`_tile_scan` is derived for sides up to 8.
+_TILE = 8
+#: Most tiles whose candidates one gather evaluates (bounds its memory).
+_GATHER_TILES = 128
+#: Unit roundoff of float64.
+_U = 2.0 ** -53
+
+
+def _window_tables(X, t):
+    """Least and greatest forward difference of the omega grid X over the
+    t x t window at every anchor (i, j), 0 <= i, j <= T: (min Gm, max Gm,
+    min Gn, max Gn) with Gm(i, j) = X[i+1, j] - X[i, j] and
+    Gn(i, j) = X[i, j+1] - X[i, j].  Cells off the grid hold the
+    reduction's neutral value, so a window reads only the differences
+    inside it.  Separable: t - 1 shifted reductions per axis."""
+    T = X.shape[0] - 1
+    W = X[1:, 1:]
+    tables = []
+    for G in (W[1:] - W[:-1], W[:, 1:] - W[:, :-1]):
+        for reduce, pad in ((np.minimum, np.inf), (np.maximum, -np.inf)):
+            P = np.full((T + t, T + t), pad)
+            P[1:1 + G.shape[0], 1:1 + G.shape[1]] = G
+            R = P[:T + 1]
+            for s in range(1, t):
+                R = reduce(R, P[s:s + T + 1])
+            S = R[:, :T + 1]
+            for s in range(1, t):
+                S = reduce(S, R[:, s:s + T + 1])
+            tables.append(S)
+    return tables
+
+
+def _row_tiles(T, m1, t):
+    """The t x t tiles of the k2 boxes of :func:`_both_window` of every
+    k1 = (m1, n1), cut from the box's low corner and clipped at its high
+    edges: the m tiles (m_lo, m_hi) and, as the n range depends on n1
+    alone, the n tiles of every n1 (n1, n_lo, n_hi), inclusive."""
+    n1 = np.arange(1, T)
+    m_lo, m_hi, n_lo, n_hi = _both_window(T, m1, n1)
+    ms, ns = np.arange(m_lo, m_hi + 1, t), np.arange(n_lo, T, t)
+    i, j = np.nonzero(ns <= n_hi[:, None])
+    return ((ms, np.minimum(ms + t - 1, m_hi)),
+            (n1[i], ns[j], np.minimum(ns[j] + t - 1, n_hi[i])))
+
+
+def _live_tiles(X, tables, m1, m_tiles, n_tiles, patterns, d_max, slack):
+    """Mask (m tile, n tile) of the tiles of row m1 that may hold a
+    candidate with d <= d_max: False only where, in every sign pattern, a
+    lower bound on |Omega| over the tile exceeds d_max |w1|, and so
+    d_max min |w|.
+
+    With D = w3 - w2 and S = w3 + w2 the residuals are w1 - D, w1 + D and
+    S - w1.  One step along an axis moves D by Gx(k3) - Gx(k2) and S by
+    Gx(k3) + Gx(k2), each bounded by the extremes of Gx over the windows
+    at the tile's k2 and k3 corners; a tile's points lie within its
+    farthest edge steps of its centre, where D and S are evaluated."""
+    min_m, max_m, min_n, max_n = tables
+    (m_lo, m_hi), (n1, n_lo, n_hi) = m_tiles, n_tiles
+    cm, cn = (m_lo + m_hi) // 2, (n_lo + n_hi) // 2
+    w1, x2, x3 = X[m1, n1], X[cm][:, cn], X[m1 + cm][:, n1 + cn]
+    spread_d = spread_s = 0.0
+    for lo, hi, steps in ((min_m, max_m, (m_hi - cm)[:, None]),
+                          (min_n, max_n, n_hi - cn)):
+        lo2, hi2 = lo[m_lo][:, n_lo], hi[m_lo][:, n_lo]
+        lo3, hi3 = lo[m1 + m_lo][:, n1 + n_lo], hi[m1 + m_lo][:, n1 + n_lo]
+        # Both extremes are -inf/+inf only in a window wholly off the
+        # grid, where the tile takes no step; max(., 0) keeps 0 * inf out.
+        spread_d = spread_d + steps * np.maximum(
+            np.maximum(hi3 - lo2, hi2 - lo3), 0.0)
+        if patterns == "all":
+            spread_s = spread_s + steps * np.maximum(
+                np.maximum(hi3 + hi2, -(lo3 + lo2)), 0.0)
+    D = x3 - x2
+    low = np.abs(w1 - D) - spread_d
+    if patterns == "all":
+        low = np.minimum(np.minimum(low, np.abs(w1 + D) - spread_d),
+                         np.abs(x3 + x2 - w1) - spread_s)
+    # 1 + 16u and ``slack`` cover the rounding of this bound, of the
+    # residuals and of d = |Omega| / min |w| (see _tile_scan).
+    return ~(low > d_max * np.abs(w1) * (1 + 16 * _U) + slack)
+
+
+def _tile_scan(spec, domain, patterns, d_max):
+    """The candidates of ``both`` closure with d <= d_max (float, finite
+    d_max), in the block form of :func:`_scan`: one block per k1 with a
+    hit, in scan order.  Tiles that :func:`_live_tiles` certifies empty
+    are skipped; the others are gathered and decided by the scan's own
+    float expressions."""
+    T = domain.truncation
+    X = omega_grid(spec, T)
+    with np.errstate(invalid="ignore", over="ignore"):
+        tables = _window_tables(X, _TILE)
+        omax = float(np.max(np.abs(X[1:, 1:])))
+    # With at most 4 steps per axis (8 x 8 tiles) each value the bound and
+    # the residuals round is at most 40 omax in size, and their rounding
+    # errors add up to less than 176 u omax; 1e-300 covers the absolute
+    # error of subnormal results.  A grid that holds inf or NaN, or lies
+    # within 64x of overflow, prunes nothing.
+    slack = (256 * _U * omax + 1e-300 if math.isfinite(64 * omax)
+             else math.inf)
+    # A tile's points as flat offsets into X (row length R) from its low
+    # corner, with their offsets (dm, dn) along each axis.
+    R, Xf = T + 1, X.ravel()
+    dm, dn = np.divmod(np.arange(_TILE * _TILE), _TILE)
+    cells = dm * R + dn
+    for m1 in range(1, T // 2 + 1):
+        m_tiles, n_tiles = _row_tiles(T, m1, _TILE)
+        with np.errstate(invalid="ignore", over="ignore"):
+            i, j = np.nonzero(_live_tiles(X, tables, m1, m_tiles, n_tiles,
+                                          patterns, d_max, slack))
+        m_lo, m_hi = (v[i] for v in m_tiles)
+        n1, n_lo, n_hi = (v[j] for v in n_tiles)
+        hits = []
+        for c in range(0, i.size, _GATHER_TILES):
+            c = slice(c, c + _GATHER_TILES)
+            k1 = m1 * R + n1[c]
+            k2 = (m_lo[c] * R + n_lo[c])[:, None] + cells
+            # In the tile, and k2 >= k1 in lexicographic (flat) order.
+            inside = ((dm <= (m_hi[c] - m_lo[c])[:, None])
+                      & (dn <= (n_hi[c] - n_lo[c])[:, None])
+                      & (k2 >= k1[:, None]))
+            k2, count = k2[inside], np.count_nonzero(inside, axis=1)
+            n, k1 = np.repeat(n1[c], count), np.repeat(k1, count)
+            a, amin = _float_step(X, m1, n, Xf[k2], Xf[k1 + k2], None,
+                                  patterns, True)
+            keep = _select(a, amin, d_max, None, None)
+            if np.count_nonzero(keep):
+                hits.append((n[keep], k2[keep], a[keep], amin[keep]))
+        if not hits:
+            continue
+        n, k2, a, amin = (np.concatenate(v) for v in zip(*hits))
+        order = np.lexsort((k2, n))
+        n, a, amin = n[order], a[order], amin[order]
+        m2, n2 = np.divmod(k2[order], R)
+        cuts = [0, *(np.flatnonzero(np.diff(n)) + 1).tolist(), n.size]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            k, at = int(n[lo]), slice(lo, hi)
+            yield (m1, k, m2[at], n2[at], k + n2[at]), a[at], amin[at]
+
+
 def _build(freqs, patterns, cand, keep) -> list:
     """Triads of the block candidates ``cand`` that the mask ``keep``
     selects, in scan order, built from ``freqs`` (mode -> omega)."""
@@ -475,13 +646,20 @@ def _search(spec, domain, rule, *, patterns, d_max=None, d_min=None,
             abs_max=None, skip_equal_n_pairs=True, freqs=None) -> list:
     """Triads of the closure's candidates that pass one threshold, in scan
     order: d_ratio <= d_max, d_ratio >= d_min, or 0 < |Omega| <= abs_max;
-    built from ``freqs``, by default the scalar dispersion values."""
+    built from ``freqs``, by default the scalar dispersion values.  A
+    finite positive d_max under ``both`` closure on floats reads only the
+    tiles :func:`_tile_scan` cannot rule out."""
     freqs = _FrequencyMemo(spec) if freqs is None else freqs
     with_min = d_min is not None or bool(d_max)  # a zero ceiling needs none
     ties = spec.exactness and abs_max is not None
+    if (rule.name == "both" and not spec.exactness and d_max
+            and math.isfinite(d_max)):
+        blocks = _tile_scan(spec, domain, patterns, d_max)
+    else:
+        blocks = _scan(spec, domain, rule, patterns, skip_equal_n_pairs,
+                       with_min)
     triads = []
-    for cand, a, amin in _scan(spec, domain, rule, patterns,
-                               skip_equal_n_pairs, with_min):
+    for cand, a, amin in blocks:
         keep = _select(a, amin, d_max, d_min, abs_max)
         if ties:
             _drop_rounded_up(keep, a, abs_max, freqs, patterns, cand)

@@ -3,7 +3,8 @@ oracles: per-pair loops over every closed candidate and the per-candidate
 ``Fraction`` loop the exact path replaced, kept here as references.
 Emitted triads are compared field by field (floats by ``float.hex``,
 rationals exactly), in emission order, and so are the discrepancy-bound
-witnesses."""
+witnesses.  The tile-pruned near search is checked against the dense scan
+the same way."""
 
 import math
 from fractions import Fraction
@@ -268,6 +269,163 @@ def test_float_bound_matches_pair_loop(spec, T, closure, shape):
     """Only zonal closure takes a triangular domain."""
     check_float_bound(spec, SpectralDomain(
         T, shape if closure == "zonal" else "square"), closure)
+
+
+# -- floats: the tile-pruned near search against the dense scan ----------------
+
+BOTH = search.CLOSURES["both"]
+
+
+def dense_near(spec, domain, patterns, d_max):
+    """The near search over every ``both`` block, with no tile pruned."""
+    freqs = search._FrequencyMemo(spec)
+    out = []
+    for cand, a, amin in search._scan(spec, domain, BOTH, patterns, True,
+                                      True):
+        out += search._build(freqs, patterns, cand,
+                             search._select(a, amin, d_max, None, None))
+    return out
+
+
+def pruned_near(spec, domain, patterns, d_max, tile=8, gather=256):
+    """The near search as find_near_triads runs it, unsorted, with the
+    tile side and the gather chunk set for the call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_TILE", tile)
+        mp.setattr(search, "_GATHER_TILES", gather)
+        return search._search(spec, domain, BOTH, patterns=patterns,
+                              d_max=d_max)
+
+
+def scan_ds(spec, domain, patterns):
+    """Every candidate's float d = |Omega| / min |w|, as the scan has it."""
+    return np.concatenate([(a / amin).ravel() for _, a, amin in search._scan(
+        spec, domain, BOTH, patterns, True, True)] or [np.empty(0)])
+
+
+@st.composite
+def pruning_specs(draw):
+    """Every float kind (both plane forms) on a unit, L-square or
+    rectangular basin, with drawn physical parameters."""
+    kind, form = draw(st.sampled_from([
+        ("capillary", "printed"), ("gravity_capillary", "printed"),
+        ("gravity_tanh", "printed"), ("bve_plane", "printed"),
+        ("bve_plane", "squared")]))
+    basin = draw(st.sampled_from(["unit", "L-square", "rectangle"]))
+    if basin == "unit":
+        geometry = BasinGeometry("unit_square")
+    elif basin == "L-square":
+        side = draw(st.floats(1.5, 3.0))
+        geometry = BasinGeometry("rectangle", side, side)
+    else:
+        geometry = BasinGeometry("rectangle", 1.0, draw(st.floats(1.2, 4.0)))
+    return DispersionSpec(
+        kind, basin=geometry, plane_form=form,
+        mu_over_nu=(draw(st.floats(16.0, 75.0))
+                    if kind == "gravity_capillary" else None),
+        alpha=draw(st.floats(0.2, 2.0)) if kind == "gravity_tanh" else None)
+
+
+D_MAX = [1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.3, math.inf]
+
+
+@given(spec=pruning_specs(), T=st.integers(1, 40),
+       patterns=st.sampled_from(["sum", "all"]),
+       tile=st.sampled_from([1, 2, 4, 8]), gather=st.sampled_from([1, 3, 256]),
+       data=st.data())
+@example(spec=DispersionSpec("gravity_capillary", mu_over_nu=75.0), T=40,
+         patterns="sum", tile=8, gather=256, data=None)
+def test_pruned_near_search_matches_dense_scan(spec, T, patterns, tile,
+                                               gather, data):
+    """Bit for bit and in scan order, at the listed ceilings, at d_max = inf
+    (T <= 12: every candidate is built) and at a candidate's own float d,
+    which ties on the threshold."""
+    domain = SpectralDomain(T)
+    if data is None:
+        d_maxes = [1e-5]
+    else:
+        ds = np.unique(scan_ds(spec, domain, patterns))
+        ties = ds[np.isfinite(ds)][:50].tolist() or [1e-5]
+        d_maxes = [data.draw(st.sampled_from(
+                       D_MAX if T <= 12 else D_MAX[:-2])),
+                   data.draw(st.sampled_from(ties))]
+    for d_max in d_maxes:
+        assert fields(pruned_near(spec, domain, patterns, d_max, tile,
+                                  gather)) == \
+            fields(dense_near(spec, domain, patterns, d_max))
+
+
+@pytest.mark.parametrize("spec", [
+    DispersionSpec("capillary"),
+    DispersionSpec("gravity_capillary", mu_over_nu=75.0),
+    DispersionSpec("gravity_tanh", alpha=0.5,
+                   basin=BasinGeometry("rectangle", 1.0, 1.7)),
+    DispersionSpec("bve_plane"),
+    DispersionSpec("bve_plane", plane_form="squared")])
+@pytest.mark.parametrize("patterns", ["sum", "all"])
+def test_pruned_near_search_keeps_ties_with_one_point_tiles(spec, patterns):
+    """With 1 x 1 tiles the bound has no spread: it is the residual itself,
+    rounded in another order.  At d_max = a candidate's own float d the
+    candidate must stay, which only the rounding slack guarantees."""
+    domain = SpectralDomain(10)
+    ds = np.unique(scan_ds(spec, domain, patterns))
+    for d_max in ds[np.isfinite(ds) & (ds > 0)][::24].tolist():
+        assert fields(pruned_near(spec, domain, patterns, d_max, tile=1)) == \
+            fields(dense_near(spec, domain, patterns, d_max))
+
+
+def corrupted_grid(cell):
+    """omega_grid with the cell (m, n) = cell[:2] mod T, plus 1, set to
+    cell[2]."""
+    def grid(spec, T):
+        W = omega_grid(spec, T)
+        W[cell[0] % T + 1, cell[1] % T + 1] = cell[2]
+        return W
+    return grid
+
+
+@given(T=st.integers(2, 24), patterns=st.sampled_from(["sum", "all"]),
+       cell=st.tuples(st.integers(0, 99), st.integers(0, 99),
+                      st.sampled_from([math.nan, math.inf, -math.inf,
+                                       1e308])),
+       d_max=st.sampled_from([1e-6, 1e-3, 0.3, 1e300]))
+def test_pruning_is_safe_on_grids_with_inf_or_nan(T, patterns, cell, d_max):
+    """A grid that overflows (huge mu/nu) or holds one NaN, inf or huge
+    value gives the dense scan's triads: nothing NaN- or inf-driven drops
+    a candidate the dense scan keeps."""
+    domain = SpectralDomain(T)
+    huge = DispersionSpec("gravity_capillary", mu_over_nu=1e305)
+    spec = DispersionSpec("gravity_capillary", mu_over_nu=75.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert not np.isfinite(omega_grid(huge, 24)).all()
+        assert fields(pruned_near(huge, domain, patterns, d_max)) == \
+            fields(dense_near(huge, domain, patterns, d_max))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "omega_grid", corrupted_grid(cell))
+            assert fields(pruned_near(spec, domain, patterns, d_max)) == \
+                fields(dense_near(spec, domain, patterns, d_max))
+
+
+@pytest.mark.parametrize("patterns", ["sum", "all"])
+def test_tile_bound_prunes_nothing_at_infinite_d_max(patterns):
+    """d_max = inf takes the dense scan, and the bound alone keeps every
+    tile there too; at d_max = 1e-5 it skips most tiles of gc75 T=40."""
+    spec, T = DispersionSpec("gravity_capillary", mu_over_nu=75.0), 40
+    X = omega_grid(spec, T)
+    tables = search._window_tables(X, search._TILE)
+    live = {d: [search._live_tiles(X, tables, m1,
+                                   *search._row_tiles(T, m1, search._TILE),
+                                   patterns, d, 0.0)
+                for m1 in range(1, T // 2 + 1)]
+            for d in (math.inf, 1e-5)}
+    assert all(t.all() for t in live[math.inf])
+    kept = sum(t.sum() for t in live[1e-5]) / sum(t.size for t in live[1e-5])
+    assert kept < 0.5
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_tile_scan", None)  # would raise if called
+        domain = SpectralDomain(6)
+        assert len(find_near_triads(spec, domain, math.inf, patterns)) == \
+            len(list(closed_candidates(domain, "both")))
 
 
 # -- exact sphere: the Fraction loop ----------------------------------------------
