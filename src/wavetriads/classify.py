@@ -43,7 +43,6 @@ from .search import (
     NUMERIC_EXACT_D,
     Triad,
     _FrequencyMemo,
-    _best_pattern_triad,
     _build,
     _check_threshold,
     _dispatch,
@@ -149,13 +148,11 @@ def _walk(spec, domain, rule, passes, patterns, skip_equal_n_pairs, freqs,
                   if t.is_exact and passes(t.k1.n, t.k2.n, t.k3.n)]
         if omega_max is None:
             continue
-        m1, n1, m2, n2, n3 = cand
-        hit = _select(a, None, None, None, omega_max) & passes(n1, n2, n3)
+        hit = (_select(a, None, None, None, omega_max)
+               & passes(cand[1], cand[3], cand[4]))
         if exact:
             _drop_rounded_up(hit, a, omega_max, freqs, patterns, cand)
-        count = np.count_nonzero(hit)
-        hits.append([np.full(count, m1), np.full(count, n1),
-                     m2[hit], n2[hit], n3[hit], a[hit]])
+        hits.append([c[hit] for c in (*cand, a)])
     return sorted(seeds, key=Triad.key), list(map(np.concatenate, zip(*hits)))
 
 
@@ -366,8 +363,11 @@ def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
         steps.append(step)
         # The next triad in normal form, the same under every closure: the
         # largest-m vector, last in lexicographic order, takes the sum slot.
-        nxt = _best_pattern_triad(
-            freqs, *sorted((*step.donor_pair, step.bridge_wave)), patterns)
+        ks = sorted((*step.donor_pair, step.bridge_wave))
+        ws = tuple(freqs[k] for k in ks)
+        om, signs = _pattern(ws, patterns)
+        d = abs(float(om)) / min(abs(float(w)) for w in ws)
+        nxt = Triad(*ks, ws, om, d, signs)
         sig = frozenset(nxt.members())
         if sig in visited:
             break

@@ -1,10 +1,10 @@
 """Exhaustive enumeration of exact and approximate resonant triads.
 
 The closure table (``CLOSURES``) states for each vector-closure convention
-its candidates per k1 row, its completions of a donor pair (the
-classifier's bridge waves), the domain shapes it accepts and the sign
-patterns of its bound.  Candidates are pairs k1 <= k2 in lexicographic
-order with their third vector, so outputs are duplicate-free:
+its candidates, its completions of a donor pair (the classifier's bridge
+waves), the domain shapes it accepts and the sign patterns of its bound.
+Candidates are pairs k1 <= k2 in lexicographic order with their third
+vector, so outputs are duplicate-free:
 
 ``both``
     Component-wise closure k3 = k1 + k2, self-pair k2 = k1 included.
@@ -22,14 +22,16 @@ order with their third vector, so outputs are duplicate-free:
 ``closure="auto"`` picks ``zonal`` for ``rossby_sphere`` and ``both``
 otherwise; ``box`` is never chosen automatically.
 
-One scan kernel serves both number systems.  Its array form takes one k1
-row at a time, reads the closure's candidates from a per-mode table and
-gives their members and |Omega| (and min |w| when asked) as arrays, with
-no :class:`Triad` built.  The searches select on those arrays and build
-triads only for what they return, in scan order (k1, k2, k3); the
-classifier reads the arrays themselves.  The discrepancy bound runs the
-same scan on scalar frequencies; its witness is the first triad of least
-nonzero |Omega| in scan order (sum pattern; any pattern under box closure).
+One scan kernel serves both number systems.  Its array form reads the
+closure's candidates from a per-mode table in blocks of consecutive k1 rows
+(as many as fit in ``_BLOCK`` candidates; one vectorised range expansion
+per block) and gives their members, k1 included, and |Omega| (and min |w|
+when asked) as arrays, with no :class:`Triad` built.  The searches select
+on those arrays and build triads, on arrays too, only for what they
+return, in scan order (k1, k2, k3); the classifier reads the arrays
+themselves.  The discrepancy bound runs the same scan on scalar
+frequencies; its witness is the first triad of least nonzero |Omega| in
+scan order (sum pattern; any pattern under box closure).
 
 * Floats: the table is the omega grid, and the residuals are the float64
   expressions of the scalar sign-pattern rule, so each accept/reject
@@ -51,23 +53,16 @@ nonzero |Omega| in scan order (sum pattern; any pattern under box closure).
 
 Certified tile pruning.  A float search under ``both`` closure with a
 finite d_max ceiling (``find_near_triads``, and so ``plan_experiment`` and
-``geometry_sweep``) skips the k2 it can prove out of reach.  Per m1 row,
-one vectorised pass cuts the k2 box of every k1 into 8 x 8 tiles and bounds
-D = w3 - w2 on each: D at the tile centre, plus or minus the steps to the
-farthest tile edge times the most one step can move it, which is at most
-the spread between the extremes of the grid's forward differences over
-the tile and over the tile shifted by k1 (sliding-window minimum and
-maximum tables, built once per search).  Under patterns="all" the same
-bound holds for S = w2 + w3.  A tile is dropped when, in every sign
-pattern, the lower bound on |Omega| exceeds d_max |w1| (and so
-d_max min |w|) by a slack that covers every rounding of the bound, the
-residuals and d; a grid with inf or NaN, or near overflow, drops nothing.
+``geometry_sweep``) cuts the k2 box of every k1 into 8 x 8 tiles and skips
+a tile when, in every sign pattern, a lower bound on its |Omega| exceeds
+d_max |w1| by a slack that covers every rounding (:func:`_live_tiles`).
 The bound reads only the grid, so it holds for every float kind, the
-non-monotone ``bve_plane`` included.  The other tiles are gathered and
-decided by the scan's own float64 expressions, and the hits are handed on
-in scan order, so the triads and every output are those of the dense
-scan.  ``d_max = inf``, ``zonal`` and ``box`` closure, the exact path, the
-max-discrepancy search, the bound and the classifier scan densely.
+non-monotone ``bve_plane`` included; a grid with inf or NaN, or near
+overflow, drops nothing.  The other tiles are decided by the scan's own
+float64 expressions and handed on in scan order, so every output is that
+of the dense scan.  ``d_max = inf``, ``zonal`` and ``box`` closure, the
+exact path, the max-discrepancy search, the bound and the classifier scan
+densely.
 """
 
 from __future__ import annotations
@@ -218,45 +213,63 @@ class _FrequencyMemo(dict):
         return w
 
 
-def _best_pattern_triad(freqs, k1, k2, k3, patterns) -> Triad:
-    """Rebuild a candidate triad from ``freqs`` (mode -> omega), choosing
-    the minimal-|Omega| sign pattern when patterns="all"."""
-    ws = (freqs[k1], freqs[k2], freqs[k3])
-    om, signs = _pattern(ws, patterns)
-    d_ratio = abs(float(om)) / min(abs(float(w)) for w in ws)
-    return Triad(k1, k2, k3, ws, om, d_ratio, signs)
-
-
 # ---------------------------------------------------------------------------
 # closure table
 # ---------------------------------------------------------------------------
+
+#: Most candidates in a block of the dense scan, unless one k1 row holds
+#: more: it bounds a block's memory while spreading its numpy calls.
+_BLOCK = 2 ** 12
+
+
+def _expand(starts, counts, *per_range):
+    """The concatenated integer ranges [starts[r], starts[r] + counts[r]),
+    and each array of ``per_range`` repeated to line up with them."""
+    values = np.repeat(starts + counts - np.cumsum(counts), counts)
+    values += np.arange(values.size)
+    return (values, *(np.repeat(v, counts) for v in per_range))
+
+
+def _runs(counts):
+    """Runs of consecutive k1 rows, given their candidate ``counts``, as
+    index arrays of the rows that have candidates: each run takes as many
+    rows as fit in ``_BLOCK`` candidates, and at least one."""
+    live = np.flatnonzero(counts)
+    ends, lo = np.cumsum(counts[live]), 0
+    while lo < live.size:
+        end = (ends[lo - 1] if lo else 0) + _BLOCK
+        hi = max(int(np.searchsorted(ends, end, "right")), lo + 1)
+        yield live[lo:hi]
+        lo = hi
+
 
 def _both_window(T, m1, n1):
     """The k2 of k1 = (m1, n1) under ``both`` closure: those of the box
     m1 <= m2 <= T - m1, 1 <= n2 <= T - n1, which keeps k3 = k1 + k2 in the
     square, that do not precede k1 in lexicographic order (the order rule
     drops n2 < n1 from the box's first row).  Returns the box as inclusive
-    ranges (m_lo, m_hi, n_lo, n_hi).  ``n1`` may be an array."""
+    ranges (m_lo, m_hi, n_lo, n_hi).  ``m1`` and ``n1`` may be arrays."""
     return m1, T - m1, 1, T - n1
 
 
 def _both_blocks(X, domain, skip_equal_n_pairs, self_pair):
     """Pairs k1 <= k2 with k3 = k1 + k2 in the square: per k1 the box of
-    :func:`_both_window` as two blocks of X, the rest of row m2 = m1 from
-    k2 = k1 on, then the rows m2 > m1."""
+    :func:`_both_window`, the rest of row m2 = m1 from k2 = k1 on, then
+    the rows m2 > m1, one k2 row per segment."""
     T = domain.truncation
-    ar = np.arange(T + 1)  # read-only index grids: M[a, b] = a, N[a, b] = b
-    M, N = (np.broadcast_to(x, (T + 1, T + 1)) for x in (ar[:, None], ar))
-    for m1 in range(1, T // 2 + 1):
-        for n1 in range(1, T):
-            m_lo, m_hi, n_lo, n_hi = _both_window(T, m1, n1)
-            for a, b, c, d in ((m_lo, m_lo, n1, n_hi),
-                               (m_lo + 1, m_hi, n_lo, n_hi)):
-                if a <= b and c <= d:
-                    win2 = (slice(a, b + 1), slice(c, d + 1))
-                    win3 = (slice(m1 + a, m1 + b + 1),
-                            slice(n1 + c, n1 + d + 1))
-                    yield m1, n1, X[win2], X[win3], M[win2], N[win2], N[win3]
+    m1, n1 = (g.ravel() for g in np.mgrid[1:T // 2 + 1, 1:T])
+    m_lo, m_hi, _, n_hi = _both_window(T, m1, n1)
+    counts = np.maximum(n_hi - n1 + 1, 0) + (m_hi - m_lo) * n_hi
+    Xf, R = X.ravel(), T + 1
+    for rows in _runs(counts):
+        # One segment per k2 row m2 from its first n2; o2 and o3 are the
+        # flat offsets into X of its k2 and k3 rows.
+        m2, a, b, top = _expand(m_lo[rows], m_hi[rows] - m_lo[rows] + 1,
+                                m1[rows], n1[rows], n_hi[rows])
+        n2 = np.where(m2 == a, b, 1)
+        n2, a, b, m2, o2, o3 = _expand(n2, np.maximum(top - n2 + 1, 0), a, b,
+                                       m2, m2 * R, (a + m2) * R + b)
+        yield a, b, Xf[o2 + n2], Xf[o3 + n2], m2, n2, b + n2
 
 
 def _both_completions(ka, kb, domain, patterns):
@@ -270,33 +283,35 @@ def _both_completions(ka, kb, domain, patterns):
 
 def _zonal_blocks(X, domain, skip_equal_n_pairs, self_pair):
     """Pairs k1 <= k2 (k1 < k2 without ``self_pair``) with m3 = m1 + m2,
-    each with every n3 of the domain: one ragged block per k1 row, in
-    (k2, n3) order.  ``skip_equal_n_pairs`` leaves out the pairs
-    n1 = n2."""
+    each with every n3 of the domain, in (k2, n3) order.
+    ``skip_equal_n_pairs`` leaves out the pairs n1 = n2."""
     T = domain.truncation
-    triangular = domain.shape == "triangular"
-    modes = list(domain.modes())
-    mm = np.array([k.m for k in modes], dtype=np.int64)
-    nn = np.array([k.n for k in modes], dtype=np.int64)
-    for i, (m1, n1) in enumerate(modes):
-        if 2 * m1 > T:
-            break
-        # Modes come in m order, so the k2 with m2 <= T - m1 are a run.
-        j, stop = i + (not self_pair), np.searchsorted(mm, T - m1, "right")
-        m2, n2 = mm[j:stop], nn[j:stop]
+    tri = domain.shape == "triangular"
+    ar = np.arange(T + 1)  # the modes in (m, n) order
+    mm, nn = np.nonzero((ar[:, None] > 0) & (ar >= (ar[:, None] if tri else 1)))
+    i = np.flatnonzero(2 * mm <= T)
+    m1, n1 = mm[i], nn[i]
+    # Modes come in m order, so the k2 with m2 <= T - m1 are a run, and
+    # each pair takes n3 from n_lo to T: n_lo = m3 on a triangle, else 1.
+    j0, stop = i + (not self_pair), np.searchsorted(mm, T - m1, "right")
+    sum_m = np.r_[0, np.cumsum(mm)]
+    counts = ((stop - j0) * (T + 1 - m1) - sum_m[stop] + sum_m[j0] if tri
+              else (stop - j0) * T)
+    if skip_equal_n_pairs:  # the k2 = (m2, n1) with lo <= m2 <= hi
+        lo, hi = m1 + (not self_pair), np.minimum(T - m1, n1 if tri else T)
+        q = np.maximum(hi - lo + 1, 0)
+        counts -= q * (T + 1 - m1) - q * (lo + hi) // 2 if tri else q * T
+    Xf, R = X.ravel(), T + 1
+    for rows in _runs(counts):
+        j, a, b = _expand(j0[rows], stop[rows] - j0[rows], m1[rows], n1[rows])
         if skip_equal_n_pairs:
-            keep = n2 != n1
-            m2, n2 = m2[keep], n2[keep]
-        if not m2.size:
-            continue
-        # Each pair takes n3 from n_lo to T.
-        n_lo = m1 + m2 if triangular else np.ones_like(m2)
-        counts = T + 1 - n_lo
-        pair = np.repeat(np.arange(m2.size), counts)
-        n3 = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts - n_lo,
-                                              counts)
-        m2, n2 = m2[pair], n2[pair]
-        yield m1, n1, X[m2, n2], X[m1 + m2, n3], m2, n2, n3
+            keep = nn[j] != b
+            j, a, b = j[keep], a[keep], b[keep]
+        m2, n2 = mm[j], nn[j]
+        n3 = a + m2 if tri else np.ones_like(m2)  # o3: row m3's offset in X
+        n3, a, b, x2, o3, m2, n2 = _expand(n3, T + 1 - n3, a, b, X[m2, n2],
+                                           (a + m2) * R, m2, n2)
+        yield a, b, x2, Xf[o3 + n3], m2, n2, n3
 
 
 def _zonal_completions(ka, kb, domain, patterns):
@@ -324,29 +339,30 @@ def box_completions(k1: WaveVector, k2: WaveVector, T: int):
 
 
 def _box_blocks(X, domain, skip_equal_n_pairs, self_pair):
-    """Box-closed candidates, one k1 row at a time, gathered by index
-    arrays, with k3 in :func:`box_completions` order.
+    """Box-closed candidates gathered by index arrays, with k3 in
+    :func:`box_completions` order.
 
     Each unordered triple regenerates from any of its three pairs, so a
     candidate is emitted only from its two lexicographically smallest
     members: k1 < k2 < k3.  As k2 follows k1, m2 >= m1 and a completion
     with m3 = |m1 - m2| < m2 precedes k2; only m3 = m1 + m2 <= T remains,
-    with n3 = |n1 - n2| then n1 + n2.
+    with n3 = |n1 - n2| (n2 != n1) then n1 + n2 (n2 <= T - n1).
     """
     T = domain.truncation
-    m_all = np.repeat(np.arange(1, T + 1), T)
-    n_all = np.tile(np.arange(1, T + 1), T)
-    for i in range(T * T):
-        m1, n1 = i // T + 1, i % T + 1
-        stop = (T - m1) * T  # modes with m2 <= T - m1
-        if stop <= i + 1:
-            break
-        n2 = n_all[i + 1:stop]
-        n3 = np.stack((np.abs(n1 - n2), n1 + n2), axis=1).ravel()
+    m1, n1 = (g.ravel() for g in np.mgrid[1:T // 2 + 1, 1:T + 1])
+    # k2 runs over the modes after k1 (flat index i) with m2 <= T - m1:
+    # the rest of row m1, then T - 2 m1 full rows.
+    i, full = (m1 - 1) * T + n1 - 1, T - 2 * m1
+    counts = T - n1 + np.maximum(T - 2 * n1, 0) + full * (2 * T - 1 - n1)
+    for rows in _runs(counts):
+        j, a, b = _expand(i[rows] + 1, (full[rows] + 1) * T - n1[rows],
+                          m1[rows], n1[rows])
+        m2, n2 = j // T + 1, j % T + 1
+        n3 = np.stack((np.abs(b - n2), b + n2), axis=1).ravel()
         keep = (n3 >= 1) & (n3 <= T)
-        m2, n2, n3 = (np.repeat(m_all[i + 1:stop], 2)[keep],
-                      np.repeat(n2, 2)[keep], n3[keep])
-        yield m1, n1, X[m2, n2], X[m1 + m2, n3], m2, n2, n3
+        a, b, m2, n2 = (np.repeat(v, 2)[keep] for v in (a, b, m2, n2))
+        n3 = n3[keep]
+        yield a, b, X[m2, n2], X[a + m2, n3], m2, n2, n3
 
 
 @dataclass(frozen=True)
@@ -355,11 +371,10 @@ class _Closure:
     search see it.
 
     ``blocks(X, domain, skip_equal_n_pairs, self_pair)`` yields the
-    candidates of each k1 row as blocks (m1, n1, x2, x3, m2, n2, n3): the
-    values at k2 and k3 read from the per-mode table X, and the coordinates
-    of k2 and n3 (m3 = m1 + m2 under every closure), as arrays of one
-    shape.  Blocks come in (k1, k2) order and each holds its candidates in
-    (k2, k3) order, so a row-major walk gives scan order (k1, k2, k3).
+    candidates of runs of k1 rows (:func:`_runs`) in scan order as blocks
+    (m1, n1, x2, x3, m2, n2, n3), one array element per candidate: the
+    coordinates of k1, k2 and n3 (m3 = m1 + m2 under every closure) and
+    the values at k2 and k3 of the per-mode table X.
     ``self_pair`` decides whether zonal closure admits k2 = k1; ``both``
     always does and ``box`` never does.
     ``completions(ka, kb, domain, patterns)`` yields the waves of the
@@ -435,29 +450,30 @@ def _exact_step(X, m1, n1, a2, a3, m2, patterns, with_min):
     correctly rounded, and min |w| when ``with_min``.  N is the residual of
     the sum pattern, or its least |N| over the sign patterns (they share
     the denominator)."""
-    a1, m3 = X[m1, n1], m1 + m2
-    t1, t2, t3 = m1 * a2 * a3, m2 * a1 * a3, m3 * a1 * a2
-    N = np.abs(t1 + t2 - t3)
-    if patterns == "all":
-        N = np.minimum(np.minimum(N, np.abs(t1 - t2 + t3)),
+    a1 = X[m1, n1]
+    a12 = a1 * a2
+    if patterns == "sum":  # t1 + t2 - t3, factored
+        N = np.abs((m1 * a2 + m2 * a1) * a3 - (m1 + m2) * a12)
+    else:
+        t1, t2, t3 = m1 * a2 * a3, m2 * a1 * a3, (m1 + m2) * a12
+        N = np.minimum(np.minimum(np.abs(t1 + t2 - t3), np.abs(t1 - t2 + t3)),
                        np.abs(t2 + t3 - t1))
     if X.dtype == object:  # Python int true division, per element
-        a = (2 * N / (a1 * a2 * a3)).astype(np.float64)
-    else:
-        a2, a3 = a2.astype(np.float64), a3.astype(np.float64)
-        a = 2.0 * N.astype(np.float64) / (a1 * a2 * a3)
+        a = (2 * N / (a12 * a3)).astype(np.float64)
+    else:  # each product is below 2**53, so exact in float64
+        a = 2.0 * N.astype(np.float64) / (a12 * a3).astype(np.float64)
     if not with_min:
         return a, None
-    return a, 2.0 * np.minimum(np.minimum(m2 / a2, m3 / a3), m1 / a1)
+    return a, 2.0 * np.minimum(np.minimum(m2 / a2, (m1 + m2) / a3), m1 / a1)
 
 
 def _scan(spec, domain, rule, patterns, skip_equal_n_pairs, with_min,
           freqs=None):
-    """The array form of the scan kernel: the closure's candidates one k1
-    row at a time, as ((m1, n1, m2, n2, n3), a, amin) with k2 = (m2, n2)
-    and k3 = (m1 + m2, n3) in scan order, a = |Omega| (the least over the
-    sign patterns when patterns="all") and amin = min |w| or None.  With
-    a frequency memo ``freqs`` a float scan reads the scalar values."""
+    """The array form of the scan kernel: the closure's candidates block by
+    block, as ((m1, n1, m2, n2, n3), a, amin) per candidate in scan order,
+    with k3 = (m1 + m2, n3), a = |Omega| (the least over the sign patterns
+    when patterns="all") and amin = min |w| or None.  With a frequency
+    memo ``freqs`` a float scan reads the scalar values."""
     exact = spec.exactness
     X = _table(spec, domain, freqs)
     step = _exact_step if exact else _float_step
@@ -552,8 +568,8 @@ def _live_tiles(X, tables, m1, m_tiles, n_tiles, patterns, d_max, slack):
 
 def _tile_scan(spec, domain, patterns, d_max):
     """The candidates of ``both`` closure with d <= d_max (float, finite
-    d_max), in the block form of :func:`_scan`: one block per k1 with a
-    hit, in scan order.  Tiles that :func:`_live_tiles` certifies empty
+    d_max), in the block form of :func:`_scan`: one block of every hit, in
+    scan order.  Tiles that :func:`_live_tiles` certifies empty
     are skipped; the others are gathered and decided by the scan's own
     float expressions."""
     T = domain.truncation
@@ -573,6 +589,7 @@ def _tile_scan(spec, domain, patterns, d_max):
     R, Xf = T + 1, X.ravel()
     dm, dn = np.divmod(np.arange(_TILE * _TILE), _TILE)
     cells = dm * R + dn
+    hits = []
     for m1 in range(1, T // 2 + 1):
         m_tiles, n_tiles = _row_tiles(T, m1, _TILE)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -580,7 +597,6 @@ def _tile_scan(spec, domain, patterns, d_max):
                                           patterns, d_max, slack))
         m_lo, m_hi = (v[i] for v in m_tiles)
         n1, n_lo, n_hi = (v[j] for v in n_tiles)
-        hits = []
         for c in range(0, i.size, _GATHER_TILES):
             c = slice(c, c + _GATHER_TILES)
             k1 = m1 * R + n1[c]
@@ -595,30 +611,49 @@ def _tile_scan(spec, domain, patterns, d_max):
                                   patterns, True)
             keep = _select(a, amin, d_max, None, None)
             if np.count_nonzero(keep):
-                hits.append((n[keep], k2[keep], a[keep], amin[keep]))
-        if not hits:
-            continue
-        n, k2, a, amin = (np.concatenate(v) for v in zip(*hits))
-        order = np.lexsort((k2, n))
-        n, a, amin = n[order], a[order], amin[order]
-        m2, n2 = np.divmod(k2[order], R)
-        cuts = [0, *(np.flatnonzero(np.diff(n)) + 1).tolist(), n.size]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            k, at = int(n[lo]), slice(lo, hi)
-            yield (m1, k, m2[at], n2[at], k + n2[at]), a[at], amin[at]
+                hits.append((k1[keep], k2[keep], a[keep], amin[keep]))
+    if hits:  # few by construction: one block, in scan order
+        k1, k2, a, amin = (np.concatenate(v) for v in zip(*hits))
+        order = np.lexsort((k2, k1))
+        (m1, n1), (m2, n2) = np.divmod(k1[order], R), np.divmod(k2[order], R)
+        yield (m1, n1, m2, n2, n1 + n2), a[order], amin[order]
 
 
 def _build(freqs, patterns, cand, keep) -> list:
     """Triads of the block candidates ``cand`` that the mask ``keep``
-    selects, in scan order, built from ``freqs`` (mode -> omega)."""
+    selects, in scan order, built from ``freqs`` (mode -> omega): the rule
+    of :func:`_pattern` (the first least |Omega|) and d = |Omega| / min |w|
+    (Python's ``min``: a later |w| wins only if smaller) run on arrays."""
     if not np.count_nonzero(keep):  # cheaper than keep.any() per block
         return []
-    m1, n1, m2, n2, n3 = cand
-    k1 = WaveVector(m1, n1)
-    return [_best_pattern_triad(freqs, k1, WaveVector(m, n),
-                                WaveVector(m1 + m, nw), patterns)
-            for m, n, nw in zip(m2[keep].tolist(), n2[keep].tolist(),
-                                n3[keep].tolist())]
+    m1, n1, m2, n2, n3 = (c[keep] for c in cand)
+    # The members' modes, each distinct one looked up once.  No np.unique
+    # (its first call imports numpy.ma) and no sort (its first call maps in
+    # the sort kernels): a presence table over the flat keys.
+    R = int(max(n1.max(), n2.max(), n3.max())) + 1
+    key = np.concatenate((m1, m2, m1 + m2)) * R + np.concatenate((n1, n2, n3))
+    seen = np.zeros(int(key.max()) + 1, dtype=bool)
+    seen[key] = True
+    modes = np.flatnonzero(seen)
+    ks = list(map(WaveVector, *(c.tolist() for c in np.divmod(modes, R))))
+    at = np.searchsorted(modes, key)
+    w1, w2, w3 = np.array([freqs[k] for k in ks])[at].reshape(3, -1)
+    k1, k2, k3 = np.fromiter(ks, object, len(ks))[at].reshape(3, -1)
+    signs = SIGN_PATTERNS if patterns == "all" else SIGN_PATTERNS[:1]
+    om, *others = (s1 * w1 + s2 * w2 + s3 * w3 for s1, s2, s3 in signs)
+    best = np.zeros(len(om), dtype=int)
+    for i, o in enumerate(others, 1):
+        less = abs(o) < abs(om)
+        om, best = np.where(less, o, om), np.where(less, i, best)
+    low = np.abs(w1.astype(float))
+    for w in (w2, w3):
+        w = np.abs(w.astype(float))
+        low = np.where(w < low, w, low)
+    d = np.abs(om.astype(float)) / low
+    return [Triad(*t) for t in zip(
+        k1.tolist(), k2.tolist(), k3.tolist(),
+        zip(w1.tolist(), w2.tolist(), w3.tolist()), om.tolist(), d.tolist(),
+        [signs[i] for i in best.tolist()])]
 
 
 def _select(a, amin, d_max, d_min, abs_max):
@@ -672,21 +707,20 @@ def _least_nonzero(spec, domain, rule, freqs) -> Triad | None:
     patterns; the first minimum in scan order wins.
 
     Zeros are N == 0 on the exact path, and d_ratio at or below the
-    numerically-exact cutoff on floats: rational-valued dispersions leave
-    ~1e-17 rounding residue on exactly resonant triads, which must not
-    masquerade as the bound.  On scalar frequencies the float |Omega| are
-    those of the rebuilt triads, and exact ones are correctly rounded, so
-    only the candidates at a block minimum not above the best so far can
-    hold a new least |Omega|; they are rebuilt and compared exactly on the
-    frequency memo ``freqs``, which the float scan reads too."""
+    numerically-exact cutoff on floats (rational-valued dispersions leave
+    ~1e-17 rounding residue on exact resonances).  The float |Omega| are
+    those of the rebuilt triads (scalar frequencies) or correctly rounded
+    (exact path), so, rounding being monotone, only the candidates at a
+    block minimum not above the best so far can hold a new least |Omega|;
+    they are rebuilt on the memo ``freqs`` and compared exactly."""
     best, best_a = None, math.inf
     for cand, a, amin in _scan(spec, domain, rule, rule.bound_patterns, True,
                                not spec.exactness, freqs):
         a[_select(a, amin, NUMERIC_EXACT_D, None, None)] = math.inf
-        row_min = float(a.min()) if a.size else math.inf
-        if row_min == math.inf or row_min > best_a:
+        low = float(a.min())  # blocks are never empty
+        if low == math.inf or low > best_a:
             continue
-        for t in _build(freqs, rule.bound_patterns, cand, a == row_min):
+        for t in _build(freqs, rule.bound_patterns, cand, a == low):
             if best is None or abs(t.discrepancy) < abs(best.discrepancy):
                 best, best_a = t, float(abs(t.discrepancy))
     return best

@@ -4,7 +4,8 @@ oracles: per-pair loops over every closed candidate and the per-candidate
 Emitted triads are compared field by field (floats by ``float.hex``,
 rationals exactly), in emission order, and so are the discrepancy-bound
 witnesses.  The tile-pruned near search is checked against the dense scan
-the same way."""
+the same way, and the multi-row scan blocks against the per-row generators
+they replaced."""
 
 import math
 from fractions import Fraction
@@ -791,3 +792,205 @@ def test_sphere_omega_max_tie_is_decided_on_fractions(T, rounding):
     part = check_partition(SPHERE, domain, omega_max, "zonal", "sum", "none",
                            "per_pair", True, cands)
     assert bool(part.modes_in_class(PASSIVE)) == (rounding == "up")
+
+
+# -- multi-row blocks against the per-row generators they replaced ---------------
+
+def row_both_blocks(X, domain, skip_equal_n_pairs, self_pair):
+    """Pairs k1 <= k2 with k3 = k1 + k2 in the square: per k1 the box of
+    :func:`_both_window` as two blocks of X, the rest of row m2 = m1 from
+    k2 = k1 on, then the rows m2 > m1."""
+    T = domain.truncation
+    ar = np.arange(T + 1)  # read-only index grids: M[a, b] = a, N[a, b] = b
+    M, N = (np.broadcast_to(x, (T + 1, T + 1)) for x in (ar[:, None], ar))
+    for m1 in range(1, T // 2 + 1):
+        for n1 in range(1, T):
+            m_lo, m_hi, n_lo, n_hi = search._both_window(T, m1, n1)
+            for a, b, c, d in ((m_lo, m_lo, n1, n_hi),
+                               (m_lo + 1, m_hi, n_lo, n_hi)):
+                if a <= b and c <= d:
+                    win2 = (slice(a, b + 1), slice(c, d + 1))
+                    win3 = (slice(m1 + a, m1 + b + 1),
+                            slice(n1 + c, n1 + d + 1))
+                    yield m1, n1, X[win2], X[win3], M[win2], N[win2], N[win3]
+
+
+def row_zonal_blocks(X, domain, skip_equal_n_pairs, self_pair):
+    """Pairs k1 <= k2 (k1 < k2 without ``self_pair``) with m3 = m1 + m2,
+    each with every n3 of the domain: one ragged block per k1 row, in
+    (k2, n3) order.  ``skip_equal_n_pairs`` leaves out the pairs
+    n1 = n2."""
+    T = domain.truncation
+    triangular = domain.shape == "triangular"
+    modes = list(domain.modes())
+    mm = np.array([k.m for k in modes], dtype=np.int64)
+    nn = np.array([k.n for k in modes], dtype=np.int64)
+    for i, (m1, n1) in enumerate(modes):
+        if 2 * m1 > T:
+            break
+        # Modes come in m order, so the k2 with m2 <= T - m1 are a run.
+        j, stop = i + (not self_pair), np.searchsorted(mm, T - m1, "right")
+        m2, n2 = mm[j:stop], nn[j:stop]
+        if skip_equal_n_pairs:
+            keep = n2 != n1
+            m2, n2 = m2[keep], n2[keep]
+        if not m2.size:
+            continue
+        # Each pair takes n3 from n_lo to T.
+        n_lo = m1 + m2 if triangular else np.ones_like(m2)
+        counts = T + 1 - n_lo
+        pair = np.repeat(np.arange(m2.size), counts)
+        n3 = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts - n_lo,
+                                              counts)
+        m2, n2 = m2[pair], n2[pair]
+        yield m1, n1, X[m2, n2], X[m1 + m2, n3], m2, n2, n3
+
+
+def row_box_blocks(X, domain, skip_equal_n_pairs, self_pair):
+    """Box-closed candidates, one k1 row at a time, gathered by index
+    arrays, with k3 in :func:`box_completions` order.
+
+    Each unordered triple regenerates from any of its three pairs, so a
+    candidate is emitted only from its two lexicographically smallest
+    members: k1 < k2 < k3.  As k2 follows k1, m2 >= m1 and a completion
+    with m3 = |m1 - m2| < m2 precedes k2; only m3 = m1 + m2 <= T remains,
+    with n3 = |n1 - n2| then n1 + n2.
+    """
+    T = domain.truncation
+    m_all = np.repeat(np.arange(1, T + 1), T)
+    n_all = np.tile(np.arange(1, T + 1), T)
+    for i in range(T * T):
+        m1, n1 = i // T + 1, i % T + 1
+        stop = (T - m1) * T  # modes with m2 <= T - m1
+        if stop <= i + 1:
+            break
+        n2 = n_all[i + 1:stop]
+        n3 = np.stack((np.abs(n1 - n2), n1 + n2), axis=1).ravel()
+        keep = (n3 >= 1) & (n3 <= T)
+        m2, n2, n3 = (np.repeat(m_all[i + 1:stop], 2)[keep],
+                      np.repeat(n2, 2)[keep], n3[keep])
+        yield m1, n1, X[m2, n2], X[m1 + m2, n3], m2, n2, n3
+
+
+ROW_BLOCKS = {"both": row_both_blocks, "zonal": row_zonal_blocks,
+              "box": row_box_blocks}
+
+
+def flat_blocks(blocks):
+    """Blocks (m1, n1, x2, x3, m2, n2, n3), k1 per block or per candidate,
+    as per-candidate columns in scan order, and the block sizes."""
+    cols, sizes = [], []
+    for m1, n1, x2, x3, m2, n2, n3 in blocks:
+        x2, x3, m2, n2, n3 = (np.broadcast_to(v, np.shape(x2)).ravel()
+                              for v in (x2, x3, m2, n2, n3))
+        cols.append([np.broadcast_to(m1, m2.shape), np.broadcast_to(
+            n1, m2.shape), x2, x3, m2, n2, n3])
+        sizes.append(m2.size)
+    return [np.concatenate(c) for c in zip(*cols)] if cols else None, sizes
+
+
+def row_scan(spec, domain, closure, patterns, skip):
+    """(m1, n1, m2, n2, n3, |Omega|, min |w|) of every candidate, from the
+    per-row blocks and the kernel steps with one k1 per block."""
+    X = search._table(spec, domain)
+    step = search._exact_step if spec.exactness else search._float_step
+    out = []
+    for m1, n1, x2, x3, m2, n2, n3 in ROW_BLOCKS[closure](
+            X, domain, skip, not spec.exactness):
+        x2, x3, m2, n2, n3 = (np.broadcast_to(v, np.shape(x2)).ravel()
+                              for v in (x2, x3, m2, n2, n3))
+        a, amin = step(X, m1, n1, x2, x3, m2, patterns, True)
+        out.append([np.full(m2.size, m1), np.full(m2.size, n1), m2, n2, n3,
+                    a, amin])
+    return [np.concatenate(c) for c in zip(*out)] if out else None
+
+
+def block_scan(spec, domain, closure, patterns, skip):
+    """The same columns from ``search._scan``."""
+    out = [[*cand, a, amin] for cand, a, amin in search._scan(
+        spec, domain, search.CLOSURES[closure], patterns, skip, True)]
+    return [np.concatenate(c) for c in zip(*out)] if out else None
+
+
+def same_columns(got, want):
+    """Equal columns: integers exactly, floats bit for bit (an ``object``
+    column, of the Python-int table, by its values as float64)."""
+    if got is None or want is None:
+        return got is None and want is None
+    return all(g.dtype == w.dtype and (g.astype(float) if g.dtype == object
+                                       else g).tobytes() ==
+               (w.astype(float) if w.dtype == object else w).tobytes()
+               for g, w in zip(got, want))
+
+
+def check_block_sizes(m1, n1, sizes, cap):
+    """Each block holds at most ``cap`` candidates or one k1 row alone, and
+    the next block's first row would not have fit."""
+    row = np.r_[0, np.flatnonzero((np.diff(m1) != 0) | (np.diff(n1) != 0)) + 1]
+    row_size = np.diff(np.r_[row, m1.size])
+    at = 0
+    for size in sizes:
+        assert size and at in row  # whole rows, no empty block
+        first = np.searchsorted(row, at)
+        assert size <= cap or row_size[first] == size
+        nxt = at + size
+        if nxt < m1.size:
+            assert size + row_size[np.searchsorted(row, nxt)] > cap
+        at = nxt
+    assert at == m1.size
+
+
+@given(spec=st.sampled_from(FLOAT_SPECS + [SPHERE]), T=st.integers(1, 24),
+       cap=st.sampled_from([1, 7, 2 ** 14]),
+       patterns=st.sampled_from(["sum", "all"]), skip=st.booleans(),
+       python_int=st.booleans(), data=st.data())
+@example(spec=SPHERE, T=20, cap=7, patterns="sum", skip=True,
+         python_int=False, data=None)
+def test_multi_row_blocks_match_per_row_blocks(spec, T, cap, patterns, skip,
+                                               python_int, data):
+    """The closures' blocks, with their size cut at ``cap`` candidates,
+    against the per-row generators they replaced: the candidates and table
+    values in scan order (with and without the self-pair), |Omega| and
+    min |w| of ``_scan`` bit for bit, and the discrepancy-bound witness and
+    the partition at a cap of 1 against the default cap.  On the sphere
+    also with the Python-int table."""
+    closure, shape = ("zonal", "triangular") if data is None else \
+        data.draw(st.sampled_from(CLOSURE_SHAPES[1:3] if spec.exactness
+                                  else CLOSURE_SHAPES), label="closure, shape")
+    domain = SpectralDomain(T, shape)
+    with pytest.MonkeyPatch.context() as mp:
+        if python_int and spec.exactness:
+            mp.setattr(search, "_FLOAT_EXACT_LIMIT", 0)
+        X = search._table(spec, domain)
+        assert (X.dtype == object) == (python_int and spec.exactness)
+        want = row_scan(spec, domain, closure, patterns, skip)
+        mp.setattr(search, "_BLOCK", cap)
+        for self_pair in (False, True):
+            got, sizes = flat_blocks(search.CLOSURES[closure].blocks(
+                X, domain, skip, self_pair))
+            old, _ = flat_blocks(ROW_BLOCKS[closure](X, domain, skip,
+                                                     self_pair))
+            assert same_columns(got, old)
+            if got is not None:
+                check_block_sizes(got[0], got[1], sizes, cap)
+        assert same_columns(block_scan(spec, domain, closure, patterns, skip),
+                            want)
+        omegas = np.unique(want[5][want[5] > 0]) if want else []
+
+        def run():
+            bound = discrepancy_lower_bound(spec, domain, closure=closure)
+            out = [fields([bound.finite_min.witness])
+                   if bound.finite_min else None]
+            if len(omegas):
+                out.append(partition_fields(classify_modes(
+                    spec, domain, float(omegas[len(omegas) // 4]),
+                    patterns=patterns, closure=closure,
+                    skip_equal_n_pairs=skip)))
+            return out
+
+        mp.setattr(search, "_BLOCK", 1)
+        at_one = run()
+        mp.undo()
+        if python_int and spec.exactness:
+            mp.setattr(search, "_FLOAT_EXACT_LIMIT", 0)
+        assert run() == at_one
