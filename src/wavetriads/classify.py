@@ -46,7 +46,6 @@ from .search import (
     _build,
     _check_threshold,
     _dispatch,
-    _drop_rounded_up,
     _pattern,
     _scan,
     _select,
@@ -132,39 +131,27 @@ class ModePartition:
 # ---------------------------------------------------------------------------
 
 def _walk(spec, domain, rule, passes, patterns, skip_equal_n_pairs, freqs,
-          omega_max=None):
+          omega_max):
     """One walk of the closure's candidates: the resonant seeds that pass
     the n-selection ``passes``, in key order, built from ``freqs`` (N == 0;
     on floats d_ratio <= NUMERIC_EXACT_D on the grid and on the scalar
-    frequencies), and with ``omega_max`` the hits 0 < |Omega| <= omega_max
-    that pass it, as arrays (m1, n1, m2, n2, n3, |Omega|)."""
+    frequencies), and the hits 0 < |Omega| <= omega_max that pass it, as
+    arrays (m1, n1, m2, n2, n3, |Omega|)."""
     exact = spec.exactness
     seeds = []
     hits = [[np.zeros(0, np.int64)] * 5 + [np.zeros(0)]]
     for cand, a, amin in _scan(spec, domain, rule, patterns,
                                skip_equal_n_pairs, not exact):
         seeds += [t for t in _build(freqs, patterns, cand, _select(
-                      a, amin, NUMERIC_EXACT_D, None, None))
+                      a, amin, NUMERIC_EXACT_D, None))
                   if t.is_exact and passes(t.k1.n, t.k2.n, t.k3.n)]
-        if omega_max is None:
-            continue
-        hit = (_select(a, None, None, None, omega_max)
-               & passes(cand[1], cand[3], cand[4]))
-        if exact:
-            _drop_rounded_up(hit, a, omega_max, freqs, patterns, cand)
+        hit = (a > 0) & (a <= omega_max) & passes(cand[1], cand[3], cand[4])
+        if exact:  # a rational above omega_max may round down to it
+            ties = hit & (a == omega_max)
+            hit[ties] = [abs(t.discrepancy) <= omega_max
+                         for t in _build(freqs, patterns, cand, ties)]
         hits.append([c[hit] for c in (*cand, a)])
     return sorted(seeds, key=Triad.key), list(map(np.concatenate, zip(*hits)))
-
-
-def resonant_seed_triads(spec: DispersionSpec, domain: SpectralDomain,
-                         patterns: str = "sum", closure: str = "auto",
-                         n_selection: str = "none",
-                         skip_equal_n_pairs: bool = True) -> list:
-    """Exact (rational) or numerically exact (float) resonant triads under
-    the given convention; these seed the Active class."""
-    rule = _dispatch(spec, domain, closure, patterns)
-    return _walk(spec, domain, rule, _n_rule(rule, n_selection), patterns,
-                 skip_equal_n_pairs, _FrequencyMemo(spec))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +221,10 @@ def _step_key(step: CascadeStep) -> tuple:
 def select_bridges(spec, domain, seeds, omega_max, patterns="sum",
                    closure="auto", n_selection="none",
                    bridge_mode="per_pair", *, freqs=None) -> list:
-    """Bridge waves admitted to the Active class; the searches share the
-    frequency memo ``freqs`` when the caller passes one."""
-    if bridge_mode not in ("per_pair", "per_triad"):
-        raise UsageError(f"unknown bridge_mode {bridge_mode!r}")
+    """Bridge waves admitted to the Active class, per (triad, pair) or per
+    triad as ``bridge_mode`` says (:func:`classify_modes` checks it); the
+    searches share the frequency memo ``freqs`` when the caller passes
+    one."""
     steps = []
     for t in seeds:
         found = [s for s in (minimal_near_resonant(
@@ -293,6 +280,8 @@ def classify_modes(spec: DispersionSpec, domain: SpectralDomain,
     triad.  Neutral: everything else.
     """
     _check_threshold("omega_max", omega_max)
+    if bridge_mode not in ("per_pair", "per_triad"):
+        raise UsageError(f"unknown bridge_mode {bridge_mode!r}")
     rule = _dispatch(spec, domain, closure, patterns)
     convention = dict(patterns=patterns, closure=rule.name,
                       n_selection=n_selection, bridge_mode=bridge_mode,
@@ -342,8 +331,8 @@ def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
 
     Stops early on "no bridge" or when a triad repeats (cycle guard).
     """
-    if depth < 1:
-        raise UsageError("depth must be >= 1")
+    if not (depth >= 1 and depth % 1 == 0):  # NaN and inf fail too
+        raise UsageError(f"depth must be an integer >= 1, got {depth!r}")
     if not seed.is_exact:
         raise UsageError("cascade_path expects a resonant seed triad")
     rule = _dispatch(spec, domain, closure, patterns)
@@ -352,7 +341,7 @@ def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
     visited = {frozenset(seed.members())}
     current = seed
     steps = []
-    for _ in range(depth):
+    for _ in range(int(depth)):
         found = [s for s in (_minimal_bridge(domain, current, pair, patterns,
                                              rule, passes, freqs)
                              for pair in _triad_pairs(current))

@@ -172,10 +172,13 @@ def _emit(args, header: dict, payload, table, csv=None):
         sys.stdout.write(out)
 
 
-def _header(args, spec, extra: dict) -> dict:
+def _header(args, spec, domain, **extra) -> dict:
+    """The run's header: command, dispersion, the domain if any, then
+    ``extra`` in order."""
     h = {"command": args.command, "dispersion": spec.to_config()}
-    h.update(extra)
-    return h
+    if domain is not None:
+        h["domain"] = {"T": domain.truncation, "shape": domain.shape}
+    return h | extra
 
 
 # -- command handlers --------------------------------------------------------
@@ -204,10 +207,8 @@ def cmd_find_triads(args):
                                   patterns=args.patterns,
                                   closure=args.closure)
         mode = {"mode": "near", "d_max": d_max}
-    header = _header(args, spec, {
-        "domain": {"T": domain.truncation, "shape": domain.shape}, **mode,
-        "patterns": args.patterns, "closure": args.closure,
-    })
+    header = _header(args, spec, domain, **mode, patterns=args.patterns,
+                     closure=args.closure)
     _emit(args, header, lambda: triads,
           lambda: report.triads_to_table(triads),
           lambda: report.triads_to_csv(triads))
@@ -220,12 +221,10 @@ def cmd_classify(args):
                           patterns=args.patterns, closure=args.closure,
                           n_selection=args.n_selection,
                           bridge_mode=args.bridge_mode)
-    header = _header(args, spec, {
-        "domain": {"T": domain.truncation, "shape": domain.shape},
-        "omega_max": args.omega_max, "patterns": args.patterns,
-        "closure": args.closure, "n_selection": args.n_selection,
-        "bridge_mode": args.bridge_mode,
-    })
+    header = _header(args, spec, domain, omega_max=args.omega_max,
+                     patterns=args.patterns, closure=args.closure,
+                     n_selection=args.n_selection,
+                     bridge_mode=args.bridge_mode)
     _emit(args, header, lambda: report.partition_to_records(part),
           lambda: report.partition_to_table(part),
           lambda: report.partition_to_csv(part))
@@ -235,8 +234,7 @@ def cmd_bound(args):
     spec = build_spec(args)
     domain = build_domain(args, spec)
     rep = discrepancy_lower_bound(spec, domain)
-    header = _header(args, spec, {
-        "domain": {"T": domain.truncation, "shape": domain.shape}})
+    header = _header(args, spec, domain)
     _emit(args, header, lambda: report.bound_to_record(rep),
           lambda: report.to_json(report.bound_to_record(rep)))
 
@@ -245,10 +243,8 @@ def cmd_plan(args):
     spec = build_spec(args)
     domain = build_domain(args, spec)
     plan = plan_experiment(spec, domain, args.d_max, args.d_min, args.epsilon)
-    header = _header(args, spec, {
-        "domain": {"T": domain.truncation, "shape": domain.shape},
-        "d_max": args.d_max, "d_min": args.d_min, "epsilon": args.epsilon,
-    })
+    header = _header(args, spec, domain, d_max=args.d_max,
+                     d_min=args.d_min, epsilon=args.epsilon)
     _emit(args, header, lambda: report.plan_to_record(plan),
           lambda: report.plan_to_table(plan))
 
@@ -262,11 +258,8 @@ def cmd_sweep(args):
     except ValueError as exc:
         raise UsageError(f"bad grid value: {exc}") from exc
     rep = geometry_sweep(spec, domain, lxs, lys, args.d_max, args.omega_max)
-    header = _header(args, spec, {
-        "domain": {"T": domain.truncation, "shape": domain.shape},
-        "d_max": args.d_max, "omega_max": args.omega_max,
-        "lx_values": lxs, "ly_values": lys,
-    })
+    header = _header(args, spec, domain, d_max=args.d_max,
+                     omega_max=args.omega_max, lx_values=lxs, ly_values=lys)
     _emit(args, header, lambda: report.sweep_to_record(rep),
           lambda: report.sweep_to_table(rep))
 
@@ -283,7 +276,7 @@ def cmd_eval(args):
         text = f"{freq.omega!r}\n"
         payload = {"m": args.m, "n": args.n, "omega": freq.omega,
                    "hz": freq.hz}
-    header = _header(args, spec, {"m": args.m, "n": args.n})
+    header = _header(args, spec, None, m=args.m, n=args.n)
     _emit(args, header, lambda: payload, lambda: text)
 
 

@@ -192,8 +192,10 @@ class SpectralDomain:
     shape: str = "square"
 
     def __post_init__(self):
-        if self.truncation < 1:
-            raise DomainError("truncation must be >= 1")
+        T = self.truncation
+        if not (T >= 1 and T % 1 == 0):  # NaN and inf fail too
+            raise DomainError(f"truncation must be an integer >= 1, got {T!r}")
+        object.__setattr__(self, "truncation", int(T))
         if self.shape not in ("square", "triangular"):
             raise DomainError(f"unknown domain shape {self.shape!r}")
 

@@ -96,12 +96,6 @@ class ExperimentPlan:
     amplitudes: dict
     notes: str = ""
 
-    def waves(self) -> list:
-        seen = set()
-        for t in list(self.type_a) + list(self.type_b):
-            seen.update(t.members())
-        return sorted(seen)
-
 
 def plan_experiment(spec: DispersionSpec, domain: SpectralDomain,
                     d_max: float, d_min: float,

@@ -75,10 +75,6 @@ def triad_to_record(t: Triad) -> dict:
     return rec
 
 
-def triads_to_records(triads) -> list:
-    return [triad_to_record(t) for t in triads]
-
-
 def _triad_row(t: Triad, rational: bool) -> list:
     """CSV cells of one triad: the values of its record under
     TRIAD_COLUMNS, then under RATIONAL_EXTRA_COLUMNS when ``rational``

@@ -36,8 +36,7 @@ scan order (sum pattern; any pattern under box closure).
 * Floats: the table is the omega grid, and the residuals are the float64
   expressions of the scalar sign-pattern rule, so each accept/reject
   decision is the one a scalar loop over the same grid would make.
-  Returned triads are rebuilt from scalar ``eval_frequency`` values
-  (``iter_ari_triads`` keeps the grid values it decided on).
+  Returned triads are rebuilt from scalar ``eval_frequency`` values.
 * Exact rationals (the spherical dispersion; zonal closure only, without
   the self-pair): omega = -2m/a with a = n(n+1), and the table holds a.
   Each sign pattern's residual is -2 N / (a1 a2 a3) with the integer
@@ -70,7 +69,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -609,7 +608,7 @@ def _tile_scan(spec, domain, patterns, d_max):
             n, k1 = np.repeat(n1[c], count), np.repeat(k1, count)
             a, amin = _float_step(X, m1, n, Xf[k2], Xf[k1 + k2], None,
                                   patterns, True)
-            keep = _select(a, amin, d_max, None, None)
+            keep = _select(a, amin, d_max, None)
             if np.count_nonzero(keep):
                 hits.append((k1[keep], k2[keep], a[keep], amin[keep]))
     if hits:  # few by construction: one block, in scan order
@@ -656,37 +655,24 @@ def _build(freqs, patterns, cand, keep) -> list:
         [signs[i] for i in best.tolist()])]
 
 
-def _select(a, amin, d_max, d_min, abs_max):
-    """Mask of the candidates a search keeps.  Exactly one of
-    d_max / d_min / abs_max is not None: d <= d_max, d >= d_min, or
-    0 < |Omega| <= abs_max, with d = |Omega| / min |w|.  Without ``amin``
-    the ceiling is 0, which keeps |Omega| == 0."""
-    if abs_max is not None:
-        return (a <= abs_max) & (a > 0)
+def _select(a, amin, d_max, d_min):
+    """Mask of the candidates a search keeps: d <= d_max, or d >= d_min
+    when d_max is None, with d = |Omega| / min |w|.  Without ``amin`` the
+    ceiling is 0, which keeps |Omega| == 0."""
     if amin is None:
         return a == 0
     d = a / amin
     return (d <= d_max) if d_max is not None else (d >= d_min)
 
 
-def _drop_rounded_up(keep, a, abs_max, freqs, patterns, cand):
-    """Clear the exact-path candidates of ``keep`` whose |Omega| rounds to
-    ``abs_max`` but exceeds it as a rational, rebuilt on ``freqs``."""
-    ties = keep & (a == abs_max)
-    keep[ties] = [abs(t.discrepancy) <= abs_max
-                  for t in _build(freqs, patterns, cand, ties)]
-
-
 def _search(spec, domain, rule, *, patterns, d_max=None, d_min=None,
-            abs_max=None, skip_equal_n_pairs=True, freqs=None) -> list:
-    """Triads of the closure's candidates that pass one threshold, in scan
-    order: d_ratio <= d_max, d_ratio >= d_min, or 0 < |Omega| <= abs_max;
-    built from ``freqs``, by default the scalar dispersion values.  A
-    finite positive d_max under ``both`` closure on floats reads only the
-    tiles :func:`_tile_scan` cannot rule out."""
-    freqs = _FrequencyMemo(spec) if freqs is None else freqs
+            skip_equal_n_pairs=True) -> list:
+    """Triads of the closure's candidates with d_ratio <= d_max or
+    d_ratio >= d_min, in scan order, built from the scalar dispersion
+    values.  A finite positive d_max under ``both`` closure on floats
+    reads only the tiles :func:`_tile_scan` cannot rule out."""
+    freqs = _FrequencyMemo(spec)
     with_min = d_min is not None or bool(d_max)  # a zero ceiling needs none
-    ties = spec.exactness and abs_max is not None
     if (rule.name == "both" and not spec.exactness and d_max
             and math.isfinite(d_max)):
         blocks = _tile_scan(spec, domain, patterns, d_max)
@@ -695,10 +681,7 @@ def _search(spec, domain, rule, *, patterns, d_max=None, d_min=None,
                        with_min)
     triads = []
     for cand, a, amin in blocks:
-        keep = _select(a, amin, d_max, d_min, abs_max)
-        if ties:
-            _drop_rounded_up(keep, a, abs_max, freqs, patterns, cand)
-        triads += _build(freqs, patterns, cand, keep)
+        triads += _build(freqs, patterns, cand, _select(a, amin, d_max, d_min))
     return triads
 
 
@@ -716,7 +699,7 @@ def _least_nonzero(spec, domain, rule, freqs) -> Triad | None:
     best, best_a = None, math.inf
     for cand, a, amin in _scan(spec, domain, rule, rule.bound_patterns, True,
                                not spec.exactness, freqs):
-        a[_select(a, amin, NUMERIC_EXACT_D, None, None)] = math.inf
+        a[_select(a, amin, NUMERIC_EXACT_D, None)] = math.inf
         low = float(a.min())  # blocks are never empty
         if low == math.inf or low > best_a:
             continue
@@ -803,22 +786,6 @@ def find_max_discrepancy_triads(spec: DispersionSpec, domain: SpectralDomain,
                      patterns=patterns, d_min=d_min)
     triads.sort(key=lambda t: (-t.d_ratio, t.k1, t.k2, t.k3))
     return triads
-
-
-def iter_ari_triads(spec: DispersionSpec, domain: SpectralDomain,
-                    omega_max, patterns: str = "sum", closure: str = "auto",
-                    skip_equal_n_pairs: bool = True) -> Iterator[Triad]:
-    """Vector-closed triads with 0 < |Omega| <= omega_max (approximate
-    resonant interactions).  The absolute threshold is in frequency units,
-    unlike the dimensionless d_ratio filters."""
-    _check_threshold("omega_max", omega_max)
-    rule = _dispatch(spec, domain, closure, patterns)
-    freqs = None
-    if not spec.exactness:  # triads carry the grid values the scan read
-        W = omega_grid(spec, domain.truncation)
-        freqs = {k: float(W[k]) for k in domain.modes()}
-    yield from _search(spec, domain, rule, patterns=patterns, abs_max=omega_max,
-                       skip_equal_n_pairs=skip_equal_n_pairs, freqs=freqs)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 from wavetriads import DispersionSpec, SpectralDomain, WaveVector
+from wavetriads import classify, search
 
 # Property tests (hypothesis): "ci" replays a fixed set of examples, so a
 # run cannot flake; "dev" draws fresh ones.  Select with HYPOTHESIS_PROFILE.
@@ -65,3 +66,14 @@ def square_t30():
 
 def wv(m, n):
     return WaveVector(m, n)
+
+
+def ari_hits(spec, domain, omega_max, patterns="sum", closure="auto",
+             skip_equal_n_pairs=True):
+    """The approximate-resonance hits 0 < |Omega| <= omega_max of the
+    classifier's walk, without n-selection: arrays (m1, n1, m2, n2, n3,
+    |Omega|) in scan order."""
+    rule = search._dispatch(spec, domain, closure, patterns)
+    return classify._walk(spec, domain, rule, classify._n_rule(rule, "none"),
+                          patterns, skip_equal_n_pairs,
+                          search._FrequencyMemo(spec), omega_max)[1]

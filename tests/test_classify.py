@@ -28,7 +28,6 @@ from wavetriads.classify import (
     SQUARE_TABLE_OMEGA_MAX,
     bve_rectangle_quarter_spec,
     bve_square_spec,
-    resonant_seed_triads,
 )
 from wavetriads.search import discrepancy_lower_bound
 from conftest import gc_spec, wv
@@ -213,8 +212,15 @@ def test_cascade_three_steps_stable(sphere, sphere_t14):
 
 def test_cascade_validates_input(sphere, sphere_t14):
     triad = classic_triad(sphere, sphere_t14)
-    with pytest.raises(UsageError):
-        cascade_path(sphere, sphere_t14, triad, depth=0)
+    for depth in (0, 2.5, math.nan, math.inf, Fraction(5, 2)):
+        with pytest.raises(UsageError, match="depth"):
+            cascade_path(sphere, sphere_t14, triad, depth=depth)
+
+
+def test_cascade_takes_an_integral_float_depth(sphere, sphere_t14):
+    triad = classic_triad(sphere, sphere_t14)
+    assert cascade_path(sphere, sphere_t14, triad, depth=2.0) == \
+        cascade_path(sphere, sphere_t14, triad, depth=2)
 
 
 def test_cascade_steps_minimal_by_brute_force(sphere, sphere_t14):
@@ -259,9 +265,9 @@ def test_mode_2_4_changes_class_between_square_and_rectangle():
 
 
 def test_zonal_square_seed_contains_2_4():
-    seeds = resonant_seed_triads(bve_square_spec(),
-                                 SpectralDomain(10, "square"),
-                                 patterns="sum", closure="zonal")
+    seeds = classify_modes(bve_square_spec(), SpectralDomain(10, "square"),
+                           REMARK_OMEGA_MAX, patterns="sum",
+                           closure="zonal").resonant_triads
     assert any(wv(2, 4) in t.members() for t in seeds)
 
 
@@ -327,13 +333,25 @@ def test_unknown_n_selection_rejected(sphere, sphere_t14):
     with pytest.raises(UsageError, match="n_selection"):
         classify_modes(sphere, dom, 0.03, n_selection="partiy")
     with pytest.raises(UsageError, match="n_selection"):
-        resonant_seed_triads(sphere, dom, n_selection="partiy")
+        class_counts(sphere, dom, 0.03, n_selection="partiy")
     seed = classic_triad(sphere, sphere_t14)
     with pytest.raises(UsageError, match="n_selection"):
         cascade_path(sphere, sphere_t14, seed, 2, n_selection="partiy")
     with pytest.raises(UsageError, match="n_selection"):
         minimal_near_resonant(sphere, sphere_t14, seed, (seed.k1, seed.k2),
                               n_selection="partiy")
+
+
+def test_unknown_bridge_mode_rejected_before_the_walk(sphere, sphere_t14,
+                                                      monkeypatch):
+    """The convention is checked before the candidate walk, not after it
+    in the bridge selection."""
+    def walk(*args):
+        raise AssertionError("the candidate walk ran")
+
+    monkeypatch.setattr(classify, "_walk", walk)
+    with pytest.raises(UsageError, match="bridge_mode"):
+        classify_modes(sphere, sphere_t14, 0.03, bridge_mode="per_wave")
 
 
 def test_unknown_patterns_rejected_by_classifier(sphere, sphere_t14):

@@ -8,8 +8,8 @@ from wavetriads.cli import main
 from wavetriads.report import (
     RATIONAL_EXTRA_COLUMNS,
     TRIAD_COLUMNS,
+    triad_to_record,
     triads_to_csv,
-    triads_to_records,
 )
 from conftest import gc_spec
 
@@ -302,7 +302,7 @@ def test_csv_column_order(square_t30):
 def test_rational_serialisation(sphere, sphere_t14):
     from wavetriads import find_exact_triads
     triads = find_exact_triads(sphere, sphere_t14)
-    recs = triads_to_records(triads)
+    recs = [triad_to_record(t) for t in triads]
     assert recs[0]["discrepancy"] == "0/1"
     assert recs[0]["discrepancy_float"] == 0.0
     assert "/" in recs[0]["omega1"]
@@ -311,7 +311,8 @@ def test_rational_serialisation(sphere, sphere_t14):
 
 
 def test_signs_serialisation(square_t30):
-    recs = triads_to_records(find_near_triads(gc_spec(75), square_t30, 1e-5))
+    recs = [triad_to_record(t)
+            for t in find_near_triads(gc_spec(75), square_t30, 1e-5)]
     assert recs[0]["signs"] == "++-"
 
 

@@ -13,6 +13,8 @@ from wavetriads import (
     SpectralDomain,
     WaveVector,
     eval_frequency,
+    find_exact_triads,
+    find_near_triads,
     rescale_for_basin,
     to_hz,
 )
@@ -131,6 +133,24 @@ def test_domain_sizes_and_membership():
     assert len(tri) == 28 and len(list(tri.modes())) == 28
     assert wv(5, 3) in sq and wv(5, 3) not in tri
     assert wv(3, 5) in tri
+
+
+@pytest.mark.parametrize("bad", [0, -3, 12.5, math.nan, math.inf])
+def test_domain_rejects_a_non_integral_or_small_truncation(bad):
+    with pytest.raises(DomainError, match="truncation"):
+        SpectralDomain(bad)
+
+
+def test_domain_stores_an_integral_truncation_as_int(sphere):
+    dom = SpectralDomain(12.0, "triangular")
+    assert type(dom.truncation) is int
+    assert dom == SpectralDomain(12, "triangular")
+    assert find_exact_triads(sphere, dom) == \
+        find_exact_triads(sphere, SpectralDomain(12, "triangular"))
+    square = SpectralDomain(np.int64(8))
+    assert type(square.truncation) is int
+    assert len(find_near_triads(gc_spec(75), square, 1e-2)) == \
+        len(find_near_triads(gc_spec(75), SpectralDomain(8), 1e-2))
 
 
 def test_invalid_wavevectors_raise():

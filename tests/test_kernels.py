@@ -3,7 +3,8 @@ oracles: per-pair loops over every closed candidate and the per-candidate
 ``Fraction`` loop the exact path replaced, kept here as references.
 Emitted triads are compared field by field (floats by ``float.hex``,
 rationals exactly), in emission order, and so are the discrepancy-bound
-witnesses.  The tile-pruned near search is checked against the dense scan
+witnesses and the classifier walk's approximate-resonance hits (members
+and |Omega|).  The tile-pruned near search is checked against the dense scan
 the same way, and the multi-row scan blocks against the per-row generators
 they replaced."""
 
@@ -34,7 +35,6 @@ from wavetriads.classify import (
     CascadeStep,
     ModeAssignment,
     classify_modes,
-    resonant_seed_triads,
     select_bridges,
 )
 from wavetriads.search import (
@@ -42,8 +42,8 @@ from wavetriads.search import (
     SIGN_PATTERNS,
     Triad,
     box_completions,
-    iter_ari_triads,
 )
+from conftest import ari_hits
 
 SPHERE = DispersionSpec("rossby_sphere")
 
@@ -78,6 +78,20 @@ def fields(triads):
         out.append((t.k1, t.k2, t.k3, tuple(_num(w) for w in t.omegas),
                     _num(t.discrepancy), _num(t.d_ratio), t.signs))
     return out
+
+
+def hit_fields(hits):
+    """The walk's hit arrays as rows (k1, k2, k3, |Omega| by float.hex)."""
+    return [(WaveVector(m1, n1), WaveVector(m2, n2), WaveVector(m1 + m2, n3),
+             float.hex(a))
+            for m1, n1, m2, n2, n3, a in zip(*(c.tolist() for c in hits))]
+
+
+def abs_fields(triads):
+    """Rows (k1, k2, k3, float |Omega| by float.hex) of triads; the float
+    of a Fraction is correctly rounded."""
+    return [(t.k1, t.k2, t.k3, float.hex(float(abs(t.discrepancy))))
+            for t in triads]
 
 
 def _candidate_triad(k1, k2, k3, ws, patterns):
@@ -173,34 +187,31 @@ def pair_oracle(spec, domain, closure, *, d_max=None, d_min=None,
     return out
 
 
-def float_scan(spec, domain, closure, scalar_rebuild=True, **kw):
-    """The search loop under ``closure``, building its triads from the
-    scalar frequencies or, without ``scalar_rebuild``, from the grid."""
-    freqs = None
-    if not scalar_rebuild:
-        W = omega_grid(spec, domain.truncation)
-        freqs = {k: float(W[k]) for k in domain.modes()}
-    return search._search(spec, domain, search.CLOSURES[closure],
-                          freqs=freqs, **kw)
-
-
-def check_float_kernel(spec, domain, closure, patterns, predicate,
-                       scalar_rebuild, skip, data):
+def check_float_kernel(spec, domain, closure, patterns, predicate, skip,
+                       data):
     """The kernel against the pair loop, with thresholds drawn at candidate
-    values to probe the boundary of the predicate."""
-    closed = pair_oracle(spec, domain, closure, d_max=math.inf,
-                         patterns=patterns, skip_equal_n_pairs=skip)
-    if predicate == "seeds":
-        kw = {"d_max": NUMERIC_EXACT_D}
-    elif predicate == "abs_max":
+    values to probe the boundary of the predicate: the searches' triads,
+    and the classifier walk's approximate-resonance hits with the grid
+    |Omega| they were decided on."""
+    kw = dict(patterns=patterns, skip_equal_n_pairs=skip)
+    if predicate == "abs_max":
+        closed = pair_oracle(spec, domain, closure, d_max=math.inf,
+                             scalar_rebuild=False, **kw)
         values = [abs(t.discrepancy) for t in closed if t.discrepancy] or [1.0]
-        kw = {"abs_max": data.draw(st.sampled_from(values))}
+        omega_max = data.draw(st.sampled_from(values))
+        assert hit_fields(ari_hits(spec, domain, omega_max, patterns, closure,
+                                   skip)) == \
+            abs_fields(pair_oracle(spec, domain, closure, abs_max=omega_max,
+                                   scalar_rebuild=False, **kw))
+        return
+    closed = pair_oracle(spec, domain, closure, d_max=math.inf, **kw)
+    if predicate == "seeds":
+        kw["d_max"] = NUMERIC_EXACT_D
     else:
         values = [t.d_ratio for t in closed if t.d_ratio] or [0.5]
-        kw = {predicate: data.draw(st.sampled_from(values))}
-    kw.update(patterns=patterns, scalar_rebuild=scalar_rebuild,
-              skip_equal_n_pairs=skip)
-    assert fields(float_scan(spec, domain, closure, **kw)) == \
+        kw[predicate] = data.draw(st.sampled_from(values))
+    assert fields(search._search(spec, domain, search.CLOSURES[closure],
+                                 **kw)) == \
         fields(pair_oracle(spec, domain, closure, **kw))
 
 
@@ -217,30 +228,28 @@ PREDICATES = st.sampled_from(["d_max", "d_min", "abs_max", "seeds"])
 
 @given(spec=st.sampled_from(FLOAT_SPECS), T=st.integers(1, 9),
        patterns=st.sampled_from(["sum", "all"]), predicate=PREDICATES,
-       scalar_rebuild=st.booleans(), data=st.data())
-def test_box_kernel_matches_pair_loop(spec, T, patterns, predicate,
-                                      scalar_rebuild, data):
+       data=st.data())
+def test_box_kernel_matches_pair_loop(spec, T, patterns, predicate, data):
     check_float_kernel(spec, SpectralDomain(T), "box", patterns, predicate,
-                       scalar_rebuild, True, data)
+                       True, data)
 
 
 @given(spec=st.sampled_from(FLOAT_SPECS), T=st.integers(1, 9),
        patterns=st.sampled_from(["sum", "all"]), predicate=PREDICATES,
-       scalar_rebuild=st.booleans(), data=st.data())
-def test_both_kernel_matches_pair_loop(spec, T, patterns, predicate,
-                                       scalar_rebuild, data):
+       data=st.data())
+def test_both_kernel_matches_pair_loop(spec, T, patterns, predicate, data):
     check_float_kernel(spec, SpectralDomain(T), "both", patterns, predicate,
-                       scalar_rebuild, True, data)
+                       True, data)
 
 
 @given(spec=st.sampled_from(FLOAT_SPECS), T=st.integers(1, 9),
        shape=st.sampled_from(["square", "triangular"]), skip=st.booleans(),
        patterns=st.sampled_from(["sum", "all"]), predicate=PREDICATES,
-       scalar_rebuild=st.booleans(), data=st.data())
+       data=st.data())
 def test_zonal_kernel_matches_pair_loop(spec, T, shape, skip, patterns,
-                                        predicate, scalar_rebuild, data):
+                                        predicate, data):
     check_float_kernel(spec, SpectralDomain(T, shape), "zonal", patterns,
-                       predicate, scalar_rebuild, skip, data)
+                       predicate, skip, data)
 
 
 def check_float_bound(spec, domain, closure):
@@ -284,7 +293,7 @@ def dense_near(spec, domain, patterns, d_max):
     for cand, a, amin in search._scan(spec, domain, BOTH, patterns, True,
                                       True):
         out += search._build(freqs, patterns, cand,
-                             search._select(a, amin, d_max, None, None))
+                             search._select(a, amin, d_max, None))
     return out
 
 
@@ -528,9 +537,9 @@ def test_exact_kernel_matches_fraction_loop(T, shape, skip, patterns, data):
 
     exact = exact_oracle(domain, skip, patterns, rows)
     assert [t for t in cands if t.discrepancy == 0] == exact
-    assert fields(in_rows(resonant_seed_triads(
-        SPHERE, domain, patterns=patterns, skip_equal_n_pairs=skip))) == \
-        fields(exact)
+    assert fields(in_rows(classify_modes(
+        SPHERE, domain, omega_max, patterns=patterns,
+        skip_equal_n_pairs=skip).resonant_triads)) == fields(exact)
     if patterns == "sum":
         assert fields(in_rows(find_exact_triads(SPHERE, domain, skip))) == \
             fields(exact)
@@ -538,11 +547,11 @@ def test_exact_kernel_matches_fraction_loop(T, shape, skip, patterns, data):
         SPHERE, domain, d_max, patterns=patterns,
         skip_equal_n_pairs=skip))) == \
         fields(sorted((t for t in cands if t.d_ratio <= d_max), key=_near_key))
-    assert fields(in_rows(iter_ari_triads(
+    assert [h for h in hit_fields(ari_hits(
         SPHERE, domain, omega_max, patterns=patterns,
-        skip_equal_n_pairs=skip))) == \
-        fields([t for t in cands
-                if t.discrepancy != 0 and abs(t.discrepancy) <= omega_max])
+        skip_equal_n_pairs=skip)) if h[0] in rows] == \
+        abs_fields([t for t in cands
+                    if t.discrepancy != 0 and abs(t.discrepancy) <= omega_max])
     if skip:  # the max-discrepancy search always skips n1 = n2
         d_min = data.draw(st.sampled_from(d_ratios[-3:]), label="d_min")
         assert fields(in_rows(find_max_discrepancy_triads(
@@ -576,10 +585,11 @@ def test_exact_kernel_python_int_fallback(shape, monkeypatch):
 
     def run():
         return [fields(find_exact_triads(SPHERE, domain)),
-                fields(resonant_seed_triads(SPHERE, domain, patterns="all")),
+                fields(classify_modes(SPHERE, domain, 0.03, patterns="all")
+                       .resonant_triads),
                 fields(find_near_triads(SPHERE, domain, 0.01, patterns="all")),
                 fields(find_max_discrepancy_triads(SPHERE, domain, 20.0)),
-                fields(iter_ari_triads(SPHERE, domain, 0.03)),
+                hit_fields(ari_hits(SPHERE, domain, 0.03)),
                 fields([discrepancy_lower_bound(SPHERE, domain)
                         .finite_min.witness]),
                 partition_fields(classify_modes(SPHERE, domain, 0.03,
@@ -788,7 +798,7 @@ def test_sphere_omega_max_tie_is_decided_on_fractions(T, rounding):
     want = [t for t in cands
             if t.discrepancy != 0 and abs(t.discrepancy) <= omega_max]
     assert bool(want) == (rounding == "up")
-    assert fields(iter_ari_triads(SPHERE, domain, omega_max)) == fields(want)
+    assert hit_fields(ari_hits(SPHERE, domain, omega_max)) == abs_fields(want)
     part = check_partition(SPHERE, domain, omega_max, "zonal", "sum", "none",
                            "per_pair", True, cands)
     assert bool(part.modes_in_class(PASSIVE)) == (rounding == "up")

@@ -33,7 +33,6 @@ from wavetriads.report import (
     to_json,
     triad_to_record,
     triads_to_csv,
-    triads_to_records,
 )
 from wavetriads.search import NUMERIC_EXACT_D, Triad
 from conftest import gc_spec

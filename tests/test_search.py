@@ -9,6 +9,7 @@ from wavetriads import (
     SpectralDomain,
     UsageError,
     WaveVector,
+    classify_modes,
     discrepancy,
     discrepancy_lower_bound,
     eval_frequency,
@@ -18,7 +19,7 @@ from wavetriads import (
     to_hz,
 )
 from wavetriads import search
-from conftest import TYPE_A, TYPE_B, gc_spec, wv
+from conftest import TYPE_A, TYPE_B, ari_hits, gc_spec, wv
 
 CLASSIC = (wv(4, 12), wv(5, 14), wv(9, 13))
 
@@ -194,7 +195,7 @@ def test_non_finite_thresholds_rejected(bad, sphere):
         with pytest.raises(UsageError):
             find_max_discrepancy_triads(spec, dom, bad)
         with pytest.raises(UsageError):
-            list(search.iter_ari_triads(spec, dom, bad))
+            classify_modes(spec, dom, bad)
 
 
 def test_infinite_d_max_keeps_every_closed_triad():
@@ -277,19 +278,15 @@ def test_bound_undefined_over_empty_set(sphere):
 
 # -- closure, sign-pattern and domain validation ------------------------------
 
-def _seeds(spec, dom, **kw):
-    from wavetriads.classify import resonant_seed_triads
-    return resonant_seed_triads(spec, dom, **kw)
-
-
-# Every public search with one threshold, and the bound (no patterns).
+# Every public search with one threshold, the classifier's walk (its
+# approximate-resonance hits and its seeds) and the bound (no patterns).
 SEARCHES = {
     "near": lambda spec, dom, **kw: find_near_triads(spec, dom, 1e-2, **kw),
     "maxd": lambda spec, dom, **kw: find_max_discrepancy_triads(spec, dom,
                                                                 0.5, **kw),
-    "ari": lambda spec, dom, **kw: list(search.iter_ari_triads(spec, dom, 0.03,
-                                                               **kw)),
-    "seeds": _seeds,
+    "ari": lambda spec, dom, **kw: ari_hits(spec, dom, 0.03, **kw),
+    "seeds": lambda spec, dom, **kw: classify_modes(spec, dom, 0.03,
+                                                    **kw).resonant_triads,
     "bound": lambda spec, dom, **kw: discrepancy_lower_bound(
         spec, dom, closure=kw.get("closure", "auto")),
 }
