@@ -37,6 +37,7 @@ from .dispersion import (
     OmegaValue,
     SpectralDomain,
     WaveVector,
+    _is_positive_int,
 )
 from .errors import UsageError
 from .search import (
@@ -331,7 +332,7 @@ def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
 
     Stops early on "no bridge" or when a triad repeats (cycle guard).
     """
-    if not (depth >= 1 and depth % 1 == 0):  # NaN and inf fail too
+    if not _is_positive_int(depth):
         raise UsageError(f"depth must be an integer >= 1, got {depth!r}")
     if not seed.is_exact:
         raise UsageError("cascade_path expects a resonant seed triad")

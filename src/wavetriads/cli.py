@@ -3,6 +3,13 @@
 Subcommands: find-triads, classify, bound, plan, sweep, eval.
 Exit codes: 0 success, 2 usage error, 3 domain error, 4 I/O error.
 
+Every subcommand takes the dispersion options (--dispersion, --liquid,
+--mu-nu, --g, --alpha, --lx, --ly, --plane-form or --config) and the
+output options (--format, --output, --no-header).  The five commands over
+a spectral domain add --T/--shape, and find-triads and classify also
+--patterns/--closure; eval takes none of these.  Each option is defined
+once, on a parent parser in :func:`build_parser`.
+
 Every run embeds its resolved configuration in the output header
 (suppressed with --no-header); payloads carry no timestamps, so identical
 configurations produce byte-identical output.
@@ -14,18 +21,18 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import report
 from .classify import classify_modes
 from .dispersion import (
+    DEFAULT_G,
     LIQUID_PRESETS,
-    BasinGeometry,
     DispersionSpec,
     SpectralDomain,
+    WaveVector,
     domain_for,
     eval_frequency,
-    WaveVector,
+    rescale_for_basin,
 )
 from .errors import DomainError, UsageError
 from .experiment import geometry_sweep, plan_experiment
@@ -36,13 +43,8 @@ from .search import (
     find_exact_triads,
 )
 
-_CLI_KINDS = {
-    "rossby-sphere": "rossby_sphere",
-    "capillary": "capillary",
-    "gravity-capillary": "gravity_capillary",
-    "gravity-tanh": "gravity_tanh",
-    "bve-plane": "bve_plane",
-}
+#: ``--dispersion`` names: the library's kinds, spelled with dashes.
+_CLI_KINDS = {k.replace("_", "-"): k for k in DispersionSpec._KINDS}
 
 
 def _threshold(text: str) -> float:
@@ -59,43 +61,14 @@ def _threshold(text: str) -> float:
     return value
 
 
-def _add_dispersion_args(p: argparse.ArgumentParser):
-    p.add_argument("--dispersion", choices=sorted(_CLI_KINDS),
-                   help="dispersion relation")
-    p.add_argument("--liquid", choices=sorted(LIQUID_PRESETS),
-                   help="gravity-capillary preset for a named liquid")
-    p.add_argument("--mu-nu", type=float, dest="mu_nu",
-                   help="surface tension over density (cm^3/s^2)")
-    p.add_argument("--g", type=float, default=None,
-                   help="gravitational acceleration (cm/s^2, default 981)")
-    p.add_argument("--alpha", type=float, help="depth parameter (gravity-tanh)")
-    p.add_argument("--lx", type=float, default=None, help="basin side Lx (cm)")
-    p.add_argument("--ly", type=float, default=None, help="basin side Ly (cm)")
-    p.add_argument("--plane-form", choices=("printed", "squared"),
-                   help="plane dispersion variant (default printed)")
-    p.add_argument("--config", help="JSON file with a dispersion configuration")
-
-
-def _add_common_args(p: argparse.ArgumentParser):
-    p.add_argument("--T", type=int, default=30, help="spectral truncation")
-    p.add_argument("--shape", choices=("square", "triangular"), default=None,
-                   help="domain shape (default: triangular on the sphere)")
-    p.add_argument("--format", choices=("json", "csv", "table"),
-                   default="table", help="output format")
-    p.add_argument("--output", help="write to file instead of stdout")
-    p.add_argument("--no-header", action="store_true",
-                   help="suppress the configuration header")
-
-
 #: Options that define the dispersion, by argparse destination; a
 #: ``--config`` file replaces every one of them.
-_SPEC_OPTIONS = {"dispersion": "--dispersion", "liquid": "--liquid",
-                 "mu_nu": "--mu-nu", "g": "--g", "alpha": "--alpha",
-                 "lx": "--lx", "ly": "--ly", "plane_form": "--plane-form"}
+_SPEC_OPTIONS = {dest: "--" + dest.replace("_", "-") for dest in (
+    "dispersion", "liquid", "mu_nu", "g", "alpha", "lx", "ly", "plane_form")}
 
 #: Options only some kinds read, by argparse destination, with those
 #: kinds; given to any other kind they are refused, not dropped.
-_BASIN_KINDS = tuple(k for k in _CLI_KINDS.values() if k != "rossby_sphere")
+_BASIN_KINDS = tuple(k for k in DispersionSpec._KINDS if k != "rossby_sphere")
 _KIND_OPTIONS = {"mu_nu": ("gravity_capillary",), "g": ("gravity_capillary",),
                  "alpha": ("gravity_tanh",), "plane_form": ("bve_plane",),
                  "lx": _BASIN_KINDS, "ly": _BASIN_KINDS}
@@ -128,24 +101,14 @@ def build_spec(args) -> DispersionSpec:
                if getattr(args, dest) is not None and kind not in kinds]
     if ignored:
         raise UsageError(f"{kind} does not take {', '.join(ignored)}")
-    lx = args.lx if args.lx is not None else 1.0
-    ly = args.ly if args.ly is not None else 1.0
-    if kind == "rossby_sphere":
-        basin = BasinGeometry("sphere")
-    elif lx == 1.0 and ly == 1.0:
-        basin = BasinGeometry("unit_square")
-    else:
-        basin = BasinGeometry("rectangle", lx=lx, ly=ly)
-    return DispersionSpec(kind=kind,
-                          g=args.g if args.g is not None else 981.0,
-                          mu_over_nu=mu, alpha=args.alpha, basin=basin,
+    spec = DispersionSpec(kind=kind,
+                          g=DEFAULT_G if args.g is None else args.g,
+                          mu_over_nu=mu, alpha=args.alpha,
                           plane_form=args.plane_form or "printed")
-
-
-def build_domain(args, spec) -> SpectralDomain:
-    if args.shape:
-        return SpectralDomain(args.T, args.shape)
-    return domain_for(spec, args.T)
+    if args.lx is None and args.ly is None:
+        return spec
+    return rescale_for_basin(spec, 1.0 if args.lx is None else args.lx,
+                             1.0 if args.ly is None else args.ly)
 
 
 def _emit(args, header: dict, payload, table, csv=None):
@@ -181,11 +144,9 @@ def _header(args, spec, domain, **extra) -> dict:
     return h | extra
 
 
-# -- command handlers --------------------------------------------------------
+# -- command handlers: (args, spec, domain), domain None for eval -----------
 
-def cmd_find_triads(args):
-    spec = build_spec(args)
-    domain = build_domain(args, spec)
+def cmd_find_triads(args, spec, domain):
     if args.d_max is not None and args.d_min is not None:
         raise UsageError("--d-max and --d-min are mutually exclusive")
     if args.exact:
@@ -214,9 +175,7 @@ def cmd_find_triads(args):
           lambda: report.triads_to_csv(triads))
 
 
-def cmd_classify(args):
-    spec = build_spec(args)
-    domain = build_domain(args, spec)
+def cmd_classify(args, spec, domain):
     part = classify_modes(spec, domain, args.omega_max,
                           patterns=args.patterns, closure=args.closure,
                           n_selection=args.n_selection,
@@ -230,18 +189,14 @@ def cmd_classify(args):
           lambda: report.partition_to_csv(part))
 
 
-def cmd_bound(args):
-    spec = build_spec(args)
-    domain = build_domain(args, spec)
+def cmd_bound(args, spec, domain):
     rep = discrepancy_lower_bound(spec, domain)
-    header = _header(args, spec, domain)
-    _emit(args, header, lambda: report.bound_to_record(rep),
+    _emit(args, _header(args, spec, domain),
+          lambda: report.bound_to_record(rep),
           lambda: report.to_json(report.bound_to_record(rep)))
 
 
-def cmd_plan(args):
-    spec = build_spec(args)
-    domain = build_domain(args, spec)
+def cmd_plan(args, spec, domain):
     plan = plan_experiment(spec, domain, args.d_max, args.d_min, args.epsilon)
     header = _header(args, spec, domain, d_max=args.d_max,
                      d_min=args.d_min, epsilon=args.epsilon)
@@ -249,9 +204,7 @@ def cmd_plan(args):
           lambda: report.plan_to_table(plan))
 
 
-def cmd_sweep(args):
-    spec = build_spec(args)
-    domain = build_domain(args, spec)
+def cmd_sweep(args, spec, domain):
     try:
         lxs = [float(v) for v in args.lx_values.split(",") if v]
         lys = [float(v) for v in args.ly_values.split(",") if v]
@@ -264,88 +217,107 @@ def cmd_sweep(args):
           lambda: report.sweep_to_table(rep))
 
 
-def cmd_eval(args):
-    spec = build_spec(args)
+def cmd_eval(args, spec, domain):
     freq = eval_frequency(spec, WaveVector(args.m, args.n))
-    if isinstance(freq.omega, Fraction):
-        text = f"{freq.omega.numerator}/{freq.omega.denominator}\n"
-        payload = {"m": args.m, "n": args.n,
-                   "omega": freq.omega,
-                   "omega_float": float(freq.omega), "hz": freq.hz}
+    omega = freq.omega
+    payload = {"m": args.m, "n": args.n, "omega": omega}
+    if freq.is_exact:
+        payload["omega_float"] = float(omega)
+        text = f"{omega.numerator}/{omega.denominator}\n"
     else:
-        text = f"{freq.omega!r}\n"
-        payload = {"m": args.m, "n": args.n, "omega": freq.omega,
-                   "hz": freq.hz}
-    header = _header(args, spec, None, m=args.m, n=args.n)
-    _emit(args, header, lambda: payload, lambda: text)
+        text = f"{omega!r}\n"
+    payload["hz"] = freq.hz
+    _emit(args, _header(args, spec, domain, m=args.m, n=args.n),
+          lambda: payload, lambda: text)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser.  The subcommands copy the shared options from one of
+    three parents: ``shared``, ``domain`` (+ --T/--shape) and ``scan``
+    (+ --patterns/--closure)."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--dispersion", choices=sorted(_CLI_KINDS),
+                        help="dispersion relation")
+    shared.add_argument("--liquid", choices=sorted(LIQUID_PRESETS),
+                        help="gravity-capillary preset for a named liquid")
+    shared.add_argument("--mu-nu", type=float,
+                        help="surface tension over density (cm^3/s^2)")
+    shared.add_argument("--g", type=float,
+                        help="gravitational acceleration (cm/s^2, default "
+                             f"{DEFAULT_G:g})")
+    shared.add_argument("--alpha", type=float,
+                        help="depth parameter (gravity-tanh)")
+    shared.add_argument("--lx", type=float, help="basin side Lx (cm)")
+    shared.add_argument("--ly", type=float, help="basin side Ly (cm)")
+    shared.add_argument("--plane-form", choices=("printed", "squared"),
+                        help="plane dispersion variant (default printed)")
+    shared.add_argument("--config",
+                        help="JSON file with a dispersion configuration")
+    shared.add_argument("--format", choices=("json", "csv", "table"),
+                        default="table", help="output format")
+    shared.add_argument("--output", help="write to file instead of stdout")
+    shared.add_argument("--no-header", action="store_true",
+                        help="suppress the configuration header")
+    domain = argparse.ArgumentParser(add_help=False, parents=[shared])
+    domain.add_argument("--T", type=int, default=30,
+                        help="spectral truncation")
+    domain.add_argument("--shape", choices=("square", "triangular"),
+                        help="domain shape (default: triangular on the "
+                             "sphere)")
+    scan = argparse.ArgumentParser(add_help=False, parents=[domain])
+    scan.add_argument("--patterns", choices=("sum", "all"), default="sum")
+    scan.add_argument("--closure", choices=("auto", "both", "zonal", "box"),
+                      default="auto")
+
     ap = argparse.ArgumentParser(
         prog="wavetriads",
         description="Exact and approximate resonant wave triads over finite "
                     "integer spectral domains")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("find-triads", help="enumerate resonant triads")
-    _add_dispersion_args(p)
-    _add_common_args(p)
-    p.add_argument("--d-max", type=_threshold, dest="d_max", default=None,
+    p = sub.add_parser("find-triads", parents=[scan],
+                       help="enumerate resonant triads")
+    p.add_argument("--d-max", type=_threshold,
                    help="near-resonance ceiling on d_ratio (default 1e-6)")
-    p.add_argument("--d-min", type=_threshold, dest="d_min", default=None,
+    p.add_argument("--d-min", type=_threshold,
                    help="max-discrepancy floor on d_ratio")
     p.add_argument("--exact", action="store_true",
                    help="exact rational search (spherical dispersion only)")
-    p.add_argument("--patterns", choices=("sum", "all"), default="sum")
-    p.add_argument("--closure", choices=("auto", "both", "zonal", "box"),
-                   default="auto")
     p.set_defaults(func=cmd_find_triads)
 
-    p = sub.add_parser("classify", help="partition modes into classes")
-    _add_dispersion_args(p)
-    _add_common_args(p)
-    p.add_argument("--omega-max", type=_threshold, dest="omega_max",
-                   required=True,
+    p = sub.add_parser("classify", parents=[scan],
+                       help="partition modes into classes")
+    p.add_argument("--omega-max", type=_threshold, required=True,
                    help="approximate-resonance threshold on |Omega|")
-    p.add_argument("--patterns", choices=("sum", "all"), default="sum")
-    p.add_argument("--closure", choices=("auto", "both", "zonal", "box"),
-                   default="auto")
-    p.add_argument("--n-selection", dest="n_selection",
-                   choices=("none", "parity", "triangle", "both"),
-                   default="none")
-    p.add_argument("--bridge-mode", dest="bridge_mode",
-                   choices=("per_pair", "per_triad"), default="per_pair")
+    p.add_argument("--n-selection", default="none",
+                   choices=("none", "parity", "triangle", "both"))
+    p.add_argument("--bridge-mode", choices=("per_pair", "per_triad"),
+                   default="per_pair")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("bound", help="discrepancy lower bounds")
-    _add_dispersion_args(p)
-    _add_common_args(p)
+    p = sub.add_parser("bound", parents=[domain],
+                       help="discrepancy lower bounds")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("plan", help="experiment plan (frequencies, amplitudes)")
-    _add_dispersion_args(p)
-    _add_common_args(p)
-    p.add_argument("--d-max", type=_threshold, dest="d_max", default=1e-6)
-    p.add_argument("--d-min", type=_threshold, dest="d_min", default=0.1)
+    p = sub.add_parser("plan", parents=[domain],
+                       help="experiment plan (frequencies, amplitudes)")
+    p.add_argument("--d-max", type=_threshold, default=1e-6)
+    p.add_argument("--d-min", type=_threshold, default=0.1)
     p.add_argument("--epsilon", type=float, default=0.1,
                    help="wave steepness for amplitude selection")
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("sweep", help="basin geometry sweep")
-    _add_dispersion_args(p)
-    _add_common_args(p)
-    p.add_argument("--lx-values", dest="lx_values", required=True,
+    p = sub.add_parser("sweep", parents=[domain], help="basin geometry sweep")
+    p.add_argument("--lx-values", required=True,
                    help="comma-separated Lx grid")
-    p.add_argument("--ly-values", dest="ly_values", required=True,
+    p.add_argument("--ly-values", required=True,
                    help="comma-separated Ly grid")
-    p.add_argument("--d-max", type=_threshold, dest="d_max", default=1e-6)
-    p.add_argument("--omega-max", type=_threshold, dest="omega_max",
-                   default=0.3)
+    p.add_argument("--d-max", type=_threshold, default=1e-6)
+    p.add_argument("--omega-max", type=_threshold, default=0.3)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("eval", help="evaluate the dispersion at one mode")
-    _add_dispersion_args(p)
-    _add_common_args(p)
+    p = sub.add_parser("eval", parents=[shared],
+                       help="evaluate the dispersion at one mode")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_eval)
@@ -360,7 +332,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        args.func(args)
+        spec = build_spec(args)
+        domain = None
+        if "T" in args:  # every command but eval
+            domain = (SpectralDomain(args.T, args.shape) if args.shape
+                      else domain_for(spec, args.T))
+        args.func(args, spec, domain)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

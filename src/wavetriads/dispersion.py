@@ -55,13 +55,18 @@ class WaveVector(NamedTuple):
         return f"[{self.m},{self.n}]"
 
 
+def _is_positive_int(x) -> bool:
+    """True iff x is an integral value >= 1.  NaN and inf fail too: every
+    comparison with NaN is false, and inf % 1 is NaN."""
+    return x >= 1 and x % 1 == 0
+
+
 def check_wavevector(k: WaveVector) -> WaveVector:
     """Validate positive integer components, returning the vector."""
     m, n = k
-    if int(m) != m or int(n) != n:
-        raise DomainError(f"wave vector components must be integers, got {k!r}")
-    if m < 1 or n < 1:
-        raise DomainError(f"wave vector components must be >= 1, got {k!r}")
+    if not (_is_positive_int(m) and _is_positive_int(n)):
+        rule = ">= 1" if m % 1 == 0 and n % 1 == 0 else "integers"
+        raise DomainError(f"wave vector components must be {rule}, got {k!r}")
     return WaveVector(int(m), int(n))
 
 
@@ -193,7 +198,7 @@ class SpectralDomain:
 
     def __post_init__(self):
         T = self.truncation
-        if not (T >= 1 and T % 1 == 0):  # NaN and inf fail too
+        if not _is_positive_int(T):
             raise DomainError(f"truncation must be an integer >= 1, got {T!r}")
         object.__setattr__(self, "truncation", int(T))
         if self.shape not in ("square", "triangular"):
@@ -327,8 +332,6 @@ def rescale_for_basin(spec: DispersionSpec, lx: float, ly: float) -> DispersionS
     Lx = Ly = 1 is the identity (unit square).  The spherical dispersion has
     no side lengths and refuses to rescale.
     """
-    if lx <= 0 or ly <= 0:
-        raise DomainError("basin side lengths must be positive")
     if spec.kind == "rossby_sphere":
         raise DomainError("rossby_sphere has a spherical basin; "
                           "side lengths do not apply")

@@ -15,6 +15,7 @@ from .dispersion import (
     DispersionSpec,
     SpectralDomain,
     WaveVector,
+    _is_positive_int,
     _rescaled_norm_sq,
     check_wavevector,
     rescale_for_basin,
@@ -61,16 +62,16 @@ def planetary_amplitude_bound(m: int, n: int) -> Fraction:
 
     Exact rational via big-integer factorials and powers:
     6 m n! 2^(2n+1-m) / [5n (n+1)^(m+n+3) (n-m) (5n-m-3)].
-    Defined for n > m >= 1 with 5n - m - 3 > 0; singular inputs raise.
+    Defined for integers n > m >= 1, where 5n - m - 3 >= 4m + 2 > 0;
+    n <= m raises.
     """
-    if m < 1 or int(m) != m or int(n) != n:
-        raise DomainError("wavenumbers must be integers with m >= 1")
+    if not (_is_positive_int(m) and _is_positive_int(n)):
+        raise DomainError("wavenumbers must be integers >= 1")
+    m, n = int(m), int(n)
     if n == m:
         raise DomainError("amplitude bound is singular at n = m")
     if n < m:
         raise DomainError("amplitude bound requires n > m")
-    if 5 * n - m - 3 <= 0:
-        raise DomainError("amplitude bound requires 5n - m - 3 > 0")
     num = 6 * m * math.factorial(n) * 2 ** (2 * n + 1 - m)
     den = 5 * n * (n + 1) ** (m + n + 3) * (n - m) * (5 * n - m - 3)
     return Fraction(num, den)

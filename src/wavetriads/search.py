@@ -82,7 +82,7 @@ from .dispersion import (
     eval_frequency,
     omega_grid,
 )
-from .errors import DomainError, UsageError
+from .errors import UsageError
 
 #: Sign patterns, up to an overall sign: which slot carries the minus.
 SIGN_PATTERNS = ((1, 1, -1), (1, -1, 1), (-1, 1, 1))
@@ -803,8 +803,6 @@ def discrepancy_lower_bound(spec: DispersionSpec, domain: SpectralDomain,
     the finite-domain minimum only.  The witness is the first triad of
     least |Omega| in scan order, under the closure's bound patterns.
     """
-    if len(domain) == 0:
-        raise DomainError("domain is empty")
     rule = _dispatch(spec, domain, closure)
     freqs = _FrequencyMemo(spec)
 

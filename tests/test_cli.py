@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import pytest
 
 from wavetriads import DispersionSpec, SpectralDomain, find_near_triads
 from wavetriads import report
-from wavetriads.cli import main
+from wavetriads.cli import build_parser, main
 from wavetriads.report import (
     RATIONAL_EXTRA_COLUMNS,
     TRIAD_COLUMNS,
@@ -98,6 +99,63 @@ def test_usage_errors_exit_2(capsys):
     code, _, _ = run_cli(capsys, "find-triads", "--liquid", "water",
                          "--mu-nu", "75")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["find-triads", "--liquid", "water", "--T", "6", "--d-max", "abc"],
+     "invalid float value: 'abc'"),
+    (["find-triads", "--liquid", "water", "--dispersion", "capillary",
+      "--T", "6"], "--liquid implies --dispersion gravity-capillary"),
+    (["find-triads", "--dispersion", "rossby-sphere", "--T", "6", "--exact",
+      "--d-max", "1e-3"], "--exact conflicts with --d-max/--d-min"),
+    (["sweep", "--liquid", "water", "--T", "6", "--lx-values", "1,x",
+      "--ly-values", "1"], "bad grid value"),
+    (["bound", "--liquid", "water", "--T", "6", "--format", "csv"],
+     "csv output is not defined"),
+    (["plan", "--liquid", "water", "--T", "6", "--format", "csv"],
+     "csv output is not defined"),
+    (["sweep", "--liquid", "water", "--T", "6", "--lx-values", "1",
+      "--ly-values", "1", "--format", "csv"], "csv output is not defined"),
+    (["eval", "--liquid", "water", "--m", "1", "--n", "1", "--format", "csv"],
+     "csv output is not defined"),
+    (["eval", "--liquid", "water", "--m", "1", "--n", "1", "--T", "5"],
+     "unrecognized arguments: --T 5"),
+    (["eval", "--liquid", "water", "--m", "1", "--n", "1", "--shape",
+      "square"], "unrecognized arguments: --shape square"),
+], ids=["d-max-text", "liquid-vs-dispersion", "exact-d-max", "sweep-grid",
+        "bound-csv", "plan-csv", "sweep-csv", "eval-csv", "eval-T",
+        "eval-shape"])
+def test_usage_error_messages_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert message in err and out == ""
+
+
+SHARED_OPTIONS = ["-h", "--help", "--dispersion", "--liquid", "--mu-nu",
+                  "--g", "--alpha", "--lx", "--ly", "--plane-form",
+                  "--config", "--format", "--output", "--no-header"]
+DOMAIN_OPTIONS = SHARED_OPTIONS + ["--T", "--shape"]
+SCAN_OPTIONS = DOMAIN_OPTIONS + ["--patterns", "--closure"]
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    ap = build_parser()
+    subparsers = next(a for a in ap._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(s for action in p._actions
+                        for s in action.option_strings)
+           for name, p in subparsers.choices.items()}
+    assert got == {
+        "find-triads": sorted(SCAN_OPTIONS + ["--d-max", "--d-min",
+                                              "--exact"]),
+        "classify": sorted(SCAN_OPTIONS + ["--omega-max", "--n-selection",
+                                           "--bridge-mode"]),
+        "bound": sorted(DOMAIN_OPTIONS),
+        "plan": sorted(DOMAIN_OPTIONS + ["--d-max", "--d-min", "--epsilon"]),
+        "sweep": sorted(DOMAIN_OPTIONS + ["--lx-values", "--ly-values",
+                                          "--d-max", "--omega-max"]),
+        "eval": sorted(SHARED_OPTIONS + ["--m", "--n"]),
+    }
 
 
 @pytest.mark.parametrize("argv", [

@@ -155,7 +155,10 @@ def test_domain_stores_an_integral_truncation_as_int(sphere):
 
 def test_invalid_wavevectors_raise():
     spec = gc_spec(75)
-    for bad in ((0, 1), (1, 0), (-2, 3)):
+    # NaN and inf must fail the check, not reach int() and escape as
+    # ValueError or OverflowError.
+    for bad in ((0, 1), (1, 0), (-2, 3), (math.nan, 1), (1, math.nan),
+                (math.inf, 2), (2, -math.inf)):
         with pytest.raises(DomainError):
             eval_frequency(spec, WaveVector(*bad))
 

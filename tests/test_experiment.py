@@ -41,6 +41,20 @@ def test_steepness_degenerate_and_warning_paths():
 def test_steepness_rejects_non_finite(bad):
     with pytest.raises(DomainError):
         steepness_amplitude(wv(1, 1), bad)
+    for k in (wv(bad, 2), wv(2, bad)):
+        with pytest.raises(DomainError):
+            steepness_amplitude(k, 0.1)
+
+
+@pytest.mark.parametrize("m, n", [(math.nan, 5), (1, math.nan),
+                                  (math.inf, 5), (1, math.inf)])
+def test_planetary_bound_rejects_non_finite_wavenumbers(m, n):
+    with pytest.raises(DomainError):
+        planetary_amplitude_bound(m, n)
+
+
+def test_planetary_bound_accepts_integral_floats():
+    assert planetary_amplitude_bound(1.0, 3.0) == planetary_amplitude_bound(1, 3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -6,6 +6,7 @@ import pytest
 
 from wavetriads import (
     DispersionSpec,
+    DomainError,
     SpectralDomain,
     UsageError,
     WaveVector,
@@ -72,6 +73,12 @@ def test_exact_search_matches_naive_oracle(sphere, T):
 def test_discrepancy_exact_zero(sphere):
     om = discrepancy(sphere, CLASSIC)
     assert om == 0 and isinstance(om, Fraction)
+
+
+def test_discrepancy_rejects_a_non_finite_vector():
+    with pytest.raises(DomainError):
+        discrepancy(DispersionSpec("capillary"),
+                    [(1, 1), (2, 2), (math.inf, 3)])
 
 
 def test_discrepancy_degenerate_sign_cancellation(sphere):
