@@ -134,25 +134,25 @@ class ModePartition:
 def _walk(spec, domain, rule, passes, patterns, skip_equal_n_pairs, freqs,
           omega_max):
     """One walk of the closure's candidates: the resonant seeds that pass
-    the n-selection ``passes``, in key order, built from ``freqs`` (N == 0;
-    on floats d_ratio <= NUMERIC_EXACT_D on the grid and on the scalar
-    frequencies), and the hits 0 < |Omega| <= omega_max that pass it, as
+    the n-selection ``passes``, in scan order, built from ``freqs`` (N == 0;
+    on floats d <= NUMERIC_EXACT_D, the triad's own test, as the grid holds
+    its frequencies), and the hits 0 < |Omega| <= omega_max that pass it, as
     arrays (m1, n1, m2, n2, n3, |Omega|)."""
     exact = spec.exactness
     seeds = []
     hits = [[np.zeros(0, np.int64)] * 5 + [np.zeros(0)]]
     for cand, a, amin in _scan(spec, domain, rule, patterns,
                                skip_equal_n_pairs, not exact):
-        seeds += [t for t in _build(freqs, patterns, cand, _select(
-                      a, amin, NUMERIC_EXACT_D, None))
-                  if t.is_exact and passes(t.k1.n, t.k2.n, t.k3.n)]
-        hit = (a > 0) & (a <= omega_max) & passes(cand[1], cand[3], cand[4])
+        ok = passes(cand[1], cand[3], cand[4])
+        seeds += _build(freqs, patterns, cand,
+                        _select(a, amin, NUMERIC_EXACT_D, None) & ok)
+        hit = (a > 0) & (a <= omega_max) & ok
         if exact:  # a rational above omega_max may round down to it
             ties = hit & (a == omega_max)
             hit[ties] = [abs(t.discrepancy) <= omega_max
                          for t in _build(freqs, patterns, cand, ties)]
         hits.append([c[hit] for c in (*cand, a)])
-    return sorted(seeds, key=Triad.key), list(map(np.concatenate, zip(*hits)))
+    return seeds, list(map(np.concatenate, zip(*hits)))
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,30 @@ _KIND_OPTIONS = {"mu_nu": ("gravity_capillary",), "g": ("gravity_capillary",),
                  "lx": _BASIN_KINDS, "ly": _BASIN_KINDS}
 
 
+def _refuse_ignored(kind, given: dict) -> None:
+    """Refuse the options ``given`` (destination -> name) that ``kind``
+    does not read, by ``_KIND_OPTIONS``."""
+    ignored = [name for dest, name in given.items()
+               if kind not in _KIND_OPTIONS[dest]]
+    if ignored:
+        raise UsageError(f"{kind} does not take {', '.join(ignored)}")
+
+
+def _config_options(cfg: dict) -> dict:
+    """The options of ``_KIND_OPTIONS`` a configuration sets, destination
+    -> key.  ``g`` and the basin sides count only off their defaults,
+    which every output header writes."""
+    basin = cfg.get("basin") or {}
+    sets = {"mu_nu": cfg.get("mu_over_nu") is not None,
+            "g": cfg.get("g", DEFAULT_G) != DEFAULT_G,
+            "alpha": cfg.get("alpha") is not None,
+            "plane_form": cfg.get("plane_form") is not None,
+            "lx": basin.get("lx", 1.0) != 1.0,
+            "ly": basin.get("ly", 1.0) != 1.0}
+    keys = {"mu_nu": "mu_over_nu", "lx": "basin lx", "ly": "basin ly"}
+    return {dest: keys.get(dest, dest) for dest, on in sets.items() if on}
+
+
 def build_spec(args) -> DispersionSpec:
     if args.config:
         given = [flag for dest, flag in _SPEC_OPTIONS.items()
@@ -81,7 +105,11 @@ def build_spec(args) -> DispersionSpec:
         if given:
             raise UsageError(f"--config conflicts with {', '.join(given)}")
         with open(args.config) as fh:
-            return DispersionSpec.from_config(json.load(fh))
+            cfg = json.load(fh)
+        # An unknown or missing kind is from_config's error.
+        if cfg.get("kind") in DispersionSpec._KINDS:
+            _refuse_ignored(cfg["kind"], _config_options(cfg))
+        return DispersionSpec.from_config(cfg)
     kind = None
     mu = args.mu_nu
     if args.liquid:
@@ -97,10 +125,8 @@ def build_spec(args) -> DispersionSpec:
     if kind is None:
         raise UsageError("a dispersion must be selected "
                          "(--dispersion, --liquid or --config)")
-    ignored = [_SPEC_OPTIONS[dest] for dest, kinds in _KIND_OPTIONS.items()
-               if getattr(args, dest) is not None and kind not in kinds]
-    if ignored:
-        raise UsageError(f"{kind} does not take {', '.join(ignored)}")
+    _refuse_ignored(kind, {dest: _SPEC_OPTIONS[dest] for dest in _KIND_OPTIONS
+                           if getattr(args, dest) is not None})
     spec = DispersionSpec(kind=kind,
                           g=DEFAULT_G if args.g is None else args.g,
                           mu_over_nu=mu, alpha=args.alpha,

@@ -4,8 +4,8 @@ Frequencies are angular (rad/s) everywhere inside the library; Hz appears
 only at presentation time via :func:`to_hz`.  The spherical dispersion is
 evaluated in exact rational arithmetic (`fractions.Fraction`), every other
 relation in floating point.  Each float relation is written once, in
-``_omega``: :func:`eval_frequency` evaluates it on Python numbers with
-``math``, :func:`omega_grid` on float64 grids with numpy.
+``_omega``, in libm's arithmetic: :func:`eval_frequency` evaluates it on
+Python numbers, :func:`omega_grid` on float64 grids, bit for bit alike.
 
 Supported dispersion kinds
 --------------------------
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterator, NamedTuple, Union
 
 import numpy as np
@@ -72,8 +73,8 @@ def check_wavevector(k: WaveVector) -> WaveVector:
 
 @dataclass(frozen=True)
 class BasinGeometry:
-    """Basin shape and side lengths (cm).  ``sphere`` and ``plane`` carry no
-    usable side lengths; ``unit_square`` fixes Lx = Ly = 1."""
+    """Basin shape and side lengths (cm).  Only a ``rectangle`` takes sides
+    other than Lx = Ly = 1; the other kinds refuse them."""
 
     kind: str = "unit_square"  # unit_square | rectangle | sphere | plane
     lx: float = 1.0
@@ -87,8 +88,8 @@ class BasinGeometry:
         if not (0 < self.lx < math.inf and 0 < self.ly < math.inf):
             raise DomainError("basin side lengths must be positive and "
                               f"finite, got {self.lx!r} x {self.ly!r}")
-        if self.kind == "unit_square" and (self.lx != 1.0 or self.ly != 1.0):
-            raise DomainError("unit_square basin requires Lx = Ly = 1")
+        if self.kind != "rectangle" and (self.lx != 1.0 or self.ly != 1.0):
+            raise DomainError(f"{self.kind} basin requires Lx = Ly = 1")
 
 
 @dataclass(frozen=True)
@@ -255,23 +256,31 @@ def to_hz(omega: OmegaValue) -> float:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _rescaled_norm_sq(spec: DispersionSpec, m, n):
+#: ``math`` for :func:`_omega` on float64 grids: libm ``pow`` (numpy's
+#: ``**`` may round otherwise: SIMD loops, x * x) and ``math.tanh`` per
+#: element; sqrt and + - * / are correctly rounded everywhere.
+_GRID_MATH = SimpleNamespace(
+    sqrt=np.sqrt, pow=np.float_power,
+    tanh=lambda x: np.frompyfunc(math.tanh, 1, 1)(x).astype(np.float64))
+
+
+def _rescaled_norm_sq(spec: DispersionSpec, m, n, xp):
     """Basin-scaled squared scalar wavenumber S/(Lx*Ly) with
     S = (m Ly)^2 + (n Lx)^2; reduces to m^2 + n^2 on the unit square and on
-    any square basin.  Elementwise on arrays."""
+    any square basin.  ``xp`` as in :func:`_omega`."""
     lx, ly = spec.basin.lx, spec.basin.ly
-    return ((m * ly) ** 2 + (n * lx) ** 2) / (lx * ly)
+    return (xp.pow(m * ly, 2) + xp.pow(n * lx, 2)) / (lx * ly)
 
 
 def _omega(spec: DispersionSpec, m, n, xp):
     """The float relation of ``spec`` at wavenumbers (m, n), one expression
-    tree for two paths: Python ints with ``xp = math`` (eval_frequency) and
-    float64 grids with ``xp = numpy`` (omega_grid), each in its own
-    arithmetic (``** 1.5`` and tanh are libm on scalars, numpy on grids)."""
+    tree in one arithmetic for two paths: Python ints with ``xp = math``
+    (eval_frequency) and float64 grids with ``xp = _GRID_MATH``
+    (omega_grid), which computes every element as ``math`` does."""
     kind = spec.kind
     lx, ly = spec.basin.lx, spec.basin.ly
     if kind == "capillary":
-        return _rescaled_norm_sq(spec, m, n) ** 1.5
+        return xp.pow(_rescaled_norm_sq(spec, m, n, xp), 1.5)
     if kind == "gravity_capillary":
         g, mu = spec.g, spec.mu_over_nu
         if lx == ly:
@@ -282,11 +291,12 @@ def _omega(spec: DispersionSpec, m, n, xp):
             k = xp.sqrt(m * m + n * n)
             return xp.sqrt(g * k + mu * (k * k * k) / (lx * lx))
         # True rectangle: the two-term rectangular formula.
-        s = (m * ly) ** 2 + (n * lx) ** 2
+        s = xp.pow(m * ly, 2) + xp.pow(n * lx, 2)
         area = lx * ly
-        return xp.sqrt(g * xp.sqrt(s) / area + mu * s ** 1.5 / (area * area))
+        return xp.sqrt(g * xp.sqrt(s) / area
+                       + mu * xp.pow(s, 1.5) / (area * area))
     if kind == "gravity_tanh":
-        k = xp.sqrt(_rescaled_norm_sq(spec, m, n))
+        k = xp.sqrt(_rescaled_norm_sq(spec, m, n, xp))
         return k * xp.tanh(spec.alpha * k)
     if kind == "bve_plane":
         kx, ky = m / lx, n / ly
@@ -310,8 +320,9 @@ def eval_frequency(spec: DispersionSpec, k: WaveVector) -> Frequency:
 
 
 def omega_grid(spec: DispersionSpec, truncation: int) -> np.ndarray:
-    """Frequency table W[m, n] for 1 <= m, n <= truncation as float64, the
-    relation of :func:`eval_frequency` evaluated on numpy grids.
+    """Frequency table W[m, n] for 1 <= m, n <= truncation as float64:
+    W[m, n] is ``eval_frequency(spec, (m, n)).omega`` bit for bit, the same
+    expression in the same libm arithmetic, evaluated on grids.
 
     Index 0 rows/columns are NaN padding so W[m, n] addresses wavenumbers
     directly.  Used by the vectorised searches.  ``rossby_sphere`` raises
@@ -322,7 +333,7 @@ def omega_grid(spec: DispersionSpec, truncation: int) -> np.ndarray:
     w = np.full((T + 1, T + 1), np.nan, dtype=np.float64)
     mm = np.arange(1, T + 1, dtype=np.float64)[:, None]
     nn = np.arange(1, T + 1, dtype=np.float64)[None, :]
-    w[1:, 1:] = _omega(spec, mm, nn, np)
+    w[1:, 1:] = _omega(spec, mm, nn, _GRID_MATH)
     return w
 
 

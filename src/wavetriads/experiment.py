@@ -51,7 +51,7 @@ def steepness_amplitude(k: WaveVector, epsilon: float,
             f"steepness {epsilon} exceeds the weakly nonlinear range "
             f"(<= {WEAKLY_NONLINEAR_EPS})")
     if spec is not None:
-        norm = math.sqrt(_rescaled_norm_sq(spec, k.m, k.n))
+        norm = math.sqrt(_rescaled_norm_sq(spec, k.m, k.n, math))
     else:
         norm = math.sqrt(k.m * k.m + k.n * k.n)
     return epsilon / norm

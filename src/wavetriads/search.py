@@ -29,14 +29,14 @@ per block) and gives their members, k1 included, and |Omega| (and min |w|
 when asked) as arrays, with no :class:`Triad` built.  The searches select
 on those arrays and build triads, on arrays too, only for what they
 return, in scan order (k1, k2, k3); the classifier reads the arrays
-themselves.  The discrepancy bound runs the same scan on scalar
-frequencies; its witness is the first triad of least nonzero |Omega| in
-scan order (sum pattern; any pattern under box closure).
+themselves.  The discrepancy bound runs the same scan on the same table;
+its witness is the first triad of least nonzero |Omega| in scan order
+(sum pattern; any pattern under box closure).
 
-* Floats: the table is the omega grid, and the residuals are the float64
-  expressions of the scalar sign-pattern rule, so each accept/reject
-  decision is the one a scalar loop over the same grid would make.
-  Returned triads are rebuilt from scalar ``eval_frequency`` values.
+* Floats: the table is the omega grid, which holds the ``eval_frequency``
+  values bit for bit, and the residuals are the float64 expressions of the
+  sign-pattern rule of the triads, so each accept/reject decision is made
+  on the |Omega| and d_ratio that the returned triad carries.
 * Exact rationals (the spherical dispersion; zonal closure only, without
   the self-pair): omega = -2m/a with a = n(n+1), and the table holds a.
   Each sign pattern's residual is -2 N / (a1 a2 a3) with the integer
@@ -411,10 +411,10 @@ CLOSURES = {c.name: c for c in (
 _FLOAT_EXACT_LIMIT = 2 ** 53
 
 
-def _table(spec, domain, freqs=None):
+def _table(spec, domain):
     """The per-mode table the kernels read: a = n(n+1) on the exact path
-    (omega = -2m/a), else the omega grid, or with a frequency memo
-    ``freqs`` the scalar values of the domain's modes, read from it."""
+    (omega = -2m/a), else the omega grid, which is the frequencies of
+    ``eval_frequency``."""
     T = domain.truncation
     if spec.exactness:
         n = np.arange(T + 1, dtype=np.int64)
@@ -422,25 +422,18 @@ def _table(spec, domain, freqs=None):
         if max(6 * T * amax ** 2, amax ** 3) >= _FLOAT_EXACT_LIMIT:
             n = n.astype(object)
         return np.broadcast_to(n * (n + 1), (T + 1, T + 1))
-    if freqs is None:
-        return omega_grid(spec, T)
-    S = np.full((T + 1, T + 1), np.nan)
-    for k in domain.modes():
-        S[k] = freqs[k]
-    return S
+    return omega_grid(spec, T)
 
 
 def _float_step(X, m1, n1, w2, w3, m2, patterns, with_min):
     """|Omega| of a block on the frequency table X, in the float64
     expressions of :func:`_pattern` (the least over the sign patterns when
-    patterns="all"), and min |w| when ``with_min``."""
+    patterns="all"), and min |w|, which every float search reads."""
     w1 = X[m1, n1]
     a = np.abs(w1 + w2 - w3)
     if patterns == "all":
         a = np.minimum(np.minimum(a, np.abs(w1 - w2 + w3)),
                        np.abs(-w1 + w2 + w3))
-    if not with_min:
-        return a, None
     return a, np.minimum(np.minimum(np.abs(w2), np.abs(w3)), abs(w1))
 
 
@@ -466,15 +459,13 @@ def _exact_step(X, m1, n1, a2, a3, m2, patterns, with_min):
     return a, 2.0 * np.minimum(np.minimum(m2 / a2, (m1 + m2) / a3), m1 / a1)
 
 
-def _scan(spec, domain, rule, patterns, skip_equal_n_pairs, with_min,
-          freqs=None):
+def _scan(spec, domain, rule, patterns, skip_equal_n_pairs, with_min):
     """The array form of the scan kernel: the closure's candidates block by
     block, as ((m1, n1, m2, n2, n3), a, amin) per candidate in scan order,
     with k3 = (m1 + m2, n3), a = |Omega| (the least over the sign patterns
-    when patterns="all") and amin = min |w| or None.  With a frequency
-    memo ``freqs`` a float scan reads the scalar values."""
+    when patterns="all") and amin = min |w| or None."""
     exact = spec.exactness
-    X = _table(spec, domain, freqs)
+    X = _table(spec, domain)
     step = _exact_step if exact else _float_step
     for m1, n1, x2, x3, m2, n2, n3 in rule.blocks(
             X, domain, skip_equal_n_pairs, not exact):
@@ -692,13 +683,13 @@ def _least_nonzero(spec, domain, rule, freqs) -> Triad | None:
     Zeros are N == 0 on the exact path, and d_ratio at or below the
     numerically-exact cutoff on floats (rational-valued dispersions leave
     ~1e-17 rounding residue on exact resonances).  The float |Omega| are
-    those of the rebuilt triads (scalar frequencies) or correctly rounded
-    (exact path), so, rounding being monotone, only the candidates at a
-    block minimum not above the best so far can hold a new least |Omega|;
-    they are rebuilt on the memo ``freqs`` and compared exactly."""
+    those of the triads (floats) or correctly rounded (exact path), so,
+    rounding being monotone, only the candidates at a block minimum not
+    above the best so far can hold a new least |Omega|; they are built on
+    the memo ``freqs`` and compared exactly."""
     best, best_a = None, math.inf
     for cand, a, amin in _scan(spec, domain, rule, rule.bound_patterns, True,
-                               not spec.exactness, freqs):
+                               not spec.exactness):
         a[_select(a, amin, NUMERIC_EXACT_D, None)] = math.inf
         low = float(a.min())  # blocks are never empty
         if low == math.inf or low > best_a:
@@ -755,10 +746,8 @@ def find_exact_triads(spec: DispersionSpec, domain: SpectralDomain,
         raise UsageError(
             "find_exact_triads requires an exact rational dispersion; "
             "use find_near_triads with a threshold for floating dispersions")
-    out = _search(spec, domain, _dispatch(spec, domain), patterns="sum",
-                  d_max=0, skip_equal_n_pairs=skip_equal_n_pairs)
-    out.sort(key=Triad.key)
-    return out
+    return _search(spec, domain, _dispatch(spec, domain), patterns="sum",
+                   d_max=0, skip_equal_n_pairs=skip_equal_n_pairs)
 
 
 def find_near_triads(spec: DispersionSpec, domain: SpectralDomain,
@@ -772,7 +761,7 @@ def find_near_triads(spec: DispersionSpec, domain: SpectralDomain,
     triads = _search(spec, domain, _dispatch(spec, domain, closure, patterns),
                      patterns=patterns, d_max=d_max,
                      skip_equal_n_pairs=skip_equal_n_pairs)
-    triads.sort(key=lambda t: (t.d_ratio, t.k1, t.k2, t.k3))
+    triads.sort(key=lambda t: t.d_ratio)  # stable: ties in scan order
     return triads
 
 
@@ -784,7 +773,7 @@ def find_max_discrepancy_triads(spec: DispersionSpec, domain: SpectralDomain,
     _check_threshold("d_min", d_min)
     triads = _search(spec, domain, _dispatch(spec, domain, closure, patterns),
                      patterns=patterns, d_min=d_min)
-    triads.sort(key=lambda t: (-t.d_ratio, t.k1, t.k2, t.k3))
+    triads.sort(key=lambda t: t.d_ratio, reverse=True)  # ties in scan order
     return triads
 
 

@@ -13,6 +13,7 @@ from wavetriads import (
     classify_modes,
     eval_frequency,
     find_exact_triads,
+    find_near_triads,
     minimal_near_resonant,
 )
 from wavetriads import classify, search
@@ -215,6 +216,13 @@ def test_cascade_validates_input(sphere, sphere_t14):
     for depth in (0, 2.5, math.nan, math.inf, Fraction(5, 2)):
         with pytest.raises(UsageError, match="depth"):
             cascade_path(sphere, sphere_t14, triad, depth=depth)
+
+
+def test_cascade_rejects_a_non_resonant_seed(sphere, sphere_t14):
+    near = next(t for t in find_near_triads(sphere, sphere_t14, 1e-2)
+                if not t.is_exact)
+    with pytest.raises(UsageError, match="resonant seed"):
+        cascade_path(sphere, sphere_t14, near, depth=1)
 
 
 def test_cascade_takes_an_integral_float_depth(sphere, sphere_t14):

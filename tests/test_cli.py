@@ -1,5 +1,6 @@
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -248,6 +249,43 @@ def test_config_rejects_dispersion_flags_exit_2(capsys, tmp_path, extra):
                              "--m", "3", "--n", "4")
     assert code == 2
     assert "--config conflicts with" in err and out == ""
+
+
+@pytest.mark.parametrize("cfg, refused", [
+    ({"kind": "capillary", "alpha": 0.5, "mu_over_nu": 3.0},
+     "capillary does not take mu_over_nu, alpha"),
+    ({"kind": "gravity_tanh", "alpha": 0.5, "g": 500.0},
+     "gravity_tanh does not take g"),
+    ({"kind": "gravity_capillary", "mu_over_nu": 75.0,
+      "plane_form": "squared"}, "gravity_capillary does not take plane_form"),
+    ({"kind": "rossby_sphere",
+      "basin": {"kind": "rectangle", "lx": 2.0, "ly": 1.0}},
+     "rossby_sphere does not take basin lx"),
+], ids=["capillary", "tanh-g", "plane-form", "sphere-sides"])
+def test_config_keys_the_kind_ignores_exit_2(capsys, tmp_path, cfg, refused):
+    """A --config file obeys the rule of the dispersion flags: a key its
+    kind does not read is refused, not written into the header."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "find-triads", "--config", str(path),
+                             "--T", "6")
+    assert code == 2 and out == ""
+    assert f"usage error: {refused}\n" == err
+
+
+@pytest.mark.parametrize("golden", sorted(
+    p.name for p in (Path(__file__).parent / "golden").glob("*.json")))
+def test_golden_header_dispersion_loads_as_config(capsys, tmp_path, golden):
+    """Every header's dispersion block is a valid --config file: it writes
+    "g": 981.0 and a 1 x 1 basin for every kind."""
+    doc = json.loads((Path(__file__).parent / "golden" / golden).read_text())
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc["config"]["dispersion"]))
+    code, out, err = run_cli(capsys, "eval", "--config", str(path),
+                             "--m", "1", "--n", "2", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["config"]["dispersion"] == \
+        doc["config"]["dispersion"]
 
 
 def test_plane_form_defaults_to_printed(capsys):

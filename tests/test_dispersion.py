@@ -174,6 +174,31 @@ def test_spec_validation():
         BasinGeometry("rectangle", lx=-1.0)
 
 
+@pytest.mark.parametrize("kind", ["unit_square", "sphere", "plane"])
+def test_basin_without_sides_refuses_them(kind):
+    """Only a rectangle has sides: the sphere and the plane must not
+    evaluate as a 2 x 3 rectangle under another name."""
+    assert BasinGeometry(kind) == BasinGeometry(kind, 1.0, 1.0)
+    for lx, ly in ((2.0, 3.0), (2.0, 1.0), (1.0, 0.5)):
+        with pytest.raises(DomainError, match=f"{kind} basin requires"):
+            BasinGeometry(kind, lx, ly)
+
+
+def test_unknown_basin_kind_plane_form_and_domain_shape_raise():
+    with pytest.raises(DomainError, match="basin kind"):
+        BasinGeometry("torus")
+    with pytest.raises(DomainError, match="plane_form"):
+        DispersionSpec("bve_plane", plane_form="cubed")
+    with pytest.raises(DomainError, match="domain shape"):
+        SpectralDomain(5, "hexagonal")
+
+
+def test_config_without_basin_takes_the_unit_square():
+    spec = DispersionSpec.from_config({"kind": "capillary"})
+    assert spec.basin == BasinGeometry("unit_square")
+    assert spec == DispersionSpec("capillary")
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_basin_rejects_non_finite_sides(bad):
     for lx, ly in ((bad, 1.0), (1.0, bad)):
@@ -235,36 +260,6 @@ def oracle_scalar(spec, m, n):
     return kx / (kx * kx + ky * ky)
 
 
-def oracle_grid(spec, T):
-    """The per-kind branches of omega_grid as they were written."""
-    w = np.full((T + 1, T + 1), np.nan, dtype=np.float64)
-    mm = np.arange(1, T + 1, dtype=np.float64)[:, None]
-    nn = np.arange(1, T + 1, dtype=np.float64)[None, :]
-    lx, ly = spec.basin.lx, spec.basin.ly
-    if spec.kind == "capillary":
-        w[1:, 1:] = (((mm * ly) ** 2 + (nn * lx) ** 2) / (lx * ly)) ** 1.5
-    elif spec.kind == "gravity_capillary":
-        g, mu = spec.g, spec.mu_over_nu
-        if lx == ly:
-            kk = np.sqrt(mm * mm + nn * nn)
-            w[1:, 1:] = np.sqrt(g * kk + mu * (kk * kk * kk) / (lx * lx))
-        else:
-            s = (mm * ly) ** 2 + (nn * lx) ** 2
-            area = lx * ly
-            w[1:, 1:] = np.sqrt(g * np.sqrt(s) / area
-                                + mu * s ** 1.5 / (area * area))
-    elif spec.kind == "gravity_tanh":
-        kk = np.sqrt(((mm * ly) ** 2 + (nn * lx) ** 2) / (lx * ly))
-        w[1:, 1:] = kk * np.tanh(spec.alpha * kk)
-    else:
-        kx, ky = mm / lx, nn / ly
-        if spec.plane_form == "printed":
-            w[1:, 1:] = kx / (1.0 + kx + ky)
-        else:
-            w[1:, 1:] = kx / (kx * kx + ky * ky)
-    return w
-
-
 FLOAT_KINDS = [("capillary", "printed"), ("gravity_capillary", "printed"),
                ("gravity_tanh", "printed"), ("bve_plane", "printed"),
                ("bve_plane", "squared")]
@@ -278,13 +273,14 @@ SIDES = st.floats(0.1, 10.0)
        alpha=st.floats(0.01, 5.0))
 @example(T=40, lx=2.0, ly=2.7, mu=75.0, g=981.0, alpha=0.7)
 @example(T=40, lx=1.3, ly=0.7, mu=16.0, g=981.0, alpha=0.5)
+@example(T=90, lx=1.0, ly=3.6179, mu=75.0, g=981.0, alpha=0.3)
 def test_grid_and_scalar_match_the_per_kind_expressions(
         kind, plane_form, basin, T, lx, ly, mu, g, alpha):
-    """omega_grid and eval_frequency bit for bit against the expressions
-    each path had before they shared one: the grid in numpy arithmetic,
-    the scalar in libm's, over the float kinds, both plane forms, and unit,
-    L-square and rectangular basins (lx == ly picks the L-square form of
-    gravity_capillary)."""
+    """eval_frequency bit for bit against the per-kind expressions it had
+    before the scalar and grid paths shared one, and omega_grid equal to
+    eval_frequency in every cell, over the float kinds, both plane forms,
+    and unit, L-square and rectangular basins (lx == ly picks the L-square
+    form of gravity_capillary)."""
     if basin == "unit":
         geometry = BasinGeometry()
     elif basin == "L-square":
@@ -296,12 +292,15 @@ def test_grid_and_scalar_match_the_per_kind_expressions(
               "gravity_tanh": {"alpha": alpha}}.get(kind, {})
     spec = DispersionSpec(kind, basin=geometry, plane_form=plane_form,
                           **params)
-    assert omega_grid(spec, T).tobytes() == oracle_grid(spec, T).tobytes()
+    W = omega_grid(spec, T)
+    assert W.shape == (T + 1, T + 1)
+    assert np.isnan(W[0]).all() and np.isnan(W[:, 0]).all()
     for m in range(1, T + 1):
         for n in range(1, T + 1):
             w = eval_frequency(spec, wv(m, n)).omega
             assert type(w) is float
             assert float.hex(w) == float.hex(oracle_scalar(spec, m, n))
+            assert float.hex(float(W[m, n])) == float.hex(w), (m, n)
 
 
 def test_omega_grid_refuses_the_sphere(sphere):

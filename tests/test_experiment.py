@@ -172,6 +172,8 @@ def test_sweep_flags_resonance_change(square_t30):
     key = TYPE_A[16][:3]
     assert key in {t.key() for t in unit.triads}
     assert key not in {t.key() for t in doubled.triads}
+    with pytest.raises(KeyError):
+        rep.cell(1.0, 3.0)
 
 
 def test_sweep_singleton_matches_direct_run(square_t30):

@@ -597,7 +597,7 @@ def test_exact_kernel_python_int_fallback(shape, monkeypatch):
 
     int64 = run()
     monkeypatch.setattr(search, "_FLOAT_EXACT_LIMIT", 0)
-    assert search._table(SPHERE, domain, False).dtype == object
+    assert search._table(SPHERE, domain).dtype == object
     assert run() == int64
 
 
@@ -611,7 +611,7 @@ def test_exact_step_beyond_2_53_matches_fraction(m1, n1, k2s, patterns):
     int quotient 2|N| / (a1 a2 a3), which equals float(|Omega|) of the
     rational residual although the denominators exceed 2**53 (and 2|N|
     does too in the explicit example)."""
-    X = search._table(SPHERE, SpectralDomain(3000), False)
+    X = search._table(SPHERE, SpectralDomain(3000))
     assert X.dtype == object
     m2, n2, n3 = (np.array(c, dtype=np.int64) for c in zip(*k2s))
     a, amin = search._exact_step(X, m1, n1, X[m2, n2], X[m1 + m2, n3], m2,
@@ -1004,3 +1004,53 @@ def test_multi_row_blocks_match_per_row_blocks(spec, T, cap, patterns, skip,
         if python_int and spec.exactness:
             mp.setattr(search, "_FLOAT_EXACT_LIMIT", 0)
         assert run() == at_one
+
+
+# -- scan order: the searches need no tie-breaking sort ------------------------
+
+def tuple_key_sorts(triads):
+    """The public orders by their former tuple keys: d_ratio ascending, and
+    descending, each with ties broken on (k1, k2, k3)."""
+    return (sorted(triads, key=lambda t: (t.d_ratio, t.k1, t.k2, t.k3)),
+            sorted(triads, key=lambda t: (-t.d_ratio, t.k1, t.k2, t.k3)))
+
+
+@given(spec=st.sampled_from(FLOAT_SPECS + [SPHERE]), T=st.integers(1, 12),
+       closure_shape=st.sampled_from(CLOSURE_SHAPES),
+       patterns=st.sampled_from(["sum", "all"]), skip=st.booleans(),
+       q=st.floats(0.0, 1.0))
+@example(spec=DispersionSpec("capillary"), T=12,
+         closure_shape=("both", "square"), patterns="sum", skip=True, q=0.5)
+@example(spec=SPHERE, T=12, closure_shape=("zonal", "triangular"),
+         patterns="sum", skip=False, q=0.3)
+def test_searches_emit_scan_order_and_sort_stably(spec, T, closure_shape,
+                                                  patterns, skip, q):
+    """``_search`` returns triads with strictly increasing (k1, k2, k3)
+    under every closure and shape, on both number systems, densely and on
+    the tile-pruned path; so the public searches' stable sorts on d_ratio
+    alone equal the former tuple-key sorts, ties included (the unit-square
+    capillary has many)."""
+    closure, shape = closure_shape
+    if spec.exactness and closure != "zonal":
+        closure = "zonal"
+    domain = SpectralDomain(T, shape)
+    rule = search.CLOSURES[closure]
+    every = search._search(spec, domain, rule, patterns=patterns,
+                           d_max=math.inf, skip_equal_n_pairs=skip)
+    ds = sorted({t.d_ratio for t in every if t.d_ratio > 0}) or [1.0]
+    d = ds[int(q * (len(ds) - 1))]
+    for run in ({"d_max": math.inf}, {"d_max": d}, {"d_min": d},
+                {"d_max": 0} if spec.exactness else {"d_max": d}):
+        keys = [t.key() for t in search._search(
+            spec, domain, rule, patterns=patterns, skip_equal_n_pairs=skip,
+            **run)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+    near = find_near_triads(spec, domain, d, patterns, closure, skip)
+    assert near == tuple_key_sorts(
+        [t for t in every if t.d_ratio <= d])[0]
+    if skip:
+        top = find_max_discrepancy_triads(spec, domain, d, patterns, closure)
+        assert top == tuple_key_sorts([t for t in every if t.d_ratio >= d])[1]
+    if spec.exactness and closure == "zonal" and patterns == "sum":
+        exact = find_exact_triads(spec, domain, skip)
+        assert exact == sorted(exact, key=Triad.key)

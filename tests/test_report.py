@@ -63,6 +63,13 @@ def test_bound_record_rational(sphere, sphere_t14):
     assert rec["finite_domain_min"]["witness"]["m1"] >= 1
 
 
+def test_bound_record_of_an_empty_domain_carries_the_note():
+    rec = bound_to_record(discrepancy_lower_bound(gc_spec(75),
+                                                  SpectralDomain(1)))
+    assert rec == {"note": "no vector-closed triad with nonzero "
+                           "discrepancy in this domain"}
+
+
 def test_plan_serialisation_round_trip(square_t30):
     plan = plan_experiment(gc_spec(75), square_t30, 1e-5, 0.1, 0.1)
     doc = json.loads(to_json(plan_to_record(plan)))

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from wavetriads import (
+    BasinGeometry,
     DispersionSpec,
     DomainError,
     SpectralDomain,
@@ -209,6 +210,38 @@ def test_infinite_d_max_keeps_every_closed_triad():
     dom = SpectralDomain(5, "square")
     assert (find_near_triads(gc_spec(75), dom, math.inf)
             == find_near_triads(gc_spec(75), dom, 1e300))
+
+
+@pytest.mark.parametrize("triple, signs", [
+    ((wv(1, 1), wv(1, 2)), (1, 1, -1)),
+    ((wv(1, 1), wv(1, 2), wv(2, 3)), (1, -1)),
+    ((wv(1, 1), wv(1, 2), wv(2, 3)), (1, 1, 0)),
+    ((wv(1, 1), wv(1, 2), wv(2, 3)), (1, 2, -1)),
+], ids=["two-vectors", "two-signs", "sign-0", "sign-2"])
+def test_discrepancy_rejects_bad_arity_and_signs(triple, signs):
+    with pytest.raises(UsageError):
+        discrepancy(gc_spec(75), triple, signs)
+
+
+def test_unknown_closure_rejected():
+    with pytest.raises(UsageError, match="unknown closure"):
+        find_near_triads(gc_spec(75), SpectralDomain(5), 1e-2,
+                         closure="spiral")
+
+
+@pytest.mark.parametrize("spec", [
+    DispersionSpec("capillary"), DispersionSpec("gravity_tanh", alpha=0.3),
+    DispersionSpec("gravity_capillary", mu_over_nu=75.0,
+                   basin=BasinGeometry("rectangle", 1.0, 2.7)),
+    DispersionSpec("capillary", basin=BasinGeometry("rectangle", 1.3, 0.7))],
+    ids=["capillary", "tanh", "gc-rectangle", "capillary-rectangle"])
+def test_threshold_at_a_triads_own_d_ratio_keeps_it(spec):
+    """The searches decide on the frequencies the returned triads carry, so
+    a ceiling or a floor at a triad's own d_ratio keeps that triad."""
+    dom = SpectralDomain(12)
+    for t in find_near_triads(spec, dom, math.inf)[::31]:
+        assert t in find_near_triads(spec, dom, t.d_ratio)
+        assert t in find_max_discrepancy_triads(spec, dom, t.d_ratio)
 
 
 @pytest.mark.parametrize("closure,patterns", [("both", "sum"),
