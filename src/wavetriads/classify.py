@@ -137,12 +137,13 @@ def _walk(spec, domain, rule, passes, patterns, skip_equal_n_pairs, freqs,
     the n-selection ``passes``, in scan order, built from ``freqs`` (N == 0;
     on floats d <= NUMERIC_EXACT_D, the triad's own test, as the grid holds
     its frequencies), and the hits 0 < |Omega| <= omega_max that pass it, as
-    arrays (m1, n1, m2, n2, n3, |Omega|)."""
+    arrays (m1, n1, m2, n2, n3, |Omega|).  The exact path reads only the n3
+    where |Omega| <= omega_max can hold."""
     exact = spec.exactness
     seeds = []
     hits = [[np.zeros(0, np.int64)] * 5 + [np.zeros(0)]]
     for cand, a, amin in _scan(spec, domain, rule, patterns,
-                               skip_equal_n_pairs, not exact):
+                               skip_equal_n_pairs, not exact, (omega_max, 0)):
         ok = passes(cand[1], cand[3], cand[4])
         seeds += _build(freqs, patterns, cand,
                         _select(a, amin, NUMERIC_EXACT_D, None) & ok)

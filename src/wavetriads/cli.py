@@ -105,11 +105,13 @@ def build_spec(args) -> DispersionSpec:
         if given:
             raise UsageError(f"--config conflicts with {', '.join(given)}")
         with open(args.config) as fh:
-            cfg = json.load(fh)
-        # An unknown or missing kind is from_config's error.
-        if cfg.get("kind") in DispersionSpec._KINDS:
-            _refuse_ignored(cfg["kind"], _config_options(cfg))
-        return DispersionSpec.from_config(cfg)
+            try:
+                cfg = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise DomainError(f"--config {args.config}: {exc}") from None
+        spec = DispersionSpec.from_config(cfg)
+        _refuse_ignored(spec.kind, _config_options(cfg))
+        return spec
     kind = None
     mu = args.mu_nu
     if args.liquid:

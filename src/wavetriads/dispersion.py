@@ -138,6 +138,9 @@ class DispersionSpec:
         if self.kind == "rossby_sphere" and self.basin.kind not in ("sphere",):
             # Allow construction with the default basin, but normalise it.
             object.__setattr__(self, "basin", BasinGeometry(kind="sphere"))
+        elif self.kind != "rossby_sphere" and self.basin.kind == "sphere":
+            raise DomainError(f"{self.kind} has no relation on a sphere "
+                              "basin")
 
     @property
     def exactness(self) -> bool:
@@ -163,26 +166,42 @@ class DispersionSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "DispersionSpec":
+        """The spec of a configuration dict (``to_config``'s form).  A
+        value of the wrong type, like an unknown or missing key, raises
+        DomainError naming it."""
+        if not isinstance(cfg, dict):
+            raise DomainError("a dispersion configuration must be an "
+                              f"object, got {type(cfg).__name__}")
         known = {"kind", "g", "mu_over_nu", "alpha", "basin", "plane_form"}
         unknown = set(cfg) - known
         if unknown:
             raise DomainError(f"unknown configuration keys: {sorted(unknown)}")
-        basin_cfg = cfg.get("basin", {})
-        if basin_cfg:
-            unknown_b = set(basin_cfg) - {"kind", "lx", "ly"}
-            if unknown_b:
-                raise DomainError(
-                    f"unknown basin configuration keys: {sorted(unknown_b)}")
-            basin = BasinGeometry(kind=basin_cfg.get("kind", "unit_square"),
-                                  lx=float(basin_cfg.get("lx", 1.0)),
-                                  ly=float(basin_cfg.get("ly", 1.0)))
-        else:
-            basin = BasinGeometry()
-        return cls(kind=cfg["kind"], g=float(cfg.get("g", DEFAULT_G)),
-                   mu_over_nu=(None if cfg.get("mu_over_nu") is None
-                               else float(cfg["mu_over_nu"])),
-                   alpha=(None if cfg.get("alpha") is None
-                          else float(cfg["alpha"])),
+        if "kind" not in cfg:
+            raise DomainError("configuration key 'kind' is missing")
+        basin_cfg = {} if cfg.get("basin") is None else cfg["basin"]
+        if not isinstance(basin_cfg, dict):
+            raise DomainError("configuration key 'basin' must be an object")
+        unknown_b = set(basin_cfg) - {"kind", "lx", "ly"}
+        if unknown_b:
+            raise DomainError(
+                f"unknown basin configuration keys: {sorted(unknown_b)}")
+
+        def number(src, key, default, name=None):  # None where optional
+            value = src.get(key, default)
+            if value is None and default is None:
+                return None
+            try:
+                return float(value)
+            except (TypeError, ValueError, OverflowError):
+                raise DomainError(f"configuration key {name or key!r} must "
+                                  f"be a number, got {value!r}") from None
+
+        basin = BasinGeometry(kind=basin_cfg.get("kind", "unit_square"),
+                              lx=number(basin_cfg, "lx", 1.0, "basin lx"),
+                              ly=number(basin_cfg, "ly", 1.0, "basin ly"))
+        return cls(kind=cfg["kind"], g=number(cfg, "g", DEFAULT_G),
+                   mu_over_nu=number(cfg, "mu_over_nu", None),
+                   alpha=number(cfg, "alpha", None),
                    basin=basin, plane_form=cfg.get("plane_form", "printed"))
 
 

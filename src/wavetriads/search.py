@@ -10,7 +10,8 @@ vector, so outputs are duplicate-free:
     Component-wise closure k3 = k1 + k2, self-pair k2 = k1 included.
     Square domains only.  Used for square, rectangular and plane spectra.
 ``zonal``
-    m3 = m1 + m2 with every n3 of the domain.  Floats include the
+    m3 = m1 + m2 with n3 free: every n3 of the domain, or on the exact
+    path the n3 of each pair's window (below).  Floats include the
     self-pair; ``skip_equal_n_pairs`` drops the pairs n1 = n2.  Square
     and triangular domains; the classifier's latitudinal selection rules
     apply under this closure only.  Used on the sphere, whose derived
@@ -31,7 +32,9 @@ on those arrays and build triads, on arrays too, only for what they
 return, in scan order (k1, k2, k3); the classifier reads the arrays
 themselves.  The discrepancy bound runs the same scan on the same table;
 its witness is the first triad of least nonzero |Omega| in scan order
-(sum pattern; any pattern under box closure).
+(sum pattern; any pattern under box closure).  The triad records and
+their rebuild from arrays live in :mod:`.triad`, the exact table's
+arithmetic in :mod:`.sphere`.
 
 * Floats: the table is the omega grid, which holds the ``eval_frequency``
   values bit for bit, and the residuals are the float64 expressions of the
@@ -49,6 +52,12 @@ its witness is the first triad of least nonzero |Omega| in scan order
   d_ratio of the rebuilt triad, and the thresholds decide on floats.  As
   rounding is monotone, a float can misjudge 0 < |Omega| <= omega_max only
   when it equals omega_max; only those ties are rebuilt on ``Fraction``s.
+  At fixed m3, omega3 = -2 m3 / a3 is monotone in n3, so the n3 where
+  |Omega| <= tau can hold form one window per pair and sign pattern, in
+  closed form (:mod:`.sphere`).  The exact search (tau = 0), the
+  classifier (tau = omega_max) and the bound (the n3 next to the root)
+  read only those, decided as above; the near and max-discrepancy
+  searches read every n3.
 
 Certified tile pruning.  A float search under ``both`` closure with a
 finite d_max ceiling (``find_near_triads``, and so ``plan_experiment`` and
@@ -59,8 +68,8 @@ The bound reads only the grid, so it holds for every float kind, the
 non-monotone ``bve_plane`` included; a grid with inf or NaN, or near
 overflow, drops nothing.  The other tiles are decided by the scan's own
 float64 expressions and handed on in scan order, so every output is that
-of the dense scan.  ``d_max = inf``, ``zonal`` and ``box`` closure, the
-exact path, the max-discrepancy search, the bound and the classifier scan
+of the dense scan.  ``d_max = inf``, float ``zonal`` and ``box`` closure,
+the max-discrepancy search, and the float bound and classifier scan
 densely.
 """
 
@@ -83,76 +92,16 @@ from .dispersion import (
     omega_grid,
 )
 from .errors import UsageError
-
-#: Sign patterns, up to an overall sign: which slot carries the minus.
-SIGN_PATTERNS = ((1, 1, -1), (1, -1, 1), (-1, 1, 1))
-
-#: d_ratio at or below which a floating-point triad is reported as
-#: "numerically exact".  True zeros are only decidable on the rational path.
-NUMERIC_EXACT_D = 1e-12
-
-
-@dataclass(frozen=True)
-class Triad:
-    """A vector-closed triad with its frequencies and discrepancy.
-
-    ``omegas`` are angular frequencies (exact rationals on the spherical
-    path, floats otherwise); ``discrepancy`` is the signed residual
-    s1*w1 + s2*w2 + s3*w3 for the stored sign pattern; ``d_ratio`` is
-    |discrepancy| / min(|w1|, |w2|, |w3|), always a float.
-    """
-
-    k1: WaveVector
-    k2: WaveVector
-    k3: WaveVector
-    omegas: tuple
-    discrepancy: OmegaValue
-    d_ratio: float
-    signs: tuple = (1, 1, -1)
-
-    @property
-    def is_exact(self) -> bool:
-        """Exact resonance: rational zero, or d_ratio <= 1e-12 on floats
-        ("numerically exact")."""
-        if isinstance(self.discrepancy, Fraction):
-            return self.discrepancy == 0
-        return self.d_ratio <= NUMERIC_EXACT_D
-
-    @property
-    def resonance_label(self) -> str:
-        if isinstance(self.discrepancy, Fraction):
-            return "exact" if self.discrepancy == 0 else "near"
-        return "numerically_exact" if self.d_ratio <= NUMERIC_EXACT_D else "near"
-
-    def members(self) -> tuple:
-        return (self.k1, self.k2, self.k3)
-
-    def key(self) -> tuple:
-        return (self.k1, self.k2, self.k3)
-
-    def __str__(self) -> str:
-        return f"{self.k1}{self.k2}{self.k3}"
-
-
-@dataclass(frozen=True)
-class DiscrepancyBound:
-    """A positive lower bound on nonzero |Omega| over a domain."""
-
-    value: OmegaValue
-    method: str  # rational_1_over_bd | finite_domain_min
-    witness: Triad | None = None
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Result of discrepancy_lower_bound: the a-priori rational bound where
-    available, and the finite-domain minimum with witness.  ``finite_min``
-    is None when the domain has no vector-closed triad at all (the bound is
-    undefined over an empty set, never zero)."""
-
-    apriori: DiscrepancyBound | None
-    finite_min: DiscrepancyBound | None
-    note: str = ""
+from .sphere import _U, _exact_step, _n3_window
+from .triad import (  # the triad records, importable from here as before
+    NUMERIC_EXACT_D,
+    SIGN_PATTERNS,
+    BoundReport,
+    DiscrepancyBound,
+    Triad,
+    _build,
+    _pattern,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +121,6 @@ def discrepancy(spec: DispersionSpec, triple: Sequence, signs=(1, 1, -1)) -> Ome
     ks = [check_wavevector(WaveVector(*k)) for k in triple]
     ws = [eval_frequency(spec, k).omega for k in ks]
     return signs[0] * ws[0] + signs[1] * ws[1] + signs[2] * ws[2]
-
-
-def _pattern(ws, patterns):
-    """Signed residual and signs of the sum pattern, or of the
-    minimal-|Omega| sign pattern when patterns="all"."""
-    if patterns == "sum":
-        return ws[0] + ws[1] - ws[2], (1, 1, -1)
-    best = None
-    for signs in SIGN_PATTERNS:
-        om = signs[0] * ws[0] + signs[1] * ws[1] + signs[2] * ws[2]
-        if best is None or abs(om) < abs(best[0]):
-            best = (om, signs)
-    return best
 
 
 def _check_threshold(name: str, value, ceiling: bool = False) -> None:
@@ -280,37 +216,56 @@ def _both_completions(ka, kb, domain, patterns):
     return [k for k in ks if k in domain]
 
 
-def _zonal_blocks(X, domain, skip_equal_n_pairs, self_pair):
+def _zonal_blocks(X, domain, skip_equal_n_pairs, self_pair, window=None):
     """Pairs k1 <= k2 (k1 < k2 without ``self_pair``) with m3 = m1 + m2,
-    each with every n3 of the domain, in (k2, n3) order.
-    ``skip_equal_n_pairs`` leaves out the pairs n1 = n2."""
+    in (k2, n3) order, each with every n3 of the domain or, on the exact
+    table given ``window`` = (patterns, tau, widen), those of
+    :func:`.sphere._n3_window`.  ``skip_equal_n_pairs`` leaves out the
+    pairs n1 = n2.  Pairs are formed for runs of k1 rows of at most
+    ``_BLOCK`` pairs; the rows are cut into blocks by their n3 counts as
+    :func:`_runs` cuts them, the last block waiting for the next run's
+    rows, so the pairs held, each with an n3, never outnumber a block's
+    candidates."""
     T = domain.truncation
     tri = domain.shape == "triangular"
     ar = np.arange(T + 1)  # the modes in (m, n) order
     mm, nn = np.nonzero((ar[:, None] > 0) & (ar >= (ar[:, None] if tri else 1)))
-    i = np.flatnonzero(2 * mm <= T)
-    m1, n1 = mm[i], nn[i]
-    # Modes come in m order, so the k2 with m2 <= T - m1 are a run, and
-    # each pair takes n3 from n_lo to T: n_lo = m3 on a triangle, else 1.
-    j0, stop = i + (not self_pair), np.searchsorted(mm, T - m1, "right")
-    sum_m = np.r_[0, np.cumsum(mm)]
-    counts = ((stop - j0) * (T + 1 - m1) - sum_m[stop] + sum_m[j0] if tri
-              else (stop - j0) * T)
-    if skip_equal_n_pairs:  # the k2 = (m2, n1) with lo <= m2 <= hi
-        lo, hi = m1 + (not self_pair), np.minimum(T - m1, n1 if tri else T)
-        q = np.maximum(hi - lo + 1, 0)
-        counts -= q * (T + 1 - m1) - q * (lo + hi) // 2 if tri else q * T
-    Xf, R = X.ravel(), T + 1
-    for rows in _runs(counts):
-        j, a, b = _expand(j0[rows], stop[rows] - j0[rows], m1[rows], n1[rows])
+    i = np.flatnonzero(2 * mm <= T)  # the modes that can be k1
+    # Modes come in m order, so the k2 with m2 <= T - m1 are a run.
+    j0, stop = i + (not self_pair), np.searchsorted(mm, T - mm[i], "right")
+    xm, Xf, R = X[mm, nn], X.ravel(), T + 1
+    cm = 2.0 * mm / xm.astype(np.float64) if window else None  # c = 2m/a
+
+    def block(k, j, lo, count):  # k, j: the modes k1, k2
+        a, m2 = mm[k], mm[j]
+        n3, a, b, x2, o3, m2, n2 = _expand(lo, count, a, nn[k], xm[j],
+                                           (a + m2) * R, m2, nn[j])
+        return a, b, x2, Xf[o3 + n3], m2, n2, n3  # o3: row m3's offset
+
+    held = [np.zeros(0, np.int64)] * 4
+    for rows in _runs(stop - j0):
+        j, k = _expand(j0[rows], stop[rows] - j0[rows], i[rows])
         if skip_equal_n_pairs:
-            keep = nn[j] != b
-            j, a, b = j[keep], a[keep], b[keep]
-        m2, n2 = mm[j], nn[j]
-        n3 = a + m2 if tri else np.ones_like(m2)  # o3: row m3's offset in X
-        n3, a, b, x2, o3, m2, n2 = _expand(n3, T + 1 - n3, a, b, X[m2, n2],
-                                           (a + m2) * R, m2, n2)
-        yield a, b, x2, Xf[o3 + n3], m2, n2, n3
+            keep = nn[j] != nn[k]
+            j, k = j[keep], k[keep]
+        m3 = mm[k] + mm[j]
+        lo = m3 if tri else np.ones_like(m3)  # the domain's least n3
+        hi = T
+        if window:
+            lo, hi = _n3_window(cm[k], cm[j], m3, lo, T, *window)
+            keep = np.flatnonzero(hi >= lo)
+            k, j, lo, hi = k[keep], j[keep], lo[keep], hi[keep]
+        k, j, lo, count = held = [np.concatenate(p) for p in zip(
+            held, (k, j, lo, hi - lo + 1))]
+        if count.sum() <= _BLOCK:  # one open block so far
+            continue
+        starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+        cuts = [starts[r[0]] for r in _runs(np.add.reduceat(count, starts))]
+        for c, d in zip(cuts, cuts[1:]):
+            yield block(*(p[c:d] for p in held))
+        held = [p[cuts[-1]:] for p in held]
+    if held[0].size:
+        yield block(*held)
 
 
 def _zonal_completions(ka, kb, domain, patterns):
@@ -371,11 +326,13 @@ class _Closure:
 
     ``blocks(X, domain, skip_equal_n_pairs, self_pair)`` yields the
     candidates of runs of k1 rows (:func:`_runs`) in scan order as blocks
-    (m1, n1, x2, x3, m2, n2, n3), one array element per candidate: the
-    coordinates of k1, k2 and n3 (m3 = m1 + m2 under every closure) and
-    the values at k2 and k3 of the per-mode table X.
+    (m1, n1, x2, x3, m2, n2, n3), one array element per candidate, and
+    never an empty block: the coordinates of k1, k2 and n3 (m3 = m1 + m2
+    under every closure) and the values at k2 and k3 of the per-mode
+    table X.
     ``self_pair`` decides whether zonal closure admits k2 = k1; ``both``
-    always does and ``box`` never does.
+    always does and ``box`` never does.  On the exact path zonal blocks
+    also take ``window``, which keeps only each pair's n3 window.
     ``completions(ka, kb, domain, patterns)`` yields the waves of the
     domain that close a donor pair.
     """
@@ -437,38 +394,20 @@ def _float_step(X, m1, n1, w2, w3, m2, patterns, with_min):
     return a, np.minimum(np.minimum(np.abs(w2), np.abs(w3)), abs(w1))
 
 
-def _exact_step(X, m1, n1, a2, a3, m2, patterns, with_min):
-    """|Omega| = 2|N| / (a1 a2 a3) of a block on the table a = n(n+1),
-    correctly rounded, and min |w| when ``with_min``.  N is the residual of
-    the sum pattern, or its least |N| over the sign patterns (they share
-    the denominator)."""
-    a1 = X[m1, n1]
-    a12 = a1 * a2
-    if patterns == "sum":  # t1 + t2 - t3, factored
-        N = np.abs((m1 * a2 + m2 * a1) * a3 - (m1 + m2) * a12)
-    else:
-        t1, t2, t3 = m1 * a2 * a3, m2 * a1 * a3, (m1 + m2) * a12
-        N = np.minimum(np.minimum(np.abs(t1 + t2 - t3), np.abs(t1 - t2 + t3)),
-                       np.abs(t2 + t3 - t1))
-    if X.dtype == object:  # Python int true division, per element
-        a = (2 * N / (a12 * a3)).astype(np.float64)
-    else:  # each product is below 2**53, so exact in float64
-        a = 2.0 * N.astype(np.float64) / (a12 * a3).astype(np.float64)
-    if not with_min:
-        return a, None
-    return a, 2.0 * np.minimum(np.minimum(m2 / a2, (m1 + m2) / a3), m1 / a1)
-
-
-def _scan(spec, domain, rule, patterns, skip_equal_n_pairs, with_min):
+def _scan(spec, domain, rule, patterns, skip_equal_n_pairs, with_min,
+          within=None):
     """The array form of the scan kernel: the closure's candidates block by
     block, as ((m1, n1, m2, n2, n3), a, amin) per candidate in scan order,
     with k3 = (m1 + m2, n3), a = |Omega| (the least over the sign patterns
-    when patterns="all") and amin = min |w| or None."""
+    when patterns="all") and amin = min |w| or None.  On the exact path,
+    ``within`` = (tau, widen) leaves out the candidates outside the n3
+    window of :func:`.sphere._n3_window`; floats read every candidate."""
     exact = spec.exactness
     X = _table(spec, domain)
     step = _exact_step if exact else _float_step
+    window = {"window": (patterns, *within)} if exact and within else {}
     for m1, n1, x2, x3, m2, n2, n3 in rule.blocks(
-            X, domain, skip_equal_n_pairs, not exact):
+            X, domain, skip_equal_n_pairs, not exact, **window):
         a, amin = step(X, m1, n1, x2, x3, m2, patterns, with_min)
         yield (m1, n1, m2, n2, n3), a, amin
 
@@ -478,8 +417,6 @@ def _scan(spec, domain, rule, patterns, skip_equal_n_pairs, with_min):
 _TILE = 8
 #: Most tiles whose candidates one gather evaluates (bounds its memory).
 _GATHER_TILES = 128
-#: Unit roundoff of float64.
-_U = 2.0 ** -53
 
 
 def _window_tables(X, t):
@@ -609,43 +546,6 @@ def _tile_scan(spec, domain, patterns, d_max):
         yield (m1, n1, m2, n2, n1 + n2), a[order], amin[order]
 
 
-def _build(freqs, patterns, cand, keep) -> list:
-    """Triads of the block candidates ``cand`` that the mask ``keep``
-    selects, in scan order, built from ``freqs`` (mode -> omega): the rule
-    of :func:`_pattern` (the first least |Omega|) and d = |Omega| / min |w|
-    (Python's ``min``: a later |w| wins only if smaller) run on arrays."""
-    if not np.count_nonzero(keep):  # cheaper than keep.any() per block
-        return []
-    m1, n1, m2, n2, n3 = (c[keep] for c in cand)
-    # The members' modes, each distinct one looked up once.  No np.unique
-    # (its first call imports numpy.ma) and no sort (its first call maps in
-    # the sort kernels): a presence table over the flat keys.
-    R = int(max(n1.max(), n2.max(), n3.max())) + 1
-    key = np.concatenate((m1, m2, m1 + m2)) * R + np.concatenate((n1, n2, n3))
-    seen = np.zeros(int(key.max()) + 1, dtype=bool)
-    seen[key] = True
-    modes = np.flatnonzero(seen)
-    ks = list(map(WaveVector, *(c.tolist() for c in np.divmod(modes, R))))
-    at = np.searchsorted(modes, key)
-    w1, w2, w3 = np.array([freqs[k] for k in ks])[at].reshape(3, -1)
-    k1, k2, k3 = np.fromiter(ks, object, len(ks))[at].reshape(3, -1)
-    signs = SIGN_PATTERNS if patterns == "all" else SIGN_PATTERNS[:1]
-    om, *others = (s1 * w1 + s2 * w2 + s3 * w3 for s1, s2, s3 in signs)
-    best = np.zeros(len(om), dtype=int)
-    for i, o in enumerate(others, 1):
-        less = abs(o) < abs(om)
-        om, best = np.where(less, o, om), np.where(less, i, best)
-    low = np.abs(w1.astype(float))
-    for w in (w2, w3):
-        w = np.abs(w.astype(float))
-        low = np.where(w < low, w, low)
-    d = np.abs(om.astype(float)) / low
-    return [Triad(*t) for t in zip(
-        k1.tolist(), k2.tolist(), k3.tolist(),
-        zip(w1.tolist(), w2.tolist(), w3.tolist()), om.tolist(), d.tolist(),
-        [signs[i] for i in best.tolist()])]
-
-
 def _select(a, amin, d_max, d_min):
     """Mask of the candidates a search keeps: d <= d_max, or d >= d_min
     when d_max is None, with d = |Omega| / min |w|.  Without ``amin`` the
@@ -669,7 +569,7 @@ def _search(spec, domain, rule, *, patterns, d_max=None, d_min=None,
         blocks = _tile_scan(spec, domain, patterns, d_max)
     else:
         blocks = _scan(spec, domain, rule, patterns, skip_equal_n_pairs,
-                       with_min)
+                       with_min, None if with_min else (0, 0))
     triads = []
     for cand, a, amin in blocks:
         triads += _build(freqs, patterns, cand, _select(a, amin, d_max, d_min))
@@ -678,7 +578,9 @@ def _search(spec, domain, rule, *, patterns, d_max=None, d_min=None,
 
 def _least_nonzero(spec, domain, rule, freqs) -> Triad | None:
     """Triad with the least nonzero |Omega| under the closure's bound
-    patterns; the first minimum in scan order wins.
+    patterns; the first minimum in scan order wins.  On the exact path the
+    scan reads each pair's n3 next to the real root, where its least
+    nonzero |Omega| lies.
 
     Zeros are N == 0 on the exact path, and d_ratio at or below the
     numerically-exact cutoff on floats (rational-valued dispersions leave
@@ -689,7 +591,7 @@ def _least_nonzero(spec, domain, rule, freqs) -> Triad | None:
     the memo ``freqs`` and compared exactly."""
     best, best_a = None, math.inf
     for cand, a, amin in _scan(spec, domain, rule, rule.bound_patterns, True,
-                               not spec.exactness):
+                               not spec.exactness, (0, 1)):
         a[_select(a, amin, NUMERIC_EXACT_D, None)] = math.inf
         low = float(a.min())  # blocks are never empty
         if low == math.inf or low > best_a:

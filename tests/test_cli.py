@@ -369,6 +369,30 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     assert "unknown configuration keys" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "cfg.json: Expecting property name"),
+    ("[1, 2]", "must be an object, got list"),
+    ('"x"', "must be an object, got str"),
+    ("{}", "'kind' is missing"),
+    ('{"kind": "capillary", "basin": "sphere"}', "'basin' must be an object"),
+    ('{"kind": "gravity_capillary", "mu_over_nu": "abc"}',
+     "'mu_over_nu' must be a number"),
+    ('{"kind": "capillary", "basin": {"kind": "sphere"}}',
+     "capillary has no relation on a sphere basin"),
+], ids=["not-json", "list", "string", "no-kind", "basin-string",
+        "mu-nu-string", "float-kind-sphere"])
+def test_malformed_config_is_a_domain_error_exit_3(capsys, tmp_path, text,
+                                                   message):
+    """A --config file that is not a dispersion object fails with the
+    CLI's own error, naming the file or the key, not with a traceback."""
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "eval", "--config", str(path),
+                             "--m", "1", "--n", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("domain error: ") and message in err
+
+
 def test_sweep_and_plan_and_bound_run(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "plan", "--liquid", "water", "--T", "20",
                            "--d-max", "1e-5", "--d-min", "0.1",

@@ -184,6 +184,21 @@ def test_basin_without_sides_refuses_them(kind):
             BasinGeometry(kind, lx, ly)
 
 
+@pytest.mark.parametrize("spec", [
+    dict(kind="capillary"), dict(kind="gravity_capillary", mu_over_nu=75.0),
+    dict(kind="gravity_tanh", alpha=0.5), dict(kind="bve_plane")])
+def test_float_kinds_refuse_the_sphere_basin(spec):
+    """A float relation has no form on the sphere; it must not evaluate as
+    the unit square under that name.  The plane is a 1 x 1 basin."""
+    with pytest.raises(DomainError, match="sphere basin"):
+        DispersionSpec(**spec, basin=BasinGeometry("sphere"))
+    with pytest.raises(DomainError, match="sphere basin"):
+        DispersionSpec.from_config({**spec, "basin": {"kind": "sphere"}})
+    plane = DispersionSpec(**spec, basin=BasinGeometry("plane"))
+    assert eval_frequency(plane, wv(1, 2)) == eval_frequency(
+        DispersionSpec(**spec), wv(1, 2))
+
+
 def test_unknown_basin_kind_plane_form_and_domain_shape_raise():
     with pytest.raises(DomainError, match="basin kind"):
         BasinGeometry("torus")
@@ -224,6 +239,24 @@ def test_config_round_trip():
                           basin=BasinGeometry("rectangle", lx=2.0, ly=3.0))
     cfg = json.loads(json.dumps(spec.to_config()))
     assert DispersionSpec.from_config(cfg) == spec
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ([1, 2], "must be an object, got list"),
+    ("x", "must be an object, got str"),
+    ({}, "'kind' is missing"),
+    ({"kind": "capillary", "basin": "sphere"}, "'basin' must be an object"),
+    ({"kind": "gravity_capillary", "mu_over_nu": "abc"},
+     "'mu_over_nu' must be a number, got 'abc'"),
+    ({"kind": "capillary", "g": [981]}, "'g' must be a number"),
+    ({"kind": "capillary", "g": 10 ** 400}, "'g' must be a number"),
+    ({"kind": "capillary", "basin": []}, "'basin' must be an object"),
+    ({"kind": "capillary", "basin": {"kind": "rectangle", "lx": None}},
+     "'basin lx' must be a number"),
+])
+def test_config_of_the_wrong_shape_raises_domain_error(cfg, message):
+    with pytest.raises(DomainError, match=message):
+        DispersionSpec.from_config(cfg)
 
 
 def test_config_rejects_unknown_keys():

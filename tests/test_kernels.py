@@ -5,9 +5,11 @@ Emitted triads are compared field by field (floats by ``float.hex``,
 rationals exactly), in emission order, and so are the discrepancy-bound
 witnesses and the classifier walk's approximate-resonance hits (members
 and |Omega|).  The tile-pruned near search is checked against the dense scan
-the same way, and the multi-row scan blocks against the per-row generators
-they replaced."""
+the same way, the multi-row scan blocks against the per-row generators
+they replaced, and the exact path's n3 windows against the dense zonal
+generator they bypass."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -1004,6 +1006,130 @@ def test_multi_row_blocks_match_per_row_blocks(spec, T, cap, patterns, skip,
         if python_int and spec.exactness:
             mp.setattr(search, "_FLOAT_EXACT_LIMIT", 0)
         assert run() == at_one
+
+
+# -- windowed zonal blocks against the dense generator they bypass -------------
+
+def dense_zonal_blocks(X, domain, skip_equal_n_pairs, self_pair):
+    """Pairs k1 <= k2 (k1 < k2 without ``self_pair``) with m3 = m1 + m2,
+    each with every n3 of the domain, in (k2, n3) order.
+    ``skip_equal_n_pairs`` leaves out the pairs n1 = n2."""
+    T = domain.truncation
+    tri = domain.shape == "triangular"
+    ar = np.arange(T + 1)  # the modes in (m, n) order
+    mm, nn = np.nonzero((ar[:, None] > 0) & (ar >= (ar[:, None] if tri else 1)))
+    i = np.flatnonzero(2 * mm <= T)
+    m1, n1 = mm[i], nn[i]
+    # Modes come in m order, so the k2 with m2 <= T - m1 are a run, and
+    # each pair takes n3 from n_lo to T: n_lo = m3 on a triangle, else 1.
+    j0, stop = i + (not self_pair), np.searchsorted(mm, T - m1, "right")
+    sum_m = np.r_[0, np.cumsum(mm)]
+    counts = ((stop - j0) * (T + 1 - m1) - sum_m[stop] + sum_m[j0] if tri
+              else (stop - j0) * T)
+    if skip_equal_n_pairs:  # the k2 = (m2, n1) with lo <= m2 <= hi
+        lo, hi = m1 + (not self_pair), np.minimum(T - m1, n1 if tri else T)
+        q = np.maximum(hi - lo + 1, 0)
+        counts -= q * (T + 1 - m1) - q * (lo + hi) // 2 if tri else q * T
+    Xf, R = X.ravel(), T + 1
+    for rows in search._runs(counts):
+        j, a, b = search._expand(j0[rows], stop[rows] - j0[rows], m1[rows],
+                                 n1[rows])
+        if skip_equal_n_pairs:
+            keep = nn[j] != b
+            j, a, b = j[keep], a[keep], b[keep]
+        m2, n2 = mm[j], nn[j]
+        n3 = a + m2 if tri else np.ones_like(m2)  # o3: row m3's offset in X
+        n3, a, b, x2, o3, m2, n2 = search._expand(
+            n3, T + 1 - n3, a, b, X[m2, n2], (a + m2) * R, m2, n2)
+        yield a, b, x2, Xf[o3 + n3], m2, n2, n3
+
+
+#: Zonal closure on the dense generator, which reads no n3 window.
+DENSE_ZONAL = dataclasses.replace(
+    search.CLOSURES["zonal"],
+    blocks=lambda X, domain, skip, self_pair, window=None:
+        dense_zonal_blocks(X, domain, skip, self_pair))
+
+
+def walk_fields(domain, omega_max, patterns, skip, n_selection):
+    """The classifier walk's seeds and hits (members and |Omega| by
+    float.hex), in scan order."""
+    rule = search.CLOSURES["zonal"]
+    seeds, hits = classify._walk(
+        SPHERE, domain, rule, classify._n_rule(rule, n_selection), patterns,
+        skip, search._FrequencyMemo(SPHERE), omega_max)
+    return fields(seeds), hit_fields(hits)
+
+
+@given(shape=st.sampled_from(["triangular", "square"]),
+       patterns=st.sampled_from(["sum", "all"]), skip=st.booleans(),
+       python_int=st.booleans(), cap=st.sampled_from([1, 7, 2 ** 14]),
+       n_selection=st.sampled_from(["none", "parity"]), data=st.data())
+@example(shape="triangular", patterns="sum", skip=True, python_int=False,
+         cap=7, n_selection="parity", data=None)
+def test_windowed_zonal_blocks_match_dense_blocks(shape, patterns, skip,
+                                                  python_int, cap,
+                                                  n_selection, data):
+    """The exact path reads each pair's n3 window only.  Its blocks hold
+    at most ``cap`` candidates or one k1 row, as the dense ones do, and
+    against the dense generator it bypasses the exact search, the
+    discrepancy bound (value and witness), the classifier walk's seeds and
+    hits in scan order, and (T <= 12, as bridge searches are slow) the
+    partition are equal.  omega_max is one of the domain's own |Omega|
+    values up to 0.01, so the edge of the windows is a tie.  The
+    Python-int table, slow per element, runs to T = 12."""
+    if data is None:
+        T, q = 20, 0.5
+    else:
+        T = data.draw(st.integers(1, 12 if python_int else 30), label="T")
+        q = data.draw(st.floats(0.0, 1.0), label="q")
+    domain = SpectralDomain(T, shape)
+    with pytest.MonkeyPatch.context() as mp:
+        if python_int:
+            mp.setattr(search, "_FLOAT_EXACT_LIMIT", 0)
+        mp.setattr(search, "_BLOCK", cap)
+        _, a, _ = next(search._scan(SPHERE, domain, DENSE_ZONAL, patterns,
+                                    skip, False), (None, np.zeros(0), None))
+        omegas = np.unique(a[(a > 0) & (a <= 0.01)]).tolist() or [0.01]
+        omega_max = omegas[int(q * (len(omegas) - 1))]
+        X = search._table(SPHERE, domain)
+        for within in ((0, 0), (0, 1), (omega_max, 0)):
+            got, sizes = flat_blocks(search.CLOSURES["zonal"].blocks(
+                X, domain, skip, False, (patterns, *within)))
+            if got is not None:
+                check_block_sizes(got[0], got[1], sizes, cap)
+
+        def run():
+            bound = discrepancy_lower_bound(SPHERE, domain)
+            out = [fields(find_exact_triads(SPHERE, domain, skip)),
+                   bound.finite_min and (bound.finite_min.value,
+                                         fields([bound.finite_min.witness])),
+                   walk_fields(domain, omega_max, patterns, skip, n_selection)]
+            if T <= 12:
+                out.append(partition_fields(classify_modes(
+                    SPHERE, domain, omega_max, patterns=patterns,
+                    n_selection=n_selection, skip_equal_n_pairs=skip)))
+            return out
+
+        got = run()
+        mp.setitem(search.CLOSURES, "zonal", DENSE_ZONAL)
+        assert run() == got
+
+
+@pytest.mark.parametrize("T, count, bound, witness", [
+    (40, 113, Fraction(1, 7657650), ((1, 33), (2, 25), (3, 27))),
+    (60, 225, Fraction(1, 104780364), None),
+])
+def test_exact_sphere_at_larger_truncations(T, count, bound, witness):
+    """The exact triad count and the discrepancy bound of the sphere at
+    T = 40 and 60, which the windowed and the dense scans both give."""
+    domain = SpectralDomain(T, "triangular")
+    assert len(find_exact_triads(SPHERE, domain)) == count
+    rep = discrepancy_lower_bound(SPHERE, domain)
+    assert rep.finite_min.value == bound
+    if witness:
+        assert rep.finite_min.witness.key() == tuple(
+            WaveVector(*k) for k in witness)
 
 
 # -- scan order: the searches need no tie-breaking sort ------------------------
