@@ -14,6 +14,11 @@ lists and tuples of str, int, float, bool, None, ``Fraction`` (written
 record: a float triad with finite values fills one %-template per indent
 level, any other triad is written through its record.  So a JSON run
 builds no record dict per float triad.
+
+Thousands of triads draw their frequencies from a few hundred modes, so
+``to_json`` and ``triads_to_csv`` format each distinct float omega and
+its hz once per call (``_FreqText``); a float row formats only its
+discrepancy and d_ratio.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
+from math import copysign
 
 from .classify import CascadeStep, ModePartition
 from .dispersion import TWO_PI, to_hz
@@ -40,6 +46,10 @@ RATIONAL_EXTRA_COLUMNS = ["omega1_float", "omega2_float", "omega3_float",
 
 def _signs_str(signs) -> str:
     return "".join("+" if s > 0 else "-" for s in signs)
+
+
+#: Text of each sign pattern's "signs" value.
+_SIGNS_TEXT = {s: _signs_str(s) for s in product((1, -1), repeat=3)}
 
 
 def _num(value):
@@ -75,14 +85,36 @@ def triad_to_record(t: Triad) -> dict:
     return rec
 
 
-def _triad_row(t: Triad, rational: bool) -> list:
+class _FreqText(dict):
+    """Per-call memo of frequency text.  ``(w, copysign(1.0, w))`` of a
+    Python float w maps to ``(float.__repr__(w), float.__repr__(w /
+    TWO_PI))``: the text of omega and of its hz as ``to_hz`` computes it.
+    The sign in the key keeps -0.0 apart from 0.0, which compare equal."""
+
+    def __missing__(self, key):
+        w = key[0]
+        text = self[key] = (float.__repr__(w), float.__repr__(w / TWO_PI))
+        return text
+
+
+def _triad_row(t: Triad, rational: bool, text: _FreqText) -> list:
     """CSV cells of one triad: the values of its record under
     TRIAD_COLUMNS, then under RATIONAL_EXTRA_COLUMNS when ``rational``
-    (left empty for a float triad in a rational list)."""
+    (left empty for a float triad in a rational list).  Python float
+    frequencies take their text from ``text``: csv.writer writes a float
+    as ``float.__repr__`` and copies text without delimiter or quote."""
     w1, w2, w3 = t.omegas
+    if type(w1) is float and type(w2) is float and type(w3) is float:
+        (o1, h1), (o2, h2), (o3, h3) = (text[w1, copysign(1.0, w1)],
+                                        text[w2, copysign(1.0, w2)],
+                                        text[w3, copysign(1.0, w3)])
+    else:
+        o1, o2, o3 = _num(w1), _num(w2), _num(w3)
+        h1, h2, h3 = to_hz(w1), to_hz(w2), to_hz(w3)
     row = [t.k1.m, t.k1.n, t.k2.m, t.k2.n, t.k3.m, t.k3.n,
-           _num(w1), _num(w2), _num(w3), to_hz(w1), to_hz(w2), to_hz(w3),
-           _num(t.discrepancy), t.d_ratio, _signs_str(t.signs)]
+           o1, o2, o3, h1, h2, h3,
+           _num(t.discrepancy), t.d_ratio,
+           _SIGNS_TEXT.get(t.signs) or _signs_str(t.signs)]
     if rational:
         if isinstance(t.discrepancy, Fraction):
             row += [float(w1), float(w2), float(w3), float(t.discrepancy)]
@@ -100,7 +132,8 @@ def triads_to_csv(triads) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(TRIAD_COLUMNS + (RATIONAL_EXTRA_COLUMNS if rational else []))
-    w.writerows(_triad_row(t, rational) for t in triads)
+    text = _FreqText()
+    w.writerows(_triad_row(t, rational, text) for t in triads)
     return buf.getvalue()
 
 
@@ -245,7 +278,7 @@ def sweep_to_table(rep: GeometrySweepReport) -> str:
 # -- JSON -------------------------------------------------------------------
 
 #: JSON text of each sign pattern's "signs" value.
-_SIGNS_JSON = {s: _quote(_signs_str(s)) for s in product((1, -1), repeat=3)}
+_SIGNS_JSON = {s: _quote(x) for s, x in _SIGNS_TEXT.items()}
 
 
 def _float_json(x: float) -> str:
@@ -263,23 +296,27 @@ def _float_json(x: float) -> str:
 @lru_cache(maxsize=None)
 def _triad_template(level: int) -> str:
     """%-template of a float triad's record whose braces are indented at
-    ``level``: the keys of ``triad_to_record`` in its order."""
+    ``level``: the keys of ``triad_to_record`` in its order.  omega1-3 and
+    hz1-3 take their text (``%s``) from a ``_FreqText`` memo; discrepancy
+    and d_ratio are formatted here (``%r``)."""
     fields = [f'"{k}": %d' for k in ("m1", "n1", "m2", "n2", "m3", "n3")]
-    fields += [f'"{k}": %r' for k in ("omega1", "omega2", "omega3", "hz1",
-                                      "hz2", "hz3", "discrepancy", "d_ratio")]
+    fields += [f'"{k}": %s' for k in ("omega1", "omega2", "omega3", "hz1",
+                                      "hz2", "hz3")]
+    fields += [f'"{k}": %r' for k in ("discrepancy", "d_ratio")]
     fields += ['"signs": %s', '"resonance": "%s"']
     inner = "\n" + "  " * (level + 1)
     close = "\n" + "  " * level + "}"
     return "{" + ",".join(inner + f for f in fields) + close
 
 
-def _triad_json(t: Triad, level: int) -> str:
+def _triad_json(t: Triad, level: int, text: _FreqText) -> str:
     """The JSON text of ``triad_to_record(t)`` at ``level``.
 
     A triad whose frequencies, discrepancy and d_ratio are finite Python
-    floats fills the template: ``%r`` of such a float is its JSON text.
-    Any other triad (rational, non-finite, numpy scalars) is written
-    through its record."""
+    floats fills the template: ``float.__repr__`` of such a float is its
+    JSON text, read from ``text`` for the frequencies and their hz.  Any
+    other triad (rational, non-finite, numpy scalars) is written through
+    its record."""
     w1, w2, w3 = t.omegas
     d, r = t.discrepancy, t.d_ratio
     signs = _SIGNS_JSON.get(t.signs)
@@ -289,22 +326,26 @@ def _triad_json(t: Triad, level: int) -> str:
             and type(d) is float and type(r) is float and signs is not None
             and (w1 + w2 + w3 + d + r) * 0.0 == 0.0):
         k1, k2, k3 = t.k1, t.k2, t.k3
-        # hz as to_hz computes it; the label as Triad.resonance_label
-        # gives it for a float discrepancy.
+        (o1, h1), (o2, h2), (o3, h3) = (text[w1, copysign(1.0, w1)],
+                                        text[w2, copysign(1.0, w2)],
+                                        text[w3, copysign(1.0, w3)])
+        # The label as Triad.resonance_label gives it for a float
+        # discrepancy.
         return _triad_template(level) % (
-            k1.m, k1.n, k2.m, k2.n, k3.m, k3.n, w1, w2, w3,
-            w1 / TWO_PI, w2 / TWO_PI, w3 / TWO_PI, d, r, signs,
+            k1.m, k1.n, k2.m, k2.n, k3.m, k3.n, o1, o2, o3, h1, h2, h3,
+            d, r, signs,
             "numerically_exact" if r <= NUMERIC_EXACT_D else "near")
     out = []
-    _write(triad_to_record(t), level, out)
+    _write(triad_to_record(t), level, out, text)
     return "".join(out)
 
 
-def _write(v, level: int, out: list) -> None:
+def _write(v, level: int, out: list, text: _FreqText) -> None:
     """Append to ``out`` the ``json.dumps(v, indent=2)`` text of ``v``,
-    whose closing bracket is indented at ``level``."""
+    whose closing bracket is indented at ``level``; ``text`` is the call's
+    frequency memo."""
     if isinstance(v, Triad):
-        out.append(_triad_json(v, level))
+        out.append(_triad_json(v, level, text))
     elif isinstance(v, str):
         out.append(_quote(v))
     elif v is None:
@@ -325,7 +366,7 @@ def _write(v, level: int, out: list) -> None:
         sep = "[" + inner
         for x in v:
             out.append(sep)
-            _write(x, level + 1, out)
+            _write(x, level + 1, out, text)
             sep = "," + inner
         out.append("\n" + "  " * level + "]")
     elif isinstance(v, dict):
@@ -336,7 +377,7 @@ def _write(v, level: int, out: list) -> None:
         sep = "{" + inner
         for k, x in v.items():
             out.append(sep + _quote(k) + ": ")
-            _write(x, level + 1, out)
+            _write(x, level + 1, out, text)
             sep = "," + inner
         out.append("\n" + "  " * level + "}")
     elif isinstance(v, Fraction):
@@ -350,10 +391,10 @@ def to_json(payload, header: dict | None = None) -> str:
     """Deterministic JSON rendering, byte for byte ``json.dumps(payload,
     indent=2)`` with ``Fraction`` and ``Triad`` written as in their
     records; the run header (resolved config) is embedded unless
-    suppressed."""
+    suppressed.  One frequency memo serves every triad in the payload."""
     if header is not None:
         payload = {"config": header, "result": payload}
     out = []
-    _write(payload, 0, out)
+    _write(payload, 0, out, _FreqText())
     out.append("\n")
     return "".join(out)

@@ -212,9 +212,7 @@ def test_triad_csv_matches_records(triads):
 WATER, SQUARE_8 = gc_spec(75), SpectralDomain(8, "square")
 
 
-@given(type_a=TRIAD_LISTS, type_b=TRIAD_LISTS)
-def test_plan_json_matches_records(type_a, type_b):
-    """Triads two levels down, in a plan's type_a and type_b."""
+def check_plan_json(type_a, type_b):
     plan = ExperimentPlan(WATER, SQUARE_8, 1e-6, 0.1, 0.1, type_a,
                           type_b, {WaveVector(1, 2): 0.25}, "notes")
     rec = plan_to_record(plan)
@@ -223,15 +221,81 @@ def test_plan_json_matches_records(type_a, type_b):
     assert to_json(rec, header) == json_oracle(rec, header)
 
 
-@given(cells=st.lists(TRIAD_LISTS, max_size=3))
-def test_sweep_json_matches_records(cells):
-    """Triads four levels down, in a sweep's cells[].triads."""
+def check_sweep_json(cells):
     rep = GeometrySweepReport(WATER, SQUARE_8, 1e-6, 0.3, [
         SweepCell(1.0 + i, 2.0, triads, len(triads), (1, 2, 3), not triads)
         for i, triads in enumerate(cells)])
     rec = sweep_to_record(rep)
     header = {"command": "sweep"}
     assert to_json(rec, header) == json_oracle(rec, header)
+
+
+@given(type_a=TRIAD_LISTS, type_b=TRIAD_LISTS)
+def test_plan_json_matches_records(type_a, type_b):
+    """Triads two levels down, in a plan's type_a and type_b."""
+    check_plan_json(type_a, type_b)
+
+
+@given(cells=st.lists(TRIAD_LISTS, max_size=3))
+def test_sweep_json_matches_records(cells):
+    """Triads four levels down, in a sweep's cells[].triads."""
+    check_sweep_json(cells)
+
+
+# -- the writers' frequency memo: values that recur across rows --------------
+
+#: Values a frequency memo must keep apart: zeros of both signs (equal as
+#: floats), a float and a numpy scalar of equal value, and the non-finite
+#: floats.
+POOL_VALUES = [0.0, -0.0, 2.5, np.float64(2.5), math.nan, math.inf,
+               -math.inf]
+
+
+@st.composite
+def pooled_triad_lists(draw, count):
+    """``count`` triad lists whose frequencies, discrepancies and d_ratios
+    come from one small pool, so a value recurs across rows and lists and
+    the writers read its text from their memo."""
+    pool = draw(st.lists(st.sampled_from(POOL_VALUES)
+                         | st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=5))
+    value = st.sampled_from(pool)
+    triad = st.builds(Triad, MODES, MODES, MODES,
+                      st.tuples(value, value, value), value, value, SIGNS)
+    return [draw(st.lists(triad, max_size=6)) for _ in range(count)]
+
+
+def zero_rows(*zeros) -> list:
+    """Plain float rows that differ only in the sign of omega1's zero."""
+    return [water_triad((z, 1.0, 2.0), 0.5, 0.25) for z in zeros]
+
+
+@given(lists=pooled_triad_lists(1))
+@example(lists=[zero_rows(0.0, -0.0)])
+@example(lists=[zero_rows(-0.0, 0.0)])
+@example(lists=[[water_triad((2.5, np.float64(2.5), 2.5), 0.0, 0.1),
+                 water_triad((np.float64(2.5), 2.5, 2.5), 0.0, 0.1),
+                 water_triad((math.nan, math.inf, 2.5), 0.0, 0.1),
+                 water_triad((-math.inf, 2.5, 2.5), 0.0, 0.1)]])
+def test_pooled_triad_list_matches_records(lists):
+    """A bare list, to JSON and to CSV, whose rows repeat frequencies."""
+    triads, = lists
+    assert to_json(triads) == json_oracle(triads)
+    assert triads_to_csv(triads) == csv_oracle(triads)
+
+
+@given(lists=pooled_triad_lists(2))
+@example(lists=[zero_rows(0.0), zero_rows(-0.0)])
+def test_pooled_plan_json_matches_records(lists):
+    """One memo serves a plan's type_a and type_b."""
+    check_plan_json(*lists)
+
+
+@given(lists=pooled_triad_lists(3))
+@example(lists=[zero_rows(-0.0), [], zero_rows(0.0)])
+def test_pooled_sweep_json_matches_records(lists):
+    """One memo serves every cell of a sweep."""
+    check_sweep_json(lists)
 
 
 TEXT = st.text() | st.sampled_from(["", "\x00\x1f\x7f", "caf\u00e9 \u2028",
