@@ -45,6 +45,7 @@ from .experiment import (
     planetary_amplitude_bound,
     steepness_amplitude,
 )
+from .report import to_json, triads_to_csv
 
 __version__ = "0.1.0"
 
@@ -58,5 +59,5 @@ __all__ = [
     "eval_frequency", "find_exact_triads", "find_max_discrepancy_triads",
     "find_near_triads", "geometry_sweep", "minimal_near_resonant",
     "plan_experiment", "planetary_amplitude_bound", "rescale_for_basin",
-    "steepness_amplitude", "to_hz",
+    "steepness_amplitude", "to_hz", "to_json", "triads_to_csv",
 ]

@@ -18,6 +18,7 @@ configurations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -142,25 +143,29 @@ def build_spec(args) -> DispersionSpec:
 def _emit(args, header: dict, payload, table, csv=None):
     """Render and write the one format ``--format`` asks for.
 
-    ``payload`` (what ``report.to_json`` writes), ``table`` and ``csv``
-    (text) are zero-argument callables and only the chosen one is called,
-    so a run builds no output it does not write.  ``csv`` is None for
-    commands without a CSV form."""
-    if args.format == "json":
-        out = report.to_json(payload(), None if args.no_header else header)
-    else:
-        render = csv if args.format == "csv" else table
-        if render is None:
-            raise UsageError("csv output is not defined for this command")
-        out = render()
+    ``payload`` (what ``report.write_json`` writes) and ``table`` (text)
+    are zero-argument callables; ``csv`` writes its text to the callable
+    it is given, and is None for commands without a CSV form.  Only the
+    chosen one is called, so a run builds no output it does not write.
+    JSON and triad CSV reach ``--output`` or stdout in chunks, after the
+    header lines of CSV and table output."""
+    if args.format == "csv" and csv is None:
+        raise UsageError("csv output is not defined for this command")
+    body = (payload() if args.format == "json"
+            else table() if args.format == "table" else None)
+    with (open(args.output, "w") if args.output
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if args.format == "json":
+            report.write_json(fh.write, body,
+                              None if args.no_header else header)
+            return
         if not args.no_header:
-            out = "".join(f"# {k}={json.dumps(v, sort_keys=True)}\n"
-                          for k, v in header.items()) + out
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+            fh.write("".join(f"# {k}={json.dumps(v, sort_keys=True)}\n"
+                             for k, v in header.items()))
+        if args.format == "csv":
+            csv(fh.write)
+        else:
+            fh.write(body)
 
 
 def _header(args, spec, domain, **extra) -> dict:
@@ -200,7 +205,7 @@ def cmd_find_triads(args, spec, domain):
                      closure=args.closure)
     _emit(args, header, lambda: triads,
           lambda: report.triads_to_table(triads),
-          lambda: report.triads_to_csv(triads))
+          lambda write: report.write_triads_csv(write, triads))
 
 
 def cmd_classify(args, spec, domain):
@@ -214,7 +219,7 @@ def cmd_classify(args, spec, domain):
                      bridge_mode=args.bridge_mode)
     _emit(args, header, lambda: report.partition_to_records(part),
           lambda: report.partition_to_table(part),
-          lambda: report.partition_to_csv(part))
+          lambda write: write(report.partition_to_csv(part)))
 
 
 def cmd_bound(args, spec, domain):

@@ -6,25 +6,34 @@ m1,n1,m2,n2,m3,n3,omega1,omega2,omega3,hz1,hz2,hz3,discrepancy,d_ratio,signs
 Exact rationals serialise as "p/q" strings; a float approximation is
 appended in *_float fields.
 
-``to_json`` is the one JSON writer.  It writes the bytes of
-``json.dumps(payload, indent=2)`` itself, because with ``indent`` set
-CPython runs its pure-Python encoder.  Payloads are dicts with str keys,
-lists and tuples of str, int, float, bool, None, ``Fraction`` (written
-"p/q") and ``Triad``.  A triad is written as its ``triad_to_record``
-record: a float triad with finite values fills one %-template per indent
-level, any other triad is written through its record.  So a JSON run
-builds no record dict per float triad.
+``write_json`` and ``write_triads_csv`` are the chunk writers: they hand
+their text to a ``write`` callable every ``CHUNK_PIECES`` pieces (about
+64-128 KB of triad text), so the CLI streams an inventory to its output
+and never holds the whole text.  ``to_json`` and ``triads_to_csv`` return
+the join of the same chunks.
+
+``write_json`` writes the bytes of ``json.dumps(payload, indent=2)``
+itself, because with ``indent`` set CPython runs its pure-Python encoder.
+Payloads are dicts with str keys, lists and tuples of str, int, float,
+bool, None, ``Fraction`` (written "p/q") and ``Triad``.  A triad is
+written as its ``triad_to_record`` record: a float triad with finite
+values fills one %-template per indent level, any other triad is written
+through its record.  So a JSON run builds no record dict per float triad.
+
+A CSV row is the ``str`` of each cell joined by commas, which is what
+``csv.writer`` writes: no cell can need quoting, since each is an int, a
+float, "p/q" text, a sign string over "+" and "-", a fixed class name or
+empty.  A float triad's row fills one %-template; any other row joins the
+cells of ``_triad_row``.
 
 Thousands of triads draw their frequencies from a few hundred modes, so
-``to_json`` and ``triads_to_csv`` format each distinct float omega and
-its hz once per call (``_FreqText``); a float row formats only its
+``write_json`` and ``write_triads_csv`` format each distinct float omega
+and its hz once per call (``_FreqText``); a float row formats only its
 discrepancy and d_ratio.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -42,6 +51,11 @@ TRIAD_COLUMNS = ["m1", "n1", "m2", "n2", "m3", "n3",
                  "discrepancy", "d_ratio", "signs"]
 RATIONAL_EXTRA_COLUMNS = ["omega1_float", "omega2_float", "omega3_float",
                           "discrepancy_float"]
+
+#: Pieces a chunk writer gathers before it hands them to ``write`` as one
+#: chunk: CSV rows, or the separators and elements of JSON lists, in
+#: which a float triad is one piece.
+CHUNK_PIECES = 512
 
 
 def _signs_str(signs) -> str:
@@ -97,24 +111,14 @@ class _FreqText(dict):
         return text
 
 
-def _triad_row(t: Triad, rational: bool, text: _FreqText) -> list:
+def _triad_row(t: Triad, rational: bool) -> list:
     """CSV cells of one triad: the values of its record under
     TRIAD_COLUMNS, then under RATIONAL_EXTRA_COLUMNS when ``rational``
-    (left empty for a float triad in a rational list).  Python float
-    frequencies take their text from ``text``: csv.writer writes a float
-    as ``float.__repr__`` and copies text without delimiter or quote."""
+    (left empty for a float triad in a rational list)."""
     w1, w2, w3 = t.omegas
-    if type(w1) is float and type(w2) is float and type(w3) is float:
-        (o1, h1), (o2, h2), (o3, h3) = (text[w1, copysign(1.0, w1)],
-                                        text[w2, copysign(1.0, w2)],
-                                        text[w3, copysign(1.0, w3)])
-    else:
-        o1, o2, o3 = _num(w1), _num(w2), _num(w3)
-        h1, h2, h3 = to_hz(w1), to_hz(w2), to_hz(w3)
     row = [t.k1.m, t.k1.n, t.k2.m, t.k2.n, t.k3.m, t.k3.n,
-           o1, o2, o3, h1, h2, h3,
-           _num(t.discrepancy), t.d_ratio,
-           _SIGNS_TEXT.get(t.signs) or _signs_str(t.signs)]
+           _num(w1), _num(w2), _num(w3), to_hz(w1), to_hz(w2), to_hz(w3),
+           _num(t.discrepancy), t.d_ratio, _signs_str(t.signs)]
     if rational:
         if isinstance(t.discrepancy, Fraction):
             row += [float(w1), float(w2), float(w3), float(t.discrepancy)]
@@ -123,18 +127,54 @@ def _triad_row(t: Triad, rational: bool, text: _FreqText) -> list:
     return row
 
 
-def triads_to_csv(triads) -> str:
-    """One row per triad under TRIAD_COLUMNS; the RATIONAL_EXTRA_COLUMNS
-    are added when any triad carries an exact rational discrepancy."""
+#: %-template of a float triad's CSV row under TRIAD_COLUMNS: omega1-3
+#: and hz1-3 take their text (``%s``) from a ``_FreqText`` memo, and
+#: ``%r`` of a Python float is its ``str``.
+_CSV_TEMPLATE = "%d,%d,%d,%d,%d,%d,%s,%s,%s,%s,%s,%s,%r,%r,%s"
+
+
+def write_triads_csv(write, triads) -> None:
+    """Write the CSV text of ``triads`` to ``write`` in chunks of
+    CHUNK_PIECES rows: one row per triad under TRIAD_COLUMNS, and the
+    RATIONAL_EXTRA_COLUMNS when any triad carries an exact rational
+    discrepancy.
+
+    A triad whose frequencies, discrepancy and d_ratio are Python floats
+    and whose signs are a sign pattern fills ``_CSV_TEMPLATE``; any other
+    row (rationals, numpy scalars) joins the ``str`` of its cells."""
     triads = list(triads)
     rational = any(type(t.discrepancy) is not float
                    and isinstance(t.discrepancy, Fraction) for t in triads)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(TRIAD_COLUMNS + (RATIONAL_EXTRA_COLUMNS if rational else []))
+    columns = TRIAD_COLUMNS + (RATIONAL_EXTRA_COLUMNS if rational else [])
+    template = _CSV_TEMPLATE + (",,,,\n" if rational else "\n")
     text = _FreqText()
-    w.writerows(_triad_row(t, rational, text) for t in triads)
-    return buf.getvalue()
+    out = [",".join(columns) + "\n"]
+    for t in triads:
+        w1, w2, w3 = t.omegas
+        d, r = t.discrepancy, t.d_ratio
+        signs = _SIGNS_TEXT.get(t.signs)
+        if (type(w1) is float and type(w2) is float and type(w3) is float
+                and type(d) is float and type(r) is float
+                and signs is not None):
+            k1, k2, k3 = t.k1, t.k2, t.k3
+            (o1, h1), (o2, h2), (o3, h3) = (text[w1, copysign(1.0, w1)],
+                                            text[w2, copysign(1.0, w2)],
+                                            text[w3, copysign(1.0, w3)])
+            out.append(template % (k1.m, k1.n, k2.m, k2.n, k3.m, k3.n,
+                                   o1, o2, o3, h1, h2, h3, d, r, signs))
+        else:
+            out.append(",".join(map(str, _triad_row(t, rational))) + "\n")
+        if len(out) >= CHUNK_PIECES:
+            write("".join(out))
+            out.clear()
+    write("".join(out))
+
+
+def triads_to_csv(triads) -> str:
+    """The text ``write_triads_csv`` writes, as one string."""
+    chunks = []
+    write_triads_csv(chunks.append, triads)
+    return "".join(chunks)
 
 
 def _triad_brackets(t: Triad) -> str:
@@ -184,15 +224,13 @@ def partition_to_records(part: ModePartition) -> dict:
 
 
 def partition_to_csv(part: ModePartition) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["m", "n", "class", "min_abs_discrepancy"])
+    rows = ["m,n,class,min_abs_discrepancy\n"]
     for k in sorted(part.assignments):
         a = part.assignments[k]
-        w.writerow([k.m, k.n, a.mode_class,
-                    "" if a.min_abs_discrepancy is None
-                    else a.min_abs_discrepancy])
-    return buf.getvalue()
+        d = a.min_abs_discrepancy
+        rows.append(",".join(map(str, (k.m, k.n, a.mode_class,
+                                       "" if d is None else d))) + "\n")
+    return "".join(rows)
 
 
 def partition_to_table(part: ModePartition) -> str:
@@ -309,8 +347,10 @@ def _triad_template(level: int) -> str:
     return "{" + ",".join(inner + f for f in fields) + close
 
 
-def _triad_json(t: Triad, level: int, text: _FreqText) -> str:
-    """The JSON text of ``triad_to_record(t)`` at ``level``.
+def _triad_json(t: Triad, level: int, out: list, text: _FreqText,
+                write) -> None:
+    """Append to ``out`` the JSON text of ``triad_to_record(t)`` at
+    ``level``.
 
     A triad whose frequencies, discrepancy and d_ratio are finite Python
     floats fills the template: ``float.__repr__`` of such a float is its
@@ -331,21 +371,22 @@ def _triad_json(t: Triad, level: int, text: _FreqText) -> str:
                                         text[w3, copysign(1.0, w3)])
         # The label as Triad.resonance_label gives it for a float
         # discrepancy.
-        return _triad_template(level) % (
+        out.append(_triad_template(level) % (
             k1.m, k1.n, k2.m, k2.n, k3.m, k3.n, o1, o2, o3, h1, h2, h3,
             d, r, signs,
-            "numerically_exact" if r <= NUMERIC_EXACT_D else "near")
-    out = []
-    _write(triad_to_record(t), level, out, text)
-    return "".join(out)
+            "numerically_exact" if r <= NUMERIC_EXACT_D else "near"))
+    else:
+        _write(triad_to_record(t), level, out, text, write)
 
 
-def _write(v, level: int, out: list, text: _FreqText) -> None:
+def _write(v, level: int, out: list, text: _FreqText, write) -> None:
     """Append to ``out`` the ``json.dumps(v, indent=2)`` text of ``v``,
     whose closing bracket is indented at ``level``; ``text`` is the call's
-    frequency memo."""
+    frequency memo.  Between the elements of a list, ``out`` is handed to
+    ``write`` as one chunk and emptied once it holds CHUNK_PIECES
+    pieces."""
     if isinstance(v, Triad):
-        out.append(_triad_json(v, level, text))
+        _triad_json(v, level, out, text, write)
     elif isinstance(v, str):
         out.append(_quote(v))
     elif v is None:
@@ -366,8 +407,11 @@ def _write(v, level: int, out: list, text: _FreqText) -> None:
         sep = "[" + inner
         for x in v:
             out.append(sep)
-            _write(x, level + 1, out, text)
+            _write(x, level + 1, out, text, write)
             sep = "," + inner
+            if len(out) >= CHUNK_PIECES:
+                write("".join(out))
+                out.clear()
         out.append("\n" + "  " * level + "]")
     elif isinstance(v, dict):
         if not v:
@@ -377,7 +421,7 @@ def _write(v, level: int, out: list, text: _FreqText) -> None:
         sep = "{" + inner
         for k, x in v.items():
             out.append(sep + _quote(k) + ": ")
-            _write(x, level + 1, out, text)
+            _write(x, level + 1, out, text, write)
             sep = "," + inner
         out.append("\n" + "  " * level + "}")
     elif isinstance(v, Fraction):
@@ -387,14 +431,22 @@ def _write(v, level: int, out: list, text: _FreqText) -> None:
                         "is not JSON serializable")
 
 
-def to_json(payload, header: dict | None = None) -> str:
-    """Deterministic JSON rendering, byte for byte ``json.dumps(payload,
-    indent=2)`` with ``Fraction`` and ``Triad`` written as in their
-    records; the run header (resolved config) is embedded unless
-    suppressed.  One frequency memo serves every triad in the payload."""
+def write_json(write, payload, header: dict | None = None) -> None:
+    """Write the deterministic JSON rendering of ``payload`` to ``write``
+    in chunks: byte for byte ``json.dumps(payload, indent=2)`` with
+    ``Fraction`` and ``Triad`` written as in their records; the run header
+    (resolved config) is embedded unless suppressed.  One frequency memo
+    serves every triad in the payload."""
     if header is not None:
         payload = {"config": header, "result": payload}
     out = []
-    _write(payload, 0, out, _FreqText())
+    _write(payload, 0, out, _FreqText(), write)
     out.append("\n")
-    return "".join(out)
+    write("".join(out))
+
+
+def to_json(payload, header: dict | None = None) -> str:
+    """The text ``write_json`` writes, as one string."""
+    chunks = []
+    write_json(chunks.append, payload, header)
+    return "".join(chunks)

@@ -132,6 +132,19 @@ def test_usage_error_messages_exit_2(capsys, argv, message):
     assert message in err and out == ""
 
 
+
+def test_usage_error_leaves_the_output_file_alone(capsys, tmp_path):
+    """The format is refused before --output is opened."""
+    path = tmp_path / "kept"
+    path.write_bytes(b"an earlier run\n")
+    code, out, err = run_cli(capsys, "bound", "--dispersion", "rossby-sphere",
+                             "--T", "8", "--format", "csv",
+                             "--output", str(path))
+    assert code == 2
+    assert "csv output is not defined" in err and out == ""
+    assert path.read_bytes() == b"an earlier run\n"
+
+
 SHARED_OPTIONS = ["-h", "--help", "--dispersion", "--liquid", "--mu-nu",
                   "--g", "--alpha", "--lx", "--ly", "--plane-form",
                   "--config", "--format", "--output", "--no-header"]
@@ -307,9 +320,10 @@ def test_bound_float_dispersion_json(capsys):
     assert witness["m1"] + witness["m2"] == witness["m3"]
 
 
-# Renderers of each format, per command; the JSON renderers also use to_json.
+# Renderers of each format, per command; the JSON renderers also use
+# write_json.
 RENDERERS = {
-    "find-triads": {"json": "to_json", "csv": "triads_to_csv",
+    "find-triads": {"json": "write_json", "csv": "write_triads_csv",
                     "table": "triads_to_table"},
     "classify": {"json": "partition_to_records", "csv": "partition_to_csv",
                  "table": "partition_to_table"},
@@ -331,7 +345,7 @@ def test_only_requested_format_is_rendered(capsys, monkeypatch, command, fmt):
         if other != fmt:
             monkeypatch.setattr(report, name, unrequested)
     if fmt != "json":
-        monkeypatch.setattr(report, "to_json", unrequested)
+        monkeypatch.setattr(report, "write_json", unrequested)
     code, out, err = run_cli(capsys, command, *COMMAND_ARGS[command],
                              "--format", fmt)
     assert code == 0, err

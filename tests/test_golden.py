@@ -1,9 +1,10 @@
 """Byte-for-byte comparison of CLI output with committed golden files.
 
 Each case runs ``wavetriads.cli.main`` on a small domain (T <= 10) and
-compares the bytes it writes with ``tests/golden/<case>``.  The files pin
-every subcommand in each format it supports, so a refactor of the search,
-report or CLI layers that changes any output byte fails here.
+compares the bytes it writes, to ``--output`` and to stdout, with
+``tests/golden/<case>``.  The files pin every subcommand in each format it
+supports, so a refactor of the search, report or CLI layers that changes
+any output byte fails here.
 
 Regenerate the files only for an intended output change:
 
@@ -124,9 +125,11 @@ def render(argv, path: Path) -> bytes:
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_output_matches_golden(case, tmp_path):
-    got = render(CASES[case], tmp_path / case)
-    assert got == (GOLDEN / case).read_bytes()
+def test_cli_output_matches_golden(case, tmp_path, capsys):
+    golden = (GOLDEN / case).read_bytes()
+    assert render(CASES[case], tmp_path / case) == golden
+    assert main(CASES[case]) == 0
+    assert capsys.readouterr().out.encode() == golden
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,10 +16,13 @@ from wavetriads import (
     WaveVector,
     classify_modes,
     discrepancy_lower_bound,
+    find_max_discrepancy_triads,
     find_near_triads,
     plan_experiment,
     to_hz,
 )
+from wavetriads import cli
+from wavetriads.classify import ModeAssignment, ModePartition
 from wavetriads.experiment import (ExperimentPlan, GeometrySweepReport,
                                    SweepCell)
 from wavetriads.report import (
@@ -324,3 +329,159 @@ def test_json_refuses_other_types_and_keys(payload):
     would turn an int key into a string)."""
     with pytest.raises(TypeError):
         to_json(payload)
+
+
+# -- CSV cells: none needs quoting ---------------------------------------------
+
+def partition_csv_oracle(part) -> str:
+    """csv.writer over each mode's row, as partition_to_csv wrote it before
+    it joined its cells itself."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["m", "n", "class", "min_abs_discrepancy"])
+    for k in sorted(part.assignments):
+        a = part.assignments[k]
+        w.writerow([k.m, k.n, a.mode_class,
+                    "" if a.min_abs_discrepancy is None
+                    else a.min_abs_discrepancy])
+    return buf.getvalue()
+
+
+@st.composite
+def partitions(draw):
+    """Partitions of up to six modes with float, numpy, rational or no
+    minimal discrepancies."""
+    cls = st.sampled_from(["active", "passive", "neutral"])
+    value = st.none() | FLOATS | FLOATS.map(np.float64) | FRACTIONS
+    assignments = {k: ModeAssignment(k, draw(cls), draw(value))
+                   for k in draw(st.lists(MODES, max_size=6, unique=True))}
+    return ModePartition(WATER, SQUARE_8, 0.3, assignments, [], [], {})
+
+
+@given(part=partitions())
+def test_partition_csv_matches_csv_writer(part):
+    assert partition_to_csv(part) == partition_csv_oracle(part)
+
+
+def csv_line(cells) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
+def cells_need_no_quoting(text: str) -> bool:
+    """True when every line of ``text`` has the header's cell count, and
+    reads back through csv.reader as exactly its split at commas, which
+    csv.writer writes back as the line: no cell holds a comma, a quote or
+    a line break."""
+    lines = text.removesuffix("\n").split("\n")
+    width = len(lines[0].split(","))
+    try:
+        return all(len(cells) == width
+                   and list(csv.reader([line])) == [cells]
+                   and csv_line(cells) == line + "\n"
+                   for line in lines for cells in [line.split(",")])
+    except csv.Error:  # a bare "\r" inside a line
+        return False
+
+
+@given(triads=TRIAD_LISTS, lists=pooled_triad_lists(1), part=partitions())
+def test_no_csv_cell_needs_quoting(triads, lists, part):
+    """So joining the str of each cell writes what csv.writer writes."""
+    assert cells_need_no_quoting(triads_to_csv(triads))
+    assert cells_need_no_quoting(triads_to_csv(lists[0]))
+    assert cells_need_no_quoting(partition_to_csv(part))
+
+
+@pytest.mark.parametrize("cell", [",", '"', "\r", "\n", "a,b", 'say "x"'])
+def test_quoting_check_fails_on_a_cell_that_needs_quoting(cell):
+    """The negative control: a class name or a signs cell that csv.writer
+    would quote."""
+    k = WaveVector(1, 2)
+    part = ModePartition(WATER, SQUARE_8, 0.3,
+                         {k: ModeAssignment(k, cell, 0.5)}, [], [], {})
+    assert not cells_need_no_quoting(partition_to_csv(part))
+    text = triads_to_csv([water_triad((1.0, 2.0, 3.0), 0.0, 0.1)])
+    assert cells_need_no_quoting(text)
+    assert not cells_need_no_quoting(text.replace("++-", cell))
+
+
+# -- streaming: many chunks to stdout and --output ---------------------------
+
+#: The gc75 inventory of 17,099 triads: 7.4 MB of JSON, 2.9 MB of CSV.
+INVENTORY_ARGV = ["find-triads", "--liquid", "water", "--T", "20",
+                  "--d-min", "0.1"]
+
+#: Characters of the largest chunk a writer may hand on: CHUNK_PIECES
+#: pieces are about 112,000 characters of this inventory's JSON and
+#: 86,000 of its CSV.
+CHUNK_BOUND = 128 * 1024
+
+
+@pytest.fixture(scope="module")
+def inventory():
+    return find_max_discrepancy_triads(WATER, SpectralDomain(20, "square"),
+                                       0.1)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_streamed_inventory_matches_the_oracles(capsys, tmp_path, inventory,
+                                                fmt):
+    """Through many chunk boundaries, stdout and --output both carry the
+    header and then the text of to_json / triads_to_csv, which equals
+    json.dumps / csv.writer of the records."""
+    path = tmp_path / "out"
+    assert cli.main([*INVENTORY_ARGV, "--format", fmt,
+                     "--output", str(path)]) == 0
+    assert cli.main([*INVENTORY_ARGV, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert path.read_text() == out
+    if fmt == "json":
+        header = json.loads(out)["config"]
+        assert out == to_json(inventory, header)
+        assert out == json_oracle(inventory, header)
+    else:
+        lines = out.split("\n")
+        header = [line for line in lines if line.startswith("# ")]
+        body = "\n".join(lines[len(header):])
+        assert header and body.startswith("m1,n1,")
+        assert body == triads_to_csv(inventory) == csv_oracle(inventory)
+    assert len(out) > 8 * CHUNK_BOUND
+
+
+class RecordingFile:
+    """A file object that keeps only the size of each write."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_writers_hold_a_chunk_not_the_output(monkeypatch, tmp_path,
+                                             inventory, fmt):
+    """The CLI writes a prebuilt inventory in several bounded writes, and
+    its heap peak while rendering and writing stays under a quarter of the
+    output; a writer that built the whole text first would hold more than
+    the output."""
+    monkeypatch.setattr(cli, "find_max_discrepancy_triads",
+                        lambda *args, **kwargs: inventory)
+    stdout = RecordingFile()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main([*INVENTORY_ARGV, "--format", fmt]) == 0
+    assert len(stdout.sizes) > 1
+    assert max(stdout.sizes) <= CHUNK_BOUND
+    path = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert cli.main([*INVENTORY_ARGV, "--format", fmt,
+                         "--output", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size == sum(stdout.sizes)
+    assert peak < size / 4
