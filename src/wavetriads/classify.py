@@ -40,16 +40,20 @@ from .dispersion import (
     _is_positive_int,
 )
 from .errors import UsageError
+from .sphere import _exact_step
 from .search import (
+    _BLOCK,
     NUMERIC_EXACT_D,
     Triad,
     _FrequencyMemo,
     _build,
     _check_threshold,
     _dispatch,
+    _float_step,
     _pattern,
     _scan,
     _select,
+    _table,
 )
 
 ACTIVE = "active"
@@ -160,55 +164,72 @@ def _walk(spec, domain, rule, passes, patterns, skip_equal_n_pairs, freqs,
 # minimal near-resonant bridge waves
 # ---------------------------------------------------------------------------
 
-def _minimal_bridge(domain, triad, donor_pair, patterns, rule, passes,
-                    freqs):
-    """Shared bridge search under the resolved closure ``rule`` and
-    n-selection ``passes``, on the frequency memo ``freqs``; no validation
-    (cascades bridge from near-resonant intermediate triads)."""
-    ka, kb = donor_pair
-    members = set(triad.members())
-    wa, wb = freqs[ka], freqs[kb]
-    best = None
-    for w in rule.completions(ka, kb, domain, patterns):
-        if w in members or not passes(ka.n, kb.n, w.n):
-            continue
-        ws = (wa, wb, freqs[w])
-        om, _ = _pattern(ws, patterns)
-        # An exact completion is a resonance, not a near one; on the float
-        # path "exact" includes rounding-level residue of rational-valued
-        # dispersions (numerically exact).
-        if om == 0 or abs(float(om)) <= NUMERIC_EXACT_D * min(
-                abs(float(x)) for x in ws):
-            continue
-        key = (abs(om), w)
-        if best is None or key < best[0]:
-            best = (key, w, om)
-    if best is None:
-        return None
-    _, w, om = best
-    return CascadeStep(triad, (ka, kb), w, om)
+def _minimal_bridges(spec, domain, rule, passes, patterns, freqs, donors):
+    """The minimal near-resonant bridge (a CascadeStep, or None) of each
+    donor pair (triad, ka, kb) under the resolved closure ``rule`` and
+    n-selection ``passes``, unvalidated (cascades bridge from near-resonant
+    triads), in one array pass.  The non-resonant completions in the
+    domain that are no triad member and pass are read on the |Omega| of
+    the scan kernels: the triads' own on floats, correctly rounded on the
+    exact path.  So a pair's least (|Omega|, (m, n)) lies at its least
+    float |Omega|, and is keyed there on the :func:`_pattern` residual."""
+    T = domain.truncation
+    D = np.array([(*ka, *kb, *t.k1, *t.k2, *t.k3) for t, ka, kb in donors],
+                 dtype=np.int64).reshape(-1, 10)
+    ma, na, mb, nb = D[:, :4].T
+    m3, n3 = rule.waves(ma, na, mb, nb, T, patterns)  # (pair, completion)
+    p, j = np.nonzero(
+        (m3 >= 1) & (m3 <= T) & (n3 <= T)
+        & (n3 >= (m3 if domain.shape == "triangular" else 1))
+        & ((m3[..., None] != D[:, None, 4::2])
+           | (n3[..., None] != D[:, None, 5::2])).all(2)
+        & passes(na[:, None], nb[:, None], n3))
+    m3, n3 = m3[p, j], n3[p, j]
+    X = _table(spec, domain)
+    if spec.exactness:  # the largest m takes _exact_step's third slot
+        V = np.array([(ma[p], mb[p], m3), (na[p], nb[p], n3)])
+        (m1, m2, mz), (n1, n2, nz) = np.take_along_axis(V, V[:1].argsort(1), 1)
+        a, amin = _exact_step(X, m1, n1, X[m2, n2], X[mz, nz], m2, patterns,
+                              True)
+        value = freqs.__getitem__
+    else:
+        a, amin = _float_step(X, ma[p], na[p], X[mb, nb][p], X[m3, n3], None,
+                              patterns, True)
+        value = lambda k: X.item(*k)  # noqa: E731
+    keep = ~(a <= NUMERIC_EXACT_D * amin)
+    low = np.full(len(donors), np.inf)
+    np.minimum.at(low, p[keep], a[keep])
+    steps = [None] * len(donors)
+    at = keep & (a == low[p])
+    for i, m, n in zip(p[at].tolist(), m3[at].tolist(), n3[at].tolist()):
+        t, ka, kb = donors[i]
+        k = WaveVector(m, n)
+        om, _ = _pattern((value(ka), value(kb), value(k)), patterns)
+        if steps[i] is None or (abs(om), k) < (
+                abs(steps[i].bridge_discrepancy), steps[i].bridge_wave):
+            steps[i] = CascadeStep(t, (ka, kb), k, om)
+    return steps
 
 
 def minimal_near_resonant(spec: DispersionSpec, domain: SpectralDomain,
                           triad: Triad, donor_pair: tuple,
                           patterns: str = "sum", closure: str = "auto",
-                          n_selection: str = "none", *,
-                          freqs=None) -> CascadeStep | None:
+                          n_selection: str = "none") -> CascadeStep | None:
     """The bridge wave with minimal |Omega| completing vector closure with
-    the donor pair, excluding the triad's own members.
+    the donor pair, two of the triad's three members, excluding the
+    triad's own members.
 
     Ties break lexicographically on (m, n).  Returns None when no wave in
-    the domain completes the pair ("no bridge").  Searches can share their
-    scalar frequencies through one memo ``freqs``.
+    the domain completes the pair ("no bridge").
     """
     if not triad.is_exact:
         raise UsageError("minimal_near_resonant expects a resonant triad")
-    if not set(donor_pair) <= set(triad.members()):
-        raise UsageError("donor pair must consist of triad members")
+    if not any(tuple(donor_pair) in (q, q[::-1]) for q in _triad_pairs(triad)):
+        raise UsageError("donor pair must be two of the triad's members")
     rule = _dispatch(spec, domain, closure, patterns)
-    return _minimal_bridge(domain, triad, donor_pair, patterns, rule,
-                           _n_rule(rule, n_selection),
-                           _FrequencyMemo(spec) if freqs is None else freqs)
+    return _minimal_bridges(spec, domain, rule, _n_rule(rule, n_selection),
+                            patterns, _FrequencyMemo(spec),
+                            [(triad, *donor_pair)])[0]
 
 
 def _triad_pairs(t: Triad) -> list:
@@ -220,24 +241,25 @@ def _step_key(step: CascadeStep) -> tuple:
     return (step.abs_discrepancy, step.bridge_wave)
 
 
-def select_bridges(spec, domain, seeds, omega_max, patterns="sum",
-                   closure="auto", n_selection="none",
-                   bridge_mode="per_pair", *, freqs=None) -> list:
+def select_bridges(spec, domain, seeds, omega_max, rule, passes, patterns,
+                   bridge_mode, freqs) -> list:
     """Bridge waves admitted to the Active class, per (triad, pair) or per
-    triad as ``bridge_mode`` says (:func:`classify_modes` checks it); the
-    searches share the frequency memo ``freqs`` when the caller passes
-    one."""
+    triad as ``bridge_mode`` says (:func:`classify_modes` checks it), from
+    one bridge search per batch of whole seeds, of at most _BLOCK / T
+    donor pairs (a zonal pair has up to 2 T completions)."""
+    donors = [(t, *pair) for t in seeds for pair in _triad_pairs(t)]
+    batch = 3 * (_BLOCK // (3 * domain.truncation) or 1)
+    found = [s for i in range(0, len(donors), batch) for s in
+             _minimal_bridges(spec, domain, rule, passes, patterns, freqs,
+                              donors[i:i + batch])]
     steps = []
-    for t in seeds:
-        found = [s for s in (minimal_near_resonant(
-                     spec, domain, t, pair, patterns=patterns,
-                     closure=closure, n_selection=n_selection, freqs=freqs)
-                     for pair in _triad_pairs(t))
-                 if s is not None and s.abs_discrepancy <= omega_max]
+    for i in range(0, len(found), 3):
+        kept = [s for s in found[i:i + 3]
+                if s is not None and s.abs_discrepancy <= omega_max]
         if bridge_mode == "per_pair":
-            steps.extend(found)
-        elif found:
-            steps.append(min(found, key=_step_key))
+            steps.extend(kept)
+        elif kept:
+            steps.append(min(kept, key=_step_key))
     return steps
 
 
@@ -285,14 +307,15 @@ def classify_modes(spec: DispersionSpec, domain: SpectralDomain,
     if bridge_mode not in ("per_pair", "per_triad"):
         raise UsageError(f"unknown bridge_mode {bridge_mode!r}")
     rule = _dispatch(spec, domain, closure, patterns)
+    passes = _n_rule(rule, n_selection)
     convention = dict(patterns=patterns, closure=rule.name,
                       n_selection=n_selection, bridge_mode=bridge_mode,
                       skip_equal_n_pairs=skip_equal_n_pairs)
     freqs = _FrequencyMemo(spec)
-    seeds, hits = _walk(spec, domain, rule, _n_rule(rule, n_selection),
-                        patterns, skip_equal_n_pairs, freqs, omega_max)
-    bridges = select_bridges(spec, domain, seeds, omega_max, patterns,
-                             closure, n_selection, bridge_mode, freqs=freqs)
+    seeds, hits = _walk(spec, domain, rule, passes, patterns,
+                        skip_equal_n_pairs, freqs, omega_max)
+    bridges = select_bridges(spec, domain, seeds, omega_max, rule, passes,
+                             patterns, bridge_mode, freqs)
 
     assignments = {k: ModeAssignment(k, NEUTRAL) for k in domain.modes()}
     assignments.update((k, ModeAssignment(k, PASSIVE, v))
@@ -344,9 +367,9 @@ def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
     current = seed
     steps = []
     for _ in range(int(depth)):
-        found = [s for s in (_minimal_bridge(domain, current, pair, patterns,
-                                             rule, passes, freqs)
-                             for pair in _triad_pairs(current))
+        found = [s for s in _minimal_bridges(
+                     spec, domain, rule, passes, patterns, freqs,
+                     [(current, *pair) for pair in _triad_pairs(current)])
                  if s is not None]
         if not found:
             break

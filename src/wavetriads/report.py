@@ -142,7 +142,8 @@ def write_triads_csv(write, triads) -> None:
     A triad whose frequencies, discrepancy and d_ratio are Python floats
     and whose signs are a sign pattern fills ``_CSV_TEMPLATE``; any other
     row (rationals, numpy scalars) joins the ``str`` of its cells."""
-    triads = list(triads)
+    if not isinstance(triads, list):  # rows are read twice
+        triads = list(triads)
     rational = any(type(t.discrepancy) is not float
                    and isinstance(t.discrepancy, Fraction) for t in triads)
     columns = TRIAD_COLUMNS + (RATIONAL_EXTRA_COLUMNS if rational else [])

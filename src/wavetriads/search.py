@@ -1,8 +1,9 @@
 """Exhaustive enumeration of exact and approximate resonant triads.
 
 The closure table (``CLOSURES``) states for each vector-closure convention
-its candidates, its completions of a donor pair (the classifier's bridge
-waves), the domain shapes it accepts and the sign patterns of its bound.
+its candidates, its completions of donor pairs as arrays (the classifier's
+bridge waves), the domain shapes it accepts and the sign patterns of its
+bound.
 Candidates are pairs k1 <= k2 in lexicographic order with their third
 vector, so outputs are duplicate-free:
 
@@ -207,13 +208,13 @@ def _both_blocks(X, domain, skip_equal_n_pairs, self_pair):
         yield a, b, Xf[o2 + n2], Xf[o3 + n2], m2, n2, b + n2
 
 
-def _both_completions(ka, kb, domain, patterns):
+def _both_waves(ma, na, mb, nb, T, patterns):
     """ka + kb; under any sign pattern also ka - kb and kb - ka."""
-    ks = [WaveVector(ka.m + kb.m, ka.n + kb.n)]
+    ms, ns = [ma + mb], [na + nb]
     if patterns == "all":
-        ks += [WaveVector(ka.m - kb.m, ka.n - kb.n),
-               WaveVector(kb.m - ka.m, kb.n - ka.n)]
-    return [k for k in ks if k in domain]
+        ms += [ma - mb, mb - ma]
+        ns += [na - nb, nb - na]
+    return np.stack(ms, 1), np.stack(ns, 1)
 
 
 def _zonal_blocks(X, domain, skip_equal_n_pairs, self_pair, window=None):
@@ -268,33 +269,25 @@ def _zonal_blocks(X, domain, skip_equal_n_pairs, self_pair, window=None):
         yield block(*held)
 
 
-def _zonal_completions(ka, kb, domain, patterns):
+def _zonal_waves(ma, na, mb, nb, T, patterns):
     """Every n3 at m3 = ma + mb; under any sign pattern also at
     m3 = |ma - mb|."""
-    T = domain.truncation
-    ms = ((ka.m + kb.m,) if patterns == "sum"
-          else (ka.m + kb.m, abs(ka.m - kb.m)))
-    for m in ms:
-        if 1 <= m <= T:
-            for n in range(m if domain.shape == "triangular" else 1, T + 1):
-                yield WaveVector(m, n)
+    ms = (ma + mb,) if patterns == "sum" else (ma + mb, abs(ma - mb))
+    m3 = np.repeat(np.stack(ms, 1), T, axis=1)
+    return m3, np.broadcast_to(np.tile(np.arange(1, T + 1), len(ms)), m3.shape)
 
 
-def box_completions(k1: WaveVector, k2: WaveVector, T: int):
-    """Wave vectors closing (k1, k2) under independent component-wise +/-:
-    m3 = m1 +/- m2 and n3 = n1 -/+ n2 in any combination, in ascending
-    (m3, n3) order (|a - b| < a + b for positive components)."""
-    for m3 in (abs(k1.m - k2.m), k1.m + k2.m):
-        if not 1 <= m3 <= T:
-            continue
-        for n3 in (abs(k1.n - k2.n), k1.n + k2.n):
-            if 1 <= n3 <= T:
-                yield WaveVector(m3, n3)
+def _box_waves(ma, na, mb, nb, T, patterns):
+    """m3 = |ma - mb| or ma + mb with n3 = |na - nb| or na + nb, in any
+    combination, in ascending (m3, n3) order (|a - b| < a + b for positive
+    components)."""
+    dm, sm, dn, sn = abs(ma - mb), ma + mb, abs(na - nb), na + nb
+    return np.stack((dm, dm, sm, sm), 1), np.stack((dn, sn, dn, sn), 1)
 
 
 def _box_blocks(X, domain, skip_equal_n_pairs, self_pair):
     """Box-closed candidates gathered by index arrays, with k3 in
-    :func:`box_completions` order.
+    ascending (m3, n3) order.
 
     Each unordered triple regenerates from any of its three pairs, so a
     candidate is emitted only from its two lexicographically smallest
@@ -333,14 +326,16 @@ class _Closure:
     ``self_pair`` decides whether zonal closure admits k2 = k1; ``both``
     always does and ``box`` never does.  On the exact path zonal blocks
     also take ``window``, which keeps only each pair's n3 window.
-    ``completions(ka, kb, domain, patterns)`` yields the waves of the
-    domain that close a donor pair.
+    ``waves(ma, na, mb, nb, T, patterns)`` gives the waves that close the
+    donor pairs (ka, kb) of the coordinate arrays, each once, as arrays
+    (m3, n3) of (pair, completion), some off the domain: the classifier's
+    bridge candidates.
     """
 
     name: str
     shapes: tuple            # domain shapes it accepts
     blocks: Callable
-    completions: Callable
+    waves: Callable
     bound_patterns: str = "sum"  # sign patterns of the least nonzero |Omega|
     exact: bool = False      # the exact path serves it
     free_n3: bool = False    # n3 is free: the n-selection rules apply
@@ -348,13 +343,10 @@ class _Closure:
 
 #: The closure table: ``both``, ``zonal`` and ``box`` by name.
 CLOSURES = {c.name: c for c in (
-    _Closure("both", ("square",), _both_blocks, _both_completions),
-    _Closure("zonal", ("square", "triangular"), _zonal_blocks,
-             _zonal_completions, exact=True, free_n3=True),
-    _Closure("box", ("square",), _box_blocks,
-             # on a square domain every completion within 1..T is a mode
-             lambda ka, kb, domain, patterns:
-                 box_completions(ka, kb, domain.truncation),
+    _Closure("both", ("square",), _both_blocks, _both_waves),
+    _Closure("zonal", ("square", "triangular"), _zonal_blocks, _zonal_waves,
+             exact=True, free_n3=True),
+    _Closure("box", ("square",), _box_blocks, _box_waves,
              bound_patterns="all"),
 )}
 

@@ -169,7 +169,9 @@ def test_minimal_bridge_requires_resonant_triad(sphere, sphere_t14):
 
 
 @pytest.mark.parametrize("pair", [(wv(4, 12), wv(5, 13)),
-                                  (wv(1, 2), wv(9, 13))])
+                                  (wv(1, 2), wv(9, 13)),
+                                  (wv(4, 12), wv(4, 12)),
+                                  (wv(4, 12), wv(5, 14), wv(9, 13))])
 def test_minimal_bridge_refuses_a_pair_outside_the_triad(sphere, sphere_t14,
                                                          pair):
     triad = classic_triad(sphere, sphere_t14)

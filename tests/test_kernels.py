@@ -6,8 +6,9 @@ rationals exactly), in emission order, and so are the discrepancy-bound
 witnesses and the classifier walk's approximate-resonance hits (members
 and |Omega|).  The tile-pruned near search is checked against the dense scan
 the same way, the multi-row scan blocks against the per-row generators
-they replaced, and the exact path's n3 windows against the dense zonal
-generator they bypass."""
+they replaced, the exact path's n3 windows against the dense zonal
+generator they bypass, and the classifier's array bridge search against
+the per-pair search it replaced (its bridges compared step by step)."""
 
 import dataclasses
 import math
@@ -36,14 +37,13 @@ from wavetriads.classify import (
     PASSIVE,
     CascadeStep,
     ModeAssignment,
+    cascade_path,
     classify_modes,
-    select_bridges,
 )
 from wavetriads.search import (
     NUMERIC_EXACT_D,
     SIGN_PATTERNS,
     Triad,
-    box_completions,
 )
 from conftest import ari_hits
 
@@ -96,16 +96,21 @@ def abs_fields(triads):
             for t in triads]
 
 
-def _candidate_triad(k1, k2, k3, ws, patterns):
+def _residual(ws, patterns):
+    """Signed residual and signs: the sum pattern's, or the first of least
+    |Omega| over the sign patterns."""
     if patterns == "all":
         best = None
         for signs in SIGN_PATTERNS:
             om = signs[0] * ws[0] + signs[1] * ws[1] + signs[2] * ws[2]
             if best is None or abs(om) < abs(best[0]):
                 best = (om, signs)
-        om, signs = best
-    else:
-        om, signs = ws[0] + ws[1] - ws[2], (1, 1, -1)
+        return best
+    return ws[0] + ws[1] - ws[2], (1, 1, -1)
+
+
+def _candidate_triad(k1, k2, k3, ws, patterns):
+    om, signs = _residual(ws, patterns)
     d = abs(float(om)) / min(abs(float(w)) for w in ws)
     return Triad(k1, k2, k3, ws, om, d, signs)
 
@@ -217,12 +222,19 @@ def check_float_kernel(spec, domain, closure, patterns, predicate, skip,
         fields(pair_oracle(spec, domain, closure, **kw))
 
 
-def test_box_completions_ascending():
-    T = 7
-    for k1 in SpectralDomain(T).modes():
-        for k2 in SpectralDomain(T).modes():
-            assert list(box_completions(k1, k2, T)) == \
-                oracle_completions(k1, k2, T)
+def test_box_waves_ascending():
+    """The box closure's completions of every pair of modes at T = 7, in
+    one array call: each pair's in the domain, in ascending (m3, n3)
+    order."""
+    domain = SpectralDomain(7)
+    modes = list(domain.modes())
+    pairs = [(k1, k2) for k1 in modes for k2 in modes]
+    ma, na, mb, nb = (np.array(c) for c in zip(*(
+        (*k1, *k2) for k1, k2 in pairs)))
+    m3, n3 = search.CLOSURES["box"].waves(ma, na, mb, nb, 7, "all")
+    assert [[WaveVector(m, n) for m, n in zip(*row) if WaveVector(m, n) in
+             domain] for row in zip(m3.tolist(), n3.tolist())] == \
+        [oracle_completions(k1, k2, 7) for k1, k2 in pairs]
 
 
 PREDICATES = st.sampled_from(["d_max", "d_min", "abs_max", "seeds"])
@@ -703,6 +715,124 @@ def partition_fields(part):
             assignments_fields(part.assignments))
 
 
+# -- the classifier: the per-pair bridge search the array pass replaced -------
+
+def oracle_both_completions(ka, kb, domain, patterns):
+    """ka + kb; under any sign pattern also ka - kb and kb - ka."""
+    ks = [WaveVector(ka.m + kb.m, ka.n + kb.n)]
+    if patterns == "all":
+        ks += [WaveVector(ka.m - kb.m, ka.n - kb.n),
+               WaveVector(kb.m - ka.m, kb.n - ka.n)]
+    return [k for k in ks if k in domain]
+
+
+def oracle_zonal_completions(ka, kb, domain, patterns):
+    """Every n3 at m3 = ma + mb; under any sign pattern also at
+    m3 = |ma - mb|."""
+    T = domain.truncation
+    ms = ((ka.m + kb.m,) if patterns == "sum"
+          else (ka.m + kb.m, abs(ka.m - kb.m)))
+    for m in ms:
+        if 1 <= m <= T:
+            for n in range(m if domain.shape == "triangular" else 1, T + 1):
+                yield WaveVector(m, n)
+
+
+ORACLE_COMPLETIONS = {
+    "both": oracle_both_completions,
+    "zonal": oracle_zonal_completions,
+    # on a square domain every completion within 1..T is a mode
+    "box": lambda ka, kb, domain, patterns:
+        oracle_completions(ka, kb, domain.truncation),
+}
+
+
+def oracle_minimal_bridge(domain, triad, donor_pair, patterns, closure,
+                          passes, freqs):
+    """The minimal bridge of one donor pair, completion by completion, on
+    the scalar frequencies of the memo ``freqs``."""
+    ka, kb = donor_pair
+    members = set(triad.members())
+    wa, wb = freqs[ka], freqs[kb]
+    best = None
+    for w in ORACLE_COMPLETIONS[closure](ka, kb, domain, patterns):
+        if w in members or not passes(ka.n, kb.n, w.n):
+            continue
+        ws = (wa, wb, freqs[w])
+        om, _ = _residual(ws, patterns)
+        # An exact completion is a resonance, not a near one; on the float
+        # path "exact" includes rounding-level residue of rational-valued
+        # dispersions (numerically exact).
+        if om == 0 or abs(float(om)) <= NUMERIC_EXACT_D * min(
+                abs(float(x)) for x in ws):
+            continue
+        key = (abs(om), w)
+        if best is None or key < best[0]:
+            best = (key, w, om)
+    if best is None:
+        return None
+    _, w, om = best
+    return CascadeStep(triad, (ka, kb), w, om)
+
+
+def _oracle_convention(spec, closure, n_selection):
+    if closure == "auto":
+        closure = "zonal" if spec.exactness else "both"
+    return closure, n_rule(closure, n_selection), search._FrequencyMemo(spec)
+
+
+def _step_key(step):
+    return (step.abs_discrepancy, step.bridge_wave)
+
+
+def oracle_select_bridges(spec, domain, seeds, omega_max, patterns="sum",
+                          closure="auto", n_selection="none",
+                          bridge_mode="per_pair"):
+    """The bridges the classifier admits, searched pair by pair."""
+    closure, passes, freqs = _oracle_convention(spec, closure, n_selection)
+    steps = []
+    for t in seeds:
+        found = [s for s in (oracle_minimal_bridge(
+                     domain, t, pair, patterns, closure, passes, freqs)
+                     for pair in classify._triad_pairs(t))
+                 if s is not None and s.abs_discrepancy <= omega_max]
+        if bridge_mode == "per_pair":
+            steps.extend(found)
+        elif found:
+            steps.append(min(found, key=_step_key))
+    return steps
+
+
+def oracle_cascade_path(spec, domain, seed, depth, patterns="sum",
+                        closure="auto", n_selection="none"):
+    """The cascade, level by level from the per-pair bridges."""
+    closure, passes, freqs = _oracle_convention(spec, closure, n_selection)
+    visited = {frozenset(seed.members())}
+    current = seed
+    steps = []
+    for _ in range(int(depth)):
+        found = [s for s in (oracle_minimal_bridge(domain, current, pair,
+                                                   patterns, closure, passes,
+                                                   freqs)
+                             for pair in classify._triad_pairs(current))
+                 if s is not None]
+        if not found:
+            break
+        step = min(found, key=_step_key)
+        steps.append(step)
+        ks = sorted((*step.donor_pair, step.bridge_wave))
+        ws = tuple(freqs[k] for k in ks)
+        om, signs = _residual(ws, patterns)
+        d = abs(float(om)) / min(abs(float(w)) for w in ws)
+        nxt = Triad(*ks, ws, om, d, signs)
+        sig = frozenset(nxt.members())
+        if sig in visited:
+            break
+        visited.add(sig)
+        current = nxt
+    return steps
+
+
 def oracle_candidates(spec, domain, closure, patterns, skip):
     """Every closed candidate as a Triad in scan order: on floats from
     the grid values (the pair loop), on the sphere from Fractions."""
@@ -726,8 +856,8 @@ def check_partition(spec, domain, omega_max, closure, patterns, n_selection,
                      patterns) for t in seeds]
     seeds = sorted((t for t in seeds if t.is_exact
                     and passes(t.k1.n, t.k2.n, t.k3.n)), key=Triad.key)
-    bridges = select_bridges(spec, domain, seeds, omega_max, patterns,
-                             closure, n_selection, bridge_mode)
+    bridges = oracle_select_bridges(spec, domain, seeds, omega_max, patterns,
+                                    closure, n_selection, bridge_mode)
     ari = [t for t in cands
            if t.discrepancy != 0 and abs(t.discrepancy) <= omega_max]
     part = classify_modes(spec, domain, omega_max, patterns=patterns,
@@ -765,6 +895,78 @@ def test_classifier_matches_triad_pass(spec, T, patterns, n_selection,
     omega_max = data.draw(st.sampled_from(values), label="omega_max")
     check_partition(spec, domain, omega_max, closure, patterns, n_selection,
                     bridge_mode, skip, cands)
+
+
+def steps_fields(steps):
+    return [None if s is None else _evidence(s) for s in steps]
+
+
+def check_every_donor_pair(spec, domain, closure, patterns, n_selection,
+                           triads):
+    """The array bridge search over every donor pair of ``triads`` in one
+    call, against the per-pair oracle."""
+    donors = [(t, *pair) for t in triads for pair in classify._triad_pairs(t)]
+    rule = search._dispatch(spec, domain, closure, patterns)
+    got = classify._minimal_bridges(
+        spec, domain, rule, classify._n_rule(rule, n_selection), patterns,
+        search._FrequencyMemo(spec), donors)
+    _, passes, freqs = _oracle_convention(spec, closure, n_selection)
+    assert steps_fields(got) == steps_fields(
+        oracle_minimal_bridge(domain, t, (ka, kb), patterns, closure, passes,
+                              freqs) for t, ka, kb in donors)
+
+
+@given(spec=st.sampled_from(FLOAT_SPECS + [SPHERE]), T=st.integers(1, 9),
+       patterns=st.sampled_from(["sum", "all"]),
+       n_selection=st.sampled_from(["none", "parity", "triangle", "both"]),
+       bridge_mode=st.sampled_from(["per_pair", "per_triad"]),
+       skip=st.booleans(), depth=st.integers(1, 4), data=st.data())
+def test_bridge_search_matches_per_pair_oracle(spec, T, patterns, n_selection,
+                                               bridge_mode, skip, depth,
+                                               data):
+    """The array bridge search against the per-pair one, step by step
+    (source triad, donor pair, wave, signed discrepancy and its type):
+    the classifier's admitted bridges, cascades from its seeds, and the
+    bridge of every donor pair of drawn candidate triads, resonant or
+    not, whatever its |Omega|."""
+    closure, shape = data.draw(st.sampled_from(
+        CLOSURE_SHAPES[1:3] if spec.exactness else CLOSURE_SHAPES),
+        label="closure, shape")
+    domain = SpectralDomain(T, shape)
+    cands = oracle_candidates(spec, domain, closure, patterns, skip)
+    values = sorted({float(abs(t.discrepancy)) for t in cands
+                     if t.discrepancy}) or [1.0]
+    omega_max = data.draw(st.sampled_from(values), label="omega_max")
+    convention = dict(patterns=patterns, closure=closure,
+                      n_selection=n_selection)
+    part = classify_modes(spec, domain, omega_max, bridge_mode=bridge_mode,
+                          skip_equal_n_pairs=skip, **convention)
+    assert steps_fields(part.bridges) == steps_fields(oracle_select_bridges(
+        spec, domain, part.resonant_triads, omega_max,
+        bridge_mode=bridge_mode, **convention))
+    for seed in part.resonant_triads[:3]:
+        assert steps_fields(cascade_path(spec, domain, seed, depth,
+                                         **convention)) == \
+            steps_fields(oracle_cascade_path(spec, domain, seed, depth,
+                                             **convention))
+    triads = data.draw(st.lists(st.sampled_from(cands), max_size=12)
+                       if cands else st.just([]), label="triads")
+    check_every_donor_pair(spec, domain, closure, patterns, n_selection,
+                           triads)
+
+
+@pytest.mark.parametrize("spec, shape", [(SPHERE, "triangular"),
+                                         (DispersionSpec("capillary"),
+                                          "square")])
+@pytest.mark.parametrize("patterns", ["sum", "all"])
+def test_bridge_ties_break_on_the_least_wave(spec, shape, patterns):
+    """Every donor pair of every zonal candidate at T = 6.  Pairs of equal
+    m have completions of equal |Omega|: on the sphere (1,2)+(1,3) is
+    1/6 from both (2,2) and (2,3), and the least wave (2,2) wins."""
+    domain = SpectralDomain(6, shape)
+    check_every_donor_pair(spec, domain, "zonal", patterns, "none",
+                           oracle_candidates(spec, domain, "zonal", patterns,
+                                             False))
 
 
 @pytest.mark.parametrize("pair", ["k1 k2", "k1 k3", "k2 k3"])
