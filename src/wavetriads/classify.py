@@ -233,8 +233,7 @@ def minimal_near_resonant(spec: DispersionSpec, domain: SpectralDomain,
 
 
 def _triad_pairs(t: Triad) -> list:
-    ks = t.members()
-    return [(ks[0], ks[1]), (ks[0], ks[2]), (ks[1], ks[2])]
+    return [(t.k1, t.k2), (t.k1, t.k3), (t.k2, t.k3)]
 
 
 def _step_key(step: CascadeStep) -> tuple:
@@ -320,17 +319,12 @@ def classify_modes(spec: DispersionSpec, domain: SpectralDomain,
     assignments = {k: ModeAssignment(k, NEUTRAL) for k in domain.modes()}
     assignments.update((k, ModeAssignment(k, PASSIVE, v))
                        for k, v in _passive_minima(domain, seeds, hits))
-    for t in seeds:
-        for k in t.members():
-            a = assignments[k]
-            a.mode_class = ACTIVE
-            a.evidence.append(t)
-            a.min_abs_discrepancy = 0.0
-    for step in bridges:
-        a = assignments[step.bridge_wave]
+    seeded = [(k, t, 0.0) for t in seeds for k in t.members()]
+    for k, why, v in seeded + [(s.bridge_wave, s, s.abs_discrepancy)
+                               for s in bridges]:
+        a = assignments[k]
         a.mode_class = ACTIVE
-        a.evidence.append(step)
-        v = step.abs_discrepancy
+        a.evidence.append(why)
         if a.min_abs_discrepancy is None or v < a.min_abs_discrepancy:
             a.min_abs_discrepancy = v
 
@@ -378,15 +372,13 @@ def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
         # The next triad in normal form, the same under every closure: the
         # largest-m vector, last in lexicographic order, takes the sum slot.
         ks = sorted((*step.donor_pair, step.bridge_wave))
+        if frozenset(ks) in visited:
+            break
+        visited.add(frozenset(ks))
         ws = tuple(freqs[k] for k in ks)
         om, signs = _pattern(ws, patterns)
         d = abs(float(om)) / min(abs(float(w)) for w in ws)
-        nxt = Triad(*ks, ws, om, d, signs)
-        sig = frozenset(nxt.members())
-        if sig in visited:
-            break
-        visited.add(sig)
-        current = nxt
+        current = Triad(*ks, ws, om, d, signs)
     return steps
 
 

@@ -358,10 +358,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: The parser :func:`main` reads, built on its first call: argparse keeps
+#: no state between parses, and building one costs about a millisecond.
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -62,16 +62,17 @@ arithmetic in :mod:`.sphere`.
 
 Certified tile pruning.  A float search under ``both`` closure with a
 finite d_max ceiling (``find_near_triads``, and so ``plan_experiment`` and
-``geometry_sweep``) cuts the k2 box of every k1 into 8 x 8 tiles and skips
-a tile when, in every sign pattern, a lower bound on its |Omega| exceeds
-d_max |w1| by a slack that covers every rounding (:func:`_live_tiles`).
-The bound reads only the grid, so it holds for every float kind, the
-non-monotone ``bve_plane`` included; a grid with inf or NaN, or near
-overflow, drops nothing.  The other tiles are decided by the scan's own
-float64 expressions and handed on in scan order, so every output is that
-of the dense scan.  ``d_max = inf``, float ``zonal`` and ``box`` closure,
-the max-discrepancy search, and the float bound and classifier scan
-densely.
+``geometry_sweep``) cuts the k2 box of every k1 into 8 x 8 tiles.  A tile
+is live for a sign pattern unless a lower bound on that pattern's |Omega|
+over it exceeds d_max |w1| by a slack that covers every rounding
+(:func:`_live_tiles`).  The bound reads only the grid, so it holds for
+every float kind, the non-monotone ``bve_plane`` included; a grid with inf
+or NaN, or near overflow, drops nothing.  Each pattern reads its live
+tiles whole from a NaN-padded grid, and a per-tile prefilter on that
+pattern's residual leaves a few cells for the scan's own float64
+expressions (:func:`_tile_scan`), so every output is that of the dense
+scan.  ``d_max = inf``, float ``zonal`` and ``box`` closure, the
+max-discrepancy search, and the float bound and classifier scan densely.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ from .errors import UsageError
 from .sphere import _U, _exact_step, _n3_window
 from .triad import (  # the triad records, importable from here as before
     NUMERIC_EXACT_D,
+    RESIDUALS,
     SIGN_PATTERNS,
     BoundReport,
     DiscrepancyBound,
@@ -376,13 +378,13 @@ def _table(spec, domain):
 
 def _float_step(X, m1, n1, w2, w3, m2, patterns, with_min):
     """|Omega| of a block on the frequency table X, in the float64
-    expressions of :func:`_pattern` (the least over the sign patterns when
-    patterns="all"), and min |w|, which every float search reads."""
+    expressions ``RESIDUALS`` that :func:`_pattern` reads too (the least
+    over the sign patterns when patterns="all"), and min |w|, which every
+    float search reads."""
     w1 = X[m1, n1]
-    a = np.abs(w1 + w2 - w3)
-    if patterns == "all":
-        a = np.minimum(np.minimum(a, np.abs(w1 - w2 + w3)),
-                       np.abs(-w1 + w2 + w3))
+    a = np.abs(RESIDUALS[0](w1, w2, w3))
+    for residual in RESIDUALS[1:] if patterns == "all" else ():
+        a = np.minimum(a, np.abs(residual(w1, w2, w3)))
     return a, np.minimum(np.minimum(np.abs(w2), np.abs(w3)), abs(w1))
 
 
@@ -449,10 +451,10 @@ def _row_tiles(T, m1, t):
 
 
 def _live_tiles(X, tables, m1, m_tiles, n_tiles, patterns, d_max, slack):
-    """Mask (m tile, n tile) of the tiles of row m1 that may hold a
-    candidate with d <= d_max: False only where, in every sign pattern, a
-    lower bound on |Omega| over the tile exceeds d_max |w1|, and so
-    d_max min |w|.
+    """Masks (sign pattern, m tile, n tile), one per pattern of ``patterns``
+    in SIGN_PATTERNS order, of the tiles of row m1 that may hold a
+    candidate with d <= d_max in that pattern: False only where a lower
+    bound on its |Omega| over the tile exceeds d_max |w1| >= d_max min |w|.
 
     With D = w3 - w2 and S = w3 + w2 the residuals are w1 - D, w1 + D and
     S - w1.  One step along an axis moves D by Gx(k3) - Gx(k2) and S by
@@ -476,66 +478,68 @@ def _live_tiles(X, tables, m1, m_tiles, n_tiles, patterns, d_max, slack):
             spread_s = spread_s + steps * np.maximum(
                 np.maximum(hi3 + hi2, -(lo3 + lo2)), 0.0)
     D = x3 - x2
-    low = np.abs(w1 - D) - spread_d
+    low = [np.abs(w1 - D) - spread_d]
     if patterns == "all":
-        low = np.minimum(np.minimum(low, np.abs(w1 + D) - spread_d),
-                         np.abs(x3 + x2 - w1) - spread_s)
+        low += [np.abs(w1 + D) - spread_d, np.abs(x3 + x2 - w1) - spread_s]
     # 1 + 16u and ``slack`` cover the rounding of this bound, of the
     # residuals and of d = |Omega| / min |w| (see _tile_scan).
-    return ~(low > d_max * np.abs(w1) * (1 + 16 * _U) + slack)
+    return ~(np.stack(low) > d_max * np.abs(w1) * (1 + 16 * _U) + slack)
 
 
 def _tile_scan(spec, domain, patterns, d_max):
     """The candidates of ``both`` closure with d <= d_max (float, finite
     d_max), in the block form of :func:`_scan`: one block of every hit, in
-    scan order.  Tiles that :func:`_live_tiles` certifies empty
-    are skipped; the others are gathered and decided by the scan's own
-    float expressions."""
+    scan order.  Each sign pattern reads its live tiles whole from the grid
+    padded with ``_TILE`` rows and columns of NaN (a cell off the k2 box
+    has k3 there: a NaN residual), and keeps the cells whose residual in it
+    is r <= d_max |w1| (1 + 16u).  A hit's least residual a has
+    fl(a / min |w|) <= d_max, so a <= d_max min |w| (1 + u) <= d_max |w1|
+    (1 + u), below the threshold after its two roundings (a subnormal
+    d_max counts as the least normal float; 1e-300 covers an underflowing
+    product).  The order rule k2 >= k1 and the scan's own float
+    expressions then decide those few, a row at a time."""
     T = domain.truncation
     X = omega_grid(spec, T)
+    P = np.pad(X, (0, _TILE), constant_values=np.nan)
+    R, Pf = P.shape[1], P.ravel()  # modes are flat offsets m R + n into P
+    cells = np.add.outer(np.arange(_TILE) * R, np.arange(_TILE)).ravel()
+    scale = max(d_max, 2.0 ** -1022) * (1 + 16 * _U)
+    hits = []
     with np.errstate(invalid="ignore", over="ignore"):
         tables = _window_tables(X, _TILE)
         omax = float(np.max(np.abs(X[1:, 1:])))
-    # With at most 4 steps per axis (8 x 8 tiles) each value the bound and
-    # the residuals round is at most 40 omax in size, and their rounding
-    # errors add up to less than 176 u omax; 1e-300 covers the absolute
-    # error of subnormal results.  A grid that holds inf or NaN, or lies
-    # within 64x of overflow, prunes nothing.
-    slack = (256 * _U * omax + 1e-300 if math.isfinite(64 * omax)
-             else math.inf)
-    # A tile's points as flat offsets into X (row length R) from its low
-    # corner, with their offsets (dm, dn) along each axis.
-    R, Xf = T + 1, X.ravel()
-    dm, dn = np.divmod(np.arange(_TILE * _TILE), _TILE)
-    cells = dm * R + dn
-    hits = []
-    for m1 in range(1, T // 2 + 1):
-        m_tiles, n_tiles = _row_tiles(T, m1, _TILE)
-        with np.errstate(invalid="ignore", over="ignore"):
-            i, j = np.nonzero(_live_tiles(X, tables, m1, m_tiles, n_tiles,
-                                          patterns, d_max, slack))
-        m_lo, m_hi = (v[i] for v in m_tiles)
-        n1, n_lo, n_hi = (v[j] for v in n_tiles)
-        for c in range(0, i.size, _GATHER_TILES):
-            c = slice(c, c + _GATHER_TILES)
-            k1 = m1 * R + n1[c]
-            k2 = (m_lo[c] * R + n_lo[c])[:, None] + cells
-            # In the tile, and k2 >= k1 in lexicographic (flat) order.
-            inside = ((dm <= (m_hi[c] - m_lo[c])[:, None])
-                      & (dn <= (n_hi[c] - n_lo[c])[:, None])
-                      & (k2 >= k1[:, None]))
-            k2, count = k2[inside], np.count_nonzero(inside, axis=1)
-            n, k1 = np.repeat(n1[c], count), np.repeat(k1, count)
-            a, amin = _float_step(X, m1, n, Xf[k2], Xf[k1 + k2], None,
-                                  patterns, True)
+        # With at most 4 steps per axis (8 x 8 tiles) each value the bound
+        # and the residuals round is at most 40 omax in size, and their
+        # rounding errors add up to less than 176 u omax; 1e-300 covers the
+        # absolute error of subnormal results.  A grid that holds inf or
+        # NaN, or lies within 64x of overflow, prunes nothing.
+        slack = (256 * _U * omax + 1e-300 if math.isfinite(64 * omax)
+                 else math.inf)
+        for m1 in range(1, T // 2 + 1):
+            (m_lo, _), (n1, n_lo, _) = tiles = _row_tiles(T, m1, _TILE)
+            live = _live_tiles(X, tables, m1, *tiles, patterns, d_max, slack)
+            found = []  # survivors, as the key k1 R^2 + k2
+            for residual, mask in zip(RESIDUALS, live):
+                i, j = np.nonzero(mask)
+                k1, corner = m1 * R + n1[j], m_lo[i] * R + n_lo[j]
+                for c in range(0, i.size, _GATHER_TILES):
+                    k1c = k1[c:c + _GATHER_TILES, None]
+                    k2 = corner[c:c + _GATHER_TILES, None] + cells
+                    r = np.abs(residual(w1 := Pf[k1c], Pf[k2], Pf[k1c + k2]))
+                    t, s = np.nonzero(r <= scale * np.abs(w1) + 1e-300)
+                    found.append(k1c[t, 0] * R * R + k2[t, s])
+            key = np.sort(np.concatenate([[-1], *found]))  # -1: a sentinel
+            k1, k2 = np.divmod(key[1:][key[1:] > key[:-1]], R * R)  # once each
+            k1, k2 = k1[k2 >= k1], k2[k2 >= k1]  # the order rule
+            a, amin = _float_step(P, m1, k1 - m1 * R, Pf[k2], Pf[k1 + k2],
+                                  None, patterns, True)
             keep = _select(a, amin, d_max, None)
             if np.count_nonzero(keep):
                 hits.append((k1[keep], k2[keep], a[keep], amin[keep]))
-    if hits:  # few by construction: one block, in scan order
+    if hits:  # few by construction: one block
         k1, k2, a, amin = (np.concatenate(v) for v in zip(*hits))
-        order = np.lexsort((k2, k1))
-        (m1, n1), (m2, n2) = np.divmod(k1[order], R), np.divmod(k2[order], R)
-        yield (m1, n1, m2, n2, n1 + n2), a[order], amin[order]
+        (m1, n1), (m2, n2) = np.divmod(k1, R), np.divmod(k2, R)
+        yield (m1, n1, m2, n2, n1 + n2), a, amin
 
 
 def _select(a, amin, d_max, d_min):

@@ -13,6 +13,9 @@ from .dispersion import OmegaValue, WaveVector
 
 #: Sign patterns, up to an overall sign: which slot carries the minus.
 SIGN_PATTERNS = ((1, 1, -1), (1, -1, 1), (-1, 1, 1))
+#: Each pattern's residual s1*w1 + s2*w2 + s3*w3, without sign products.
+RESIDUALS = (lambda a, b, c: a + b - c, lambda a, b, c: a - b + c,
+             lambda a, b, c: -a + b + c)
 
 #: d_ratio at or below which a floating-point triad is reported as
 #: "numerically exact".  True zeros are only decidable on the rational path.
@@ -88,8 +91,8 @@ def _pattern(ws, patterns):
     if patterns == "sum":
         return ws[0] + ws[1] - ws[2], (1, 1, -1)
     best = None
-    for signs in SIGN_PATTERNS:
-        om = signs[0] * ws[0] + signs[1] * ws[1] + signs[2] * ws[2]
+    for signs, residual in zip(SIGN_PATTERNS, RESIDUALS):
+        om = residual(*ws)
         if best is None or abs(om) < abs(best[0]):
             best = (om, signs)
     return best
@@ -116,7 +119,7 @@ def _build(freqs, patterns, cand, keep) -> list:
     w1, w2, w3 = np.array([freqs[k] for k in ks])[at].reshape(3, -1)
     k1, k2, k3 = np.fromiter(ks, object, len(ks))[at].reshape(3, -1)
     signs = SIGN_PATTERNS if patterns == "all" else SIGN_PATTERNS[:1]
-    om, *others = (s1 * w1 + s2 * w2 + s3 * w3 for s1, s2, s3 in signs)
+    om, *others = (r(w1, w2, w3) for r in RESIDUALS[:len(signs)])
     best = np.zeros(len(om), dtype=int)
     for i, o in enumerate(others, 1):
         less = abs(o) < abs(om)

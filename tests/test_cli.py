@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from wavetriads import DispersionSpec, SpectralDomain, find_near_triads
-from wavetriads import report
+from wavetriads import cli, report
 from wavetriads.cli import build_parser, main
 from wavetriads.report import (
     RATIONAL_EXTRA_COLUMNS,
@@ -14,6 +14,7 @@ from wavetriads.report import (
     triads_to_csv,
 )
 from conftest import gc_spec
+from test_golden import CASES, GOLDEN
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +151,31 @@ SHARED_OPTIONS = ["-h", "--help", "--dispersion", "--liquid", "--mu-nu",
                   "--config", "--format", "--output", "--no-header"]
 DOMAIN_OPTIONS = SHARED_OPTIONS + ["--T", "--shape"]
 SCAN_OPTIONS = DOMAIN_OPTIONS + ["--patterns", "--closure"]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    """Every other golden case, with a failed parse among them: one parser
+    serves every call, each writes its golden bytes, and the failure
+    (exit 2) leaves the parser as it was."""
+    built = []
+
+    def counted():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cases = sorted(CASES)[1::2]
+    assert {CASES[c][0] for c in cases} == {
+        "find-triads", "classify", "bound", "plan", "sweep", "eval"}
+    for n, case in enumerate(cases):
+        if n == 5:
+            assert run_cli(capsys, "find-triads", "--T", "ten")[0] == 2
+        code, out, err = run_cli(capsys, *CASES[case])
+        assert code == 0, err
+        assert out.encode() == (GOLDEN / case).read_bytes(), case
+    assert len(built) == 1
+    assert build_parser() is not build_parser()  # still a fresh parser
 
 
 def test_each_subcommand_takes_exactly_its_options():

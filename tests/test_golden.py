@@ -1,10 +1,10 @@
 """Byte-for-byte comparison of CLI output with committed golden files.
 
-Each case runs ``wavetriads.cli.main`` on a small domain (T <= 10) and
-compares the bytes it writes, to ``--output`` and to stdout, with
-``tests/golden/<case>``.  The files pin every subcommand in each format it
-supports, so a refactor of the search, report or CLI layers that changes
-any output byte fails here.
+Each case runs ``wavetriads.cli.main`` on a small domain (T <= 10, or 40
+for the multi-tile near searches) and compares the bytes it writes, to
+``--output`` and to stdout, with ``tests/golden/<case>``.  The files pin
+every subcommand in each format it supports, so a refactor of the search,
+report or CLI layers that changes any output byte fails here.
 
 Regenerate the files only for an intended output change:
 
@@ -109,6 +109,14 @@ _COMMANDS = [
     ("find-triads-near-zonal-all",
      ["find-triads", "--liquid", "water", "--T", "8", "--d-max", "1e-2",
       "--closure", "zonal", "--patterns", "all"], ("csv",)),
+    # The pruned near search over several 8 x 8 tiles per axis: every
+    # sign pattern on the square, and the sum pattern on a rectangle.
+    ("find-triads-near-tiles-all",
+     ["find-triads", "--liquid", "water", "--T", "40", "--d-max", "1e-4",
+      "--patterns", "all"], ("csv",)),
+    ("find-triads-near-tiles-rectangle",
+     ["find-triads", "--liquid", "water", "--lx", "1.3", "--ly", "0.7",
+      "--T", "40", "--d-max", "1e-3"], ("csv",)),
 ]
 
 CASES = {f"{name}.{fmt}": [*argv, "--format", fmt]

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from wavetriads import (
     BasinGeometry,
@@ -450,6 +450,71 @@ def test_tile_bound_prunes_nothing_at_infinite_d_max(patterns):
         domain = SpectralDomain(6)
         assert len(find_near_triads(spec, domain, math.inf, patterns)) == \
             len(list(closed_candidates(domain, "both")))
+
+
+def live_tiles_per_row(spec, domain, patterns, d_max):
+    """The near search of :func:`pruned_near` with the masks of
+    ``_live_tiles``, as ``_tile_scan`` had them, by row m1: (m tiles,
+    n tiles, masks); and the triads it returned."""
+    rows, bound = {}, search._live_tiles
+
+    def spy(X, tables, m1, m_tiles, n_tiles, *rest):
+        rows[m1] = (m_tiles, n_tiles, bound(X, tables, m1, m_tiles, n_tiles,
+                                            *rest))
+        return rows[m1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_live_tiles", spy)
+        return rows, pruned_near(spec, domain, patterns, d_max, 8, 128)
+
+
+def check_live_pattern(spec, domain, patterns, d_max):
+    """Every hit of the dense scan lies in a tile that the bound keeps live
+    for a sign pattern whose own float d = |Omega| / min |w| is <= d_max
+    (the scan's expressions), and the pruned search returns the dense
+    scan's triads.  Returns the masks by row."""
+    rows, pruned = live_tiles_per_row(spec, domain, patterns, d_max)
+    dense = dense_near(spec, domain, patterns, d_max)
+    for t in dense:
+        (m1, n1), (m2, n2), w = t.k1, t.k2, np.array(t.omegas)
+        (m_lo, _), (tn1, n_lo, n_hi), live = rows[m1]
+        i = (m2 - m_lo[0]) // search._TILE
+        j, = np.flatnonzero((tn1 == n1) & (n_lo <= n2) & (n2 <= n_hi))
+        amin = min(min(abs(w[1]), abs(w[2])), abs(w[0]))
+        assert any(mask[i, j] and abs(residual(*w)) / amin <= d_max
+                   for residual, mask in zip(search.RESIDUALS, live)), t
+    assert fields(pruned) == fields(dense)
+    return rows
+
+
+@given(spec=pruning_specs(), T=st.integers(1, 24),
+       patterns=st.sampled_from(["sum", "all"]), data=st.data())
+def test_each_hit_is_live_for_a_pattern_that_keeps_it(spec, T, patterns,
+                                                      data):
+    """One mask per sign pattern: whatever patterns a hit's tile is dead
+    for, it is live for one whose residual keeps the hit.  d_max is a
+    candidate's own float d, so the hit with it ties on the threshold."""
+    domain = SpectralDomain(T)
+    ds = np.unique(scan_ds(spec, domain, patterns))
+    ds = ds[np.isfinite(ds) & (ds > 0)]
+    assume(ds.size)
+    check_live_pattern(spec, domain, patterns,
+                       data.draw(st.sampled_from(ds[:200].tolist())))
+
+
+@pytest.mark.parametrize("spec", [
+    DispersionSpec("gravity_capillary", mu_over_nu=75.0),
+    DispersionSpec("capillary", basin=BasinGeometry("rectangle", 1.0, 2.5))])
+@pytest.mark.parametrize("T, patterns, d_max", [
+    (76, "sum", 1e-4), (88, "sum", 1e-5), (92, "all", 1e-5)])
+def test_pruned_near_search_at_benchmark_sizes(spec, T, patterns, d_max):
+    """The near-scan rungs, where a row's live tiles fill several gathers
+    of ``_GATHER_TILES``: the dense scan's triads, each hit live for a
+    pattern that keeps it.  The capillary relation is convex, so it has no
+    hit here: the pruned search must find none either."""
+    rows = check_live_pattern(spec, SpectralDomain(T), patterns, d_max)
+    assert max(mask.sum() for _, _, live in rows.values()
+               for mask in live) > 2 * 128
 
 
 # -- exact sphere: the Fraction loop ----------------------------------------------

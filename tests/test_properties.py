@@ -1,14 +1,17 @@
 """Property tests: the invariants of a mode partition over every kind,
-closure and small truncation, and the configuration round trip of a
-dispersion spec."""
+closure and small truncation, the configuration round trip of a
+dispersion spec, and the sign-pattern rule against its sign-product
+form."""
 
 import json
+from fractions import Fraction
 
 from hypothesis import assume, given, strategies as st
 
 from wavetriads import BasinGeometry, DispersionSpec, SpectralDomain
 from wavetriads.classify import ACTIVE, NEUTRAL, PASSIVE, classify_modes
 from wavetriads.errors import DomainError
+from wavetriads.triad import SIGN_PATTERNS, _pattern
 
 SPECS = [
     DispersionSpec("rossby_sphere"),
@@ -93,3 +96,37 @@ def test_plane_form_off_the_plane_round_trips():
     spec = DispersionSpec("capillary", plane_form="squared")
     assert spec.plane_form == "printed"
     assert DispersionSpec.from_config(spec.to_config()) == spec
+
+
+def signed_products(ws, patterns):
+    """The sign-pattern rule as s1*w1 + s2*w2 + s3*w3 per pattern, the
+    first least |Omega| winning: the form :func:`_pattern` replaced."""
+    if patterns == "sum":
+        return ws[0] + ws[1] - ws[2], (1, 1, -1)
+    best = None
+    for signs in SIGN_PATTERNS:
+        om = signs[0] * ws[0] + signs[1] * ws[1] + signs[2] * ws[2]
+        if best is None or abs(om) < abs(best[0]):
+            best = (om, signs)
+    return best
+
+
+# Small pools make ties between patterns, and signed zeros, common.
+FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5]) | st.floats()
+FRACTIONS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2)]) \
+    | st.fractions()
+
+
+@given(ws=st.tuples(FLOATS, FLOATS, FLOATS) | st.tuples(
+           FRACTIONS, FRACTIONS, FRACTIONS),
+       patterns=st.sampled_from(["sum", "all"]))
+def test_pattern_equals_its_sign_product_form(ws, patterns):
+    """Same residual and signs: floats bit for bit (by ``float.hex``, so
+    +0.0 and -0.0 differ), Fractions exactly."""
+    (om, signs), (ref, ref_signs) = (_pattern(ws, patterns),
+                                     signed_products(ws, patterns))
+    assert signs == ref_signs and type(om) is type(ref)
+    if isinstance(om, float):
+        assert om.hex() == ref.hex()
+    else:
+        assert om == ref
