@@ -164,15 +164,15 @@ def _walk(spec, domain, rule, passes, patterns, skip_equal_n_pairs, freqs,
 # minimal near-resonant bridge waves
 # ---------------------------------------------------------------------------
 
-def _minimal_bridges(spec, domain, rule, passes, patterns, freqs, donors):
+def _minimal_bridges(spec, domain, rule, passes, patterns, freqs, X, donors):
     """The minimal near-resonant bridge (a CascadeStep, or None) of each
     donor pair (triad, ka, kb) under the resolved closure ``rule`` and
     n-selection ``passes``, unvalidated (cascades bridge from near-resonant
-    triads), in one array pass.  The non-resonant completions in the
-    domain that are no triad member and pass are read on the |Omega| of
-    the scan kernels: the triads' own on floats, correctly rounded on the
-    exact path.  So a pair's least (|Omega|, (m, n)) lies at its least
-    float |Omega|, and is keyed there on the :func:`_pattern` residual."""
+    triads), in one array pass on the kernel table X.  The non-resonant
+    completions in the domain that are no triad member and pass are read
+    on the kernels' |Omega|: the triads' own on floats, correctly rounded
+    on the exact path.  So a pair's least (|Omega|, (m, n)) lies at its
+    least float |Omega|, keyed there on the :func:`_pattern` residual."""
     T = domain.truncation
     D = np.array([(*ka, *kb, *t.k1, *t.k2, *t.k3) for t, ka, kb in donors],
                  dtype=np.int64).reshape(-1, 10)
@@ -185,7 +185,6 @@ def _minimal_bridges(spec, domain, rule, passes, patterns, freqs, donors):
            | (n3[..., None] != D[:, None, 5::2])).all(2)
         & passes(na[:, None], nb[:, None], n3))
     m3, n3 = m3[p, j], n3[p, j]
-    X = _table(spec, domain)
     if spec.exactness:  # the largest m takes _exact_step's third slot
         V = np.array([(ma[p], mb[p], m3), (na[p], nb[p], n3)])
         (m1, m2, mz), (n1, n2, nz) = np.take_along_axis(V, V[:1].argsort(1), 1)
@@ -229,7 +228,7 @@ def minimal_near_resonant(spec: DispersionSpec, domain: SpectralDomain,
     rule = _dispatch(spec, domain, closure, patterns)
     return _minimal_bridges(spec, domain, rule, _n_rule(rule, n_selection),
                             patterns, _FrequencyMemo(spec),
-                            [(triad, *donor_pair)])[0]
+                            _table(spec, domain), [(triad, *donor_pair)])[0]
 
 
 def _triad_pairs(t: Triad) -> list:
@@ -248,8 +247,9 @@ def select_bridges(spec, domain, seeds, omega_max, rule, passes, patterns,
     donor pairs (a zonal pair has up to 2 T completions)."""
     donors = [(t, *pair) for t in seeds for pair in _triad_pairs(t)]
     batch = 3 * (_BLOCK // (3 * domain.truncation) or 1)
+    X = _table(spec, domain) if donors else None
     found = [s for i in range(0, len(donors), batch) for s in
-             _minimal_bridges(spec, domain, rule, passes, patterns, freqs,
+             _minimal_bridges(spec, domain, rule, passes, patterns, freqs, X,
                               donors[i:i + batch])]
     steps = []
     for i in range(0, len(found), 3):
@@ -356,13 +356,13 @@ def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
         raise UsageError("cascade_path expects a resonant seed triad")
     rule = _dispatch(spec, domain, closure, patterns)
     passes = _n_rule(rule, n_selection)
-    freqs = _FrequencyMemo(spec)
+    freqs, X = _FrequencyMemo(spec), _table(spec, domain)
     visited = {frozenset(seed.members())}
     current = seed
     steps = []
     for _ in range(int(depth)):
         found = [s for s in _minimal_bridges(
-                     spec, domain, rule, passes, patterns, freqs,
+                     spec, domain, rule, passes, patterns, freqs, X,
                      [(current, *pair) for pair in _triad_pairs(current)])
                  if s is not None]
         if not found:

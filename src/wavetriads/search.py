@@ -62,17 +62,17 @@ arithmetic in :mod:`.sphere`.
 
 Certified tile pruning.  A float search under ``both`` closure with a
 finite d_max ceiling (``find_near_triads``, and so ``plan_experiment`` and
-``geometry_sweep``) cuts the k2 box of every k1 into 8 x 8 tiles.  A tile
-is live for a sign pattern unless a lower bound on that pattern's |Omega|
-over it exceeds d_max |w1| by a slack that covers every rounding
-(:func:`_live_tiles`).  The bound reads only the grid, so it holds for
-every float kind, the non-monotone ``bve_plane`` included; a grid with inf
-or NaN, or near overflow, drops nothing.  Each pattern reads its live
-tiles whole from a NaN-padded grid, and a per-tile prefilter on that
-pattern's residual leaves a few cells for the scan's own float64
-expressions (:func:`_tile_scan`), so every output is that of the dense
-scan.  ``d_max = inf``, float ``zonal`` and ``box`` closure, the
-max-discrepancy search, and the float bound and classifier scan densely.
+``geometry_sweep``) cuts the k2 box of every k1 into 8 x 8 tiles and bounds
+them in blocks that span many k1 rows.  A tile is live for a sign pattern
+unless a lower bound on that pattern's |Omega| over it exceeds d_max |w1|
+by a slack that covers every rounding (:func:`_live_tiles`).  The bound
+reads only the grid, so it holds for every float kind, the non-monotone
+``bve_plane`` included; a grid with inf or NaN, or near overflow, drops
+nothing.  A per-tile prefilter on each pattern's residual leaves a few
+cells, sorted once, for the scan's own float64 expressions
+(:func:`_tile_scan`), so every output is that of the dense scan.
+``d_max = inf``, float ``zonal`` and ``box`` closure, the max-discrepancy
+search, and the float bound and classifier scan densely.
 """
 
 from __future__ import annotations
@@ -155,8 +155,8 @@ class _FrequencyMemo(dict):
 # closure table
 # ---------------------------------------------------------------------------
 
-#: Most candidates in a block of the dense scan, unless one k1 row holds
-#: more: it bounds a block's memory while spreading its numpy calls.
+#: Most candidates (tiles, in the near search's bound) in a block unless
+#: one k1 row (m tile) holds more: it bounds memory, spreads numpy calls.
 _BLOCK = 2 ** 12
 
 
@@ -415,61 +415,48 @@ _GATHER_TILES = 128
 
 def _window_tables(X, t):
     """Least and greatest forward difference of the omega grid X over the
-    t x t window at every anchor (i, j), 0 <= i, j <= T: (min Gm, max Gm,
-    min Gn, max Gn) with Gm(i, j) = X[i+1, j] - X[i, j] and
-    Gn(i, j) = X[i, j+1] - X[i, j].  Cells off the grid hold the
+    t x t window at every anchor (i, j) <= (T, T), with Gm(i, j) =
+    X[i+1, j] - X[i, j] and Gn(i, j) = X[i, j+1] - X[i, j], as one array
+    (axis m/n, min/max, cell i R + j) with the rows, R = T + 1 + t long, of
+    the padded grid of :func:`_tile_scan`.  Cells off the grid hold the
     reduction's neutral value, so a window reads only the differences
-    inside it.  Separable: t - 1 shifted reductions per axis."""
+    inside it.  Reduced in place: shifts by s = 1, 2, 4, ... (the last
+    topped up to t) grow w-wide windows to w + s."""
     T = X.shape[0] - 1
-    W = X[1:, 1:]
-    tables = []
-    for G in (W[1:] - W[:-1], W[:, 1:] - W[:, :-1]):
-        for reduce, pad in ((np.minimum, np.inf), (np.maximum, -np.inf)):
-            P = np.full((T + t, T + t), pad)
-            P[1:1 + G.shape[0], 1:1 + G.shape[1]] = G
-            R = P[:T + 1]
-            for s in range(1, t):
-                R = reduce(R, P[s:s + T + 1])
-            S = R[:, :T + 1]
-            for s in range(1, t):
-                S = reduce(S, R[:, s:s + T + 1])
-            tables.append(S)
-    return tables
+    W, R = X[1:, 1:], T + 1 + t
+    tables = np.empty((2, 2, R, R))
+    shifts = [min(2 ** k, t - 2 ** k) for k in range((t - 1).bit_length())]
+    for axis, G in zip(tables, (W[1:] - W[:-1], W[:, 1:] - W[:, :-1])):
+        for S, reduce, pad in zip(axis, (np.minimum, np.maximum),
+                                  (np.inf, -np.inf)):
+            S.fill(pad)
+            S[1:1 + G.shape[0], 1:1 + G.shape[1]] = G
+            for s in shifts:
+                reduce(S[:-s], S[s:], out=S[:-s])
+                reduce(S[:, :-s], S[:, s:], out=S[:, :-s])
+    return tables.reshape(2, 2, -1)
 
 
-def _row_tiles(T, m1, t):
-    """The t x t tiles of the k2 boxes of :func:`_both_window` of every
-    k1 = (m1, n1), cut from the box's low corner and clipped at its high
-    edges: the m tiles (m_lo, m_hi) and, as the n range depends on n1
-    alone, the n tiles of every n1 (n1, n_lo, n_hi), inclusive."""
-    n1 = np.arange(1, T)
-    m_lo, m_hi, n_lo, n_hi = _both_window(T, m1, n1)
-    ms, ns = np.arange(m_lo, m_hi + 1, t), np.arange(n_lo, T, t)
-    i, j = np.nonzero(ns <= n_hi[:, None])
-    return ((ms, np.minimum(ms + t - 1, m_hi)),
-            (n1[i], ns[j], np.minimum(ns[j] + t - 1, n_hi[i])))
-
-
-def _live_tiles(X, tables, m1, m_tiles, n_tiles, patterns, d_max, slack):
-    """Masks (sign pattern, m tile, n tile), one per pattern of ``patterns``
-    in SIGN_PATTERNS order, of the tiles of row m1 that may hold a
-    candidate with d <= d_max in that pattern: False only where a lower
-    bound on its |Omega| over the tile exceeds d_max |w1| >= d_max min |w|.
+def _live_tiles(Pf, R, tables, m_tiles, n_tiles, patterns, d_max, slack):
+    """Masks (m tile, n tile), one per sign pattern of ``patterns`` in
+    SIGN_PATTERNS order, over a block's m tiles (m1, m_lo, m_hi) by the n
+    tiles (n1, n_lo, n_hi), read from ``Pf`` and ``tables`` at offsets
+    m R + n, one ``take`` per array and axis: False only where a lower bound
+    on the pattern's |Omega| over the tile exceeds d_max |w1| >= d_max min |w|.
 
     With D = w3 - w2 and S = w3 + w2 the residuals are w1 - D, w1 + D and
     S - w1.  One step along an axis moves D by Gx(k3) - Gx(k2) and S by
     Gx(k3) + Gx(k2), each bounded by the extremes of Gx over the windows
     at the tile's k2 and k3 corners; a tile's points lie within its
     farthest edge steps of its centre, where D and S are evaluated."""
-    min_m, max_m, min_n, max_n = tables
-    (m_lo, m_hi), (n1, n_lo, n_hi) = m_tiles, n_tiles
+    (m1, m_lo, m_hi), (n1, n_lo, n_hi) = (v[:, None] for v in m_tiles), n_tiles
     cm, cn = (m_lo + m_hi) // 2, (n_lo + n_hi) // 2
-    w1, x2, x3 = X[m1, n1], X[cm][:, cn], X[m1 + cm][:, n1 + cn]
+    k1, corner = m1 * R + n1, m_lo * R + n_lo
+    corners = np.stack((corner, k1 + corner))  # the k2 and k3 corners
+    w1, (x2, x3) = Pf.take(k1), Pf.take(corners + (cm - m_lo) * R + cn - n_lo)
     spread_d = spread_s = 0.0
-    for lo, hi, steps in ((min_m, max_m, (m_hi - cm)[:, None]),
-                          (min_n, max_n, n_hi - cn)):
-        lo2, hi2 = lo[m_lo][:, n_lo], hi[m_lo][:, n_lo]
-        lo3, hi3 = lo[m1 + m_lo][:, n1 + n_lo], hi[m1 + m_lo][:, n1 + n_lo]
+    for table, steps in zip(tables, (m_hi - cm, n_hi - cn)):
+        (lo2, lo3), (hi2, hi3) = table.take(corners, axis=1)
         # Both extremes are -inf/+inf only in a window wholly off the
         # grid, where the tile takes no step; max(., 0) keeps 0 * inf out.
         spread_d = spread_d + steps * np.maximum(
@@ -477,36 +464,62 @@ def _live_tiles(X, tables, m1, m_tiles, n_tiles, patterns, d_max, slack):
         if patterns == "all":
             spread_s = spread_s + steps * np.maximum(
                 np.maximum(hi3 + hi2, -(lo3 + lo2)), 0.0)
-    D = x3 - x2
-    low = [np.abs(w1 - D) - spread_d]
-    if patterns == "all":
-        low += [np.abs(w1 + D) - spread_d, np.abs(x3 + x2 - w1) - spread_s]
     # 1 + 16u and ``slack`` cover the rounding of this bound, of the
     # residuals and of d = |Omega| / min |w| (see _tile_scan).
-    return ~(np.stack(low) > d_max * np.abs(w1) * (1 + 16 * _U) + slack)
+    bound, D = d_max * np.abs(w1) * (1 + 16 * _U) + slack, x3 - x2
+    live = [~(np.abs(w1 - D) - spread_d > bound)]
+    if patterns == "all":
+        live += [~(np.abs(w1 + D) - spread_d > bound),
+                 ~(np.abs(x3 + x2 - w1) - spread_s > bound)]
+    return live
+
+
+def _prefilter(Pf, R, residual, scale, k1, corner):
+    """Keys k1 R^2 + k2 of the cells with |residual| <= scale |w1| of the
+    tiles at offsets ``k1`` with k2 corners ``corner`` into the padded grid
+    ``Pf``, ``_GATHER_TILES`` whole tiles a gather, gone on return."""
+    cells = np.add.outer(np.arange(_TILE) * R, np.arange(_TILE)).ravel()
+    keys = []
+    for c in range(0, k1.size, _GATHER_TILES):
+        k1c = k1[c:c + _GATHER_TILES, None]
+        k2, w1 = corner[c:c + _GATHER_TILES, None] + cells, Pf.take(k1c)
+        r = np.abs(residual(w1, Pf.take(k2), Pf.take(k1c + k2)))
+        at = np.flatnonzero(r <= scale * np.abs(w1) + 1e-300)
+        keys.append(k1c.take(at // cells.size) * R * R + k2.take(at))
+    return keys
 
 
 def _tile_scan(spec, domain, patterns, d_max):
-    """The candidates of ``both`` closure with d <= d_max (float, finite
-    d_max), in the block form of :func:`_scan`: one block of every hit, in
-    scan order.  Each sign pattern reads its live tiles whole from the grid
-    padded with ``_TILE`` rows and columns of NaN (a cell off the k2 box
-    has k3 there: a NaN residual), and keeps the cells whose residual in it
+    """The candidates of ``both`` closure that may have d <= d_max (float,
+    finite d_max), as one block of :func:`_scan` in scan order.  The k2
+    boxes (:func:`_both_window`) are cut into ``_TILE``-wide tiles from
+    their low corners, once: the m tiles of every row and, as the n range
+    depends on n1 alone, the n tiles of every n1.  Blocks of m tiles by
+    all n tiles, at most ``_BLOCK`` tiles or one m tile, meet the bound.
+    Each pattern keeps the cells of its live tiles, read from the grid
+    padded with NaN (k3 off the box gives a NaN residual), whose residual
     is r <= d_max |w1| (1 + 16u).  A hit's least residual a has
     fl(a / min |w|) <= d_max, so a <= d_max min |w| (1 + u) <= d_max |w1|
-    (1 + u), below the threshold after its two roundings (a subnormal
-    d_max counts as the least normal float; 1e-300 covers an underflowing
-    product).  The order rule k2 >= k1 and the scan's own float
-    expressions then decide those few, a row at a time."""
-    T = domain.truncation
+    (1 + u), below the threshold after two roundings (a subnormal d_max
+    counts as the least normal float; 1e-300 covers an underflowing
+    product).  The survivors, sorted once as a row may span two blocks,
+    meet the order rule k2 >= k1 and the scan's own float expressions."""
+    T, t = domain.truncation, _TILE
     X = omega_grid(spec, T)
-    P = np.pad(X, (0, _TILE), constant_values=np.nan)
+    P = np.pad(X, (0, t), constant_values=np.nan)
     R, Pf = P.shape[1], P.ravel()  # modes are flat offsets m R + n into P
-    cells = np.add.outer(np.arange(_TILE) * R, np.arange(_TILE)).ravel()
+    m1, n1 = np.arange(1, T // 2 + 1), np.arange(1, T)
+    m_lo, m_hi, n_lo, n_hi = _both_window(T, m1, n1)
+    tiles = []  # the m tiles, then the n tiles
+    for k, lo, hi in ((m1, m_lo, m_hi), (n1, np.full_like(n1, n_lo), n_hi)):
+        i, k, lo, hi = _expand(0, (hi - lo) // t + 1, k, lo, hi)
+        tiles.append((k, lo + i * t, np.minimum(lo + i * t + t - 1, hi)))
+    (m1, m_lo, _), n_tiles = tiles
+    rows = max(_BLOCK // max(n_tiles[0].size, 1), 1)  # m tiles a block
     scale = max(d_max, 2.0 ** -1022) * (1 + 16 * _U)
-    hits = []
+    found = [np.full(1, -1)]  # keys k1 R^2 + k2, after a -1 sentinel
     with np.errstate(invalid="ignore", over="ignore"):
-        tables = _window_tables(X, _TILE)
+        tables = _window_tables(X, t)
         omax = float(np.max(np.abs(X[1:, 1:])))
         # With at most 4 steps per axis (8 x 8 tiles) each value the bound
         # and the residuals round is at most 40 omax in size, and their
@@ -515,31 +528,20 @@ def _tile_scan(spec, domain, patterns, d_max):
         # NaN, or lies within 64x of overflow, prunes nothing.
         slack = (256 * _U * omax + 1e-300 if math.isfinite(64 * omax)
                  else math.inf)
-        for m1 in range(1, T // 2 + 1):
-            (m_lo, _), (n1, n_lo, _) = tiles = _row_tiles(T, m1, _TILE)
-            live = _live_tiles(X, tables, m1, *tiles, patterns, d_max, slack)
-            found = []  # survivors, as the key k1 R^2 + k2
-            for residual, mask in zip(RESIDUALS, live):
+        for b in range(0, m1.size, rows):
+            block = [v[b:b + rows] for v in tiles[0]]
+            for residual, mask in zip(RESIDUALS, _live_tiles(
+                    Pf, R, tables, block, n_tiles, patterns, d_max, slack)):
                 i, j = np.nonzero(mask)
-                k1, corner = m1 * R + n1[j], m_lo[i] * R + n_lo[j]
-                for c in range(0, i.size, _GATHER_TILES):
-                    k1c = k1[c:c + _GATHER_TILES, None]
-                    k2 = corner[c:c + _GATHER_TILES, None] + cells
-                    r = np.abs(residual(w1 := Pf[k1c], Pf[k2], Pf[k1c + k2]))
-                    t, s = np.nonzero(r <= scale * np.abs(w1) + 1e-300)
-                    found.append(k1c[t, 0] * R * R + k2[t, s])
-            key = np.sort(np.concatenate([[-1], *found]))  # -1: a sentinel
-            k1, k2 = np.divmod(key[1:][key[1:] > key[:-1]], R * R)  # once each
-            k1, k2 = k1[k2 >= k1], k2[k2 >= k1]  # the order rule
-            a, amin = _float_step(P, m1, k1 - m1 * R, Pf[k2], Pf[k1 + k2],
-                                  None, patterns, True)
-            keep = _select(a, amin, d_max, None)
-            if np.count_nonzero(keep):
-                hits.append((k1[keep], k2[keep], a[keep], amin[keep]))
-    if hits:  # few by construction: one block
-        k1, k2, a, amin = (np.concatenate(v) for v in zip(*hits))
-        (m1, n1), (m2, n2) = np.divmod(k1, R), np.divmod(k2, R)
-        yield (m1, n1, m2, n2, n1 + n2), a, amin
+                found += _prefilter(Pf, R, residual, scale,
+                                    m1[b + i] * R + n_tiles[0][j],
+                                    m_lo[b + i] * R + n_tiles[1][j])
+    key = np.sort(np.concatenate(found))
+    k1, k2 = np.divmod(key[1:][key[1:] > key[:-1]], R * R)  # once each
+    k1, k2 = k1[k2 >= k1], k2[k2 >= k1]  # the order rule
+    (m1, n1), (m2, n2) = np.divmod(k1, R), np.divmod(k2, R)
+    a, amin = _float_step(P, m1, n1, Pf[k2], Pf[k1 + k2], None, patterns, True)
+    yield (m1, n1, m2, n2, n1 + n2), a, amin
 
 
 def _select(a, amin, d_max, d_min):
@@ -566,10 +568,8 @@ def _search(spec, domain, rule, *, patterns, d_max=None, d_min=None,
     else:
         blocks = _scan(spec, domain, rule, patterns, skip_equal_n_pairs,
                        with_min, None if with_min else (0, 0))
-    triads = []
-    for cand, a, amin in blocks:
-        triads += _build(freqs, patterns, cand, _select(a, amin, d_max, d_min))
-    return triads
+    return [t for cand, a, amin in blocks for t in _build(
+        freqs, patterns, cand, _select(a, amin, d_max, d_min))]
 
 
 def _least_nonzero(spec, domain, rule, freqs) -> Triad | None:

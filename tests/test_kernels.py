@@ -5,13 +5,16 @@ Emitted triads are compared field by field (floats by ``float.hex``,
 rationals exactly), in emission order, and so are the discrepancy-bound
 witnesses and the classifier walk's approximate-resonance hits (members
 and |Omega|).  The tile-pruned near search is checked against the dense scan
-the same way, the multi-row scan blocks against the per-row generators
-they replaced, the exact path's n3 windows against the dense zonal
-generator they bypass, and the classifier's array bridge search against
-the per-pair search it replaced (its bridges compared step by step)."""
+the same way, whatever blocks its bound cuts the rows into, the multi-row
+scan blocks against the per-row generators they replaced, the exact path's
+n3 windows against the dense zonal generator they bypass, and the
+classifier's array bridge search against the per-pair search it replaced
+(its bridges compared step by step)."""
 
+import contextlib
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -311,12 +314,15 @@ def dense_near(spec, domain, patterns, d_max):
     return out
 
 
-def pruned_near(spec, domain, patterns, d_max, tile=8, gather=256):
+def pruned_near(spec, domain, patterns, d_max, tile=8, gather=256,
+                block=search._BLOCK):
     """The near search as find_near_triads runs it, unsorted, with the
-    tile side and the gather chunk set for the call."""
+    tile side, the gather chunk and the bound's tile cap set for the
+    call."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_TILE", tile)
         mp.setattr(search, "_GATHER_TILES", gather)
+        mp.setattr(search, "_BLOCK", block)
         return search._search(spec, domain, BOTH, patterns=patterns,
                               d_max=d_max)
 
@@ -353,17 +359,26 @@ def pruning_specs(draw):
 D_MAX = [1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.3, math.inf]
 
 
+#: Caps on the tiles the bound takes at once: below one k1 row's tiles
+#: (one m tile against every n tile) a block holds a single m tile, so a
+#: row's m tiles split across blocks; 4096 is ``_BLOCK``.
+BLOCK_CAPS = [1, 7, 100, 1000, 4096]
+
+
 @given(spec=pruning_specs(), T=st.integers(1, 40),
        patterns=st.sampled_from(["sum", "all"]),
        tile=st.sampled_from([1, 2, 4, 8]), gather=st.sampled_from([1, 3, 256]),
-       data=st.data())
+       block=st.sampled_from(BLOCK_CAPS), data=st.data())
 @example(spec=DispersionSpec("gravity_capillary", mu_over_nu=75.0), T=40,
-         patterns="sum", tile=8, gather=256, data=None)
+         patterns="sum", tile=8, gather=256, block=4096, data=None)
+@example(spec=DispersionSpec("gravity_capillary", mu_over_nu=75.0), T=40,
+         patterns="all", tile=8, gather=256, block=1, data=None)
 def test_pruned_near_search_matches_dense_scan(spec, T, patterns, tile,
-                                               gather, data):
+                                               gather, block, data):
     """Bit for bit and in scan order, at the listed ceilings, at d_max = inf
     (T <= 12: every candidate is built) and at a candidate's own float d,
-    which ties on the threshold."""
+    which ties on the threshold; whatever blocks the bound's tile cap cuts
+    the rows into."""
     domain = SpectralDomain(T)
     if data is None:
         d_maxes = [1e-5]
@@ -375,7 +390,7 @@ def test_pruned_near_search_matches_dense_scan(spec, T, patterns, tile,
                    data.draw(st.sampled_from(ties))]
     for d_max in d_maxes:
         assert fields(pruned_near(spec, domain, patterns, d_max, tile,
-                                  gather)) == \
+                                  gather, block)) == \
             fields(dense_near(spec, domain, patterns, d_max))
 
 
@@ -430,18 +445,72 @@ def test_pruning_is_safe_on_grids_with_inf_or_nan(T, patterns, cell, d_max):
                 fields(dense_near(spec, domain, patterns, d_max))
 
 
+@contextlib.contextmanager
+def bound_calls():
+    """Every ``_live_tiles`` call made inside the block, in order, as
+    (m tiles, n tiles, masks): one per block of m tiles."""
+    calls, bound = [], search._live_tiles
+
+    def spy(Pf, R, tables, m_tiles, n_tiles, *rest):
+        calls.append((m_tiles, n_tiles, bound(Pf, R, tables, m_tiles,
+                                              n_tiles, *rest)))
+        return calls[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_live_tiles", spy)
+        yield calls
+
+
+def row_tiles(T, t=8):
+    """The t x t tiles of the k2 box m1 <= m2 <= T - m1, 1 <= n2 <= T - n1
+    of every k1, by loops: the m tiles (m1, m_lo, m_hi) of every row and
+    the n tiles (n1, n_lo, n_hi) of every n1, inclusive, in scan order."""
+    m = [(m1, lo, min(lo + t - 1, T - m1)) for m1 in range(1, T // 2 + 1)
+         for lo in range(m1, T - m1 + 1, t)]
+    n = [(n1, lo, min(lo + t - 1, T - n1)) for n1 in range(1, T)
+         for lo in range(1, T - n1 + 1, t)]
+    return [np.array(v, dtype=np.int64).reshape(-1, 3).T for v in (m, n)]
+
+
+def check_blocks(calls, T, block=search._BLOCK):
+    """The blocks cut the m tiles of every row in scan order, each once, at
+    most ``block`` tiles (at least one m tile) a block, and bound each
+    against every n tile."""
+    m_tiles, n_tiles = row_tiles(T)
+    for k, tiles in enumerate(m_tiles):
+        assert np.array_equal(np.concatenate(
+            [c[0][k] for c in calls] + [np.zeros(0, int)]), tiles)
+    for (bm1, _, _), tn, _ in calls:
+        assert all(np.array_equal(a, b) for a, b in zip(tn, n_tiles))
+        assert bm1.size == max(block // n_tiles[0].size, 1) or \
+            bm1 is calls[-1][0][0]  # only the last block may be short
+
+
+def tile_of(calls, k1, k2):
+    """(block, m tile, n tile) of the tile that holds the candidate
+    (k1, k2): exactly one."""
+    (m1, n1), (m2, n2) = k1, k2
+    held = []
+    for b, ((tm1, m_lo, m_hi), (tn1, n_lo, n_hi), _) in enumerate(calls):
+        i = np.flatnonzero((tm1 == m1) & (m_lo <= m2) & (m2 <= m_hi))
+        j = np.flatnonzero((tn1 == n1) & (n_lo <= n2) & (n2 <= n_hi))
+        held += [(b, x, y) for x in i.tolist() for y in j.tolist()]
+    assert len(held) == 1, (k1, k2, held)
+    return held[0]
+
+
 @pytest.mark.parametrize("patterns", ["sum", "all"])
 def test_tile_bound_prunes_nothing_at_infinite_d_max(patterns):
     """d_max = inf takes the dense scan, and the bound alone keeps every
     tile there too; at d_max = 1e-5 it skips most tiles of gc75 T=40."""
     spec, T = DispersionSpec("gravity_capillary", mu_over_nu=75.0), 40
-    X = omega_grid(spec, T)
-    tables = search._window_tables(X, search._TILE)
-    live = {d: [search._live_tiles(X, tables, m1,
-                                   *search._row_tiles(T, m1, search._TILE),
-                                   patterns, d, 0.0)
-                for m1 in range(1, T // 2 + 1)]
-            for d in (math.inf, 1e-5)}
+    live = {}
+    for d in (math.inf, 1e-5):
+        with bound_calls() as calls:
+            list(search._tile_scan(spec, SpectralDomain(T), patterns, d))
+        check_blocks(calls, T)
+        live[d] = [mask for _, _, masks in calls for mask in masks]
+        assert len(live[d]) == len(calls) * (3 if patterns == "all" else 1)
     assert all(t.all() for t in live[math.inf])
     kept = sum(t.sum() for t in live[1e-5]) / sum(t.size for t in live[1e-5])
     assert kept < 0.5
@@ -452,45 +521,31 @@ def test_tile_bound_prunes_nothing_at_infinite_d_max(patterns):
             len(list(closed_candidates(domain, "both")))
 
 
-def live_tiles_per_row(spec, domain, patterns, d_max):
-    """The near search of :func:`pruned_near` with the masks of
-    ``_live_tiles``, as ``_tile_scan`` had them, by row m1: (m tiles,
-    n tiles, masks); and the triads it returned."""
-    rows, bound = {}, search._live_tiles
-
-    def spy(X, tables, m1, m_tiles, n_tiles, *rest):
-        rows[m1] = (m_tiles, n_tiles, bound(X, tables, m1, m_tiles, n_tiles,
-                                            *rest))
-        return rows[m1][2]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_live_tiles", spy)
-        return rows, pruned_near(spec, domain, patterns, d_max, 8, 128)
-
-
-def check_live_pattern(spec, domain, patterns, d_max):
-    """Every hit of the dense scan lies in a tile that the bound keeps live
-    for a sign pattern whose own float d = |Omega| / min |w| is <= d_max
-    (the scan's expressions), and the pruned search returns the dense
-    scan's triads.  Returns the masks by row."""
-    rows, pruned = live_tiles_per_row(spec, domain, patterns, d_max)
+def check_live_pattern(spec, domain, patterns, d_max, block=search._BLOCK):
+    """Every hit of the dense scan lies in one tile, bounded once, that the
+    bound keeps live for a sign pattern whose own float
+    d = |Omega| / min |w| is <= d_max (the scan's expressions), and the
+    pruned search, with 128-tile gathers, returns the dense scan's triads.
+    Returns the bound's calls, one per block."""
+    with bound_calls() as calls:
+        pruned = pruned_near(spec, domain, patterns, d_max, 8, 128, block)
+    check_blocks(calls, domain.truncation, block)
     dense = dense_near(spec, domain, patterns, d_max)
     for t in dense:
-        (m1, n1), (m2, n2), w = t.k1, t.k2, np.array(t.omegas)
-        (m_lo, _), (tn1, n_lo, n_hi), live = rows[m1]
-        i = (m2 - m_lo[0]) // search._TILE
-        j, = np.flatnonzero((tn1 == n1) & (n_lo <= n2) & (n2 <= n_hi))
+        b, i, j = tile_of(calls, t.k1, t.k2)
+        w = np.array(t.omegas)
         amin = min(min(abs(w[1]), abs(w[2])), abs(w[0]))
         assert any(mask[i, j] and abs(residual(*w)) / amin <= d_max
-                   for residual, mask in zip(search.RESIDUALS, live)), t
+                   for residual, mask in zip(search.RESIDUALS, calls[b][2])), t
     assert fields(pruned) == fields(dense)
-    return rows
+    return calls
 
 
 @given(spec=pruning_specs(), T=st.integers(1, 24),
-       patterns=st.sampled_from(["sum", "all"]), data=st.data())
+       patterns=st.sampled_from(["sum", "all"]),
+       block=st.sampled_from(BLOCK_CAPS), data=st.data())
 def test_each_hit_is_live_for_a_pattern_that_keeps_it(spec, T, patterns,
-                                                      data):
+                                                      block, data):
     """One mask per sign pattern: whatever patterns a hit's tile is dead
     for, it is live for one whose residual keeps the hit.  d_max is a
     candidate's own float d, so the hit with it ties on the threshold."""
@@ -499,7 +554,7 @@ def test_each_hit_is_live_for_a_pattern_that_keeps_it(spec, T, patterns,
     ds = ds[np.isfinite(ds) & (ds > 0)]
     assume(ds.size)
     check_live_pattern(spec, domain, patterns,
-                       data.draw(st.sampled_from(ds[:200].tolist())))
+                       data.draw(st.sampled_from(ds[:200].tolist())), block)
 
 
 @pytest.mark.parametrize("spec", [
@@ -508,13 +563,34 @@ def test_each_hit_is_live_for_a_pattern_that_keeps_it(spec, T, patterns,
 @pytest.mark.parametrize("T, patterns, d_max", [
     (76, "sum", 1e-4), (88, "sum", 1e-5), (92, "all", 1e-5)])
 def test_pruned_near_search_at_benchmark_sizes(spec, T, patterns, d_max):
-    """The near-scan rungs, where a row's live tiles fill several gathers
-    of ``_GATHER_TILES``: the dense scan's triads, each hit live for a
-    pattern that keeps it.  The capillary relation is convex, so it has no
-    hit here: the pruned search must find none either."""
-    rows = check_live_pattern(spec, SpectralDomain(T), patterns, d_max)
-    assert max(mask.sum() for _, _, live in rows.values()
-               for mask in live) > 2 * 128
+    """The near-scan rungs, where a block's live tiles fill several
+    gathers of ``_GATHER_TILES`` and rows span two blocks: the dense scan's
+    triads, each hit live for a pattern that keeps it.  The capillary
+    relation is convex, so it has no hit here: the pruned search must find
+    none either."""
+    calls = check_live_pattern(spec, SpectralDomain(T), patterns, d_max)
+    assert max(mask.sum() for _, _, live in calls for mask in live) > 2 * 128
+    assert any(a[0][0][-1] == b[0][0][0] for a, b in zip(calls, calls[1:]))
+
+
+@pytest.mark.parametrize("T, patterns, ceiling", [
+    (92, "all", 1_428_858), (88, "sum", 1_015_547)])
+def test_pruned_near_search_memory_peak(T, patterns, ceiling):
+    """tracemalloc's peak over find_near_triads on gc75 at d_max = 1e-5
+    (54 and 48 triads) stays at most the peak of a bound taken one k1 row
+    at a time, measured with numpy 2.4.6: the bound's blocks and the
+    gathers hold no more at once."""
+    spec, domain = (DispersionSpec("gravity_capillary", mu_over_nu=75.0),
+                    SpectralDomain(T))
+    find_near_triads(spec, domain, 1e-5, patterns)  # lazy set-up first
+    tracemalloc.start()
+    try:
+        n = len(find_near_triads(spec, domain, 1e-5, patterns))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == {92: 54, 88: 48}[T]
+    assert peak <= ceiling
 
 
 # -- exact sphere: the Fraction loop ----------------------------------------------
@@ -974,7 +1050,7 @@ def check_every_donor_pair(spec, domain, closure, patterns, n_selection,
     rule = search._dispatch(spec, domain, closure, patterns)
     got = classify._minimal_bridges(
         spec, domain, rule, classify._n_rule(rule, n_selection), patterns,
-        search._FrequencyMemo(spec), donors)
+        search._FrequencyMemo(spec), search._table(spec, domain), donors)
     _, passes, freqs = _oracle_convention(spec, closure, n_selection)
     assert steps_fields(got) == steps_fields(
         oracle_minimal_bridge(domain, t, (ka, kb), patterns, closure, passes,
