@@ -40,19 +40,18 @@ from .dispersion import (
     _is_positive_int,
 )
 from .errors import UsageError
-from .sphere import _exact_step
 from .search import (
     _BLOCK,
     NUMERIC_EXACT_D,
     Triad,
-    _FrequencyMemo,
     _build,
     _check_threshold,
     _dispatch,
-    _float_step,
+    _omegas,
     _pattern,
     _scan,
     _select,
+    _step,
     _table,
 )
 
@@ -135,27 +134,27 @@ class ModePartition:
 # the walk: resonant seeds and approximate-resonance hits
 # ---------------------------------------------------------------------------
 
-def _walk(spec, domain, rule, passes, patterns, skip_equal_n_pairs, freqs,
+def _walk(spec, X, domain, rule, passes, patterns, skip_equal_n_pairs,
           omega_max):
-    """One walk of the closure's candidates: the resonant seeds that pass
-    the n-selection ``passes``, in scan order, built from ``freqs`` (N == 0;
-    on floats d <= NUMERIC_EXACT_D, the triad's own test, as the grid holds
-    its frequencies), and the hits 0 < |Omega| <= omega_max that pass it, as
+    """One walk of the closure's candidates on the table X: the resonant
+    seeds that pass the n-selection ``passes``, in scan order, carrying
+    X's frequencies (N == 0; on floats d <= NUMERIC_EXACT_D, the triad's
+    own test), and the hits 0 < |Omega| <= omega_max that pass it, as
     arrays (m1, n1, m2, n2, n3, |Omega|).  The exact path reads only the n3
     where |Omega| <= omega_max can hold."""
     exact = spec.exactness
     seeds = []
     hits = [[np.zeros(0, np.int64)] * 5 + [np.zeros(0)]]
-    for cand, a, amin in _scan(spec, domain, rule, patterns,
-                               skip_equal_n_pairs, not exact, (omega_max, 0)):
+    for cand, a, amin in _scan(X, domain, rule, patterns, skip_equal_n_pairs,
+                               not exact, (omega_max, 0)):
         ok = passes(cand[1], cand[3], cand[4])
-        seeds += _build(freqs, patterns, cand,
+        seeds += _build(X, patterns, cand,
                         _select(a, amin, NUMERIC_EXACT_D, None) & ok)
         hit = (a > 0) & (a <= omega_max) & ok
         if exact:  # a rational above omega_max may round down to it
             ties = hit & (a == omega_max)
             hit[ties] = [abs(t.discrepancy) <= omega_max
-                         for t in _build(freqs, patterns, cand, ties)]
+                         for t in _build(X, patterns, cand, ties)]
         hits.append([c[hit] for c in (*cand, a)])
     return seeds, list(map(np.concatenate, zip(*hits)))
 
@@ -164,15 +163,16 @@ def _walk(spec, domain, rule, passes, patterns, skip_equal_n_pairs, freqs,
 # minimal near-resonant bridge waves
 # ---------------------------------------------------------------------------
 
-def _minimal_bridges(spec, domain, rule, passes, patterns, freqs, X, donors):
+def _minimal_bridges(X, domain, rule, passes, patterns, donors):
     """The minimal near-resonant bridge (a CascadeStep, or None) of each
     donor pair (triad, ka, kb) under the resolved closure ``rule`` and
     n-selection ``passes``, unvalidated (cascades bridge from near-resonant
-    triads), in one array pass on the kernel table X.  The non-resonant
-    completions in the domain that are no triad member and pass are read
-    on the kernels' |Omega|: the triads' own on floats, correctly rounded
-    on the exact path.  So a pair's least (|Omega|, (m, n)) lies at its
-    least float |Omega|, keyed there on the :func:`_pattern` residual."""
+    triads), in one array pass on the kernel table X, which covers the
+    donors.  The non-resonant completions in the domain that are no triad
+    member and pass are read on the kernels' |Omega| of (ka, kb, wave):
+    the triads' own on floats, correctly rounded on the exact path.  So a
+    pair's least (|Omega|, (m, n)) lies at its least float |Omega|, keyed
+    there on the :func:`_pattern` residual of X's frequencies."""
     T = domain.truncation
     D = np.array([(*ka, *kb, *t.k1, *t.k2, *t.k3) for t, ka, kb in donors],
                  dtype=np.int64).reshape(-1, 10)
@@ -185,25 +185,20 @@ def _minimal_bridges(spec, domain, rule, passes, patterns, freqs, X, donors):
            | (n3[..., None] != D[:, None, 5::2])).all(2)
         & passes(na[:, None], nb[:, None], n3))
     m3, n3 = m3[p, j], n3[p, j]
-    if spec.exactness:  # the largest m takes _exact_step's third slot
-        V = np.array([(ma[p], mb[p], m3), (na[p], nb[p], n3)])
-        (m1, m2, mz), (n1, n2, nz) = np.take_along_axis(V, V[:1].argsort(1), 1)
-        a, amin = _exact_step(X, m1, n1, X[m2, n2], X[mz, nz], m2, patterns,
-                              True)
-        value = freqs.__getitem__
-    else:
-        a, amin = _float_step(X, ma[p], na[p], X[mb, nb][p], X[m3, n3], None,
-                              patterns, True)
-        value = lambda k: X.item(*k)  # noqa: E731
+    a, amin = _step(X, ma[p], na[p], X[mb, nb][p], X[m3, n3], mb[p], m3,
+                    patterns, True)
     keep = ~(a <= NUMERIC_EXACT_D * amin)
     low = np.full(len(donors), np.inf)
     np.minimum.at(low, p[keep], a[keep])
     steps = [None] * len(donors)
-    at = keep & (a == low[p])
-    for i, m, n in zip(p[at].tolist(), m3[at].tolist(), n3[at].tolist()):
+    at = np.flatnonzero(keep & (a == low[p]))
+    p, m3, n3 = p[at], m3[at], n3[at]
+    ws = _omegas(X, np.concatenate((ma[p], mb[p], m3)),
+                 np.concatenate((na[p], nb[p], n3))).reshape(3, -1).T
+    for i, m, n, w in zip(p.tolist(), m3.tolist(), n3.tolist(), ws.tolist()):
         t, ka, kb = donors[i]
         k = WaveVector(m, n)
-        om, _ = _pattern((value(ka), value(kb), value(k)), patterns)
+        om, _ = _pattern(w, patterns)
         if steps[i] is None or (abs(om), k) < (
                 abs(steps[i].bridge_discrepancy), steps[i].bridge_wave):
             steps[i] = CascadeStep(t, (ka, kb), k, om)
@@ -226,9 +221,9 @@ def minimal_near_resonant(spec: DispersionSpec, domain: SpectralDomain,
     if not any(tuple(donor_pair) in (q, q[::-1]) for q in _triad_pairs(triad)):
         raise UsageError("donor pair must be two of the triad's members")
     rule = _dispatch(spec, domain, closure, patterns)
-    return _minimal_bridges(spec, domain, rule, _n_rule(rule, n_selection),
-                            patterns, _FrequencyMemo(spec),
-                            _table(spec, domain), [(triad, *donor_pair)])[0]
+    X = _table(spec, domain.truncation, triad.members())
+    return _minimal_bridges(X, domain, rule, _n_rule(rule, n_selection),
+                            patterns, [(triad, *donor_pair)])[0]
 
 
 def _triad_pairs(t: Triad) -> list:
@@ -239,17 +234,16 @@ def _step_key(step: CascadeStep) -> tuple:
     return (step.abs_discrepancy, step.bridge_wave)
 
 
-def select_bridges(spec, domain, seeds, omega_max, rule, passes, patterns,
-                   bridge_mode, freqs) -> list:
+def select_bridges(X, domain, seeds, omega_max, rule, passes, patterns,
+                   bridge_mode) -> list:
     """Bridge waves admitted to the Active class, per (triad, pair) or per
     triad as ``bridge_mode`` says (:func:`classify_modes` checks it), from
-    one bridge search per batch of whole seeds, of at most _BLOCK / T
-    donor pairs (a zonal pair has up to 2 T completions)."""
+    one bridge search on the table X per batch of whole seeds, of at most
+    _BLOCK / T donor pairs (a zonal pair has up to 2 T completions)."""
     donors = [(t, *pair) for t in seeds for pair in _triad_pairs(t)]
     batch = 3 * (_BLOCK // (3 * domain.truncation) or 1)
-    X = _table(spec, domain) if donors else None
     found = [s for i in range(0, len(donors), batch) for s in
-             _minimal_bridges(spec, domain, rule, passes, patterns, freqs, X,
+             _minimal_bridges(X, domain, rule, passes, patterns,
                               donors[i:i + batch])]
     steps = []
     for i in range(0, len(found), 3):
@@ -310,11 +304,11 @@ def classify_modes(spec: DispersionSpec, domain: SpectralDomain,
     convention = dict(patterns=patterns, closure=rule.name,
                       n_selection=n_selection, bridge_mode=bridge_mode,
                       skip_equal_n_pairs=skip_equal_n_pairs)
-    freqs = _FrequencyMemo(spec)
-    seeds, hits = _walk(spec, domain, rule, passes, patterns,
-                        skip_equal_n_pairs, freqs, omega_max)
-    bridges = select_bridges(spec, domain, seeds, omega_max, rule, passes,
-                             patterns, bridge_mode, freqs)
+    X = _table(spec, domain.truncation)
+    seeds, hits = _walk(spec, X, domain, rule, passes, patterns,
+                        skip_equal_n_pairs, omega_max)
+    bridges = select_bridges(X, domain, seeds, omega_max, rule, passes,
+                             patterns, bridge_mode)
 
     assignments = {k: ModeAssignment(k, NEUTRAL) for k in domain.modes()}
     assignments.update((k, ModeAssignment(k, PASSIVE, v))
@@ -356,13 +350,13 @@ def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
         raise UsageError("cascade_path expects a resonant seed triad")
     rule = _dispatch(spec, domain, closure, patterns)
     passes = _n_rule(rule, n_selection)
-    freqs, X = _FrequencyMemo(spec), _table(spec, domain)
+    X = _table(spec, domain.truncation, seed.members())
     visited = {frozenset(seed.members())}
     current = seed
     steps = []
     for _ in range(int(depth)):
         found = [s for s in _minimal_bridges(
-                     spec, domain, rule, passes, patterns, freqs, X,
+                     X, domain, rule, passes, patterns,
                      [(current, *pair) for pair in _triad_pairs(current)])
                  if s is not None]
         if not found:
@@ -375,7 +369,7 @@ def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
         if frozenset(ks) in visited:
             break
         visited.add(frozenset(ks))
-        ws = tuple(freqs[k] for k in ks)
+        ws = tuple(_omegas(X, *np.array(ks).T).tolist())
         om, signs = _pattern(ws, patterns)
         d = abs(float(om)) / min(abs(float(w)) for w in ws)
         current = Triad(*ks, ws, om, d, signs)

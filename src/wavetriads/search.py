@@ -24,17 +24,18 @@ vector, so outputs are duplicate-free:
 ``closure="auto"`` picks ``zonal`` for ``rossby_sphere`` and ``both``
 otherwise; ``box`` is never chosen automatically.
 
-One scan kernel serves both number systems.  Its array form reads the
-closure's candidates from a per-mode table in blocks of consecutive k1 rows
+One scan kernel serves both number systems.  Each public call builds one
+per-mode table (:func:`_table`), which the scan, the bound and the bridge
+search read and whose values every result carries (:func:`.triad._omegas`).
+The scan reads the closure's candidates in blocks of consecutive k1 rows
 (as many as fit in ``_BLOCK`` candidates; one vectorised range expansion
 per block) and gives their members, k1 included, and |Omega| (and min |w|
 when asked) as arrays, with no :class:`Triad` built.  The searches select
 on those arrays and build triads, on arrays too, only for what they
 return, in scan order (k1, k2, k3); the classifier reads the arrays
-themselves.  The discrepancy bound runs the same scan on the same table;
-its witness is the first triad of least nonzero |Omega| in scan order
-(sum pattern; any pattern under box closure).  The triad records and
-their rebuild from arrays live in :mod:`.triad`, the exact table's
+themselves.  The bound's witness is the first triad of least nonzero
+|Omega| in scan order (sum pattern; any pattern under box closure).  The
+triad records and their rebuild live in :mod:`.triad`, the exact table's
 arithmetic in :mod:`.sphere`.
 
 * Floats: the table is the omega grid, which holds the ``eval_frequency``
@@ -42,18 +43,19 @@ arithmetic in :mod:`.sphere`.
   sign-pattern rule of the triads, so each accept/reject decision is made
   on the |Omega| and d_ratio that the returned triad carries.
 * Exact rationals (the spherical dispersion; zonal closure only, without
-  the self-pair): omega = -2m/a with a = n(n+1), and the table holds a.
-  Each sign pattern's residual is -2 N / (a1 a2 a3) with the integer
-  N = s1 m1 a2 a3 + s2 m2 a1 a3 + s3 m3 a1 a2, so Omega = 0 is decided by
-  N == 0, never by a tolerance.  |Omega| = 2|N| / (a1 a2 a3) is correctly
-  rounded: while 2|N| and a1 a2 a3 are below 2**53 (T up to 455) both are
-  exact in float64 and one division rounds once; beyond, the table holds
-  Python integers and Python's int true division rounds once too.  So the
-  float |Omega| is that of the rational one, d = |Omega| / min |w| is the
-  d_ratio of the rebuilt triad, and the thresholds decide on floats.  As
-  rounding is monotone, a float can misjudge 0 < |Omega| <= omega_max only
-  when it equals omega_max; only those ties are rebuilt on ``Fraction``s.
-  At fixed m3, omega3 = -2 m3 / a3 is monotone in n3, so the n3 where
+  the self-pair): omega = -2m/a with a = n(n+1); the table holds a, and
+  results carry the ``Fraction`` -2m/a.  Each sign pattern's residual is
+  -2 N / (a1 a2 a3) with the integer N = s1 m1 a2 a3 + s2 m2 a1 a3 +
+  s3 m3 a1 a2, so Omega = 0 is decided by N == 0, never by a tolerance.
+  |Omega| = 2|N| / (a1 a2 a3) is correctly rounded: while 2|N| and
+  a1 a2 a3 are below 2**53 (T up to 455) both are exact in float64 and one
+  division rounds once; beyond, the table holds Python integers and
+  Python's int true division rounds once too.  So the float |Omega| is
+  that of the rational one, d = |Omega| / min |w| is the d_ratio of the
+  rebuilt triad, and the thresholds decide on floats.  As rounding is
+  monotone, a float can misjudge 0 < |Omega| <= omega_max only when it
+  equals omega_max; only those ties are rebuilt on ``Fraction``s.  At
+  fixed m3, omega3 = -2 m3 / a3 is monotone in n3, so the n3 where
   |Omega| <= tau can hold form one window per pair and sign pattern, in
   closed form (:mod:`.sphere`).  The exact search (tau = 0), the
   classifier (tau = omega_max) and the bound (the n3 next to the root)
@@ -103,6 +105,8 @@ from .triad import (  # the triad records, importable from here as before
     DiscrepancyBound,
     Triad,
     _build,
+    _least_abs,
+    _omegas,
     _pattern,
 )
 
@@ -136,19 +140,6 @@ def _check_threshold(name: str, value, ceiling: bool = False) -> None:
         raise UsageError(f"{name} must be positive, got {value!r}")
     if math.isinf(value) and not ceiling:
         raise UsageError(f"{name} must be finite, got {value!r}")
-
-
-class _FrequencyMemo(dict):
-    """Scalar ``eval_frequency`` values by mode, one call per distinct mode
-    looked up, and only for those.  The values are the scalar function's
-    own, so stored frequencies reproduce bit for bit on re-evaluation."""
-
-    def __init__(self, spec: DispersionSpec):
-        self.spec = spec
-
-    def __missing__(self, k: WaveVector) -> OmegaValue:
-        w = self[k] = eval_frequency(self.spec, k).omega
-        return w
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +353,12 @@ CLOSURES = {c.name: c for c in (
 _FLOAT_EXACT_LIMIT = 2 ** 53
 
 
-def _table(spec, domain):
-    """The per-mode table the kernels read: a = n(n+1) on the exact path
-    (omega = -2m/a), else the omega grid, which is the frequencies of
-    ``eval_frequency``."""
-    T = domain.truncation
+def _table(spec, T, members=()):
+    """The per-mode table over m, n <= T, grown to cover ``members`` (each
+    checked to be a mode), that the kernels read and results carry
+    (:func:`.triad._omegas`): a = n(n+1) on the exact path (omega =
+    -2m/a), else the omega grid, ``eval_frequency``'s values."""
+    T = max([T, *(max(check_wavevector(k)) for k in members)])
     if spec.exactness:
         n = np.arange(T + 1, dtype=np.int64)
         amax = T * (T + 1)
@@ -376,33 +368,34 @@ def _table(spec, domain):
     return omega_grid(spec, T)
 
 
-def _float_step(X, m1, n1, w2, w3, m2, patterns, with_min):
-    """|Omega| of a block on the frequency table X, in the float64
-    expressions ``RESIDUALS`` that :func:`_pattern` reads too (the least
-    over the sign patterns when patterns="all"), and min |w|, which every
-    float search reads."""
+def _float_step(X, m1, n1, w2, w3, m2, m3, patterns, with_min):
+    """|Omega| of a block on the float grid X, in the float64 expressions
+    ``RESIDUALS`` that :func:`_pattern` reads too, and min |w| (always)."""
     w1 = X[m1, n1]
-    a = np.abs(RESIDUALS[0](w1, w2, w3))
-    for residual in RESIDUALS[1:] if patterns == "all" else ():
-        a = np.minimum(a, np.abs(residual(w1, w2, w3)))
-    return a, np.minimum(np.minimum(np.abs(w2), np.abs(w3)), abs(w1))
+    return (_least_abs(w1, w2, w3, patterns),
+            np.minimum(np.minimum(np.abs(w2), np.abs(w3)), abs(w1)))
 
 
-def _scan(spec, domain, rule, patterns, skip_equal_n_pairs, with_min,
+def _step(X, m1, n1, x2, x3, m2, m3, patterns, with_min):
+    """|Omega| and min |w| (or None) of a block's triads by the step of the
+    table X's number system: the one place that picks the step."""
+    step = _float_step if X.dtype == np.float64 else _exact_step
+    return step(X, m1, n1, x2, x3, m2, m3, patterns, with_min)
+
+
+def _scan(X, domain, rule, patterns, skip_equal_n_pairs, with_min,
           within=None):
-    """The array form of the scan kernel: the closure's candidates block by
-    block, as ((m1, n1, m2, n2, n3), a, amin) per candidate in scan order,
-    with k3 = (m1 + m2, n3), a = |Omega| (the least over the sign patterns
-    when patterns="all") and amin = min |w| or None.  On the exact path,
-    ``within`` = (tau, widen) leaves out the candidates outside the n3
-    window of :func:`.sphere._n3_window`; floats read every candidate."""
-    exact = spec.exactness
-    X = _table(spec, domain)
-    step = _exact_step if exact else _float_step
+    """The array form of the scan kernel on the table X: the closure's
+    candidates block by block, as ((m1, n1, m2, n2, n3), a, amin) per
+    candidate in scan order, with k3 = (m1 + m2, n3), a = |Omega| (the least
+    over the sign patterns when patterns="all") and amin = min |w| or None.
+    On the exact table ``within`` = (tau, widen) leaves out the candidates
+    outside the n3 window of :func:`.sphere._n3_window`."""
+    exact = X.dtype != np.float64
     window = {"window": (patterns, *within)} if exact and within else {}
     for m1, n1, x2, x3, m2, n2, n3 in rule.blocks(
             X, domain, skip_equal_n_pairs, not exact, **window):
-        a, amin = step(X, m1, n1, x2, x3, m2, patterns, with_min)
+        a, amin = _step(X, m1, n1, x2, x3, m2, m1 + m2, patterns, with_min)
         yield (m1, n1, m2, n2, n3), a, amin
 
 
@@ -489,8 +482,8 @@ def _prefilter(Pf, R, residual, scale, k1, corner):
     return keys
 
 
-def _tile_scan(spec, domain, patterns, d_max):
-    """The candidates of ``both`` closure that may have d <= d_max (float,
+def _tile_scan(X, domain, patterns, d_max):
+    """The candidates of ``both`` closure that may have d <= d_max (grid X,
     finite d_max), as one block of :func:`_scan` in scan order.  The k2
     boxes (:func:`_both_window`) are cut into ``_TILE``-wide tiles from
     their low corners, once: the m tiles of every row and, as the n range
@@ -505,7 +498,6 @@ def _tile_scan(spec, domain, patterns, d_max):
     product).  The survivors, sorted once as a row may span two blocks,
     meet the order rule k2 >= k1 and the scan's own float expressions."""
     T, t = domain.truncation, _TILE
-    X = omega_grid(spec, T)
     P = np.pad(X, (0, t), constant_values=np.nan)
     R, Pf = P.shape[1], P.ravel()  # modes are flat offsets m R + n into P
     m1, n1 = np.arange(1, T // 2 + 1), np.arange(1, T)
@@ -540,7 +532,7 @@ def _tile_scan(spec, domain, patterns, d_max):
     k1, k2 = np.divmod(key[1:][key[1:] > key[:-1]], R * R)  # once each
     k1, k2 = k1[k2 >= k1], k2[k2 >= k1]  # the order rule
     (m1, n1), (m2, n2) = np.divmod(k1, R), np.divmod(k2, R)
-    a, amin = _float_step(P, m1, n1, Pf[k2], Pf[k1 + k2], None, patterns, True)
+    a, amin = _step(P, m1, n1, Pf[k2], Pf[k1 + k2], None, None, patterns, True)
     yield (m1, n1, m2, n2, n1 + n2), a, amin
 
 
@@ -557,22 +549,22 @@ def _select(a, amin, d_max, d_min):
 def _search(spec, domain, rule, *, patterns, d_max=None, d_min=None,
             skip_equal_n_pairs=True) -> list:
     """Triads of the closure's candidates with d_ratio <= d_max or
-    d_ratio >= d_min, in scan order, built from the scalar dispersion
-    values.  A finite positive d_max under ``both`` closure on floats
-    reads only the tiles :func:`_tile_scan` cannot rule out."""
-    freqs = _FrequencyMemo(spec)
+    d_ratio >= d_min, in scan order, decided and built on one table.  A
+    finite positive d_max under ``both`` closure on floats reads only the
+    tiles :func:`_tile_scan` cannot rule out."""
+    X = _table(spec, domain.truncation)
     with_min = d_min is not None or bool(d_max)  # a zero ceiling needs none
     if (rule.name == "both" and not spec.exactness and d_max
             and math.isfinite(d_max)):
-        blocks = _tile_scan(spec, domain, patterns, d_max)
+        blocks = _tile_scan(X, domain, patterns, d_max)
     else:
-        blocks = _scan(spec, domain, rule, patterns, skip_equal_n_pairs,
+        blocks = _scan(X, domain, rule, patterns, skip_equal_n_pairs,
                        with_min, None if with_min else (0, 0))
     return [t for cand, a, amin in blocks for t in _build(
-        freqs, patterns, cand, _select(a, amin, d_max, d_min))]
+        X, patterns, cand, _select(a, amin, d_max, d_min))]
 
 
-def _least_nonzero(spec, domain, rule, freqs) -> Triad | None:
+def _least_nonzero(spec, domain, rule, X) -> Triad | None:
     """Triad with the least nonzero |Omega| under the closure's bound
     patterns; the first minimum in scan order wins.  On the exact path the
     scan reads each pair's n3 next to the real root, where its least
@@ -584,15 +576,15 @@ def _least_nonzero(spec, domain, rule, freqs) -> Triad | None:
     those of the triads (floats) or correctly rounded (exact path), so,
     rounding being monotone, only the candidates at a block minimum not
     above the best so far can hold a new least |Omega|; they are built on
-    the memo ``freqs`` and compared exactly."""
+    the table X and compared exactly."""
     best, best_a = None, math.inf
-    for cand, a, amin in _scan(spec, domain, rule, rule.bound_patterns, True,
+    for cand, a, amin in _scan(X, domain, rule, rule.bound_patterns, True,
                                not spec.exactness, (0, 1)):
         a[_select(a, amin, NUMERIC_EXACT_D, None)] = math.inf
         low = float(a.min())  # blocks are never empty
         if low == math.inf or low > best_a:
             continue
-        for t in _build(freqs, rule.bound_patterns, cand, a == low):
+        for t in _build(X, rule.bound_patterns, cand, a == low):
             if best is None or abs(t.discrepancy) < abs(best.discrepancy):
                 best, best_a = t, float(abs(t.discrepancy))
     return best
@@ -691,13 +683,14 @@ def discrepancy_lower_bound(spec: DispersionSpec, domain: SpectralDomain,
     least |Omega| in scan order, under the closure's bound patterns.
     """
     rule = _dispatch(spec, domain, closure)
-    freqs = _FrequencyMemo(spec)
+    X = _table(spec, domain.truncation)
 
     apriori = None
     if spec.exactness:
-        lcm = math.lcm(*(freqs[k].denominator for k in domain.modes()))
+        modes = np.array(list(domain.modes())).T
+        lcm = math.lcm(*(w.denominator for w in _omegas(X, *modes)))
         apriori = DiscrepancyBound(Fraction(1, lcm * lcm), "rational_1_over_bd")
-    best = _least_nonzero(spec, domain, rule, freqs)
+    best = _least_nonzero(spec, domain, rule, X)
 
     if best is None:
         return BoundReport(apriori, None,

@@ -1,6 +1,6 @@
 """Triad records: a vector-closed triad with its frequencies and
 discrepancy, the discrepancy-bound reports, the sign-pattern rule, and
-the rebuild of triads from the candidate arrays of a scan."""
+the rebuild of triads from a scan's candidate arrays and kernel table."""
 
 from __future__ import annotations
 
@@ -85,6 +85,23 @@ class BoundReport:
     note: str = ""
 
 
+def _least_abs(t1, t2, t3, patterns):
+    """|RESIDUALS[0]|, or the least |residual| over the sign patterns when
+    patterns="all", elementwise on arrays of any numbers."""
+    a = np.abs(RESIDUALS[0](t1, t2, t3))
+    for residual in RESIDUALS[1:] if patterns == "all" else ():
+        a = np.minimum(a, np.abs(residual(t1, t2, t3)))
+    return a
+
+
+def _omegas(X, m, n) -> np.ndarray:
+    """The frequencies of the modes (m, n), integer arrays, on the kernel
+    table X: its float64 values, or Fractions -2m/a on the exact a = n(n+1)."""
+    if X.dtype == np.float64:
+        return X[m, n]
+    return np.array(list(map(Fraction, (-2 * m).tolist(), X[m, n].tolist())))
+
+
 def _pattern(ws, patterns):
     """Signed residual and signs of the sum pattern, or of the
     minimal-|Omega| sign pattern when patterns="all"."""
@@ -98,15 +115,15 @@ def _pattern(ws, patterns):
     return best
 
 
-def _build(freqs, patterns, cand, keep) -> list:
+def _build(X, patterns, cand, keep) -> list:
     """Triads of the block candidates ``cand`` that the mask ``keep``
-    selects, in scan order, built from ``freqs`` (mode -> omega): the rule
-    of :func:`_pattern` (the first least |Omega|) and d = |Omega| / min |w|
-    (Python's ``min``: a later |w| wins only if smaller) run on arrays."""
+    selects, in scan order, carrying the table X's frequencies (_omegas):
+    the rule of :func:`_pattern` (the first least |Omega|) and d = |Omega| /
+    min |w| (Python's ``min``: a later |w| wins only if smaller) on arrays."""
     if not np.count_nonzero(keep):  # cheaper than keep.any() per block
         return []
     m1, n1, m2, n2, n3 = (c[keep] for c in cand)
-    # The members' modes, each distinct one looked up once.  No np.unique
+    # The members' modes, each distinct one read once.  No np.unique
     # (its first call imports numpy.ma) and no sort (its first call maps in
     # the sort kernels): a presence table over the flat keys.
     R = int(max(n1.max(), n2.max(), n3.max())) + 1
@@ -116,7 +133,7 @@ def _build(freqs, patterns, cand, keep) -> list:
     modes = np.flatnonzero(seen)
     ks = list(map(WaveVector, *(c.tolist() for c in np.divmod(modes, R))))
     at = np.searchsorted(modes, key)
-    w1, w2, w3 = np.array([freqs[k] for k in ks])[at].reshape(3, -1)
+    w1, w2, w3 = _omegas(X, *np.divmod(modes, R))[at].reshape(3, -1)
     k1, k2, k3 = np.fromiter(ks, object, len(ks))[at].reshape(3, -1)
     signs = SIGN_PATTERNS if patterns == "all" else SIGN_PATTERNS[:1]
     om, *others = (r(w1, w2, w3) for r in RESIDUALS[:len(signs)])

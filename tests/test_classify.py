@@ -1,11 +1,14 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from wavetriads import (
     DispersionSpec,
+    DomainError,
     SpectralDomain,
+    Triad,
     UsageError,
     WaveVector,
     cascade_path,
@@ -16,7 +19,7 @@ from wavetriads import (
     find_near_triads,
     minimal_near_resonant,
 )
-from wavetriads import classify, search
+from wavetriads import classify, dispersion, search
 from wavetriads.classify import (
     ACTIVE,
     NEUTRAL,
@@ -30,7 +33,10 @@ from wavetriads.classify import (
     bve_rectangle_quarter_spec,
     bve_square_spec,
 )
-from wavetriads.search import discrepancy_lower_bound
+from wavetriads.search import (
+    discrepancy_lower_bound,
+    find_max_discrepancy_triads,
+)
 from conftest import gc_spec, wv
 
 CLASSIC = (wv(4, 12), wv(5, 14), wv(9, 13))
@@ -227,6 +233,22 @@ def test_cascade_rejects_a_non_resonant_seed(sphere, sphere_t14):
         cascade_path(sphere, sphere_t14, near, depth=1)
 
 
+@pytest.mark.parametrize("member", [(-1, 3), (0, 3), (2.5, 3)])
+@pytest.mark.parametrize("spec", [DispersionSpec("rossby_sphere"),
+                                  bve_square_spec()], ids=["sphere", "plane"])
+def test_bridge_searches_refuse_a_member_that_is_no_mode(spec, member):
+    """The bridge searches read the kernel table at the triad's members, so
+    a member that is no mode raises DomainError instead of reading another
+    cell (a negative index wraps round)."""
+    ks = (WaveVector(*member), wv(2, 4), wv(1, 5))
+    triad = Triad(*ks, (1.0, 1.0, 2.0), 0.0, 0.0)
+    domain = SpectralDomain(8)
+    with pytest.raises(DomainError, match="wave vector"):
+        minimal_near_resonant(spec, domain, triad, ks[:2])
+    with pytest.raises(DomainError, match="wave vector"):
+        cascade_path(spec, domain, triad, 2)
+
+
 def test_cascade_takes_an_integral_float_depth(sphere, sphere_t14):
     triad = classic_triad(sphere, sphere_t14)
     assert cascade_path(sphere, sphere_t14, triad, depth=2.0) == \
@@ -281,7 +303,7 @@ def test_zonal_square_seed_contains_2_4():
     assert any(wv(2, 4) in t.members() for t in seeds)
 
 
-# -- one frequency memo per classification ------------------------------------
+# -- one kernel table per call ------------------------------------------------
 
 @pytest.mark.parametrize("spec, domain, omega_max, convention", [
     (bve_square_spec(), SpectralDomain(14), 0.01, {"closure": "zonal"}),
@@ -325,6 +347,66 @@ def test_bound_evaluates_each_mode_at_most_once(monkeypatch, spec, domain):
     rep = discrepancy_lower_bound(spec, domain)
     assert rep.finite_min is not None
     assert len(calls) == len(set(calls)) <= len(domain)
+
+
+def count_calls(monkeypatch, name):
+    """A list that records each call of the dispersion function ``name``,
+    wherever a wavetriads module binds it."""
+    calls, original = [], getattr(dispersion, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("wavetriads")
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("spec, domain, omega_max, convention", [
+    (bve_square_spec(), SpectralDomain(12), SQUARE_TABLE_OMEGA_MAX,
+     PLANE_TABLE_CONVENTION),
+    (bve_square_spec(), SpectralDomain(10), 0.05, {"closure": "zonal"}),
+    (gc_spec(75), SpectralDomain(12), 0.5, {"patterns": "all"}),
+    (DispersionSpec("rossby_sphere"), SpectralDomain(14, "triangular"),
+     SPHERE_TABLE_OMEGA_MAX, SPHERE_TABLE_CONVENTION),
+], ids=["plane-box", "plane-zonal", "gc75", "sphere"])
+def test_each_call_builds_one_table(monkeypatch, spec, domain, omega_max,
+                                    convention):
+    """Each public call builds one kernel table and reads every frequency
+    it returns from it: one omega grid on floats (a classification once
+    made a second for its bridges) and no eval_frequency on any kind.
+    The cascade and the bridge search start from a seed of the
+    classification."""
+    kw = {k: v for k, v in convention.items() if k != "bridge_mode"}
+    pattern_kw = {k: v for k, v in kw.items() if k != "n_selection"}
+    seeds = classify_modes(spec, domain, omega_max, **convention)\
+        .resonant_triads
+    grids = count_calls(monkeypatch, "omega_grid")
+    scalars = count_calls(monkeypatch, "eval_frequency")
+    runs = {
+        "near": lambda: find_near_triads(spec, domain, 0.05, **pattern_kw),
+        "maxd": lambda: find_max_discrepancy_triads(spec, domain, 0.5,
+                                                    **pattern_kw),
+        "bound": lambda: discrepancy_lower_bound(
+            spec, domain, kw.get("closure", "auto")).finite_min,
+        "classify": lambda: classify_modes(spec, domain, omega_max,
+                                           **convention).bridges,
+    }
+    if spec.exactness:
+        runs["exact"] = lambda: find_exact_triads(spec, domain)
+    if seeds:
+        runs["cascade"] = lambda: cascade_path(spec, domain, seeds[0], 3, **kw)
+        runs["bridge"] = lambda: [minimal_near_resonant(
+            spec, domain, seeds[0], (seeds[0].k1, seeds[0].k2), **kw)]
+    for name, run in runs.items():
+        del grids[:], scalars[:]
+        assert run() or name == "classify" and not seeds, name
+        assert len(grids) == (0 if spec.exactness else 1), name
+        assert scalars == [], name
+    assert seeds or spec.kind == "gravity_capillary"
 
 
 # -- convention validation ----------------------------------------------------

@@ -42,6 +42,7 @@ from wavetriads.classify import (
     ModeAssignment,
     cascade_path,
     classify_modes,
+    minimal_near_resonant,
 )
 from wavetriads.search import (
     NUMERIC_EXACT_D,
@@ -69,6 +70,18 @@ FLOAT_SPECS = [
 
 
 # -- field-by-field comparison ----------------------------------------------------
+
+class FrequencyMemo(dict):
+    """``eval_frequency`` values by mode, each evaluated once: the oracles'
+    frequencies, independent of the kernel table under test."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def __missing__(self, k):
+        w = self[k] = eval_frequency(self.spec, k).omega
+        return w
+
 
 def _num(x):
     if isinstance(x, Fraction):
@@ -303,14 +316,20 @@ def test_float_bound_matches_pair_loop(spec, T, closure, shape):
 BOTH = search.CLOSURES["both"]
 
 
-def dense_near(spec, domain, patterns, d_max):
-    """The near search over every ``both`` block, with no tile pruned."""
-    freqs = search._FrequencyMemo(spec)
+def dense_near(spec, domain, patterns, d_max, freqs=None):
+    """The near search over every ``both`` block, with no tile pruned, its
+    triads built on the scalar frequencies ``freqs`` (by default an
+    ``eval_frequency`` memo), not on the table."""
+    freqs = FrequencyMemo(spec) if freqs is None else freqs
     out = []
-    for cand, a, amin in search._scan(spec, domain, BOTH, patterns, True,
-                                      True):
-        out += search._build(freqs, patterns, cand,
-                             search._select(a, amin, d_max, None))
+    for cand, a, amin in search._scan(search._table(spec, domain.truncation),
+                                      domain, BOTH, patterns, True, True):
+        keep = search._select(a, amin, d_max, None)
+        for m1, n1, m2, n2, n3 in zip(*(c[keep].tolist() for c in cand)):
+            ks = (WaveVector(m1, n1), WaveVector(m2, n2),
+                  WaveVector(m1 + m2, n3))
+            out.append(_candidate_triad(*ks, tuple(freqs[k] for k in ks),
+                                        patterns))
     return out
 
 
@@ -330,7 +349,8 @@ def pruned_near(spec, domain, patterns, d_max, tile=8, gather=256,
 def scan_ds(spec, domain, patterns):
     """Every candidate's float d = |Omega| / min |w|, as the scan has it."""
     return np.concatenate([(a / amin).ravel() for _, a, amin in search._scan(
-        spec, domain, BOTH, patterns, True, True)] or [np.empty(0)])
+        search._table(spec, domain.truncation), domain, BOTH, patterns, True,
+        True)] or [np.empty(0)])
 
 
 @st.composite
@@ -431,7 +451,8 @@ def corrupted_grid(cell):
 def test_pruning_is_safe_on_grids_with_inf_or_nan(T, patterns, cell, d_max):
     """A grid that overflows (huge mu/nu) or holds one NaN, inf or huge
     value gives the dense scan's triads: nothing NaN- or inf-driven drops
-    a candidate the dense scan keeps."""
+    a candidate the dense scan keeps.  The triads carry the grid's values,
+    so the oracle's frequencies hold the corrupted cell too."""
     domain = SpectralDomain(T)
     huge = DispersionSpec("gravity_capillary", mu_over_nu=1e305)
     spec = DispersionSpec("gravity_capillary", mu_over_nu=75.0)
@@ -441,8 +462,10 @@ def test_pruning_is_safe_on_grids_with_inf_or_nan(T, patterns, cell, d_max):
             fields(dense_near(huge, domain, patterns, d_max))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "omega_grid", corrupted_grid(cell))
+            freqs = FrequencyMemo(spec)
+            freqs[WaveVector(cell[0] % T + 1, cell[1] % T + 1)] = cell[2]
             assert fields(pruned_near(spec, domain, patterns, d_max)) == \
-                fields(dense_near(spec, domain, patterns, d_max))
+                fields(dense_near(spec, domain, patterns, d_max, freqs))
 
 
 @contextlib.contextmanager
@@ -507,7 +530,8 @@ def test_tile_bound_prunes_nothing_at_infinite_d_max(patterns):
     live = {}
     for d in (math.inf, 1e-5):
         with bound_calls() as calls:
-            list(search._tile_scan(spec, SpectralDomain(T), patterns, d))
+            list(search._tile_scan(search._table(spec, T), SpectralDomain(T),
+                                   patterns, d))
         check_blocks(calls, T)
         live[d] = [mask for _, _, masks in calls for mask in masks]
         assert len(live[d]) == len(calls) * (3 if patterns == "all" else 1)
@@ -752,7 +776,7 @@ def test_exact_kernel_python_int_fallback(shape, monkeypatch):
 
     int64 = run()
     monkeypatch.setattr(search, "_FLOAT_EXACT_LIMIT", 0)
-    assert search._table(SPHERE, domain).dtype == object
+    assert search._table(SPHERE, domain.truncation).dtype == object
     assert run() == int64
 
 
@@ -766,11 +790,11 @@ def test_exact_step_beyond_2_53_matches_fraction(m1, n1, k2s, patterns):
     int quotient 2|N| / (a1 a2 a3), which equals float(|Omega|) of the
     rational residual although the denominators exceed 2**53 (and 2|N|
     does too in the explicit example)."""
-    X = search._table(SPHERE, SpectralDomain(3000))
+    X = search._table(SPHERE, 3000)
     assert X.dtype == object
     m2, n2, n3 = (np.array(c, dtype=np.int64) for c in zip(*k2s))
     a, amin = search._exact_step(X, m1, n1, X[m2, n2], X[m1 + m2, n3], m2,
-                                 patterns, True)
+                                 m1 + m2, patterns, True)
     for i, (m, n, nw) in enumerate(k2s):
         ks = (WaveVector(m1, n1), WaveVector(m, n), WaveVector(m1 + m, nw))
         t = _candidate_triad(*ks, tuple(eval_frequency(SPHERE, k).omega
@@ -919,7 +943,7 @@ def oracle_minimal_bridge(domain, triad, donor_pair, patterns, closure,
 def _oracle_convention(spec, closure, n_selection):
     if closure == "auto":
         closure = "zonal" if spec.exactness else "both"
-    return closure, n_rule(closure, n_selection), search._FrequencyMemo(spec)
+    return closure, n_rule(closure, n_selection), FrequencyMemo(spec)
 
 
 def _step_key(step):
@@ -1045,16 +1069,25 @@ def steps_fields(steps):
 def check_every_donor_pair(spec, domain, closure, patterns, n_selection,
                            triads):
     """The array bridge search over every donor pair of ``triads`` in one
-    call, against the per-pair oracle."""
+    call, on a table that covers their members, and
+    ``minimal_near_resonant`` on each pair of a resonant one, against the
+    per-pair oracle."""
     donors = [(t, *pair) for t in triads for pair in classify._triad_pairs(t)]
     rule = search._dispatch(spec, domain, closure, patterns)
+    T = max([domain.truncation] + [c for t in triads for k in t.members()
+                                   for c in k])
     got = classify._minimal_bridges(
-        spec, domain, rule, classify._n_rule(rule, n_selection), patterns,
-        search._FrequencyMemo(spec), search._table(spec, domain), donors)
+        search._table(spec, T), domain, rule,
+        classify._n_rule(rule, n_selection), patterns, donors)
     _, passes, freqs = _oracle_convention(spec, closure, n_selection)
-    assert steps_fields(got) == steps_fields(
-        oracle_minimal_bridge(domain, t, (ka, kb), patterns, closure, passes,
-                              freqs) for t, ka, kb in donors)
+    want = steps_fields(oracle_minimal_bridge(
+        domain, t, (ka, kb), patterns, closure, passes, freqs)
+        for t, ka, kb in donors)
+    assert steps_fields(got) == want
+    exact = [i for i, (t, _, _) in enumerate(donors) if t.is_exact]
+    assert steps_fields(minimal_near_resonant(
+        spec, domain, donors[i][0], donors[i][1:], patterns, closure,
+        n_selection) for i in exact) == [want[i] for i in exact]
 
 
 @given(spec=st.sampled_from(FLOAT_SPECS + [SPHERE]), T=st.integers(1, 9),
@@ -1108,6 +1141,29 @@ def test_bridge_ties_break_on_the_least_wave(spec, shape, patterns):
     check_every_donor_pair(spec, domain, "zonal", patterns, "none",
                            oracle_candidates(spec, domain, "zonal", patterns,
                                              False))
+
+
+@pytest.mark.parametrize("spec, domain, closure, patterns, members", [
+    (SPHERE, SpectralDomain(13, "triangular"), "zonal", "sum",
+     ((4, 12), (5, 14), (9, 13))),
+    (DispersionSpec("bve_plane", plane_form="squared"), SpectralDomain(15),
+     "box", "all", ((1, 7), (15, 5), (16, 12)))], ids=["sphere", "bve-box"])
+def test_bridges_of_donors_past_the_truncation(spec, domain, closure,
+                                               patterns, members):
+    """A resonant triad with a member past the truncation: the bridges of
+    its donor pairs, completed in the domain only, and the cascades from
+    it against the per-pair oracle (the table once stopped at the
+    truncation and raised IndexError)."""
+    ks = [WaveVector(*k) for k in members]
+    seed = _candidate_triad(*ks, tuple(eval_frequency(spec, k).omega
+                                       for k in ks), patterns)
+    assert seed.is_exact and max(max(k) for k in ks) > domain.truncation
+    check_every_donor_pair(spec, domain, closure, patterns, "none", [seed])
+    for depth in (1, 3):
+        assert steps_fields(cascade_path(spec, domain, seed, depth, patterns,
+                                         closure)) == \
+            steps_fields(oracle_cascade_path(spec, domain, seed, depth,
+                                             patterns, closure))
 
 
 @pytest.mark.parametrize("pair", ["k1 k2", "k1 k3", "k2 k3"])
@@ -1247,14 +1303,13 @@ def flat_blocks(blocks):
 def row_scan(spec, domain, closure, patterns, skip):
     """(m1, n1, m2, n2, n3, |Omega|, min |w|) of every candidate, from the
     per-row blocks and the kernel steps with one k1 per block."""
-    X = search._table(spec, domain)
-    step = search._exact_step if spec.exactness else search._float_step
+    X = search._table(spec, domain.truncation)
     out = []
     for m1, n1, x2, x3, m2, n2, n3 in ROW_BLOCKS[closure](
             X, domain, skip, not spec.exactness):
         x2, x3, m2, n2, n3 = (np.broadcast_to(v, np.shape(x2)).ravel()
                               for v in (x2, x3, m2, n2, n3))
-        a, amin = step(X, m1, n1, x2, x3, m2, patterns, True)
+        a, amin = search._step(X, m1, n1, x2, x3, m2, m1 + m2, patterns, True)
         out.append([np.full(m2.size, m1), np.full(m2.size, n1), m2, n2, n3,
                     a, amin])
     return [np.concatenate(c) for c in zip(*out)] if out else None
@@ -1263,7 +1318,8 @@ def row_scan(spec, domain, closure, patterns, skip):
 def block_scan(spec, domain, closure, patterns, skip):
     """The same columns from ``search._scan``."""
     out = [[*cand, a, amin] for cand, a, amin in search._scan(
-        spec, domain, search.CLOSURES[closure], patterns, skip, True)]
+        search._table(spec, domain.truncation), domain,
+        search.CLOSURES[closure], patterns, skip, True)]
     return [np.concatenate(c) for c in zip(*out)] if out else None
 
 
@@ -1316,7 +1372,7 @@ def test_multi_row_blocks_match_per_row_blocks(spec, T, cap, patterns, skip,
     with pytest.MonkeyPatch.context() as mp:
         if python_int and spec.exactness:
             mp.setattr(search, "_FLOAT_EXACT_LIMIT", 0)
-        X = search._table(spec, domain)
+        X = search._table(spec, T)
         assert (X.dtype == object) == (python_int and spec.exactness)
         want = row_scan(spec, domain, closure, patterns, skip)
         mp.setattr(search, "_BLOCK", cap)
@@ -1399,8 +1455,8 @@ def walk_fields(domain, omega_max, patterns, skip, n_selection):
     float.hex), in scan order."""
     rule = search.CLOSURES["zonal"]
     seeds, hits = classify._walk(
-        SPHERE, domain, rule, classify._n_rule(rule, n_selection), patterns,
-        skip, search._FrequencyMemo(SPHERE), omega_max)
+        SPHERE, search._table(SPHERE, domain.truncation), domain, rule,
+        classify._n_rule(rule, n_selection), patterns, skip, omega_max)
     return fields(seeds), hit_fields(hits)
 
 
@@ -1431,11 +1487,11 @@ def test_windowed_zonal_blocks_match_dense_blocks(shape, patterns, skip,
         if python_int:
             mp.setattr(search, "_FLOAT_EXACT_LIMIT", 0)
         mp.setattr(search, "_BLOCK", cap)
-        _, a, _ = next(search._scan(SPHERE, domain, DENSE_ZONAL, patterns,
-                                    skip, False), (None, np.zeros(0), None))
+        X = search._table(SPHERE, T)
+        _, a, _ = next(search._scan(X, domain, DENSE_ZONAL, patterns, skip,
+                                    False), (None, np.zeros(0), None))
         omegas = np.unique(a[(a > 0) & (a <= 0.01)]).tolist() or [0.01]
         omega_max = omegas[int(q * (len(omegas) - 1))]
-        X = search._table(SPHERE, domain)
         for within in ((0, 0), (0, 1), (omega_max, 0)):
             got, sizes = flat_blocks(search.CLOSURES["zonal"].blocks(
                 X, domain, skip, False, (patterns, *within)))

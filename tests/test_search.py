@@ -11,6 +11,7 @@ from wavetriads import (
     SpectralDomain,
     UsageError,
     WaveVector,
+    cascade_path,
     classify_modes,
     discrepancy,
     discrepancy_lower_bound,
@@ -151,12 +152,96 @@ def test_domain_monotonicity(T1, T2):
     assert small <= large
 
 
+def _bits(x):
+    """A frequency or residual by type and value: floats by float.hex,
+    Fractions exactly."""
+    return type(x).__name__, float.hex(x) if isinstance(x, float) else x
+
+
+def _signed(ws, signs):
+    """The residual s1*w1 + s2*w2 + s3*w3, in the sign-product form."""
+    return signs[0] * ws[0] + signs[1] * ws[1] + signs[2] * ws[2]
+
+
+def _least_signed(ws, patterns):
+    """The sum pattern's residual, or the first of least |.| over the sign
+    patterns."""
+    signs = search.SIGN_PATTERNS if patterns == "all" else [(1, 1, -1)]
+    return min((_signed(ws, s) for s in signs), key=abs)
+
+
+def _basin_spec(kind, lx, ly, **kw):
+    basin = (BasinGeometry() if lx == ly == 1.0
+             else BasinGeometry("rectangle", lx, ly))
+    return DispersionSpec(kind, basin=basin, **kw)
+
+
+#: Every float kind (both plane forms) on four basins, and the sphere.
+IDENTITY_SPECS = [_basin_spec(kind, lx, ly, **kw)
+                  for kind, kw in [("capillary", {}),
+                                   ("gravity_capillary", {"mu_over_nu": 47.0}),
+                                   ("gravity_tanh", {"alpha": 0.5}),
+                                   ("bve_plane", {}),
+                                   ("bve_plane", {"plane_form": "squared"})]
+                  for lx, ly in [(1.0, 1.0), (2.0, 2.0), (1.3, 0.7),
+                                 (1.0, 4.0)]]
+IDENTITY_SPECS.append(DispersionSpec("rossby_sphere"))
+
+
+def results_carrying_frequencies(spec, patterns):
+    """Near and max-discrepancy triads, the bound witness, the classifier's
+    seeds (zonal closure, and box on floats), and as steps its bridges and
+    depth-3 cascades from up to three seeds, whose source triads join the
+    triads, at T = 10."""
+    exact = spec.exactness
+    domain = SpectralDomain(10, "triangular" if exact else "square")
+    omega_max = 0.05 * max(abs(float(eval_frequency(spec, k).omega))
+                           for k in domain.modes())
+    triads = (find_near_triads(spec, domain, 0.05, patterns)
+              + find_max_discrepancy_triads(spec, domain, 0.5, patterns)
+              + [discrepancy_lower_bound(spec, domain).finite_min.witness])
+    steps = []
+    for closure in ["zonal"] if exact else ["zonal", "box"]:
+        part = classify_modes(spec, domain, omega_max, patterns=patterns,
+                              closure=closure)
+        triads += part.resonant_triads
+        steps += part.bridges
+        for seed in part.resonant_triads[:3]:
+            steps += cascade_path(spec, domain, seed, 3, patterns, closure)
+    return triads + [s.source_triad for s in steps], steps
+
+
+def check_carried_frequencies(spec, triads, steps, patterns):
+    """Each omega is eval_frequency's, each discrepancy its sign pattern's
+    residual on those values (a bridge's: the first least one)."""
+    for t in triads:
+        ws = tuple(eval_frequency(spec, k).omega for k in t.members())
+        assert list(map(_bits, t.omegas)) == list(map(_bits, ws))
+        assert _bits(t.discrepancy) == _bits(_signed(ws, t.signs))
+    for s in steps:
+        ws = tuple(eval_frequency(spec, k).omega
+                   for k in (*s.donor_pair, s.bridge_wave))
+        assert _bits(s.bridge_discrepancy) == _bits(_least_signed(ws,
+                                                                  patterns))
+
+
 def test_stored_frequencies_reproduce_bit_for_bit(square_t30):
+    """Every frequency a result carries is eval_frequency's (floats by
+    float.hex, Fractions exactly), and every discrepancy is its sign
+    pattern's residual on those values, though each call reads them from
+    its one kernel table: gc47's near triads at T = 30, and every result
+    kind of every float kind on four basins and of the sphere."""
     spec = gc_spec(47)
-    for t in find_near_triads(spec, square_t30, 1e-4):
-        ws = [eval_frequency(spec, k).omega for k in t.members()]
-        assert tuple(ws) == t.omegas
-        assert ws[0] + ws[1] - ws[2] == t.discrepancy
+    check_carried_frequencies(
+        spec, find_near_triads(spec, square_t30, 1e-4), [], "sum")
+    bridged = set()
+    for spec in IDENTITY_SPECS:
+        for patterns in ("sum", "all"):
+            triads, steps = results_carrying_frequencies(spec, patterns)
+            assert len(triads) > 1
+            check_carried_frequencies(spec, triads, steps, patterns)
+            bridged |= {spec.kind} if steps else set()
+    assert bridged == {"rossby_sphere", "bve_plane"}
 
 
 def test_vector_closure_exact(square_t30):
