@@ -43,7 +43,9 @@ from .errors import UsageError
 from .search import (
     _BLOCK,
     NUMERIC_EXACT_D,
+    SIGN_PATTERNS,
     Triad,
+    TriadColumns,
     _build,
     _check_threshold,
     _dispatch,
@@ -148,15 +150,16 @@ def _walk(spec, X, domain, rule, passes, patterns, skip_equal_n_pairs,
     for cand, a, amin in _scan(X, domain, rule, patterns, skip_equal_n_pairs,
                                not exact, (omega_max, 0)):
         ok = passes(cand[1], cand[3], cand[4])
-        seeds += _build(X, patterns, cand,
-                        _select(a, amin, NUMERIC_EXACT_D, None) & ok)
+        seeds.append(_build(X, patterns, cand,
+                            _select(a, amin, NUMERIC_EXACT_D, None) & ok))
         hit = (a > 0) & (a <= omega_max) & ok
         if exact:  # a rational above omega_max may round down to it
             ties = hit & (a == omega_max)
-            hit[ties] = [abs(t.discrepancy) <= omega_max
-                         for t in _build(X, patterns, cand, ties)]
+            tied = _build(X, patterns, cand, ties).discrepancy
+            hit[ties] = np.abs(tied) <= omega_max
         hits.append([c[hit] for c in (*cand, a)])
-    return seeds, list(map(np.concatenate, zip(*hits)))
+    return (TriadColumns.concat(seeds).triads(),
+            list(map(np.concatenate, zip(*hits))))
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +196,12 @@ def _minimal_bridges(X, domain, rule, passes, patterns, donors):
     steps = [None] * len(donors)
     at = np.flatnonzero(keep & (a == low[p]))
     p, m3, n3 = p[at], m3[at], n3[at]
-    ws = _omegas(X, np.concatenate((ma[p], mb[p], m3)),
-                 np.concatenate((na[p], nb[p], n3))).reshape(3, -1).T
-    for i, m, n, w in zip(p.tolist(), m3.tolist(), n3.tolist(), ws.tolist()):
+    w1, w2, w3 = _omegas(X, np.concatenate((ma[p], mb[p], m3)),
+                         np.concatenate((na[p], nb[p], n3))).reshape(3, -1)
+    oms, _ = _pattern(w1, w2, w3, patterns)
+    for i, m, n, om in zip(p.tolist(), m3.tolist(), n3.tolist(), oms.tolist()):
         t, ka, kb = donors[i]
         k = WaveVector(m, n)
-        om, _ = _pattern(w, patterns)
         if steps[i] is None or (abs(om), k) < (
                 abs(steps[i].bridge_discrepancy), steps[i].bridge_wave):
             steps[i] = CascadeStep(t, (ka, kb), k, om)
@@ -369,10 +372,10 @@ def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
         if frozenset(ks) in visited:
             break
         visited.add(frozenset(ks))
-        ws = tuple(_omegas(X, *np.array(ks).T).tolist())
-        om, signs = _pattern(ws, patterns)
-        d = abs(float(om)) / min(abs(float(w)) for w in ws)
-        current = Triad(*ks, ws, om, d, signs)
+        ws = _omegas(X, *np.array(ks).T)
+        om, i = (x.item() for x in _pattern(*ws[:, None], patterns))
+        d = abs(float(om)) / min(abs(float(w)) for w in ws.tolist())
+        current = Triad(*ks, tuple(ws.tolist()), om, d, SIGN_PATTERNS[i])
     return steps
 
 

@@ -36,13 +36,8 @@ from .dispersion import (
     rescale_for_basin,
 )
 from .errors import DomainError, UsageError
-from .experiment import geometry_sweep, plan_experiment
-from .search import (
-    discrepancy_lower_bound,
-    find_max_discrepancy_triads,
-    find_near_triads,
-    find_exact_triads,
-)
+from .experiment import _plan_columns, geometry_sweep
+from .search import _sorted_search, discrepancy_lower_bound, find_exact_triads
 
 #: ``--dispersion`` names: the library's kinds, spelled with dashes.
 _CLI_KINDS = {k.replace("_", "-"): k for k in DispersionSpec._KINDS}
@@ -190,16 +185,14 @@ def cmd_find_triads(args, spec, domain):
                              "pattern only; drop --closure/--patterns")
         triads = find_exact_triads(spec, domain)
         mode = {"mode": "exact"}
-    elif args.d_min is not None:
-        triads = find_max_discrepancy_triads(spec, domain, args.d_min,
-                                             patterns=args.patterns,
-                                             closure=args.closure)
+    elif args.d_min is not None:  # columns, which the writers render
+        triads = _sorted_search(spec, domain, args.patterns, args.closure,
+                                d_min=args.d_min)
         mode = {"mode": "max-discrepancy", "d_min": args.d_min}
     else:
         d_max = args.d_max if args.d_max is not None else 1e-6
-        triads = find_near_triads(spec, domain, d_max,
-                                  patterns=args.patterns,
-                                  closure=args.closure)
+        triads = _sorted_search(spec, domain, args.patterns, args.closure,
+                                d_max=d_max)
         mode = {"mode": "near", "d_max": d_max}
     header = _header(args, spec, domain, **mode, patterns=args.patterns,
                      closure=args.closure)
@@ -230,7 +223,7 @@ def cmd_bound(args, spec, domain):
 
 
 def cmd_plan(args, spec, domain):
-    plan = plan_experiment(spec, domain, args.d_max, args.d_min, args.epsilon)
+    plan = _plan_columns(spec, domain, args.d_max, args.d_min, args.epsilon)
     header = _header(args, spec, domain, d_max=args.d_max,
                      d_min=args.d_min, epsilon=args.epsilon)
     _emit(args, header, lambda: report.plan_to_record(plan),

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from .classify import class_counts
 from .dispersion import (
     DispersionSpec,
@@ -21,7 +23,7 @@ from .dispersion import (
     rescale_for_basin,
 )
 from .errors import DomainError, UsageError
-from .search import find_max_discrepancy_triads, find_near_triads
+from .search import _sorted_search, find_near_triads
 
 #: Steepness values above this leave the weakly nonlinear regime.
 WEAKLY_NONLINEAR_EPS = 0.2
@@ -107,15 +109,26 @@ def plan_experiment(spec: DispersionSpec, domain: SpectralDomain,
     records that d_max should stay above the achievable generator
     precision.  Empty triad lists are reported, not an error.
     """
+    plan = _plan_columns(spec, domain, d_max, d_min, epsilon)
+    plan.type_a, plan.type_b = plan.type_a.triads(), plan.type_b.triads()
+    return plan
+
+
+def _plan_columns(spec, domain, d_max, d_min, epsilon) -> ExperimentPlan:
+    """The plan of :func:`plan_experiment` with its triads as columns
+    (:class:`.triad.TriadColumns`), which the CLI renders.  The amplitudes
+    follow the members in row order, k1, k2, k3 in each row."""
     if not (0 < d_max < d_min):
         raise UsageError("thresholds must satisfy 0 < d_max < d_min")
     _check_steepness(epsilon)
-    type_a = find_near_triads(spec, domain, d_max)
-    type_b = find_max_discrepancy_triads(spec, domain, d_min)
+    type_a = _sorted_search(spec, domain, d_max=d_max)
+    type_b = _sorted_search(spec, domain, d_min=d_min)
     amplitudes = {}
-    for t in list(type_a) + list(type_b):
-        for k in t.members():
+    for t in (type_a, type_b):
+        m, n = (np.stack(c, 1).ravel().tolist() for c in zip(*t.members()))
+        for k in dict.fromkeys(zip(m, n)):
             if k not in amplitudes:
+                k = WaveVector(*k)
                 amplitudes[k] = steepness_amplitude(k, epsilon, spec)
     notes = (f"amplitudes in cm (c.g.s.), steepness eps={epsilon}; "
              f"driving-frequency precision must be finer than d_max={d_max}")

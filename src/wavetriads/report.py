@@ -7,29 +7,30 @@ Exact rationals serialise as "p/q" strings; a float approximation is
 appended in *_float fields.
 
 ``write_json`` and ``write_triads_csv`` are the chunk writers: they hand
-their text to a ``write`` callable every ``CHUNK_PIECES`` pieces (about
-64-128 KB of triad text), so the CLI streams an inventory to its output
-and never holds the whole text.  ``to_json`` and ``triads_to_csv`` return
-the join of the same chunks.
+their text to a ``write`` callable chunk by chunk (about 64-128 KB of
+triad text), so the CLI streams an inventory to its output and never
+holds the whole text.  ``to_json`` and ``triads_to_csv`` return the join
+of the same chunks.
 
 ``write_json`` writes the bytes of ``json.dumps(payload, indent=2)``
 itself, because with ``indent`` set CPython runs its pure-Python encoder.
 Payloads are dicts with str keys, lists and tuples of str, int, float,
-bool, None, ``Fraction`` (written "p/q") and ``Triad``.  A triad is
-written as its ``triad_to_record`` record: a float triad with finite
-values fills one %-template per indent level, any other triad is written
-through its record.  So a JSON run builds no record dict per float triad.
+bool, None, ``Fraction`` (written "p/q"), ``Triad`` (written as its
+``triad_to_record`` record) and ``TriadColumns`` (as the list of its
+rows' records).
 
 A CSV row is the ``str`` of each cell joined by commas, which is what
 ``csv.writer`` writes: no cell can need quoting, since each is an int, a
 float, "p/q" text, a sign string over "+" and "-", a fixed class name or
-empty.  A float triad's row fills one %-template; any other row joins the
-cells of ``_triad_row``.
+empty.
 
-Thousands of triads draw their frequencies from a few hundred modes, so
-``write_json`` and ``write_triads_csv`` format each distinct float omega
-and its hz once per call (``_FreqText``); a float row formats only its
-discrepancy and d_ratio.
+One renderer (:func:`_rows`) gives the JSON, CSV and table rows of a
+chunk of triads.  The CLI's searches and plans hand it columns
+(:class:`.triad.TriadColumns`): a chunk of finite floats fills one
+%-template, with omega and hz text made once per distinct mode, since
+thousands of triads draw their frequencies from a few hundred modes.
+Rationals, inf, NaN and lists of ``Triad`` objects are written through
+each triad's record.
 """
 
 from __future__ import annotations
@@ -37,14 +38,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
-from math import copysign
+
+import numpy as np
 
 from .classify import CascadeStep, ModePartition
 from .dispersion import TWO_PI, to_hz
 from .experiment import ExperimentPlan, GeometrySweepReport
-from .search import NUMERIC_EXACT_D, BoundReport, Triad
+from .search import NUMERIC_EXACT_D, SIGN_PATTERNS, BoundReport, Triad
+from .triad import TriadColumns, _mode_index
 
 TRIAD_COLUMNS = ["m1", "n1", "m2", "n2", "m3", "n3",
                  "omega1", "omega2", "omega3", "hz1", "hz2", "hz3",
@@ -53,17 +55,13 @@ RATIONAL_EXTRA_COLUMNS = ["omega1_float", "omega2_float", "omega3_float",
                           "discrepancy_float"]
 
 #: Pieces a chunk writer gathers before it hands them to ``write`` as one
-#: chunk: CSV rows, or the separators and elements of JSON lists, in
-#: which a float triad is one piece.
+#: chunk: CSV rows, or the separators and elements of JSON lists; a chunk
+#: of columns is CHUNK_PIECES rows (half as many in JSON).
 CHUNK_PIECES = 512
 
 
 def _signs_str(signs) -> str:
     return "".join("+" if s > 0 else "-" for s in signs)
-
-
-#: Text of each sign pattern's "signs" value.
-_SIGNS_TEXT = {s: _signs_str(s) for s in product((1, -1), repeat=3)}
 
 
 def _num(value):
@@ -99,76 +97,105 @@ def triad_to_record(t: Triad) -> dict:
     return rec
 
 
-class _FreqText(dict):
-    """Per-call memo of frequency text.  ``(w, copysign(1.0, w))`` of a
-    Python float w maps to ``(float.__repr__(w), float.__repr__(w /
-    TWO_PI))``: the text of omega and of its hz as ``to_hz`` computes it.
-    The sign in the key keeps -0.0 apart from 0.0, which compare equal."""
-
-    def __missing__(self, key):
-        w = key[0]
-        text = self[key] = (float.__repr__(w), float.__repr__(w / TWO_PI))
-        return text
-
-
 def _triad_row(t: Triad, rational: bool) -> list:
     """CSV cells of one triad: the values of its record under
     TRIAD_COLUMNS, then under RATIONAL_EXTRA_COLUMNS when ``rational``
     (left empty for a float triad in a rational list)."""
-    w1, w2, w3 = t.omegas
-    row = [t.k1.m, t.k1.n, t.k2.m, t.k2.n, t.k3.m, t.k3.n,
-           _num(w1), _num(w2), _num(w3), to_hz(w1), to_hz(w2), to_hz(w3),
-           _num(t.discrepancy), t.d_ratio, _signs_str(t.signs)]
-    if rational:
-        if isinstance(t.discrepancy, Fraction):
-            row += [float(w1), float(w2), float(w3), float(t.discrepancy)]
+    rec = triad_to_record(t)
+    return [rec.get(c, "") for c in TRIAD_COLUMNS
+            + (RATIONAL_EXTRA_COLUMNS if rational else [])]
+
+
+#: Text (CSV, tables) and JSON text of each sign pattern by its index in
+#: SIGN_PATTERNS, and a float triad's label by d_ratio <= NUMERIC_EXACT_D.
+_PATTERN_TEXT = tuple(_signs_str(s) for s in SIGN_PATTERNS)
+_PATTERN_JSON = tuple(map(_quote, _PATTERN_TEXT))
+_LABELS = ("near", "numerically_exact")
+
+#: %-templates of a row of columns: a CSV row under TRIAD_COLUMNS, and a
+#: ``triad_table_line``.  ``%r`` of a Python float is its ``str``.
+_CSV_TEMPLATE = "%d,%d,%d,%d,%d,%d,%s,%s,%s,%s,%s,%s,%r,%r,%s\n"
+_TABLE_TEMPLATE = "%-24s (%s, %s, %s);  d=%.3e  %s"
+
+
+def _rows(triads, fmt: str, level: int = 0, rational: bool = False):
+    """The row texts of ``triads``, a ``TriadColumns`` or ``Triad``
+    objects, in ``fmt``: "csv" (with the RATIONAL_EXTRA_COLUMNS when
+    ``rational``), "table", or "json" records whose braces are indented at
+    ``level``; one list per chunk of CHUNK_PIECES rows, half as many in
+    JSON.
+
+    A chunk of columns of finite floats fills the format's %-template.  Its
+    omega and hz text comes from tables made once per distinct mode
+    (:func:`.triad._mode_index`): ``float.__repr__`` of omega and of its hz
+    as ``to_hz`` computes it, or the hz as ``%.4f`` in tables; d_ratio and
+    the residual are ``tolist()`` floats.  Any other chunk (``Triad``
+    objects, rationals, inf or NaN) is written through each triad's
+    record, or ``triad_table_line``."""
+    plain = (isinstance(triads, TriadColumns) and len(triads)
+             and triads.w1.dtype == np.float64)
+    if plain:
+        (m, _), index = _mode_index(triads.members())
+        w = np.empty(m.size)
+        for (m, n), x in zip(triads.members(), (triads.w1, triads.w2,
+                                                triads.w3)):
+            w[index(m, n)] = x
+        hz = (w / TWO_PI).tolist()
+        text = [np.fromiter(map(f, x), object, len(x)) for f, x in (
+            [("%.4f".__mod__, hz)] if fmt == "table" else
+            [(float.__repr__, w.tolist()), (float.__repr__, hz)])]
+    template = {"csv": _CSV_TEMPLATE, "table": _TABLE_TEMPLATE,
+                "json": _triad_template(level)}[fmt]
+    size = CHUNK_PIECES // 2 if fmt == "json" else CHUNK_PIECES
+    for lo in range(0, len(triads), size):
+        c = triads[lo:lo + size]
+        if not plain or not all(np.isfinite(x).all() for x in (
+                c.w1, c.w2, c.w3, c.discrepancy, c.d_ratio)):
+            yield [_triad_text(x, fmt, level, rational) for x in (
+                c.triads() if isinstance(c, TriadColumns) else c)]
+            continue
+        at = [index(m, n) for m, n in c.members()]
+        ints = [x.tolist() for pair in c.members() for x in pair]
+        freqs = [x[i].tolist() for x in text for i in at]
+        r = c.d_ratio.tolist()
+        signs = map((_PATTERN_JSON if fmt == "json" else _PATTERN_TEXT)
+                    .__getitem__, c.pattern.tolist())
+        if fmt == "table":
+            cells = [map("[%d,%d][%d,%d][%d,%d]".__mod__, zip(*ints)),
+                     *freqs, r, signs]
         else:
-            row += [""] * len(RATIONAL_EXTRA_COLUMNS)
-    return row
+            cells = [*ints, *freqs, c.discrepancy.tolist(), r, signs]
+        if fmt == "json":
+            cells.append(map(_LABELS.__getitem__,
+                             (c.d_ratio <= NUMERIC_EXACT_D).tolist()))
+        yield list(map(template.__mod__, zip(*cells)))
 
 
-#: %-template of a float triad's CSV row under TRIAD_COLUMNS: omega1-3
-#: and hz1-3 take their text (``%s``) from a ``_FreqText`` memo, and
-#: ``%r`` of a Python float is its ``str``.
-_CSV_TEMPLATE = "%d,%d,%d,%d,%d,%d,%s,%s,%s,%s,%s,%s,%r,%r,%s"
+def _triad_text(t: Triad, fmt: str, level: int, rational: bool) -> str:
+    """One triad's row as ``_rows`` gives it, through its record."""
+    if fmt == "table":
+        return triad_table_line(t)
+    if fmt == "csv":
+        return ",".join(map(str, _triad_row(t, rational))) + "\n"
+    out = []
+    _write(triad_to_record(t), level, out, None)
+    return "".join(out)
 
 
 def write_triads_csv(write, triads) -> None:
-    """Write the CSV text of ``triads`` to ``write`` in chunks of
-    CHUNK_PIECES rows: one row per triad under TRIAD_COLUMNS, and the
-    RATIONAL_EXTRA_COLUMNS when any triad carries an exact rational
-    discrepancy.
-
-    A triad whose frequencies, discrepancy and d_ratio are Python floats
-    and whose signs are a sign pattern fills ``_CSV_TEMPLATE``; any other
-    row (rationals, numpy scalars) joins the ``str`` of its cells."""
-    if not isinstance(triads, list):  # rows are read twice
-        triads = list(triads)
-    rational = any(type(t.discrepancy) is not float
-                   and isinstance(t.discrepancy, Fraction) for t in triads)
+    """Write the CSV text of ``triads``, a ``TriadColumns`` or ``Triad``
+    objects, to ``write`` in chunks of CHUNK_PIECES rows: one row per triad
+    under TRIAD_COLUMNS, and the RATIONAL_EXTRA_COLUMNS when any triad
+    carries an exact rational discrepancy."""
+    if isinstance(triads, TriadColumns):
+        rational = len(triads) > 0 and triads.discrepancy.dtype == object
+    else:
+        triads = triads if isinstance(triads, list) else list(triads)
+        rational = any(isinstance(t.discrepancy, Fraction) for t in triads)
     columns = TRIAD_COLUMNS + (RATIONAL_EXTRA_COLUMNS if rational else [])
-    template = _CSV_TEMPLATE + (",,,,\n" if rational else "\n")
-    text = _FreqText()
-    out = [",".join(columns) + "\n"]
-    for t in triads:
-        w1, w2, w3 = t.omegas
-        d, r = t.discrepancy, t.d_ratio
-        signs = _SIGNS_TEXT.get(t.signs)
-        if (type(w1) is float and type(w2) is float and type(w3) is float
-                and type(d) is float and type(r) is float
-                and signs is not None):
-            k1, k2, k3 = t.k1, t.k2, t.k3
-            (o1, h1), (o2, h2), (o3, h3) = (text[w1, copysign(1.0, w1)],
-                                            text[w2, copysign(1.0, w2)],
-                                            text[w3, copysign(1.0, w3)])
-            out.append(template % (k1.m, k1.n, k2.m, k2.n, k3.m, k3.n,
-                                   o1, o2, o3, h1, h2, h3, d, r, signs))
-        else:
-            out.append(",".join(map(str, _triad_row(t, rational))) + "\n")
-        if len(out) >= CHUNK_PIECES:
-            write("".join(out))
-            out.clear()
-    write("".join(out))
+    write(",".join(columns) + "\n")
+    for rows in _rows(triads, "csv", rational=rational):
+        write("".join(rows))
 
 
 def triads_to_csv(triads) -> str:
@@ -188,8 +215,11 @@ def triad_table_line(t: Triad) -> str:
 
 
 def triads_to_table(triads) -> str:
-    lines = [triad_table_line(t) for t in triads]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """The table lines of ``triads``, a ``TriadColumns`` or ``Triad``s."""
+    if not isinstance(triads, TriadColumns):
+        triads = list(triads)
+    return "".join(line + "\n" for rows in _rows(triads, "table")
+                   for line in rows)
 
 
 # -- mode partitions --------------------------------------------------------
@@ -279,10 +309,11 @@ def plan_to_record(plan: ExperimentPlan) -> dict:
 
 
 def plan_to_table(plan: ExperimentPlan) -> str:
-    lines = [f"Type A (d_ratio <= {plan.d_max}):"]
-    lines += ["  " + triad_table_line(t) for t in plan.type_a] or ["  (none)"]
-    lines.append(f"Type B (d_ratio >= {plan.d_min}):")
-    lines += ["  " + triad_table_line(t) for t in plan.type_b] or ["  (none)"]
+    lines = []
+    for head, triads in ((f"Type A (d_ratio <= {plan.d_max}):", plan.type_a),
+                         (f"Type B (d_ratio >= {plan.d_min}):", plan.type_b)):
+        table = ["  " + x for x in triads_to_table(triads).splitlines()]
+        lines += [head, *(table or ["  (none)"])]
     lines.append(f"Amplitudes (cm, eps={plan.epsilon}):")
     for k, a in sorted(plan.amplitudes.items()):
         lines.append(f"  {str(k):<9} {a:.6f}")
@@ -316,10 +347,6 @@ def sweep_to_table(rep: GeometrySweepReport) -> str:
 
 # -- JSON -------------------------------------------------------------------
 
-#: JSON text of each sign pattern's "signs" value.
-_SIGNS_JSON = {s: _quote(x) for s, x in _SIGNS_TEXT.items()}
-
-
 def _float_json(x: float) -> str:
     """A float as json.dumps writes it.  ``float.__repr__``, not ``repr``:
     numpy float scalars repr differently."""
@@ -334,10 +361,9 @@ def _float_json(x: float) -> str:
 
 @lru_cache(maxsize=None)
 def _triad_template(level: int) -> str:
-    """%-template of a float triad's record whose braces are indented at
-    ``level``: the keys of ``triad_to_record`` in its order.  omega1-3 and
-    hz1-3 take their text (``%s``) from a ``_FreqText`` memo; discrepancy
-    and d_ratio are formatted here (``%r``)."""
+    """%-template of a float triad's record, its braces indented at
+    ``level``: the keys of ``triad_to_record`` in order, omega1-3 and hz1-3
+    taking text (``%s``), discrepancy and d_ratio floats (``%r``)."""
     fields = [f'"{k}": %d' for k in ("m1", "n1", "m2", "n2", "m3", "n3")]
     fields += [f'"{k}": %s' for k in ("omega1", "omega2", "omega3", "hz1",
                                       "hz2", "hz3")]
@@ -348,47 +374,15 @@ def _triad_template(level: int) -> str:
     return "{" + ",".join(inner + f for f in fields) + close
 
 
-def _triad_json(t: Triad, level: int, out: list, text: _FreqText,
-                write) -> None:
-    """Append to ``out`` the JSON text of ``triad_to_record(t)`` at
-    ``level``.
-
-    A triad whose frequencies, discrepancy and d_ratio are finite Python
-    floats fills the template: ``float.__repr__`` of such a float is its
-    JSON text, read from ``text`` for the frequencies and their hz.  Any
-    other triad (rational, non-finite, numpy scalars) is written through
-    its record."""
-    w1, w2, w3 = t.omegas
-    d, r = t.discrepancy, t.d_ratio
-    signs = _SIGNS_JSON.get(t.signs)
-    # x * 0.0 is nan for an infinite or nan x; a sum that overflows only
-    # sends a finite triad down the record path.
-    if (type(w1) is float and type(w2) is float and type(w3) is float
-            and type(d) is float and type(r) is float and signs is not None
-            and (w1 + w2 + w3 + d + r) * 0.0 == 0.0):
-        k1, k2, k3 = t.k1, t.k2, t.k3
-        (o1, h1), (o2, h2), (o3, h3) = (text[w1, copysign(1.0, w1)],
-                                        text[w2, copysign(1.0, w2)],
-                                        text[w3, copysign(1.0, w3)])
-        # The label as Triad.resonance_label gives it for a float
-        # discrepancy.
-        out.append(_triad_template(level) % (
-            k1.m, k1.n, k2.m, k2.n, k3.m, k3.n, o1, o2, o3, h1, h2, h3,
-            d, r, signs,
-            "numerically_exact" if r <= NUMERIC_EXACT_D else "near"))
-    else:
-        _write(triad_to_record(t), level, out, text, write)
-
-
-def _write(v, level: int, out: list, text: _FreqText, write) -> None:
+def _write(v, level: int, out: list, write) -> None:
     """Append to ``out`` the ``json.dumps(v, indent=2)`` text of ``v``,
-    whose closing bracket is indented at ``level``; ``text`` is the call's
-    frequency memo.  Between the elements of a list, ``out`` is handed to
-    ``write`` as one chunk and emptied once it holds CHUNK_PIECES
-    pieces."""
+    whose closing bracket is indented at ``level``.  Between the elements
+    of a list, ``out`` is handed to ``write`` as one chunk and emptied once
+    it holds CHUNK_PIECES pieces, and after each chunk of a
+    ``TriadColumns``."""
     if isinstance(v, Triad):
-        _triad_json(v, level, out, text, write)
-    elif isinstance(v, str):
+        v = triad_to_record(v)
+    if isinstance(v, str):
         out.append(_quote(v))
     elif v is None:
         out.append("null")
@@ -400,19 +394,26 @@ def _write(v, level: int, out: list, text: _FreqText, write) -> None:
         out.append(int.__repr__(v))
     elif isinstance(v, float):
         out.append(_float_json(v))
-    elif isinstance(v, (list, tuple)):
-        if not v:
+    elif isinstance(v, (list, tuple, TriadColumns)):
+        if not len(v):
             out.append("[]")
             return
         inner = "\n" + "  " * (level + 1)
         sep = "[" + inner
-        for x in v:
-            out.append(sep)
-            _write(x, level + 1, out, text, write)
-            sep = "," + inner
-            if len(out) >= CHUNK_PIECES:
+        if isinstance(v, TriadColumns):  # a write after each chunk of rows
+            for rows in _rows(v, "json", level + 1):
+                out.append(sep + ("," + inner).join(rows))
+                sep = "," + inner
                 write("".join(out))
                 out.clear()
+        else:
+            for x in v:
+                out.append(sep)
+                _write(x, level + 1, out, write)
+                sep = "," + inner
+                if len(out) >= CHUNK_PIECES:
+                    write("".join(out))
+                    out.clear()
         out.append("\n" + "  " * level + "]")
     elif isinstance(v, dict):
         if not v:
@@ -422,7 +423,7 @@ def _write(v, level: int, out: list, text: _FreqText, write) -> None:
         sep = "{" + inner
         for k, x in v.items():
             out.append(sep + _quote(k) + ": ")
-            _write(x, level + 1, out, text, write)
+            _write(x, level + 1, out, write)
             sep = "," + inner
         out.append("\n" + "  " * level + "}")
     elif isinstance(v, Fraction):
@@ -436,12 +437,11 @@ def write_json(write, payload, header: dict | None = None) -> None:
     """Write the deterministic JSON rendering of ``payload`` to ``write``
     in chunks: byte for byte ``json.dumps(payload, indent=2)`` with
     ``Fraction`` and ``Triad`` written as in their records; the run header
-    (resolved config) is embedded unless suppressed.  One frequency memo
-    serves every triad in the payload."""
+    (resolved config) is embedded unless suppressed."""
     if header is not None:
         payload = {"config": header, "result": payload}
     out = []
-    _write(payload, 0, out, _FreqText(), write)
+    _write(payload, 0, out, write)
     out.append("\n")
     write("".join(out))
 

@@ -31,12 +31,14 @@ The scan reads the closure's candidates in blocks of consecutive k1 rows
 (as many as fit in ``_BLOCK`` candidates; one vectorised range expansion
 per block) and gives their members, k1 included, and |Omega| (and min |w|
 when asked) as arrays, with no :class:`Triad` built.  The searches select
-on those arrays and build triads, on arrays too, only for what they
-return, in scan order (k1, k2, k3); the classifier reads the arrays
-themselves.  The bound's witness is the first triad of least nonzero
-|Omega| in scan order (sum pattern; any pattern under box closure).  The
-triad records and their rebuild live in :mod:`.triad`, the exact table's
-arithmetic in :mod:`.sphere`.
+on those arrays and keep what they return as columns
+(:class:`.triad.TriadColumns`), sorted by a stable argsort of d_ratio;
+the public searches make their triads from the columns, and the CLI
+renders the columns themselves.  The classifier reads the scan's arrays.
+The bound's witness is the first triad of least nonzero |Omega| in scan
+order (sum pattern; any pattern under box closure).  The triad records
+and columns live in :mod:`.triad`, the exact table's arithmetic in
+:mod:`.sphere`.
 
 * Floats: the table is the omega grid, which holds the ``eval_frequency``
   values bit for bit, and the residuals are the float64 expressions of the
@@ -104,6 +106,7 @@ from .triad import (  # the triad records, importable from here as before
     BoundReport,
     DiscrepancyBound,
     Triad,
+    TriadColumns,
     _build,
     _least_abs,
     _omegas,
@@ -547,9 +550,9 @@ def _select(a, amin, d_max, d_min):
 
 
 def _search(spec, domain, rule, *, patterns, d_max=None, d_min=None,
-            skip_equal_n_pairs=True) -> list:
-    """Triads of the closure's candidates with d_ratio <= d_max or
-    d_ratio >= d_min, in scan order, decided and built on one table.  A
+            skip_equal_n_pairs=True) -> TriadColumns:
+    """The closure's candidates with d_ratio <= d_max or d_ratio >= d_min,
+    as columns in scan order, decided and built on one table.  A
     finite positive d_max under ``both`` closure on floats reads only the
     tiles :func:`_tile_scan` cannot rule out."""
     X = _table(spec, domain.truncation)
@@ -560,8 +563,8 @@ def _search(spec, domain, rule, *, patterns, d_max=None, d_min=None,
     else:
         blocks = _scan(X, domain, rule, patterns, skip_equal_n_pairs,
                        with_min, None if with_min else (0, 0))
-    return [t for cand, a, amin in blocks for t in _build(
-        X, patterns, cand, _select(a, amin, d_max, d_min))]
+    return TriadColumns.concat(_build(X, patterns, cand, _select(
+        a, amin, d_max, d_min)) for cand, a, amin in blocks)
 
 
 def _least_nonzero(spec, domain, rule, X) -> Triad | None:
@@ -584,10 +587,12 @@ def _least_nonzero(spec, domain, rule, X) -> Triad | None:
         low = float(a.min())  # blocks are never empty
         if low == math.inf or low > best_a:
             continue
-        for t in _build(X, rule.bound_patterns, cand, a == low):
-            if best is None or abs(t.discrepancy) < abs(best.discrepancy):
-                best, best_a = t, float(abs(t.discrepancy))
-    return best
+        tied = _build(X, rule.bound_patterns, cand, a == low)
+        least = np.abs(tied.discrepancy)
+        i = int(np.argmin(least))  # the first least
+        if best is None or least[i] < abs(best.discrepancy[0]):
+            best, best_a = tied[i:i + 1], float(least[i])
+    return None if best is None else best.triads()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +642,23 @@ def find_exact_triads(spec: DispersionSpec, domain: SpectralDomain,
             "find_exact_triads requires an exact rational dispersion; "
             "use find_near_triads with a threshold for floating dispersions")
     return _search(spec, domain, _dispatch(spec, domain), patterns="sum",
-                   d_max=0, skip_equal_n_pairs=skip_equal_n_pairs)
+                   d_max=0, skip_equal_n_pairs=skip_equal_n_pairs).triads()
+
+
+def _sorted_search(spec, domain, patterns="sum", closure="auto", *,
+                   d_max=None, d_min=None, skip_equal_n_pairs=True):
+    """The triads of :func:`find_near_triads` (``d_max``) or of
+    :func:`find_max_discrepancy_triads` (``d_min``) as columns, by a stable
+    argsort of d or of -d, which keeps equal d in scan order."""
+    if d_min is None:
+        _check_threshold("d_max", d_max, ceiling=True)
+    else:
+        _check_threshold("d_min", d_min)
+    found = _search(spec, domain, _dispatch(spec, domain, closure, patterns),
+                    patterns=patterns, d_max=d_max, d_min=d_min,
+                    skip_equal_n_pairs=skip_equal_n_pairs)
+    return found[np.argsort(found.d_ratio if d_min is None
+                            else -found.d_ratio, kind="stable")]
 
 
 def find_near_triads(spec: DispersionSpec, domain: SpectralDomain,
@@ -647,12 +668,8 @@ def find_near_triads(spec: DispersionSpec, domain: SpectralDomain,
     """All vector-closed triads with d_ratio <= d_max, sorted by d_ratio
     ascending then lexicographically.  ``d_max = inf`` keeps every closed
     triad; a NaN d_max is rejected."""
-    _check_threshold("d_max", d_max, ceiling=True)
-    triads = _search(spec, domain, _dispatch(spec, domain, closure, patterns),
-                     patterns=patterns, d_max=d_max,
-                     skip_equal_n_pairs=skip_equal_n_pairs)
-    triads.sort(key=lambda t: t.d_ratio)  # stable: ties in scan order
-    return triads
+    return _sorted_search(spec, domain, patterns, closure, d_max=d_max,
+                          skip_equal_n_pairs=skip_equal_n_pairs).triads()
 
 
 def find_max_discrepancy_triads(spec: DispersionSpec, domain: SpectralDomain,
@@ -660,11 +677,8 @@ def find_max_discrepancy_triads(spec: DispersionSpec, domain: SpectralDomain,
                                 closure: str = "auto") -> list:
     """All vector-closed triads with d_ratio >= d_min, sorted by d_ratio
     descending; the head attains the domain maximum."""
-    _check_threshold("d_min", d_min)
-    triads = _search(spec, domain, _dispatch(spec, domain, closure, patterns),
-                     patterns=patterns, d_min=d_min)
-    triads.sort(key=lambda t: t.d_ratio, reverse=True)  # ties in scan order
-    return triads
+    return _sorted_search(spec, domain, patterns, closure,
+                          d_min=d_min).triads()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Triad records: a vector-closed triad with its frequencies and
 discrepancy, the discrepancy-bound reports, the sign-pattern rule, and
-the rebuild of triads from a scan's candidate arrays and kernel table."""
+the columns a scan's candidates are built into on its kernel table, from
+which triads are made."""
 
 from __future__ import annotations
 
@@ -57,8 +58,7 @@ class Triad:
     def members(self) -> tuple:
         return (self.k1, self.k2, self.k3)
 
-    def key(self) -> tuple:
-        return (self.k1, self.k2, self.k3)
+    key = members
 
     def __str__(self) -> str:
         return f"{self.k1}{self.k2}{self.k3}"
@@ -102,51 +102,105 @@ def _omegas(X, m, n) -> np.ndarray:
     return np.array(list(map(Fraction, (-2 * m).tolist(), X[m, n].tolist())))
 
 
-def _pattern(ws, patterns):
-    """Signed residual and signs of the sum pattern, or of the
-    minimal-|Omega| sign pattern when patterns="all"."""
-    if patterns == "sum":
-        return ws[0] + ws[1] - ws[2], (1, 1, -1)
-    best = None
-    for signs, residual in zip(SIGN_PATTERNS, RESIDUALS):
-        om = residual(*ws)
-        if best is None or abs(om) < abs(best[0]):
-            best = (om, signs)
-    return best
-
-
-def _build(X, patterns, cand, keep) -> list:
-    """Triads of the block candidates ``cand`` that the mask ``keep``
-    selects, in scan order, carrying the table X's frequencies (_omegas):
-    the rule of :func:`_pattern` (the first least |Omega|) and d = |Omega| /
-    min |w| (Python's ``min``: a later |w| wins only if smaller) on arrays."""
-    if not np.count_nonzero(keep):  # cheaper than keep.any() per block
-        return []
-    m1, n1, m2, n2, n3 = (c[keep] for c in cand)
-    # The members' modes, each distinct one read once.  No np.unique
-    # (its first call imports numpy.ma) and no sort (its first call maps in
-    # the sort kernels): a presence table over the flat keys.
-    R = int(max(n1.max(), n2.max(), n3.max())) + 1
-    key = np.concatenate((m1, m2, m1 + m2)) * R + np.concatenate((n1, n2, n3))
-    seen = np.zeros(int(key.max()) + 1, dtype=bool)
-    seen[key] = True
-    modes = np.flatnonzero(seen)
-    ks = list(map(WaveVector, *(c.tolist() for c in np.divmod(modes, R))))
-    at = np.searchsorted(modes, key)
-    w1, w2, w3 = _omegas(X, *np.divmod(modes, R))[at].reshape(3, -1)
-    k1, k2, k3 = np.fromiter(ks, object, len(ks))[at].reshape(3, -1)
-    signs = SIGN_PATTERNS if patterns == "all" else SIGN_PATTERNS[:1]
-    om, *others = (r(w1, w2, w3) for r in RESIDUALS[:len(signs)])
-    best = np.zeros(len(om), dtype=int)
+def _pattern(w1, w2, w3, patterns):
+    """Signed residual, and the index of its sign pattern in SIGN_PATTERNS,
+    of the sum pattern, or of the first pattern of least |Omega| when
+    patterns="all", elementwise on arrays of any numbers."""
+    om, *others = (r(w1, w2, w3) for r in RESIDUALS[:len(
+        SIGN_PATTERNS) if patterns == "all" else 1])
+    best = np.zeros(len(om), dtype=np.int64)
     for i, o in enumerate(others, 1):
         less = abs(o) < abs(om)
         om, best = np.where(less, o, om), np.where(less, i, best)
+    return om, best
+
+
+def _mode_index(members):
+    """The distinct modes of ``members``, pairs of arrays (m, n), as
+    arrays (m, n), and a function from such a pair to each mode's place
+    among them: ranks in a presence table over the flat keys m R + n, formed
+    one pair at a time.  No np.unique (its first call imports numpy.ma) and
+    no sort (its first call maps in the sort kernels)."""
+    R = max(int(n.max()) for _, n in members) + 1
+    seen = np.zeros((max(int(m.max()) for m, _ in members) + 1) * R, bool)
+    for m, n in members:
+        seen[m * R + n] = True
+    rank = np.cumsum(seen) - 1
+    return np.divmod(np.flatnonzero(seen), R), lambda m, n: rank[m * R + n]
+
+
+@dataclass(frozen=True, eq=False)
+class TriadColumns:
+    """Triads as columns, one element per triad: the members' coordinates
+    (k3 = (m1 + m2, n3)), their frequencies (float64, or ``Fraction``s on
+    the exact path), the signed residual ``discrepancy`` of the chosen sign
+    pattern, ``d_ratio`` and ``pattern``, that pattern's index in
+    SIGN_PATTERNS.  What a search finds, before any :class:`Triad` is
+    made."""
+
+    m1: np.ndarray
+    n1: np.ndarray
+    m2: np.ndarray
+    n2: np.ndarray
+    n3: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+    w3: np.ndarray
+    discrepancy: np.ndarray
+    d_ratio: np.ndarray
+    pattern: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.d_ratio)
+
+    def members(self) -> tuple:
+        """The coordinate arrays (m, n) of k1, k2 and k3."""
+        return ((self.m1, self.n1), (self.m2, self.n2),
+                (self.m1 + self.m2, self.n3))
+
+    def __getitem__(self, index) -> TriadColumns:
+        """The rows ``index``: an index array or a slice."""
+        return TriadColumns(*(c[index] for c in vars(self).values()))
+
+    @staticmethod
+    def concat(parts) -> TriadColumns:
+        """The rows of ``parts`` in order."""
+        parts = [p for p in parts if len(p)] or [_NO_ROWS]
+        return parts[0] if len(parts) == 1 else TriadColumns(*map(
+            np.concatenate, zip(*(vars(p).values() for p in parts))))
+
+    def triads(self) -> list:
+        """The rows as Triads, each distinct member one WaveVector."""
+        if not len(self):
+            return []
+        (m, n), index = _mode_index(self.members())
+        ks = np.fromiter(map(WaveVector, m.tolist(), n.tolist()), object,
+                         m.size)
+        return [Triad(*t) for t in zip(
+            *(ks[index(m, n)].tolist() for m, n in self.members()),
+            zip(self.w1.tolist(), self.w2.tolist(), self.w3.tolist()),
+            self.discrepancy.tolist(), self.d_ratio.tolist(),
+            map(SIGN_PATTERNS.__getitem__, self.pattern.tolist()))]
+
+
+_NO_ROWS = TriadColumns(*[np.zeros(0, np.int64)] * 11)
+
+
+def _build(X, patterns, cand, keep) -> TriadColumns:
+    """The block candidates ``cand`` that the mask ``keep`` selects, in
+    scan order, as columns carrying the table X's frequencies (_omegas):
+    the rule of :func:`_pattern` (the first least |Omega|) and d = |Omega|
+    / min |w| (Python's ``min``: a later |w| wins only if smaller) on
+    arrays."""
+    if not np.count_nonzero(keep):  # cheaper than keep.any() per block
+        return _NO_ROWS
+    m1, n1, m2, n2, n3 = (c[keep] for c in cand)
+    w1, w2, w3 = _omegas(X, np.concatenate((m1, m2, m1 + m2)),
+                         np.concatenate((n1, n2, n3))).reshape(3, -1)
+    om, best = _pattern(w1, w2, w3, patterns)
     low = np.abs(w1.astype(float))
     for w in (w2, w3):
         w = np.abs(w.astype(float))
         low = np.where(w < low, w, low)
-    d = np.abs(om.astype(float)) / low
-    return [Triad(*t) for t in zip(
-        k1.tolist(), k2.tolist(), k3.tolist(),
-        zip(w1.tolist(), w2.tolist(), w3.tolist()), om.tolist(), d.tolist(),
-        [signs[i] for i in best.tolist()])]
+    return TriadColumns(m1, n1, m2, n2, n3, w1, w2, w3, om,
+                        np.abs(om.astype(float)) / low, best)

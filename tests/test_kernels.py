@@ -234,7 +234,7 @@ def check_float_kernel(spec, domain, closure, patterns, predicate, skip,
         values = [t.d_ratio for t in closed if t.d_ratio] or [0.5]
         kw[predicate] = data.draw(st.sampled_from(values))
     assert fields(search._search(spec, domain, search.CLOSURES[closure],
-                                 **kw)) == \
+                                 **kw).triads()) == \
         fields(pair_oracle(spec, domain, closure, **kw))
 
 
@@ -343,7 +343,7 @@ def pruned_near(spec, domain, patterns, d_max, tile=8, gather=256,
         mp.setattr(search, "_GATHER_TILES", gather)
         mp.setattr(search, "_BLOCK", block)
         return search._search(spec, domain, BOTH, patterns=patterns,
-                              d_max=d_max)
+                              d_max=d_max).triads()
 
 
 def scan_ds(spec, domain, patterns):
@@ -1094,23 +1094,33 @@ def check_every_donor_pair(spec, domain, closure, patterns, n_selection,
        patterns=st.sampled_from(["sum", "all"]),
        n_selection=st.sampled_from(["none", "parity", "triangle", "both"]),
        bridge_mode=st.sampled_from(["per_pair", "per_triad"]),
-       skip=st.booleans(), depth=st.integers(1, 4), data=st.data())
+       skip=st.booleans(), depth=st.integers(1, 4),
+       closure_at=st.integers(0, 3), q=st.floats(0, 1),
+       picks=st.lists(st.integers(0, 2 ** 16), max_size=12))
+# Sphere bridges at m3 = |ma - mb|, which only patterns="all" reads: the
+# drawn triads [1,1][1,3][2,4] and [1,1][2,4][3,3] have the donor pairs
+# (1,1)+(2,4), (1,3)+(2,4) and (2,4)+(3,3), which complete at m3 = 1, and
+# (1,1)+(3,3), at m3 = 2.
+@example(spec=SPHERE, T=6, patterns="all", n_selection="none",
+         bridge_mode="per_pair", skip=True, depth=3, closure_at=1, q=0.5,
+         picks=[7, 33])
 def test_bridge_search_matches_per_pair_oracle(spec, T, patterns, n_selection,
                                                bridge_mode, skip, depth,
-                                               data):
+                                               closure_at, q, picks):
     """The array bridge search against the per-pair one, step by step
     (source triad, donor pair, wave, signed discrepancy and its type):
     the classifier's admitted bridges, cascades from its seeds, and the
     bridge of every donor pair of drawn candidate triads, resonant or
-    not, whatever its |Omega|."""
-    closure, shape = data.draw(st.sampled_from(
-        CLOSURE_SHAPES[1:3] if spec.exactness else CLOSURE_SHAPES),
-        label="closure, shape")
+    not, whatever its |Omega|.  The draws pick the closure and shape (zonal
+    on the exact path), omega_max among the candidates' nonzero |Omega|,
+    and the candidate triads."""
+    shapes = CLOSURE_SHAPES[1:3] if spec.exactness else CLOSURE_SHAPES
+    closure, shape = shapes[closure_at % len(shapes)]
     domain = SpectralDomain(T, shape)
     cands = oracle_candidates(spec, domain, closure, patterns, skip)
     values = sorted({float(abs(t.discrepancy)) for t in cands
                      if t.discrepancy}) or [1.0]
-    omega_max = data.draw(st.sampled_from(values), label="omega_max")
+    omega_max = values[int(q * (len(values) - 1))]
     convention = dict(patterns=patterns, closure=closure,
                       n_selection=n_selection)
     part = classify_modes(spec, domain, omega_max, bridge_mode=bridge_mode,
@@ -1123,8 +1133,7 @@ def test_bridge_search_matches_per_pair_oracle(spec, T, patterns, n_selection,
                                          **convention)) == \
             steps_fields(oracle_cascade_path(spec, domain, seed, depth,
                                              **convention))
-    triads = data.draw(st.lists(st.sampled_from(cands), max_size=12)
-                       if cands else st.just([]), label="triads")
+    triads = [cands[i % len(cands)] for i in picks] if cands else []
     check_every_donor_pair(spec, domain, closure, patterns, n_selection,
                            triads)
 
@@ -1550,7 +1559,7 @@ def tuple_key_sorts(triads):
          patterns="sum", skip=False, q=0.3)
 def test_searches_emit_scan_order_and_sort_stably(spec, T, closure_shape,
                                                   patterns, skip, q):
-    """``_search`` returns triads with strictly increasing (k1, k2, k3)
+    """``_search`` returns columns with strictly increasing (k1, k2, k3)
     under every closure and shape, on both number systems, densely and on
     the tile-pruned path; so the public searches' stable sorts on d_ratio
     alone equal the former tuple-key sorts, ties included (the unit-square
@@ -1561,14 +1570,14 @@ def test_searches_emit_scan_order_and_sort_stably(spec, T, closure_shape,
     domain = SpectralDomain(T, shape)
     rule = search.CLOSURES[closure]
     every = search._search(spec, domain, rule, patterns=patterns,
-                           d_max=math.inf, skip_equal_n_pairs=skip)
+                           d_max=math.inf, skip_equal_n_pairs=skip).triads()
     ds = sorted({t.d_ratio for t in every if t.d_ratio > 0}) or [1.0]
     d = ds[int(q * (len(ds) - 1))]
     for run in ({"d_max": math.inf}, {"d_max": d}, {"d_min": d},
                 {"d_max": 0} if spec.exactness else {"d_max": d}):
         keys = [t.key() for t in search._search(
             spec, domain, rule, patterns=patterns, skip_equal_n_pairs=skip,
-            **run)]
+            **run).triads()]
         assert all(a < b for a, b in zip(keys, keys[1:]))
     near = find_near_triads(spec, domain, d, patterns, closure, skip)
     assert near == tuple_key_sorts(

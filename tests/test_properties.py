@@ -6,6 +6,7 @@ form."""
 import json
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import assume, given, strategies as st
 
 from wavetriads import BasinGeometry, DispersionSpec, SpectralDomain
@@ -123,8 +124,9 @@ FRACTIONS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2)]) \
 def test_pattern_equals_its_sign_product_form(ws, patterns):
     """Same residual and signs: floats bit for bit (by ``float.hex``, so
     +0.0 and -0.0 differ), Fractions exactly."""
-    (om, signs), (ref, ref_signs) = (_pattern(ws, patterns),
-                                     signed_products(ws, patterns))
+    om, i = (x.tolist()[0] for x in _pattern(
+        *(np.array([w]) for w in ws), patterns))
+    signs, (ref, ref_signs) = SIGN_PATTERNS[i], signed_products(ws, patterns)
     assert signs == ref_signs and type(om) is type(ref)
     if isinstance(om, float):
         assert om.hex() == ref.hex()

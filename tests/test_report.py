@@ -21,7 +21,7 @@ from wavetriads import (
     plan_experiment,
     to_hz,
 )
-from wavetriads import cli
+from wavetriads import cli, search
 from wavetriads.classify import ModeAssignment, ModePartition
 from wavetriads.experiment import (ExperimentPlan, GeometrySweepReport,
                                    SweepCell)
@@ -424,6 +424,12 @@ def inventory():
                                        0.1)
 
 
+@pytest.fixture(scope="module")
+def inventory_columns():
+    """The inventory as the CLI's search gives it: columns."""
+    return search._sorted_search(WATER, SpectralDomain(20), d_min=0.1)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_streamed_inventory_matches_the_oracles(capsys, tmp_path, inventory,
                                                 fmt):
@@ -462,13 +468,13 @@ class RecordingFile:
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_writers_hold_a_chunk_not_the_output(monkeypatch, tmp_path,
-                                             inventory, fmt):
+                                             inventory_columns, fmt):
     """The CLI writes a prebuilt inventory in several bounded writes, and
     its heap peak while rendering and writing stays under a quarter of the
     output; a writer that built the whole text first would hold more than
     the output."""
-    monkeypatch.setattr(cli, "find_max_discrepancy_triads",
-                        lambda *args, **kwargs: inventory)
+    monkeypatch.setattr(cli, "_sorted_search",
+                        lambda *args, **kwargs: inventory_columns)
     stdout = RecordingFile()
     monkeypatch.setattr(sys, "stdout", stdout)
     assert cli.main([*INVENTORY_ARGV, "--format", fmt]) == 0
