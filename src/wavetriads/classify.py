@@ -43,14 +43,13 @@ from .errors import UsageError
 from .search import (
     _BLOCK,
     NUMERIC_EXACT_D,
+    RESIDUALS,
     SIGN_PATTERNS,
     Triad,
-    TriadColumns,
     _build,
     _check_threshold,
     _dispatch,
     _omegas,
-    _pattern,
     _scan,
     _select,
     _step,
@@ -145,21 +144,23 @@ def _walk(spec, X, domain, rule, passes, patterns, skip_equal_n_pairs,
     arrays (m1, n1, m2, n2, n3, |Omega|).  The exact path reads only the n3
     where |Omega| <= omega_max can hold."""
     exact = spec.exactness
-    seeds = []
+    seeds = [[np.zeros(0, np.int64)] * 5]
     hits = [[np.zeros(0, np.int64)] * 5 + [np.zeros(0)]]
     for cand, a, amin in _scan(X, domain, rule, patterns, skip_equal_n_pairs,
                                not exact, (omega_max, 0)):
         ok = passes(cand[1], cand[3], cand[4])
-        seeds.append(_build(X, patterns, cand,
-                            _select(a, amin, NUMERIC_EXACT_D, None) & ok))
+        seed = _select(a, amin, NUMERIC_EXACT_D, None) & ok
+        if np.count_nonzero(seed):
+            seeds.append([c[seed] for c in cand])
         hit = (a > 0) & (a <= omega_max) & ok
         if exact:  # a rational above omega_max may round down to it
             ties = hit & (a == omega_max)
-            tied = _build(X, patterns, cand, ties).discrepancy
-            hit[ties] = np.abs(tied) <= omega_max
+            if np.count_nonzero(ties):
+                tied = _build(X, patterns, [c[ties] for c in cand])
+                hit[ties] = np.abs(tied.discrepancy) <= omega_max
         hits.append([c[hit] for c in (*cand, a)])
-    return (TriadColumns.concat(seeds).triads(),
-            list(map(np.concatenate, zip(*hits))))
+    return (_build(X, patterns, list(map(np.concatenate, zip(*seeds))))
+            .triads(), list(map(np.concatenate, zip(*hits))))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +176,8 @@ def _minimal_bridges(X, domain, rule, passes, patterns, donors):
     member and pass are read on the kernels' |Omega| of (ka, kb, wave):
     the triads' own on floats, correctly rounded on the exact path.  So a
     pair's least (|Omega|, (m, n)) lies at its least float |Omega|, keyed
-    there on the :func:`_pattern` residual of X's frequencies."""
+    there on the residual of X's frequencies by the rule of
+    :func:`.triad._pattern`."""
     T = domain.truncation
     D = np.array([(*ka, *kb, *t.k1, *t.k2, *t.k3) for t, ka, kb in donors],
                  dtype=np.int64).reshape(-1, 10)
@@ -196,12 +198,13 @@ def _minimal_bridges(X, domain, rule, passes, patterns, donors):
     steps = [None] * len(donors)
     at = np.flatnonzero(keep & (a == low[p]))
     p, m3, n3 = p[at], m3[at], n3[at]
-    w1, w2, w3 = _omegas(X, np.concatenate((ma[p], mb[p], m3)),
-                         np.concatenate((na[p], nb[p], n3))).reshape(3, -1)
-    oms, _ = _pattern(w1, w2, w3, patterns)
-    for i, m, n, om in zip(p.tolist(), m3.tolist(), n3.tolist(), oms.tolist()):
+    ws = _omegas(X, np.concatenate((ma[p], mb[p], m3)),
+                 np.concatenate((na[p], nb[p], n3))).reshape(3, -1).T
+    residuals = RESIDUALS[:len(SIGN_PATTERNS) if patterns == "all" else 1]
+    for i, m, n, w in zip(p.tolist(), m3.tolist(), n3.tolist(), ws.tolist()):
         t, ka, kb = donors[i]
         k = WaveVector(m, n)
+        om = min((r(*w) for r in residuals), key=abs)  # the first least
         if steps[i] is None or (abs(om), k) < (
                 abs(steps[i].bridge_discrepancy), steps[i].bridge_wave):
             steps[i] = CascadeStep(t, (ka, kb), k, om)
@@ -354,6 +357,7 @@ def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
     rule = _dispatch(spec, domain, closure, patterns)
     passes = _n_rule(rule, n_selection)
     X = _table(spec, domain.truncation, seed.members())
+    residuals = RESIDUALS[:len(SIGN_PATTERNS) if patterns == "all" else 1]
     visited = {frozenset(seed.members())}
     current = seed
     steps = []
@@ -372,10 +376,11 @@ def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
         if frozenset(ks) in visited:
             break
         visited.add(frozenset(ks))
-        ws = _omegas(X, *np.array(ks).T)
-        om, i = (x.item() for x in _pattern(*ws[:, None], patterns))
-        d = abs(float(om)) / min(abs(float(w)) for w in ws.tolist())
-        current = Triad(*ks, tuple(ws.tolist()), om, d, SIGN_PATTERNS[i])
+        ws = tuple(_omegas(X, *np.array(ks).T).tolist())
+        om, i = min(((r(*ws), i) for i, r in enumerate(residuals)),
+                    key=lambda p: abs(p[0]))
+        d = abs(float(om)) / min(abs(float(w)) for w in ws)
+        current = Triad(*ks, ws, om, d, SIGN_PATTERNS[i])
     return steps
 
 

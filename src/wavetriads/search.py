@@ -110,7 +110,6 @@ from .triad import (  # the triad records, importable from here as before
     _build,
     _least_abs,
     _omegas,
-    _pattern,
 )
 
 
@@ -563,8 +562,12 @@ def _search(spec, domain, rule, *, patterns, d_max=None, d_min=None,
     else:
         blocks = _scan(X, domain, rule, patterns, skip_equal_n_pairs,
                        with_min, None if with_min else (0, 0))
-    return TriadColumns.concat(_build(X, patterns, cand, _select(
-        a, amin, d_max, d_min)) for cand, a, amin in blocks)
+    kept = [[np.zeros(0, np.int64)] * 5]  # the candidates each block keeps
+    for cand, a, amin in blocks:
+        keep = _select(a, amin, d_max, d_min)
+        if np.count_nonzero(keep):  # cheaper than keep.any() per block
+            kept.append([c[keep] for c in cand])
+    return _build(X, patterns, list(map(np.concatenate, zip(*kept))))
 
 
 def _least_nonzero(spec, domain, rule, X) -> Triad | None:
@@ -587,12 +590,11 @@ def _least_nonzero(spec, domain, rule, X) -> Triad | None:
         low = float(a.min())  # blocks are never empty
         if low == math.inf or low > best_a:
             continue
-        tied = _build(X, rule.bound_patterns, cand, a == low)
-        least = np.abs(tied.discrepancy)
-        i = int(np.argmin(least))  # the first least
-        if best is None or least[i] < abs(best.discrepancy[0]):
-            best, best_a = tied[i:i + 1], float(least[i])
-    return None if best is None else best.triads()[0]
+        tied = _build(X, rule.bound_patterns, [c[a == low] for c in cand])
+        for t in tied.triads():
+            if best is None or abs(t.discrepancy) < abs(best.discrepancy):
+                best, best_a = t, float(abs(t.discrepancy))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -118,15 +118,16 @@ def _pattern(w1, w2, w3, patterns):
 def _mode_index(members):
     """The distinct modes of ``members``, pairs of arrays (m, n), as
     arrays (m, n), and a function from such a pair to each mode's place
-    among them: ranks in a presence table over the flat keys m R + n, formed
-    one pair at a time.  No np.unique (its first call imports numpy.ma) and
-    no sort (its first call maps in the sort kernels)."""
+    among them: a presence table over the flat keys m R + n, formed one
+    pair at a time, and binary search.  No np.unique (its first call
+    imports numpy.ma) and no sort (its first call maps in the sort
+    kernels)."""
     R = max(int(n.max()) for _, n in members) + 1
     seen = np.zeros((max(int(m.max()) for m, _ in members) + 1) * R, bool)
     for m, n in members:
         seen[m * R + n] = True
-    rank = np.cumsum(seen) - 1
-    return np.divmod(np.flatnonzero(seen), R), lambda m, n: rank[m * R + n]
+    modes = np.flatnonzero(seen)
+    return np.divmod(modes, R), lambda m, n: np.searchsorted(modes, m * R + n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,13 +163,6 @@ class TriadColumns:
         """The rows ``index``: an index array or a slice."""
         return TriadColumns(*(c[index] for c in vars(self).values()))
 
-    @staticmethod
-    def concat(parts) -> TriadColumns:
-        """The rows of ``parts`` in order."""
-        parts = [p for p in parts if len(p)] or [_NO_ROWS]
-        return parts[0] if len(parts) == 1 else TriadColumns(*map(
-            np.concatenate, zip(*(vars(p).values() for p in parts))))
-
     def triads(self) -> list:
         """The rows as Triads, each distinct member one WaveVector."""
         if not len(self):
@@ -183,18 +177,14 @@ class TriadColumns:
             map(SIGN_PATTERNS.__getitem__, self.pattern.tolist()))]
 
 
-_NO_ROWS = TriadColumns(*[np.zeros(0, np.int64)] * 11)
-
-
-def _build(X, patterns, cand, keep) -> TriadColumns:
-    """The block candidates ``cand`` that the mask ``keep`` selects, in
-    scan order, as columns carrying the table X's frequencies (_omegas):
-    the rule of :func:`_pattern` (the first least |Omega|) and d = |Omega|
-    / min |w| (Python's ``min``: a later |w| wins only if smaller) on
-    arrays."""
-    if not np.count_nonzero(keep):  # cheaper than keep.any() per block
-        return _NO_ROWS
-    m1, n1, m2, n2, n3 = (c[keep] for c in cand)
+def _build(X, patterns, cand) -> TriadColumns:
+    """The candidates ``cand`` = (m1, n1, m2, n2, n3), arrays in scan
+    order, as columns carrying the table X's frequencies (_omegas): the
+    rule of :func:`_pattern` (the first least |Omega|) and d = |Omega| /
+    min |w| (Python's ``min``: a later |w| wins only if smaller) on
+    arrays.  Callers select a search's candidates block by block and build
+    them once."""
+    m1, n1, m2, n2, n3 = cand
     w1, w2, w3 = _omegas(X, np.concatenate((m1, m2, m1 + m2)),
                          np.concatenate((n1, n2, n3))).reshape(3, -1)
     om, best = _pattern(w1, w2, w3, patterns)
