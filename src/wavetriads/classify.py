@@ -146,8 +146,8 @@ def _walk(spec, X, domain, rule, passes, patterns, skip_equal_n_pairs,
     exact = spec.exactness
     seeds = [[np.zeros(0, np.int64)] * 5]
     hits = [[np.zeros(0, np.int64)] * 5 + [np.zeros(0)]]
-    for cand, a, amin in _scan(X, domain, rule, patterns, skip_equal_n_pairs,
-                               not exact, (omega_max, 0)):
+    for cand, a, amin in _scan(X, domain, rule, skip_equal_n_pairs, (
+            patterns, omega_max, 0, None), not exact):
         ok = passes(cand[1], cand[3], cand[4])
         seed = _select(a, amin, NUMERIC_EXACT_D, None) & ok
         if np.count_nonzero(seed):
@@ -172,12 +172,12 @@ def _minimal_bridges(X, domain, rule, passes, patterns, donors):
     donor pair (triad, ka, kb) under the resolved closure ``rule`` and
     n-selection ``passes``, unvalidated (cascades bridge from near-resonant
     triads), in one array pass on the kernel table X, which covers the
-    donors.  The non-resonant completions in the domain that are no triad
-    member and pass are read on the kernels' |Omega| of (ka, kb, wave):
-    the triads' own on floats, correctly rounded on the exact path.  So a
-    pair's least (|Omega|, (m, n)) lies at its least float |Omega|, keyed
-    there on the residual of X's frequencies by the rule of
-    :func:`.triad._pattern`."""
+    donors.  The completions in the domain that are no triad member, pass
+    and are not resonant by :func:`.search._select` are read on the
+    kernels' |Omega| of (ka, kb, wave): the triads' own on floats,
+    correctly rounded on the exact path.  So a pair's least (|Omega|,
+    (m, n)) lies at its least float |Omega|, keyed there on the residual
+    of X's frequencies by the rule of :func:`.triad._pattern`."""
     T = domain.truncation
     D = np.array([(*ka, *kb, *t.k1, *t.k2, *t.k3) for t, ka, kb in donors],
                  dtype=np.int64).reshape(-1, 10)
@@ -191,8 +191,8 @@ def _minimal_bridges(X, domain, rule, passes, patterns, donors):
         & passes(na[:, None], nb[:, None], n3))
     m3, n3 = m3[p, j], n3[p, j]
     a, amin = _step(X, ma[p], na[p], X[mb, nb][p], X[m3, n3], mb[p], m3,
-                    patterns, True)
-    keep = ~(a <= NUMERIC_EXACT_D * amin)
+                    patterns, X.dtype == np.float64)
+    keep = ~_select(a, amin, NUMERIC_EXACT_D, None)
     low = np.full(len(donors), np.inf)
     np.minimum.at(low, p[keep], a[keep])
     steps = [None] * len(donors)

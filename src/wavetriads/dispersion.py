@@ -356,6 +356,15 @@ def omega_grid(spec: DispersionSpec, truncation: int) -> np.ndarray:
     return w
 
 
+def _omega_table(spec: DispersionSpec, M: int, N: int) -> np.ndarray:
+    """:func:`omega_grid` over 1 <= m <= M and 1 <= n <= N."""
+    w = np.full((M + 1, N + 1), np.nan, dtype=np.float64)
+    mm = np.arange(1, M + 1, dtype=np.float64)[:, None]
+    nn = np.arange(1, N + 1, dtype=np.float64)[None, :]
+    w[1:, 1:] = _omega(spec, mm, nn, _GRID_MATH)
+    return w
+
+
 def rescale_for_basin(spec: DispersionSpec, lx: float, ly: float) -> DispersionSpec:
     """Return a spec evaluated on an Lx x Ly basin.
 

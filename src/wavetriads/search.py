@@ -59,24 +59,25 @@ and columns live in :mod:`.triad`, the exact table's arithmetic in
   equals omega_max; only those ties are rebuilt on ``Fraction``s.  At
   fixed m3, omega3 = -2 m3 / a3 is monotone in n3, so the n3 where
   |Omega| <= tau can hold form one window per pair and sign pattern, in
-  closed form (:mod:`.sphere`).  The exact search (tau = 0), the
-  classifier (tau = omega_max) and the bound (the n3 next to the root)
-  read only those, decided as above; the near and max-discrepancy
-  searches read every n3.
+  closed form (:mod:`.sphere`).  Zonal blocks read only those under the
+  caller's tau: the exact search's 0, the classifier's omega_max, and the
+  bound's n3 next to the root, decided as above; the near and
+  max-discrepancy searches pass none and read every n3.
 
-Certified tile pruning.  A float search under ``both`` closure with a
-finite d_max ceiling (``find_near_triads``, and so ``plan_experiment`` and
-``geometry_sweep``) cuts the k2 box of every k1 into 8 x 8 tiles and bounds
-them in blocks that span many k1 rows.  A tile is live for a sign pattern
-unless a lower bound on that pattern's |Omega| over it exceeds d_max |w1|
-by a slack that covers every rounding (:func:`_live_tiles`).  The bound
-reads only the grid, so it holds for every float kind, the non-monotone
-``bve_plane`` included; a grid with inf or NaN, or near overflow, drops
-nothing.  A per-tile prefilter on each pattern's residual leaves a few
-cells, sorted once, for the scan's own float64 expressions
-(:func:`_tile_scan`), so every output is that of the dense scan.
-``d_max = inf``, float ``zonal`` and ``box`` closure, the max-discrepancy
-search, and the float bound and classifier scan densely.
+Certified tile pruning.  Given a finite d_max ceiling on the float grid
+(``find_near_triads``, and so ``plan_experiment`` and ``geometry_sweep``),
+``both`` closure's blocks cut the k2 box of every k1 into 8 x 8 tiles and
+bound them in blocks that span many k1 rows.  A tile is live for a sign
+pattern unless a lower bound on that pattern's |Omega| over it exceeds
+d_max |w1| by a slack that covers every rounding (:func:`_live_tiles`).
+The bound reads only the grid, so it holds for every float kind, the
+non-monotone ``bve_plane`` included; a grid with inf or NaN, or near
+overflow, drops nothing.  A per-tile prefilter on each pattern's residual
+leaves a few cells, sorted once, as one block (:func:`_tile_scan`) that
+the scan steps with its own float64 expressions, so every output is that
+of the dense scan.  ``d_max = inf``, float ``zonal`` and ``box`` closure,
+the max-discrepancy search, and the float bound and classifier scan
+densely.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ from .dispersion import (
     OmegaValue,
     SpectralDomain,
     WaveVector,
+    _omega_table,
     check_wavevector,
     eval_frequency,
     omega_grid,
@@ -183,11 +185,15 @@ def _both_window(T, m1, n1):
     return m1, T - m1, 1, T - n1
 
 
-def _both_blocks(X, domain, skip_equal_n_pairs, self_pair):
+def _both_blocks(X, domain, skip_equal_n_pairs, test):
     """Pairs k1 <= k2 with k3 = k1 + k2 in the square: per k1 the box of
     :func:`_both_window`, the rest of row m2 = m1 from k2 = k1 on, then
-    the rows m2 > m1, one k2 row per segment."""
-    T = domain.truncation
+    the rows m2 > m1, one k2 row per segment.  A finite ceiling d_max on
+    the float grid reads only the cells of :func:`_tile_scan`."""
+    T, (patterns, _, _, d_max) = domain.truncation, test
+    if X.dtype == np.float64 and d_max and math.isfinite(d_max):
+        yield from _tile_scan(X, domain, patterns, d_max)
+        return
     m1, n1 = (g.ravel() for g in np.mgrid[1:T // 2 + 1, 1:T])
     m_lo, m_hi, _, n_hi = _both_window(T, m1, n1)
     counts = np.maximum(n_hi - n1 + 1, 0) + (m_hi - m_lo) * n_hi
@@ -212,23 +218,23 @@ def _both_waves(ma, na, mb, nb, T, patterns):
     return np.stack(ms, 1), np.stack(ns, 1)
 
 
-def _zonal_blocks(X, domain, skip_equal_n_pairs, self_pair, window=None):
-    """Pairs k1 <= k2 (k1 < k2 without ``self_pair``) with m3 = m1 + m2,
-    in (k2, n3) order, each with every n3 of the domain or, on the exact
-    table given ``window`` = (patterns, tau, widen), those of
-    :func:`.sphere._n3_window`.  ``skip_equal_n_pairs`` leaves out the
-    pairs n1 = n2.  Pairs are formed for runs of k1 rows of at most
-    ``_BLOCK`` pairs; the rows are cut into blocks by their n3 counts as
-    :func:`_runs` cuts them, the last block waiting for the next run's
-    rows, so the pairs held, each with an n3, never outnumber a block's
-    candidates."""
-    T = domain.truncation
+def _zonal_blocks(X, domain, skip_equal_n_pairs, test):
+    """Pairs k1 <= k2 with m3 = m1 + m2, k1 < k2 on the exact table, in
+    (k2, n3) order, each with every n3 of the domain or, on the exact
+    table given a finite tau, those of :func:`.sphere._n3_window`.
+    ``skip_equal_n_pairs`` leaves out the pairs n1 = n2.  Pairs are
+    formed for runs of k1 rows of at most ``_BLOCK`` pairs; the rows are
+    cut into blocks by their n3 counts as :func:`_runs` cuts them, the
+    last block waiting for the next run's rows, so the pairs held, each
+    with an n3, never outnumber a block's candidates."""
+    T, exact = domain.truncation, X.dtype != np.float64
     tri = domain.shape == "triangular"
+    window = exact and math.isfinite(test[1])
     ar = np.arange(T + 1)  # the modes in (m, n) order
     mm, nn = np.nonzero((ar[:, None] > 0) & (ar >= (ar[:, None] if tri else 1)))
     i = np.flatnonzero(2 * mm <= T)  # the modes that can be k1
     # Modes come in m order, so the k2 with m2 <= T - m1 are a run.
-    j0, stop = i + (not self_pair), np.searchsorted(mm, T - mm[i], "right")
+    j0, stop = i + exact, np.searchsorted(mm, T - mm[i], "right")
     xm, Xf, R = X[mm, nn], X.ravel(), T + 1
     cm = 2.0 * mm / xm.astype(np.float64) if window else None  # c = 2m/a
 
@@ -248,7 +254,7 @@ def _zonal_blocks(X, domain, skip_equal_n_pairs, self_pair, window=None):
         lo = m3 if tri else np.ones_like(m3)  # the domain's least n3
         hi = T
         if window:
-            lo, hi = _n3_window(cm[k], cm[j], m3, lo, T, *window)
+            lo, hi = _n3_window(cm[k], cm[j], m3, lo, T, *test[:3])
             keep = np.flatnonzero(hi >= lo)
             k, j, lo, hi = k[keep], j[keep], lo[keep], hi[keep]
         k, j, lo, count = held = [np.concatenate(p) for p in zip(
@@ -280,7 +286,7 @@ def _box_waves(ma, na, mb, nb, T, patterns):
     return np.stack((dm, dm, sm, sm), 1), np.stack((dn, sn, dn, sn), 1)
 
 
-def _box_blocks(X, domain, skip_equal_n_pairs, self_pair):
+def _box_blocks(X, domain, skip_equal_n_pairs, test):
     """Box-closed candidates gathered by index arrays, with k3 in
     ascending (m3, n3) order.
 
@@ -312,15 +318,17 @@ class _Closure:
     """A closure convention, as the kernels, the bound and the bridge
     search see it.
 
-    ``blocks(X, domain, skip_equal_n_pairs, self_pair)`` yields the
+    ``blocks(X, domain, skip_equal_n_pairs, test)`` yields the
     candidates of runs of k1 rows (:func:`_runs`) in scan order as blocks
     (m1, n1, x2, x3, m2, n2, n3), one array element per candidate, and
     never an empty block: the coordinates of k1, k2 and n3 (m3 = m1 + m2
     under every closure) and the values at k2 and k3 of the per-mode
-    table X.
-    ``self_pair`` decides whether zonal closure admits k2 = k1; ``both``
-    always does and ``box`` never does.  On the exact path zonal blocks
-    also take ``window``, which keeps only each pair's n3 window.
+    table X.  ``test`` = (patterns, tau, widen, d_max) is the caller's
+    (:func:`_scan`), and each closure leaves out only candidates it proves
+    fail it: ``both`` the tiles of a finite d_max on the float grid,
+    ``zonal`` the n3 outside the windows of a finite tau on the exact
+    table, ``box`` none.  ``both`` admits the self-pair k2 = k1, ``zonal``
+    on floats only, ``box`` never.
     ``waves(ma, na, mb, nb, T, patterns)`` gives the waves that close the
     donor pairs (ka, kb) of the coordinate arrays, each once, as arrays
     (m3, n3) of (pair, completion), some off the domain: the classifier's
@@ -356,18 +364,18 @@ _FLOAT_EXACT_LIMIT = 2 ** 53
 
 
 def _table(spec, T, members=()):
-    """The per-mode table over m, n <= T, grown to cover ``members`` (each
-    checked to be a mode), that the kernels read and results carry
-    (:func:`.triad._omegas`): a = n(n+1) on the exact path (omega =
-    -2m/a), else the omega grid, ``eval_frequency``'s values."""
-    T = max([T, *(max(check_wavevector(k)) for k in members)])
+    """The per-mode table over m, n <= T, its m axis grown to the m and its
+    n axis to the n of ``members`` (each checked to be a mode), that the
+    kernels read and results carry (:func:`.triad._omegas`): a = n(n+1) on
+    the exact path (omega = -2m/a), else ``eval_frequency``'s values."""
+    M, N = map(max, zip((T, T), *map(check_wavevector, members)))
     if spec.exactness:
-        n = np.arange(T + 1, dtype=np.int64)
-        amax = T * (T + 1)
-        if max(6 * T * amax ** 2, amax ** 3) >= _FLOAT_EXACT_LIMIT:
+        n = np.arange(N + 1, dtype=np.int64)
+        amax = N * (N + 1)
+        if max(6 * M * amax ** 2, amax ** 3) >= _FLOAT_EXACT_LIMIT:
             n = n.astype(object)
-        return np.broadcast_to(n * (n + 1), (T + 1, T + 1))
-    return omega_grid(spec, T)
+        return np.broadcast_to(n * (n + 1), (M + 1, N + 1))
+    return omega_grid(spec, T) if M == N == T else _omega_table(spec, M, N)
 
 
 def _float_step(X, m1, n1, w2, w3, m2, m3, patterns, with_min):
@@ -385,19 +393,17 @@ def _step(X, m1, n1, x2, x3, m2, m3, patterns, with_min):
     return step(X, m1, n1, x2, x3, m2, m3, patterns, with_min)
 
 
-def _scan(X, domain, rule, patterns, skip_equal_n_pairs, with_min,
-          within=None):
-    """The array form of the scan kernel on the table X: the closure's
-    candidates block by block, as ((m1, n1, m2, n2, n3), a, amin) per
-    candidate in scan order, with k3 = (m1 + m2, n3), a = |Omega| (the least
-    over the sign patterns when patterns="all") and amin = min |w| or None.
-    On the exact table ``within`` = (tau, widen) leaves out the candidates
-    outside the n3 window of :func:`.sphere._n3_window`."""
-    exact = X.dtype != np.float64
-    window = {"window": (patterns, *within)} if exact and within else {}
+def _scan(X, domain, rule, skip_equal_n_pairs, test, with_min):
+    """The scan kernel on the table X, the one loop that steps candidates:
+    the closure's blocks under the caller's ``test`` = (patterns, tau,
+    widen, d_max) as ((m1, n1, m2, n2, n3), a, amin) per candidate in scan
+    order, with k3 = (m1 + m2, n3), a = |Omega| (least over the sign
+    patterns when patterns="all") and amin = min |w| or None.  Only
+    candidates that cannot have |Omega| <= tau or d <= d_max are left out;
+    tau = inf and d_max None or inf leave out none."""
     for m1, n1, x2, x3, m2, n2, n3 in rule.blocks(
-            X, domain, skip_equal_n_pairs, not exact, **window):
-        a, amin = _step(X, m1, n1, x2, x3, m2, m1 + m2, patterns, with_min)
+            X, domain, skip_equal_n_pairs, test):
+        a, amin = _step(X, m1, n1, x2, x3, m2, m1 + m2, test[0], with_min)
         yield (m1, n1, m2, n2, n3), a, amin
 
 
@@ -486,19 +492,19 @@ def _prefilter(Pf, R, residual, scale, k1, corner):
 
 def _tile_scan(X, domain, patterns, d_max):
     """The candidates of ``both`` closure that may have d <= d_max (grid X,
-    finite d_max), as one block of :func:`_scan` in scan order.  The k2
-    boxes (:func:`_both_window`) are cut into ``_TILE``-wide tiles from
-    their low corners, once: the m tiles of every row and, as the n range
-    depends on n1 alone, the n tiles of every n1.  Blocks of m tiles by
-    all n tiles, at most ``_BLOCK`` tiles or one m tile, meet the bound.
-    Each pattern keeps the cells of its live tiles, read from the grid
-    padded with NaN (k3 off the box gives a NaN residual), whose residual
-    is r <= d_max |w1| (1 + 16u).  A hit's least residual a has
-    fl(a / min |w|) <= d_max, so a <= d_max min |w| (1 + u) <= d_max |w1|
-    (1 + u), below the threshold after two roundings (a subnormal d_max
-    counts as the least normal float; 1e-300 covers an underflowing
-    product).  The survivors, sorted once as a row may span two blocks,
-    meet the order rule k2 >= k1 and the scan's own float expressions."""
+    finite d_max), unstepped, as one block of :func:`_both_blocks` in scan
+    order, if any.  The k2 boxes (:func:`_both_window`) are cut into
+    ``_TILE``-wide tiles from their low corners, once: the m tiles of every
+    row and, as the n range depends on n1 alone, the n tiles of every n1.
+    Blocks of m tiles by all n tiles, at most ``_BLOCK`` tiles or one m
+    tile, meet the bound.  Each pattern keeps the cells of its live tiles,
+    read from the grid padded with NaN (k3 off the box gives a NaN
+    residual), whose residual is r <= d_max |w1| (1 + 16u).  A hit's least
+    residual a has fl(a / min |w|) <= d_max, so a <= d_max min |w| (1 + u)
+    <= d_max |w1| (1 + u), below the threshold after two roundings (a
+    subnormal d_max counts as the least normal float; 1e-300 covers an
+    underflowing product).  The survivors, sorted once as a row may span
+    two blocks, meet the order rule k2 >= k1; the scan steps them."""
     T, t = domain.truncation, _TILE
     P = np.pad(X, (0, t), constant_values=np.nan)
     R, Pf = P.shape[1], P.ravel()  # modes are flat offsets m R + n into P
@@ -534,8 +540,8 @@ def _tile_scan(X, domain, patterns, d_max):
     k1, k2 = np.divmod(key[1:][key[1:] > key[:-1]], R * R)  # once each
     k1, k2 = k1[k2 >= k1], k2[k2 >= k1]  # the order rule
     (m1, n1), (m2, n2) = np.divmod(k1, R), np.divmod(k2, R)
-    a, amin = _step(P, m1, n1, Pf[k2], Pf[k1 + k2], None, None, patterns, True)
-    yield (m1, n1, m2, n2, n1 + n2), a, amin
+    if k1.size:
+        yield m1, n1, Pf[k2], Pf[k1 + k2], m2, n2, n1 + n2
 
 
 def _select(a, amin, d_max, d_min):
@@ -551,19 +557,14 @@ def _select(a, amin, d_max, d_min):
 def _search(spec, domain, rule, *, patterns, d_max=None, d_min=None,
             skip_equal_n_pairs=True) -> TriadColumns:
     """The closure's candidates with d_ratio <= d_max or d_ratio >= d_min,
-    as columns in scan order, decided and built on one table.  A
-    finite positive d_max under ``both`` closure on floats reads only the
-    tiles :func:`_tile_scan` cannot rule out."""
+    as columns in scan order, decided and built on one table.  The scan's
+    test is d_max, or tau = 0 for a zero ceiling (the exact search)."""
     X = _table(spec, domain.truncation)
     with_min = d_min is not None or bool(d_max)  # a zero ceiling needs none
-    if (rule.name == "both" and not spec.exactness and d_max
-            and math.isfinite(d_max)):
-        blocks = _tile_scan(X, domain, patterns, d_max)
-    else:
-        blocks = _scan(X, domain, rule, patterns, skip_equal_n_pairs,
-                       with_min, None if with_min else (0, 0))
+    test = (patterns, math.inf if with_min else 0, 0, d_max)
     kept = [[np.zeros(0, np.int64)] * 5]  # the candidates each block keeps
-    for cand, a, amin in blocks:
+    for cand, a, amin in _scan(X, domain, rule, skip_equal_n_pairs, test,
+                               with_min):
         keep = _select(a, amin, d_max, d_min)
         if np.count_nonzero(keep):  # cheaper than keep.any() per block
             kept.append([c[keep] for c in cand])
@@ -584,8 +585,8 @@ def _least_nonzero(spec, domain, rule, X) -> Triad | None:
     above the best so far can hold a new least |Omega|; they are built on
     the table X and compared exactly."""
     best, best_a = None, math.inf
-    for cand, a, amin in _scan(X, domain, rule, rule.bound_patterns, True,
-                               not spec.exactness, (0, 1)):
+    for cand, a, amin in _scan(X, domain, rule, True, (
+            rule.bound_patterns, 0, 1, None), not spec.exactness):
         a[_select(a, amin, NUMERIC_EXACT_D, None)] = math.inf
         low = float(a.min())  # blocks are never empty
         if low == math.inf or low > best_a:

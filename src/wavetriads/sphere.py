@@ -14,16 +14,14 @@ _U = 2.0 ** -53
 
 def _exact_step(X, m1, n1, a2, a3, m2, m3, patterns, with_min):
     """|Omega| = 2|N| / (a1 a2 a3) of a block on the table a = n(n+1),
-    correctly rounded, and min |w| when ``with_min``.  N is the residual
-    of the terms m1 a2 a3, m2 a1 a3 and m3 a1 a2 under the sum pattern, or
-    the least over the sign patterns (:func:`.triad._least_abs`; they share
-    the denominator)."""
+    correctly rounded by one division (int64 operands, below 2**53, become
+    float64 exactly; Python ints divide per element), and min |w| when
+    ``with_min``.  N is the residual of the terms m1 a2 a3, m2 a1 a3 and
+    m3 a1 a2 under the sum pattern, or the least over the sign patterns
+    (:func:`.triad._least_abs`; they share the denominator)."""
     a1 = X[m1, n1]
     N = _least_abs(m1 * a2 * a3, m2 * a1 * a3, m3 * a1 * a2, patterns)
-    if X.dtype == object:  # Python int true division, per element
-        a = (2 * N / (a1 * a2 * a3)).astype(np.float64)
-    else:  # each product is below 2**53, so exact in float64
-        a = 2.0 * N.astype(np.float64) / (a1 * a2 * a3).astype(np.float64)
+    a = np.asarray(2 * N / (a1 * a2 * a3), dtype=np.float64)
     if not with_min:
         return a, None
     return a, 2.0 * np.minimum(np.minimum(m2 / a2, m3 / a3), m1 / a1)

@@ -81,14 +81,13 @@ def build_oracle(X, patterns, cand, keep) -> list:
 
 def search_oracle(spec, domain, closure, patterns, d_max=None, d_min=None):
     """The near (``d_max``) or max-discrepancy (``d_min``) search on the
-    scan's own blocks, rebuilt by :func:`build_oracle` and sorted by
-    ``list.sort`` on d_ratio, descending for max-discrepancy."""
+    scan's own blocks under the search's test, rebuilt by
+    :func:`build_oracle` and sorted by ``list.sort`` on d_ratio,
+    descending for max-discrepancy."""
     X = search._table(spec, domain.truncation)
     rule = search._dispatch(spec, domain, closure, patterns)
-    if closure == "both" and d_max is not None and math.isfinite(d_max):
-        blocks = search._tile_scan(X, domain, patterns, d_max)
-    else:
-        blocks = search._scan(X, domain, rule, patterns, True, True)
+    blocks = search._scan(X, domain, rule, True,
+                          (patterns, math.inf, 0, d_max), True)
     triads = [t for cand, a, amin in blocks for t in build_oracle(
         X, patterns, cand, search._select(a, amin, d_max, d_min))]
     triads.sort(key=lambda t: t.d_ratio, reverse=d_min is not None)

@@ -316,6 +316,12 @@ def test_float_bound_matches_pair_loop(spec, T, closure, shape):
 BOTH = search.CLOSURES["both"]
 
 
+def unpruned(patterns):
+    """The scan test (patterns, tau, widen, d_max) that no closure can
+    prune on: no |Omega| bound and no d ceiling."""
+    return (patterns, math.inf, 0, None)
+
+
 def dense_near(spec, domain, patterns, d_max, freqs=None):
     """The near search over every ``both`` block, with no tile pruned, its
     triads built on the scalar frequencies ``freqs`` (by default an
@@ -323,7 +329,8 @@ def dense_near(spec, domain, patterns, d_max, freqs=None):
     freqs = FrequencyMemo(spec) if freqs is None else freqs
     out = []
     for cand, a, amin in search._scan(search._table(spec, domain.truncation),
-                                      domain, BOTH, patterns, True, True):
+                                      domain, BOTH, True, unpruned(patterns),
+                                      True):
         keep = search._select(a, amin, d_max, None)
         for m1, n1, m2, n2, n3 in zip(*(c[keep].tolist() for c in cand)):
             ks = (WaveVector(m1, n1), WaveVector(m2, n2),
@@ -349,8 +356,8 @@ def pruned_near(spec, domain, patterns, d_max, tile=8, gather=256,
 def scan_ds(spec, domain, patterns):
     """Every candidate's float d = |Omega| / min |w|, as the scan has it."""
     return np.concatenate([(a / amin).ravel() for _, a, amin in search._scan(
-        search._table(spec, domain.truncation), domain, BOTH, patterns, True,
-        True)] or [np.empty(0)])
+        search._table(spec, domain.truncation), domain, BOTH, True,
+        unpruned(patterns), True)] or [np.empty(0)])
 
 
 @st.composite
@@ -925,11 +932,11 @@ def oracle_minimal_bridge(domain, triad, donor_pair, patterns, closure,
             continue
         ws = (wa, wb, freqs[w])
         om, _ = _residual(ws, patterns)
-        # An exact completion is a resonance, not a near one; on the float
-        # path "exact" includes rounding-level residue of rational-valued
-        # dispersions (numerically exact).
-        if om == 0 or abs(float(om)) <= NUMERIC_EXACT_D * min(
-                abs(float(x)) for x in ws):
+        # A resonant completion is no near one, by the triad's own rule:
+        # a rational zero, or on floats d <= NUMERIC_EXACT_D (numerically
+        # exact: rounding-level residue of rational-valued dispersions).
+        if (om == 0 if isinstance(om, Fraction) else
+                abs(om) / min(map(abs, ws)) <= NUMERIC_EXACT_D):
             continue
         key = (abs(om), w)
         if best is None or key < best[0]:
@@ -1074,10 +1081,9 @@ def check_every_donor_pair(spec, domain, closure, patterns, n_selection,
     per-pair oracle."""
     donors = [(t, *pair) for t in triads for pair in classify._triad_pairs(t)]
     rule = search._dispatch(spec, domain, closure, patterns)
-    T = max([domain.truncation] + [c for t in triads for k in t.members()
-                                   for c in k])
     got = classify._minimal_bridges(
-        search._table(spec, T), domain, rule,
+        search._table(spec, domain.truncation,
+                      [k for t in triads for k in t.members()]), domain, rule,
         classify._n_rule(rule, n_selection), patterns, donors)
     _, passes, freqs = _oracle_convention(spec, closure, n_selection)
     want = steps_fields(oracle_minimal_bridge(
@@ -1175,6 +1181,41 @@ def test_bridges_of_donors_past_the_truncation(spec, domain, closure,
                                              patterns, closure))
 
 
+def test_far_donor_grows_each_table_axis_to_its_reach():
+    """A resonant triad of the bve square, (12,109)+(1986,2) -> (1998,222)
+    under zonal closure, reaches m = 1998 but n = 222 only.  The bridge
+    search at T = 15 reads a table grown to that reach on each axis, so its
+    tracemalloc peak stays under 16 MB (10.8 MB measured with numpy 2.4.6;
+    a square table to m = 1998 peaked at 96 MB), and its bridges and
+    cascades equal the per-pair oracle's."""
+    spec, domain = DispersionSpec("bve_plane", plane_form="squared"), \
+        SpectralDomain(15)
+    ks = [WaveVector(12, 109), WaveVector(1986, 2), WaveVector(1998, 222)]
+    seed = _candidate_triad(*ks, tuple(eval_frequency(spec, k).omega
+                                       for k in ks), "all")
+    assert seed.is_exact
+    X = search._table(spec, 15, ks)
+    assert X.shape == (1999, 223)
+    assert X[:16, :16].tobytes() == omega_grid(spec, 15).tobytes()
+    assert [float.hex(X[k]) for k in ks] == [float.hex(w) for w in seed.omegas]
+    minimal_near_resonant(spec, domain, seed, ks[1:], "all", "zonal")
+    tracemalloc.start()
+    try:
+        step = minimal_near_resonant(spec, domain, seed, ks[1:], "all",
+                                     "zonal")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step.bridge_wave == WaveVector(12, 15)
+    assert peak < 16e6
+    check_every_donor_pair(spec, domain, "zonal", "all", "none", [seed])
+    for depth in (1, 3):
+        assert steps_fields(cascade_path(spec, domain, seed, depth, "all",
+                                         "zonal")) == \
+            steps_fields(oracle_cascade_path(spec, domain, seed, depth,
+                                             "all", "zonal"))
+
+
 @pytest.mark.parametrize("pair", ["k1 k2", "k1 k3", "k2 k3"])
 def test_passive_pass_drops_hits_with_a_resonant_pair(pair):
     """A hit sharing any one of its pairs with a seed makes no mode
@@ -1216,7 +1257,7 @@ def test_sphere_omega_max_tie_is_decided_on_fractions(T, rounding):
 
 # -- multi-row blocks against the per-row generators they replaced ---------------
 
-def row_both_blocks(X, domain, skip_equal_n_pairs, self_pair):
+def row_both_blocks(X, domain, skip_equal_n_pairs):
     """Pairs k1 <= k2 with k3 = k1 + k2 in the square: per k1 the box of
     :func:`_both_window` as two blocks of X, the rest of row m2 = m1 from
     k2 = k1 on, then the rows m2 > m1."""
@@ -1235,12 +1276,13 @@ def row_both_blocks(X, domain, skip_equal_n_pairs, self_pair):
                     yield m1, n1, X[win2], X[win3], M[win2], N[win2], N[win3]
 
 
-def row_zonal_blocks(X, domain, skip_equal_n_pairs, self_pair):
-    """Pairs k1 <= k2 (k1 < k2 without ``self_pair``) with m3 = m1 + m2,
+def row_zonal_blocks(X, domain, skip_equal_n_pairs):
+    """Pairs k1 <= k2 (k1 < k2 on the exact table) with m3 = m1 + m2,
     each with every n3 of the domain: one ragged block per k1 row, in
     (k2, n3) order.  ``skip_equal_n_pairs`` leaves out the pairs
     n1 = n2."""
     T = domain.truncation
+    self_pair = X.dtype == np.float64
     triangular = domain.shape == "triangular"
     modes = list(domain.modes())
     mm = np.array([k.m for k in modes], dtype=np.int64)
@@ -1266,7 +1308,7 @@ def row_zonal_blocks(X, domain, skip_equal_n_pairs, self_pair):
         yield m1, n1, X[m2, n2], X[m1 + m2, n3], m2, n2, n3
 
 
-def row_box_blocks(X, domain, skip_equal_n_pairs, self_pair):
+def row_box_blocks(X, domain, skip_equal_n_pairs):
     """Box-closed candidates, one k1 row at a time, gathered by index
     arrays, with k3 in :func:`box_completions` order.
 
@@ -1314,8 +1356,7 @@ def row_scan(spec, domain, closure, patterns, skip):
     per-row blocks and the kernel steps with one k1 per block."""
     X = search._table(spec, domain.truncation)
     out = []
-    for m1, n1, x2, x3, m2, n2, n3 in ROW_BLOCKS[closure](
-            X, domain, skip, not spec.exactness):
+    for m1, n1, x2, x3, m2, n2, n3 in ROW_BLOCKS[closure](X, domain, skip):
         x2, x3, m2, n2, n3 = (np.broadcast_to(v, np.shape(x2)).ravel()
                               for v in (x2, x3, m2, n2, n3))
         a, amin = search._step(X, m1, n1, x2, x3, m2, m1 + m2, patterns, True)
@@ -1328,7 +1369,7 @@ def block_scan(spec, domain, closure, patterns, skip):
     """The same columns from ``search._scan``."""
     out = [[*cand, a, amin] for cand, a, amin in search._scan(
         search._table(spec, domain.truncation), domain,
-        search.CLOSURES[closure], patterns, skip, True)]
+        search.CLOSURES[closure], skip, unpruned(patterns), True)]
     return [np.concatenate(c) for c in zip(*out)] if out else None
 
 
@@ -1370,7 +1411,8 @@ def test_multi_row_blocks_match_per_row_blocks(spec, T, cap, patterns, skip,
                                                python_int, data):
     """The closures' blocks, with their size cut at ``cap`` candidates,
     against the per-row generators they replaced: the candidates and table
-    values in scan order (with and without the self-pair), |Omega| and
+    values in scan order (the self-pair as the number system has it),
+    |Omega| and
     min |w| of ``_scan`` bit for bit, and the discrepancy-bound witness and
     the partition at a cap of 1 against the default cap.  On the sphere
     also with the Python-int table."""
@@ -1385,14 +1427,12 @@ def test_multi_row_blocks_match_per_row_blocks(spec, T, cap, patterns, skip,
         assert (X.dtype == object) == (python_int and spec.exactness)
         want = row_scan(spec, domain, closure, patterns, skip)
         mp.setattr(search, "_BLOCK", cap)
-        for self_pair in (False, True):
-            got, sizes = flat_blocks(search.CLOSURES[closure].blocks(
-                X, domain, skip, self_pair))
-            old, _ = flat_blocks(ROW_BLOCKS[closure](X, domain, skip,
-                                                     self_pair))
-            assert same_columns(got, old)
-            if got is not None:
-                check_block_sizes(got[0], got[1], sizes, cap)
+        got, sizes = flat_blocks(search.CLOSURES[closure].blocks(
+            X, domain, skip, unpruned(patterns)))
+        old, _ = flat_blocks(ROW_BLOCKS[closure](X, domain, skip))
+        assert same_columns(got, old)
+        if got is not None:
+            check_block_sizes(got[0], got[1], sizes, cap)
         assert same_columns(block_scan(spec, domain, closure, patterns, skip),
                             want)
         omegas = np.unique(want[5][want[5] > 0]) if want else []
@@ -1418,11 +1458,12 @@ def test_multi_row_blocks_match_per_row_blocks(spec, T, cap, patterns, skip,
 
 # -- windowed zonal blocks against the dense generator they bypass -------------
 
-def dense_zonal_blocks(X, domain, skip_equal_n_pairs, self_pair):
-    """Pairs k1 <= k2 (k1 < k2 without ``self_pair``) with m3 = m1 + m2,
+def dense_zonal_blocks(X, domain, skip_equal_n_pairs):
+    """Pairs k1 <= k2 (k1 < k2 on the exact table) with m3 = m1 + m2,
     each with every n3 of the domain, in (k2, n3) order.
     ``skip_equal_n_pairs`` leaves out the pairs n1 = n2."""
     T = domain.truncation
+    self_pair = X.dtype == np.float64
     tri = domain.shape == "triangular"
     ar = np.arange(T + 1)  # the modes in (m, n) order
     mm, nn = np.nonzero((ar[:, None] > 0) & (ar >= (ar[:, None] if tri else 1)))
@@ -1455,8 +1496,7 @@ def dense_zonal_blocks(X, domain, skip_equal_n_pairs, self_pair):
 #: Zonal closure on the dense generator, which reads no n3 window.
 DENSE_ZONAL = dataclasses.replace(
     search.CLOSURES["zonal"],
-    blocks=lambda X, domain, skip, self_pair, window=None:
-        dense_zonal_blocks(X, domain, skip, self_pair))
+    blocks=lambda X, domain, skip, test: dense_zonal_blocks(X, domain, skip))
 
 
 def walk_fields(domain, omega_max, patterns, skip, n_selection):
@@ -1497,13 +1537,14 @@ def test_windowed_zonal_blocks_match_dense_blocks(shape, patterns, skip,
             mp.setattr(search, "_FLOAT_EXACT_LIMIT", 0)
         mp.setattr(search, "_BLOCK", cap)
         X = search._table(SPHERE, T)
-        _, a, _ = next(search._scan(X, domain, DENSE_ZONAL, patterns, skip,
-                                    False), (None, np.zeros(0), None))
+        _, a, _ = next(search._scan(X, domain, DENSE_ZONAL, skip,
+                                    unpruned(patterns), False),
+                       (None, np.zeros(0), None))
         omegas = np.unique(a[(a > 0) & (a <= 0.01)]).tolist() or [0.01]
         omega_max = omegas[int(q * (len(omegas) - 1))]
         for within in ((0, 0), (0, 1), (omega_max, 0)):
             got, sizes = flat_blocks(search.CLOSURES["zonal"].blocks(
-                X, domain, skip, False, (patterns, *within)))
+                X, domain, skip, (patterns, *within, None)))
             if got is not None:
                 check_block_sizes(got[0], got[1], sizes, cap)
 
@@ -1522,6 +1563,74 @@ def test_windowed_zonal_blocks_match_dense_blocks(shape, patterns, skip,
         got = run()
         mp.setitem(search.CLOSURES, "zonal", DENSE_ZONAL)
         assert run() == got
+
+
+# -- the pruning contract: a closure leaves out only what fails the test -------
+
+def kept(scan, select):
+    """The columns (m1, n1, m2, n2, n3, |Omega|) of the candidates that
+    ``select(a, amin)`` keeps over the blocks of ``scan``, in scan order."""
+    out = [[np.zeros(0, np.int64)] * 5 + [np.zeros(0)]]
+    for cand, a, amin in scan:
+        keep = select(a, amin)
+        out.append([c[keep] for c in (*cand, a)])
+    return [np.concatenate(c) for c in zip(*out)]
+
+
+@given(spec=st.sampled_from(FLOAT_SPECS + [SPHERE]), T=st.integers(1, 12),
+       closure_at=st.integers(0, 3), patterns=st.sampled_from(["sum", "all"]),
+       skip=st.booleans(), q=st.floats(0.0, 1.0))
+@example(spec=DispersionSpec("gravity_capillary", mu_over_nu=75.0), T=12,
+         closure_at=0, patterns="all", skip=True, q=0.1)
+@example(spec=SPHERE, T=12, closure_at=1, patterns="sum", skip=False, q=0.5)
+def test_pruned_scans_keep_what_the_unpruned_scan_keeps(spec, T, closure_at,
+                                                        patterns, skip, q):
+    """Each closure leaves out only candidates that fail the caller's
+    test.  For the exact search (tau 0), the classifier walk (tau =
+    omega_max: its seeds and its hits), the near search (a finite and an
+    infinite d_max) and the max-discrepancy search, ``_select`` keeps over
+    ``_scan`` with that test the candidates, and their |Omega| bit for bit,
+    in order, that it keeps over the scan that prunes nothing; for the
+    bound's widened window the ``_least_nonzero`` witness is the unpruned
+    one.  The thresholds are the domain's own d and |Omega|, so they tie."""
+    shapes = CLOSURE_SHAPES[1:3] if spec.exactness else CLOSURE_SHAPES
+    closure, shape = shapes[closure_at % len(shapes)]
+    domain, rule = SpectralDomain(T, shape), search.CLOSURES[closure]
+    X, floats = search._table(spec, T), not spec.exactness
+
+    def scan(test, with_min=True):
+        return search._scan(X, domain, rule, skip, test, with_min)
+
+    every = [(a / amin, a) for _, a, amin in scan(unpruned(patterns))]
+    ds, omegas = (np.unique(v[np.isfinite(v) & (v > 0)]) for v in map(
+        np.concatenate, zip((np.ones(1), np.ones(1)), *every)))
+    d, omega_max = (v[int(q * (len(v) - 1))] for v in (ds, omegas))
+    for test, with_min, select in [
+            ((patterns, 0, 0, 0), False,
+             lambda a, amin: search._select(a, amin, 0, None)),
+            ((patterns, omega_max, 0, None), floats,
+             lambda a, amin: search._select(a, amin, NUMERIC_EXACT_D, None)),
+            ((patterns, omega_max, 0, None), floats,
+             lambda a, amin: (a > 0) & (a <= omega_max)),
+            ((patterns, math.inf, 0, d), True,
+             lambda a, amin: search._select(a, amin, d, None)),
+            ((patterns, math.inf, 0, math.inf), True,
+             lambda a, amin: search._select(a, amin, math.inf, None)),
+            ((patterns, math.inf, 0, None), True,
+             lambda a, amin: search._select(a, amin, None, d))]:
+        assert same_columns(kept(scan(test, with_min), select),
+                            kept(scan(unpruned(patterns), with_min), select))
+
+    def witness():
+        t = search._least_nonzero(spec, domain, rule, X)
+        return fields([t] if t else [])
+
+    pruned, scan_all = witness(), search._scan
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_scan", lambda X, domain, rule, skip, test,
+                   with_min: scan_all(X, domain, rule, skip,
+                                      unpruned(test[0]), with_min))
+        assert witness() == pruned
 
 
 @pytest.mark.parametrize("T, count, bound, witness", [
