@@ -42,19 +42,14 @@ from .dispersion import (
 from .errors import UsageError
 from .search import (
     _BLOCK,
-    NUMERIC_EXACT_D,
-    RESIDUALS,
-    SIGN_PATTERNS,
-    Triad,
-    _build,
     _check_threshold,
     _dispatch,
-    _omegas,
     _scan,
     _select,
     _step,
     _table,
 )
+from .triad import NUMERIC_EXACT_D, Triad, _build, _omegas, _pattern
 
 ACTIVE = "active"
 PASSIVE = "passive"
@@ -135,19 +130,18 @@ class ModePartition:
 # the walk: resonant seeds and approximate-resonance hits
 # ---------------------------------------------------------------------------
 
-def _walk(spec, X, domain, rule, passes, patterns, skip_equal_n_pairs,
-          omega_max):
+def _walk(X, domain, rule, passes, patterns, skip_equal_n_pairs, omega_max):
     """One walk of the closure's candidates on the table X: the resonant
     seeds that pass the n-selection ``passes``, in scan order, carrying
     X's frequencies (N == 0; on floats d <= NUMERIC_EXACT_D, the triad's
     own test), and the hits 0 < |Omega| <= omega_max that pass it, as
     arrays (m1, n1, m2, n2, n3, |Omega|).  The exact path reads only the n3
     where |Omega| <= omega_max can hold."""
-    exact = spec.exactness
+    exact = X.dtype != np.float64
     seeds = [[np.zeros(0, np.int64)] * 5]
     hits = [[np.zeros(0, np.int64)] * 5 + [np.zeros(0)]]
-    for cand, a, amin in _scan(X, domain, rule, skip_equal_n_pairs, (
-            patterns, omega_max, 0, None), not exact):
+    for cand, a, amin in _scan(X, domain, rule, skip_equal_n_pairs,
+                               (patterns, omega_max, 0, None)):
         ok = passes(cand[1], cand[3], cand[4])
         seed = _select(a, amin, NUMERIC_EXACT_D, None) & ok
         if np.count_nonzero(seed):
@@ -177,7 +171,7 @@ def _minimal_bridges(X, domain, rule, passes, patterns, donors):
     kernels' |Omega| of (ka, kb, wave): the triads' own on floats,
     correctly rounded on the exact path.  So a pair's least (|Omega|,
     (m, n)) lies at its least float |Omega|, keyed there on the residual
-    of X's frequencies by the rule of :func:`.triad._pattern`."""
+    that :func:`.triad._pattern` gives the ties' frequency arrays on X."""
     T = domain.truncation
     D = np.array([(*ka, *kb, *t.k1, *t.k2, *t.k3) for t, ka, kb in donors],
                  dtype=np.int64).reshape(-1, 10)
@@ -191,7 +185,7 @@ def _minimal_bridges(X, domain, rule, passes, patterns, donors):
         & passes(na[:, None], nb[:, None], n3))
     m3, n3 = m3[p, j], n3[p, j]
     a, amin = _step(X, ma[p], na[p], X[mb, nb][p], X[m3, n3], mb[p], m3,
-                    patterns, X.dtype == np.float64)
+                    patterns, False)  # floats carry min |w| anyway
     keep = ~_select(a, amin, NUMERIC_EXACT_D, None)
     low = np.full(len(donors), np.inf)
     np.minimum.at(low, p[keep], a[keep])
@@ -199,12 +193,11 @@ def _minimal_bridges(X, domain, rule, passes, patterns, donors):
     at = np.flatnonzero(keep & (a == low[p]))
     p, m3, n3 = p[at], m3[at], n3[at]
     ws = _omegas(X, np.concatenate((ma[p], mb[p], m3)),
-                 np.concatenate((na[p], nb[p], n3))).reshape(3, -1).T
-    residuals = RESIDUALS[:len(SIGN_PATTERNS) if patterns == "all" else 1]
-    for i, m, n, w in zip(p.tolist(), m3.tolist(), n3.tolist(), ws.tolist()):
+                 np.concatenate((na[p], nb[p], n3))).reshape(3, -1)
+    oms = _pattern(*ws, patterns)[0].tolist()
+    for i, m, n, om in zip(p.tolist(), m3.tolist(), n3.tolist(), oms):
         t, ka, kb = donors[i]
         k = WaveVector(m, n)
-        om = min((r(*w) for r in residuals), key=abs)  # the first least
         if steps[i] is None or (abs(om), k) < (
                 abs(steps[i].bridge_discrepancy), steps[i].bridge_wave):
             steps[i] = CascadeStep(t, (ka, kb), k, om)
@@ -311,7 +304,7 @@ def classify_modes(spec: DispersionSpec, domain: SpectralDomain,
                       n_selection=n_selection, bridge_mode=bridge_mode,
                       skip_equal_n_pairs=skip_equal_n_pairs)
     X = _table(spec, domain.truncation)
-    seeds, hits = _walk(spec, X, domain, rule, passes, patterns,
+    seeds, hits = _walk(X, domain, rule, passes, patterns,
                         skip_equal_n_pairs, omega_max)
     bridges = select_bridges(X, domain, seeds, omega_max, rule, passes,
                              patterns, bridge_mode)
@@ -346,7 +339,9 @@ def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
                  depth: int, patterns: str = "sum", closure: str = "auto",
                  n_selection: str = "none") -> list:
     """Iteratively follow minimal near-resonant bridges, at each level
-    choosing the (pair, bridge) with globally minimal |Omega|.
+    choosing the (pair, bridge) with globally minimal |Omega|.  Each next
+    triad is built on the kernel table by :func:`.triad._build`, the rule
+    of every search and of the classifier.
 
     Stops early on "no bridge" or when a triad repeats (cycle guard).
     """
@@ -357,7 +352,6 @@ def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
     rule = _dispatch(spec, domain, closure, patterns)
     passes = _n_rule(rule, n_selection)
     X = _table(spec, domain.truncation, seed.members())
-    residuals = RESIDUALS[:len(SIGN_PATTERNS) if patterns == "all" else 1]
     visited = {frozenset(seed.members())}
     current = seed
     steps = []
@@ -376,11 +370,8 @@ def cascade_path(spec: DispersionSpec, domain: SpectralDomain, seed: Triad,
         if frozenset(ks) in visited:
             break
         visited.add(frozenset(ks))
-        ws = tuple(_omegas(X, *np.array(ks).T).tolist())
-        om, i = min(((r(*ws), i) for i, r in enumerate(residuals)),
-                    key=lambda p: abs(p[0]))
-        d = abs(float(om)) / min(abs(float(w)) for w in ws)
-        current = Triad(*ks, ws, om, d, SIGN_PATTERNS[i])
+        current = _build(X, patterns, np.array(
+            [[*ks[0], *ks[1], ks[2].n]]).T).triads()[0]
     return steps
 
 

@@ -29,9 +29,9 @@ per-mode table (:func:`_table`), which the scan, the bound and the bridge
 search read and whose values every result carries (:func:`.triad._omegas`).
 The scan reads the closure's candidates in blocks of consecutive k1 rows
 (as many as fit in ``_BLOCK`` candidates; one vectorised range expansion
-per block) and gives their members, k1 included, and |Omega| (and min |w|
-when asked) as arrays, with no :class:`Triad` built.  The searches select
-on those arrays and keep what they return as columns
+per block) and gives their members, k1 included, |Omega| and min |w|
+(where the test needs it) as arrays, with no :class:`Triad` built.  The
+searches select on those arrays and keep what they return as columns
 (:class:`.triad.TriadColumns`), sorted by a stable argsort of d_ratio;
 the public searches make their triads from the columns, and the CLI
 renders the columns themselves.  The classifier reads the scan's arrays.
@@ -73,9 +73,10 @@ d_max |w1| by a slack that covers every rounding (:func:`_live_tiles`).
 The bound reads only the grid, so it holds for every float kind, the
 non-monotone ``bve_plane`` included; a grid with inf or NaN, or near
 overflow, drops nothing.  A per-tile prefilter on each pattern's residual
-leaves a few cells, sorted once, as one block (:func:`_tile_scan`) that
-the scan steps with its own float64 expressions, so every output is that
-of the dense scan.  ``d_max = inf``, float ``zonal`` and ``box`` closure,
+leaves a few cells, sorted once and yielded in blocks of at most
+``_BLOCK`` as every closure yields them (:func:`_tile_scan`), which the
+scan steps with its own float64 expressions, so every output is that of
+the dense scan.  ``d_max = inf``, float ``zonal`` and ``box`` closure,
 the max-discrepancy search, and the float bound and classifier scan
 densely.
 """
@@ -319,16 +320,17 @@ class _Closure:
     search see it.
 
     ``blocks(X, domain, skip_equal_n_pairs, test)`` yields the
-    candidates of runs of k1 rows (:func:`_runs`) in scan order as blocks
-    (m1, n1, x2, x3, m2, n2, n3), one array element per candidate, and
-    never an empty block: the coordinates of k1, k2 and n3 (m3 = m1 + m2
-    under every closure) and the values at k2 and k3 of the per-mode
-    table X.  ``test`` = (patterns, tau, widen, d_max) is the caller's
-    (:func:`_scan`), and each closure leaves out only candidates it proves
-    fail it: ``both`` the tiles of a finite d_max on the float grid,
-    ``zonal`` the n3 outside the windows of a finite tau on the exact
-    table, ``box`` none.  ``both`` admits the self-pair k2 = k1, ``zonal``
-    on floats only, ``box`` never.
+    candidates in scan order as blocks (m1, n1, x2, x3, m2, n2, n3), one
+    array element per candidate, each of at most ``_BLOCK`` candidates or
+    one k1 row (:func:`_runs`), and never an empty block: the coordinates
+    of k1, k2 and n3 (m3 = m1 + m2 under every closure) and the values at
+    k2 and k3 of the per-mode table X.  ``test`` = (patterns, tau, widen,
+    d_max) is the caller's (:func:`_scan`), and each closure leaves out
+    only candidates it proves fail it: ``both`` the tiles of a finite
+    d_max on the float grid (:func:`_tile_scan`, ``_BLOCK`` survivors a
+    block), ``zonal`` the n3 outside the windows of a finite tau on the
+    exact table, ``box`` none.  ``both`` admits the self-pair k2 = k1,
+    ``zonal`` on floats only, ``box`` never.
     ``waves(ma, na, mb, nb, T, patterns)`` gives the waves that close the
     donor pairs (ka, kb) of the coordinate arrays, each once, as arrays
     (m3, n3) of (pair, completion), some off the domain: the classifier's
@@ -393,17 +395,20 @@ def _step(X, m1, n1, x2, x3, m2, m3, patterns, with_min):
     return step(X, m1, n1, x2, x3, m2, m3, patterns, with_min)
 
 
-def _scan(X, domain, rule, skip_equal_n_pairs, test, with_min):
+def _scan(X, domain, rule, skip_equal_n_pairs, test):
     """The scan kernel on the table X, the one loop that steps candidates:
     the closure's blocks under the caller's ``test`` = (patterns, tau,
     widen, d_max) as ((m1, n1, m2, n2, n3), a, amin) per candidate in scan
     order, with k3 = (m1 + m2, n3), a = |Omega| (least over the sign
-    patterns when patterns="all") and amin = min |w| or None.  Only
-    candidates that cannot have |Omega| <= tau or d <= d_max are left out;
-    tau = inf and d_max None or inf leave out none."""
+    patterns when patterns="all") and amin = min |w|, which floats always
+    carry and the exact table only under tau = inf (the near and
+    max-discrepancy searches), else None: its other consumers decide on
+    N == 0.  Only candidates that cannot have |Omega| <= tau or d <= d_max
+    are left out; tau = inf and d_max None or inf leave out none."""
     for m1, n1, x2, x3, m2, n2, n3 in rule.blocks(
             X, domain, skip_equal_n_pairs, test):
-        a, amin = _step(X, m1, n1, x2, x3, m2, m1 + m2, test[0], with_min)
+        a, amin = _step(X, m1, n1, x2, x3, m2, m1 + m2, test[0],
+                        test[1] == math.inf)
         yield (m1, n1, m2, n2, n3), a, amin
 
 
@@ -492,10 +497,11 @@ def _prefilter(Pf, R, residual, scale, k1, corner):
 
 def _tile_scan(X, domain, patterns, d_max):
     """The candidates of ``both`` closure that may have d <= d_max (grid X,
-    finite d_max), unstepped, as one block of :func:`_both_blocks` in scan
-    order, if any.  The k2 boxes (:func:`_both_window`) are cut into
-    ``_TILE``-wide tiles from their low corners, once: the m tiles of every
-    row and, as the n range depends on n1 alone, the n tiles of every n1.
+    finite d_max), unstepped, as blocks of :func:`_both_blocks` of at most
+    ``_BLOCK`` candidates in scan order.  The k2 boxes
+    (:func:`_both_window`) are cut into ``_TILE``-wide tiles from their low
+    corners, once: the m tiles of every row and, as the n range depends on
+    n1 alone, the n tiles of every n1.
     Blocks of m tiles by all n tiles, at most ``_BLOCK`` tiles or one m
     tile, meet the bound.  Each pattern keeps the cells of its live tiles,
     read from the grid padded with NaN (k3 off the box gives a NaN
@@ -503,8 +509,9 @@ def _tile_scan(X, domain, patterns, d_max):
     residual a has fl(a / min |w|) <= d_max, so a <= d_max min |w| (1 + u)
     <= d_max |w1| (1 + u), below the threshold after two roundings (a
     subnormal d_max counts as the least normal float; 1e-300 covers an
-    underflowing product).  The survivors, sorted once as a row may span
-    two blocks, meet the order rule k2 >= k1; the scan steps them."""
+    underflowing product).  The survivors' keys, sorted once as a row may
+    span two blocks of tiles, meet the order rule k2 >= k1 and are decoded
+    ``_BLOCK`` at a time; the scan steps them."""
     T, t = domain.truncation, _TILE
     P = np.pad(X, (0, t), constant_values=np.nan)
     R, Pf = P.shape[1], P.ravel()  # modes are flat offsets m R + n into P
@@ -537,10 +544,11 @@ def _tile_scan(X, domain, patterns, d_max):
                                     m1[b + i] * R + n_tiles[0][j],
                                     m_lo[b + i] * R + n_tiles[1][j])
     key = np.sort(np.concatenate(found))
-    k1, k2 = np.divmod(key[1:][key[1:] > key[:-1]], R * R)  # once each
-    k1, k2 = k1[k2 >= k1], k2[k2 >= k1]  # the order rule
-    (m1, n1), (m2, n2) = np.divmod(k1, R), np.divmod(k2, R)
-    if k1.size:
+    key = key[1:][key[1:] > key[:-1]]  # once each
+    key = key[key % (R * R) >= key // (R * R)]  # the order rule k2 >= k1
+    for b in range(0, key.size, _BLOCK):
+        k1, k2 = np.divmod(key[b:b + _BLOCK], R * R)
+        (m1, n1), (m2, n2) = np.divmod(k1, R), np.divmod(k2, R)
         yield m1, n1, Pf[k2], Pf[k1 + k2], m2, n2, n1 + n2
 
 
@@ -560,18 +568,16 @@ def _search(spec, domain, rule, *, patterns, d_max=None, d_min=None,
     as columns in scan order, decided and built on one table.  The scan's
     test is d_max, or tau = 0 for a zero ceiling (the exact search)."""
     X = _table(spec, domain.truncation)
-    with_min = d_min is not None or bool(d_max)  # a zero ceiling needs none
-    test = (patterns, math.inf if with_min else 0, 0, d_max)
+    test = (patterns, 0 if d_max == 0 else math.inf, 0, d_max)
     kept = [[np.zeros(0, np.int64)] * 5]  # the candidates each block keeps
-    for cand, a, amin in _scan(X, domain, rule, skip_equal_n_pairs, test,
-                               with_min):
+    for cand, a, amin in _scan(X, domain, rule, skip_equal_n_pairs, test):
         keep = _select(a, amin, d_max, d_min)
         if np.count_nonzero(keep):  # cheaper than keep.any() per block
             kept.append([c[keep] for c in cand])
     return _build(X, patterns, list(map(np.concatenate, zip(*kept))))
 
 
-def _least_nonzero(spec, domain, rule, X) -> Triad | None:
+def _least_nonzero(domain, rule, X) -> Triad | None:
     """Triad with the least nonzero |Omega| under the closure's bound
     patterns; the first minimum in scan order wins.  On the exact path the
     scan reads each pair's n3 next to the real root, where its least
@@ -585,8 +591,8 @@ def _least_nonzero(spec, domain, rule, X) -> Triad | None:
     above the best so far can hold a new least |Omega|; they are built on
     the table X and compared exactly."""
     best, best_a = None, math.inf
-    for cand, a, amin in _scan(X, domain, rule, True, (
-            rule.bound_patterns, 0, 1, None), not spec.exactness):
+    for cand, a, amin in _scan(X, domain, rule, True,
+                               (rule.bound_patterns, 0, 1, None)):
         a[_select(a, amin, NUMERIC_EXACT_D, None)] = math.inf
         low = float(a.min())  # blocks are never empty
         if low == math.inf or low > best_a:
@@ -707,7 +713,7 @@ def discrepancy_lower_bound(spec: DispersionSpec, domain: SpectralDomain,
         modes = np.array(list(domain.modes())).T
         lcm = math.lcm(*(w.denominator for w in _omegas(X, *modes)))
         apriori = DiscrepancyBound(Fraction(1, lcm * lcm), "rational_1_over_bd")
-    best = _least_nonzero(spec, domain, rule, X)
+    best = _least_nonzero(domain, rule, X)
 
     if best is None:
         return BoundReport(apriori, None,

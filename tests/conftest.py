@@ -74,6 +74,6 @@ def ari_hits(spec, domain, omega_max, patterns="sum", closure="auto",
     classifier's walk, without n-selection: arrays (m1, n1, m2, n2, n3,
     |Omega|) in scan order."""
     rule = search._dispatch(spec, domain, closure, patterns)
-    return classify._walk(spec, search._table(spec, domain.truncation),
-                          domain, rule, classify._n_rule(rule, "none"),
-                          patterns, skip_equal_n_pairs, omega_max)[1]
+    return classify._walk(search._table(spec, domain.truncation), domain,
+                          rule, classify._n_rule(rule, "none"), patterns,
+                          skip_equal_n_pairs, omega_max)[1]

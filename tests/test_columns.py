@@ -87,7 +87,7 @@ def search_oracle(spec, domain, closure, patterns, d_max=None, d_min=None):
     X = search._table(spec, domain.truncation)
     rule = search._dispatch(spec, domain, closure, patterns)
     blocks = search._scan(X, domain, rule, True,
-                          (patterns, math.inf, 0, d_max), True)
+                          (patterns, math.inf, 0, d_max))
     triads = [t for cand, a, amin in blocks for t in build_oracle(
         X, patterns, cand, search._select(a, amin, d_max, d_min))]
     triads.sort(key=lambda t: t.d_ratio, reverse=d_min is not None)

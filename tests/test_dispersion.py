@@ -18,7 +18,7 @@ from wavetriads import (
     rescale_for_basin,
     to_hz,
 )
-from wavetriads.dispersion import omega_grid
+from wavetriads.dispersion import _omega_table, omega_grid
 from conftest import L2_TRIAD, TYPE_A, gc_spec, wv
 
 TWO_PI = 2.0 * math.pi
@@ -303,17 +303,21 @@ SIDES = st.floats(0.1, 10.0)
 @pytest.mark.parametrize("basin", ["unit", "L-square", "rectangle"])
 @given(T=st.integers(1, 40), lx=SIDES, ly=SIDES,
        mu=st.floats(1.0, 100.0), g=st.floats(1.0, 2000.0),
-       alpha=st.floats(0.01, 5.0))
-@example(T=40, lx=2.0, ly=2.7, mu=75.0, g=981.0, alpha=0.7)
-@example(T=40, lx=1.3, ly=0.7, mu=16.0, g=981.0, alpha=0.5)
-@example(T=90, lx=1.0, ly=3.6179, mu=75.0, g=981.0, alpha=0.3)
+       alpha=st.floats(0.01, 5.0),
+       table=st.tuples(st.integers(1, 45), st.integers(1, 45)).filter(
+           lambda mn: mn[0] != mn[1]))
+@example(T=40, lx=2.0, ly=2.7, mu=75.0, g=981.0, alpha=0.7, table=(45, 3))
+@example(T=40, lx=1.3, ly=0.7, mu=16.0, g=981.0, alpha=0.5, table=(2, 41))
+@example(T=90, lx=1.0, ly=3.6179, mu=75.0, g=981.0, alpha=0.3,
+         table=(120, 15))
 def test_grid_and_scalar_match_the_per_kind_expressions(
-        kind, plane_form, basin, T, lx, ly, mu, g, alpha):
+        kind, plane_form, basin, T, lx, ly, mu, g, alpha, table):
     """eval_frequency bit for bit against the per-kind expressions it had
-    before the scalar and grid paths shared one, and omega_grid equal to
-    eval_frequency in every cell, over the float kinds, both plane forms,
-    and unit, L-square and rectangular basins (lx == ly picks the L-square
-    form of gravity_capillary)."""
+    before the scalar and grid paths shared one, and omega_grid, and the
+    rectangular table (M, N) = ``table`` that the kernels read past the
+    truncation, equal to eval_frequency in every cell, over the float
+    kinds, both plane forms, and unit, L-square and rectangular basins
+    (lx == ly picks the L-square form of gravity_capillary)."""
     if basin == "unit":
         geometry = BasinGeometry()
     elif basin == "L-square":
@@ -334,6 +338,14 @@ def test_grid_and_scalar_match_the_per_kind_expressions(
             assert type(w) is float
             assert float.hex(w) == float.hex(oracle_scalar(spec, m, n))
             assert float.hex(float(W[m, n])) == float.hex(w), (m, n)
+    M, N = table
+    W = _omega_table(spec, M, N)
+    assert W.shape == (M + 1, N + 1)
+    assert np.isnan(W[0]).all() and np.isnan(W[:, 0]).all()
+    for m in range(1, M + 1):
+        for n in range(1, N + 1):
+            assert float.hex(float(W[m, n])) == \
+                float.hex(eval_frequency(spec, wv(m, n)).omega), (m, n)
 
 
 def test_omega_grid_refuses_the_sphere(sphere):

@@ -329,8 +329,7 @@ def dense_near(spec, domain, patterns, d_max, freqs=None):
     freqs = FrequencyMemo(spec) if freqs is None else freqs
     out = []
     for cand, a, amin in search._scan(search._table(spec, domain.truncation),
-                                      domain, BOTH, True, unpruned(patterns),
-                                      True):
+                                      domain, BOTH, True, unpruned(patterns)):
         keep = search._select(a, amin, d_max, None)
         for m1, n1, m2, n2, n3 in zip(*(c[keep].tolist() for c in cand)):
             ks = (WaveVector(m1, n1), WaveVector(m2, n2),
@@ -357,7 +356,7 @@ def scan_ds(spec, domain, patterns):
     """Every candidate's float d = |Omega| / min |w|, as the scan has it."""
     return np.concatenate([(a / amin).ravel() for _, a, amin in search._scan(
         search._table(spec, domain.truncation), domain, BOTH, True,
-        unpruned(patterns), True)] or [np.empty(0)])
+        unpruned(patterns))] or [np.empty(0)])
 
 
 @st.composite
@@ -419,6 +418,59 @@ def test_pruned_near_search_matches_dense_scan(spec, T, patterns, tile,
         assert fields(pruned_near(spec, domain, patterns, d_max, tile,
                                   gather, block)) == \
             fields(dense_near(spec, domain, patterns, d_max))
+
+
+@given(spec=pruning_specs(), T=st.integers(2, 30),
+       patterns=st.sampled_from(["sum", "all"]),
+       d_max=st.sampled_from([0.3, 10.0, 1e300]),
+       block=st.sampled_from([1, 7, 64]))
+@example(spec=DispersionSpec("gravity_capillary", mu_over_nu=75.0), T=30,
+         patterns="sum", d_max=10.0, block=64)
+def test_tile_blocks_hold_at_most_block_candidates(spec, T, patterns, d_max,
+                                                   block):
+    """Under a loose finite d_max, where most tiles stay live, the tile
+    path keeps the block contract of every closure: each block of
+    ``_both_blocks`` holds at most ``_BLOCK`` candidates (patched small),
+    the blocks run in strictly increasing scan order, and together they
+    keep, bit for bit, the candidates the dense scan keeps."""
+    domain, X = SpectralDomain(T), search._table(spec, T)
+    test = (patterns, math.inf, 0, d_max)
+
+    def select(a, amin):
+        return search._select(a, amin, d_max, None)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_BLOCK", block)
+        got, sizes = flat_blocks(BOTH.blocks(X, domain, True, test))
+        pruned = kept(search._scan(X, domain, BOTH, True, test), select)
+    assert all(0 < size <= block for size in sizes)
+    if got is not None:
+        m1, n1, _, _, m2, n2, _ = got
+        key = ((m1 * (T + 1) + n1) * (T + 1) + m2) * (T + 1) + n2
+        assert (np.diff(key) > 0).all()
+    assert same_columns(pruned, kept(search._scan(
+        X, domain, BOTH, True, unpruned(patterns)), select))
+
+
+def test_loose_ceiling_peaks_as_the_dense_search():
+    """At d_max = 10 on gc75 at T = 40 every candidate passes, and the
+    tile path yields them ``_BLOCK`` at a time: the column search's
+    tracemalloc peak is within 5% of the d_max = inf search, which scans
+    densely (56.0 MB each with numpy 2.4.6; one block of every survivor
+    peaked at 63.6 MB)."""
+    spec, domain = (DispersionSpec("gravity_capillary", mu_over_nu=75.0),
+                    SpectralDomain(40))
+    peaks = []
+    for d_max in (10.0, math.inf):
+        search._sorted_search(spec, SpectralDomain(8), d_max=d_max)
+        tracemalloc.start()
+        try:
+            n = len(search._sorted_search(spec, domain, d_max=d_max))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert n == 304400
+    assert peaks[0] <= 1.05 * peaks[1]
 
 
 @pytest.mark.parametrize("spec", [
@@ -1005,6 +1057,40 @@ def oracle_cascade_path(spec, domain, seed, depth, patterns="sum",
     return steps
 
 
+def scalar_cascade_path(spec, domain, seed, depth, patterns="sum",
+                        closure="auto", n_selection="none"):
+    """cascade_path as it was with its own scalar copy of the sign-pattern
+    rule: the array bridge search's steps, each next triad rebuilt on the
+    kernel table by the first least residual and d = |Omega| / min |w|."""
+    rule = search._dispatch(spec, domain, closure, patterns)
+    passes = classify._n_rule(rule, n_selection)
+    X = search._table(spec, domain.truncation, seed.members())
+    residuals = search.RESIDUALS[:3 if patterns == "all" else 1]
+    visited = {frozenset(seed.members())}
+    current = seed
+    steps = []
+    for _ in range(int(depth)):
+        found = [s for s in classify._minimal_bridges(
+                     X, domain, rule, passes, patterns,
+                     [(current, *pair) for pair in
+                      classify._triad_pairs(current)])
+                 if s is not None]
+        if not found:
+            break
+        step = min(found, key=_step_key)
+        steps.append(step)
+        ks = sorted((*step.donor_pair, step.bridge_wave))
+        if frozenset(ks) in visited:
+            break
+        visited.add(frozenset(ks))
+        ws = tuple(search._omegas(X, *np.array(ks).T).tolist())
+        om, i = min(((r(*ws), i) for i, r in enumerate(residuals)),
+                    key=lambda p: abs(p[0]))
+        d = abs(float(om)) / min(abs(float(w)) for w in ws)
+        current = Triad(*ks, ws, om, d, SIGN_PATTERNS[i])
+    return steps
+
+
 def oracle_candidates(spec, domain, closure, patterns, skip):
     """Every closed candidate as a Triad in scan order: on floats from
     the grid values (the pair loop), on the sphere from Fractions."""
@@ -1117,9 +1203,10 @@ def test_bridge_search_matches_per_pair_oracle(spec, T, patterns, n_selection,
     (source triad, donor pair, wave, signed discrepancy and its type):
     the classifier's admitted bridges, cascades from its seeds, and the
     bridge of every donor pair of drawn candidate triads, resonant or
-    not, whatever its |Omega|.  The draws pick the closure and shape (zonal
-    on the exact path), omega_max among the candidates' nonzero |Omega|,
-    and the candidate triads."""
+    not, whatever its |Omega|.  Cascades two levels deeper (depth >= 3)
+    equal those of the scalar next-triad rebuild.  The draws pick the
+    closure and shape (zonal on the exact path), omega_max among the
+    candidates' nonzero |Omega|, and the candidate triads."""
     shapes = CLOSURE_SHAPES[1:3] if spec.exactness else CLOSURE_SHAPES
     closure, shape = shapes[closure_at % len(shapes)]
     domain = SpectralDomain(T, shape)
@@ -1138,6 +1225,10 @@ def test_bridge_search_matches_per_pair_oracle(spec, T, patterns, n_selection,
         assert steps_fields(cascade_path(spec, domain, seed, depth,
                                          **convention)) == \
             steps_fields(oracle_cascade_path(spec, domain, seed, depth,
+                                             **convention))
+        assert steps_fields(cascade_path(spec, domain, seed, depth + 2,
+                                         **convention)) == \
+            steps_fields(scalar_cascade_path(spec, domain, seed, depth + 2,
                                              **convention))
     triads = [cands[i % len(cands)] for i in picks] if cands else []
     check_every_donor_pair(spec, domain, closure, patterns, n_selection,
@@ -1179,6 +1270,29 @@ def test_bridges_of_donors_past_the_truncation(spec, domain, closure,
                                          closure)) == \
             steps_fields(oracle_cascade_path(spec, domain, seed, depth,
                                              patterns, closure))
+
+
+@pytest.mark.parametrize("spec, domain, closure, patterns, members", [
+    (SPHERE, SpectralDomain(20, "triangular"), "zonal", "sum",
+     ((4, 12), (5, 14), (9, 13))),
+    (SPHERE, SpectralDomain(20, "triangular"), "zonal", "all",
+     ((4, 12), (5, 14), (9, 13))),
+    (DispersionSpec("bve_plane", plane_form="squared"), SpectralDomain(15),
+     "box", "all", ((1, 7), (15, 5), (16, 12)))],
+    ids=["sphere-sum", "sphere-all", "bve-box"])
+def test_cascade_matches_the_scalar_rebuild(spec, domain, closure, patterns,
+                                            members):
+    """Six levels from a resonant seed: every step (its source triad field
+    by field, donor pair, wave and signed discrepancy) equals the scalar
+    next-triad rebuild's, over at least three levels (the sum pattern's
+    sphere path stops at a repeated triad after three)."""
+    ks = [WaveVector(*k) for k in members]
+    seed = _candidate_triad(*ks, tuple(eval_frequency(spec, k).omega
+                                       for k in ks), patterns)
+    got = cascade_path(spec, domain, seed, 6, patterns, closure)
+    assert len(got) >= 3
+    assert steps_fields(got) == steps_fields(scalar_cascade_path(
+        spec, domain, seed, 6, patterns, closure))
 
 
 def test_far_donor_grows_each_table_axis_to_its_reach():
@@ -1369,7 +1483,7 @@ def block_scan(spec, domain, closure, patterns, skip):
     """The same columns from ``search._scan``."""
     out = [[*cand, a, amin] for cand, a, amin in search._scan(
         search._table(spec, domain.truncation), domain,
-        search.CLOSURES[closure], skip, unpruned(patterns), True)]
+        search.CLOSURES[closure], skip, unpruned(patterns))]
     return [np.concatenate(c) for c in zip(*out)] if out else None
 
 
@@ -1504,7 +1618,7 @@ def walk_fields(domain, omega_max, patterns, skip, n_selection):
     float.hex), in scan order."""
     rule = search.CLOSURES["zonal"]
     seeds, hits = classify._walk(
-        SPHERE, search._table(SPHERE, domain.truncation), domain, rule,
+        search._table(SPHERE, domain.truncation), domain, rule,
         classify._n_rule(rule, n_selection), patterns, skip, omega_max)
     return fields(seeds), hit_fields(hits)
 
@@ -1538,7 +1652,7 @@ def test_windowed_zonal_blocks_match_dense_blocks(shape, patterns, skip,
         mp.setattr(search, "_BLOCK", cap)
         X = search._table(SPHERE, T)
         _, a, _ = next(search._scan(X, domain, DENSE_ZONAL, skip,
-                                    unpruned(patterns), False),
+                                    unpruned(patterns)),
                        (None, np.zeros(0), None))
         omegas = np.unique(a[(a > 0) & (a <= 0.01)]).tolist() or [0.01]
         omega_max = omegas[int(q * (len(omegas) - 1))]
@@ -1592,44 +1706,51 @@ def test_pruned_scans_keep_what_the_unpruned_scan_keeps(spec, T, closure_at,
     ``_scan`` with that test the candidates, and their |Omega| bit for bit,
     in order, that it keeps over the scan that prunes nothing; for the
     bound's widened window the ``_least_nonzero`` witness is the unpruned
-    one.  The thresholds are the domain's own d and |Omega|, so they tie."""
+    one.  Both sides hand the selection min |w| as the consumer's own scan
+    does: None on the exact table at a finite tau.  The thresholds are the
+    domain's own d and |Omega|, so they tie."""
     shapes = CLOSURE_SHAPES[1:3] if spec.exactness else CLOSURE_SHAPES
     closure, shape = shapes[closure_at % len(shapes)]
     domain, rule = SpectralDomain(T, shape), search.CLOSURES[closure]
-    X, floats = search._table(spec, T), not spec.exactness
+    X, scan_all = search._table(spec, T), search._scan
 
-    def scan(test, with_min=True):
-        return search._scan(X, domain, rule, skip, test, with_min)
+    def scan(X, domain, rule, skip, test, pruned=True):
+        """The scan under ``test``, or the one that prunes nothing, with
+        the consumer's amin: None on the exact table at a finite tau."""
+        bare = spec.exactness and math.isfinite(test[1])
+        for cand, a, amin in scan_all(X, domain, rule, skip, test if pruned
+                                      else unpruned(test[0])):
+            yield cand, a, None if bare else amin
 
-    every = [(a / amin, a) for _, a, amin in scan(unpruned(patterns))]
+    every = [(a / amin, a) for _, a, amin in
+             scan(X, domain, rule, skip, unpruned(patterns))]
     ds, omegas = (np.unique(v[np.isfinite(v) & (v > 0)]) for v in map(
         np.concatenate, zip((np.ones(1), np.ones(1)), *every)))
     d, omega_max = (v[int(q * (len(v) - 1))] for v in (ds, omegas))
-    for test, with_min, select in [
-            ((patterns, 0, 0, 0), False,
+    for test, select in [
+            ((patterns, 0, 0, 0),
              lambda a, amin: search._select(a, amin, 0, None)),
-            ((patterns, omega_max, 0, None), floats,
+            ((patterns, omega_max, 0, None),
              lambda a, amin: search._select(a, amin, NUMERIC_EXACT_D, None)),
-            ((patterns, omega_max, 0, None), floats,
+            ((patterns, omega_max, 0, None),
              lambda a, amin: (a > 0) & (a <= omega_max)),
-            ((patterns, math.inf, 0, d), True,
+            ((patterns, math.inf, 0, d),
              lambda a, amin: search._select(a, amin, d, None)),
-            ((patterns, math.inf, 0, math.inf), True,
+            ((patterns, math.inf, 0, math.inf),
              lambda a, amin: search._select(a, amin, math.inf, None)),
-            ((patterns, math.inf, 0, None), True,
+            ((patterns, math.inf, 0, None),
              lambda a, amin: search._select(a, amin, None, d))]:
-        assert same_columns(kept(scan(test, with_min), select),
-                            kept(scan(unpruned(patterns), with_min), select))
+        assert same_columns(
+            kept(scan(X, domain, rule, skip, test), select),
+            kept(scan(X, domain, rule, skip, test, False), select))
 
     def witness():
-        t = search._least_nonzero(spec, domain, rule, X)
+        t = search._least_nonzero(domain, rule, X)
         return fields([t] if t else [])
 
-    pruned, scan_all = witness(), search._scan
+    pruned = witness()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_scan", lambda X, domain, rule, skip, test,
-                   with_min: scan_all(X, domain, rule, skip,
-                                      unpruned(test[0]), with_min))
+        mp.setattr(search, "_scan", lambda *args: scan(*args, False))
         assert witness() == pruned
 
 
