@@ -136,8 +136,8 @@ def _walk(X, domain, rule, passes, patterns, skip_equal_n_pairs, omega_max):
     X's frequencies (N == 0; on floats d <= NUMERIC_EXACT_D, the triad's
     own test), and the hits 0 < |Omega| <= omega_max that pass it, as
     arrays (m1, n1, m2, n2, n3, |Omega|).  The exact path reads only the n3
-    where |Omega| <= omega_max can hold."""
-    exact = X.dtype != np.float64
+    where |Omega| <= omega_max can hold, and decides the hits at omega_max,
+    to which a rational above it may round, by one build after the scan."""
     seeds = [[np.zeros(0, np.int64)] * 5]
     hits = [[np.zeros(0, np.int64)] * 5 + [np.zeros(0)]]
     for cand, a, amin in _scan(X, domain, rule, skip_equal_n_pairs,
@@ -147,14 +147,15 @@ def _walk(X, domain, rule, passes, patterns, skip_equal_n_pairs, omega_max):
         if np.count_nonzero(seed):
             seeds.append([c[seed] for c in cand])
         hit = (a > 0) & (a <= omega_max) & ok
-        if exact:  # a rational above omega_max may round down to it
-            ties = hit & (a == omega_max)
-            if np.count_nonzero(ties):
-                tied = _build(X, patterns, [c[ties] for c in cand])
-                hit[ties] = np.abs(tied.discrepancy) <= omega_max
         hits.append([c[hit] for c in (*cand, a)])
-    return (_build(X, patterns, list(map(np.concatenate, zip(*seeds))))
-            .triads(), list(map(np.concatenate, zip(*hits))))
+    seeds = _build(X, patterns, [*map(np.concatenate, zip(*seeds))]).triads()
+    hits = list(map(np.concatenate, zip(*hits)))
+    tie = X.dtype != np.float64 and hits[5] == omega_max  # floats: False
+    if np.count_nonzero(tie):
+        tied = _build(X, patterns, [c[tie] for c in hits[:5]])
+        tie[tie] = np.abs(tied.discrepancy) > omega_max  # now: the misses
+        hits = [c[~tie] for c in hits]
+    return seeds, hits
 
 
 # ---------------------------------------------------------------------------

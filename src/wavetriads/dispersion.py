@@ -229,11 +229,11 @@ class SpectralDomain:
         return T * T if self.shape == "square" else T * (T + 1) // 2
 
     def __contains__(self, k: WaveVector) -> bool:
-        m, n = k
-        T = self.truncation
-        if not (1 <= m <= T and 1 <= n <= T):
+        m, n = k  # integral components only, as modes() yields them
+        if not (_is_positive_int(m) and _is_positive_int(n)):
             return False
-        return self.shape == "square" or m <= n
+        T = self.truncation
+        return m <= T and n <= T and (self.shape == "square" or m <= n)
 
     def modes(self) -> Iterator[WaveVector]:
         T = self.truncation
@@ -338,26 +338,19 @@ def eval_frequency(spec: DispersionSpec, k: WaveVector) -> Frequency:
     return Frequency(_omega(spec, m, n, math))
 
 
-def omega_grid(spec: DispersionSpec, truncation: int) -> np.ndarray:
-    """Frequency table W[m, n] for 1 <= m, n <= truncation as float64:
-    W[m, n] is ``eval_frequency(spec, (m, n)).omega`` bit for bit, the same
-    expression in the same libm arithmetic, evaluated on grids.
+def omega_grid(spec: DispersionSpec, M: int, N: int | None = None) -> np.ndarray:
+    """Frequency table W[m, n] for 1 <= m <= M and 1 <= n <= N (N = M when
+    omitted) as float64: W[m, n] is ``eval_frequency(spec, (m, n)).omega``
+    bit for bit, the same expression in the same libm arithmetic,
+    evaluated on grids.
 
     Index 0 rows/columns are NaN padding so W[m, n] addresses wavenumbers
-    directly.  Used by the vectorised searches.  ``rossby_sphere`` raises
+    directly.  The vectorised searches read it, its axes grown past the
+    truncation to a seed's members.  ``rossby_sphere`` raises
     :class:`DomainError`: its frequencies are exact, and its scan reads the
     integer table a = n(n+1) instead.
     """
-    T = truncation
-    w = np.full((T + 1, T + 1), np.nan, dtype=np.float64)
-    mm = np.arange(1, T + 1, dtype=np.float64)[:, None]
-    nn = np.arange(1, T + 1, dtype=np.float64)[None, :]
-    w[1:, 1:] = _omega(spec, mm, nn, _GRID_MATH)
-    return w
-
-
-def _omega_table(spec: DispersionSpec, M: int, N: int) -> np.ndarray:
-    """:func:`omega_grid` over 1 <= m <= M and 1 <= n <= N."""
+    N = M if N is None else N
     w = np.full((M + 1, N + 1), np.nan, dtype=np.float64)
     mm = np.arange(1, M + 1, dtype=np.float64)[:, None]
     nn = np.arange(1, N + 1, dtype=np.float64)[None, :]

@@ -95,7 +95,6 @@ from .dispersion import (
     OmegaValue,
     SpectralDomain,
     WaveVector,
-    _omega_table,
     check_wavevector,
     eval_frequency,
     omega_grid,
@@ -369,7 +368,7 @@ def _table(spec, T, members=()):
     """The per-mode table over m, n <= T, its m axis grown to the m and its
     n axis to the n of ``members`` (each checked to be a mode), that the
     kernels read and results carry (:func:`.triad._omegas`): a = n(n+1) on
-    the exact path (omega = -2m/a), else ``eval_frequency``'s values."""
+    the exact path (omega = -2m/a), else the omega grid of those extents."""
     M, N = map(max, zip((T, T), *map(check_wavevector, members)))
     if spec.exactness:
         n = np.arange(N + 1, dtype=np.int64)
@@ -377,7 +376,7 @@ def _table(spec, T, members=()):
         if max(6 * M * amax ** 2, amax ** 3) >= _FLOAT_EXACT_LIMIT:
             n = n.astype(object)
         return np.broadcast_to(n * (n + 1), (M + 1, N + 1))
-    return omega_grid(spec, T) if M == N == T else _omega_table(spec, M, N)
+    return omega_grid(spec, M, N)
 
 
 def _float_step(X, m1, n1, w2, w3, m2, m3, patterns, with_min):
@@ -587,21 +586,21 @@ def _least_nonzero(domain, rule, X) -> Triad | None:
     numerically-exact cutoff on floats (rational-valued dispersions leave
     ~1e-17 rounding residue on exact resonances).  The float |Omega| are
     those of the triads (floats) or correctly rounded (exact path), so,
-    rounding being monotone, only the candidates at a block minimum not
-    above the best so far can hold a new least |Omega|; they are built on
-    the table X and compared exactly."""
-    best, best_a = None, math.inf
+    rounding being monotone, the least |Omega| is among those at the least
+    float |Omega|, built once on X after the scan and compared exactly."""
+    low, ties = math.inf, []
     for cand, a, amin in _scan(X, domain, rule, True,
                                (rule.bound_patterns, 0, 1, None)):
         a[_select(a, amin, NUMERIC_EXACT_D, None)] = math.inf
-        low = float(a.min())  # blocks are never empty
-        if low == math.inf or low > best_a:
-            continue
-        tied = _build(X, rule.bound_patterns, [c[a == low] for c in cand])
-        for t in tied.triads():
-            if best is None or abs(t.discrepancy) < abs(best.discrepancy):
-                best, best_a = t, float(abs(t.discrepancy))
-    return best
+        least = float(a.min())  # blocks are never empty
+        if least < low:
+            low, ties = least, []
+        if least == low < math.inf:
+            ties.append([c[a == low] for c in cand])
+    if not ties:
+        return None
+    tied = _build(X, rule.bound_patterns, [*map(np.concatenate, zip(*ties))])
+    return tied.triads()[int(np.argmin(np.abs(tied.discrepancy)))]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from wavetriads import (
     rescale_for_basin,
     to_hz,
 )
-from wavetriads.dispersion import _omega_table, omega_grid
+from wavetriads.dispersion import omega_grid
 from conftest import L2_TRIAD, TYPE_A, gc_spec, wv
 
 TWO_PI = 2.0 * math.pi
@@ -133,6 +133,25 @@ def test_domain_sizes_and_membership():
     assert len(tri) == 28 and len(list(tri.modes())) == 28
     assert wv(5, 3) in sq and wv(5, 3) not in tri
     assert wv(3, 5) in tri
+
+
+COMPONENTS = st.one_of(st.integers(-2, 9), st.integers(-2, 9).map(float),
+                       st.floats(-2.0, 9.0), st.sampled_from(
+                           [math.nan, math.inf, -math.inf, 2.5, 3.0000001]))
+
+
+@given(T=st.integers(1, 7), shape=st.sampled_from(["square", "triangular"]),
+       m=COMPONENTS, n=COMPONENTS, vector=st.booleans())
+@example(T=5, shape="square", m=2.5, n=3, vector=False)
+@example(T=5, shape="triangular", m=2.5, n=3, vector=True)
+@example(T=5, shape="triangular", m=math.nan, n=3, vector=False)
+def test_domain_membership_agrees_with_its_modes(T, shape, m, n, vector):
+    """``k in domain`` holds exactly for the k that ``modes()`` yields:
+    integral components only, whether k is a tuple or a WaveVector, so a
+    fractional or NaN component is never a member."""
+    domain = SpectralDomain(T, shape)
+    k = WaveVector(m, n) if vector else (m, n)
+    assert (k in domain) == (k in set(domain.modes()))
 
 
 @pytest.mark.parametrize("bad", [0, -3, 12.5, math.nan, math.inf])
@@ -339,7 +358,7 @@ def test_grid_and_scalar_match_the_per_kind_expressions(
             assert float.hex(w) == float.hex(oracle_scalar(spec, m, n))
             assert float.hex(float(W[m, n])) == float.hex(w), (m, n)
     M, N = table
-    W = _omega_table(spec, M, N)
+    W = omega_grid(spec, M, N)
     assert W.shape == (M + 1, N + 1)
     assert np.isnan(W[0]).all() and np.isnan(W[:, 0]).all()
     for m in range(1, M + 1):

@@ -494,9 +494,9 @@ def test_pruned_near_search_keeps_ties_with_one_point_tiles(spec, patterns):
 
 def corrupted_grid(cell):
     """omega_grid with the cell (m, n) = cell[:2] mod T, plus 1, set to
-    cell[2]."""
-    def grid(spec, T):
-        W = omega_grid(spec, T)
+    cell[2]; it takes the optional n extent that ``_table`` passes."""
+    def grid(spec, T, N=None):
+        W = omega_grid(spec, T, N)
         W[cell[0] % T + 1, cell[1] % T + 1] = cell[2]
         return W
     return grid
@@ -1369,6 +1369,33 @@ def test_sphere_omega_max_tie_is_decided_on_fractions(T, rounding):
     assert bool(part.modes_in_class(PASSIVE)) == (rounding == "up")
 
 
+@given(T=st.integers(2, 9), shape=st.sampled_from(["triangular", "square"]),
+       patterns=st.sampled_from(["sum", "all"]), skip=st.booleans(),
+       cap=st.sampled_from([7, search._BLOCK]), q=st.floats(0.0, 1.0))
+@example(T=8, shape="triangular", patterns="sum", skip=True, cap=7, q=0.0)
+def test_walk_settles_its_ties_in_one_build(T, shape, patterns, skip, cap,
+                                            q):
+    """On the sphere, with omega_max the float |Omega| of a drawn
+    candidate, so that hits tie with it (at T = 8 the least, whose
+    rational lies above its float), the walk's hits are those of a
+    Fraction oracle that decides every candidate exactly, in scan order.
+    The walk builds twice, however many blocks (``cap``) its ties lie in:
+    its seeds once, its ties once."""
+    domain = SpectralDomain(T, shape)
+    cands = oracle_candidates(SPHERE, domain, "zonal", patterns, skip)
+    values = sorted({float(abs(t.discrepancy)) for t in cands
+                     if t.discrepancy})
+    assume(values)
+    omega_max = values[int(q * (len(values) - 1))]
+    want = [t for t in cands
+            if t.discrepancy != 0 and abs(t.discrepancy) <= omega_max]
+    with pytest.MonkeyPatch.context() as mp, build_calls(classify) as builds:
+        mp.setattr(search, "_BLOCK", cap)
+        hits = ari_hits(SPHERE, domain, omega_max, patterns, "zonal", skip)
+    assert hit_fields(hits) == abs_fields(want)
+    assert len(builds) == 2
+
+
 # -- multi-row blocks against the per-row generators they replaced ---------------
 
 def row_both_blocks(X, domain, skip_equal_n_pairs):
@@ -1681,6 +1708,41 @@ def test_windowed_zonal_blocks_match_dense_blocks(shape, patterns, skip,
 
 # -- the pruning contract: a closure leaves out only what fails the test -------
 
+@contextlib.contextmanager
+def build_calls(module):
+    """The candidate count of every ``_build`` call that ``module`` makes
+    inside the block, in order."""
+    calls, build = [], module._build
+
+    def counting(X, patterns, cand):
+        calls.append(len(cand[0]))
+        return build(X, patterns, cand)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_build", counting)
+        yield calls
+
+
+def per_block_least_nonzero(domain, rule, X):
+    """The bound's witness as the scan found it block by block, the
+    reference of the search that builds its ties once: per block, the
+    candidates at the block's least float |Omega|, if not above the best
+    so far, built on X and compared exactly; the first least wins."""
+    best, best_a = None, math.inf
+    for cand, a, amin in search._scan(X, domain, rule, True,
+                                      (rule.bound_patterns, 0, 1, None)):
+        a[search._select(a, amin, NUMERIC_EXACT_D, None)] = math.inf
+        low = float(a.min())
+        if low == math.inf or low > best_a:
+            continue
+        tied = search._build(X, rule.bound_patterns,
+                             [c[a == low] for c in cand])
+        for t in tied.triads():
+            if best is None or abs(t.discrepancy) < abs(best.discrepancy):
+                best, best_a = t, float(abs(t.discrepancy))
+    return best
+
+
 def kept(scan, select):
     """The columns (m1, n1, m2, n2, n3, |Omega|) of the candidates that
     ``select(a, amin)`` keeps over the blocks of ``scan``, in scan order."""
@@ -1744,11 +1806,17 @@ def test_pruned_scans_keep_what_the_unpruned_scan_keeps(spec, T, closure_at,
             kept(scan(X, domain, rule, skip, test), select),
             kept(scan(X, domain, rule, skip, test, False), select))
 
-    def witness():
-        t = search._least_nonzero(domain, rule, X)
+    def witness(least_nonzero=search._least_nonzero):
+        t = least_nonzero(domain, rule, X)
         return fields([t] if t else [])
 
-    pruned = witness()
+    with build_calls(search) as builds:
+        pruned = witness()
+    assert len(builds) == (1 if pruned else 0)
+    for cap in (search._BLOCK, 7):  # 7: the ties span many blocks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_BLOCK", cap)
+            assert witness() == witness(per_block_least_nonzero) == pruned
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_scan", lambda *args: scan(*args, False))
         assert witness() == pruned
@@ -1768,6 +1836,27 @@ def test_exact_sphere_at_larger_truncations(T, count, bound, witness):
     if witness:
         assert rep.finite_min.witness.key() == tuple(
             WaveVector(*k) for k in witness)
+
+
+@pytest.mark.parametrize("spec, T, shape, closure", [
+    (SPHERE, 20, "triangular", "auto"),
+    (SPHERE, 40, "triangular", "auto"),
+    (DispersionSpec("bve_plane", plane_form="squared"), 15, "square", "box"),
+], ids=["sphere-20", "sphere-40", "bve-box-15"])
+def test_bound_builds_its_ties_once(spec, T, shape, closure):
+    """discrepancy_lower_bound builds the candidates at the least float
+    |Omega| once, after its scan (the block-by-block search built 3 times
+    on the sphere at T = 20 and 10 times at T = 40), and its witness,
+    members, frequencies, discrepancy, d_ratio and signs, is that
+    search's."""
+    domain = SpectralDomain(T, shape)
+    with build_calls(search) as builds:
+        rep = discrepancy_lower_bound(spec, domain, closure)
+    assert len(builds) == 1
+    want = per_block_least_nonzero(domain, search._dispatch(
+        spec, domain, closure), search._table(spec, T))
+    assert fields([rep.finite_min.witness]) == fields([want])
+    assert rep.finite_min.value == abs(want.discrepancy)
 
 
 # -- scan order: the searches need no tie-breaking sort ------------------------
