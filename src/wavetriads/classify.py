@@ -49,7 +49,7 @@ from .search import (
     _step,
     _table,
 )
-from .triad import NUMERIC_EXACT_D, Triad, _build, _omegas, _pattern
+from .triad import NUMERIC_EXACT_D, Triad, _build, _signed
 
 ACTIVE = "active"
 PASSIVE = "passive"
@@ -171,8 +171,8 @@ def _minimal_bridges(X, domain, rule, passes, patterns, donors):
     and are not resonant by :func:`.search._select` are read on the
     kernels' |Omega| of (ka, kb, wave): the triads' own on floats,
     correctly rounded on the exact path.  So a pair's least (|Omega|,
-    (m, n)) lies at its least float |Omega|, keyed there on the residual
-    that :func:`.triad._pattern` gives the ties' frequency arrays on X."""
+    (m, n)) lies at its least float |Omega|, where its ties are ranked on
+    the Omega of :func:`.triad._signed`, which :func:`.triad._build` reads."""
     T = domain.truncation
     D = np.array([(*ka, *kb, *t.k1, *t.k2, *t.k3) for t, ka, kb in donors],
                  dtype=np.int64).reshape(-1, 10)
@@ -193,9 +193,8 @@ def _minimal_bridges(X, domain, rule, passes, patterns, donors):
     steps = [None] * len(donors)
     at = np.flatnonzero(keep & (a == low[p]))
     p, m3, n3 = p[at], m3[at], n3[at]
-    ws = _omegas(X, np.concatenate((ma[p], mb[p], m3)),
-                 np.concatenate((na[p], nb[p], n3))).reshape(3, -1)
-    oms = _pattern(*ws, patterns)[0].tolist()
+    ks = np.array((ma[p], mb[p], m3)), np.array((na[p], nb[p], n3))
+    oms = _signed(X, patterns, ks[0], X[ks])[0].tolist()
     for i, m, n, om in zip(p.tolist(), m3.tolist(), n3.tolist(), oms):
         t, ka, kb = donors[i]
         k = WaveVector(m, n)

@@ -36,33 +36,32 @@ searches select on those arrays and keep what they return as columns
 the public searches make their triads from the columns, and the CLI
 renders the columns themselves.  The classifier reads the scan's arrays.
 The bound's witness is the first triad of least nonzero |Omega| in scan
-order (sum pattern; any pattern under box closure).  The triad records
-and columns live in :mod:`.triad`, the exact table's arithmetic in
-:mod:`.sphere`.
+order (sum pattern; any pattern under box closure).  :mod:`.triad` holds
+the triad records and columns and the residual terms of both number
+systems (:func:`.triad._terms`), which the scan, the build and the bridge
+ties read; :mod:`.sphere` holds the exact table's n3 windows.
 
 * Floats: the table is the omega grid, which holds the ``eval_frequency``
   values bit for bit, and the residuals are the float64 expressions of the
   sign-pattern rule of the triads, so each accept/reject decision is made
   on the |Omega| and d_ratio that the returned triad carries.
 * Exact rationals (the spherical dispersion; zonal closure only, without
-  the self-pair): omega = -2m/a with a = n(n+1); the table holds a, and
-  results carry the ``Fraction`` -2m/a.  Each sign pattern's residual is
-  -2 N / (a1 a2 a3) with the integer N = s1 m1 a2 a3 + s2 m2 a1 a3 +
-  s3 m3 a1 a2, so Omega = 0 is decided by N == 0, never by a tolerance.
-  |Omega| = 2|N| / (a1 a2 a3) is correctly rounded: while 2|N| and
-  a1 a2 a3 are below 2**53 (T up to 455) both are exact in float64 and one
-  division rounds once; beyond, the table holds Python integers and
-  Python's int true division rounds once too.  So the float |Omega| is
-  that of the rational one, d = |Omega| / min |w| is the d_ratio of the
-  rebuilt triad, and the thresholds decide on floats.  As rounding is
-  monotone, a float can misjudge 0 < |Omega| <= omega_max only when it
-  equals omega_max; only those ties are rebuilt on ``Fraction``s.  At
-  fixed m3, omega3 = -2 m3 / a3 is monotone in n3, so the n3 where
-  |Omega| <= tau can hold form one window per pair and sign pattern, in
-  closed form (:mod:`.sphere`).  Zonal blocks read only those under the
-  caller's tau: the exact search's 0, the classifier's omega_max, and the
-  bound's n3 next to the root, decided as above; the near and
-  max-discrepancy searches pass none and read every n3.
+  the self-pair): omega = -2m/a with a = n(n+1), the table holds a, and
+  the terms are the integers m1 a2 a3, m2 a1 a3 and m3 a1 a2, so each
+  sign pattern's Omega is -2 N / (a1 a2 a3) for its integer residual N:
+  Omega = 0 is N == 0, never a tolerance, the least |N| picks the
+  pattern, and a built row makes one ``Fraction`` Omega beside its
+  members' -2m/a.  |Omega| = 2|N| / (a1 a2 a3) is correctly rounded by
+  one division, in float64 while both are below 2**53 (T up to 455), else
+  in Python integers.  So the float |Omega| is that of the rational one,
+  d is the triad's d_ratio, and thresholds decide on floats; rounding is
+  monotone, so only a float equal to omega_max can misjudge
+  0 < |Omega| <= omega_max, and only those ties are built.  At fixed m3,
+  omega3 = -2 m3 / a3 is monotone in n3, so the n3 where |Omega| <= tau
+  can hold form one window per pair and sign pattern, in closed form
+  (:mod:`.sphere`).  Zonal blocks read only those under the caller's tau:
+  the exact search's 0, the classifier's omega_max, and the bound's n3
+  next to the root; the near and max-discrepancy searches read every n3.
 
 Certified tile pruning.  Given a finite d_max ceiling on the float grid
 (``find_near_triads``, and so ``plan_experiment`` and ``geometry_sweep``),
@@ -100,7 +99,7 @@ from .dispersion import (
     omega_grid,
 )
 from .errors import UsageError
-from .sphere import _U, _exact_step, _n3_window
+from .sphere import _U, _n3_window
 from .triad import (  # the triad records, importable from here as before
     NUMERIC_EXACT_D,
     RESIDUALS,
@@ -111,7 +110,7 @@ from .triad import (  # the triad records, importable from here as before
     TriadColumns,
     _build,
     _least_abs,
-    _omegas,
+    _terms,
 )
 
 
@@ -379,19 +378,18 @@ def _table(spec, T, members=()):
     return omega_grid(spec, M, N)
 
 
-def _float_step(X, m1, n1, w2, w3, m2, m3, patterns, with_min):
-    """|Omega| of a block on the float grid X, in the float64 expressions
-    ``RESIDUALS`` that :func:`_pattern` reads too, and min |w| (always)."""
-    w1 = X[m1, n1]
-    return (_least_abs(w1, w2, w3, patterns),
-            np.minimum(np.minimum(np.abs(w2), np.abs(w3)), abs(w1)))
-
-
 def _step(X, m1, n1, x2, x3, m2, m3, patterns, with_min):
-    """|Omega| and min |w| (or None) of a block's triads by the step of the
-    table X's number system: the one place that picks the step."""
-    step = _float_step if X.dtype == np.float64 else _exact_step
-    return step(X, m1, n1, x2, x3, m2, m3, patterns, with_min)
+    """|Omega| and min |w| of a block's triads on the table X: the least
+    |residual| and the least term of their :func:`.triad._terms` on
+    floats; on the exact table 2|N| and 2 min t over a1 a2 a3 (min t only
+    ``with_min``, else None), each correctly rounded by one division."""
+    t1, t2, t3, den = _terms(X, (m1, m2, m3), (X[m1, n1], x2, x3))
+    a = _least_abs(t1, t2, t3, patterns)
+    if den is None or with_min:
+        amin = np.minimum(np.minimum(np.abs(t2), np.abs(t3)), np.abs(t1))
+    if den is None:
+        return a, amin
+    return np.asarray(2 * a / den, float), 2 * amin / den if with_min else None
 
 
 def _scan(X, domain, rule, skip_equal_n_pairs, test):
@@ -577,21 +575,21 @@ def _search(spec, domain, rule, *, patterns, d_max=None, d_min=None,
 
 
 def _least_nonzero(domain, rule, X) -> Triad | None:
-    """Triad with the least nonzero |Omega| under the closure's bound
-    patterns; the first minimum in scan order wins.  On the exact path the
-    scan reads each pair's n3 next to the real root, where its least
-    nonzero |Omega| lies.
-
-    Zeros are N == 0 on the exact path, and d_ratio at or below the
-    numerically-exact cutoff on floats (rational-valued dispersions leave
-    ~1e-17 rounding residue on exact resonances).  The float |Omega| are
-    those of the triads (floats) or correctly rounded (exact path), so,
-    rounding being monotone, the least |Omega| is among those at the least
-    float |Omega|, built once on X after the scan and compared exactly."""
+    """Triad with the least finite nonzero |Omega| under the closure's
+    bound patterns; the first minimum in scan order wins, and a candidate
+    whose |Omega| is inf or NaN (an overflowing grid) is skipped.  On the
+    exact path the scan reads each pair's n3 next to the real root, where
+    its least nonzero |Omega| lies.  Zeros are N == 0 on the exact path,
+    and d_ratio at or below the numerically-exact cutoff on floats
+    (rational-valued dispersions leave ~1e-17 rounding residue on exact
+    resonances).  The float |Omega| are those of the triads (floats) or
+    correctly rounded (exact path), so, rounding being monotone, the least
+    |Omega| is among those at the least float |Omega|, built once on X
+    after the scan and compared exactly."""
     low, ties = math.inf, []
     for cand, a, amin in _scan(X, domain, rule, True,
                                (rule.bound_patterns, 0, 1, None)):
-        a[_select(a, amin, NUMERIC_EXACT_D, None)] = math.inf
+        a[_select(a, amin, NUMERIC_EXACT_D, None) | np.isnan(a)] = math.inf
         least = float(a.min())  # blocks are never empty
         if least < low:
             low, ties = least, []
@@ -709,8 +707,8 @@ def discrepancy_lower_bound(spec: DispersionSpec, domain: SpectralDomain,
 
     apriori = None
     if spec.exactness:
-        modes = np.array(list(domain.modes())).T
-        lcm = math.lcm(*(w.denominator for w in _omegas(X, *modes)))
+        m, n = np.array(list(domain.modes())).T  # -2m/a over a / gcd(2m, a)
+        lcm = math.lcm(*(X[m, n] // np.gcd(2 * m, X[m, n])).tolist())
         apriori = DiscrepancyBound(Fraction(1, lcm * lcm), "rational_1_over_bd")
     best = _least_nonzero(domain, rule, X)
 

@@ -1,30 +1,12 @@
-"""Exact arithmetic of the spherical relation omega = -2m/a on the
-integer table a = n(n+1), as the scan kernel of :mod:`wavetriads.search`
-reads it on the exact path: the correctly rounded |Omega| of a block of
-zonally closed candidates, and the closed-form window of the n3 that can
-meet an |Omega| test."""
+"""The closed-form window of the n3 that can meet an |Omega| test on the
+exact spherical table a = n(n+1) (omega = -2m/a), which the scan kernel of
+:mod:`wavetriads.search` reads on the exact path; the residuals there are
+those of :func:`wavetriads.triad._terms`."""
 
 import numpy as np
 
-from .triad import _least_abs
-
 #: Unit roundoff of float64.
 _U = 2.0 ** -53
-
-
-def _exact_step(X, m1, n1, a2, a3, m2, m3, patterns, with_min):
-    """|Omega| = 2|N| / (a1 a2 a3) of a block on the table a = n(n+1),
-    correctly rounded by one division (int64 operands, below 2**53, become
-    float64 exactly; Python ints divide per element), and min |w| when
-    ``with_min``.  N is the residual of the terms m1 a2 a3, m2 a1 a3 and
-    m3 a1 a2 under the sum pattern, or the least over the sign patterns
-    (:func:`.triad._least_abs`; they share the denominator)."""
-    a1 = X[m1, n1]
-    N = _least_abs(m1 * a2 * a3, m2 * a1 * a3, m3 * a1 * a2, patterns)
-    a = np.asarray(2 * N / (a1 * a2 * a3), dtype=np.float64)
-    if not with_min:
-        return a, None
-    return a, 2.0 * np.minimum(np.minimum(m2 / a2, m3 / a3), m1 / a1)
 
 
 def _n3_window(c1, c2, m3, n_lo, T, patterns, tau, widen):

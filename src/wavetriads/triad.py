@@ -1,7 +1,7 @@
 """Triad records: a vector-closed triad with its frequencies and
-discrepancy, the discrepancy-bound reports, the sign-pattern rule, and
-the columns a scan's candidates are built into on its kernel table, from
-which triads are made."""
+discrepancy, the discrepancy-bound reports, the residual terms of both
+number systems and their sign-pattern rule, and the columns a scan's
+candidates are built into on its kernel table, from which triads are made."""
 
 from __future__ import annotations
 
@@ -94,24 +94,47 @@ def _least_abs(t1, t2, t3, patterns):
     return a
 
 
-def _omegas(X, m, n) -> np.ndarray:
-    """The frequencies of the modes (m, n), integer arrays, on the kernel
-    table X: its float64 values, or Fractions -2m/a on the exact a = n(n+1)."""
+def _omegas(X, m, x) -> np.ndarray:
+    """The frequencies of modes with m components ``m`` and kernel-table
+    values ``x``: x on the float grid, Fractions -2m/a on the exact a."""
     if X.dtype == np.float64:
-        return X[m, n]
-    return np.array(list(map(Fraction, (-2 * m).tolist(), X[m, n].tolist())))
+        return x
+    return np.frompyfunc(Fraction, 2, 1)(-2 * m, x)
 
 
-def _pattern(w1, w2, w3, patterns):
-    """Signed residual, and the index of its sign pattern in SIGN_PATTERNS,
-    of the sum pattern, or of the first pattern of least |Omega| when
+def _terms(X, m, x):
+    """The terms whose RESIDUALS are triads' Omega, and their common
+    denominator, from the members' m = (m1, m2, m3) and table values
+    x = (a1, a2, a3) in X's number system (m1 may be a scalar): x and None
+    on floats; m1 a2 a3, m2 a1 a3, m3 a1 a2 over a1 a2 a3 on the exact
+    a = n(n+1), each pattern's Omega being -2N / (a1 a2 a3)."""
+    if X.dtype == np.float64:
+        return (*x, None)
+    (m1, m2, m3), (a1, a2, a3) = m, x
+    return m1 * a2 * a3, m2 * a1 * a3, m3 * a1 * a2, a1 * a2 * a3
+
+
+def _pattern(t1, t2, t3, patterns):
+    """Residual, and the index of its sign pattern in SIGN_PATTERNS, of the
+    sum pattern, or of the first pattern of least |residual| when
     patterns="all", elementwise on arrays of any numbers."""
-    om, *others = (r(w1, w2, w3) for r in RESIDUALS[:len(
+    om, *others = (r(t1, t2, t3) for r in RESIDUALS[:len(
         SIGN_PATTERNS) if patterns == "all" else 1])
     best = np.zeros(len(om), dtype=np.int64)
     for i, o in enumerate(others, 1):
         less = abs(o) < abs(om)
         om, best = np.where(less, o, om), np.where(less, i, best)
+    return om, best
+
+
+def _signed(X, patterns, m, x):
+    """Omega and its pattern's index (:func:`_pattern` of the :func:`_terms`
+    of members' m and table values x): floats, or one Fraction -2N/(a1 a2 a3)
+    a row, chosen on integers, whose positive denominator keeps the order."""
+    *terms, den = _terms(X, m, x)
+    om, best = _pattern(*terms, patterns)
+    if den is not None:
+        om = np.frompyfunc(Fraction, 2, 1)(-2 * om, den)
     return om, best
 
 
@@ -179,15 +202,13 @@ class TriadColumns:
 
 def _build(X, patterns, cand) -> TriadColumns:
     """The candidates ``cand`` = (m1, n1, m2, n2, n3), arrays in scan
-    order, as columns carrying the table X's frequencies (_omegas): the
-    rule of :func:`_pattern` (the first least |Omega|) and d = |Omega| /
-    min |w| (Python's ``min``: a later |w| wins only if smaller) on
-    arrays.  Callers select a search's candidates block by block and build
-    them once."""
+    order, as columns: the table X's frequencies (:func:`_omegas`), the
+    Omega and pattern of :func:`_signed`, and d = |Omega| / min |w|
+    (Python's ``min``: a later |w| wins only if smaller)."""
     m1, n1, m2, n2, n3 = cand
-    w1, w2, w3 = _omegas(X, np.concatenate((m1, m2, m1 + m2)),
-                         np.concatenate((n1, n2, n3))).reshape(3, -1)
-    om, best = _pattern(w1, w2, w3, patterns)
+    m = np.array((m1, m2, m1 + m2))
+    x = X[m, np.array((n1, n2, n3))]
+    (w1, w2, w3), (om, best) = _omegas(X, m, x), _signed(X, patterns, m, x)
     low = np.abs(w1.astype(float))
     for w in (w2, w3):
         w = np.abs(w.astype(float))

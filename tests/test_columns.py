@@ -60,7 +60,8 @@ def build_oracle(X, patterns, cand, keep) -> list:
     modes = np.flatnonzero(seen)
     ks = list(map(WaveVector, *(c.tolist() for c in np.divmod(modes, R))))
     at = np.searchsorted(modes, key)
-    w1, w2, w3 = _omegas(X, *np.divmod(modes, R))[at].reshape(3, -1)
+    m, n = np.divmod(modes, R)
+    w1, w2, w3 = _omegas(X, m, X[m, n])[at].reshape(3, -1)
     k1, k2, k3 = np.fromiter(ks, object, len(ks))[at].reshape(3, -1)
     signs = SIGN_PATTERNS if patterns == "all" else SIGN_PATTERNS[:1]
     om, *others = (r(w1, w2, w3) for r in RESIDUALS[:len(signs)])

@@ -9,7 +9,8 @@ the same way, whatever blocks its bound cuts the rows into, the multi-row
 scan blocks against the per-row generators they replaced, the exact path's
 n3 windows against the dense zonal generator they bypass, and the
 classifier's array bridge search against the per-pair search it replaced
-(its bridges compared step by step)."""
+(its bridges compared step by step), and the exact path's build and
+bridge ties on integer terms against the ``Fraction`` sums they replaced."""
 
 import contextlib
 import dataclasses
@@ -32,7 +33,7 @@ from wavetriads import (
     find_max_discrepancy_triads,
     find_near_triads,
 )
-from wavetriads import classify, search
+from wavetriads import classify, search, triad
 from wavetriads.dispersion import omega_grid
 from wavetriads.classify import (
     ACTIVE,
@@ -295,6 +296,43 @@ def check_float_bound(spec, domain, closure):
     else:
         assert fields([rep.finite_min.witness]) == fields([want])
         assert rep.finite_min.value == abs(want.discrepancy)
+
+
+def finite_bound_oracle(spec, T):
+    """(|Omega|, k1, k2, k3) of the first ``both``-closed candidate of least
+    finite nonzero sum-pattern |Omega| on the grid, candidate by candidate
+    in scan order: a candidate with an inf or NaN |Omega| is skipped, and
+    so is a numerically exact one."""
+    w = omega_grid(spec, T).tolist()
+    best = None
+    for m1 in range(1, T // 2 + 1):
+        for n1 in range(1, T):
+            for m2 in range(m1, T - m1 + 1):
+                for n2 in range(n1 if m2 == m1 else 1, T - n1 + 1):
+                    ws = (w[m1][n1], w[m2][n2], w[m1 + m2][n1 + n2])
+                    a = abs(ws[0] + ws[1] - ws[2])
+                    if (math.isfinite(a) and a / min(map(abs, ws)) >
+                            NUMERIC_EXACT_D and (best is None or a < best[0])):
+                        best = (a, WaveVector(m1, n1), WaveVector(m2, n2),
+                                WaveVector(m1 + m2, n1 + n2))
+    return best
+
+
+@pytest.mark.parametrize("T", [24, 40])
+def test_bound_skips_non_finite_candidates(T):
+    """On a grid that overflows to inf (mu/nu 1e305) every block holds a
+    candidate with an inf or NaN |Omega|; the bound still finds the least
+    finite nonzero |Omega| (it once skipped every such block and reported
+    none), 2.86e151 at [1,7][8,1][9,8] for both truncations."""
+    spec = DispersionSpec("gravity_capillary", mu_over_nu=1e305)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert not np.isfinite(omega_grid(spec, T)).all()
+        rep = discrepancy_lower_bound(spec, SpectralDomain(T))
+        want = finite_bound_oracle(spec, T)
+    assert (float.hex(rep.finite_min.value), *rep.finite_min.witness.key()) \
+        == (float.hex(want[0]), *want[1:])
+    assert str(rep.finite_min.witness) == "[1,7][8,1][9,8]"
+    assert rep.finite_min.value == 2.860450478672972e+151
 
 
 @given(spec=st.sampled_from(FLOAT_SPECS), T=st.integers(1, 9))
@@ -800,13 +838,18 @@ def test_exact_kernel_matches_fraction_loop(T, shape, skip, patterns, data):
 
 @given(T=st.integers(1, 20), shape=st.sampled_from(["triangular", "square"]))
 def test_exact_bound_matches_fraction_loop(T, shape):
-    """The first least nonzero sum-pattern |Omega| over every candidate."""
+    """The first least nonzero sum-pattern |Omega| over every candidate,
+    and the a-priori bound 1 / lcm^2 over the modes' Fraction
+    denominators."""
     domain = SpectralDomain(T, shape)
     best = None
     for k1, k2, k3, ws, om in sphere_candidates(domain, True):
         if om != 0 and (best is None or abs(om) < abs(best[-1])):
             best = (k1, k2, k3, ws, om)
     rep = discrepancy_lower_bound(SPHERE, domain)
+    lcm = math.lcm(*(eval_frequency(SPHERE, k).omega.denominator
+                     for k in domain.modes()))
+    assert rep.apriori.value == Fraction(1, lcm * lcm)
     if best is None:
         assert rep.finite_min is None
     else:
@@ -830,6 +873,7 @@ def test_exact_kernel_python_int_fallback(shape, monkeypatch):
                 hit_fields(ari_hits(SPHERE, domain, 0.03)),
                 fields([discrepancy_lower_bound(SPHERE, domain)
                         .finite_min.witness]),
+                _num(discrepancy_lower_bound(SPHERE, domain).apriori.value),
                 partition_fields(classify_modes(SPHERE, domain, 0.03,
                                                 patterns="all"))]
 
@@ -852,8 +896,8 @@ def test_exact_step_beyond_2_53_matches_fraction(m1, n1, k2s, patterns):
     X = search._table(SPHERE, 3000)
     assert X.dtype == object
     m2, n2, n3 = (np.array(c, dtype=np.int64) for c in zip(*k2s))
-    a, amin = search._exact_step(X, m1, n1, X[m2, n2], X[m1 + m2, n3], m2,
-                                 m1 + m2, patterns, True)
+    a, amin = search._step(X, m1, n1, X[m2, n2], X[m1 + m2, n3], m2,
+                           m1 + m2, patterns, True)
     for i, (m, n, nw) in enumerate(k2s):
         ks = (WaveVector(m1, n1), WaveVector(m, n), WaveVector(m1 + m, nw))
         t = _candidate_triad(*ks, tuple(eval_frequency(SPHERE, k).omega
@@ -861,6 +905,148 @@ def test_exact_step_beyond_2_53_matches_fraction(m1, n1, k2s, patterns):
         assert math.prod(k.n * (k.n + 1) for k in ks) >= 2 ** 53
         assert float.hex(float(a[i])) == float.hex(float(abs(t.discrepancy)))
         assert float(a[i]) / float(amin[i]) == t.d_ratio
+
+
+# -- exact sphere: integer terms against the Fraction sums they replaced -----
+
+def fraction_omegas(X, m, n):
+    """The members' frequencies as the exact path made them: one Fraction
+    -2m/a per mode (m, n) of the integer arrays m and n, a = X[m, n]."""
+    return np.array(list(map(Fraction, (-2 * m).tolist(), X[m, n].tolist())))
+
+
+def fraction_pattern(w1, w2, w3, patterns):
+    """The sign-pattern rule on object arrays of the members' Fractions,
+    as the exact path's build and bridge ties applied it before they chose
+    patterns on integer terms: the sum pattern's residual, or the first of
+    least |Omega|, and its index in SIGN_PATTERNS."""
+    om, *others = (r(w1, w2, w3) for r in
+                   search.RESIDUALS[:3 if patterns == "all" else 1])
+    best = np.zeros(len(om), dtype=np.int64)
+    for i, o in enumerate(others, 1):
+        less = abs(o) < abs(om)
+        om, best = np.where(less, o, om), np.where(less, i, best)
+    return om, best
+
+
+def fraction_signed(X, patterns, m1, n1, m2, n2, m3, n3):
+    """The bridge ties' residual and pattern as they were: the pattern
+    rule on the members' Fraction frequencies read from X."""
+    return fraction_pattern(*fraction_omegas(X, np.concatenate((m1, m2, m3)),
+                                             np.concatenate((n1, n2, n3)))
+                            .reshape(3, -1), patterns)
+
+
+def fraction_build(X, patterns, cand):
+    """``triad._build`` as it was: every residual summed from the members'
+    Fraction frequencies."""
+    m1, n1, m2, n2, n3 = cand
+    w1, w2, w3 = fraction_omegas(X, np.concatenate((m1, m2, m1 + m2)),
+                                 np.concatenate((n1, n2, n3))).reshape(3, -1)
+    om, best = fraction_pattern(w1, w2, w3, patterns)
+    low = np.abs(w1.astype(float))
+    for w in (w2, w3):
+        w = np.abs(w.astype(float))
+        low = np.where(w < low, w, low)
+    return triad.TriadColumns(m1, n1, m2, n2, n3, w1, w2, w3, om,
+                              np.abs(om.astype(float)) / low, best)
+
+
+def column_rows(cols):
+    """Columns as rows: the members and the pattern index, the
+    frequencies and the discrepancy by type and exact value, and d_ratio
+    by ``float.hex``."""
+    return list(zip(*(c.tolist() for c in (cols.m1, cols.n1, cols.m2,
+                                            cols.n2, cols.n3, cols.pattern)),
+                    *(map(_num, c.tolist()) for c in (
+                        cols.w1, cols.w2, cols.w3, cols.discrepancy)),
+                    map(float.hex, cols.d_ratio.tolist())))
+
+
+@contextlib.contextmanager
+def no_fraction_patterns():
+    """Fail if ``_pattern`` (as ``triad._signed`` reads it) or
+    ``_least_abs`` (as ``search._step`` reads it) is handed a ``Fraction``
+    inside the block."""
+    def guard(f):
+        def checked(*args):
+            assert not any(isinstance(v, Fraction) for t in args[:3]
+                           for v in np.ravel(t).tolist())
+            return f(*args)
+        return checked
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(triad, "_pattern", guard(triad._pattern))
+        mp.setattr(search, "_least_abs", guard(search._least_abs))
+        yield
+
+
+def check_integer_terms(X, domain, patterns, cand, pairs):
+    """``_build`` of the candidates ``cand`` and ``_signed`` of the zonal
+    completions in ``domain`` of the donor ``pairs`` (ma, na, mb, nb),
+    which the bridge search ranks its ties by, against their Fraction
+    forms, field by field; no Fraction reaches the pattern rule."""
+    with no_fraction_patterns():
+        got = triad._build(X, patterns, cand)
+    assert column_rows(got) == column_rows(fraction_build(X, patterns, cand))
+    ma, na, mb, nb = pairs
+    m3, n3 = search.CLOSURES["zonal"].waves(ma, na, mb, nb,
+                                            domain.truncation, patterns)
+    p, j = np.nonzero((m3 >= 1) & (m3 <= domain.truncation) & (n3 >= (
+        m3 if domain.shape == "triangular" else 1)))
+    ties = (ma[p], na[p], mb[p], nb[p], m3[p, j], n3[p, j])
+    m, n = np.stack(ties[::2]), np.stack(ties[1::2])
+    with no_fraction_patterns():
+        om, best = triad._signed(X, patterns, m, X[m, n])
+    want_om, want_best = fraction_signed(X, patterns, *ties)
+    assert [_num(v) for v in om.tolist()] == [_num(v) for v in
+                                              want_om.tolist()]
+    assert best.tolist() == want_best.tolist()
+
+
+@given(T=st.integers(1, 12), shape=st.sampled_from(["square", "triangular"]),
+       patterns=st.sampled_from(["sum", "all"]), skip=st.booleans(),
+       picks=st.lists(st.integers(0, 2 ** 16), max_size=16))
+def test_integer_build_matches_the_fraction_build(T, shape, patterns, skip,
+                                                  picks):
+    """The exact path's build and bridge ties on integer terms against
+    the Fraction forms they replaced, kept above: every zonal candidate of
+    the domain, scanned with no Fraction reaching the step, built as
+    columns, and the completions of drawn donor pairs ranked as the bridge
+    search ranks its ties."""
+    domain = SpectralDomain(T, shape)
+    X = search._table(SPHERE, T)
+    with no_fraction_patterns():
+        cand = [np.concatenate(c) for c in zip([np.zeros(0, np.int64)] * 5, *(
+            c for c, _, _ in search._scan(X, domain, search.CLOSURES["zonal"],
+                                          skip, unpruned(patterns))))]
+    at = np.array(picks, dtype=np.int64) % max(cand[0].size, 1)
+    if not cand[0].size:
+        at = at[:0]
+    check_integer_terms(X, domain, patterns, cand,
+                        [c[at] for c in cand[:4]])
+
+
+@pytest.mark.parametrize("patterns", ["sum", "all"])
+def test_integer_terms_past_the_int64_table(patterns):
+    """A member with n = 500 grows the table past the float-exact bound,
+    so the terms are Python integers: the build of candidates with that
+    member and the ties of its donor pairs against the Fraction forms,
+    and the bridge search over those pairs against the per-pair oracle."""
+    domain = SpectralDomain(12, "triangular")
+    far = WaveVector(3, 500)
+    X = search._table(SPHERE, 12, [far])
+    assert X.dtype == object and X.shape == (13, 501)
+    modes = np.array([k for k in domain.modes() if k.m + far.m <= 12]).T
+    m1, n1 = np.repeat(modes, 4, axis=1)
+    n3 = np.tile([far.m + 1, 12, 499, 500], modes.shape[1])
+    far_m, far_n = np.full_like(m1, far.m), np.full_like(m1, far.n)
+    check_integer_terms(X, domain, patterns, (m1, n1, far_m, far_n, n3),
+                        (m1, n1, far_m, far_n))
+    ks = [WaveVector(1, 2), far, WaveVector(4, 400)]
+    seed = _candidate_triad(*ks, tuple(eval_frequency(SPHERE, k).omega
+                                       for k in ks), patterns)
+    check_every_donor_pair(SPHERE, domain, "zonal", patterns, "none", [seed])
 
 
 # -- the classifier: the Triad-based passive pass -----------------------------
@@ -1083,7 +1269,8 @@ def scalar_cascade_path(spec, domain, seed, depth, patterns="sum",
         if frozenset(ks) in visited:
             break
         visited.add(frozenset(ks))
-        ws = tuple(search._omegas(X, *np.array(ks).T).tolist())
+        m, n = np.array(ks).T
+        ws = tuple(triad._omegas(X, m, X[m, n]).tolist())
         om, i = min(((r(*ws), i) for i, r in enumerate(residuals)),
                     key=lambda p: abs(p[0]))
         d = abs(float(om)) / min(abs(float(w)) for w in ws)
