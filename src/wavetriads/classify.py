@@ -46,10 +46,9 @@ from .search import (
     _dispatch,
     _scan,
     _select,
-    _step,
     _table,
 )
-from .triad import NUMERIC_EXACT_D, Triad, _build, _signed
+from .triad import NUMERIC_EXACT_D, Triad, _build, _signed, _step
 
 ACTIVE = "active"
 PASSIVE = "passive"
@@ -169,10 +168,12 @@ def _minimal_bridges(X, domain, rule, passes, patterns, donors):
     triads), in one array pass on the kernel table X, which covers the
     donors.  The completions in the domain that are no triad member, pass
     and are not resonant by :func:`.search._select` are read on the
-    kernels' |Omega| of (ka, kb, wave): the triads' own on floats,
-    correctly rounded on the exact path.  So a pair's least (|Omega|,
-    (m, n)) lies at its least float |Omega|, where its ties are ranked on
-    the Omega of :func:`.triad._signed`, which :func:`.triad._build` reads."""
+    |Omega| of (ka, kb, wave) by :func:`.triad._step`, the scan's and the
+    build's: the triads' own on floats, correctly rounded on the exact
+    path.  So a pair's least (|Omega|, (m, n)) lies at its least float
+    |Omega|, where its ties are ranked on the Omega of
+    :func:`.triad._signed`, which :func:`.triad._build` reads.  A NaN
+    |Omega| (an inf or NaN cell) skips its completion, not its pair."""
     T = domain.truncation
     D = np.array([(*ka, *kb, *t.k1, *t.k2, *t.k3) for t, ka, kb in donors],
                  dtype=np.int64).reshape(-1, 10)
@@ -189,7 +190,7 @@ def _minimal_bridges(X, domain, rule, passes, patterns, donors):
                     patterns, False)  # floats carry min |w| anyway
     keep = ~_select(a, amin, NUMERIC_EXACT_D, None)
     low = np.full(len(donors), np.inf)
-    np.minimum.at(low, p[keep], a[keep])
+    np.fmin.at(low, p[keep], a[keep])  # NaN is no pair's least
     steps = [None] * len(donors)
     at = np.flatnonzero(keep & (a == low[p]))
     p, m3, n3 = p[at], m3[at], n3[at]

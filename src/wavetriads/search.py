@@ -37,9 +37,10 @@ the public searches make their triads from the columns, and the CLI
 renders the columns themselves.  The classifier reads the scan's arrays.
 The bound's witness is the first triad of least nonzero |Omega| in scan
 order (sum pattern; any pattern under box closure).  :mod:`.triad` holds
-the triad records and columns and the residual terms of both number
-systems (:func:`.triad._terms`), which the scan, the build and the bridge
-ties read; :mod:`.sphere` holds the exact table's n3 windows.
+the triad records and columns, the residual terms of both number systems
+(:func:`.triad._terms`) and the one step of |Omega| and min |w| that the
+scan, the build and the bridge search read (:func:`.triad._step`);
+:mod:`.sphere` holds the exact table's n3 windows.
 
 * Floats: the table is the omega grid, which holds the ``eval_frequency``
   values bit for bit, and the residuals are the float64 expressions of the
@@ -54,7 +55,8 @@ ties read; :mod:`.sphere` holds the exact table's n3 windows.
   members' -2m/a.  |Omega| = 2|N| / (a1 a2 a3) is correctly rounded by
   one division, in float64 while both are below 2**53 (T up to 455), else
   in Python integers.  So the float |Omega| is that of the rational one,
-  d is the triad's d_ratio, and thresholds decide on floats; rounding is
+  d is the triad's d_ratio (the build's own step, with no ``Fraction``
+  read as a float), and thresholds decide on floats; rounding is
   monotone, so only a float equal to omega_max can misjudge
   0 < |Omega| <= omega_max, and only those ties are built.  At fixed m3,
   omega3 = -2 m3 / a3 is monotone in n3, so the n3 where |Omega| <= tau
@@ -109,8 +111,7 @@ from .triad import (  # the triad records, importable from here as before
     Triad,
     TriadColumns,
     _build,
-    _least_abs,
-    _terms,
+    _step,
 )
 
 
@@ -376,20 +377,6 @@ def _table(spec, T, members=()):
             n = n.astype(object)
         return np.broadcast_to(n * (n + 1), (M + 1, N + 1))
     return omega_grid(spec, M, N)
-
-
-def _step(X, m1, n1, x2, x3, m2, m3, patterns, with_min):
-    """|Omega| and min |w| of a block's triads on the table X: the least
-    |residual| and the least term of their :func:`.triad._terms` on
-    floats; on the exact table 2|N| and 2 min t over a1 a2 a3 (min t only
-    ``with_min``, else None), each correctly rounded by one division."""
-    t1, t2, t3, den = _terms(X, (m1, m2, m3), (X[m1, n1], x2, x3))
-    a = _least_abs(t1, t2, t3, patterns)
-    if den is None or with_min:
-        amin = np.minimum(np.minimum(np.abs(t2), np.abs(t3)), np.abs(t1))
-    if den is None:
-        return a, amin
-    return np.asarray(2 * a / den, float), 2 * amin / den if with_min else None
 
 
 def _scan(X, domain, rule, skip_equal_n_pairs, test):

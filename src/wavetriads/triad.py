@@ -1,7 +1,7 @@
 """Triad records: a vector-closed triad with its frequencies and
 discrepancy, the discrepancy-bound reports, the residual terms of both
-number systems and their sign-pattern rule, and the columns a scan's
-candidates are built into on its kernel table, from which triads are made."""
+number systems, their sign-pattern rule and the one step of |Omega| and
+min |w|, and the columns that candidates are built into and triads read."""
 
 from __future__ import annotations
 
@@ -114,6 +114,20 @@ def _terms(X, m, x):
     return m1 * a2 * a3, m2 * a1 * a3, m3 * a1 * a2, a1 * a2 * a3
 
 
+def _step(X, m1, n1, x2, x3, m2, m3, patterns, with_min):
+    """|Omega| and min |w| of triads on the table X, for the scan, build
+    and bridges: the least |residual| and term of their :func:`_terms` on
+    floats; on the exact table 2|N| and 2 min t over a1 a2 a3 (min t only
+    ``with_min``), each correctly rounded by one division."""
+    t1, t2, t3, den = _terms(X, (m1, m2, m3), (X[m1, n1], x2, x3))
+    a = _least_abs(t1, t2, t3, patterns)
+    if den is None or with_min:
+        amin = np.minimum(np.minimum(np.abs(t2), np.abs(t3)), np.abs(t1))
+    if den is None:
+        return a, amin
+    return np.asarray(2 * a / den, float), 2 * amin / den if with_min else None
+
+
 def _pattern(t1, t2, t3, patterns):
     """Residual, and the index of its sign pattern in SIGN_PATTERNS, of the
     sum pattern, or of the first pattern of least |residual| when
@@ -203,15 +217,12 @@ class TriadColumns:
 def _build(X, patterns, cand) -> TriadColumns:
     """The candidates ``cand`` = (m1, n1, m2, n2, n3), arrays in scan
     order, as columns: the table X's frequencies (:func:`_omegas`), the
-    Omega and pattern of :func:`_signed`, and d = |Omega| / min |w|
-    (Python's ``min``: a later |w| wins only if smaller)."""
+    Omega and pattern of :func:`_signed`, and d = |Omega| / min |w| from
+    the scan's own :func:`_step`, so no Fraction is read as a float."""
     m1, n1, m2, n2, n3 = cand
     m = np.array((m1, m2, m1 + m2))
     x = X[m, np.array((n1, n2, n3))]
-    (w1, w2, w3), (om, best) = _omegas(X, m, x), _signed(X, patterns, m, x)
-    low = np.abs(w1.astype(float))
-    for w in (w2, w3):
-        w = np.abs(w.astype(float))
-        low = np.where(w < low, w, low)
-    return TriadColumns(m1, n1, m2, n2, n3, w1, w2, w3, om,
-                        np.abs(om.astype(float)) / low, best)
+    a, amin = _step(X, m1, n1, x[1], x[2], m2, m[2], patterns, True)
+    om, best = _signed(X, patterns, m, x)
+    return TriadColumns(m1, n1, m2, n2, n3, *_omegas(X, m, x), om,
+                        np.asarray(a / amin, float), best)

@@ -565,6 +565,53 @@ def test_pruning_is_safe_on_grids_with_inf_or_nan(T, patterns, cell, d_max):
                 fields(dense_near(spec, domain, patterns, d_max, freqs))
 
 
+#: A corrupted_grid cell: its (m, n), wrapped into the grid, and a NaN,
+#: an infinity or a value whose sums overflow.
+CORRUPT_CELLS = st.tuples(st.integers(0, 99), st.integers(0, 99),
+                          st.sampled_from([math.nan, math.inf, -math.inf,
+                                           1e308]))
+
+
+def corrupted_bound_oracle(W, domain, closure):
+    """(|Omega|, k1, k2, k3) of the first candidate of least finite nonzero
+    |Omega| on the grid W under the closure's bound patterns (any sign
+    pattern under box, else the sum), candidate by candidate in scan
+    order: a candidate with an inf or NaN |Omega| is skipped, and so is a
+    numerically exact one."""
+    w = W.tolist()
+    best = None
+    for ks in closed_candidates(domain, closure):
+        ws = tuple(w[k.m][k.n] for k in ks)
+        a = abs(_residual(ws, "all" if closure == "box" else "sum")[0])
+        if (math.isfinite(a) and a / min(map(abs, ws)) > NUMERIC_EXACT_D
+                and (best is None or a < best[0])):
+            best = (a, *ks)
+    return best
+
+
+@given(spec=st.sampled_from(FLOAT_SPECS), T=st.integers(1, 12),
+       closure=st.sampled_from(["both", "zonal", "box"]),
+       shape=st.sampled_from(["square", "triangular"]), cell=CORRUPT_CELLS)
+def test_bound_skips_non_finite_candidates_on_corrupted_grids(spec, T, closure,
+                                                              shape, cell):
+    """The bound on a grid with one NaN, inf, -inf or 1e308 cell, under
+    every closure (box reads all sign patterns; only zonal closure takes a
+    triangular domain): each non-finite candidate is skipped on its own,
+    never its block, and the witness is the oracle's."""
+    domain = SpectralDomain(T, shape if closure == "zonal" else "square")
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "omega_grid", corrupted_grid(cell))
+        rep = discrepancy_lower_bound(spec, domain, closure=closure)
+        want = corrupted_bound_oracle(search._table(spec, T), domain, closure)
+    if want is None:
+        assert rep.finite_min is None
+    else:
+        assert (float.hex(rep.finite_min.value),
+                *rep.finite_min.witness.key()) == (float.hex(want[0]),
+                                                   *want[1:])
+
+
 @contextlib.contextmanager
 def bound_calls():
     """Every ``_live_tiles`` call made inside the block, in order, as
@@ -966,7 +1013,7 @@ def column_rows(cols):
 @contextlib.contextmanager
 def no_fraction_patterns():
     """Fail if ``_pattern`` (as ``triad._signed`` reads it) or
-    ``_least_abs`` (as ``search._step`` reads it) is handed a ``Fraction``
+    ``_least_abs`` (as ``triad._step`` reads it) is handed a ``Fraction``
     inside the block."""
     def guard(f):
         def checked(*args):
@@ -977,7 +1024,18 @@ def no_fraction_patterns():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(triad, "_pattern", guard(triad._pattern))
-        mp.setattr(search, "_least_abs", guard(search._least_abs))
+        mp.setattr(triad, "_least_abs", guard(triad._least_abs))
+        yield
+
+
+@contextlib.contextmanager
+def no_fraction_floats():
+    """Fail if a ``Fraction`` is converted to a float inside the block."""
+    def refuse(self):
+        raise AssertionError(f"float({self!r})")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__float__", refuse)
         yield
 
 
@@ -985,8 +1043,9 @@ def check_integer_terms(X, domain, patterns, cand, pairs):
     """``_build`` of the candidates ``cand`` and ``_signed`` of the zonal
     completions in ``domain`` of the donor ``pairs`` (ma, na, mb, nb),
     which the bridge search ranks its ties by, against their Fraction
-    forms, field by field; no Fraction reaches the pattern rule."""
-    with no_fraction_patterns():
+    forms, field by field; no Fraction reaches the pattern rule, and the
+    build reads none as a float (it takes d from the scan's step)."""
+    with no_fraction_patterns(), no_fraction_floats():
         got = triad._build(X, patterns, cand)
     assert column_rows(got) == column_rows(fraction_build(X, patterns, cand))
     ma, na, mb, nb = pairs
@@ -996,7 +1055,7 @@ def check_integer_terms(X, domain, patterns, cand, pairs):
         m3 if domain.shape == "triangular" else 1)))
     ties = (ma[p], na[p], mb[p], nb[p], m3[p, j], n3[p, j])
     m, n = np.stack(ties[::2]), np.stack(ties[1::2])
-    with no_fraction_patterns():
+    with no_fraction_patterns(), no_fraction_floats():
         om, best = triad._signed(X, patterns, m, X[m, n])
     want_om, want_best = fraction_signed(X, patterns, *ties)
     assert [_num(v) for v in om.tolist()] == [_num(v) for v in
@@ -1157,10 +1216,20 @@ ORACLE_COMPLETIONS = {
 }
 
 
+def _nan_least_residual(ws, patterns):
+    """Whether the least |residual| of the frequencies ``ws`` over the sign
+    patterns is NaN, as IEEE minimum makes it when any residual is: a NaN
+    member, or inf - inf from a donor pair's two infinite members."""
+    return isinstance(ws[2], float) and any(
+        math.isnan(s1 * ws[0] + s2 * ws[1] + s3 * ws[2])
+        for s1, s2, s3 in SIGN_PATTERNS[:3 if patterns == "all" else 1])
+
+
 def oracle_minimal_bridge(domain, triad, donor_pair, patterns, closure,
                           passes, freqs):
     """The minimal bridge of one donor pair, completion by completion, on
-    the scalar frequencies of the memo ``freqs``."""
+    the scalar frequencies of the memo ``freqs``; a completion whose least
+    |residual| is NaN is skipped."""
     ka, kb = donor_pair
     members = set(triad.members())
     wa, wb = freqs[ka], freqs[kb]
@@ -1169,6 +1238,8 @@ def oracle_minimal_bridge(domain, triad, donor_pair, patterns, closure,
         if w in members or not passes(ka.n, kb.n, w.n):
             continue
         ws = (wa, wb, freqs[w])
+        if _nan_least_residual(ws, patterns):  # skip the completion only
+            continue
         om, _ = _residual(ws, patterns)
         # A resonant completion is no near one, by the triad's own rule:
         # a rational zero, or on floats d <= NUMERIC_EXACT_D (numerically
@@ -1434,6 +1505,71 @@ def test_bridge_ties_break_on_the_least_wave(spec, shape, patterns):
     check_every_donor_pair(spec, domain, "zonal", patterns, "none",
                            oracle_candidates(spec, domain, "zonal", patterns,
                                              False))
+
+
+def corrupted_bridges(spec, domain, closure, patterns, cell, triads):
+    """The array bridge search over every donor pair of ``triads`` on the
+    grid with the corrupted ``cell``, and the per-pair oracle on the same
+    frequencies, as step fields."""
+    donors = [(t, *pair) for t in triads for pair in classify._triad_pairs(t)]
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "omega_grid", corrupted_grid(cell))
+        rule = search._dispatch(spec, domain, closure, patterns)
+        got = classify._minimal_bridges(
+            search._table(spec, domain.truncation), domain, rule,
+            classify._n_rule(rule, "none"), patterns, donors)
+    _, passes, freqs = _oracle_convention(spec, closure, "none")
+    T = domain.truncation
+    freqs[WaveVector(cell[0] % T + 1, cell[1] % T + 1)] = cell[2]
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = [oracle_minimal_bridge(domain, t, (ka, kb), patterns, closure,
+                                      passes, freqs) for t, ka, kb in donors]
+    return steps_fields(got), steps_fields(want)
+
+
+def test_nan_completion_keeps_its_pairs_bridge():
+    """On the bve square (squared form) at T = 12 the donor pair
+    ([1,2], [2,4]) of the seed [1,2][2,4][3,1] bridges at [3,2]; a NaN at
+    the completion (3,3) once hid that bridge (the pair's least |Omega|
+    became NaN), and is now skipped on its own."""
+    spec = DispersionSpec("bve_plane", plane_form="squared")
+    domain = SpectralDomain(12)
+    ks = (WaveVector(1, 2), WaveVector(2, 4), WaveVector(3, 1))
+    seed = _candidate_triad(*ks, tuple(eval_frequency(spec, k).omega
+                                       for k in ks), "sum")
+    assert seed.is_exact
+    got, want = corrupted_bridges(spec, domain, "zonal", "sum",
+                                  (2, 2, math.nan), [seed])
+    assert got == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "omega_grid", corrupted_grid((2, 2, math.nan)))
+        step = minimal_near_resonant(spec, domain, seed, ks[:2], "sum",
+                                     "zonal")
+    assert step.bridge_wave == WaveVector(3, 2)
+    assert step.abs_discrepancy == pytest.approx(0.0692, abs=1e-4)
+
+
+@given(spec=st.sampled_from(FLOAT_SPECS), T=st.integers(1, 12),
+       closure_at=st.integers(0, 3), patterns=st.sampled_from(["sum", "all"]),
+       cell=CORRUPT_CELLS,
+       picks=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=8))
+@example(spec=DispersionSpec("capillary"), T=2, closure_at=1,
+         patterns="all", cell=(0, 0, math.inf), picks=[0])
+def test_bridge_search_on_corrupted_grids(spec, T, closure_at, patterns, cell,
+                                          picks):
+    """The bridge of every donor pair of drawn candidate triads on a grid
+    with one NaN, inf, -inf or 1e308 cell, against the per-pair oracle on
+    the same frequencies: a NaN completion is skipped, not its pair.  The
+    example's self-pair (1,1)+(1,1) reads the inf cell twice, so two of
+    the sign patterns give its completions inf - inf."""
+    closure, shape = CLOSURE_SHAPES[closure_at % len(CLOSURE_SHAPES)]
+    domain = SpectralDomain(T, shape)
+    cands = oracle_candidates(spec, domain, closure, patterns, False)
+    assume(cands)
+    got, want = corrupted_bridges(spec, domain, closure, patterns, cell,
+                                  [cands[i % len(cands)] for i in picks])
+    assert got == want
 
 
 @pytest.mark.parametrize("spec, domain, closure, patterns, members", [
