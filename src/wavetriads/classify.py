@@ -168,12 +168,12 @@ def _minimal_bridges(X, domain, rule, passes, patterns, donors):
     triads), in one array pass on the kernel table X, which covers the
     donors.  The completions in the domain that are no triad member, pass
     and are not resonant by :func:`.search._select` are read on the
-    |Omega| of (ka, kb, wave) by :func:`.triad._step`, the scan's and the
-    build's: the triads' own on floats, correctly rounded on the exact
-    path.  So a pair's least (|Omega|, (m, n)) lies at its least float
-    |Omega|, where its ties are ranked on the Omega of
-    :func:`.triad._signed`, which :func:`.triad._build` reads.  A NaN
-    |Omega| (an inf or NaN cell) skips its completion, not its pair."""
+    |Omega| of (ka, kb, wave) by :func:`.triad._step`, the scan's, whose
+    rounding the build shares: the triads' own on floats, correctly rounded
+    on the exact path.  So a pair's least (|Omega|, (m, n)) lies at its
+    least float |Omega|, where its ties are ranked (:func:`_step_key`) on
+    the Omega of :func:`.triad._signed`, formed as the build forms it.  A
+    NaN |Omega| (an inf or NaN cell) skips its completion, not its pair."""
     T = domain.truncation
     D = np.array([(*ka, *kb, *t.k1, *t.k2, *t.k3) for t, ka, kb in donors],
                  dtype=np.int64).reshape(-1, 10)
@@ -197,11 +197,9 @@ def _minimal_bridges(X, domain, rule, passes, patterns, donors):
     ks = np.array((ma[p], mb[p], m3)), np.array((na[p], nb[p], n3))
     oms = _signed(X, patterns, ks[0], X[ks])[0].tolist()
     for i, m, n, om in zip(p.tolist(), m3.tolist(), n3.tolist(), oms):
-        t, ka, kb = donors[i]
-        k = WaveVector(m, n)
-        if steps[i] is None or (abs(om), k) < (
-                abs(steps[i].bridge_discrepancy), steps[i].bridge_wave):
-            steps[i] = CascadeStep(t, (ka, kb), k, om)
+        step = CascadeStep(donors[i][0], donors[i][1:], WaveVector(m, n), om)
+        if steps[i] is None or _step_key(step) < _step_key(steps[i]):
+            steps[i] = step
     return steps
 
 
@@ -231,15 +229,16 @@ def _triad_pairs(t: Triad) -> list:
 
 
 def _step_key(step: CascadeStep) -> tuple:
-    return (step.abs_discrepancy, step.bridge_wave)
+    return (abs(step.bridge_discrepancy), step.bridge_wave)
 
 
 def select_bridges(X, domain, seeds, omega_max, rule, passes, patterns,
                    bridge_mode) -> list:
-    """Bridge waves admitted to the Active class, per (triad, pair) or per
-    triad as ``bridge_mode`` says (:func:`classify_modes` checks it), from
-    one bridge search on the table X per batch of whole seeds, of at most
-    _BLOCK / T donor pairs (a zonal pair has up to 2 T completions)."""
+    """Bridge waves admitted to the Active class on their exact |Omega|,
+    per (triad, pair) or per triad as ``bridge_mode`` says
+    (:func:`classify_modes` checks it), from one bridge search on the
+    table X per batch of whole seeds, of at most _BLOCK / T donor pairs
+    (a zonal pair has up to 2 T completions)."""
     donors = [(t, *pair) for t in seeds for pair in _triad_pairs(t)]
     batch = 3 * (_BLOCK // (3 * domain.truncation) or 1)
     found = [s for i in range(0, len(donors), batch) for s in
@@ -247,8 +246,8 @@ def select_bridges(X, domain, seeds, omega_max, rule, passes, patterns,
                               donors[i:i + batch])]
     steps = []
     for i in range(0, len(found), 3):
-        kept = [s for s in found[i:i + 3]
-                if s is not None and s.abs_discrepancy <= omega_max]
+        kept = [s for s in found[i:i + 3] if s is not None
+                and abs(s.bridge_discrepancy) <= omega_max]
         if bridge_mode == "per_pair":
             steps.extend(kept)
         elif kept:

@@ -26,11 +26,13 @@ empty.
 
 One renderer (:func:`_rows`) gives the JSON, CSV and table rows of a
 chunk of triads.  The CLI's searches and plans hand it columns
-(:class:`.triad.TriadColumns`): a chunk of finite floats fills one
-%-template, with omega and hz text made once per distinct mode, since
-thousands of triads draw their frequencies from a few hundred modes.
-Rationals, inf, NaN and lists of ``Triad`` objects are written through
-each triad's record.
+(:class:`.triad.TriadColumns`), which hold no frequencies: they read each
+distinct mode's from their table once, since thousands of triads draw
+their frequencies from a few hundred modes.  A chunk of finite floats
+fills one %-template, with omega and hz text made once per distinct mode.
+Other chunks of columns (rationals, inf, NaN) are made into ``Triad``s
+on those per-mode frequencies, one object a mode, and these, like lists
+of ``Triad`` objects, are written through each triad's record.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .classify import CascadeStep, ModePartition
 from .dispersion import TWO_PI, to_hz
 from .experiment import ExperimentPlan, GeometrySweepReport
 from .search import NUMERIC_EXACT_D, SIGN_PATTERNS, BoundReport, Triad
-from .triad import TriadColumns, _mode_index
+from .triad import TriadColumns, _triads
 
 TRIAD_COLUMNS = ["m1", "n1", "m2", "n2", "m3", "n3",
                  "omega1", "omega2", "omega3", "hz1", "hz2", "hz3",
@@ -126,20 +128,18 @@ def _rows(triads, fmt: str, level: int = 0, rational: bool = False):
     JSON.
 
     A chunk of columns of finite floats fills the format's %-template.  Its
-    omega and hz text comes from tables made once per distinct mode
-    (:func:`.triad._mode_index`): ``float.__repr__`` of omega and of its hz
-    as ``to_hz`` computes it, or the hz as ``%.4f`` in tables; d_ratio and
-    the residual are ``tolist()`` floats.  Any other chunk (``Triad``
-    objects, rationals, inf or NaN) is written through each triad's
-    record, or ``triad_table_line``."""
-    plain = (isinstance(triads, TriadColumns) and len(triads)
-             and triads.w1.dtype == np.float64)
+    omega and hz text comes from tables made once per distinct mode of the
+    columns (:meth:`.triad.TriadColumns.modes`): ``float.__repr__`` of
+    omega and of its hz as ``to_hz`` computes it, or the hz as ``%.4f`` in
+    tables; d_ratio and the residual are ``tolist()`` floats.  Any other
+    chunk (``Triad`` objects, or columns with rationals, inf or NaN, made
+    into Triads on the modes of the whole columns, :func:`.triad._triads`)
+    is written through each triad's record, or ``triad_table_line``."""
+    columns = isinstance(triads, TriadColumns) and len(triads)
+    modes = triads.modes() if columns else None
+    plain = columns and triads.table.dtype == np.float64
     if plain:
-        (m, _), index = _mode_index(triads.members())
-        w = np.empty(m.size)
-        for (m, n), x in zip(triads.members(), (triads.w1, triads.w2,
-                                                triads.w3)):
-            w[index(m, n)] = x
+        _, w, index = modes
         hz = (w / TWO_PI).tolist()
         text = [np.fromiter(map(f, x), object, len(x)) for f, x in (
             [("%.4f".__mod__, hz)] if fmt == "table" else
@@ -149,12 +149,12 @@ def _rows(triads, fmt: str, level: int = 0, rational: bool = False):
     size = CHUNK_PIECES // 2 if fmt == "json" else CHUNK_PIECES
     for lo in range(0, len(triads), size):
         c = triads[lo:lo + size]
+        at = [index(m, n) for m, n in c.members()] if plain else ()
         if not plain or not all(np.isfinite(x).all() for x in (
-                c.w1, c.w2, c.w3, c.discrepancy, c.d_ratio)):
+                *(w[i] for i in at), c.discrepancy, c.d_ratio)):
             yield [_triad_text(x, fmt, level, rational) for x in (
-                c.triads() if isinstance(c, TriadColumns) else c)]
+                _triads(c, modes) if columns else c)]
             continue
-        at = [index(m, n) for m, n in c.members()]
         ints = [x.tolist() for pair in c.members() for x in pair]
         freqs = [x[i].tolist() for x in text for i in at]
         r = c.d_ratio.tolist()

@@ -26,7 +26,7 @@ otherwise; ``box`` is never chosen automatically.
 
 One scan kernel serves both number systems.  Each public call builds one
 per-mode table (:func:`_table`), which the scan, the bound and the bridge
-search read and whose values every result carries (:func:`.triad._omegas`).
+search read, and results once per mode (:meth:`.triad.TriadColumns.modes`).
 The scan reads the closure's candidates in blocks of consecutive k1 rows
 (as many as fit in ``_BLOCK`` candidates; one vectorised range expansion
 per block) and gives their members, k1 included, |Omega| and min |w|
@@ -38,9 +38,9 @@ renders the columns themselves.  The classifier reads the scan's arrays.
 The bound's witness is the first triad of least nonzero |Omega| in scan
 order (sum pattern; any pattern under box closure).  :mod:`.triad` holds
 the triad records and columns, the residual terms of both number systems
-(:func:`.triad._terms`) and the one step of |Omega| and min |w| that the
-scan, the build and the bridge search read (:func:`.triad._step`);
-:mod:`.sphere` holds the exact table's n3 windows.
+(:func:`.triad._terms`) and the scan's step of |Omega| and min |w|
+(:func:`.triad._step`), which the build rounds alike; :mod:`.sphere`
+holds the exact table's n3 windows.
 
 * Floats: the table is the omega grid, which holds the ``eval_frequency``
   values bit for bit, and the residuals are the float64 expressions of the
@@ -51,19 +51,19 @@ scan, the build and the bridge search read (:func:`.triad._step`);
   the terms are the integers m1 a2 a3, m2 a1 a3 and m3 a1 a2, so each
   sign pattern's Omega is -2 N / (a1 a2 a3) for its integer residual N:
   Omega = 0 is N == 0, never a tolerance, the least |N| picks the
-  pattern, and a built row makes one ``Fraction`` Omega beside its
-  members' -2m/a.  |Omega| = 2|N| / (a1 a2 a3) is correctly rounded by
-  one division, in float64 while both are below 2**53 (T up to 455), else
-  in Python integers.  So the float |Omega| is that of the rational one,
-  d is the triad's d_ratio (the build's own step, with no ``Fraction``
-  read as a float), and thresholds decide on floats; rounding is
-  monotone, so only a float equal to omega_max can misjudge
-  0 < |Omega| <= omega_max, and only those ties are built.  At fixed m3,
-  omega3 = -2 m3 / a3 is monotone in n3, so the n3 where |Omega| <= tau
-  can hold form one window per pair and sign pattern, in closed form
-  (:mod:`.sphere`).  Zonal blocks read only those under the caller's tau:
-  the exact search's 0, the classifier's omega_max, and the bound's n3
-  next to the root; the near and max-discrepancy searches read every n3.
+  pattern, and a built row makes one ``Fraction``, its Omega (a member's
+  -2m/a is made per mode).  |Omega| = 2|N| / (a1 a2 a3) is correctly
+  rounded by one division, in float64 while both are below 2**53 (T up
+  to 455), else in Python integers.  So the float |Omega| is that of the
+  rational one, d is the triad's d_ratio (the build reads no ``Fraction``
+  as a float), and thresholds decide on floats; rounding is monotone, so
+  only a float equal to omega_max can misjudge 0 < |Omega| <= omega_max,
+  and only those ties are built.  At fixed m3, omega3 = -2 m3 / a3 is
+  monotone in n3, so the n3 where |Omega| <= tau can hold form one window
+  per pair and sign pattern, in closed form (:mod:`.sphere`).  Zonal
+  blocks read only those under the caller's tau: the exact search's 0,
+  the classifier's omega_max, and the bound's n3 next to the root; the
+  near and max-discrepancy searches read every n3.
 
 Certified tile pruning.  Given a finite d_max ceiling on the float grid
 (``find_near_triads``, and so ``plan_experiment`` and ``geometry_sweep``),
@@ -367,7 +367,7 @@ _FLOAT_EXACT_LIMIT = 2 ** 53
 def _table(spec, T, members=()):
     """The per-mode table over m, n <= T, its m axis grown to the m and its
     n axis to the n of ``members`` (each checked to be a mode), that the
-    kernels read and results carry (:func:`.triad._omegas`): a = n(n+1) on
+    kernels and the results read (:func:`.triad._omegas`): a = n(n+1) on
     the exact path (omega = -2m/a), else the omega grid of those extents."""
     M, N = map(max, zip((T, T), *map(check_wavevector, members)))
     if spec.exactness:

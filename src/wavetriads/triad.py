@@ -1,6 +1,6 @@
 """Triad records: a vector-closed triad with its frequencies and
 discrepancy, the discrepancy-bound reports, the residual terms of both
-number systems, their sign-pattern rule and the one step of |Omega| and
+number systems, their sign-pattern rule and rounding of |Omega| and
 min |w|, and the columns that candidates are built into and triads read."""
 
 from __future__ import annotations
@@ -114,18 +114,22 @@ def _terms(X, m, x):
     return m1 * a2 * a3, m2 * a1 * a3, m3 * a1 * a2, a1 * a2 * a3
 
 
-def _step(X, m1, n1, x2, x3, m2, m3, patterns, with_min):
-    """|Omega| and min |w| of triads on the table X, for the scan, build
-    and bridges: the least |residual| and term of their :func:`_terms` on
-    floats; on the exact table 2|N| and 2 min t over a1 a2 a3 (min t only
-    ``with_min``), each correctly rounded by one division."""
-    t1, t2, t3, den = _terms(X, (m1, m2, m3), (X[m1, n1], x2, x3))
-    a = _least_abs(t1, t2, t3, patterns)
+def _scaled(t1, t2, t3, den, a, with_min):
+    """|Omega| and min |w| of triads from their :func:`_terms` and least
+    |residual| a, each rounded once on the exact table (min only
+    ``with_min``): a and min |t|, or 2a and 2 min |t| over a1 a2 a3."""
     if den is None or with_min:
         amin = np.minimum(np.minimum(np.abs(t2), np.abs(t3)), np.abs(t1))
     if den is None:
         return a, amin
     return np.asarray(2 * a / den, float), 2 * amin / den if with_min else None
+
+
+def _step(X, m1, n1, x2, x3, m2, m3, patterns, with_min):
+    """The scan's and the bridges' |Omega| and min |w| (:func:`_scaled`) of
+    triads on the table X, at the least |residual| of :func:`_least_abs`."""
+    terms = _terms(X, (m1, m2, m3), (X[m1, n1], x2, x3))
+    return _scaled(*terms, _least_abs(*terms[:3], patterns), with_min)
 
 
 def _pattern(t1, t2, t3, patterns):
@@ -152,41 +156,24 @@ def _signed(X, patterns, m, x):
     return om, best
 
 
-def _mode_index(members):
-    """The distinct modes of ``members``, pairs of arrays (m, n), as
-    arrays (m, n), and a function from such a pair to each mode's place
-    among them: a presence table over the flat keys m R + n, formed one
-    pair at a time, and binary search.  No np.unique (its first call
-    imports numpy.ma) and no sort (its first call maps in the sort
-    kernels)."""
-    R = max(int(n.max()) for _, n in members) + 1
-    seen = np.zeros((max(int(m.max()) for m, _ in members) + 1) * R, bool)
-    for m, n in members:
-        seen[m * R + n] = True
-    modes = np.flatnonzero(seen)
-    return np.divmod(modes, R), lambda m, n: np.searchsorted(modes, m * R + n)
-
-
 @dataclass(frozen=True, eq=False)
 class TriadColumns:
     """Triads as columns, one element per triad: the members' coordinates
-    (k3 = (m1 + m2, n3)), their frequencies (float64, or ``Fraction``s on
-    the exact path), the signed residual ``discrepancy`` of the chosen sign
-    pattern, ``d_ratio`` and ``pattern``, that pattern's index in
-    SIGN_PATTERNS.  What a search finds, before any :class:`Triad` is
-    made."""
+    (k3 = (m1 + m2, n3)), the signed residual ``discrepancy`` of the chosen
+    sign pattern (float64, or ``Fraction``s on the exact path), ``pattern``,
+    its index in SIGN_PATTERNS, ``d_ratio``, and the per-mode ``table``
+    that gives each member its frequency (:meth:`modes`).  What a search
+    finds, before any :class:`Triad` is made."""
 
     m1: np.ndarray
     n1: np.ndarray
     m2: np.ndarray
     n2: np.ndarray
     n3: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-    w3: np.ndarray
     discrepancy: np.ndarray
-    d_ratio: np.ndarray
     pattern: np.ndarray
+    d_ratio: np.ndarray
+    table: np.ndarray
 
     def __len__(self) -> int:
         return len(self.d_ratio)
@@ -197,32 +184,56 @@ class TriadColumns:
                 (self.m1 + self.m2, self.n3))
 
     def __getitem__(self, index) -> TriadColumns:
-        """The rows ``index``: an index array or a slice."""
-        return TriadColumns(*(c[index] for c in vars(self).values()))
+        """The rows ``index``: an index array or a slice, on one table."""
+        *columns, table = vars(self).values()
+        return TriadColumns(*(c[index] for c in columns), table)
+
+    def modes(self):
+        """The distinct members of the rows (at least one) as arrays (m, n),
+        their frequencies on the table (:func:`_omegas`), and a function
+        from arrays (m, n) of such modes to their places among them, by a
+        presence table over the keys m R + n and binary search: np.unique
+        would import numpy.ma, and a sort would map in the sort kernels."""
+        members = self.members()
+        R = max(int(n.max()) for _, n in members) + 1
+        seen = np.zeros((max(int(m.max()) for m, _ in members) + 1) * R, bool)
+        for m, n in members:
+            seen[m * R + n] = True
+        modes = np.flatnonzero(seen)
+        m, n = np.divmod(modes, R)
+        return ((m, n), _omegas(self.table, m, self.table[m, n]),
+                lambda m, n: np.searchsorted(modes, m * R + n))
 
     def triads(self) -> list:
-        """The rows as Triads, each distinct member one WaveVector."""
-        if not len(self):
-            return []
-        (m, n), index = _mode_index(self.members())
-        ks = np.fromiter(map(WaveVector, m.tolist(), n.tolist()), object,
-                         m.size)
-        return [Triad(*t) for t in zip(
-            *(ks[index(m, n)].tolist() for m, n in self.members()),
-            zip(self.w1.tolist(), self.w2.tolist(), self.w3.tolist()),
-            self.discrepancy.tolist(), self.d_ratio.tolist(),
-            map(SIGN_PATTERNS.__getitem__, self.pattern.tolist()))]
+        """The rows as Triads (:func:`_triads`) on their own :meth:`modes`."""
+        return _triads(self, self.modes()) if len(self) else []
+
+
+def _triads(c, modes) -> list:
+    """The rows of columns ``c`` as Triads, on the :meth:`TriadColumns.modes`
+    of columns that hold them: one WaveVector and frequency a mode."""
+    (m, n), w, index = modes
+    ks = np.fromiter(map(WaveVector, m.tolist(), n.tolist()), object, m.size)
+    at = [index(m, n) for m, n in c.members()]
+    return [Triad(*t) for t in zip(
+        *(ks[i].tolist() for i in at), zip(*(w[i].tolist() for i in at)),
+        c.discrepancy.tolist(), c.d_ratio.tolist(),
+        map(SIGN_PATTERNS.__getitem__, c.pattern.tolist()))]
 
 
 def _build(X, patterns, cand) -> TriadColumns:
     """The candidates ``cand`` = (m1, n1, m2, n2, n3), arrays in scan
-    order, as columns: the table X's frequencies (:func:`_omegas`), the
-    Omega and pattern of :func:`_signed`, and d = |Omega| / min |w| from
-    the scan's own :func:`_step`, so no Fraction is read as a float."""
+    order, as columns on the table X from one :func:`_terms` and one
+    :func:`_pattern` pass: Omega and its pattern as :func:`_signed` gives
+    them, and d = |Omega| / min |w| rounded as by the scan's :func:`_step`
+    (:func:`_scaled`), so on the exact table a row's one Fraction is Omega,
+    read as no float."""
     m1, n1, m2, n2, n3 = cand
     m = np.array((m1, m2, m1 + m2))
-    x = X[m, np.array((n1, n2, n3))]
-    a, amin = _step(X, m1, n1, x[1], x[2], m2, m[2], patterns, True)
-    om, best = _signed(X, patterns, m, x)
-    return TriadColumns(m1, n1, m2, n2, n3, *_omegas(X, m, x), om,
-                        np.asarray(a / amin, float), best)
+    *terms, den = _terms(X, m, X[m, np.array((n1, n2, n3))])
+    om, best = _pattern(*terms, patterns)
+    a, amin = _scaled(*terms, den, np.abs(om), True)
+    if den is not None:
+        om = np.frompyfunc(Fraction, 2, 1)(-2 * om, den)
+    return TriadColumns(m1, n1, m2, n2, n3, om, best,
+                        np.asarray(a / amin, float), X)

@@ -985,8 +985,8 @@ def fraction_signed(X, patterns, m1, n1, m2, n2, m3, n3):
 
 
 def fraction_build(X, patterns, cand):
-    """``triad._build`` as it was: every residual summed from the members'
-    Fraction frequencies."""
+    """``triad._build`` as it was, as the rows of ``column_rows``: every
+    residual summed from the members' Fraction frequencies."""
     m1, n1, m2, n2, n3 = cand
     w1, w2, w3 = fraction_omegas(X, np.concatenate((m1, m2, m1 + m2)),
                                  np.concatenate((n1, n2, n3))).reshape(3, -1)
@@ -995,24 +995,33 @@ def fraction_build(X, patterns, cand):
     for w in (w2, w3):
         w = np.abs(w.astype(float))
         low = np.where(w < low, w, low)
-    return triad.TriadColumns(m1, n1, m2, n2, n3, w1, w2, w3, om,
-                              np.abs(om.astype(float)) / low, best)
+    return rows((m1, n1, m2, n2, n3, best), (w1, w2, w3, om),
+                np.abs(om.astype(float)) / low)
+
+
+def rows(ints, numbers, d_ratio):
+    """Rows of the integer arrays ``ints``, the arrays ``numbers`` by type
+    and exact value, and ``d_ratio`` by ``float.hex``."""
+    return list(zip(*(c.tolist() for c in ints),
+                    *(map(_num, c.tolist()) for c in numbers),
+                    map(float.hex, d_ratio.tolist())))
 
 
 def column_rows(cols):
-    """Columns as rows: the members and the pattern index, the
-    frequencies and the discrepancy by type and exact value, and d_ratio
-    by ``float.hex``."""
-    return list(zip(*(c.tolist() for c in (cols.m1, cols.n1, cols.m2,
-                                            cols.n2, cols.n3, cols.pattern)),
-                    *(map(_num, c.tolist()) for c in (
-                        cols.w1, cols.w2, cols.w3, cols.discrepancy)),
-                    map(float.hex, cols.d_ratio.tolist())))
+    """Columns as rows: the members and the pattern index, each member's
+    frequency as the columns' table gives it (``TriadColumns.modes``) and
+    the discrepancy, and d_ratio."""
+    if not len(cols):
+        return []
+    _, w, index = cols.modes()
+    return rows((cols.m1, cols.n1, cols.m2, cols.n2, cols.n3, cols.pattern),
+                (*(w[index(m, n)] for m, n in cols.members()),
+                 cols.discrepancy), cols.d_ratio)
 
 
 @contextlib.contextmanager
 def no_fraction_patterns():
-    """Fail if ``_pattern`` (as ``triad._signed`` reads it) or
+    """Fail if ``_pattern`` (as ``triad._build`` and ``_signed`` read it) or
     ``_least_abs`` (as ``triad._step`` reads it) is handed a ``Fraction``
     inside the block."""
     def guard(f):
@@ -1044,10 +1053,10 @@ def check_integer_terms(X, domain, patterns, cand, pairs):
     completions in ``domain`` of the donor ``pairs`` (ma, na, mb, nb),
     which the bridge search ranks its ties by, against their Fraction
     forms, field by field; no Fraction reaches the pattern rule, and the
-    build reads none as a float (it takes d from the scan's step)."""
+    build reads none as a float (it rounds d as the scan's step does)."""
     with no_fraction_patterns(), no_fraction_floats():
         got = triad._build(X, patterns, cand)
-    assert column_rows(got) == column_rows(fraction_build(X, patterns, cand))
+    assert column_rows(got) == fraction_build(X, patterns, cand)
     ma, na, mb, nb = pairs
     m3, n3 = search.CLOSURES["zonal"].waves(ma, na, mb, nb,
                                             domain.truncation, patterns)
@@ -1106,6 +1115,38 @@ def test_integer_terms_past_the_int64_table(patterns):
     seed = _candidate_triad(*ks, tuple(eval_frequency(SPHERE, k).omega
                                        for k in ks), patterns)
     check_every_donor_pair(SPHERE, domain, "zonal", patterns, "none", [seed])
+
+
+@contextlib.contextmanager
+def counted_fractions():
+    """The number of Fractions made inside the block, as a one-element
+    list."""
+    made, new = [0], Fraction.__new__
+
+    def counting(cls, *args, **kw):
+        made[0] += 1
+        return new(cls, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", staticmethod(counting))
+        yield made
+
+
+@pytest.mark.parametrize("shape", ["square", "triangular"])
+@pytest.mark.parametrize("patterns", ["sum", "all"])
+def test_exact_build_makes_one_fraction_a_row(shape, patterns):
+    """On the exact table ``_build`` makes one Fraction a row, its Omega:
+    the members' frequencies are not columns but are read from the table,
+    once per distinct mode, when triads or text are made."""
+    domain = SpectralDomain(12, shape)
+    X = search._table(SPHERE, 12)
+    cand = [np.concatenate(c) for c in zip(*(
+        c for c, _, _ in search._scan(X, domain, search.CLOSURES["zonal"],
+                                      True, unpruned(patterns))))]
+    with counted_fractions() as made:
+        cols = triad._build(X, patterns, cand)
+    assert len(cols) == cand[0].size > 0
+    assert made == [len(cols)]
 
 
 # -- the classifier: the Triad-based passive pass -----------------------------
@@ -1263,20 +1304,22 @@ def _oracle_convention(spec, closure, n_selection):
 
 
 def _step_key(step):
-    return (step.abs_discrepancy, step.bridge_wave)
+    return (abs(step.bridge_discrepancy), step.bridge_wave)
 
 
 def oracle_select_bridges(spec, domain, seeds, omega_max, patterns="sum",
                           closure="auto", n_selection="none",
-                          bridge_mode="per_pair"):
-    """The bridges the classifier admits, searched pair by pair."""
-    closure, passes, freqs = _oracle_convention(spec, closure, n_selection)
+                          bridge_mode="per_pair", freqs=None):
+    """The bridges the classifier admits, searched pair by pair on the
+    frequencies ``freqs`` (a mapping from modes), by default the spec's."""
+    closure, passes, memo = _oracle_convention(spec, closure, n_selection)
+    freqs = memo if freqs is None else freqs
     steps = []
     for t in seeds:
         found = [s for s in (oracle_minimal_bridge(
                      domain, t, pair, patterns, closure, passes, freqs)
                      for pair in classify._triad_pairs(t))
-                 if s is not None and s.abs_discrepancy <= omega_max]
+                 if s is not None and abs(s.bridge_discrepancy) <= omega_max]
         if bridge_mode == "per_pair":
             steps.extend(found)
         elif found:
@@ -1415,6 +1458,24 @@ def test_classifier_matches_triad_pass(spec, T, patterns, n_selection,
 
 def steps_fields(steps):
     return [None if s is None else _evidence(s) for s in steps]
+
+
+def test_bridges_are_admitted_on_their_exact_omega():
+    """The classifier admits and ranks bridges on their rational |Omega|,
+    as its walk decides hits: on the sphere at T=10 the bridge [7,8] of
+    |Omega| 49/180 lies above omega_max = float(49/180), which is below
+    the rational it rounds."""
+    domain, omega_max = SpectralDomain(10, "triangular"), 49 / 180
+    assert Fraction(49, 180) > omega_max
+    convention = dict(classify.SPHERE_TABLE_CONVENTION, bridge_mode="per_pair")
+    part = classify_modes(SPHERE, domain, omega_max, **convention)
+    assert all(abs(s.bridge_discrepancy) <= omega_max for s in part.bridges)
+    assert steps_fields(part.bridges) == steps_fields(oracle_select_bridges(
+        SPHERE, domain, part.resonant_triads, omega_max, **convention))
+    wider = classify_modes(SPHERE, domain, 0.3, **convention)
+    assert [s.bridge_wave for s in wider.bridges
+            if abs(s.bridge_discrepancy) == Fraction(49, 180)] == [
+                WaveVector(7, 8)]
 
 
 def check_every_donor_pair(spec, domain, closure, patterns, n_selection,
@@ -1570,6 +1631,75 @@ def test_bridge_search_on_corrupted_grids(spec, T, closure_at, patterns, cell,
     got, want = corrupted_bridges(spec, domain, closure, patterns, cell,
                                   [cands[i % len(cands)] for i in picks])
     assert got == want
+
+
+def corrupted_walk_oracle(W, domain, closure, patterns, passes, skip):
+    """The walk's seeds, and every candidate of nonzero |Omega| that is no
+    NaN, as Triads on the grid W, candidate by candidate in scan order, by
+    README's rules for non-finite cells: |Omega| is the least |residual|
+    over the sign patterns, NaN when any residual is (IEEE minimum), and a
+    candidate that passes the n-selection is a seed when
+    d = |Omega| / min |w| <= NUMERIC_EXACT_D, and a hit when
+    0 < |Omega| <= omega_max; one of NaN or infinite |Omega| is neither."""
+    w = W.tolist()
+    seeds, near = [], []
+    for ks in closed_candidates(domain, closure, skip):
+        ws = tuple(w[k.m][k.n] for k in ks)
+        if not passes(*(k.n for k in ks)) or _nan_least_residual(ws,
+                                                                 patterns):
+            continue
+        t = _candidate_triad(*ks, ws, patterns)
+        if t.d_ratio <= NUMERIC_EXACT_D:
+            seeds.append(t)
+        if t.discrepancy != 0:
+            near.append(t)
+    return seeds, near
+
+
+@given(spec=st.sampled_from(FLOAT_SPECS), T=st.integers(1, 12),
+       closure_at=st.integers(0, 3), patterns=st.sampled_from(["sum", "all"]),
+       n_selection=st.sampled_from(["none", "parity", "triangle", "both"]),
+       bridge_mode=st.sampled_from(["per_pair", "per_triad"]),
+       skip=st.booleans(), cell=CORRUPT_CELLS, q=st.floats(0, 1))
+def test_classifier_on_corrupted_grids(spec, T, closure_at, patterns,
+                                       n_selection, bridge_mode, skip, cell,
+                                       q):
+    """The walk's seeds and hits, and the partition, on a grid with one
+    NaN, inf, -inf or 1e308 cell, against the per-candidate oracle on the
+    same frequencies, with omega_max drawn among its finite |Omega|: no
+    candidate of NaN or infinite |Omega| is a seed or a hit, and each is
+    dropped on its own, never its block."""
+    closure, shape = CLOSURE_SHAPES[closure_at % len(CLOSURE_SHAPES)]
+    domain = SpectralDomain(T, shape)
+    passes = n_rule(closure, n_selection)
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "omega_grid", corrupted_grid(cell))
+        W = search._table(spec, T)
+        seeds, near = corrupted_walk_oracle(W, domain, closure, patterns,
+                                            passes, skip)
+        values = sorted({abs(t.discrepancy) for t in near} - {math.inf})
+        omega_max = values[int(q * (len(values) - 1))] if values else 1.0
+        rule = search._dispatch(spec, domain, closure, patterns)
+        got_seeds, hits = classify._walk(W, domain, rule,
+                                         classify._n_rule(rule, n_selection),
+                                         patterns, skip, omega_max)
+        part = classify_modes(spec, domain, omega_max, patterns=patterns,
+                              closure=closure, n_selection=n_selection,
+                              bridge_mode=bridge_mode,
+                              skip_equal_n_pairs=skip)
+        w = W.tolist()
+        freqs = {k: w[k.m][k.n] for k in domain.modes()}
+        bridges = oracle_select_bridges(spec, domain, seeds, omega_max,
+                                        patterns, closure, n_selection,
+                                        bridge_mode, freqs)
+    ari = [t for t in near if abs(t.discrepancy) <= omega_max]
+    assert fields(got_seeds) == fields(seeds)
+    assert hit_fields(hits) == abs_fields(ari)
+    assert partition_fields(part) == (
+        fields(seeds), [_evidence(s) for s in bridges],
+        assignments_fields(triad_partition(domain, seeds, bridges, ari,
+                                           passes)))
 
 
 @pytest.mark.parametrize("spec, domain, closure, patterns, members", [
