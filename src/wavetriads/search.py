@@ -73,13 +73,20 @@ pattern unless a lower bound on that pattern's |Omega| over it exceeds
 d_max |w1| by a slack that covers every rounding (:func:`_live_tiles`).
 The bound reads only the grid, so it holds for every float kind, the
 non-monotone ``bve_plane`` included; a grid with inf or NaN, or near
-overflow, drops nothing.  A per-tile prefilter on each pattern's residual
+overflow, drops nothing.  A certified grid bounds the sum pattern only:
+if every cell is finite and positive, the grid is nondecreasing along
+both axes with max/min below 2**40, and d_max <= 1/2, then w3 >= w1, w2
+(k3 = k1 + k2), so the residuals w1 + (w3 - w2) and w2 + (w3 - w1) of
+the other patterns are at least min |w|; rounded twice from terms below
+2**40 min |w|, each errs by less than 2**-12 of itself (or overflows),
+so its float d exceeds 1/2.  Other grids and d_max bound every pattern
+of the call.  A per-tile prefilter on each bounded pattern's residual
 leaves a few cells, sorted once and yielded in blocks of at most
 ``_BLOCK`` as every closure yields them (:func:`_tile_scan`), which the
-scan steps with its own float64 expressions, so every output is that of
-the dense scan.  ``d_max = inf``, float ``zonal`` and ``box`` closure,
-the max-discrepancy search, and the float bound and classifier scan
-densely.
+scan steps under the caller's patterns with its own float64 expressions,
+so every output is that of the dense scan.  ``d_max = inf``, float
+``zonal`` and ``box`` closure, the max-discrepancy search, and the float
+bound and classifier scan densely.
 """
 
 from __future__ import annotations
@@ -151,7 +158,8 @@ def _check_threshold(name: str, value, ceiling: bool = False) -> None:
 # ---------------------------------------------------------------------------
 
 #: Most candidates (tiles, in the near search's bound) in a block unless
-#: one k1 row (m tile) holds more: it bounds memory, spreads numpy calls.
+#: one k1 row (k2 row under ``both``; m tile) holds more: it bounds
+#: memory, spreads numpy calls.
 _BLOCK = 2 ** 12
 
 
@@ -164,9 +172,10 @@ def _expand(starts, counts, *per_range):
 
 
 def _runs(counts):
-    """Runs of consecutive k1 rows, given their candidate ``counts``, as
-    index arrays of the rows that have candidates: each run takes as many
-    rows as fit in ``_BLOCK`` candidates, and at least one."""
+    """Runs of consecutive rows, given their ``counts`` (of candidates, or
+    of the k2 rows of k1 rows), as index arrays of the rows that count
+    any: each run takes as many rows as fit in ``_BLOCK``, and at least
+    one."""
     live = np.flatnonzero(counts)
     ends, lo = np.cumsum(counts[live]), 0
     while lo < live.size:
@@ -188,25 +197,40 @@ def _both_window(T, m1, n1):
 def _both_blocks(X, domain, skip_equal_n_pairs, test):
     """Pairs k1 <= k2 with k3 = k1 + k2 in the square: per k1 the box of
     :func:`_both_window`, the rest of row m2 = m1 from k2 = k1 on, then
-    the rows m2 > m1, one k2 row per segment.  A finite ceiling d_max on
-    the float grid reads only the cells of :func:`_tile_scan`."""
+    the rows m2 > m1, one k2 row per segment.  Blocks are cut between
+    segments as :func:`_runs` cuts rows, so only a k2 row outgrows
+    ``_BLOCK``: runs of k1 rows of at most ``_BLOCK`` segments are cut in
+    turn, the last block of each waiting for the next run's segments.  A
+    finite ceiling d_max on the float grid reads only the cells of
+    :func:`_tile_scan`."""
     T, (patterns, _, _, d_max) = domain.truncation, test
     if X.dtype == np.float64 and d_max and math.isfinite(d_max):
         yield from _tile_scan(X, domain, patterns, d_max)
         return
     m1, n1 = (g.ravel() for g in np.mgrid[1:T // 2 + 1, 1:T])
     m_lo, m_hi, _, n_hi = _both_window(T, m1, n1)
-    counts = np.maximum(n_hi - n1 + 1, 0) + (m_hi - m_lo) * n_hi
     Xf, R = X.ravel(), T + 1
-    for rows in _runs(counts):
-        # One segment per k2 row m2 from its first n2; o2 and o3 are the
-        # flat offsets into X of its k2 and k3 rows.
+
+    def block(*segments):  # their candidates
+        n2, a, b, m2, o2, o3 = _expand(*segments)
+        return a, b, Xf[o2 + n2], Xf[o3 + n2], m2, n2, b + n2
+
+    held = [np.zeros(0, np.int64)] * 7  # the segments of the open block
+    for rows in _runs(m_hi - m_lo + 1):
+        # One segment per k2 row m2: its first n2 and size, k1, m2, and
+        # the flat offsets into X of its k2 and k3 rows.
         m2, a, b, top = _expand(m_lo[rows], m_hi[rows] - m_lo[rows] + 1,
                                 m1[rows], n1[rows], n_hi[rows])
         n2 = np.where(m2 == a, b, 1)
-        n2, a, b, m2, o2, o3 = _expand(n2, np.maximum(top - n2 + 1, 0), a, b,
-                                       m2, m2 * R, (a + m2) * R + b)
-        yield a, b, Xf[o2 + n2], Xf[o3 + n2], m2, n2, b + n2
+        held = [np.concatenate(p) for p in zip(held, (
+            n2, np.maximum(top - n2 + 1, 0), a, b, m2, m2 * R,
+            (a + m2) * R + b))]
+        *full, last = _runs(held[1])
+        for s in full:
+            yield block(*(v[s] for v in held))
+        held = [v[last] for v in held]
+    if held[0].size:
+        yield block(*held)
 
 
 def _both_waves(ma, na, mb, nb, T, patterns):
@@ -321,7 +345,8 @@ class _Closure:
     ``blocks(X, domain, skip_equal_n_pairs, test)`` yields the
     candidates in scan order as blocks (m1, n1, x2, x3, m2, n2, n3), one
     array element per candidate, each of at most ``_BLOCK`` candidates or
-    one k1 row (:func:`_runs`), and never an empty block: the coordinates
+    one k1 row (one k2 row under ``both``; :func:`_runs`), and never an
+    empty block: the coordinates
     of k1, k2 and n3 (m3 = m1 + m2 under every closure) and the values at
     k2 and k3 of the per-mode table X.  ``test`` = (patterns, tau, widen,
     d_max) is the caller's (:func:`_scan`), and each closure leaves out
@@ -398,9 +423,27 @@ def _scan(X, domain, rule, skip_equal_n_pairs, test):
 
 #: Side of the k2 tiles that the pruned near search bounds as one; the
 #: rounding slack of :func:`_tile_scan` is derived for sides up to 8.
+#: A 16 or 32 coarse pass before these, or 4 x 4 tiles within the live
+#: ones, made the near-scan rungs slower.
 _TILE = 8
 #: Most tiles whose candidates one gather evaluates (bounds its memory).
 _GATHER_TILES = 128
+
+
+def _take(values, index, out):
+    """``values[index]`` into ``out``, unbuffered: every index is valid."""
+    return values.take(index, out=out, mode="clip")
+
+
+def _widen(spread, steps, a, b):
+    """spread += steps * max(a, b, 0), in place on ``a``."""
+    np.maximum(np.maximum(a, b, out=a), 0.0, out=a)
+    spread += np.multiply(a, steps, out=a)
+
+
+def _live(r, spread, bound):
+    """~(|r| - spread > bound), in place on ``r``: a NaN keeps its tile."""
+    return ~(np.subtract(np.abs(r, out=r), spread, out=r) > bound)
 
 
 def _window_tables(X, t):
@@ -431,51 +474,73 @@ def _live_tiles(Pf, R, tables, m_tiles, n_tiles, patterns, d_max, slack):
     """Masks (m tile, n tile), one per sign pattern of ``patterns`` in
     SIGN_PATTERNS order, over a block's m tiles (m1, m_lo, m_hi) by the n
     tiles (n1, n_lo, n_hi), read from ``Pf`` and ``tables`` at offsets
-    m R + n, one ``take`` per array and axis: False only where a lower bound
-    on the pattern's |Omega| over the tile exceeds d_max |w1| >= d_max min |w|.
+    m R + n: False only where a lower bound on the pattern's |Omega| over
+    the tile exceeds d_max |w1| >= d_max min |w|.
 
     With D = w3 - w2 and S = w3 + w2 the residuals are w1 - D, w1 + D and
     S - w1.  One step along an axis moves D by Gx(k3) - Gx(k2) and S by
     Gx(k3) + Gx(k2), each bounded by the extremes of Gx over the windows
     at the tile's k2 and k3 corners; a tile's points lie within its
-    farthest edge steps of its centre, where D and S are evaluated."""
+    farthest edge steps of its centre, where D and S are evaluated.  The
+    float64 expressions are evaluated in place, in a few tile-sized
+    buffers."""
     (m1, m_lo, m_hi), (n1, n_lo, n_hi) = (v[:, None] for v in m_tiles), n_tiles
     cm, cn = (m_lo + m_hi) // 2, (n_lo + n_hi) // 2
-    k1, corner = m1 * R + n1, m_lo * R + n_lo
-    corners = np.stack((corner, k1 + corner))  # the k2 and k3 corners
-    w1, (x2, x3) = Pf.take(k1), Pf.take(corners + (cm - m_lo) * R + cn - n_lo)
-    spread_d = spread_s = 0.0
-    for table, steps in zip(tables, (m_hi - cm, n_hi - cn)):
-        (lo2, lo3), (hi2, hi3) = table.take(corners, axis=1)
+    k1, k2 = m1 * R + n1, m_lo * R + n_lo  # k1, and the tiles' k2 corners
+    k3 = k1 + k2
+    a, b, c = (np.empty(k1.shape) for _ in range(3))
+    spread_d = np.zeros(k1.shape)
+    spread_s = np.zeros(k1.shape) if patterns == "all" else None
+    for (lo, hi), steps in zip(tables, (m_hi - cm, n_hi - cn)):
         # Both extremes are -inf/+inf only in a window wholly off the
         # grid, where the tile takes no step; max(., 0) keeps 0 * inf out.
-        spread_d = spread_d + steps * np.maximum(
-            np.maximum(hi3 - lo2, hi2 - lo3), 0.0)
+        _widen(spread_d, steps,
+               np.subtract(_take(hi, k3, a), _take(lo, k2, b), out=a),
+               np.subtract(_take(hi, k2, b), _take(lo, k3, c), out=b))
         if patterns == "all":
-            spread_s = spread_s + steps * np.maximum(
-                np.maximum(hi3 + hi2, -(lo3 + lo2)), 0.0)
+            _widen(spread_s, steps,
+                   np.add(_take(hi, k3, a), _take(hi, k2, b), out=a),
+                   np.negative(np.add(_take(lo, k3, b), _take(lo, k2, c),
+                                      out=b), out=b))
+    for k in (k2, k3):  # to the tiles' centres
+        k += (cm - m_lo) * R
+        k += cn - n_lo
+    x2, x3, w1 = _take(Pf, k2, a), _take(Pf, k3, b), _take(Pf, k1, c)
     # 1 + 16u and ``slack`` cover the rounding of this bound, of the
     # residuals and of d = |Omega| / min |w| (see _tile_scan).
-    bound, D = d_max * np.abs(w1) * (1 + 16 * _U) + slack, x3 - x2
-    live = [~(np.abs(w1 - D) - spread_d > bound)]
+    bound = np.abs(w1)
+    bound *= d_max
+    bound *= 1 + 16 * _U
+    bound += slack
     if patterns == "all":
-        live += [~(np.abs(w1 + D) - spread_d > bound),
-                 ~(np.abs(x3 + x2 - w1) - spread_s > bound)]
+        r = np.add(x3, x2)
+        s_live = _live(np.subtract(r, w1, out=r), spread_s, bound)
+    D = np.subtract(x3, x2, out=x3)
+    live = [_live(np.subtract(w1, D, out=x2), spread_d, bound)]
+    if patterns == "all":
+        live += [_live(np.add(w1, D, out=x2), spread_d, bound), s_live]
     return live
 
 
-def _prefilter(Pf, R, residual, scale, k1, corner):
-    """Keys k1 R^2 + k2 of the cells with |residual| <= scale |w1| of the
-    tiles at offsets ``k1`` with k2 corners ``corner`` into the padded grid
-    ``Pf``, ``_GATHER_TILES`` whole tiles a gather, gone on return."""
+def _prefilter(Pf, R, signs, scale, k1, corner):
+    """Keys k1 R^2 + k2 of the cells with |s1 w1 + s2 w2 + s3 w3| <=
+    scale |w1| (``signs``; summed as RESIDUALS sum them) of the tiles at
+    offsets ``k1`` with k2 corners ``corner`` into the padded grid ``Pf``,
+    ``_GATHER_TILES`` whole tiles a gather, in place, gone on return."""
     cells = np.add.outer(np.arange(_TILE) * R, np.arange(_TILE)).ravel()
+    add = {1: np.add, -1: np.subtract}  # a term by its sign
     keys = []
     for c in range(0, k1.size, _GATHER_TILES):
         k1c = k1[c:c + _GATHER_TILES, None]
         k2, w1 = corner[c:c + _GATHER_TILES, None] + cells, Pf.take(k1c)
-        r = np.abs(residual(w1, Pf.take(k2), Pf.take(k1c + k2)))
-        at = np.flatnonzero(r <= scale * np.abs(w1) + 1e-300)
+        k2 += k1c
+        w3 = Pf.take(k2)
+        k2 -= k1c
+        r = Pf.take(k2)
+        add[signs[2]](add[signs[1]](signs[0] * w1, r, out=r), w3, out=r)
+        at = np.flatnonzero(np.abs(r, out=r) <= scale * np.abs(w1) + 1e-300)
         keys.append(k1c.take(at // cells.size) * R * R + k2.take(at))
+        del k2, w3, r  # before the next gather makes its own
     return keys
 
 
@@ -511,20 +576,28 @@ def _tile_scan(X, domain, patterns, d_max):
     found = [np.full(1, -1)]  # keys k1 R^2 + k2, after a -1 sentinel
     with np.errstate(invalid="ignore", over="ignore"):
         tables = _window_tables(X, t)
-        omax = float(np.max(np.abs(X[1:, 1:])))
+        W = X[1:, 1:]
+        omax = float(np.max(np.abs(W)))
         # With at most 4 steps per axis (8 x 8 tiles) each value the bound
         # and the residuals round is at most 40 omax in size, and their
         # rounding errors add up to less than 176 u omax; 1e-300 covers the
-        # absolute error of subnormal results.  A grid that holds inf or
+        # absolute error of subnormal results.  The in-place kernel rounds
+        # the same expressions in the same order.  A grid that holds inf or
         # NaN, or lies within 64x of overflow, prunes nothing.
         slack = (256 * _U * omax + 1e-300 if math.isfinite(64 * omax)
                  else math.inf)
+        # The certificate (module docstring): NaN fails 0 < least; the
+        # least forward difference is the least of the min tables.
+        least = float(np.min(W))
+        bounded = "sum" if (d_max <= 0.5 and 0 < least
+                            and omax < 2.0 ** 40 * least
+                            and tables[:, 0].min() >= 0) else patterns
         for b in range(0, m1.size, rows):
             block = [v[b:b + rows] for v in tiles[0]]
-            for residual, mask in zip(RESIDUALS, _live_tiles(
-                    Pf, R, tables, block, n_tiles, patterns, d_max, slack)):
+            for signs, mask in zip(SIGN_PATTERNS, _live_tiles(
+                    Pf, R, tables, block, n_tiles, bounded, d_max, slack)):
                 i, j = np.nonzero(mask)
-                found += _prefilter(Pf, R, residual, scale,
+                found += _prefilter(Pf, R, signs, scale,
                                     m1[b + i] * R + n_tiles[0][j],
                                     m_lo[b + i] * R + n_tiles[1][j])
     key = np.sort(np.concatenate(found))
@@ -558,7 +631,9 @@ def _search(spec, domain, rule, *, patterns, d_max=None, d_min=None,
         keep = _select(a, amin, d_max, d_min)
         if np.count_nonzero(keep):  # cheaper than keep.any() per block
             kept.append([c[keep] for c in cand])
-    return _build(X, patterns, list(map(np.concatenate, zip(*kept))))
+    cand = list(map(np.concatenate, zip(*kept)))
+    del kept  # the blocks' shares go before the build
+    return _build(X, patterns, cand)
 
 
 def _least_nonzero(domain, rule, X) -> Triad | None:

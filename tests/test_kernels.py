@@ -669,7 +669,10 @@ def tile_of(calls, k1, k2):
 @pytest.mark.parametrize("patterns", ["sum", "all"])
 def test_tile_bound_prunes_nothing_at_infinite_d_max(patterns):
     """d_max = inf takes the dense scan, and the bound alone keeps every
-    tile there too; at d_max = 1e-5 it skips most tiles of gc75 T=40."""
+    tile there too; at d_max = 1e-5 it skips most tiles of gc75 T=40.
+    There the grid is certified, so each bound call reads one mask, the
+    sum pattern's, whatever the patterns; at d_max = inf, above the
+    certificate's 1/2, it reads one per pattern of the call."""
     spec, T = DispersionSpec("gravity_capillary", mu_over_nu=75.0), 40
     live = {}
     for d in (math.inf, 1e-5):
@@ -677,8 +680,9 @@ def test_tile_bound_prunes_nothing_at_infinite_d_max(patterns):
             list(search._tile_scan(search._table(spec, T), SpectralDomain(T),
                                    patterns, d))
         check_blocks(calls, T)
+        assert all(len(masks) == (3 if patterns == "all" and d == math.inf
+                                  else 1) for _, _, masks in calls)
         live[d] = [mask for _, _, masks in calls for mask in masks]
-        assert len(live[d]) == len(calls) * (3 if patterns == "all" else 1)
     assert all(t.all() for t in live[math.inf])
     kept = sum(t.sum() for t in live[1e-5]) / sum(t.size for t in live[1e-5])
     assert kept < 0.5
@@ -687,6 +691,92 @@ def test_tile_bound_prunes_nothing_at_infinite_d_max(patterns):
         domain = SpectralDomain(6)
         assert len(find_near_triads(spec, domain, math.inf, patterns)) == \
             len(list(closed_candidates(domain, "both")))
+
+
+def corrupted_near(spec, T, patterns, d_max, cell):
+    """The pruned near search (with every bound call's masks) and the
+    dense scan's triads on the spec's grid, its ``cell`` corrupted
+    (:func:`corrupted_grid`) unless None; the oracle's frequencies hold
+    the corrupted cell too."""
+    domain, freqs = SpectralDomain(T), FrequencyMemo(spec)
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.MonkeyPatch.context() as mp:
+        if cell is not None:
+            mp.setattr(search, "omega_grid", corrupted_grid(cell))
+            freqs[WaveVector(cell[0] % T + 1, cell[1] % T + 1)] = cell[2]
+        with bound_calls() as calls:
+            got = pruned_near(spec, domain, patterns, d_max)
+        return calls, got, dense_near(spec, domain, patterns, d_max, freqs)
+
+
+GC75 = DispersionSpec("gravity_capillary", mu_over_nu=75.0)
+
+
+@pytest.mark.parametrize("spec, T, cell, d_max, masks", [
+    (DispersionSpec("bve_plane"), 40, None, 1e-5, 3),
+    (DispersionSpec("bve_plane", plane_form="squared"), 40, None, 1e-5, 3),
+    (GC75, 40, (3, 4, math.nan), 1e-5, 3),
+    (GC75, 40, (3, 4, math.inf), 1e-5, 3),
+    (GC75, 40, (0, 0, 1e-20), 1e-5, 3),
+    (GC75, 40, (5, 5, 1.0), 1e-5, 3),
+    (GC75, 14, None, math.nextafter(0.5, 1), 3),
+    (GC75, 14, None, 0.5, 1)],
+    ids=["bve", "bve-squared", "nan-cell", "inf-cell", "ratio-past-2**40",
+         "decreasing-cell", "above-1/2", "at-1/2"])
+def test_uncertified_grids_bound_every_pattern(spec, T, cell, d_max, masks):
+    """All patterns: each bound call reads one mask per sign pattern where
+    the certificate fails, on the bve plane (negative frequencies), on
+    gc75 with a NaN or inf cell, with a cell of 1e-20 at (1, 1) (the grid
+    stays nondecreasing, but its max/min passes 2**40) or a cell below its
+    neighbours, and at a d_max just above 1/2; at 1/2 itself gc75 is
+    certified: one mask.  Each search gives the dense scan's triads."""
+    calls, got, want = corrupted_near(spec, T, "all", d_max, cell)
+    assert calls and all(len(live) == masks for _, _, live in calls)
+    assert fields(got) == fields(want)
+
+
+def certified(W, d_max):
+    """The certificate on the omega grid W, with numpy's own checks: its
+    cells off the zero row and column are finite and positive, are
+    nondecreasing along both axes, and span less than 2**40; and
+    d_max <= 1/2."""
+    W = W[1:, 1:]
+    return bool(d_max <= 0.5 and np.isfinite(W).all() and (W > 0).all()
+                and (np.diff(W, axis=0) >= 0).all()
+                and (np.diff(W, axis=1) >= 0).all()
+                and W.max() / W.min() < 2.0 ** 40)
+
+
+@given(spec=pruning_specs(), T=st.integers(1, 24),
+       patterns=st.sampled_from(["sum", "all"]),
+       cell=st.none() | CORRUPT_CELLS | st.sampled_from(
+           [(0, 0, 1e-20), (4, 4, 1.0)]), data=st.data())
+@example(spec=GC75, T=24, patterns="all", cell=None, data=None)
+def test_certified_and_fallback_grids_match_dense_scan(spec, T, patterns,
+                                                       cell, data):
+    """Every float kind and basin, certified or not (negative, NaN, inf,
+    huge or out-of-order cells): the bound reads the sum pattern alone
+    exactly when :func:`certified` holds, else every pattern of the call,
+    and the pruned search gives the dense scan's triads bit for bit, at
+    ceilings that tie with a candidate's own d near the threshold 1/2,
+    near 1, the least d a difference pattern can reach on a certified
+    grid, or far below them."""
+    d_maxes = [0.5, math.nextafter(0.5, 0), math.nextafter(0.5, 1), 1e-5]
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.MonkeyPatch.context() as mp:
+        if cell is not None:
+            mp.setattr(search, "omega_grid", corrupted_grid(cell))
+        ds = np.unique(scan_ds(spec, SpectralDomain(T), patterns))
+        W = search._table(spec, T)
+    ds = ds[np.isfinite(ds) & (ds > 0)]
+    d_maxes += [d for near in (0.5, 1.0)
+                for d in ds[np.argsort(np.abs(ds - near))[:20]].tolist()]
+    d_maxes += ds[:20].tolist()
+    d_max = 0.5 if data is None else data.draw(st.sampled_from(d_maxes))
+    calls, got, want = corrupted_near(spec, T, patterns, d_max, cell)
+    one = certified(W, d_max) or patterns == "sum"
+    assert all(len(live) == (1 if one else 3) for _, _, live in calls)
+    assert fields(got) == fields(want)
 
 
 def check_live_pattern(spec, domain, patterns, d_max, block=search._BLOCK):
@@ -759,6 +849,51 @@ def test_pruned_near_search_memory_peak(T, patterns, ceiling):
         tracemalloc.stop()
     assert n == {92: 54, 88: 48}[T]
     assert peak <= ceiling
+
+
+def test_search_lets_its_blocks_go_before_the_build():
+    """The column search behind the CLI's inventory of water at T=30
+    (d_min 0.1, 90,169 triads) joins the candidates each block keeps and
+    lets the blocks' shares go before it builds, so tracemalloc's peak
+    stays under 13.0 MB (12.28 MB measured with numpy 2.4.6, as the CLI's
+    CSV inventory; 15.94 MB while the shares were held through the
+    build)."""
+    search._search(GC75, SpectralDomain(8), BOTH, patterns="sum",
+                   d_min=0.1)  # lazy set-up first
+    tracemalloc.start()
+    try:
+        n = len(search._search(GC75, SpectralDomain(30), BOTH,
+                               patterns="sum", d_min=0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 90169
+    assert peak < 13_000_000
+
+
+@pytest.mark.parametrize("T", [92, 128])
+def test_dense_both_blocks_hold_at_most_block_candidates(T):
+    """Above T = 65 one k1 row holds more than ``_BLOCK`` candidates,
+    (T - 1)^2 at k1 = (1, 1); the dense ``both`` blocks cut such a row
+    between its k2 rows, so none holds more (16,129 at T=128 when rows
+    were kept whole).  Their candidates are the per-row generator's in
+    scan order: strictly increasing keys (k1, k2), each in its k1's box
+    with n3 = n1 + n2 and the table's values at k2 and k3, as many as the
+    per-row generator's."""
+    X, domain, R = search._table(GC75, T), SpectralDomain(T), T + 1
+    last, count = -1, 0
+    for m1, n1, x2, x3, m2, n2, n3 in BOTH.blocks(X, domain, True,
+                                                    unpruned("sum")):
+        assert 0 < m2.size <= search._BLOCK
+        key = ((m1 * R + n1) * R + m2) * R + n2
+        assert key[0] > last and (np.diff(key) > 0).all()
+        last, count = key[-1], count + m2.size
+        assert ((m1 <= m2) & (m2 <= T - m1) & ((m2 > m1) | (n2 >= n1))
+                & (n2 >= 1) & (n3 == n1 + n2) & (n3 <= T)).all()
+        assert x2.tobytes() == X[m2, n2].tobytes()
+        assert x3.tobytes() == X[m1 + m2, n3].tobytes()
+    assert count == sum(x2.size for _, _, x2, *_ in row_both_blocks(
+        X, domain, True))
 
 
 # -- exact sphere: the Fraction loop ----------------------------------------------
@@ -1328,9 +1463,11 @@ def oracle_select_bridges(spec, domain, seeds, omega_max, patterns="sum",
 
 
 def oracle_cascade_path(spec, domain, seed, depth, patterns="sum",
-                        closure="auto", n_selection="none"):
-    """The cascade, level by level from the per-pair bridges."""
-    closure, passes, freqs = _oracle_convention(spec, closure, n_selection)
+                        closure="auto", n_selection="none", freqs=None):
+    """The cascade, level by level from the per-pair bridges, on the
+    frequencies ``freqs`` (a mapping from modes), by default the spec's."""
+    closure, passes, memo = _oracle_convention(spec, closure, n_selection)
+    freqs = memo if freqs is None else freqs
     visited = {frozenset(seed.members())}
     current = seed
     steps = []
@@ -1725,6 +1862,47 @@ def test_bridges_of_donors_past_the_truncation(spec, domain, closure,
                                              patterns, closure))
 
 
+#: Float kinds and closures with seeds (numerically exact triads) at
+#: T = 8 to 12: the bve plane, under zonal and box closure.
+SEEDED = [(DispersionSpec("bve_plane"), "zonal", "square"),
+          (DispersionSpec("bve_plane"), "zonal", "triangular"),
+          (DispersionSpec("bve_plane"), "box", "square"),
+          (DispersionSpec("bve_plane", plane_form="squared"), "zonal",
+           "square"),
+          (DispersionSpec("bve_plane", plane_form="squared",
+                          basin=BasinGeometry("rectangle", 1.0, 4.0)),
+           "zonal", "triangular")]
+
+
+@given(case=st.sampled_from(SEEDED), T=st.integers(8, 12),
+       patterns=st.sampled_from(["sum", "all"]), cell=CORRUPT_CELLS,
+       pick=st.integers(0, 2 ** 16), depth=st.integers(1, 6))
+@example(case=SEEDED[3], T=12, patterns="sum", cell=(2, 2, math.nan),
+         pick=1, depth=6)
+def test_cascade_on_corrupted_grids(case, T, patterns, cell, pick, depth):
+    """cascade_path on a grid with one NaN, inf, -inf or 1e308 cell, from
+    a seed resonant on that grid, against the per-pair bridge oracle level
+    by level on the same frequencies: a NaN completion is skipped, not its
+    pair, and each next triad carries the grid's values.  The example's
+    NaN at (3, 3) once hid the first bridge of the seed [1,2][2,4][3,1]."""
+    spec, closure, shape = case
+    domain = SpectralDomain(T, shape)
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "omega_grid", corrupted_grid(cell))
+        W = search._table(spec, T)
+        seeds, _ = corrupted_walk_oracle(W, domain, closure, patterns,
+                                         n_rule(closure, "none"), False)
+        assume(seeds)
+        seed = seeds[pick % len(seeds)]
+        got = cascade_path(spec, domain, seed, depth, patterns, closure)
+        w = W.tolist()
+        want = oracle_cascade_path(spec, domain, seed, depth, patterns,
+                                   closure, freqs={k: w[k.m][k.n] for k in
+                                                   domain.modes()})
+    assert steps_fields(got) == steps_fields(want)
+
+
 @pytest.mark.parametrize("spec, domain, closure, patterns, members", [
     (SPHERE, SpectralDomain(20, "triangular"), "zonal", "sum",
      ((4, 12), (5, 14), (9, 13))),
@@ -1978,21 +2156,26 @@ def same_columns(got, want):
                for g, w in zip(got, want))
 
 
-def check_block_sizes(m1, n1, sizes, cap):
-    """Each block holds at most ``cap`` candidates or one k1 row alone, and
-    the next block's first row would not have fit."""
-    row = np.r_[0, np.flatnonzero((np.diff(m1) != 0) | (np.diff(n1) != 0)) + 1]
-    row_size = np.diff(np.r_[row, m1.size])
+def check_block_sizes(keys, sizes, cap):
+    """Each block holds at most ``cap`` candidates or one row alone, and
+    the next block's first row would not have fit; a row is a run of equal
+    ``keys``: (m1, n1) for a k1 row, (m1, n1, m2) for a k2 row."""
+    total = keys[0].size
+    change = np.zeros(total - 1, bool)
+    for key in keys:
+        change |= np.diff(key) != 0
+    row = np.r_[0, np.flatnonzero(change) + 1]
+    row_size = np.diff(np.r_[row, total])
     at = 0
     for size in sizes:
         assert size and at in row  # whole rows, no empty block
         first = np.searchsorted(row, at)
         assert size <= cap or row_size[first] == size
         nxt = at + size
-        if nxt < m1.size:
+        if nxt < total:
             assert size + row_size[np.searchsorted(row, nxt)] > cap
         at = nxt
-    assert at == m1.size
+    assert at == total
 
 
 @given(spec=st.sampled_from(FLOAT_SPECS + [SPHERE]), T=st.integers(1, 24),
@@ -2003,10 +2186,10 @@ def check_block_sizes(m1, n1, sizes, cap):
          python_int=False, data=None)
 def test_multi_row_blocks_match_per_row_blocks(spec, T, cap, patterns, skip,
                                                python_int, data):
-    """The closures' blocks, with their size cut at ``cap`` candidates,
-    against the per-row generators they replaced: the candidates and table
-    values in scan order (the self-pair as the number system has it),
-    |Omega| and
+    """The closures' blocks, with their size cut at ``cap`` candidates
+    (between k2 rows under ``both``, else between k1 rows), against the
+    per-row generators they replaced: the candidates and table values in
+    scan order (the self-pair as the number system has it), |Omega| and
     min |w| of ``_scan`` bit for bit, and the discrepancy-bound witness and
     the partition at a cap of 1 against the default cap.  On the sphere
     also with the Python-int table."""
@@ -2025,8 +2208,9 @@ def test_multi_row_blocks_match_per_row_blocks(spec, T, cap, patterns, skip,
             X, domain, skip, unpruned(patterns)))
         old, _ = flat_blocks(ROW_BLOCKS[closure](X, domain, skip))
         assert same_columns(got, old)
-        if got is not None:
-            check_block_sizes(got[0], got[1], sizes, cap)
+        if got is not None:  # both closure cuts between k2 rows
+            check_block_sizes(got[:2] + (got[4:5] if closure == "both"
+                                         else []), sizes, cap)
         assert same_columns(block_scan(spec, domain, closure, patterns, skip),
                             want)
         omegas = np.unique(want[5][want[5] > 0]) if want else []
@@ -2140,7 +2324,7 @@ def test_windowed_zonal_blocks_match_dense_blocks(shape, patterns, skip,
             got, sizes = flat_blocks(search.CLOSURES["zonal"].blocks(
                 X, domain, skip, (patterns, *within, None)))
             if got is not None:
-                check_block_sizes(got[0], got[1], sizes, cap)
+                check_block_sizes(got[:2], sizes, cap)
 
         def run():
             bound = discrepancy_lower_bound(SPHERE, domain)
