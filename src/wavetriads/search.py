@@ -80,13 +80,21 @@ both axes with max/min below 2**40, and d_max <= 1/2, then w3 >= w1, w2
 the other patterns are at least min |w|; rounded twice from terms below
 2**40 min |w|, each errs by less than 2**-12 of itself (or overflows),
 so its float d exceeds 1/2.  Other grids and d_max bound every pattern
-of the call.  A per-tile prefilter on each bounded pattern's residual
-leaves a few cells, sorted once and yielded in blocks of at most
-``_BLOCK`` as every closure yields them (:func:`_tile_scan`), which the
-scan steps under the caller's patterns with its own float64 expressions,
-so every output is that of the dense scan.  ``d_max = inf``, float
-``zonal`` and ``box`` closure, the max-discrepancy search, and the float
-bound and classifier scan densely.
+of the call.  A grid equal to its transpose bit for bit (read from the
+grid, not from the basin's sides, so no choice of formula can sway it;
+NaN fails it) bounds only the tile pairs that can hold m3 <= n3, and
+adds each survivor's transpose, its members in lexicographic order: a
+candidate and its transpose read the same three values, RESIDUALS map
+onto themselves bit for bit when w1 and w2 swap (a + b - c stays,
+a - b + c and -a + b + c trade), and the bound and the prefilter hold
+under either order of the members, so every hit with m3 > n3 is the
+transpose of a surviving one.  A per-tile prefilter
+on each bounded pattern's residual leaves a few cells, sorted once and
+yielded in blocks of at most ``_BLOCK`` as every closure yields them
+(:func:`_tile_scan`), which the scan steps under the caller's patterns
+with its own float64 expressions, so every output is that of the dense
+scan.  ``d_max = inf``, float ``zonal`` and ``box`` closure, the
+max-discrepancy search, and the float bound and classifier scan densely.
 """
 
 from __future__ import annotations
@@ -552,15 +560,19 @@ def _tile_scan(X, domain, patterns, d_max):
     corners, once: the m tiles of every row and, as the n range depends on
     n1 alone, the n tiles of every n1.
     Blocks of m tiles by all n tiles, at most ``_BLOCK`` tiles or one m
-    tile, meet the bound.  Each pattern keeps the cells of its live tiles,
-    read from the grid padded with NaN (k3 off the box gives a NaN
-    residual), whose residual is r <= d_max |w1| (1 + 16u).  A hit's least
-    residual a has fl(a / min |w|) <= d_max, so a <= d_max min |w| (1 + u)
-    <= d_max |w1| (1 + u), below the threshold after two roundings (a
-    subnormal d_max counts as the least normal float; 1e-300 covers an
-    underflowing product).  The survivors' keys, sorted once as a row may
-    span two blocks of tiles, meet the order rule k2 >= k1 and are decoded
-    ``_BLOCK`` at a time; the scan steps them."""
+    tile, meet the bound; on a grid equal to its transpose (the module
+    docstring) the m tiles go by least m3 and the n tiles by greatest n3,
+    and each block takes only the n tiles its first m tile can reach with
+    m3 <= n3.  Each pattern keeps the cells of its live tiles, read from
+    the grid padded with NaN (k3 off the box gives a NaN residual), whose
+    residual is r <= d_max |w1| (1 + 16u).  A hit's least residual a has
+    fl(a / min |w|) <= d_max, so a <= d_max min |w| (1 + u) <= d_max |w1|
+    (1 + u), below the threshold after two roundings (a subnormal d_max
+    counts as the least normal float; 1e-300 covers an underflowing
+    product).  The survivors' keys, sorted once as a row may span two
+    blocks of tiles, meet the order rule k2 >= k1, gain their transposes
+    on a symmetric grid, and are decoded ``_BLOCK`` at a time; the scan
+    steps every one, so scan order and triads stay the dense scan's."""
     T, t = domain.truncation, _TILE
     P = np.pad(X, (0, t), constant_values=np.nan)
     R, Pf = P.shape[1], P.ravel()  # modes are flat offsets m R + n into P
@@ -570,13 +582,20 @@ def _tile_scan(X, domain, patterns, d_max):
     for k, lo, hi in ((m1, m_lo, m_hi), (n1, np.full_like(n1, n_lo), n_hi)):
         i, k, lo, hi = _expand(0, (hi - lo) // t + 1, k, lo, hi)
         tiles.append((k, lo + i * t, np.minimum(lo + i * t + t - 1, hi)))
-    (m1, m_lo, _), n_tiles = tiles
-    rows = max(_BLOCK // max(n_tiles[0].size, 1), 1)  # m tiles a block
+    W = X[1:, 1:]
+    mirror = np.array_equal(W, W.T)  # False on NaN and on non-square grids
+    (m1, m_lo, _), (n1, _, n_hi) = tiles
+    first = np.zeros(m1.size, np.int64)  # each m tile's first n tile
+    if mirror:  # m tiles by least m3, n tiles by greatest n3
+        tiles = [[v[o] for v in tile] for tile, o in zip(tiles, (
+            np.argsort(k, kind="stable") for k in (m1 + m_lo, n1 + n_hi)))]
+        (m1, m_lo, _), (n1, _, n_hi) = tiles
+        first = np.searchsorted(n1 + n_hi, m1 + m_lo)  # m3 <= n3 from here
+    n_tiles = tiles[1]
     scale = max(d_max, 2.0 ** -1022) * (1 + 16 * _U)
-    found = [np.full(1, -1)]  # keys k1 R^2 + k2, after a -1 sentinel
+    found = [np.zeros(0, np.int64)]  # keys k1 R^2 + k2
     with np.errstate(invalid="ignore", over="ignore"):
         tables = _window_tables(X, t)
-        W = X[1:, 1:]
         omax = float(np.max(np.abs(W)))
         # With at most 4 steps per axis (8 x 8 tiles) each value the bound
         # and the residuals round is at most 40 omax in size, and their
@@ -592,17 +611,27 @@ def _tile_scan(X, domain, patterns, d_max):
         bounded = "sum" if (d_max <= 0.5 and 0 < least
                             and omax < 2.0 ** 40 * least
                             and tables[:, 0].min() >= 0) else patterns
-        for b in range(0, m1.size, rows):
+        b = 0
+        while b < m1.size:
+            j0 = first[b]  # the block's n tiles: those its first m tile needs
+            rows = max(_BLOCK // max(n_tiles[0].size - j0, 1), 1)
             block = [v[b:b + rows] for v in tiles[0]]
+            n_block = [v[j0:] for v in n_tiles]
             for signs, mask in zip(SIGN_PATTERNS, _live_tiles(
-                    Pf, R, tables, block, n_tiles, bounded, d_max, slack)):
+                    Pf, R, tables, block, n_block, bounded, d_max, slack)):
                 i, j = np.nonzero(mask)
                 found += _prefilter(Pf, R, signs, scale,
-                                    m1[b + i] * R + n_tiles[0][j],
-                                    m_lo[b + i] * R + n_tiles[1][j])
-    key = np.sort(np.concatenate(found))
-    key = key[1:][key[1:] > key[:-1]]  # once each
+                                    m1[b + i] * R + n_block[0][j],
+                                    m_lo[b + i] * R + n_block[1][j])
+            b += rows
+    key = np.concatenate(found)
     key = key[key % (R * R) >= key // (R * R)]  # the order rule k2 >= k1
+    if mirror:  # each key's transpose, its members in lexicographic order
+        k1, k2 = (k % R * R + k // R for k in np.divmod(key, R * R))
+        key = np.concatenate((key, np.minimum(k1, k2) * R * R
+                              + np.maximum(k1, k2)))
+    key = np.sort(np.concatenate(([-1], key)))  # after a -1 sentinel
+    key = key[1:][key[1:] > key[:-1]]  # once each
     for b in range(0, key.size, _BLOCK):
         k1, k2 = np.divmod(key[b:b + _BLOCK], R * R)
         (m1, n1), (m2, n2) = np.divmod(k1, R), np.divmod(k2, R)

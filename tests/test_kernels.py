@@ -530,12 +530,16 @@ def test_pruned_near_search_keeps_ties_with_one_point_tiles(spec, patterns):
             fields(dense_near(spec, domain, patterns, d_max))
 
 
-def corrupted_grid(cell):
+def corrupted_grid(cell, mirrored=False):
     """omega_grid with the cell (m, n) = cell[:2] mod T, plus 1, set to
-    cell[2]; it takes the optional n extent that ``_table`` passes."""
+    cell[2], and with ``mirrored`` its transpose (n, m) too; it takes the
+    optional n extent that ``_table`` passes."""
     def grid(spec, T, N=None):
         W = omega_grid(spec, T, N)
-        W[cell[0] % T + 1, cell[1] % T + 1] = cell[2]
+        m, n = cell[0] % T + 1, cell[1] % T + 1
+        W[m, n] = cell[2]
+        if mirrored:
+            W[n, m] = cell[2]
         return W
     return grid
 
@@ -639,11 +643,47 @@ def row_tiles(T, t=8):
     return [np.array(v, dtype=np.int64).reshape(-1, 3).T for v in (m, n)]
 
 
-def check_blocks(calls, T, block=search._BLOCK):
+def symmetric(X):
+    """Whether the grid of the near search, the table X off its zero row
+    and column, is square and equal to its transpose cell by cell (a NaN
+    equals nothing): where the bound may skip the tiles whose every cell
+    has m3 > n3."""
+    W = X[1:, 1:]
+    return W.shape[0] == W.shape[1] and bool((W == W.T).all())
+
+
+def tile_index(tiles, got):
+    """The places in ``tiles`` (3 x k, from :func:`row_tiles`) of the tiles
+    ``got`` (m or n tiles of a bound call), each one of them exactly."""
+    place = {tuple(c): i for i, c in enumerate(tiles.T.tolist())}
+    return np.array([place[tuple(c)] for c in np.array(got).T.tolist()],
+                    dtype=np.int64)
+
+
+def check_blocks(calls, T, block=search._BLOCK, mirror=False):
     """The blocks cut the m tiles of every row in scan order, each once, at
     most ``block`` tiles (at least one m tile) a block, and bound each
-    against every n tile."""
+    against every n tile.  On a ``mirror`` (transpose-symmetric) grid each
+    m tile is bounded once, in a block of at most ``block`` tiles (at
+    least one m tile) that takes exactly the n tiles whose greatest n3
+    reaches the least m3 of one of its m tiles; so each (m tile, n tile)
+    pair that holds a cell with m3 <= n3 is bounded exactly once."""
     m_tiles, n_tiles = row_tiles(T)
+    if mirror:
+        least_m3, most_n3 = m_tiles[0] + m_tiles[1], n_tiles[0] + n_tiles[2]
+        bounded = np.zeros((m_tiles.shape[1], n_tiles.shape[1]), np.int64)
+        rows = []  # each call's m tiles
+        for b, (tm, tn, _) in enumerate(calls):
+            i, j = tile_index(m_tiles, tm), tile_index(n_tiles, tn)
+            rows += i.tolist()
+            assert sorted(j.tolist()) == np.flatnonzero(
+                most_n3 >= least_m3[i].min()).tolist()
+            assert i.size == max(block // max(j.size, 1), 1) or \
+                b == len(calls) - 1  # only the last block may be short
+            np.add.at(bounded, (i[:, None], j), 1)
+        assert sorted(rows) == list(range(m_tiles.shape[1]))  # each once
+        assert (bounded[least_m3[:, None] <= most_n3] == 1).all()
+        return
     for k, tiles in enumerate(m_tiles):
         assert np.array_equal(np.concatenate(
             [c[0][k] for c in calls] + [np.zeros(0, int)]), tiles)
@@ -655,15 +695,15 @@ def check_blocks(calls, T, block=search._BLOCK):
 
 def tile_of(calls, k1, k2):
     """(block, m tile, n tile) of the tile that holds the candidate
-    (k1, k2): exactly one."""
+    (k1, k2), or None if no bound call took it: at most one."""
     (m1, n1), (m2, n2) = k1, k2
     held = []
     for b, ((tm1, m_lo, m_hi), (tn1, n_lo, n_hi), _) in enumerate(calls):
         i = np.flatnonzero((tm1 == m1) & (m_lo <= m2) & (m2 <= m_hi))
         j = np.flatnonzero((tn1 == n1) & (n_lo <= n2) & (n2 <= n_hi))
         held += [(b, x, y) for x in i.tolist() for y in j.tolist()]
-    assert len(held) == 1, (k1, k2, held)
-    return held[0]
+    assert len(held) <= 1, (k1, k2, held)
+    return held[0] if held else None
 
 
 @pytest.mark.parametrize("patterns", ["sum", "all"])
@@ -672,14 +712,16 @@ def test_tile_bound_prunes_nothing_at_infinite_d_max(patterns):
     tile there too; at d_max = 1e-5 it skips most tiles of gc75 T=40.
     There the grid is certified, so each bound call reads one mask, the
     sum pattern's, whatever the patterns; at d_max = inf, above the
-    certificate's 1/2, it reads one per pattern of the call."""
+    certificate's 1/2, it reads one per pattern of the call.  The unit
+    square's grid is transpose-symmetric: the bound takes only the tiles
+    that can hold m3 <= n3 (:func:`check_blocks`)."""
     spec, T = DispersionSpec("gravity_capillary", mu_over_nu=75.0), 40
     live = {}
     for d in (math.inf, 1e-5):
         with bound_calls() as calls:
             list(search._tile_scan(search._table(spec, T), SpectralDomain(T),
                                    patterns, d))
-        check_blocks(calls, T)
+        check_blocks(calls, T, mirror=True)
         assert all(len(masks) == (3 if patterns == "all" and d == math.inf
                                   else 1) for _, _, masks in calls)
         live[d] = [mask for _, _, masks in calls for mask in masks]
@@ -779,22 +821,41 @@ def test_certified_and_fallback_grids_match_dense_scan(spec, T, patterns,
     assert fields(got) == fields(want)
 
 
+def live_for_a_keeping_pattern(calls, k1, k2, w, d_max):
+    """Whether the candidate (k1, k2) with frequencies ``w`` lies in a tile
+    of the bound's ``calls`` that is live for a sign pattern whose own
+    float d = |Omega| / min |w| is <= d_max (the scan's expressions)."""
+    held = tile_of(calls, k1, k2)
+    if held is None:
+        return False
+    b, i, j = held
+    w = np.array(w)
+    amin = min(min(abs(w[1]), abs(w[2])), abs(w[0]))
+    return any(mask[i, j] and abs(residual(*w)) / amin <= d_max
+               for residual, mask in zip(search.RESIDUALS, calls[b][2]))
+
+
 def check_live_pattern(spec, domain, patterns, d_max, block=search._BLOCK):
     """Every hit of the dense scan lies in one tile, bounded once, that the
-    bound keeps live for a sign pattern whose own float
-    d = |Omega| / min |w| is <= d_max (the scan's expressions), and the
-    pruned search, with 128-tile gathers, returns the dense scan's triads.
+    bound keeps live for a sign pattern that keeps the hit; on a
+    transpose-symmetric grid the hit or its transpose (members swapped
+    into lexicographic order where they must be) does.  The pruned
+    search, with 128-tile gathers, returns the dense scan's triads.
     Returns the bound's calls, one per block."""
+    mirror = symmetric(search._table(spec, domain.truncation))
     with bound_calls() as calls:
         pruned = pruned_near(spec, domain, patterns, d_max, 8, 128, block)
-    check_blocks(calls, domain.truncation, block)
+    check_blocks(calls, domain.truncation, block, mirror)
     dense = dense_near(spec, domain, patterns, d_max)
     for t in dense:
-        b, i, j = tile_of(calls, t.k1, t.k2)
-        w = np.array(t.omegas)
-        amin = min(min(abs(w[1]), abs(w[2])), abs(w[0]))
-        assert any(mask[i, j] and abs(residual(*w)) / amin <= d_max
-                   for residual, mask in zip(search.RESIDUALS, calls[b][2])), t
+        ways = [(t.k1, t.k2, t.omegas)]
+        if mirror:
+            (k1, w1), (k2, w2) = sorted(
+                (WaveVector(k.n, k.m), w)
+                for k, w in zip((t.k1, t.k2), t.omegas))
+            ways.append((k1, k2, (w1, w2, t.omegas[2])))
+        assert any(live_for_a_keeping_pattern(calls, *way, d_max)
+                   for way in ways), t
     assert fields(pruned) == fields(dense)
     return calls
 
@@ -823,12 +884,86 @@ def test_each_hit_is_live_for_a_pattern_that_keeps_it(spec, T, patterns,
 def test_pruned_near_search_at_benchmark_sizes(spec, T, patterns, d_max):
     """The near-scan rungs, where a block's live tiles fill several
     gathers of ``_GATHER_TILES`` and rows span two blocks: the dense scan's
-    triads, each hit live for a pattern that keeps it.  The capillary
-    relation is convex, so it has no hit here: the pruned search must find
-    none either."""
+    triads, each hit (or, on the symmetric unit square, its transpose)
+    live for a pattern that keeps it.  The capillary relation is convex,
+    so it has no hit here: the pruned search must find none either.  On
+    the unit square the blocks take m tiles by their least m3, so a row's
+    m tiles spread over blocks, not only two consecutive ones."""
     calls = check_live_pattern(spec, SpectralDomain(T), patterns, d_max)
     assert max(mask.sum() for _, _, live in calls for mask in live) > 2 * 128
-    assert any(a[0][0][-1] == b[0][0][0] for a, b in zip(calls, calls[1:]))
+    if symmetric(search._table(spec, T)):
+        rows = [np.unique(c[0][0]) for c in calls]
+        assert sum(r.size for r in rows) > np.unique(np.concatenate(rows)).size
+    else:
+        assert any(a[0][0][-1] == b[0][0][0]
+                   for a, b in zip(calls, calls[1:]))
+
+
+@pytest.mark.parametrize("spec, mirror", [
+    (GC75, True),
+    (DispersionSpec("gravity_capillary", mu_over_nu=75.0,
+                    basin=BasinGeometry("rectangle", 1.0, 2.74)), False)],
+    ids=["unit-square", "rectangle"])
+def test_symmetric_grids_bound_only_tiles_that_can_hold_m3_le_n3(spec, mirror):
+    """gc75 at T=92, all patterns, d_max 1e-5: on the unit square, whose
+    grid is transpose-symmetric, the bound takes at most 65% of the
+    162,432 (m tile, n tile) pairs (each pair that can hold m3 <= n3, once;
+    96,784 of them); on a 1 x 2.74 rectangle it takes all of them, as
+    before.  Both searches give the dense scan's triads."""
+    T, domain = 92, SpectralDomain(92)
+    assert symmetric(search._table(spec, T)) == mirror
+    with bound_calls() as calls:
+        got = pruned_near(spec, domain, "all", 1e-5)
+    check_blocks(calls, T, mirror=mirror)
+    m_tiles, n_tiles = row_tiles(T)
+    assert m_tiles.shape[1] * n_tiles.shape[1] == 162_432
+    bounded = sum(tm[0].size * tn[0].size for tm, tn, _ in calls)
+    assert bounded <= 0.65 * 162_432 if mirror else bounded == 162_432
+    assert fields(got) == fields(dense_near(spec, domain, "all", 1e-5))
+
+
+@given(T=st.integers(2, 24), patterns=st.sampled_from(["sum", "all"]),
+       cell=st.tuples(st.integers(0, 99), st.integers(0, 99),
+                      st.sampled_from([math.nan, math.inf, -math.inf,
+                                       1e308, "ulp"])),
+       mirrored=st.booleans(),
+       d_max=st.sampled_from([1e-6, 1e-3, 0.3, 1e300]),
+       block=st.sampled_from([1, 7, 4096]))
+@example(T=24, patterns="all", cell=(3, 9, math.inf), mirrored=True,
+         d_max=1e-3, block=1)
+@example(T=24, patterns="all", cell=(3, 9, math.nan), mirrored=True,
+         d_max=1e-3, block=1)
+@example(T=24, patterns="sum", cell=(3, 9, "ulp"), mirrored=False,
+         d_max=1e-3, block=1)
+def test_mirror_path_on_corrupted_grids(T, patterns, cell, mirrored, d_max,
+                                        block):
+    """gc75 on the unit square with one cell, and with ``mirrored`` its
+    transpose too, set to NaN, inf, -inf, 1e308, or one ulp above its own
+    value: the bound skips the tiles that cannot hold m3 <= n3 exactly
+    when the grid stays transpose-symmetric (a mirrored pair or a diagonal
+    cell that is not NaN), and a NaN, or one cell off the diagonal moved
+    by one ulp, falls back to full tiles (:func:`check_blocks`).  Either
+    way the search gives the dense scan's triads, whose frequencies hold
+    the corrupted cells too."""
+    domain, (m, n, value) = SpectralDomain(T), cell
+    m, n = m % T + 1, n % T + 1
+    if value == "ulp":
+        value = math.nextafter(float(omega_grid(GC75, T)[m, n]), math.inf)
+    mirror = not math.isnan(value) and (mirrored or m == n)
+    freqs = FrequencyMemo(GC75)
+    freqs[WaveVector(m, n)] = value
+    if mirrored:
+        freqs[WaveVector(n, m)] = value
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "omega_grid",
+                   corrupted_grid((m - 1, n - 1, value), mirrored))
+        assert symmetric(search._table(GC75, T)) == mirror
+        with bound_calls() as calls:
+            got = pruned_near(GC75, domain, patterns, d_max, block=block)
+        check_blocks(calls, T, block, mirror)
+        assert fields(got) == fields(dense_near(GC75, domain, patterns, d_max,
+                                                freqs))
 
 
 @pytest.mark.parametrize("T, patterns, ceiling", [
