@@ -88,12 +88,14 @@ candidate and its transpose read the same three values, RESIDUALS map
 onto themselves bit for bit when w1 and w2 swap (a + b - c stays,
 a - b + c and -a + b + c trade), and the bound and the prefilter hold
 under either order of the members, so every hit with m3 > n3 is the
-transpose of a surviving one.  A per-tile prefilter
-on each bounded pattern's residual leaves a few cells, sorted once and
-yielded in blocks of at most ``_BLOCK`` as every closure yields them
-(:func:`_tile_scan`), which the scan steps under the caller's patterns
-with its own float64 expressions, so every output is that of the dense
-scan.  ``d_max = inf``, float ``zonal`` and ``box`` closure, the
+transpose of a surviving one.  Two phases: the bound's blocks collect
+each pattern's live tiles; then a per-tile prefilter on each bounded
+pattern's residual reads all its live tiles, each tile row as runs of
+cells, and leaves a few cells, sorted once and yielded in blocks of at
+most ``_BLOCK`` as every closure yields them (:func:`_tile_scan`),
+which the scan steps under the caller's patterns with its own float64
+expressions, so every output is that of the dense scan.
+``d_max = inf``, float ``zonal`` and ``box`` closure, the
 max-discrepancy search, and the float bound and classifier scan densely.
 """
 
@@ -434,13 +436,15 @@ def _scan(X, domain, rule, skip_equal_n_pairs, test):
 #: A 16 or 32 coarse pass before these, or 4 x 4 tiles within the live
 #: ones, made the near-scan rungs slower.
 _TILE = 8
-#: Most tiles whose candidates one gather evaluates (bounds its memory).
-_GATHER_TILES = 128
+#: Most tiles whose cells one prefilter gather reads (bounds its memory:
+#: at 256 the T=88 near search peaks in the prefilter, at 0.96 MB; 512
+#: read slower).
+_GATHER_TILES = 256
 
 
 def _take(values, index, out):
-    """``values[index]`` into ``out``, unbuffered: every index is valid."""
-    return values.take(index, out=out, mode="clip")
+    """``values.take(index, 0, out)``, unbuffered: every index is valid."""
+    return values.take(index, 0, out, "clip")
 
 
 def _widen(spread, steps, a, b):
@@ -454,28 +458,34 @@ def _live(r, spread, bound):
     return ~(np.subtract(np.abs(r, out=r), spread, out=r) > bound)
 
 
-def _window_tables(X, t):
+def _window_tables(X, t, mirror):
     """Least and greatest forward difference of the omega grid X over the
     t x t window at every anchor (i, j) <= (T, T), with Gm(i, j) =
-    X[i+1, j] - X[i, j] and Gn(i, j) = X[i, j+1] - X[i, j], as one array
-    (axis m/n, min/max, cell i R + j) with the rows, R = T + 1 + t long, of
-    the padded grid of :func:`_tile_scan`.  Cells off the grid hold the
-    reduction's neutral value, so a window reads only the differences
-    inside it.  Reduced in place: shifts by s = 1, 2, 4, ... (the last
-    topped up to t) grow w-wide windows to w + s."""
+    X[i+1, j] - X[i, j] and Gn(i, j) = X[i, j+1] - X[i, j]: per axis m, n
+    one array (cell i R + j, min/max), its cells the rows, R = T + 1 + t
+    long, of the padded grid of :func:`_tile_scan`, so one gather reads a
+    cell's two extremes.  Cells off the grid hold the reduction's neutral
+    value, so a window reads only the differences inside it.  Reduced in
+    place: shifts by s = 1, 2, 4, ... (the last topped up to t) grow
+    w-wide windows to w + s.  On a ``mirror`` grid (equal to its
+    transpose) Gn is Gm transposed, and so are its extremes: the n table
+    is the m table's transposed copy."""
     T = X.shape[0] - 1
     W, R = X[1:, 1:], T + 1 + t
-    tables = np.empty((2, 2, R, R))
+    tables = np.empty((2, R, R, 2))
     shifts = [min(2 ** k, t - 2 ** k) for k in range((t - 1).bit_length())]
-    for axis, G in zip(tables, (W[1:] - W[:-1], W[:, 1:] - W[:, :-1])):
-        for S, reduce, pad in zip(axis, (np.minimum, np.maximum),
-                                  (np.inf, -np.inf)):
+    for axis, G in zip(tables[:1] if mirror else tables,
+                       (np.diff(W, axis=a) for a in (0, 1))):
+        for S, reduce, pad in zip(np.moveaxis(axis, -1, 0),
+                                  (np.minimum, np.maximum), (np.inf, -np.inf)):
             S.fill(pad)
             S[1:1 + G.shape[0], 1:1 + G.shape[1]] = G
             for s in shifts:
                 reduce(S[:-s], S[s:], out=S[:-s])
                 reduce(S[:, :-s], S[:, s:], out=S[:, :-s])
-    return tables.reshape(2, 2, -1)
+    if mirror:
+        tables[1] = tables[0].transpose(1, 0, 2)
+    return tables.reshape(2, -1, 2)
 
 
 def _live_tiles(Pf, R, tables, m_tiles, n_tiles, patterns, d_max, slack):
@@ -488,32 +498,32 @@ def _live_tiles(Pf, R, tables, m_tiles, n_tiles, patterns, d_max, slack):
     With D = w3 - w2 and S = w3 + w2 the residuals are w1 - D, w1 + D and
     S - w1.  One step along an axis moves D by Gx(k3) - Gx(k2) and S by
     Gx(k3) + Gx(k2), each bounded by the extremes of Gx over the windows
-    at the tile's k2 and k3 corners; a tile's points lie within its
-    farthest edge steps of its centre, where D and S are evaluated.  The
-    float64 expressions are evaluated in place, in a few tile-sized
-    buffers."""
+    at the tile's k2 and k3 corners, gathered as (min, max) pairs, one
+    gather per axis and corner; a tile's points lie within its farthest
+    edge steps of its centre, where D and S are evaluated.  The float64
+    expressions are evaluated in place, in a few tile-sized buffers."""
     (m1, m_lo, m_hi), (n1, n_lo, n_hi) = (v[:, None] for v in m_tiles), n_tiles
     cm, cn = (m_lo + m_hi) // 2, (n_lo + n_hi) // 2
     k1, k2 = m1 * R + n1, m_lo * R + n_lo  # k1, and the tiles' k2 corners
     k3 = k1 + k2
-    a, b, c = (np.empty(k1.shape) for _ in range(3))
+    a, b = (np.empty(k1.shape) for _ in range(2))
+    e2, e3 = (np.empty(k1.shape + (2,)) for _ in range(2))
     spread_d = np.zeros(k1.shape)
     spread_s = np.zeros(k1.shape) if patterns == "all" else None
-    for (lo, hi), steps in zip(tables, (m_hi - cm, n_hi - cn)):
+    for table, steps in zip(tables, (m_hi - cm, n_hi - cn)):
+        _take(table, k2, e2), _take(table, k3, e3)  # (min, max) pairs
+        lo2, hi2, lo3, hi3 = e2[..., 0], e2[..., 1], e3[..., 0], e3[..., 1]
         # Both extremes are -inf/+inf only in a window wholly off the
         # grid, where the tile takes no step; max(., 0) keeps 0 * inf out.
-        _widen(spread_d, steps,
-               np.subtract(_take(hi, k3, a), _take(lo, k2, b), out=a),
-               np.subtract(_take(hi, k2, b), _take(lo, k3, c), out=b))
+        _widen(spread_d, steps, np.subtract(hi3, lo2, out=a),
+               np.subtract(hi2, lo3, out=b))
         if patterns == "all":
-            _widen(spread_s, steps,
-                   np.add(_take(hi, k3, a), _take(hi, k2, b), out=a),
-                   np.negative(np.add(_take(lo, k3, b), _take(lo, k2, c),
-                                      out=b), out=b))
-    for k in (k2, k3):  # to the tiles' centres
-        k += (cm - m_lo) * R
-        k += cn - n_lo
-    x2, x3, w1 = _take(Pf, k2, a), _take(Pf, k3, b), _take(Pf, k1, c)
+            _widen(spread_s, steps, np.add(hi3, hi2, out=a),
+                   np.negative(np.add(lo3, lo2, out=b), out=b))
+    del e2, e3, lo2, hi2, lo3, hi3  # before the centres' gathers
+    np.add(cm * R, cn, out=k2)  # the tiles' centres
+    np.add(k1, k2, out=k3)
+    x2, x3, w1 = _take(Pf, k2, a), _take(Pf, k3, b), Pf.take(k1)
     # 1 + 16u and ``slack`` cover the rounding of this bound, of the
     # residuals and of d = |Omega| / min |w| (see _tile_scan).
     bound = np.abs(w1)
@@ -530,26 +540,30 @@ def _live_tiles(Pf, R, tables, m_tiles, n_tiles, patterns, d_max, slack):
     return live
 
 
-def _prefilter(Pf, R, signs, scale, k1, corner):
+def _prefilter(E, R, signs, scale, tiles):
     """Keys k1 R^2 + k2 of the cells with |s1 w1 + s2 w2 + s3 w3| <=
-    scale |w1| (``signs``; summed as RESIDUALS sum them) of the tiles at
-    offsets ``k1`` with k2 corners ``corner`` into the padded grid ``Pf``,
-    ``_GATHER_TILES`` whole tiles a gather, in place, gone on return."""
-    cells = np.add.outer(np.arange(_TILE) * R, np.arange(_TILE)).ravel()
+    scale |w1| (``signs``; summed as RESIDUALS sum them) of the ``tiles``
+    (their corners' keys), read from the runs E[i] = Pf[i:i + w] of the
+    padded grid ``Pf`` (w divides ``_TILE``), each tile row as runs of w
+    cells, ``_GATHER_TILES`` whole tiles a gather, in place, gone before
+    the next; only the hits' keys are decoded."""
+    t, w = _TILE, E.shape[1]
+    runs = np.add.outer(np.arange(t) * R, np.arange(0, t, w)).ravel()
+    cells = np.add.outer(runs, np.arange(w)).ravel()  # in gather order
     add = {1: np.add, -1: np.subtract}  # a term by its sign
-    keys = []
-    for c in range(0, k1.size, _GATHER_TILES):
-        k1c = k1[c:c + _GATHER_TILES, None]
-        k2, w1 = corner[c:c + _GATHER_TILES, None] + cells, Pf.take(k1c)
-        k2 += k1c
-        w3 = Pf.take(k2)
-        k2 -= k1c
-        r = Pf.take(k2)
+    hits = [np.zeros(0, np.int64)]  # as offsets into the tiles' cells
+    for c in range(0, tiles.size, _GATHER_TILES):
+        k1, k = np.divmod(tiles[c:c + _GATHER_TILES, None], R * R)
+        w1, k = E[k1, 0], k + runs
+        r = E.take(k, 0).reshape(k.shape[0], -1)
+        k += k1
+        w3 = E.take(k, 0).reshape(r.shape)
         add[signs[2]](add[signs[1]](signs[0] * w1, r, out=r), w3, out=r)
-        at = np.flatnonzero(np.abs(r, out=r) <= scale * np.abs(w1) + 1e-300)
-        keys.append(k1c.take(at // cells.size) * R * R + k2.take(at))
-        del k2, w3, r  # before the next gather makes its own
-    return keys
+        at = np.abs(r, out=r) <= scale * np.abs(w1) + 1e-300
+        hits.append(np.flatnonzero(at) + c * cells.size)
+        del k, w3, r  # before the next gather makes its own
+    at = np.concatenate(hits)
+    return tiles.take(at // cells.size) + cells.take(at % cells.size)
 
 
 def _tile_scan(X, domain, patterns, d_max):
@@ -558,19 +572,20 @@ def _tile_scan(X, domain, patterns, d_max):
     ``_BLOCK`` candidates in scan order.  The k2 boxes
     (:func:`_both_window`) are cut into ``_TILE``-wide tiles from their low
     corners, once: the m tiles of every row and, as the n range depends on
-    n1 alone, the n tiles of every n1.
-    Blocks of m tiles by all n tiles, at most ``_BLOCK`` tiles or one m
-    tile, meet the bound; on a grid equal to its transpose (the module
-    docstring) the m tiles go by least m3 and the n tiles by greatest n3,
-    and each block takes only the n tiles its first m tile can reach with
-    m3 <= n3.  Each pattern keeps the cells of its live tiles, read from
-    the grid padded with NaN (k3 off the box gives a NaN residual), whose
-    residual is r <= d_max |w1| (1 + 16u).  A hit's least residual a has
-    fl(a / min |w|) <= d_max, so a <= d_max min |w| (1 + u) <= d_max |w1|
-    (1 + u), below the threshold after two roundings (a subnormal d_max
-    counts as the least normal float; 1e-300 covers an underflowing
-    product).  The survivors' keys, sorted once as a row may span two
-    blocks of tiles, meet the order rule k2 >= k1, gain their transposes
+    n1 alone, the n tiles of every n1.  Two phases.  First, blocks of m
+    tiles by all n tiles, at most ``_BLOCK`` tiles or one m tile, meet the
+    bound, and each pattern collects its live tiles by the keys of their
+    corners; on a grid equal to its transpose (the module docstring) the
+    m tiles go by least m3 and the n tiles by greatest n3, and each block
+    takes only the n tiles its first m tile can reach with m3 <= n3.
+    Then, the difference tables gone, each pattern keeps the cells of all
+    its live tiles, read as runs from the grid padded with NaN (k3 off the
+    box gives a NaN residual), whose residual is r <= d_max |w1| (1 +
+    16u).  A hit's least residual a has fl(a / min |w|) <= d_max, so
+    a <= d_max min |w| (1 + u) <= d_max |w1| (1 + u), below the threshold
+    after two roundings (a subnormal d_max counts as the least normal
+    float; 1e-300 covers an underflowing product).  The survivors'
+    keys, sorted once, meet the order rule k2 >= k1, gain their transposes
     on a symmetric grid, and are decoded ``_BLOCK`` at a time; the scan
     steps every one, so scan order and triads stay the dense scan's."""
     T, t = domain.truncation, _TILE
@@ -592,10 +607,12 @@ def _tile_scan(X, domain, patterns, d_max):
         (m1, m_lo, _), (n1, _, n_hi) = tiles
         first = np.searchsorted(n1 + n_hi, m1 + m_lo)  # m3 <= n3 from here
     n_tiles = tiles[1]
+    # A tile's key k1 R^2 + k2 (its corner's) sums an m and an n tile part.
+    m_key, n_key = (m1 * R * R + m_lo) * R, n1 * R * R + n_tiles[1]
     scale = max(d_max, 2.0 ** -1022) * (1 + 16 * _U)
-    found = [np.zeros(0, np.int64)]  # keys k1 R^2 + k2
+    live = [[np.zeros(0, np.int64)] for _ in SIGN_PATTERNS]  # tile keys
     with np.errstate(invalid="ignore", over="ignore"):
-        tables = _window_tables(X, t)
+        tables = _window_tables(X, t, mirror)
         omax = float(np.max(np.abs(W)))
         # With at most 4 steps per axis (8 x 8 tiles) each value the bound
         # and the residuals round is at most 40 omax in size, and their
@@ -610,21 +627,27 @@ def _tile_scan(X, domain, patterns, d_max):
         least = float(np.min(W))
         bounded = "sum" if (d_max <= 0.5 and 0 < least
                             and omax < 2.0 ** 40 * least
-                            and tables[:, 0].min() >= 0) else patterns
+                            and tables[:, :, 0].min() >= 0) else patterns
         b = 0
         while b < m1.size:
             j0 = first[b]  # the block's n tiles: those its first m tile needs
             rows = max(_BLOCK // max(n_tiles[0].size - j0, 1), 1)
             block = [v[b:b + rows] for v in tiles[0]]
             n_block = [v[j0:] for v in n_tiles]
-            for signs, mask in zip(SIGN_PATTERNS, _live_tiles(
+            for held, mask in zip(live, _live_tiles(
                     Pf, R, tables, block, n_block, bounded, d_max, slack)):
                 i, j = np.nonzero(mask)
-                found += _prefilter(Pf, R, signs, scale,
-                                    m1[b + i] * R + n_block[0][j],
-                                    m_lo[b + i] * R + n_block[1][j])
+                held.append(m_key[b + i] + n_key[j0 + j])
             b += rows
-    key = np.concatenate(found)
+        live = [np.concatenate(held) for held in live]
+        # The runs E[i] = Pf[i:i + w], w | _TILE, replace the tables and
+        # the padded grid (E[i, 0] = Pf[i] at every cell of the grid).
+        del tables
+        E = np.lib.stride_tricks.sliding_window_view(Pf, math.gcd(t, 4))
+        E = E.copy()
+        del P, Pf
+        key = np.concatenate([_prefilter(E, R, signs, scale, held)
+                              for signs, held in zip(SIGN_PATTERNS, live)])
     key = key[key % (R * R) >= key // (R * R)]  # the order rule k2 >= k1
     if mirror:  # each key's transpose, its members in lexicographic order
         k1, k2 = (k % R * R + k // R for k in np.divmod(key, R * R))
@@ -635,7 +658,7 @@ def _tile_scan(X, domain, patterns, d_max):
     for b in range(0, key.size, _BLOCK):
         k1, k2 = np.divmod(key[b:b + _BLOCK], R * R)
         (m1, n1), (m2, n2) = np.divmod(k1, R), np.divmod(k2, R)
-        yield m1, n1, Pf[k2], Pf[k1 + k2], m2, n2, n1 + n2
+        yield m1, n1, E[k2, 0], E[k1 + k2, 0], m2, n2, n1 + n2
 
 
 def _select(a, amin, d_max, d_min):

@@ -966,6 +966,210 @@ def test_mirror_path_on_corrupted_grids(T, patterns, cell, mirrored, d_max,
                                                 freqs))
 
 
+# -- the tile kernels against their cell-by-cell references -----------------------
+#
+# The bound and the prefilter as they read the grid before they read runs:
+# two (min, max) difference tables per axis, each gathered one scalar a
+# tile, and every cell of a live tile gathered by its own index.  The
+# kernels must give their masks and keys bit for bit.
+
+def cell_window_tables(X, t):
+    """Least and greatest forward difference of X over the t x t window at
+    every anchor, as (axis m/n, min/max, cell i R + j), each axis reduced
+    on its own."""
+    T = X.shape[0] - 1
+    W, R = X[1:, 1:], T + 1 + t
+    tables = np.empty((2, 2, R, R))
+    shifts = [min(2 ** k, t - 2 ** k) for k in range((t - 1).bit_length())]
+    for axis, G in zip(tables, (W[1:] - W[:-1], W[:, 1:] - W[:, :-1])):
+        for S, reduce, pad in zip(axis, (np.minimum, np.maximum),
+                                  (np.inf, -np.inf)):
+            S.fill(pad)
+            S[1:1 + G.shape[0], 1:1 + G.shape[1]] = G
+            for s in shifts:
+                reduce(S[:-s], S[s:], out=S[:-s])
+                reduce(S[:, :-s], S[:, s:], out=S[:, :-s])
+    return tables.reshape(2, 2, -1)
+
+
+def cell_live_tiles(Pf, R, tables, m_tiles, n_tiles, patterns, d_max, slack):
+    """The bound's masks, one per sign pattern, from the tables of
+    :func:`cell_window_tables`, each extreme gathered on its own."""
+    def take(values, index, out):
+        return values.take(index, out=out, mode="clip")
+
+    def widen(spread, steps, a, b):
+        np.maximum(np.maximum(a, b, out=a), 0.0, out=a)
+        spread += np.multiply(a, steps, out=a)
+
+    def live(r, spread, bound):
+        return ~(np.subtract(np.abs(r, out=r), spread, out=r) > bound)
+
+    (m1, m_lo, m_hi), (n1, n_lo, n_hi) = (v[:, None] for v in m_tiles), n_tiles
+    cm, cn = (m_lo + m_hi) // 2, (n_lo + n_hi) // 2
+    k1, k2 = m1 * R + n1, m_lo * R + n_lo
+    k3 = k1 + k2
+    a, b, c = (np.empty(k1.shape) for _ in range(3))
+    spread_d = np.zeros(k1.shape)
+    spread_s = np.zeros(k1.shape) if patterns == "all" else None
+    for (lo, hi), steps in zip(tables, (m_hi - cm, n_hi - cn)):
+        widen(spread_d, steps,
+              np.subtract(take(hi, k3, a), take(lo, k2, b), out=a),
+              np.subtract(take(hi, k2, b), take(lo, k3, c), out=b))
+        if patterns == "all":
+            widen(spread_s, steps,
+                  np.add(take(hi, k3, a), take(hi, k2, b), out=a),
+                  np.negative(np.add(take(lo, k3, b), take(lo, k2, c),
+                                     out=b), out=b))
+    for k in (k2, k3):
+        k += (cm - m_lo) * R
+        k += cn - n_lo
+    x2, x3, w1 = take(Pf, k2, a), take(Pf, k3, b), take(Pf, k1, c)
+    bound = np.abs(w1)
+    bound *= d_max
+    bound *= 1 + 16 * search._U
+    bound += slack
+    if patterns == "all":
+        r = np.add(x3, x2)
+        s_live = live(np.subtract(r, w1, out=r), spread_s, bound)
+    D = np.subtract(x3, x2, out=x3)
+    masks = [live(np.subtract(w1, D, out=x2), spread_d, bound)]
+    if patterns == "all":
+        masks += [live(np.add(w1, D, out=x2), spread_d, bound), s_live]
+    return masks
+
+
+def cell_prefilter(Pf, R, signs, scale, tiles, t, gather):
+    """The prefilter's keys k1 R^2 + k2 for the tiles of corner keys
+    ``tiles``: every cell of ``gather`` tiles at a time gathered by its
+    own index."""
+    k1, corner = np.divmod(tiles, R * R)
+    cells = np.add.outer(np.arange(t) * R, np.arange(t)).ravel()
+    add = {1: np.add, -1: np.subtract}
+    keys = [np.zeros(0, np.int64)]
+    for c in range(0, k1.size, gather):
+        k1c = k1[c:c + gather, None]
+        k2, w1 = corner[c:c + gather, None] + cells, Pf.take(k1c)
+        k2 += k1c
+        w3 = Pf.take(k2)
+        k2 -= k1c
+        r = Pf.take(k2)
+        add[signs[2]](add[signs[1]](signs[0] * w1, r, out=r), w3, out=r)
+        at = np.flatnonzero(np.abs(r, out=r) <= scale * np.abs(w1) + 1e-300)
+        keys.append(k1c.take(at // cells.size) * R * R + k2.take(at))
+    return np.sort(np.concatenate(keys))
+
+
+@contextlib.contextmanager
+def kernel_calls(*names):
+    """Every call of the search kernels ``names`` made inside the block, in
+    order, as (name, args, result)."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:
+            def spy(*args, kernel=getattr(search, name), name=name):
+                calls.append((name, args, kernel(*args)))
+                return calls[-1][2]
+            mp.setattr(search, name, spy)
+        yield calls
+
+
+def tie_scale(Pf, R, signs, key):
+    """A scale at which the threshold fl(scale |w1|) + 1e-300 of the cell of
+    ``key`` equals its |residual| exactly, or None: the residual summed as
+    the prefilter sums it (a - b is a + (-b) bit for bit)."""
+    k1, k2 = divmod(int(key), R * R)
+    w1, w2, w3 = (float(Pf[k]) for k in (k1, k2, k1 + k2))
+    r = abs((signs[0] * w1 + signs[1] * w2) + signs[2] * w3)
+    if not (math.isfinite(r) and math.isfinite(w1) and w1 != 0 and r > 0):
+        return None
+    s = r / abs(w1)
+    for _ in range(8):
+        if not 0 < s < math.inf:
+            return None
+        got = s * abs(w1) + 1e-300
+        if got == r:
+            return s
+        s = math.nextafter(s, math.inf if got < r else 0.0)
+    return None
+
+
+@given(spec=pruning_specs(), T=st.integers(2, 24),
+       patterns=st.sampled_from(["sum", "all"]),
+       tile=st.sampled_from([2, 4, 8]), gather=st.sampled_from([1, 7, 128]),
+       cell=st.none() | st.tuples(
+           st.integers(0, 99), st.integers(0, 99),
+           st.sampled_from([math.nan, math.inf, -math.inf, 1e308, "ulp"])),
+       mirrored=st.booleans(),
+       d_max=st.sampled_from([1e-6, 1e-3, 0.3, 1e300]))
+@example(spec=GC75, T=24, patterns="all", tile=8, gather=7, cell=None,
+         mirrored=False, d_max=1e-3)
+@example(spec=DispersionSpec("bve_plane"), T=24, patterns="all", tile=4,
+         gather=1, cell=(3, 9, math.nan), mirrored=True, d_max=0.3)
+@example(spec=GC75, T=24, patterns="sum", tile=2, gather=128,
+         cell=(3, 9, "ulp"), mirrored=False, d_max=1e-3)
+def test_tile_kernels_match_their_cell_references(spec, T, patterns, tile,
+                                                  gather, cell, mirrored,
+                                                  d_max):
+    """Every float kind and basin, certified or not (``bve_plane``; a NaN,
+    inf, -inf, 1e308 or one-ulp-up cell, alone or with its transpose),
+    tile sides 2, 4 and 8 and gathers of 1, 7 and 128 tiles: each bound
+    call's masks equal, bit for bit, those of :func:`cell_live_tiles` on
+    :func:`cell_window_tables` (two reductions per grid, where a
+    transpose-symmetric grid copies its n tables), each pattern's
+    prefilter takes exactly the tiles its bound calls left live, and its
+    keys equal :func:`cell_prefilter`'s, also at a scale whose threshold
+    equals a cell's |residual| exactly, which keeps that cell."""
+    domain = SpectralDomain(T)
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_TILE", tile)
+        mp.setattr(search, "_GATHER_TILES", gather)
+        if cell is not None:
+            m, n, value = cell[0] % T + 1, cell[1] % T + 1, cell[2]
+            if value == "ulp":
+                value = math.nextafter(float(omega_grid(spec, T)[m, n]),
+                                       math.inf)
+            mp.setattr(search, "omega_grid",
+                       corrupted_grid((m - 1, n - 1, value), mirrored))
+        X = search._table(spec, T)
+        with kernel_calls("_live_tiles", "_prefilter") as calls:
+            list(search._tile_scan(X, domain, patterns, d_max))
+        P = np.pad(X, (0, tile), constant_values=np.nan)
+        R, Pf = P.shape[1], P.ravel()
+        tables = cell_window_tables(X, tile)
+        live = {signs: [] for signs in SIGN_PATTERNS}  # tile keys
+        for name, args, got in calls:
+            if name == "_live_tiles":
+                m_tiles, n_tiles, *rest = args[3:]
+                want = cell_live_tiles(Pf, R, tables, m_tiles, n_tiles,
+                                       *rest)
+                assert [(g.dtype, g.tobytes()) for g in got] == \
+                    [(w.dtype, w.tobytes()) for w in want]
+                for signs, mask in zip(SIGN_PATTERNS, want):
+                    i, j = np.nonzero(mask)
+                    live[signs] += (((m_tiles[0][i] * R + n_tiles[0][j])
+                                     * R + m_tiles[1][i]) * R
+                                    + n_tiles[1][j]).tolist()
+                continue
+            E, _, signs, scale, tiles = args
+            assert E.shape[1] == math.gcd(tile, 4)
+            assert sorted(tiles.tolist()) == sorted(live[signs])
+            want = cell_prefilter(Pf, R, signs, scale, tiles, tile, gather)
+            assert np.array_equal(np.sort(got), want)
+            cells = (tiles[:, None] + np.add.outer(
+                np.arange(tile) * R, np.arange(tile)).ravel()).ravel()
+            ties = (tie_scale(Pf, R, signs, k) for k in cells[:64])
+            tie = next(((k, s) for k, s in zip(cells[:64].tolist(), ties)
+                        if s is not None), None)
+            if tie is not None:
+                k, s = tie
+                got = search._prefilter(E, R, signs, s, tiles)
+                want = cell_prefilter(Pf, R, signs, s, tiles, tile, gather)
+                assert np.array_equal(np.sort(got), want)
+                assert k in want
+
+
 @pytest.mark.parametrize("T, patterns, ceiling", [
     (92, "all", 1_428_858), (88, "sum", 1_015_547)])
 def test_pruned_near_search_memory_peak(T, patterns, ceiling):
