@@ -48,7 +48,7 @@ from .search import (
     _select,
     _table,
 )
-from .triad import NUMERIC_EXACT_D, Triad, _build, _signed, _step
+from .triad import NUMERIC_EXACT_D, Triad, _at, _build, _signed, _step
 
 ACTIVE = "active"
 PASSIVE = "passive"
@@ -133,10 +133,11 @@ def _walk(X, domain, rule, passes, patterns, skip_equal_n_pairs, omega_max):
     """One walk of the closure's candidates on the table X: the resonant
     seeds that pass the n-selection ``passes``, in scan order, carrying
     X's frequencies (N == 0; on floats d <= NUMERIC_EXACT_D, the triad's
-    own test), and the hits 0 < |Omega| <= omega_max that pass it, as
-    arrays (m1, n1, m2, n2, n3, |Omega|).  The exact path reads only the n3
-    where |Omega| <= omega_max can hold, and decides the hits at omega_max,
-    to which a rational above it may round, by one build after the scan."""
+    own test), and the hits 0 < |Omega| <= omega_max that pass it, taken
+    by index, as arrays (m1, n1, m2, n2, n3, |Omega|).  The exact path
+    reads only the n3 where |Omega| <= omega_max can hold, and decides the
+    hits at omega_max, to which a rational above it may round, by one
+    build after the scan."""
     seeds = [[np.zeros(0, np.int64)] * 5]
     hits = [[np.zeros(0, np.int64)] * 5 + [np.zeros(0)]]
     for cand, a, amin in _scan(X, domain, rule, skip_equal_n_pairs,
@@ -145,8 +146,8 @@ def _walk(X, domain, rule, passes, patterns, skip_equal_n_pairs, omega_max):
         seed = _select(a, amin, NUMERIC_EXACT_D, None) & ok
         if np.count_nonzero(seed):
             seeds.append([c[seed] for c in cand])
-        hit = (a > 0) & (a <= omega_max) & ok
-        hits.append([c[hit] for c in (*cand, a)])
+        hit = np.flatnonzero((a > 0) & (a <= omega_max) & ok)
+        hits.append([c.take(hit) for c in (*cand, a)])
     seeds = _build(X, patterns, [*map(np.concatenate, zip(*seeds))]).triads()
     hits = list(map(np.concatenate, zip(*hits)))
     tie = X.dtype != np.float64 and hits[5] == omega_max  # floats: False
@@ -186,16 +187,16 @@ def _minimal_bridges(X, domain, rule, passes, patterns, donors):
            | (n3[..., None] != D[:, None, 5::2])).all(2)
         & passes(na[:, None], nb[:, None], n3))
     m3, n3 = m3[p, j], n3[p, j]
-    a, amin = _step(X, ma[p], na[p], X[mb, nb][p], X[m3, n3], mb[p], m3,
-                    patterns, False)  # floats carry min |w| anyway
+    x = [_at(X, ma, na)[p], _at(X, mb, nb)[p], _at(X, m3, n3)]
+    a, amin = _step(X, ma[p], na[p], *x[1:], mb[p], m3, patterns,
+                    False)  # floats carry min |w| anyway
     keep = ~_select(a, amin, NUMERIC_EXACT_D, None)
     low = np.full(len(donors), np.inf)
     np.fmin.at(low, p[keep], a[keep])  # NaN is no pair's least
     steps = [None] * len(donors)
     at = np.flatnonzero(keep & (a == low[p]))
-    p, m3, n3 = p[at], m3[at], n3[at]
-    ks = np.array((ma[p], mb[p], m3)), np.array((na[p], nb[p], n3))
-    oms = _signed(X, patterns, ks[0], X[ks])[0].tolist()
+    p, m3, n3, x = p[at], m3[at], n3[at], [v[at] for v in x]
+    oms = _signed(X, patterns, (ma[p], mb[p], m3), x)[0].tolist()
     for i, m, n, om in zip(p.tolist(), m3.tolist(), n3.tolist(), oms):
         step = CascadeStep(donors[i][0], donors[i][1:], WaveVector(m, n), om)
         if steps[i] is None or _step_key(step) < _step_key(steps[i]):
@@ -309,9 +310,9 @@ def classify_modes(spec: DispersionSpec, domain: SpectralDomain,
     bridges = select_bridges(X, domain, seeds, omega_max, rule, passes,
                              patterns, bridge_mode)
 
-    assignments = {k: ModeAssignment(k, NEUTRAL) for k in domain.modes()}
-    assignments.update((k, ModeAssignment(k, PASSIVE, v))
-                       for k, v in _passive_minima(domain, seeds, hits))
+    least = dict(_passive_minima(domain, seeds, hits))
+    assignments = {k: ModeAssignment(k, PASSIVE if k in least else NEUTRAL,
+                                     least.get(k)) for k in domain.modes()}
     seeded = [(k, t, 0.0) for t in seeds for k in t.members()]
     for k, why, v in seeded + [(s.bridge_wave, s, s.abs_discrepancy)
                                for s in bridges]:

@@ -27,20 +27,22 @@ otherwise; ``box`` is never chosen automatically.
 One scan kernel serves both number systems.  Each public call builds one
 per-mode table (:func:`_table`), which the scan, the bound and the bridge
 search read, and results once per mode (:meth:`.triad.TriadColumns.modes`).
-The scan reads the closure's candidates in blocks of consecutive k1 rows
-(as many as fit in ``_BLOCK`` candidates; one vectorised range expansion
-per block) and gives their members, k1 included, |Omega| and min |w|
-(where the test needs it) as arrays, with no :class:`Triad` built.  The
-searches select on those arrays and keep what they return as columns
-(:class:`.triad.TriadColumns`), sorted by a stable argsort of d_ratio;
-the public searches make their triads from the columns, and the CLI
-renders the columns themselves.  The classifier reads the scan's arrays.
-The bound's witness is the first triad of least nonzero |Omega| in scan
-order (sum pattern; any pattern under box closure).  :mod:`.triad` holds
-the triad records and columns, the residual terms of both number systems
+The scan reads the closure's candidates in blocks of consecutive k1 rows (as
+many as fit in ``_BLOCK`` candidates; one vectorised range expansion per
+block) and gives their members, k1 included, |Omega| and min |w| (where the
+test needs it) as arrays, with no :class:`Triad` built.  Its kernels read
+the table by flat offset m R + n (:func:`.triad._at`; the exact table from
+its one row) and select candidates by index (``take``).  The searches select
+on those arrays and keep what they return as columns
+(:class:`.triad.TriadColumns`), sorted by a stable argsort of d_ratio; the
+public searches make their triads from the columns, and the CLI renders the
+columns themselves.  The classifier reads the scan's arrays.  The bound's
+witness is the first triad of least nonzero |Omega| in scan order (sum
+pattern; any pattern under box closure).  :mod:`.triad` holds the triad
+records and columns, the residual terms of both number systems
 (:func:`.triad._terms`) and the scan's step of |Omega| and min |w|
-(:func:`.triad._step`), which the build rounds alike; :mod:`.sphere`
-holds the exact table's n3 windows.
+(:func:`.triad._step`), which the build rounds alike; :mod:`.sphere` holds
+the exact table's n3 windows.
 
 * Floats: the table is the omega grid, which holds the ``eval_frequency``
   values bit for bit, and the residuals are the float64 expressions of the
@@ -127,6 +129,7 @@ from .triad import (  # the triad records, importable from here as before
     DiscrepancyBound,
     Triad,
     TriadColumns,
+    _at,
     _build,
     _step,
 )
@@ -269,14 +272,14 @@ def _zonal_blocks(X, domain, skip_equal_n_pairs, test):
     i = np.flatnonzero(2 * mm <= T)  # the modes that can be k1
     # Modes come in m order, so the k2 with m2 <= T - m1 are a run.
     j0, stop = i + exact, np.searchsorted(mm, T - mm[i], "right")
-    xm, Xf, R = X[mm, nn], X.ravel(), T + 1
+    xm = _at(X, mm, nn)
     cm = 2.0 * mm / xm.astype(np.float64) if window else None  # c = 2m/a
 
     def block(k, j, lo, count):  # k, j: the modes k1, k2
-        a, m2 = mm[k], mm[j]
-        n3, a, b, x2, o3, m2, n2 = _expand(lo, count, a, nn[k], xm[j],
-                                           (a + m2) * R, m2, nn[j])
-        return a, b, x2, Xf[o3 + n3], m2, n2, n3  # o3: row m3's offset
+        n3, p = _expand(lo, count, np.arange(k.size))  # p: each one's pair
+        a, b, x2, m2, n2 = (
+            v.take(p) for v in (mm[k], nn[k], xm[j], mm[j], nn[j]))
+        return a, b, x2, _at(X, a + m2, n3), m2, n2, n3
 
     held = [np.zeros(0, np.int64)] * 4
     for rows in _runs(stop - j0):
@@ -285,8 +288,7 @@ def _zonal_blocks(X, domain, skip_equal_n_pairs, test):
             keep = nn[j] != nn[k]
             j, k = j[keep], k[keep]
         m3 = mm[k] + mm[j]
-        lo = m3 if tri else np.ones_like(m3)  # the domain's least n3
-        hi = T
+        lo, hi = (m3 if tri else np.ones_like(m3)), T  # the domain's n3
         if window:
             lo, hi = _n3_window(cm[k], cm[j], m3, lo, T, *test[:3])
             keep = np.flatnonzero(hi >= lo)
@@ -308,8 +310,8 @@ def _zonal_waves(ma, na, mb, nb, T, patterns):
     """Every n3 at m3 = ma + mb; under any sign pattern also at
     m3 = |ma - mb|."""
     ms = (ma + mb,) if patterns == "sum" else (ma + mb, abs(ma - mb))
-    m3 = np.repeat(np.stack(ms, 1), T, axis=1)
-    return m3, np.broadcast_to(np.tile(np.arange(1, T + 1), len(ms)), m3.shape)
+    m3 = np.repeat(np.array(ms).T, T, axis=1)
+    return m3, np.arange(m3.size).reshape(m3.shape) % T + 1
 
 
 def _box_waves(ma, na, mb, nb, T, patterns):
@@ -317,19 +319,19 @@ def _box_waves(ma, na, mb, nb, T, patterns):
     combination, in ascending (m3, n3) order (|a - b| < a + b for positive
     components)."""
     dm, sm, dn, sn = abs(ma - mb), ma + mb, abs(na - nb), na + nb
-    return np.stack((dm, dm, sm, sm), 1), np.stack((dn, sn, dn, sn), 1)
+    return np.array((dm, dm, sm, sm)).T, np.array((dn, sn, dn, sn)).T
 
 
 def _box_blocks(X, domain, skip_equal_n_pairs, test):
-    """Box-closed candidates gathered by index arrays, with k3 in
-    ascending (m3, n3) order.
+    """Box-closed candidates, with k3 in ascending (m3, n3) order, read
+    from X by flat offset and selected by index.
 
     Each unordered triple regenerates from any of its three pairs, so a
     candidate is emitted only from its two lexicographically smallest
     members: k1 < k2 < k3.  As k2 follows k1, m2 >= m1 and a completion
     with m3 = |m1 - m2| < m2 precedes k2; only m3 = m1 + m2 <= T remains,
-    with n3 = |n1 - n2| (n2 != n1) then n1 + n2 (n2 <= T - n1).
-    """
+    with n3 = |n1 - n2| (n2 != n1) then n1 + n2 (n2 <= T - n1), offered
+    by pair p at 2p and 2p + 1, so a valid one's pair is its index >> 1."""
     T = domain.truncation
     m1, n1 = (g.ravel() for g in np.mgrid[1:T // 2 + 1, 1:T + 1])
     # k2 runs over the modes after k1 (flat index i) with m2 <= T - m1:
@@ -339,12 +341,12 @@ def _box_blocks(X, domain, skip_equal_n_pairs, test):
     for rows in _runs(counts):
         j, a, b = _expand(i[rows] + 1, (full[rows] + 1) * T - n1[rows],
                           m1[rows], n1[rows])
-        m2, n2 = j // T + 1, j % T + 1
+        m2, n2 = (v + 1 for v in np.divmod(j, T))
         n3 = np.stack((np.abs(b - n2), b + n2), axis=1).ravel()
-        keep = (n3 >= 1) & (n3 <= T)
-        a, b, m2, n2 = (np.repeat(v, 2)[keep] for v in (a, b, m2, n2))
-        n3 = n3[keep]
-        yield a, b, X[m2, n2], X[a + m2, n3], m2, n2, n3
+        at = np.flatnonzero((n3 >= 1) & (n3 <= T))
+        a, b, m2, n2 = (v.take(at >> 1) for v in (a, b, m2, n2))
+        n3 = n3.take(at)
+        yield a, b, _at(X, m2, n2), _at(X, a + m2, n3), m2, n2, n3
 
 
 @dataclass(frozen=True)

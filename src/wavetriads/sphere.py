@@ -12,8 +12,9 @@ _U = 2.0 ** -53
 def _n3_window(c1, c2, m3, n_lo, T, patterns, tau, widen):
     """The n3 of each pair on the exact table, given c = -omega = 2m/a of
     k1 and k2, and m3, where |Omega| <= tau can hold under ``patterns``
-    (the hull over the sign patterns), widened by ``widen`` on each side
-    and kept in [n_lo, T]: inclusive arrays (lo, hi), lo > hi if empty.
+    (the sum's window, or the hull of the three), widened by ``widen`` on
+    each side and kept in [n_lo, T]: inclusive arrays (lo, hi), lo > hi if
+    empty.
 
     c3 = 2 m3 / a3 falls as n3 grows, and a pattern meets |Omega| <= tau
     where c3 is within tau of its target u (c1 + c2 for the sum, c2 - c1
@@ -33,15 +34,14 @@ def _n3_window(c1, c2, m3, n_lo, T, patterns, tau, widen):
     # end d <= 1e-300 gives n > T, as d <= 0 (no bound) must.
     te = tau + 8 * _U * (c1 + c2 + tau)
     slack, q = 8 * _U * (T + 4), 8.0 * m3  # 1 + 4a = 1 + q / d
-    ends = []
+    lo = hi = None
     for u in (c1 + c2,) if patterns == "sum" else (c1 + c2, c2 - c1, c1 - c2):
-        lo, hi = (np.sqrt(1 + q / np.maximum(u + s * te, 1e-300)) * 0.5
-                  for s in (1, -1))
-        ends.append((np.clip(np.ceil(lo - (0.5 + slack + widen)), n_lo,
-                             T + 1 - widen),
-                     np.clip(np.floor(hi - (0.5 - slack - widen)),
-                             n_lo - 1 + widen, T)))
-    lo, hi = (np.array(e) for e in zip(*ends))
-    empty = lo > hi  # widens no hull
-    lo[empty], hi[empty] = T + 1, -1
-    return lo.min(axis=0).astype(np.int64), hi.max(axis=0).astype(np.int64)
+        a, b = (np.sqrt(1 + q / np.maximum(u + s * te, 1e-300)) * 0.5
+                for s in (1, -1))
+        a = np.clip(np.ceil(a - (0.5 + slack + widen)), n_lo, T + 1 - widen)
+        b = np.clip(np.floor(b - (0.5 - slack - widen)), n_lo - 1 + widen, T)
+        empty = a > b  # widens no hull
+        a[empty], b[empty] = T + 1, -1
+        lo, hi = (a, b) if lo is None else (np.minimum(lo, a),
+                                            np.maximum(hi, b))
+    return lo.astype(np.int64), hi.astype(np.int64)

@@ -125,10 +125,16 @@ def _scaled(t1, t2, t3, den, a, with_min):
     return np.asarray(2 * a / den, float), 2 * amin / den if with_min else None
 
 
+def _at(X, m, n):
+    """X[m, n] by flat offset m R + n, or from the exact table's one row."""
+    exact = X.dtype != np.float64
+    return X[0].take(n) if exact else X.ravel().take(m * X.shape[1] + n)
+
+
 def _step(X, m1, n1, x2, x3, m2, m3, patterns, with_min):
     """The scan's and the bridges' |Omega| and min |w| (:func:`_scaled`) of
     triads on the table X, at the least |residual| of :func:`_least_abs`."""
-    terms = _terms(X, (m1, m2, m3), (X[m1, n1], x2, x3))
+    terms = _terms(X, (m1, m2, m3), (_at(X, m1, n1), x2, x3))
     return _scaled(*terms, _least_abs(*terms[:3], patterns), with_min)
 
 
@@ -227,10 +233,10 @@ def _build(X, patterns, cand) -> TriadColumns:
     :func:`_pattern` pass: Omega and its pattern as :func:`_signed` gives
     them, and d = |Omega| / min |w| rounded as by the scan's :func:`_step`
     (:func:`_scaled`), so on the exact table a row's one Fraction is Omega,
-    read as no float."""
+    read as no float.  The members are gathered one column at a time."""
     m1, n1, m2, n2, n3 = cand
-    m = np.array((m1, m2, m1 + m2))
-    *terms, den = _terms(X, m, X[m, np.array((n1, n2, n3))])
+    m = m1, m2, m1 + m2
+    *terms, den = _terms(X, m, [_at(X, *k) for k in zip(m, (n1, n2, n3))])
     om, best = _pattern(*terms, patterns)
     a, amin = _scaled(*terms, den, np.abs(om), True)
     if den is not None:

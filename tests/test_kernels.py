@@ -33,7 +33,7 @@ from wavetriads import (
     find_max_discrepancy_triads,
     find_near_triads,
 )
-from wavetriads import classify, search, triad
+from wavetriads import classify, search, sphere, triad
 from wavetriads.dispersion import omega_grid
 from wavetriads.classify import (
     ACTIVE,
@@ -2680,6 +2680,174 @@ def test_windowed_zonal_blocks_match_dense_blocks(shape, patterns, skip,
         got = run()
         mp.setitem(search.CLOSURES, "zonal", DENSE_ZONAL)
         assert run() == got
+
+
+# -- flat-offset kernels against the gathers they replaced ---------------------
+
+def mask_box_blocks(X, domain, skip_equal_n_pairs, test):
+    """Box-closed candidates as the kernel formed them before it read X by
+    flat offset: each pair's two n3 stacked, the pair columns repeated
+    twice and masked, and X read by 2-D index arrays."""
+    T = domain.truncation
+    m1, n1 = (g.ravel() for g in np.mgrid[1:T // 2 + 1, 1:T + 1])
+    i, full = (m1 - 1) * T + n1 - 1, T - 2 * m1
+    counts = T - n1 + np.maximum(T - 2 * n1, 0) + full * (2 * T - 1 - n1)
+    for rows in search._runs(counts):
+        j, a, b = search._expand(i[rows] + 1, (full[rows] + 1) * T - n1[rows],
+                                 m1[rows], n1[rows])
+        m2, n2 = j // T + 1, j % T + 1
+        n3 = np.stack((np.abs(b - n2), b + n2), axis=1).ravel()
+        keep = (n3 >= 1) & (n3 <= T)
+        a, b, m2, n2 = (np.repeat(v, 2)[keep] for v in (a, b, m2, n2))
+        n3 = n3[keep]
+        yield a, b, X[m2, n2], X[a + m2, n3], m2, n2, n3
+
+
+def hull_n3_window(c1, c2, m3, n_lo, T, patterns, tau, widen):
+    """The n3 window of ``sphere._n3_window`` as the hull of a stack of
+    every pattern's window, the sum pattern's too."""
+    te = tau + 8 * sphere._U * (c1 + c2 + tau)
+    slack, q = 8 * sphere._U * (T + 4), 8.0 * m3
+    ends = []
+    for u in (c1 + c2,) if patterns == "sum" else (c1 + c2, c2 - c1, c1 - c2):
+        lo, hi = (np.sqrt(1 + q / np.maximum(u + s * te, 1e-300)) * 0.5
+                  for s in (1, -1))
+        ends.append((np.clip(np.ceil(lo - (0.5 + slack + widen)), n_lo,
+                             T + 1 - widen),
+                     np.clip(np.floor(hi - (0.5 - slack - widen)),
+                             n_lo - 1 + widen, T)))
+    lo, hi = (np.array(e) for e in zip(*ends))
+    empty = lo > hi
+    lo[empty], hi[empty] = T + 1, -1
+    return lo.min(axis=0).astype(np.int64), hi.max(axis=0).astype(np.int64)
+
+
+def expand_zonal_blocks(X, domain, skip_equal_n_pairs, test):
+    """Zonal blocks as the kernel formed them before it selected by a
+    range index: every pair column repeated per n3 by ``_expand``, X read
+    by 2-D index arrays and its flat copy, and the windows of
+    :func:`hull_n3_window`."""
+    T, exact = domain.truncation, X.dtype != np.float64
+    tri = domain.shape == "triangular"
+    window = exact and math.isfinite(test[1])
+    ar = np.arange(T + 1)
+    mm, nn = np.nonzero((ar[:, None] > 0) & (ar >= (ar[:, None] if tri else 1)))
+    i = np.flatnonzero(2 * mm <= T)
+    j0, stop = i + exact, np.searchsorted(mm, T - mm[i], "right")
+    xm, Xf, R = X[mm, nn], X.ravel(), T + 1
+    cm = 2.0 * mm / xm.astype(np.float64) if window else None
+
+    def block(k, j, lo, count):
+        a, m2 = mm[k], mm[j]
+        n3, a, b, x2, o3, m2, n2 = search._expand(
+            lo, count, a, nn[k], xm[j], (a + m2) * R, m2, nn[j])
+        return a, b, x2, Xf[o3 + n3], m2, n2, n3
+
+    held = [np.zeros(0, np.int64)] * 4
+    for rows in search._runs(stop - j0):
+        j, k = search._expand(j0[rows], stop[rows] - j0[rows], i[rows])
+        if skip_equal_n_pairs:
+            keep = nn[j] != nn[k]
+            j, k = j[keep], k[keep]
+        m3 = mm[k] + mm[j]
+        lo = m3 if tri else np.ones_like(m3)
+        hi = T
+        if window:
+            lo, hi = hull_n3_window(cm[k], cm[j], m3, lo, T, *test[:3])
+            keep = np.flatnonzero(hi >= lo)
+            k, j, lo, hi = k[keep], j[keep], lo[keep], hi[keep]
+        k, j, lo, count = held = [np.concatenate(p) for p in zip(
+            held, (k, j, lo, hi - lo + 1))]
+        if count.sum() <= search._BLOCK:
+            continue
+        starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+        cuts = [starts[r[0]] for r in search._runs(
+            np.add.reduceat(count, starts))]
+        for c, d in zip(cuts, cuts[1:]):
+            yield block(*(p[c:d] for p in held))
+        held = [p[cuts[-1]:] for p in held]
+    if held[0].size:
+        yield block(*held)
+
+
+GATHER_BLOCKS = {"box": mask_box_blocks, "zonal": expand_zonal_blocks}
+
+
+def exact_arrays(arrays):
+    """Each array's dtype, shape and values: bytes, or the Python ints of
+    an ``object`` array."""
+    return [(a.dtype, a.shape, a.tolist() if a.dtype == object
+             else a.tobytes()) for a in arrays]
+
+
+#: Finite taus of the windows, about the sphere's classification ceiling.
+WINDOW_TAUS = [0.0, 1e-4, 0.003, 0.03, 0.5, math.inf]
+
+
+@given(spec=st.sampled_from(FLOAT_SPECS + [SPHERE]), T=st.integers(1, 24),
+       cap=st.sampled_from([1, 7, search._BLOCK]),
+       patterns=st.sampled_from(["sum", "all"]), skip=st.booleans(),
+       python_int=st.booleans(), tau=st.sampled_from(WINDOW_TAUS),
+       widen=st.sampled_from([0, 1]))
+@example(spec=DispersionSpec("bve_plane", plane_form="squared"), T=15,
+         cap=search._BLOCK, patterns="all", skip=True, python_int=False,
+         tau=math.inf, widen=0)
+@example(spec=SPHERE, T=20, cap=7, patterns="sum", skip=True,
+         python_int=True, tau=0.03, widen=0)
+def test_flat_kernels_match_their_gather_references(spec, T, cap, patterns,
+                                                    skip, python_int, tau,
+                                                    widen):
+    """The box and zonal blocks, which read X by flat offset and select by
+    index, equal block by block, bit for bit, those of the kernels they
+    replaced (:func:`mask_box_blocks`, :func:`expand_zonal_blocks`): the
+    same blocks, so the same boundaries, each with the same candidates
+    and table values, whatever ``_BLOCK`` cuts them at (1, 7 or the
+    default).  Float kinds take box closure and zonal closure on both
+    shapes, the sphere zonal closure on both shapes, on the int64 and the
+    Python-int table, under a window of tau 0, finite or inf (no window),
+    widened by 0 or 1."""
+    with pytest.MonkeyPatch.context() as mp:
+        if python_int and spec.exactness:
+            mp.setattr(search, "_FLOAT_EXACT_LIMIT", 0)
+        mp.setattr(search, "_BLOCK", cap)
+        X = search._table(spec, T)
+        test = (patterns, tau, widen, None)
+        for closure, shape in (CLOSURE_SHAPES[1:3] if spec.exactness
+                               else CLOSURE_SHAPES[1:]):
+            domain = SpectralDomain(T, shape)
+            got = [exact_arrays(b) for b in search.CLOSURES[closure].blocks(
+                X, domain, skip, test)]
+            assert got == [exact_arrays(b) for b in GATHER_BLOCKS[closure](
+                X, domain, skip, test)]
+
+
+@given(T=st.integers(1, 24), shape=st.sampled_from(["triangular", "square"]),
+       patterns=st.sampled_from(["sum", "all"]),
+       tau=st.sampled_from(WINDOW_TAUS), widen=st.sampled_from([0, 1]),
+       python_int=st.booleans())
+@example(T=24, shape="triangular", patterns="sum", tau=0.0, widen=1,
+         python_int=False)
+def test_single_pattern_window_matches_the_hull(T, shape, patterns, tau,
+                                                widen, python_int):
+    """``sphere._n3_window`` of every zonal pair of the exact table, k1 <
+    k2 with m1 + m2 <= T, equals :func:`hull_n3_window` bit for bit: the
+    sum pattern's own window, empty ones as (T + 1, -1), and the hull of
+    the three under any pattern, at tau 0, finite and inf, widened by 0
+    or 1, on both shapes and on the Python-int table."""
+    with pytest.MonkeyPatch.context() as mp:
+        if python_int:
+            mp.setattr(search, "_FLOAT_EXACT_LIMIT", 0)
+        X = search._table(SPHERE, T)
+    modes = np.array(list(SpectralDomain(T, shape).modes()), np.int64).T
+    k, j = np.nonzero(modes[0][:, None] + modes[0] <= T)
+    k, j = k[k < j], j[k < j]
+    mm, xm = modes[0], X[modes[0], modes[1]]
+    c = 2.0 * mm / xm.astype(np.float64)
+    m3 = mm[k] + mm[j]
+    n_lo = m3 if shape == "triangular" else np.ones_like(m3)
+    args = (c[k], c[j], m3, n_lo, T, patterns, tau, widen)
+    assert exact_arrays(sphere._n3_window(*args)) == \
+        exact_arrays(hull_n3_window(*args))
 
 
 # -- the pruning contract: a closure leaves out only what fails the test -------
