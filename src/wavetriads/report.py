@@ -29,7 +29,7 @@ chunk of triads.  The CLI's searches and plans hand it columns
 (:class:`.triad.TriadColumns`), which hold no frequencies: they read each
 distinct mode's from their table once, since thousands of triads draw
 their frequencies from a few hundred modes.  A chunk of finite floats
-fills one %-template, with omega and hz text made once per distinct mode.
+joins its rows from per-mode text; table lines fill a %-template.
 Other chunks of columns (rationals, inf, NaN) are made into ``Triad``s
 on those per-mode frequencies, one object a mode, and these, like lists
 of ``Triad`` objects, are written through each triad's record.
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -114,10 +113,22 @@ _PATTERN_TEXT = tuple(_signs_str(s) for s in SIGN_PATTERNS)
 _PATTERN_JSON = tuple(map(_quote, _PATTERN_TEXT))
 _LABELS = ("near", "numerically_exact")
 
-#: %-templates of a row of columns: a CSV row under TRIAD_COLUMNS, and a
-#: ``triad_table_line``.  ``%r`` of a Python float is its ``str``.
-_CSV_TEMPLATE = "%d,%d,%d,%d,%d,%d,%s,%s,%s,%s,%s,%s,%r,%r,%s\n"
+#: %-template of a ``triad_table_line`` of columns.
 _TABLE_TEMPLATE = "%-24s (%s, %s, %s);  d=%.3e  %s"
+
+
+def _fields(fmt: str, level: int):
+    """The text before each field of a float triad's CSV row, or of its
+    JSON record with braces indented at ``level``, and the row's text from
+    the signs on, by sign pattern + 3 * (numerically exact)."""
+    if fmt == "csv":
+        return dict.fromkeys(TRIAD_COLUMNS[1:], ",") | {"m1": ""}, [
+            f",{s}\n" for s in _PATTERN_TEXT] * 2
+    inner = "\n" + "  " * (level + 1)
+    pre = {k: f",{inner}{_quote(k)}: " for k in TRIAD_COLUMNS + ["resonance"]}
+    pre["m1"] = "{" + pre["m1"][1:]
+    return pre, [f"{pre['signs']}{s}{pre['resonance']}{_quote(x)}\n"
+                 + "  " * level + "}" for x in _LABELS for s in _PATTERN_JSON]
 
 
 def _rows(triads, fmt: str, level: int = 0, rational: bool = False):
@@ -127,25 +138,35 @@ def _rows(triads, fmt: str, level: int = 0, rational: bool = False):
     ``level``; one list per chunk of CHUNK_PIECES rows, half as many in
     JSON.
 
-    A chunk of columns of finite floats fills the format's %-template.  Its
-    omega and hz text comes from tables made once per distinct mode of the
-    columns (:meth:`.triad.TriadColumns.modes`): ``float.__repr__`` of
-    omega and of its hz as ``to_hz`` computes it, or the hz as ``%.4f`` in
-    tables; d_ratio and the residual are ``tolist()`` floats.  Any other
-    chunk (``Triad`` objects, or columns with rationals, inf or NaN, made
-    into Triads on the modes of the whole columns, :func:`.triad._triads`)
-    is written through each triad's record, or ``triad_table_line``."""
+    A chunk of columns of finite floats is made from text made once per
+    distinct mode of the columns (:meth:`.triad.TriadColumns.modes`):
+    ``float.__repr__`` of omega and of its hz as ``to_hz`` computes it, or
+    the hz as ``%.4f`` in tables, where each line fills a %-template.  A
+    CSV row or JSON record is one join of pieces, with :func:`_fields`'
+    separators and keys folded in: per member position, its m,n, omega and
+    hz piece by mode, gathered by index; then one piece per run of
+    bit-equal adjacent (discrepancy, d_ratio, pattern), which holds
+    ``float.__repr__`` of both, the signs and the label.  Any other chunk
+    (``Triad`` objects, or columns with rationals, inf or NaN, made into
+    Triads on the modes of the whole columns, :func:`.triad._triads`) is
+    written through each triad's record, or ``triad_table_line``."""
     columns = isinstance(triads, TriadColumns) and len(triads)
     modes = triads.modes() if columns else None
     plain = columns and triads.table.dtype == np.float64
     if plain:
-        _, w, index = modes
+        (m, n), w, index = modes
         hz = (w / TWO_PI).tolist()
-        text = [np.fromiter(map(f, x), object, len(x)) for f, x in (
-            [("%.4f".__mod__, hz)] if fmt == "table" else
-            [(float.__repr__, w.tolist()), (float.__repr__, hz)])]
-    template = {"csv": _CSV_TEMPLATE, "table": _TABLE_TEMPLATE,
-                "json": _triad_template(level)}[fmt]
+        objects = lambda pieces: np.fromiter(pieces, object, w.size)
+        if fmt == "table":
+            text = [objects(map("%.4f".__mod__, hz))]
+        else:
+            pre, tails = _fields(fmt, level)
+            mn = list(zip(m.tolist(), n.tolist()))
+            text = [objects(f"{x}{a}{y}{b}" for a, b in mn) for x, y in (
+                (pre["m" + p], pre["n" + p]) for p in "123")]
+            text += [pre[k + p] + x for k, x in (
+                ("omega", objects(map(float.__repr__, w.tolist()))),
+                ("hz", objects(map(float.__repr__, hz)))) for p in "123"]
     size = CHUNK_PIECES // 2 if fmt == "json" else CHUNK_PIECES
     for lo in range(0, len(triads), size):
         c = triads[lo:lo + size]
@@ -154,21 +175,25 @@ def _rows(triads, fmt: str, level: int = 0, rational: bool = False):
                 *(w[i] for i in at), c.discrepancy, c.d_ratio)):
             yield [_triad_text(x, fmt, level, rational) for x in (
                 _triads(c, modes) if columns else c)]
-            continue
-        ints = [x.tolist() for pair in c.members() for x in pair]
-        freqs = [x[i].tolist() for x in text for i in at]
-        r = c.d_ratio.tolist()
-        signs = map((_PATTERN_JSON if fmt == "json" else _PATTERN_TEXT)
-                    .__getitem__, c.pattern.tolist())
-        if fmt == "table":
-            cells = [map("[%d,%d][%d,%d][%d,%d]".__mod__, zip(*ints)),
-                     *freqs, r, signs]
+        elif fmt == "table":
+            yield list(map(_TABLE_TEMPLATE.__mod__, zip(
+                map("[%d,%d][%d,%d][%d,%d]".__mod__,
+                    zip(*(x.tolist() for k in c.members() for x in k))),
+                *(text[0][i].tolist() for i in at), c.d_ratio.tolist(),
+                map(_PATTERN_TEXT.__getitem__, c.pattern.tolist()))))
         else:
-            cells = [*ints, *freqs, c.discrepancy.tolist(), r, signs]
-        if fmt == "json":
-            cells.append(map(_LABELS.__getitem__,
-                             (c.d_ratio <= NUMERIC_EXACT_D).tolist()))
-        yield list(map(template.__mod__, zip(*cells)))
+            d, r = c.discrepancy, c.d_ratio
+            new = np.ones(len(c), bool)  # compared as bits: -0.0 != 0.0
+            new[1:] = np.diff(np.stack((d.view(np.int64), r.view(np.int64),
+                                        c.pattern)), axis=1).any(0)
+            i = np.flatnonzero(new)
+            x, y = pre["discrepancy"], pre["d_ratio"]
+            runs = [f"{x}{a!r}{y}{b!r}{tails[t]}" for a, b, t in zip(
+                d[i].tolist(), r[i].tolist(),
+                (c.pattern[i] + 3 * (r[i] <= NUMERIC_EXACT_D)).tolist())]
+            yield list(map("".join, zip(
+                *(p.take(k).tolist() for p, k in zip(text, at * 3)),
+                np.array(runs, object)[new.cumsum() - 1].tolist())))
 
 
 def _triad_text(t: Triad, fmt: str, level: int, rational: bool) -> str:
@@ -357,21 +382,6 @@ def _float_json(x: float) -> str:
     if x == -math.inf:
         return "-Infinity"
     return float.__repr__(x)
-
-
-@lru_cache(maxsize=None)
-def _triad_template(level: int) -> str:
-    """%-template of a float triad's record, its braces indented at
-    ``level``: the keys of ``triad_to_record`` in order, omega1-3 and hz1-3
-    taking text (``%s``), discrepancy and d_ratio floats (``%r``)."""
-    fields = [f'"{k}": %d' for k in ("m1", "n1", "m2", "n2", "m3", "n3")]
-    fields += [f'"{k}": %s' for k in ("omega1", "omega2", "omega3", "hz1",
-                                      "hz2", "hz3")]
-    fields += [f'"{k}": %r' for k in ("discrepancy", "d_ratio")]
-    fields += ['"signs": %s', '"resonance": "%s"']
-    inner = "\n" + "  " * (level + 1)
-    close = "\n" + "  " * level + "}"
-    return "{" + ",".join(inner + f for f in fields) + close
 
 
 def _write(v, level: int, out: list, write) -> None:

@@ -771,16 +771,19 @@ def _sorted_search(spec, domain, patterns="sum", closure="auto", *,
                    d_max=None, d_min=None, skip_equal_n_pairs=True):
     """The triads of :func:`find_near_triads` (``d_max``) or of
     :func:`find_max_discrepancy_triads` (``d_min``) as columns, by a stable
-    argsort of d or of -d, which keeps equal d in scan order."""
+    argsort of d or of -d, which keeps equal d in scan order.  The columns
+    are sorted one at a time, each source let go once its copy is made."""
     if d_min is None:
         _check_threshold("d_max", d_max, ceiling=True)
     else:
         _check_threshold("d_min", d_min)
-    found = _search(spec, domain, _dispatch(spec, domain, closure, patterns),
-                    patterns=patterns, d_max=d_max, d_min=d_min,
-                    skip_equal_n_pairs=skip_equal_n_pairs)
-    return found[np.argsort(found.d_ratio if d_min is None
-                            else -found.d_ratio, kind="stable")]
+    *columns, table = vars(_search(spec, domain, _dispatch(
+        spec, domain, closure, patterns), patterns=patterns, d_max=d_max,
+        d_min=d_min, skip_equal_n_pairs=skip_equal_n_pairs)).values()
+    order = np.argsort(columns[-1] if d_min is None else -columns[-1],
+                       kind="stable")  # columns[-1] is d_ratio
+    return TriadColumns(*(columns.pop(0)[order] for _ in range(len(columns))),
+                        table)
 
 
 def find_near_triads(spec: DispersionSpec, domain: SpectralDomain,

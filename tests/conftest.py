@@ -5,9 +5,10 @@ frequencies in Hz)."""
 import os
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
-from wavetriads import DispersionSpec, SpectralDomain, WaveVector
+from wavetriads import (BasinGeometry, DispersionSpec, SpectralDomain,
+                        WaveVector)
 from wavetriads import classify, search
 
 # Property tests (hypothesis): "ci" replays a fixed set of examples, so a
@@ -77,3 +78,26 @@ def ari_hits(spec, domain, omega_max, patterns="sum", closure="auto",
     return classify._walk(search._table(spec, domain.truncation), domain,
                           rule, classify._n_rule(rule, "none"), patterns,
                           skip_equal_n_pairs, omega_max)[1]
+
+
+@st.composite
+def pruning_specs(draw):
+    """Every float kind (both plane forms) on a unit, L-square or
+    rectangular basin, with drawn physical parameters."""
+    kind, form = draw(st.sampled_from([
+        ("capillary", "printed"), ("gravity_capillary", "printed"),
+        ("gravity_tanh", "printed"), ("bve_plane", "printed"),
+        ("bve_plane", "squared")]))
+    basin = draw(st.sampled_from(["unit", "L-square", "rectangle"]))
+    if basin == "unit":
+        geometry = BasinGeometry("unit_square")
+    elif basin == "L-square":
+        side = draw(st.floats(1.5, 3.0))
+        geometry = BasinGeometry("rectangle", side, side)
+    else:
+        geometry = BasinGeometry("rectangle", 1.0, draw(st.floats(1.2, 4.0)))
+    return DispersionSpec(
+        kind, basin=geometry, plane_form=form,
+        mu_over_nu=(draw(st.floats(16.0, 75.0))
+                    if kind == "gravity_capillary" else None),
+        alpha=draw(st.floats(0.2, 2.0)) if kind == "gravity_tanh" else None)

@@ -21,8 +21,9 @@ from wavetriads import (
     plan_experiment,
     to_hz,
 )
-from wavetriads import cli, search
+from wavetriads import cli, report, search
 from wavetriads.classify import ModeAssignment, ModePartition
+from wavetriads.dispersion import TWO_PI
 from wavetriads.experiment import (ExperimentPlan, GeometrySweepReport,
                                    SweepCell)
 from wavetriads.report import (
@@ -40,7 +41,8 @@ from wavetriads.report import (
     triads_to_csv,
 )
 from wavetriads.search import NUMERIC_EXACT_D, Triad
-from conftest import gc_spec
+from wavetriads.triad import TriadColumns, _triads
+from conftest import gc_spec, pruning_specs
 
 
 def test_partition_csv_columns(sphere, sphere_t14):
@@ -491,3 +493,143 @@ def test_writers_hold_a_chunk_not_the_output(monkeypatch, tmp_path,
     size = path.stat().st_size
     assert size == sum(stdout.sizes)
     assert peak < size / 4
+
+
+# -- column rows against the %-template rows ---------------------------------
+
+#: The %-templates of a CSV row and of a JSON record of float columns that
+#: ``report._rows`` filled before it joined rows from per-mode pieces.
+TEMPLATE_CSV = "%d,%d,%d,%d,%d,%d,%s,%s,%s,%s,%s,%s,%r,%r,%s\n"
+
+
+def template_json(level: int) -> str:
+    fields = [f'"{k}": %d' for k in ("m1", "n1", "m2", "n2", "m3", "n3")]
+    fields += [f'"{k}": %s' for k in ("omega1", "omega2", "omega3", "hz1",
+                                      "hz2", "hz3")]
+    fields += [f'"{k}": %r' for k in ("discrepancy", "d_ratio")]
+    fields += ['"signs": %s', '"resonance": "%s"']
+    inner = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level + "}"
+    return "{" + ",".join(inner + f for f in fields) + close
+
+
+def template_rows(triads, fmt, level=0, rational=False):
+    """``report._rows`` as it was with one %-template per row: the
+    reference the joined rows must equal chunk by chunk."""
+    columns = isinstance(triads, TriadColumns) and len(triads)
+    modes = triads.modes() if columns else None
+    plain = columns and triads.table.dtype == np.float64
+    if plain:
+        _, w, index = modes
+        hz = (w / TWO_PI).tolist()
+        text = [np.fromiter(map(f, x), object, len(x)) for f, x in (
+            [("%.4f".__mod__, hz)] if fmt == "table" else
+            [(float.__repr__, w.tolist()), (float.__repr__, hz)])]
+    template = {"csv": TEMPLATE_CSV, "table": report._TABLE_TEMPLATE,
+                "json": template_json(level)}[fmt]
+    size = report.CHUNK_PIECES // 2 if fmt == "json" else report.CHUNK_PIECES
+    for lo in range(0, len(triads), size):
+        c = triads[lo:lo + size]
+        at = [index(m, n) for m, n in c.members()] if plain else ()
+        if not plain or not all(np.isfinite(x).all() for x in (
+                *(w[i] for i in at), c.discrepancy, c.d_ratio)):
+            yield [report._triad_text(x, fmt, level, rational) for x in (
+                _triads(c, modes) if columns else c)]
+            continue
+        ints = [x.tolist() for pair in c.members() for x in pair]
+        freqs = [x[i].tolist() for x in text for i in at]
+        r = c.d_ratio.tolist()
+        signs = map((report._PATTERN_JSON if fmt == "json"
+                     else report._PATTERN_TEXT).__getitem__,
+                    c.pattern.tolist())
+        if fmt == "table":
+            cells = [map("[%d,%d][%d,%d][%d,%d]".__mod__, zip(*ints)),
+                     *freqs, r, signs]
+        else:
+            cells = [*ints, *freqs, c.discrepancy.tolist(), r, signs]
+        if fmt == "json":
+            cells.append(map(report._LABELS.__getitem__,
+                             (c.d_ratio <= NUMERIC_EXACT_D).tolist()))
+        yield list(map(template.__mod__, zip(*cells)))
+
+
+@st.composite
+def searched_columns(draw):
+    """The columns of a float search (its stable sort puts transposed twins
+    next to each other), or of the sphere's exact search."""
+    T, patterns = draw(st.integers(1, 12)), draw(st.sampled_from(["sum",
+                                                                  "all"]))
+    if draw(st.booleans()):
+        return search._sorted_search(
+            DispersionSpec("rossby_sphere"), SpectralDomain(T, "triangular"),
+            patterns, d_max=draw(st.sampled_from([1e-9, 1e-2, math.inf])))
+    spec = draw(pruning_specs())
+    if draw(st.booleans()):
+        return search._sorted_search(spec, SpectralDomain(T), patterns,
+                                     d_min=draw(st.sampled_from([1e-3, 0.1])))
+    return search._sorted_search(spec, SpectralDomain(T), patterns,
+                                 d_max=draw(st.sampled_from([1e-3, math.inf])))
+
+
+#: Residuals and ratios that print differently from their neighbours: both
+#: zeros, subnormals, and each side of float repr's switches to exponent
+#: form (below 1e-4 and from 1e16 on).
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+               1e-4, math.nextafter(1e-4, 0.0), -1e-4, 1e16,
+               math.nextafter(1e16, 0.0), -1e16, NUMERIC_EXACT_D,
+               math.nextafter(NUMERIC_EXACT_D, 1.0), 1.7976931348623157e308]
+CELLS = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False,
+                                                 allow_infinity=False)
+ODD = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def crafted_columns(draw):
+    """Columns on a drawn float table whose residuals, ratios and patterns
+    each come in runs of equal values, their edges drawn apart; zeros of
+    both signs are frequent, so that a row can equal its neighbour as a
+    float but not in bits.  Some tables and residuals hold inf or NaN."""
+    M, N, k = (draw(st.integers(*x)) for x in ((2, 6), (1, 5), (1, 14)))
+
+    def runs(values):
+        out = []
+        while len(out) < k:
+            out += [draw(values)] * draw(st.integers(1, 4))
+        return np.array(out[:k])
+
+    d, r = (runs(st.sampled_from([0.0, -0.0]) | CELLS) for _ in "dr")
+    if draw(st.booleans()):
+        d[draw(st.integers(0, k - 1))] = draw(ODD)
+    m1, m2, n1, n2, n3 = (np.array(draw(st.lists(
+        st.integers(1, top), min_size=k, max_size=k))) for top in (
+            M // 2, M // 2, N, N, N))
+    table = draw(st.lists(CELLS | ODD if draw(st.booleans()) else CELLS,
+                          min_size=(M + 1) * (N + 1),
+                          max_size=(M + 1) * (N + 1)))
+    return TriadColumns(m1, n1, m2, n2, n3, d, runs(st.integers(0, 2)), r,
+                        np.array(table).reshape(M + 1, N + 1))
+
+
+@given(columns=searched_columns() | crafted_columns(),
+       fmt=st.sampled_from(["csv", "json", "table"]),
+       level=st.integers(0, 3), chunk=st.sampled_from([1, 3, None]))
+@example(columns=TriadColumns(*[np.array([1, 1, 1])] * 5, np.array(
+    [0.0, -0.0, -0.0]), np.array([0, 0, 0]), np.array([0.0, 0.0, -0.0]),
+    np.full((3, 2), 2.5)), fmt="csv", level=0, chunk=3)
+@example(columns=search._sorted_search(gc_spec(75), SpectralDomain(8),
+                                       d_min=0.1),
+         fmt="json", level=2, chunk=3)
+def test_rows_match_the_template_rows(columns, fmt, level, chunk):
+    """``report._rows`` gives, chunk by chunk and bit for bit, the text of
+    its %-template form, on searched and crafted columns, in every format
+    and at each JSON level, with chunks of 1 and 3 rows (runs of equal
+    values cross their edges) and of the default size."""
+    rational = columns.discrepancy.dtype == object
+    default = report.CHUNK_PIECES
+    if chunk is not None:
+        report.CHUNK_PIECES = chunk * (2 if fmt == "json" else 1)
+    try:
+        assert list(report._rows(columns, fmt, level, rational)) == list(
+            template_rows(columns, fmt, level, rational))
+    finally:
+        report.CHUNK_PIECES = default
