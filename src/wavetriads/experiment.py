@@ -17,6 +17,7 @@ from .dispersion import (
     DispersionSpec,
     SpectralDomain,
     WaveVector,
+    _GRID_MATH,
     _is_positive_int,
     _rescaled_norm_sq,
     check_wavevector,
@@ -37,6 +38,16 @@ def _check_steepness(epsilon: float) -> None:
             f"steepness must be non-negative and finite, got {epsilon!r}")
 
 
+def _warn_steepness(epsilon: float) -> None:
+    """Warn outside 0 < epsilon <= WEAKLY_NONLINEAR_EPS."""
+    if epsilon == 0:
+        warnings.warn("steepness 0 gives a degenerate zero amplitude")
+    elif epsilon > WEAKLY_NONLINEAR_EPS:
+        warnings.warn(
+            f"steepness {epsilon} exceeds the weakly nonlinear range "
+            f"(<= {WEAKLY_NONLINEAR_EPS})")
+
+
 def steepness_amplitude(k: WaveVector, epsilon: float,
                         spec: DispersionSpec | None = None) -> float:
     """Wave amplitude a = epsilon / |k| (cm) for a target steepness.
@@ -46,12 +57,7 @@ def steepness_amplitude(k: WaveVector, epsilon: float,
     """
     k = check_wavevector(WaveVector(*k))
     _check_steepness(epsilon)
-    if epsilon == 0:
-        warnings.warn("steepness 0 gives a degenerate zero amplitude")
-    elif epsilon > WEAKLY_NONLINEAR_EPS:
-        warnings.warn(
-            f"steepness {epsilon} exceeds the weakly nonlinear range "
-            f"(<= {WEAKLY_NONLINEAR_EPS})")
+    _warn_steepness(epsilon)
     if spec is not None:
         norm = math.sqrt(_rescaled_norm_sq(spec, k.m, k.n, math))
     else:
@@ -117,19 +123,31 @@ def plan_experiment(spec: DispersionSpec, domain: SpectralDomain,
 def _plan_columns(spec, domain, d_max, d_min, epsilon) -> ExperimentPlan:
     """The plan of :func:`plan_experiment` with its triads as columns
     (:class:`.triad.TriadColumns`), which the CLI renders.  The amplitudes
-    follow the members in row order, k1, k2, k3 in each row."""
+    follow the members in row order, k1, k2, k3 in each row: those of
+    :func:`steepness_amplitude`, bit for bit, in one array pass over the
+    distinct modes, each first found by ``np.minimum.at`` on its key
+    m R + n (np.unique would import numpy.ma)."""
     if not (0 < d_max < d_min):
         raise UsageError("thresholds must satisfy 0 < d_max < d_min")
     _check_steepness(epsilon)
     type_a = _sorted_search(spec, domain, d_max=d_max)
     type_b = _sorted_search(spec, domain, d_min=d_min)
+    m, n = (np.concatenate(x) for x in zip(*(
+        [np.stack(c, 1).ravel() for c in zip(*t.members())]
+        for t in (type_a, type_b))))
     amplitudes = {}
-    for t in (type_a, type_b):
-        m, n = (np.stack(c, 1).ravel().tolist() for c in zip(*t.members()))
-        for k in dict.fromkeys(zip(m, n)):
-            if k not in amplitudes:
-                k = WaveVector(*k)
-                amplitudes[k] = steepness_amplitude(k, epsilon, spec)
+    if m.size:
+        R = int(n.max()) + 1
+        key = m * R + n
+        first = np.full(int(key.max()) + 1, m.size)
+        np.minimum.at(first, key, np.arange(m.size))
+        head = np.zeros(m.size, bool)
+        head[first[first < m.size]] = True
+        m, n = np.divmod(key[head], R)
+        _warn_steepness(epsilon)
+        a = epsilon / np.sqrt(_rescaled_norm_sq(spec, m, n, _GRID_MATH))
+        amplitudes = dict(zip(map(WaveVector, m.tolist(), n.tolist()),
+                              a.tolist()))
     notes = (f"amplitudes in cm (c.g.s.), steepness eps={epsilon}; "
              f"driving-frequency precision must be finer than d_max={d_max}")
     return ExperimentPlan(spec, domain, d_max, d_min, epsilon,

@@ -24,15 +24,15 @@ A CSV row is the ``str`` of each cell joined by commas, which is what
 float, "p/q" text, a sign string over "+" and "-", a fixed class name or
 empty.
 
-One renderer (:func:`_rows`) gives the JSON, CSV and table rows of a
+One renderer (:func:`_rows`) gives the JSON, CSV and table text of a
 chunk of triads.  The CLI's searches and plans hand it columns
 (:class:`.triad.TriadColumns`), which hold no frequencies: they read each
 distinct mode's from their table once, since thousands of triads draw
-their frequencies from a few hundred modes.  A chunk of finite floats
-joins its rows from per-mode text; table lines fill a %-template.
-Other chunks of columns (rationals, inf, NaN) are made into ``Triad``s
-on those per-mode frequencies, one object a mode, and these, like lists
-of ``Triad`` objects, are written through each triad's record.
+their frequencies from a few hundred modes.  A chunk of finite floats, in
+any format, is one join of per-mode and per-run text, in batches of
+chunks.  Other chunks of columns (rationals, inf, NaN) are made into
+``Triad``s on those per-mode frequencies, one object a mode, and these,
+like lists of ``Triad`` objects, go through each triad's record.
 """
 
 from __future__ import annotations
@@ -98,112 +98,123 @@ def triad_to_record(t: Triad) -> dict:
     return rec
 
 
-def _triad_row(t: Triad, rational: bool) -> list:
-    """CSV cells of one triad: the values of its record under
-    TRIAD_COLUMNS, then under RATIONAL_EXTRA_COLUMNS when ``rational``
-    (left empty for a float triad in a rational list)."""
-    rec = triad_to_record(t)
-    return [rec.get(c, "") for c in TRIAD_COLUMNS
-            + (RATIONAL_EXTRA_COLUMNS if rational else [])]
-
-
 #: Text (CSV, tables) and JSON text of each sign pattern by its index in
 #: SIGN_PATTERNS, and a float triad's label by d_ratio <= NUMERIC_EXACT_D.
 _PATTERN_TEXT = tuple(_signs_str(s) for s in SIGN_PATTERNS)
 _PATTERN_JSON = tuple(map(_quote, _PATTERN_TEXT))
 _LABELS = ("near", "numerically_exact")
 
-#: %-template of a ``triad_table_line`` of columns.
-_TABLE_TEMPLATE = "%-24s (%s, %s, %s);  d=%.3e  %s"
+#: Table pads by bracket length (``%-24s``); chunks in a :func:`_rows` batch.
+_PADS = np.array([" " * (24 - k) + " (" for k in range(25)], object)
+_BATCH = 4
 
 
-def _fields(fmt: str, level: int):
-    """The text before each field of a float triad's CSV row, or of its
-    JSON record with braces indented at ``level``, and the row's text from
-    the signs on, by sign pattern + 3 * (numerically exact)."""
+def _pieces(fmt: str, level: int, sep: str, modes):
+    """:func:`_rows`' per-mode pieces in row order, as object arrays over
+    ``modes`` with the member position that gathers each (3: the pad); a
+    function from runs' discrepancies, d_ratios and tails to their texts;
+    and bracket lengths in tables.  CSV and JSON pieces (cells, keys and
+    the JSON ``sep`` folded in) are made only where a position has a mode."""
+    (m, n, where), w, _ = modes
+    hz = (w / TWO_PI).tolist()
+    if fmt == "table":
+        br = np.fromiter(map("[{},{}]".format, m.tolist(), n.tolist()),
+                         object, w.size)
+        hz = np.fromiter(map("%.4f".__mod__, hz), object, w.size)
+        tails = [f"  {s}\n" for s in _PATTERN_TEXT] * 2
+        return [(br, 0), (br, 1), (br, 2), (_PADS, 3), (hz, 0), *(
+            (x, p) for x in [", " + hz] for p in (1, 2))], lambda d, r, t: [
+            f");  d={b:.3e}{tails[k]}" for b, k in zip(r.tolist(), t.tolist())
+        ], np.fromiter(map(len, br), np.intp, w.size)
     if fmt == "csv":
-        return dict.fromkeys(TRIAD_COLUMNS[1:], ",") | {"m1": ""}, [
-            f",{s}\n" for s in _PATTERN_TEXT] * 2
-    inner = "\n" + "  " * (level + 1)
-    pre = {k: f",{inner}{_quote(k)}: " for k in TRIAD_COLUMNS + ["resonance"]}
-    pre["m1"] = "{" + pre["m1"][1:]
-    return pre, [f"{pre['signs']}{s}{pre['resonance']}{_quote(x)}\n"
+        pre = dict.fromkeys(TRIAD_COLUMNS[1:], ",") | {"m1": ""}
+        tails = [f",{s}\n" for s in _PATTERN_TEXT] * 2
+    else:
+        inner = "\n" + "  " * (level + 1)
+        pre = {k: f",{inner}{_quote(k)}: " for k in TRIAD_COLUMNS + [
+            "resonance"]} | {"m1": sep + "{" + inner + '"m1": '}
+        tails = [f"{pre['signs']}{s}{pre['resonance']}{_quote(x)}\n"
                  + "  " * level + "}" for x in _LABELS for s in _PATTERN_JSON]
+    x, y = pre["discrepancy"], pre["d_ratio"]
+    used = [np.flatnonzero(where & 1 << p) for p in range(3)]
+    at = lambda p, texts: np.put(out := np.empty(w.size, object), used[p],
+                                 texts) or out
+    pieces = [(at(p, [f"{pre[f'm{p + 1}']}{a}{pre[f'n{p + 1}']}{b}" for a, b
+                      in zip(m[u].tolist(), n[u].tolist())]), p)
+              for p, u in enumerate(used)]
+    for k, v in (("omega", w.tolist()), ("hz", hz)):
+        v = np.fromiter(map(float.__repr__, v), object, w.size)
+        pieces += [(at(p, pre[f"{k}{p + 1}"] + v[u]), p)
+                   for p, u in enumerate(used)]
+    return pieces, lambda d, r, t: [f"{x}{a!r}{y}{b!r}{tails[k]}" for a, b, k
+                                    in zip(d.tolist(), r.tolist(), t.tolist())
+                                    ], None
 
 
 def _rows(triads, fmt: str, level: int = 0, rational: bool = False):
-    """The row texts of ``triads``, a ``TriadColumns`` or ``Triad``
-    objects, in ``fmt``: "csv" (with the RATIONAL_EXTRA_COLUMNS when
-    ``rational``), "table", or "json" records whose braces are indented at
-    ``level``; one list per chunk of CHUNK_PIECES rows, half as many in
-    JSON.
-
-    A chunk of columns of finite floats is made from text made once per
-    distinct mode of the columns (:meth:`.triad.TriadColumns.modes`):
-    ``float.__repr__`` of omega and of its hz as ``to_hz`` computes it, or
-    the hz as ``%.4f`` in tables, where each line fills a %-template.  A
-    CSV row or JSON record is one join of pieces, with :func:`_fields`'
-    separators and keys folded in: per member position, its m,n, omega and
-    hz piece by mode, gathered by index; then one piece per run of
-    bit-equal adjacent (discrepancy, d_ratio, pattern), which holds
-    ``float.__repr__`` of both, the signs and the label.  Any other chunk
-    (``Triad`` objects, or columns with rationals, inf or NaN, made into
-    Triads on the modes of the whole columns, :func:`.triad._triads`) is
-    written through each triad's record, or ``triad_table_line``."""
+    """The text of ``triads``, a ``TriadColumns`` or ``Triad``s, in
+    ``fmt``: "csv" rows (with the RATIONAL_EXTRA_COLUMNS if ``rational``),
+    "table" lines or "json" records indented at ``level``, joined by their
+    separator, per chunk of CHUNK_PIECES rows (half as many in JSON).
+    Float columns render in batches of _BATCH chunks: the numpy work (mode
+    indices, finite test, runs of bit-equal adjacent discrepancy, d_ratio
+    and pattern, tails) is done once a batch; a finite chunk is then one
+    join of a flat list of its rows' :func:`_pieces` and run pieces, made
+    per chunk: ``float.__repr__`` of both values (d_ratio ``%.3e`` in
+    tables), signs and label.  Other chunks (``Triad``s, or rationals, inf
+    or NaN, as Triads on all the columns' modes, :func:`.triad._triads`)
+    go through each triad's record or ``triad_table_line``."""
     columns = isinstance(triads, TriadColumns) and len(triads)
     modes = triads.modes() if columns else None
-    plain = columns and triads.table.dtype == np.float64
-    if plain:
-        (m, n), w, index = modes
-        hz = (w / TWO_PI).tolist()
-        objects = lambda pieces: np.fromiter(pieces, object, w.size)
-        if fmt == "table":
-            text = [objects(map("%.4f".__mod__, hz))]
-        else:
-            pre, tails = _fields(fmt, level)
-            mn = list(zip(m.tolist(), n.tolist()))
-            text = [objects(f"{x}{a}{y}{b}" for a, b in mn) for x, y in (
-                (pre["m" + p], pre["n" + p]) for p in "123")]
-            text += [pre[k + p] + x for k, x in (
-                ("omega", objects(map(float.__repr__, w.tolist()))),
-                ("hz", objects(map(float.__repr__, hz)))) for p in "123"]
     size = CHUNK_PIECES // 2 if fmt == "json" else CHUNK_PIECES
-    for lo in range(0, len(triads), size):
-        c = triads[lo:lo + size]
-        at = [index(m, n) for m, n in c.members()] if plain else ()
-        if not plain or not all(np.isfinite(x).all() for x in (
-                *(w[i] for i in at), c.discrepancy, c.d_ratio)):
-            yield [_triad_text(x, fmt, level, rational) for x in (
-                _triads(c, modes) if columns else c)]
-        elif fmt == "table":
-            yield list(map(_TABLE_TEMPLATE.__mod__, zip(
-                map("[%d,%d][%d,%d][%d,%d]".__mod__,
-                    zip(*(x.tolist() for k in c.members() for x in k))),
-                *(text[0][i].tolist() for i in at), c.d_ratio.tolist(),
-                map(_PATTERN_TEXT.__getitem__, c.pattern.tolist()))))
-        else:
-            d, r = c.discrepancy, c.d_ratio
-            new = np.ones(len(c), bool)  # compared as bits: -0.0 != 0.0
-            new[1:] = np.diff(np.stack((d.view(np.int64), r.view(np.int64),
-                                        c.pattern)), axis=1).any(0)
-            i = np.flatnonzero(new)
-            x, y = pre["discrepancy"], pre["d_ratio"]
-            runs = [f"{x}{a!r}{y}{b!r}{tails[t]}" for a, b, t in zip(
-                d[i].tolist(), r[i].tolist(),
-                (c.pattern[i] + 3 * (r[i] <= NUMERIC_EXACT_D)).tolist())]
-            yield list(map("".join, zip(
-                *(p.take(k).tolist() for p, k in zip(text, at * 3)),
-                np.array(runs, object)[new.cumsum() - 1].tolist())))
+    sep = ",\n" + "  " * level if fmt == "json" else ""
+    records = lambda c: sep.join(_triad_text(x, fmt, level, rational) for x in
+                                 (_triads(c, modes) if columns else c))
+    if not (columns and triads.table.dtype == np.float64):
+        yield from map(records, (triads[lo:lo + size] for lo in range(
+            0, len(triads), size)))
+        return
+    (_, w, index), finite = modes, np.isfinite(modes[1])
+    pieces, runs, width = _pieces(fmt, level, sep, modes)
+    P = len(pieces) + 1
+    for lo in range(0, len(triads), size * _BATCH):
+        c = triads[lo:lo + size * _BATCH]
+        at = [index(m, n) for m, n in c.members()]
+        d, r, s = c.discrepancy, c.d_ratio, c.pattern
+        ok = (finite[at[0]] & finite[at[1]] & finite[at[2]] & np.isfinite(d)
+              & np.isfinite(r))
+        if width is not None:
+            at.append(np.minimum(sum(width[k] for k in at), 24))
+        x, y, new = d.view(np.int64), r.view(np.int64), np.ones(len(c), bool)
+        new[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1]) | (s[1:] != s[:-1])
+        i, run = np.flatnonzero(new), new.cumsum() - 1
+        d, r, t = d[i], r[i], s[i] + 3 * (r[i] <= NUMERIC_EXACT_D)
+        for a in range(0, len(c), size):
+            b = min(a + size, len(c))
+            if not ok[a:b].all():
+                yield records(c[a:b])
+                continue
+            u, v = run[a], run[b - 1] + 1
+            flat = [None] * (P * (b - a))
+            for j, (p, k) in enumerate(pieces):
+                flat[j::P] = p.take(at[k][a:b]).tolist()
+            texts = np.array(runs(d[u:v], r[u:v], t[u:v]), object)
+            flat[P - 1::P] = texts.take(run[a:b] - u).tolist()
+            flat[0] = flat[0][len(sep):]
+            yield "".join(flat)
 
 
 def _triad_text(t: Triad, fmt: str, level: int, rational: bool) -> str:
-    """One triad's row as ``_rows`` gives it, through its record."""
+    """One triad's row as ``_rows`` gives it, through its record; in CSV
+    the values under TRIAD_COLUMNS, then under RATIONAL_EXTRA_COLUMNS when
+    ``rational`` (empty for a float triad in a rational list)."""
     if fmt == "table":
-        return triad_table_line(t)
+        return triad_table_line(t) + "\n"
+    rec, out = triad_to_record(t), []
     if fmt == "csv":
-        return ",".join(map(str, _triad_row(t, rational))) + "\n"
-    out = []
-    _write(triad_to_record(t), level, out, None)
+        return ",".join(str(rec.get(c, "")) for c in TRIAD_COLUMNS + (
+            RATIONAL_EXTRA_COLUMNS if rational else [])) + "\n"
+    _write(rec, level, out, None)
     return "".join(out)
 
 
@@ -219,8 +230,8 @@ def write_triads_csv(write, triads) -> None:
         rational = any(isinstance(t.discrepancy, Fraction) for t in triads)
     columns = TRIAD_COLUMNS + (RATIONAL_EXTRA_COLUMNS if rational else [])
     write(",".join(columns) + "\n")
-    for rows in _rows(triads, "csv", rational=rational):
-        write("".join(rows))
+    for text in _rows(triads, "csv", rational=rational):
+        write(text)
 
 
 def triads_to_csv(triads) -> str:
@@ -243,8 +254,7 @@ def triads_to_table(triads) -> str:
     """The table lines of ``triads``, a ``TriadColumns`` or ``Triad``s."""
     if not isinstance(triads, TriadColumns):
         triads = list(triads)
-    return "".join(line + "\n" for rows in _rows(triads, "table")
-                   for line in rows)
+    return "".join(_rows(triads, "table"))
 
 
 # -- mode partitions --------------------------------------------------------
@@ -411,8 +421,8 @@ def _write(v, level: int, out: list, write) -> None:
         inner = "\n" + "  " * (level + 1)
         sep = "[" + inner
         if isinstance(v, TriadColumns):  # a write after each chunk of rows
-            for rows in _rows(v, "json", level + 1):
-                out.append(sep + ("," + inner).join(rows))
+            for text in _rows(v, "json", level + 1):
+                out += sep, text
                 sep = "," + inner
                 write("".join(out))
                 out.clear()

@@ -195,20 +195,20 @@ class TriadColumns:
         return TriadColumns(*(c[index] for c in columns), table)
 
     def modes(self):
-        """The distinct members of the rows (at least one) as arrays (m, n),
-        their frequencies on the table (:func:`_omegas`), and a function
-        from arrays (m, n) of such modes to their places among them, by a
-        presence table over the keys m R + n and binary search: np.unique
-        would import numpy.ma, and a sort would map in the sort kernels."""
-        members = self.members()
-        R = max(int(n.max()) for _, n in members) + 1
-        seen = np.zeros((max(int(m.max()) for m, _ in members) + 1) * R, bool)
-        for m, n in members:
-            seen[m * R + n] = True
-        modes = np.flatnonzero(seen)
+        """The distinct members of the rows (at least one) as arrays (m, n)
+        and their positions as bits (1: k1, 2: k2, 4: k3), their frequencies
+        on the table (:func:`_omegas`), and a function from modes (m, n) to
+        their places, marked 4,096 rows at a time over the keys m R + n of
+        the table (np.unique would import numpy.ma; a sort, its kernels)."""
+        R, seen = self.table.shape[1], np.zeros(self.table.size, np.uint8)
+        for lo in range(0, len(self), 4096):
+            for bit, (m, n) in enumerate(self[lo:lo + 4096].members()):
+                seen[m * R + n] |= 1 << bit
+        modes, place = np.flatnonzero(seen > 0), np.zeros(seen.size, np.int32)
+        place[modes] = np.arange(modes.size)
         m, n = np.divmod(modes, R)
-        return ((m, n), _omegas(self.table, m, self.table[m, n]),
-                lambda m, n: np.searchsorted(modes, m * R + n))
+        return ((m, n, seen[modes]), _omegas(self.table, m, self.table[m, n]),
+                lambda m, n: place.take(m * R + n))
 
     def triads(self) -> list:
         """The rows as Triads (:func:`_triads`) on their own :meth:`modes`."""
@@ -218,7 +218,7 @@ class TriadColumns:
 def _triads(c, modes) -> list:
     """The rows of columns ``c`` as Triads, on the :meth:`TriadColumns.modes`
     of columns that hold them: one WaveVector and frequency a mode."""
-    (m, n), w, index = modes
+    (m, n, _), w, index = modes
     ks = np.fromiter(map(WaveVector, m.tolist(), n.tolist()), object, m.size)
     at = [index(m, n) for m, n in c.members()]
     return [Triad(*t) for t in zip(

@@ -15,6 +15,7 @@ from wavetriads import (
     rescale_for_basin,
     steepness_amplitude,
 )
+from wavetriads.experiment import _plan_columns
 from wavetriads.report import sweep_to_record, to_json
 from conftest import TYPE_A, TYPE_B, gc_spec, wv
 
@@ -128,6 +129,33 @@ def test_plan_contains_published_triads(square_t30):
             assert plan.amplitudes[k] > 0
     assert all(t.d_ratio <= 1e-5 for t in plan.type_a)
     assert all(t.d_ratio >= 0.1 for t in plan.type_b)
+
+
+@pytest.mark.parametrize("basin", [(1.0, 1.0), (1.0, 1.7), (2.2, 2.2),
+                                   (1.3, 1.0)])
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.3])
+def test_plan_amplitudes_match_steepness_amplitude(basin, epsilon):
+    """The plan's amplitudes, made in one array pass over its distinct
+    modes, are those of ``steepness_amplitude`` mode by mode, bit for bit,
+    on unit, square and rectangular basins, keyed in order of first
+    appearance over the Type-A then the Type-B rows (k1, k2, k3 a row);
+    the steepness warning comes once a plan, not once a mode."""
+    spec = rescale_for_basin(gc_spec(47), *basin)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        plan = _plan_columns(spec, SpectralDomain(9), 1e-4, 0.1, epsilon)
+    assert len(caught) == (epsilon != 0.1)
+    expect = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for t in (plan.type_a, plan.type_b):
+            for row in zip(*(x.tolist() for k in t.members() for x in k)):
+                for k in map(wv, row[0::2], row[1::2]):
+                    expect.setdefault(k, steepness_amplitude(k, epsilon, spec))
+    assert len(expect) > 50
+    assert list(plan.amplitudes) == list(expect)
+    assert list(map(float.hex, plan.amplitudes.values())) == list(
+        map(float.hex, expect.values()))
 
 
 def test_plan_glycerine_triad(square_t30):

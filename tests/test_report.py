@@ -37,6 +37,7 @@ from wavetriads.report import (
     plan_to_table,
     sweep_to_record,
     to_json,
+    triad_table_line,
     triad_to_record,
     triads_to_csv,
 )
@@ -495,7 +496,25 @@ def test_writers_hold_a_chunk_not_the_output(monkeypatch, tmp_path,
     assert peak < size / 4
 
 
-# -- column rows against the %-template rows ---------------------------------
+def test_large_inventory_renders_under_a_bounded_peak():
+    """The water inventory at T=30 (90,169 rows) renders in CSV and in
+    JSON with a heap peak under 1.2 MB: its modes are marked a slice of
+    rows at a time, and the render holds a batch of chunks, not key
+    arrays over every row (1.445 MB)."""
+    columns = search._sorted_search(WATER, SpectralDomain(30), d_min=0.1)
+    assert len(columns) == 90169
+    for write in (report.write_triads_csv, report.write_json):
+        write(lambda text: None, columns)
+        tracemalloc.start()
+        try:
+            write(lambda text: None, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2e6, (write.__name__, peak)
+
+
+# -- column chunks against the %-template rows ------------------------------
 
 #: The %-templates of a CSV row and of a JSON record of float columns that
 #: ``report._rows`` filled before it joined rows from per-mode pieces.
@@ -514,23 +533,26 @@ def template_json(level: int) -> str:
 
 
 def template_rows(triads, fmt, level=0, rational=False):
-    """``report._rows`` as it was with one %-template per row: the
-    reference the joined rows must equal chunk by chunk."""
+    """The rows of each chunk of ``report._rows``: CSV rows and JSON
+    records of float columns as one %-template each fills them, table
+    lines as ``triad_table_line`` writes them, and the rows of any other
+    chunk through each triad's record."""
     columns = isinstance(triads, TriadColumns) and len(triads)
     modes = triads.modes() if columns else None
-    plain = columns and triads.table.dtype == np.float64
+    plain = columns and triads.table.dtype == np.float64 and fmt != "table"
     if plain:
         _, w, index = modes
-        hz = (w / TWO_PI).tolist()
-        text = [np.fromiter(map(f, x), object, len(x)) for f, x in (
-            [("%.4f".__mod__, hz)] if fmt == "table" else
-            [(float.__repr__, w.tolist()), (float.__repr__, hz)])]
-    template = {"csv": TEMPLATE_CSV, "table": report._TABLE_TEMPLATE,
-                "json": template_json(level)}[fmt]
+        text = [np.fromiter(map(float.__repr__, x), object, len(x))
+                for x in (w.tolist(), (w / TWO_PI).tolist())]
+    template = TEMPLATE_CSV if fmt == "csv" else template_json(level)
     size = report.CHUNK_PIECES // 2 if fmt == "json" else report.CHUNK_PIECES
     for lo in range(0, len(triads), size):
         c = triads[lo:lo + size]
         at = [index(m, n) for m, n in c.members()] if plain else ()
+        if fmt == "table":
+            yield [triad_table_line(x) + "\n" for x in (
+                _triads(c, modes) if columns else c)]
+            continue
         if not plain or not all(np.isfinite(x).all() for x in (
                 *(w[i] for i in at), c.discrepancy, c.d_ratio)):
             yield [report._triad_text(x, fmt, level, rational) for x in (
@@ -538,15 +560,11 @@ def template_rows(triads, fmt, level=0, rational=False):
             continue
         ints = [x.tolist() for pair in c.members() for x in pair]
         freqs = [x[i].tolist() for x in text for i in at]
-        r = c.d_ratio.tolist()
         signs = map((report._PATTERN_JSON if fmt == "json"
                      else report._PATTERN_TEXT).__getitem__,
                     c.pattern.tolist())
-        if fmt == "table":
-            cells = [map("[%d,%d][%d,%d][%d,%d]".__mod__, zip(*ints)),
-                     *freqs, r, signs]
-        else:
-            cells = [*ints, *freqs, c.discrepancy.tolist(), r, signs]
+        cells = [*ints, *freqs, c.discrepancy.tolist(), c.d_ratio.tolist(),
+                 signs]
         if fmt == "json":
             cells.append(map(report._LABELS.__getitem__,
                              (c.d_ratio <= NUMERIC_EXACT_D).tolist()))
@@ -610,6 +628,18 @@ def crafted_columns(draw):
                         np.array(table).reshape(M + 1, N + 1))
 
 
+#: Columns on a float table with brackets of 21 to 27 characters (a table
+#: pads them to 24), whose d_ratios are subnormal or huge.
+WIDE_BRACKETS = TriadColumns(
+    np.array([1, 10, 10, 100, 100]), np.array([100, 100, 100, 100, 100]),
+    np.array([1, 10, 10, 10, 100]), np.array([100, 100, 100, 100, 100]),
+    np.array([200, 200, 201, 200, 200]), np.array([0.5, 0.5, -1.0, 2.0, 0.0]),
+    np.array([0, 0, 1, 2, 0]),
+    np.array([5e-324, 5e-324, 1.7976931348623157e308,
+              2.2250738585072014e-308 / 3, 0.0]),
+    np.linspace(1.0, 2.0, 201 * 202).reshape(201, 202))
+
+
 @given(columns=searched_columns() | crafted_columns(),
        fmt=st.sampled_from(["csv", "json", "table"]),
        level=st.integers(0, 3), chunk=st.sampled_from([1, 3, None]))
@@ -619,17 +649,23 @@ def crafted_columns(draw):
 @example(columns=search._sorted_search(gc_spec(75), SpectralDomain(8),
                                        d_min=0.1),
          fmt="json", level=2, chunk=3)
+@example(columns=WIDE_BRACKETS, fmt="table", level=0, chunk=1)
+@example(columns=WIDE_BRACKETS, fmt="table", level=0, chunk=None)
+@example(columns=WIDE_BRACKETS, fmt="json", level=1, chunk=3)
 def test_rows_match_the_template_rows(columns, fmt, level, chunk):
-    """``report._rows`` gives, chunk by chunk and bit for bit, the text of
-    its %-template form, on searched and crafted columns, in every format
-    and at each JSON level, with chunks of 1 and 3 rows (runs of equal
-    values cross their edges) and of the default size."""
+    """Each chunk text of ``report._rows`` is, bit for bit, its reference
+    rows (:func:`template_rows`) joined with the writers' separators, on
+    searched and crafted columns, in every format and at each JSON level,
+    with chunks of 1 and 3 rows, so that chunk and batch edges split runs
+    of equal values, and of the default size."""
     rational = columns.discrepancy.dtype == object
     default = report.CHUNK_PIECES
     if chunk is not None:
         report.CHUNK_PIECES = chunk * (2 if fmt == "json" else 1)
+    sep = ",\n" + "  " * level if fmt == "json" else ""
     try:
-        assert list(report._rows(columns, fmt, level, rational)) == list(
-            template_rows(columns, fmt, level, rational))
+        assert list(report._rows(columns, fmt, level, rational)) == [
+            sep.join(rows) for rows in template_rows(columns, fmt, level,
+                                                     rational)]
     finally:
         report.CHUNK_PIECES = default
