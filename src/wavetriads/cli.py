@@ -138,29 +138,24 @@ def build_spec(args) -> DispersionSpec:
 def _emit(args, header: dict, payload, table, csv=None):
     """Render and write the one format ``--format`` asks for.
 
-    ``payload`` (what ``report.write_json`` writes) and ``table`` (text)
-    are zero-argument callables; ``csv`` writes its text to the callable
-    it is given, and is None for commands without a CSV form.  Only the
-    chosen one is called, so a run builds no output it does not write.
-    JSON and triad CSV reach ``--output`` or stdout in chunks, after the
-    header lines of CSV and table output."""
+    ``payload`` is a zero-argument callable giving what
+    ``report.write_json`` writes; ``table`` and ``csv`` write their text to
+    the callable they are given, and ``csv`` is None for commands without a
+    CSV form.  Only the chosen one is called, so a run builds no output it
+    does not write.  Every format reaches ``--output`` or stdout in chunks,
+    after the header lines of CSV and table output."""
     if args.format == "csv" and csv is None:
         raise UsageError("csv output is not defined for this command")
-    body = (payload() if args.format == "json"
-            else table() if args.format == "table" else None)
     with (open(args.output, "w") if args.output
           else contextlib.nullcontext(sys.stdout)) as fh:
         if args.format == "json":
-            report.write_json(fh.write, body,
+            report.write_json(fh.write, payload(),
                               None if args.no_header else header)
             return
         if not args.no_header:
             fh.write("".join(f"# {k}={json.dumps(v, sort_keys=True)}\n"
                              for k, v in header.items()))
-        if args.format == "csv":
-            csv(fh.write)
-        else:
-            fh.write(body)
+        (csv if args.format == "csv" else table)(fh.write)
 
 
 def _header(args, spec, domain, **extra) -> dict:
@@ -197,7 +192,7 @@ def cmd_find_triads(args, spec, domain):
     header = _header(args, spec, domain, **mode, patterns=args.patterns,
                      closure=args.closure)
     _emit(args, header, lambda: triads,
-          lambda: report.triads_to_table(triads),
+          lambda write: report.write_triads_table(write, triads),
           lambda write: report.write_triads_csv(write, triads))
 
 
@@ -211,7 +206,7 @@ def cmd_classify(args, spec, domain):
                      n_selection=args.n_selection,
                      bridge_mode=args.bridge_mode)
     _emit(args, header, lambda: report.partition_to_records(part),
-          lambda: report.partition_to_table(part),
+          lambda write: write(report.partition_to_table(part)),
           lambda write: write(report.partition_to_csv(part)))
 
 
@@ -219,7 +214,7 @@ def cmd_bound(args, spec, domain):
     rep = discrepancy_lower_bound(spec, domain)
     _emit(args, _header(args, spec, domain),
           lambda: report.bound_to_record(rep),
-          lambda: report.to_json(report.bound_to_record(rep)))
+          lambda write: report.write_json(write, report.bound_to_record(rep)))
 
 
 def cmd_plan(args, spec, domain):
@@ -227,7 +222,7 @@ def cmd_plan(args, spec, domain):
     header = _header(args, spec, domain, d_max=args.d_max,
                      d_min=args.d_min, epsilon=args.epsilon)
     _emit(args, header, lambda: report.plan_to_record(plan),
-          lambda: report.plan_to_table(plan))
+          lambda write: report.write_plan_table(write, plan))
 
 
 def cmd_sweep(args, spec, domain):
@@ -240,7 +235,7 @@ def cmd_sweep(args, spec, domain):
     header = _header(args, spec, domain, d_max=args.d_max,
                      omega_max=args.omega_max, lx_values=lxs, ly_values=lys)
     _emit(args, header, lambda: report.sweep_to_record(rep),
-          lambda: report.sweep_to_table(rep))
+          lambda write: write(report.sweep_to_table(rep)))
 
 
 def cmd_eval(args, spec, domain):
@@ -254,7 +249,7 @@ def cmd_eval(args, spec, domain):
         text = f"{omega!r}\n"
     payload["hz"] = freq.hz
     _emit(args, _header(args, spec, domain, m=args.m, n=args.n),
-          lambda: payload, lambda: text)
+          lambda: payload, lambda write: write(text))
 
 
 def build_parser() -> argparse.ArgumentParser:

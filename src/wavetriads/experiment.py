@@ -126,24 +126,28 @@ def _plan_columns(spec, domain, d_max, d_min, epsilon) -> ExperimentPlan:
     follow the members in row order, k1, k2, k3 in each row: those of
     :func:`steepness_amplitude`, bit for bit, in one array pass over the
     distinct modes, each first found by ``np.minimum.at`` on its key
-    m R + n (np.unique would import numpy.ma)."""
+    m R + n on the table, one member column at a time, at the place
+    3 row + position after the places of the set before, and put in place
+    order by the places (np.unique would import numpy.ma; a sort, its
+    kernels)."""
     if not (0 < d_max < d_min):
         raise UsageError("thresholds must satisfy 0 < d_max < d_min")
     _check_steepness(epsilon)
     type_a = _sorted_search(spec, domain, d_max=d_max)
     type_b = _sorted_search(spec, domain, d_min=d_min)
-    m, n = (np.concatenate(x) for x in zip(*(
-        [np.stack(c, 1).ravel() for c in zip(*t.members())]
-        for t in (type_a, type_b))))
+    R, size = type_a.table.shape[1], 3 * (len(type_a) + len(type_b))
+    first, offset = np.full(type_a.table.size, size), 0
+    for t in (type_a, type_b):
+        for p, (m, n) in enumerate(t.members()):
+            np.minimum.at(first, m * R + n,
+                          np.arange(offset + p, offset + 3 * len(t), 3))
+        offset += 3 * len(t)
+    key = np.flatnonzero(first < size)
     amplitudes = {}
-    if m.size:
-        R = int(n.max()) + 1
-        key = m * R + n
-        first = np.full(int(key.max()) + 1, m.size)
-        np.minimum.at(first, key, np.arange(m.size))
-        head = np.zeros(m.size, bool)
-        head[first[first < m.size]] = True
-        m, n = np.divmod(key[head], R)
+    if key.size:
+        place = np.full(size, -1)
+        place[first[key]] = key
+        m, n = np.divmod(place[place >= 0], R)
         _warn_steepness(epsilon)
         a = epsilon / np.sqrt(_rescaled_norm_sq(spec, m, n, _GRID_MATH))
         amplitudes = dict(zip(map(WaveVector, m.tolist(), n.tolist()),

@@ -6,11 +6,13 @@ m1,n1,m2,n2,m3,n3,omega1,omega2,omega3,hz1,hz2,hz3,discrepancy,d_ratio,signs
 Exact rationals serialise as "p/q" strings; a float approximation is
 appended in *_float fields.
 
-``write_json`` and ``write_triads_csv`` are the chunk writers: they hand
-their text to a ``write`` callable chunk by chunk (about 64-128 KB of
-triad text), so the CLI streams an inventory to its output and never
-holds the whole text.  ``to_json`` and ``triads_to_csv`` return the join
-of the same chunks.
+``write_json``, ``write_triads_csv``, ``write_triads_table`` and
+``write_plan_table`` are the chunk writers: they hand their text to a
+``write`` callable chunk by chunk (about 64-128 KB of triad text), so the
+CLI streams an inventory in every format to its output and never holds
+the whole text: ``deque(map(write, chunks), 0)`` lets each chunk go once
+written, before the next is built.  ``to_json`` and ``triads_to_csv``
+return the join of the same chunks.
 
 ``write_json`` writes the bytes of ``json.dumps(payload, indent=2)``
 itself, because with ``indent`` set CPython runs its pure-Python encoder.
@@ -38,6 +40,7 @@ like lists of ``Triad`` objects, go through each triad's record.
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -177,6 +180,17 @@ def _rows(triads, fmt: str, level: int = 0, rational: bool = False):
     (_, w, index), finite = modes, np.isfinite(modes[1])
     pieces, runs, width = _pieces(fmt, level, sep, modes)
     P = len(pieces) + 1
+
+    def join(a, b):  # a call, so its pieces go before its text is yielded
+        u, v = run[a], run[b - 1] + 1
+        flat = [None] * (P * (b - a))
+        for j, (p, k) in enumerate(pieces):
+            flat[j::P] = p.take(at[k][a:b]).tolist()
+        texts = np.array(runs(d[u:v], r[u:v], t[u:v]), object)
+        flat[P - 1::P] = texts.take(run[a:b] - u).tolist()
+        flat[0] = flat[0][len(sep):]
+        return "".join(flat)
+
     for lo in range(0, len(triads), size * _BATCH):
         c = triads[lo:lo + size * _BATCH]
         at = [index(m, n) for m, n in c.members()]
@@ -191,17 +205,7 @@ def _rows(triads, fmt: str, level: int = 0, rational: bool = False):
         d, r, t = d[i], r[i], s[i] + 3 * (r[i] <= NUMERIC_EXACT_D)
         for a in range(0, len(c), size):
             b = min(a + size, len(c))
-            if not ok[a:b].all():
-                yield records(c[a:b])
-                continue
-            u, v = run[a], run[b - 1] + 1
-            flat = [None] * (P * (b - a))
-            for j, (p, k) in enumerate(pieces):
-                flat[j::P] = p.take(at[k][a:b]).tolist()
-            texts = np.array(runs(d[u:v], r[u:v], t[u:v]), object)
-            flat[P - 1::P] = texts.take(run[a:b] - u).tolist()
-            flat[0] = flat[0][len(sep):]
-            yield "".join(flat)
+            yield join(a, b) if ok[a:b].all() else records(c[a:b])
 
 
 def _triad_text(t: Triad, fmt: str, level: int, rational: bool) -> str:
@@ -230,8 +234,7 @@ def write_triads_csv(write, triads) -> None:
         rational = any(isinstance(t.discrepancy, Fraction) for t in triads)
     columns = TRIAD_COLUMNS + (RATIONAL_EXTRA_COLUMNS if rational else [])
     write(",".join(columns) + "\n")
-    for text in _rows(triads, "csv", rational=rational):
-        write(text)
+    deque(map(write, _rows(triads, "csv", rational=rational)), 0)
 
 
 def triads_to_csv(triads) -> str:
@@ -250,11 +253,10 @@ def triad_table_line(t: Triad) -> str:
     return f"{_triad_brackets(t):<24} ({hz});  d={t.d_ratio:.3e}  {_signs_str(t.signs)}"
 
 
-def triads_to_table(triads) -> str:
-    """The table lines of ``triads``, a ``TriadColumns`` or ``Triad``s."""
-    if not isinstance(triads, TriadColumns):
-        triads = list(triads)
-    return "".join(_rows(triads, "table"))
+def write_triads_table(write, triads) -> None:
+    """Write the table lines of ``triads``, a ``TriadColumns`` or a list of
+    ``Triad``s, to ``write`` in chunks of CHUNK_PIECES lines."""
+    deque(map(write, _rows(triads, "table")), 0)
 
 
 # -- mode partitions --------------------------------------------------------
@@ -343,17 +345,17 @@ def plan_to_record(plan: ExperimentPlan) -> dict:
     }
 
 
-def plan_to_table(plan: ExperimentPlan) -> str:
-    lines = []
+def write_plan_table(write, plan: ExperimentPlan) -> None:
+    """Write the table of ``plan`` to ``write``: each triad set's lines
+    indented a chunk at a time, then the amplitudes and notes."""
     for head, triads in ((f"Type A (d_ratio <= {plan.d_max}):", plan.type_a),
                          (f"Type B (d_ratio >= {plan.d_min}):", plan.type_b)):
-        table = ["  " + x for x in triads_to_table(triads).splitlines()]
-        lines += [head, *(table or ["  (none)"])]
-    lines.append(f"Amplitudes (cm, eps={plan.epsilon}):")
-    for k, a in sorted(plan.amplitudes.items()):
-        lines.append(f"  {str(k):<9} {a:.6f}")
-    lines.append(plan.notes)
-    return "\n".join(lines) + "\n"
+        write(head + ("\n" if len(triads) else "\n  (none)\n"))
+        deque(map(write, ("  " + x[:-1].replace("\n", "\n  ") + "\n"
+                          for x in _rows(triads, "table"))), 0)
+    write(f"Amplitudes (cm, eps={plan.epsilon}):\n" + "".join(
+        f"  {str(k):<9} {a:.6f}\n" for k, a in sorted(plan.amplitudes.items()))
+        + plan.notes + "\n")
 
 
 def sweep_to_record(rep: GeometrySweepReport) -> dict:

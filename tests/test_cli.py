@@ -347,22 +347,25 @@ def test_bound_float_dispersion_json(capsys):
 
 
 # Renderers of each format, per command; the JSON renderers also use
-# write_json.
+# write_json.  plan has no CSV form.
 RENDERERS = {
     "find-triads": {"json": "write_json", "csv": "write_triads_csv",
-                    "table": "triads_to_table"},
+                    "table": "write_triads_table"},
     "classify": {"json": "partition_to_records", "csv": "partition_to_csv",
                  "table": "partition_to_table"},
+    "plan": {"json": "plan_to_record", "table": "write_plan_table"},
 }
 COMMAND_ARGS = {
     "find-triads": ["--liquid", "benzaldehyde", "--T", "8", "--d-min", "0.5"],
     "classify": ["--dispersion", "rossby-sphere", "--T", "8",
                  "--omega-max", "0.03"],
+    "plan": ["--liquid", "water", "--T", "8", "--d-max", "1e-5"],
 }
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
-@pytest.mark.parametrize("command", sorted(RENDERERS))
+@pytest.mark.parametrize("command,fmt", [
+    (command, fmt) for command in sorted(RENDERERS)
+    for fmt in ("json", "csv", "table") if fmt in RENDERERS[command]])
 def test_only_requested_format_is_rendered(capsys, monkeypatch, command, fmt):
     def unrequested(*args, **kwargs):
         raise AssertionError("rendered a format that was not requested")

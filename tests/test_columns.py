@@ -24,9 +24,9 @@ from wavetriads import (
     find_near_triads,
     search,
 )
-from wavetriads.report import triads_to_table
+from wavetriads.report import write_triads_table
 from wavetriads.triad import RESIDUALS, SIGN_PATTERNS, Triad, _omegas
-from test_report import csv_oracle, json_oracle
+from test_report import csv_oracle, joined, json_oracle
 
 FLOAT_SPECS = [
     DispersionSpec("capillary"),
@@ -158,7 +158,8 @@ def test_columns_equal_the_triad_oracle(tmp_path_factory, spec,
                 closure, {"near": "--d-max", "maxd": "--d-min"}[mode],
                 repr(d), "--no-header"]
         for fmt, oracle in (("json", json_oracle), ("csv", csv_oracle),
-                            ("table", triads_to_table)):
+                            ("table", lambda triads: joined(
+                                write_triads_table, triads))):
             out = work / fmt
             assert cli.main([*argv, "--format", fmt, "--output", str(out)]) \
                 == 0

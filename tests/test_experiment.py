@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -156,6 +157,23 @@ def test_plan_amplitudes_match_steepness_amplitude(basin, epsilon):
     assert list(plan.amplitudes) == list(expect)
     assert list(map(float.hex, plan.amplitudes.values())) == list(
         map(float.hex, expect.values()))
+
+
+def test_plan_marks_modes_a_member_column_at_a_time(square_t30):
+    """The water plan at T=30 (90,169 Type-B rows) peaks under 11.3 MB
+    under tracemalloc, level with its Type-B search alone (10.85 MB): its
+    modes are marked one member column at a time; stacked copies of every
+    member's m and n would peak at 14.46 MB."""
+    query = (gc_spec(75), square_t30, 1e-6, 0.1, 0.1)
+    _plan_columns(*query)
+    tracemalloc.start()
+    try:
+        plan = _plan_columns(*query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plan.type_b) == 90169
+    assert peak < 11.3e6, peak
 
 
 def test_plan_glycerine_triad(square_t30):

@@ -34,12 +34,12 @@ from wavetriads.report import (
     partition_to_csv,
     partition_to_records,
     plan_to_record,
-    plan_to_table,
     sweep_to_record,
     to_json,
     triad_table_line,
     triad_to_record,
     triads_to_csv,
+    write_plan_table,
 )
 from wavetriads.search import NUMERIC_EXACT_D, Triad
 from wavetriads.triad import TriadColumns, _triads
@@ -84,7 +84,7 @@ def test_plan_serialisation_round_trip(square_t30):
     assert doc["epsilon"] == 0.1
     assert doc["type_a"] and doc["type_b"]
     assert all(a["amplitude_cm"] > 0 for a in doc["amplitudes"])
-    table = plan_to_table(plan)
+    table = joined(write_plan_table, plan)
     assert "[1,2][9,1][10,3]" in table
     assert "(8.7638, 40.4435, 49.2073)" in table
 
@@ -186,6 +186,13 @@ def test_triad_list_json_matches_records(triads):
     header = {"command": "find-triads", "d_max": 1e-6}
     assert to_json(triads, header) == json_oracle(triads, header)
     assert to_json(tuple(triads)) == json_oracle(triads)
+
+
+def joined(writer, *args) -> str:
+    """The chunks ``writer`` hands to its ``write`` callable, joined."""
+    chunks = []
+    writer(chunks.append, *args)
+    return "".join(chunks)
 
 
 def csv_oracle(triads) -> str:
@@ -469,7 +476,7 @@ class RecordingFile:
         return len(text)
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_writers_hold_a_chunk_not_the_output(monkeypatch, tmp_path,
                                              inventory_columns, fmt):
     """The CLI writes a prebuilt inventory in several bounded writes, and
