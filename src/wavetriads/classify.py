@@ -4,7 +4,7 @@ Active modes are members of exact (or numerically exact) resonant triads
 plus selected minimal near-resonant bridge waves; Passive modes take part
 in approximate resonant interactions (0 < |Omega| <= omega_max) through
 triads none of whose pairs sit inside a resonant triad; Neutral modes do
-neither.
+neither.  A :class:`ModePartition` holds the classes as mode arrays.
 
 The selection rules behind the published mode-count tables are not fully
 determined, so the classifier is parameterised:
@@ -29,6 +29,8 @@ determined, so the classifier is parameterised:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -50,9 +52,7 @@ from .search import (
 )
 from .triad import NUMERIC_EXACT_D, Triad, _at, _build, _signed, _step
 
-ACTIVE = "active"
-PASSIVE = "passive"
-NEUTRAL = "neutral"
+ACTIVE, PASSIVE, NEUTRAL = CLASSES = ("active", "passive", "neutral")
 
 N_SELECTIONS = ("none", "parity", "triangle", "both")
 
@@ -101,28 +101,44 @@ class ModeAssignment:
 
 @dataclass
 class ModePartition:
-    """Assignment of every mode of a domain to one of the three classes."""
+    """Every mode's class (an index into CLASSES) and least |Omega| (NaN
+    for none), as arrays over ``domain.modes()``, and ``evidence``: the
+    seeds and bridges of each active mode, in the classifier's order."""
 
     spec: DispersionSpec
     domain: SpectralDomain
     omega_max: float
-    assignments: dict
+    classes: np.ndarray
+    min_abs_discrepancy: np.ndarray
+    evidence: dict
     resonant_triads: list
     bridges: list
     convention: dict
 
+    @cached_property
+    def assignments(self) -> MappingProxyType:
+        """Read-only mode -> ModeAssignment, made on first access."""
+        return MappingProxyType({k: ModeAssignment(
+            k, CLASSES[c], None if d != d else d, self.evidence.get(k, []))
+            for k, c, d in zip(self.domain.modes(), self.classes.tolist(),
+                               self.min_abs_discrepancy.tolist())})
+
     def mode_class(self, k: WaveVector) -> str:
-        return self.assignments[k].mode_class
+        if k not in self.domain:
+            raise KeyError(k)
+        (m, n), T = k, self.domain.truncation  # k's place in domain.modes()
+        skip = m * (m - 1) // 2 if self.domain.shape == "triangular" else 0
+        return CLASSES[self.classes[(m - 1) * T + n - 1 - skip]]
 
     def counts(self) -> tuple:
-        c = {ACTIVE: 0, PASSIVE: 0, NEUTRAL: 0}
-        for a in self.assignments.values():
-            c[a.mode_class] += 1
-        return (c[ACTIVE], c[PASSIVE], c[NEUTRAL])
+        return tuple(np.bincount(self.classes, minlength=3).tolist())
 
     def modes_in_class(self, mode_class: str) -> list:
-        return sorted(k for k, a in self.assignments.items()
-                      if a.mode_class == mode_class)
+        if mode_class not in CLASSES:
+            raise UsageError(f"mode class {mode_class!r} not in {CLASSES}")
+        at = self.classes == CLASSES.index(mode_class)
+        m, n = self.domain.mode_arrays()
+        return list(map(WaveVector, m[at].tolist(), n[at].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -245,25 +261,22 @@ def select_bridges(X, domain, seeds, omega_max, rule, passes, patterns,
     found = [s for i in range(0, len(donors), batch) for s in
              _minimal_bridges(X, domain, rule, passes, patterns,
                               donors[i:i + batch])]
-    steps = []
-    for i in range(0, len(found), 3):
-        kept = [s for s in found[i:i + 3] if s is not None
-                and abs(s.bridge_discrepancy) <= omega_max]
-        if bridge_mode == "per_pair":
-            steps.extend(kept)
-        elif kept:
-            steps.append(min(kept, key=_step_key))
-    return steps
+    kept = [[s for s in found[i:i + 3] if s is not None
+             and abs(s.bridge_discrepancy) <= omega_max]
+            for i in range(0, len(found), 3)]  # each seed's kept bridges
+    if bridge_mode == "per_pair":
+        return [s for steps in kept for s in steps]
+    return [min(steps, key=_step_key) for steps in kept if steps]
 
 
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
 
-def _passive_minima(domain, seeds, hits) -> list:
-    """(mode, least |Omega|) over the approximate-resonance ``hits``
-    (arrays from :func:`_walk`) none of whose pairs lies inside a resonant
-    seed, for every mode they touch, in mode order."""
+def _passive_minima(domain, seeds, hits) -> np.ndarray:
+    """The least |Omega| of each mode, by key m (T + 1) + n (NaN for
+    none), over the approximate-resonance ``hits`` (arrays from
+    :func:`_walk`) none of whose pairs lies inside a resonant seed."""
     m1, n1, m2, n2, n3, a = hits
     T1 = domain.truncation + 1  # mode key m T1 + n, pair key lo T1^2 + hi
     # Pairs are looked up by binary search: the first np.isin call of a
@@ -276,12 +289,10 @@ def _passive_minima(domain, seeds, hits) -> list:
     for i, j in ((0, 1), (0, 2), (1, 2)):
         p = np.minimum(ks[i], ks[j]) * T1 ** 2 + np.maximum(ks[i], ks[j])
         keep &= resonant[np.searchsorted(resonant, p) % resonant.size] != p
-    least = np.full(T1 * T1, np.inf)
+    least = np.full(T1 * T1, np.nan)
     for k in ks:
-        np.minimum.at(least, k[keep], a[keep])
-    touched = np.flatnonzero(least < np.inf)
-    return [(WaveVector(*divmod(key, T1)), v) for key, v in
-            zip(touched.tolist(), least[touched].tolist())]
+        np.fmin.at(least, k[keep], a[keep])
+    return least
 
 
 def classify_modes(spec: DispersionSpec, domain: SpectralDomain,
@@ -310,20 +321,17 @@ def classify_modes(spec: DispersionSpec, domain: SpectralDomain,
     bridges = select_bridges(X, domain, seeds, omega_max, rule, passes,
                              patterns, bridge_mode)
 
-    least = dict(_passive_minima(domain, seeds, hits))
-    assignments = {k: ModeAssignment(k, PASSIVE if k in least else NEUTRAL,
-                                     least.get(k)) for k in domain.modes()}
-    seeded = [(k, t, 0.0) for t in seeds for k in t.members()]
-    for k, why, v in seeded + [(s.bridge_wave, s, s.abs_discrepancy)
-                               for s in bridges]:
-        a = assignments[k]
-        a.mode_class = ACTIVE
-        a.evidence.append(why)
-        if a.min_abs_discrepancy is None or v < a.min_abs_discrepancy:
-            a.min_abs_discrepancy = v
-
-    return ModePartition(spec, domain, float(omega_max), assignments,
-                         seeds, bridges, convention)
+    T1, evidence = domain.truncation + 1, {}  # mode keys as _passive_minima's
+    least = _passive_minima(domain, seeds, hits)
+    codes = np.where(np.isnan(least), 2, 1)  # NEUTRAL or PASSIVE
+    for k, why, v in [(k, t, 0.0) for t in seeds for k in t.members()] + [
+            (s.bridge_wave, s, s.abs_discrepancy) for s in bridges]:
+        evidence.setdefault(k, []).append(why)
+        codes[k.m * T1 + k.n] = 0  # ACTIVE
+        np.fmin.at(least, k.m * T1 + k.n, v)
+    keys = np.ravel_multi_index(domain.mode_arrays(), (T1, T1))
+    return ModePartition(spec, domain, float(omega_max), codes[keys],
+                         least[keys], evidence, seeds, bridges, convention)
 
 
 def class_counts(spec: DispersionSpec, domain: SpectralDomain,

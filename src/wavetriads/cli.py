@@ -24,7 +24,7 @@ import math
 import sys
 
 from . import report
-from .classify import classify_modes
+from .classify import N_SELECTIONS, classify_modes
 from .dispersion import (
     DEFAULT_G,
     LIQUID_PRESETS,
@@ -206,8 +206,8 @@ def cmd_classify(args, spec, domain):
                      n_selection=args.n_selection,
                      bridge_mode=args.bridge_mode)
     _emit(args, header, lambda: report.partition_to_records(part),
-          lambda write: write(report.partition_to_table(part)),
-          lambda write: write(report.partition_to_csv(part)))
+          lambda write: report.write_partition_table(write, part),
+          lambda write: report.write_partition_csv(write, part))
 
 
 def cmd_bound(args, spec, domain):
@@ -310,8 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="partition modes into classes")
     p.add_argument("--omega-max", type=_threshold, required=True,
                    help="approximate-resonance threshold on |Omega|")
-    p.add_argument("--n-selection", default="none",
-                   choices=("none", "parity", "triangle", "both"))
+    p.add_argument("--n-selection", default="none", choices=N_SELECTIONS)
     p.add_argument("--bridge-mode", choices=("per_pair", "per_triad"),
                    default="per_pair")
     p.set_defaults(func=cmd_classify)

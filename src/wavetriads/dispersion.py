@@ -235,12 +235,14 @@ class SpectralDomain:
         T = self.truncation
         return m <= T and n <= T and (self.shape == "square" or m <= n)
 
+    def mode_arrays(self) -> tuple:
+        """The modes as integer arrays (m, n), in (m, n) order."""
+        ar = np.arange(self.truncation + 1)
+        lo = ar[:, None] if self.shape == "triangular" else 1
+        return np.nonzero((ar[:, None] > 0) & (ar >= lo))
+
     def modes(self) -> Iterator[WaveVector]:
-        T = self.truncation
-        for m in range(1, T + 1):
-            lo = m if self.shape == "triangular" else 1
-            for n in range(lo, T + 1):
-                yield WaveVector(m, n)
+        return map(WaveVector, *(a.tolist() for a in self.mode_arrays()))
 
 
 def domain_for(spec: DispersionSpec, truncation: int) -> SpectralDomain:

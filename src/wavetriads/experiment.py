@@ -31,9 +31,9 @@ WEAKLY_NONLINEAR_EPS = 0.2
 
 
 def _check_steepness(epsilon: float) -> None:
-    """Reject a negative or non-finite steepness; a NaN passes every
-    comparison and would reach the amplitudes and the JSON output."""
-    if not 0 <= epsilon < math.inf:
+    """Reject a negative (-0.0 too) or non-finite steepness; a NaN passes
+    every comparison and would reach the amplitudes and the JSON output."""
+    if not (0 <= epsilon < math.inf and math.copysign(1, epsilon) > 0):
         raise DomainError(
             f"steepness must be non-negative and finite, got {epsilon!r}")
 

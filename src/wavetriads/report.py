@@ -6,13 +6,13 @@ m1,n1,m2,n2,m3,n3,omega1,omega2,omega3,hz1,hz2,hz3,discrepancy,d_ratio,signs
 Exact rationals serialise as "p/q" strings; a float approximation is
 appended in *_float fields.
 
-``write_json``, ``write_triads_csv``, ``write_triads_table`` and
-``write_plan_table`` are the chunk writers: they hand their text to a
-``write`` callable chunk by chunk (about 64-128 KB of triad text), so the
-CLI streams an inventory in every format to its output and never holds
-the whole text: ``deque(map(write, chunks), 0)`` lets each chunk go once
-written, before the next is built.  ``to_json`` and ``triads_to_csv``
-return the join of the same chunks.
+``write_json`` and the triad, plan and partition writers (``write_*``)
+are the chunk writers: they hand their text to a ``write`` callable chunk
+by chunk (about 64-128 KB of triad text, or CHUNK_PIECES modes), so the
+CLI streams an inventory or a classification in every format and never
+holds the whole text: ``deque(map(write, chunks), 0)`` lets each chunk go
+once written, before the next is built.  ``to_json`` and
+``triads_to_csv`` return the join of the same chunks.
 
 ``write_json`` writes the bytes of ``json.dumps(payload, indent=2)``
 itself, because with ``indent`` set CPython runs its pure-Python encoder.
@@ -46,7 +46,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .classify import CascadeStep, ModePartition
+from .classify import CLASSES, ModePartition
 from .dispersion import TWO_PI, to_hz
 from .experiment import ExperimentPlan, GeometrySweepReport
 from .search import NUMERIC_EXACT_D, SIGN_PATTERNS, BoundReport, Triad
@@ -94,10 +94,8 @@ def triad_to_record(t: Triad) -> dict:
         "resonance": t.resonance_label,
     }
     if isinstance(t.discrepancy, Fraction):
-        rec["omega1_float"] = float(t.omegas[0])
-        rec["omega2_float"] = float(t.omegas[1])
-        rec["omega3_float"] = float(t.omegas[2])
-        rec["discrepancy_float"] = float(t.discrepancy)
+        rec |= zip(RATIONAL_EXTRA_COLUMNS, map(float, (*t.omegas,
+                                                       t.discrepancy)))
     return rec
 
 
@@ -261,71 +259,66 @@ def write_triads_table(write, triads) -> None:
 
 # -- mode partitions --------------------------------------------------------
 
+def _mode_rows(part: ModePartition, at=slice(None)):
+    """The modes of ``part`` at ``at`` as (m, n, class code, least |Omega|)
+    rows, zipped a chunk of CHUNK_PIECES modes at a time."""
+    m, n = part.domain.mode_arrays()
+    cols = [x[at] for x in (m, n, part.classes, part.min_abs_discrepancy)]
+    for lo in range(0, cols[0].size, CHUNK_PIECES):
+        yield zip(*(x[lo:lo + CHUNK_PIECES].tolist() for x in cols))
+
+
 def partition_to_records(part: ModePartition) -> dict:
-    modes = []
-    for k in sorted(part.assignments):
-        a = part.assignments[k]
-        evidence = []
-        for ev in a.evidence:
-            if isinstance(ev, CascadeStep):
-                evidence.append({
-                    "kind": "bridge",
-                    "triad": _triad_brackets(ev.source_triad),
-                    "pair": [[p.m, p.n] for p in ev.donor_pair],
-                    "discrepancy": _num(ev.bridge_discrepancy),
-                })
-            else:
-                evidence.append({"kind": "resonant_triad",
-                                 "triad": _triad_brackets(ev)})
-        modes.append({
-            "m": k.m, "n": k.n, "class": a.mode_class,
-            "min_abs_discrepancy": a.min_abs_discrepancy,
-            "evidence_triads": evidence,
-        })
-    active, passive, neutral = part.counts()
-    return {
-        "summary": {"active": active, "passive": passive, "neutral": neutral,
-                    "omega_max": part.omega_max,
-                    "convention": part.convention},
-        "modes": modes,
-    }
+    """The JSON payload of ``part``: its counts, then a record a mode,
+    citing the one record made for each seed and bridge."""
+    cited = {id(t): {"kind": "resonant_triad", "triad": _triad_brackets(t)}
+             for t in part.resonant_triads} | {id(s): {
+                 "kind": "bridge", "triad": _triad_brackets(s.source_triad),
+                 "pair": [[p.m, p.n] for p in s.donor_pair],
+                 "discrepancy": _num(s.bridge_discrepancy)}
+                 for s in part.bridges}
+    modes = [{"m": a, "n": b, "class": CLASSES[c],
+              "min_abs_discrepancy": None if d != d else d,
+              "evidence_triads": [cited[id(x)] for x in
+                                  part.evidence.get((a, b), ())]}
+             for rows in _mode_rows(part) for a, b, c, d in rows]
+    summary = dict(zip(CLASSES, part.counts()), omega_max=part.omega_max,
+                   convention=part.convention)
+    return {"summary": summary, "modes": modes}
 
 
-def partition_to_csv(part: ModePartition) -> str:
-    rows = ["m,n,class,min_abs_discrepancy\n"]
-    for k in sorted(part.assignments):
-        a = part.assignments[k]
-        d = a.min_abs_discrepancy
-        rows.append(",".join(map(str, (k.m, k.n, a.mode_class,
-                                       "" if d is None else d))) + "\n")
-    return "".join(rows)
+def write_partition_csv(write, part: ModePartition) -> None:
+    """Write the CSV text of ``part`` to ``write``, a row a mode (an empty
+    last cell for no least |Omega|), in chunks of CHUNK_PIECES rows."""
+    write("m,n,class,min_abs_discrepancy\n")
+    for rows in _mode_rows(part):
+        write("".join(f"{a},{b},{CLASSES[c]},{'' if d != d else d}\n"
+                      for a, b, c, d in rows))
 
 
-def partition_to_table(part: ModePartition) -> str:
-    active, passive, neutral = part.counts()
-    lines = [f"active={active} passive={passive} neutral={neutral} "
-             f"(omega_max={part.omega_max})"]
-    for cls in ("active", "passive", "neutral"):
-        members = " ".join(str(k) for k in part.modes_in_class(cls))
-        lines.append(f"{cls:>8}: {members}")
-    return "\n".join(lines) + "\n"
+def write_partition_table(write, part: ModePartition) -> None:
+    """Write the table of ``part`` to ``write``: its counts, then a line a
+    class listing its modes, in chunks of CHUNK_PIECES modes."""
+    write("active={} passive={} neutral={} (omega_max={})\n".format(
+        *part.counts(), part.omega_max))
+    for i, cls in enumerate(CLASSES):
+        write(f"{cls:>8}: ")
+        for j, rows in enumerate(_mode_rows(part, part.classes == i)):
+            write(" " * (j > 0) + " ".join(f"[{a},{b}]" for a, b, *_ in rows))
+        write("\n")
 
 
 # -- bounds ------------------------------------------------------------------
 
 def bound_to_record(rep: BoundReport) -> dict:
     out = {}
-    if rep.apriori is not None:
-        out["apriori"] = {"method": rep.apriori.method,
-                          "value": _num(rep.apriori.value),
-                          "value_float": float(rep.apriori.value)}
-    if rep.finite_min is not None:
-        out["finite_domain_min"] = {
-            "method": rep.finite_min.method,
-            "value": _num(rep.finite_min.value),
-            "value_float": float(rep.finite_min.value),
-            "witness": triad_to_record(rep.finite_min.witness),
-        }
+    for key, b in (("apriori", rep.apriori),
+                   ("finite_domain_min", rep.finite_min)):
+        if b is not None:
+            out[key] = {"method": b.method, "value": _num(b.value),
+                        "value_float": float(b.value)}
+            if b.witness is not None:
+                out[key]["witness"] = triad_to_record(b.witness)
     if rep.note:
         out["note"] = rep.note
     return out
@@ -365,8 +358,7 @@ def sweep_to_record(rep: GeometrySweepReport) -> dict:
             "lx": c.lx, "ly": c.ly,
             "triad_count": c.triad_count,
             "resonance_free": c.resonance_free,
-            "counts": {"active": c.counts[0], "passive": c.counts[1],
-                       "neutral": c.counts[2]},
+            "counts": dict(zip(CLASSES, c.counts)),
             "triads": c.triads,
         } for c in rep.cells],
     }

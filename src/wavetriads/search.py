@@ -265,10 +265,8 @@ def _zonal_blocks(X, domain, skip_equal_n_pairs, test):
     last block waiting for the next run's rows, so the pairs held, each
     with an n3, never outnumber a block's candidates."""
     T, exact = domain.truncation, X.dtype != np.float64
-    tri = domain.shape == "triangular"
     window = exact and math.isfinite(test[1])
-    ar = np.arange(T + 1)  # the modes in (m, n) order
-    mm, nn = np.nonzero((ar[:, None] > 0) & (ar >= (ar[:, None] if tri else 1)))
+    mm, nn = domain.mode_arrays()
     i = np.flatnonzero(2 * mm <= T)  # the modes that can be k1
     # Modes come in m order, so the k2 with m2 <= T - m1 are a run.
     j0, stop = i + exact, np.searchsorted(mm, T - mm[i], "right")
@@ -287,8 +285,8 @@ def _zonal_blocks(X, domain, skip_equal_n_pairs, test):
         if skip_equal_n_pairs:
             keep = nn[j] != nn[k]
             j, k = j[keep], k[keep]
-        m3 = mm[k] + mm[j]
-        lo, hi = (m3 if tri else np.ones_like(m3)), T  # the domain's n3
+        m3 = mm[k] + mm[j]  # the domain's n3 run from lo to hi
+        lo, hi = (m3 if domain.shape == "triangular" else np.ones_like(m3)), T
         if window:
             lo, hi = _n3_window(cm[k], cm[j], m3, lo, T, *test[:3])
             keep = np.flatnonzero(hi >= lo)
@@ -826,7 +824,7 @@ def discrepancy_lower_bound(spec: DispersionSpec, domain: SpectralDomain,
 
     apriori = None
     if spec.exactness:
-        m, n = np.array(list(domain.modes())).T  # -2m/a over a / gcd(2m, a)
+        m, n = domain.mode_arrays()  # -2m/a over a / gcd(2m, a)
         lcm = math.lcm(*(X[m, n] // np.gcd(2 * m, X[m, n])).tolist())
         apriori = DiscrepancyBound(Fraction(1, lcm * lcm), "rational_1_over_bd")
     best = _least_nonzero(domain, rule, X)

@@ -56,6 +56,13 @@ def test_classic_members_active_for_any_threshold(sphere, sphere_t14, omega_max)
         assert part.mode_class(k) == ACTIVE
 
 
+def test_modes_in_class_refuses_an_unknown_class(sphere, sphere_t14):
+    part = classify_modes(sphere, sphere_t14, 0.03)
+    with pytest.raises(UsageError,
+                       match="'active', 'passive', 'neutral'"):
+        part.modes_in_class("Active")
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_omega_max_rejected(sphere, bad):
     with pytest.raises(UsageError):

@@ -225,7 +225,10 @@ def test_non_finite_threshold_exit_2(capsys, argv):
     ["find-triads", "--liquid", "water", "--T", "5", "--g", "inf"],
     ["plan", "--liquid", "water", "--T", "5", "--epsilon", "nan",
      "--format", "json"],
-], ids=["sweep-lx", "find-lx", "find-mu-nu", "find-g", "plan-epsilon"])
+    ["plan", "--liquid", "water", "--T", "12", "--d-max", "0.1",
+     "--d-min", "0.5", "--epsilon", "-0"],
+], ids=["sweep-lx", "find-lx", "find-mu-nu", "find-g", "plan-epsilon",
+        "plan-epsilon-negative-zero"])
 def test_non_finite_physical_parameter_exit_3(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
@@ -351,8 +354,9 @@ def test_bound_float_dispersion_json(capsys):
 RENDERERS = {
     "find-triads": {"json": "write_json", "csv": "write_triads_csv",
                     "table": "write_triads_table"},
-    "classify": {"json": "partition_to_records", "csv": "partition_to_csv",
-                 "table": "partition_to_table"},
+    "classify": {"json": "partition_to_records",
+                 "csv": "write_partition_csv",
+                 "table": "write_partition_table"},
     "plan": {"json": "plan_to_record", "table": "write_plan_table"},
 }
 COMMAND_ARGS = {

@@ -48,6 +48,16 @@ def test_steepness_rejects_non_finite(bad):
             steepness_amplitude(k, 0.1)
 
 
+def test_steepness_rejects_negative_zero():
+    """-0.0 compares equal to 0, but its amplitudes would all print as
+    -0.000000."""
+    with pytest.raises(DomainError):
+        steepness_amplitude(wv(1, 1), -0.0)
+    with pytest.raises(DomainError):
+        plan_experiment(gc_spec(75), SpectralDomain(1, "square"),
+                        d_max=1e-5, d_min=0.1, epsilon=-0.0)
+
+
 @pytest.mark.parametrize("m, n", [(math.nan, 5), (1, math.nan),
                                   (math.inf, 5), (1, math.inf)])
 def test_planetary_bound_rejects_non_finite_wavenumbers(m, n):

@@ -49,7 +49,7 @@ _COMMANDS = [
     ("classify-plane-box",
      ["classify", "--dispersion", "bve-plane", "--plane-form", "squared",
       "--T", "8", "--omega-max", "0.013", "--patterns", "all",
-      "--closure", "box"], ("json",)),
+      "--closure", "box"], ALL),
     # Water at T=8 has no resonant seed, so these two pin the float
     # approximate-resonance scans; the bve-plane cases below have seeds
     # and pin the zonal and component-wise bridges.
@@ -58,7 +58,7 @@ _COMMANDS = [
       "--closure", "zonal"], ("json",)),
     ("classify-water-both",
      ["classify", "--liquid", "water", "--T", "8", "--omega-max", "3",
-      "--closure", "both"], ("json",)),
+      "--closure", "both"], ALL),
     ("classify-plane-zonal",
      ["classify", "--dispersion", "bve-plane", "--plane-form", "squared",
       "--T", "8", "--omega-max", "0.01", "--closure", "zonal"], ("json",)),

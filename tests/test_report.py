@@ -8,11 +8,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wavetriads import (
     DispersionSpec,
     SpectralDomain,
+    UsageError,
     WaveVector,
     classify_modes,
     discrepancy_lower_bound,
@@ -21,8 +22,9 @@ from wavetriads import (
     plan_experiment,
     to_hz,
 )
-from wavetriads import cli, report, search
-from wavetriads.classify import ModeAssignment, ModePartition
+from wavetriads import classify, cli, report, search
+from wavetriads.classify import (ACTIVE, CLASSES, NEUTRAL, PASSIVE,
+                                 CascadeStep, ModeAssignment, ModePartition)
 from wavetriads.dispersion import TWO_PI
 from wavetriads.experiment import (ExperimentPlan, GeometrySweepReport,
                                    SweepCell)
@@ -31,7 +33,6 @@ from wavetriads.report import (
     TRIAD_COLUMNS,
     _num,
     bound_to_record,
-    partition_to_csv,
     partition_to_records,
     plan_to_record,
     sweep_to_record,
@@ -44,6 +45,11 @@ from wavetriads.report import (
 from wavetriads.search import NUMERIC_EXACT_D, Triad
 from wavetriads.triad import TriadColumns, _triads
 from conftest import gc_spec, pruning_specs
+
+
+def partition_to_csv(part) -> str:
+    """The text ``write_partition_csv`` writes, as one string."""
+    return joined(report.write_partition_csv, part)
 
 
 def test_partition_csv_columns(sphere, sphere_t14):
@@ -341,6 +347,157 @@ def test_json_refuses_other_types_and_keys(payload):
         to_json(payload)
 
 
+# -- mode partitions: the arrays against the dict they replaced -------------
+
+def dict_assignments(part) -> dict:
+    """The assignments as the classifier built them before its arrays: a
+    ModeAssignment a mode, made passive at its least hit |Omega| by the
+    walk's hits, then made active by ``part``'s seeds and bridges in turn,
+    each appending itself as evidence and lowering the mode's value."""
+    spec, domain, conv = part.spec, part.domain, part.convention
+    rule = search._dispatch(spec, domain, conv["closure"], conv["patterns"])
+    X = search._table(spec, domain.truncation)
+    _, hits = classify._walk(X, domain, rule, classify._n_rule(
+        rule, conv["n_selection"]), conv["patterns"],
+        conv["skip_equal_n_pairs"], part.omega_max)
+    table, T1 = classify._passive_minima(domain, part.resonant_triads,
+                                         hits), domain.truncation + 1
+    least = {WaveVector(*divmod(key, T1)): v
+             for key, v in enumerate(table.tolist()) if v == v}
+    T, tri = domain.truncation, domain.shape == "triangular"
+    assignments = {k: ModeAssignment(k, PASSIVE if k in least else NEUTRAL,
+                                     least.get(k))
+                   for k in (WaveVector(m, n) for m in range(1, T + 1)
+                             for n in range(m if tri else 1, T + 1))}
+    seeded = [(k, t, 0.0) for t in part.resonant_triads for k in t.members()]
+    for k, why, v in seeded + [(s.bridge_wave, s, s.abs_discrepancy)
+                               for s in part.bridges]:
+        a = assignments[k]
+        a.mode_class = ACTIVE
+        a.evidence.append(why)
+        if a.min_abs_discrepancy is None or v < a.min_abs_discrepancy:
+            a.min_abs_discrepancy = v
+    return assignments
+
+
+def dict_counts(assignments) -> tuple:
+    return tuple(sum(a.mode_class == c for a in assignments.values())
+                 for c in (ACTIVE, PASSIVE, NEUTRAL))
+
+
+def dict_records(part, assignments) -> str:
+    """partition_to_records as it read the dict, through json.dumps."""
+    modes = []
+    for k in sorted(assignments):
+        a = assignments[k]
+        evidence = []
+        for ev in a.evidence:
+            if isinstance(ev, CascadeStep):
+                evidence.append({
+                    "kind": "bridge",
+                    "triad": report._triad_brackets(ev.source_triad),
+                    "pair": [[p.m, p.n] for p in ev.donor_pair],
+                    "discrepancy": _num(ev.bridge_discrepancy),
+                })
+            else:
+                evidence.append({"kind": "resonant_triad",
+                                 "triad": report._triad_brackets(ev)})
+        modes.append({
+            "m": k.m, "n": k.n, "class": a.mode_class,
+            "min_abs_discrepancy": a.min_abs_discrepancy,
+            "evidence_triads": evidence,
+        })
+    active, passive, neutral = dict_counts(assignments)
+    return json.dumps({
+        "summary": {"active": active, "passive": passive, "neutral": neutral,
+                    "omega_max": part.omega_max,
+                    "convention": part.convention},
+        "modes": modes,
+    }, indent=2) + "\n"
+
+
+def dict_csv(assignments) -> str:
+    rows = ["m,n,class,min_abs_discrepancy\n"]
+    for k in sorted(assignments):
+        a = assignments[k]
+        d = a.min_abs_discrepancy
+        rows.append(",".join(map(str, (k.m, k.n, a.mode_class,
+                                       "" if d is None else d))) + "\n")
+    return "".join(rows)
+
+
+def dict_table(part, assignments) -> str:
+    active, passive, neutral = dict_counts(assignments)
+    lines = [f"active={active} passive={passive} neutral={neutral} "
+             f"(omega_max={part.omega_max})"]
+    for cls in ("active", "passive", "neutral"):
+        members = " ".join(str(k) for k in sorted(
+            k for k, a in assignments.items() if a.mode_class == cls))
+        lines.append(f"{cls:>8}: {members}")
+    return "\n".join(lines) + "\n"
+
+
+SPHERE = DispersionSpec("rossby_sphere")
+PLANE = DispersionSpec("bve_plane", plane_form="squared")
+
+
+@settings(max_examples=60)
+@given(spec=st.sampled_from([SPHERE, PLANE, WATER]) | pruning_specs(),
+       T=st.integers(1, 12), shape=st.sampled_from(["square", "triangular"]),
+       closure=st.sampled_from(["auto", "zonal", "box", "both"]),
+       patterns=st.sampled_from(["sum", "all"]),
+       n_selection=st.sampled_from(classify.N_SELECTIONS),
+       bridge_mode=st.sampled_from(["per_pair", "per_triad"]),
+       skip=st.booleans(),
+       omega_max=st.sampled_from([1e-3, 0.013, 0.03, 0.1, 1.0, 3.0]))
+@example(spec=PLANE, T=8, shape="square", closure="box", patterns="all",
+         n_selection="none", bridge_mode="per_pair", skip=True,
+         omega_max=0.013)
+@example(spec=SPHERE, T=10, shape="triangular", closure="zonal",
+         patterns="sum", n_selection="parity", bridge_mode="per_triad",
+         skip=True, omega_max=0.03)
+@example(spec=PLANE, T=12, shape="square", closure="zonal", patterns="all",
+         n_selection="both", bridge_mode="per_pair", skip=False,
+         omega_max=0.1)
+@example(spec=WATER, T=8, shape="square", closure="both", patterns="sum",
+         n_selection="none", bridge_mode="per_pair", skip=True,
+         omega_max=3.0)
+def test_partition_arrays_match_the_dict_oracle(spec, T, shape, closure,
+                                                patterns, n_selection,
+                                                bridge_mode, skip, omega_max):
+    """Every mode's class, least |Omega| (bits; NaN for None) and evidence
+    (the same objects, in order, with multiplicity), the counts, the
+    classes' modes and the JSON, CSV and table text equal the dict's."""
+    domain = SpectralDomain(T, shape)
+    try:
+        part = classify_modes(spec, domain, omega_max, patterns, closure,
+                              n_selection, bridge_mode, skip)
+    except UsageError:  # a closure the spec, patterns or shape refuses
+        assume(False)
+    want = dict_assignments(part)
+    assert list(part.assignments) == list(want)
+    for (k, a), c, d in zip(want.items(), part.classes.tolist(),
+                            part.min_abs_discrepancy.tolist()):
+        assert part.mode_class(k) == CLASSES[c] == a.mode_class
+        assert (None if a.min_abs_discrepancy is None
+                else a.min_abs_discrepancy.hex()) == (None if d != d
+                                                      else d.hex())
+        got = part.evidence.get(k, [])
+        assert [id(x) for x in got] == [id(x) for x in a.evidence]
+        b = part.assignments[k]
+        assert (b.mode, b.mode_class, b.min_abs_discrepancy) == (
+            a.mode, a.mode_class, a.min_abs_discrepancy)
+        assert [id(x) for x in b.evidence] == [id(x) for x in a.evidence]
+    assert part.counts() == dict_counts(want)
+    for cls in CLASSES:
+        assert part.modes_in_class(cls) == sorted(
+            k for k, a in want.items() if a.mode_class == cls)
+    assert to_json(partition_to_records(part)) == dict_records(part, want)
+    assert partition_to_csv(part) == dict_csv(want)
+    assert joined(report.write_partition_table, part) == dict_table(part,
+                                                                    want)
+
+
 # -- CSV cells: none needs quoting ---------------------------------------------
 
 def partition_csv_oracle(part) -> str:
@@ -359,13 +516,14 @@ def partition_csv_oracle(part) -> str:
 
 @st.composite
 def partitions(draw):
-    """Partitions of up to six modes with float, numpy, rational or no
-    minimal discrepancies."""
-    cls = st.sampled_from(["active", "passive", "neutral"])
-    value = st.none() | FLOATS | FLOATS.map(np.float64) | FRACTIONS
-    assignments = {k: ModeAssignment(k, draw(cls), draw(value))
-                   for k in draw(st.lists(MODES, max_size=6, unique=True))}
-    return ModePartition(WATER, SQUARE_8, 0.3, assignments, [], [], {})
+    """Partitions of up to six modes with float or no minimal
+    discrepancies, the values the classifier makes."""
+    domain = SpectralDomain(draw(st.integers(1, 3)), "triangular")
+    cells = st.lists(st.tuples(st.integers(0, 2), st.none() | FLOATS),
+                     min_size=len(domain), max_size=len(domain))
+    codes, least = zip(*draw(cells))
+    return ModePartition(WATER, domain, 0.3, np.array(codes), np.array(
+        [math.nan if d is None else d for d in least]), {}, [], [], {})
 
 
 @given(part=partitions())
@@ -407,10 +565,11 @@ def test_no_csv_cell_needs_quoting(triads, lists, part):
 def test_quoting_check_fails_on_a_cell_that_needs_quoting(cell):
     """The negative control: a class name or a signs cell that csv.writer
     would quote."""
-    k = WaveVector(1, 2)
-    part = ModePartition(WATER, SQUARE_8, 0.3,
-                         {k: ModeAssignment(k, cell, 0.5)}, [], [], {})
-    assert not cells_need_no_quoting(partition_to_csv(part))
+    part = ModePartition(WATER, SpectralDomain(1), 0.3, np.array([0]),
+                         np.array([0.5]), {}, [], [], {})
+    text = partition_to_csv(part)
+    assert cells_need_no_quoting(text)
+    assert not cells_need_no_quoting(text.replace("active", cell))
     text = triads_to_csv([water_triad((1.0, 2.0, 3.0), 0.0, 0.1)])
     assert cells_need_no_quoting(text)
     assert not cells_need_no_quoting(text.replace("++-", cell))
@@ -501,6 +660,20 @@ def test_writers_hold_a_chunk_not_the_output(monkeypatch, tmp_path,
     size = path.stat().st_size
     assert size == sum(stdout.sizes)
     assert peak < size / 4
+
+
+def test_classify_csv_reaches_write_in_chunks(monkeypatch):
+    """The CLI CSV of a 4,096-mode classification reaches ``write`` as
+    bounded chunks of rows, not as one string."""
+    texts = []
+    monkeypatch.setattr(sys, "stdout", type("Out", (), {
+        "write": lambda self, text: texts.append(text) or len(text)})())
+    assert cli.main(["classify", "--liquid", "water", "--T", "64",
+                     "--omega-max", "1", "--format", "csv"]) == 0
+    body = [t for t in texts if not t.startswith(("# ", "m,n,class"))]
+    assert len(body) >= 8
+    assert max(map(len, body)) <= CHUNK_BOUND
+    assert sum(t.count("\n") for t in body) == 4096
 
 
 def test_large_inventory_renders_under_a_bounded_peak():
