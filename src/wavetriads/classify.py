@@ -5,6 +5,9 @@ plus selected minimal near-resonant bridge waves; Passive modes take part
 in approximate resonant interactions (0 < |Omega| <= omega_max) through
 triads none of whose pairs sit inside a resonant triad; Neutral modes do
 neither.  A :class:`ModePartition` holds the classes as mode arrays.
+The passive pass looks a hit's pairs up among the seeds' pairs only when
+two or more of its member positions hold seed members, and the walk
+spends no pass on an n-selection that keeps every candidate.
 
 The selection rules behind the published mode-count tables are not fully
 determined, so the classifier is parameterised:
@@ -126,7 +129,7 @@ class ModePartition:
     def mode_class(self, k: WaveVector) -> str:
         if k not in self.domain:
             raise KeyError(k)
-        (m, n), T = k, self.domain.truncation  # k's place in domain.modes()
+        (m, n), T = map(int, k), self.domain.truncation  # k's place in modes()
         skip = m * (m - 1) // 2 if self.domain.shape == "triangular" else 0
         return CLASSES[self.classes[(m - 1) * T + n - 1 - skip]]
 
@@ -153,17 +156,24 @@ def _walk(X, domain, rule, passes, patterns, skip_equal_n_pairs, omega_max):
     by index, as arrays (m1, n1, m2, n2, n3, |Omega|).  The exact path
     reads only the n3 where |Omega| <= omega_max can hold, and decides the
     hits at omega_max, to which a rational above it may round, by one
-    build after the scan."""
+    build after the scan.  An n-selection that keeps every candidate
+    (``passes`` gives True: "none", or a closure that fixes n3) is not
+    applied, and each block's names go before the next block is built."""
     seeds = [[np.zeros(0, np.int64)] * 5]
     hits = [[np.zeros(0, np.int64)] * 5 + [np.zeros(0)]]
     for cand, a, amin in _scan(X, domain, rule, skip_equal_n_pairs,
                                (patterns, omega_max, 0, None)):
+        seed = _select(a, amin, NUMERIC_EXACT_D, None)
+        hit = (a > 0) & (a <= omega_max)
         ok = passes(cand[1], cand[3], cand[4])
-        seed = _select(a, amin, NUMERIC_EXACT_D, None) & ok
+        if ok is not True:  # the n-selection filters this closure
+            seed &= ok
+            hit &= ok
         if np.count_nonzero(seed):
             seeds.append([c[seed] for c in cand])
-        hit = np.flatnonzero((a > 0) & (a <= omega_max) & ok)
+        hit = np.flatnonzero(hit)
         hits.append([c.take(hit) for c in (*cand, a)])
+        del cand, a, amin, seed, hit, ok  # before the next block is built
     seeds = _build(X, patterns, [*map(np.concatenate, zip(*seeds))]).triads()
     hits = list(map(np.concatenate, zip(*hits)))
     tie = X.dtype != np.float64 and hits[5] == omega_max  # floats: False
@@ -276,22 +286,34 @@ def select_bridges(X, domain, seeds, omega_max, rule, passes, patterns,
 def _passive_minima(domain, seeds, hits) -> np.ndarray:
     """The least |Omega| of each mode, by key m (T + 1) + n (NaN for
     none), over the approximate-resonance ``hits`` (arrays from
-    :func:`_walk`) none of whose pairs lies inside a resonant seed."""
+    :func:`_walk`) none of whose pairs lies inside a resonant seed.  A hit
+    can hold a seed's pair only if at least two of its three member
+    positions hold seed members (a repeated member counts at each of its
+    positions), so a key table of the seeds' members picks the hits whose
+    pairs are looked up."""
     m1, n1, m2, n2, n3, a = hits
     T1 = domain.truncation + 1  # mode key m T1 + n, pair key lo T1^2 + hi
-    # Pairs are looked up by binary search: the first np.isin call of a
-    # process costs it about 2 MB of resident memory.
-    resonant = np.array(sorted(
-        (ka.m * T1 + ka.n) * T1 ** 2 + kb.m * T1 + kb.n
-        for t in seeds for ka, kb in map(sorted, _triad_pairs(t))) or [-1])
     ks = (m1 * T1 + n1, m2 * T1 + n2, (m1 + m2) * T1 + n3)
-    keep = np.ones(a.size, dtype=bool)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        p = np.minimum(ks[i], ks[j]) * T1 ** 2 + np.maximum(ks[i], ks[j])
-        keep &= resonant[np.searchsorted(resonant, p) % resonant.size] != p
+    member = np.zeros(T1 * T1, np.uint8)
+    member[[k.m * T1 + k.n for t in seeds for k in t.members()]] = 1
+    near = np.flatnonzero(sum(member.take(k) for k in ks) >= 2)
+    if near.size:
+        # Pairs are looked up by binary search: the first np.isin call of
+        # a process costs it about 2 MB of resident memory.
+        resonant = np.array(sorted(
+            (ka.m * T1 + ka.n) * T1 ** 2 + kb.m * T1 + kb.n
+            for t in seeds for ka, kb in map(sorted, _triad_pairs(t))))
+        kn = [k.take(near) for k in ks]
+        drop = np.zeros(near.size, dtype=bool)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            p = np.minimum(kn[i], kn[j]) * T1 ** 2 + np.maximum(kn[i], kn[j])
+            drop |= resonant[np.searchsorted(resonant, p) % resonant.size] == p
+        if np.count_nonzero(drop):  # a NaN |Omega| is no mode's least
+            a = a.copy()
+            a[near[drop]] = np.nan
     least = np.full(T1 * T1, np.nan)
     for k in ks:
-        np.fmin.at(least, k[keep], a[keep])
+        np.fmin.at(least, k, a)
     return least
 
 
@@ -305,7 +327,9 @@ def classify_modes(spec: DispersionSpec, domain: SpectralDomain,
     Active: members of resonant triads plus admitted minimal near-resonant
     bridges.  Passive: modes in at least one approximate-resonance triad
     (0 < |Omega| <= omega_max) none of whose pairs lies inside a resonant
-    triad.  Neutral: everything else.
+    triad.  Neutral: everything else.  The active members and bridges
+    take their class and least |Omega| in one array pass over their mode
+    keys; their evidence keeps the seeds' then the bridges' order.
     """
     _check_threshold("omega_max", omega_max)
     if bridge_mode not in ("per_pair", "per_triad"):
@@ -324,11 +348,13 @@ def classify_modes(spec: DispersionSpec, domain: SpectralDomain,
     T1, evidence = domain.truncation + 1, {}  # mode keys as _passive_minima's
     least = _passive_minima(domain, seeds, hits)
     codes = np.where(np.isnan(least), 2, 1)  # NEUTRAL or PASSIVE
-    for k, why, v in [(k, t, 0.0) for t in seeds for k in t.members()] + [
-            (s.bridge_wave, s, s.abs_discrepancy) for s in bridges]:
+    active = [(k, t, 0.0) for t in seeds for k in t.members()] + [
+        (s.bridge_wave, s, s.abs_discrepancy) for s in bridges]
+    for k, why, _ in active:
         evidence.setdefault(k, []).append(why)
-        codes[k.m * T1 + k.n] = 0  # ACTIVE
-        np.fmin.at(least, k.m * T1 + k.n, v)
+    at = np.array([k.m * T1 + k.n for k, _, _ in active], dtype=np.int64)
+    codes[at] = 0  # ACTIVE
+    np.fmin.at(least, at, [v for _, _, v in active])
     keys = np.ravel_multi_index(domain.mode_arrays(), (T1, T1))
     return ModePartition(spec, domain, float(omega_max), codes[keys],
                          least[keys], evidence, seeds, bridges, convention)

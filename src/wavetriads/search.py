@@ -429,6 +429,7 @@ def _scan(X, domain, rule, skip_equal_n_pairs, test):
         a, amin = _step(X, m1, n1, x2, x3, m2, m1 + m2, test[0],
                         test[1] == math.inf)
         yield (m1, n1, m2, n2, n3), a, amin
+        del m1, n1, x2, x3, m2, n2, n3, a, amin  # before the next block
 
 
 #: Side of the k2 tiles that the pruned near search bounds as one; the
@@ -683,6 +684,7 @@ def _search(spec, domain, rule, *, patterns, d_max=None, d_min=None,
         keep = _select(a, amin, d_max, d_min)
         if np.count_nonzero(keep):  # cheaper than keep.any() per block
             kept.append([c[keep] for c in cand])
+        del cand, a, amin, keep  # before the next block is built
     cand = list(map(np.concatenate, zip(*kept)))
     del kept  # the blocks' shares go before the build
     return _build(X, patterns, cand)
@@ -709,6 +711,7 @@ def _least_nonzero(domain, rule, X) -> Triad | None:
             low, ties = least, []
         if least == low < math.inf:
             ties.append([c[a == low] for c in cand])
+        del cand, a, amin  # before the next block is built
     if not ties:
         return None
     tied = _build(X, rule.bound_patterns, [*map(np.concatenate, zip(*ties))])

@@ -202,7 +202,8 @@ class TriadColumns:
         the table (np.unique would import numpy.ma; a sort, its kernels)."""
         R, seen = self.table.shape[1], np.zeros(self.table.size, np.uint8)
         for lo in range(0, len(self), 4096):
-            for bit, (m, n) in enumerate(self[lo:lo + 4096].members()):
+            rows = self if len(self) <= 4096 else self[lo:lo + 4096]
+            for bit, (m, n) in enumerate(rows.members()):
                 seen[m * R + n] |= 1 << bit
         modes, place = np.flatnonzero(seen > 0), np.zeros(seen.size, np.int32)
         place[modes] = np.arange(modes.size)

@@ -63,6 +63,17 @@ def test_modes_in_class_refuses_an_unknown_class(sphere, sphere_t14):
         part.modes_in_class("Active")
 
 
+def test_mode_class_reads_integral_float_components(sphere, sphere_t14):
+    """(2.0, 5.0) is a mode of the domain, as ``in`` and ``assignments``
+    say, so mode_class gives its class; (2.5, 5) is no mode."""
+    part = classify_modes(sphere, sphere_t14, 0.03)
+    k = WaveVector(2.0, 5.0)
+    assert k in part.domain
+    assert part.mode_class(k) == part.assignments[k].mode_class
+    with pytest.raises(KeyError):
+        part.mode_class(WaveVector(2.5, 5))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_omega_max_rejected(sphere, bad):
     with pytest.raises(UsageError):

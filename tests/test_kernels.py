@@ -9,7 +9,8 @@ the same way, whatever blocks its bound cuts the rows into, the multi-row
 scan blocks against the per-row generators they replaced, the exact path's
 n3 windows against the dense zonal generator they bypass, and the
 classifier's array bridge search against the per-pair search it replaced
-(its bridges compared step by step), and the exact path's build and
+(its bridges compared step by step), the passive pass against the seed
+pair lookup on every hit it replaced, and the exact path's build and
 bridge ties on integer terms against the ``Fraction`` sums they replaced."""
 
 import contextlib
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wavetriads import (
     BasinGeometry,
@@ -35,6 +36,7 @@ from wavetriads import (
 )
 from wavetriads import classify, search, sphere, triad
 from wavetriads.dispersion import omega_grid
+from wavetriads.errors import UsageError
 from wavetriads.classify import (
     ACTIVE,
     NEUTRAL,
@@ -1165,6 +1167,23 @@ def test_pruned_near_search_memory_peak(T, patterns, ceiling):
         tracemalloc.stop()
     assert n == {92: 54, 88: 48}[T]
     assert peak <= ceiling
+
+
+def test_scan_lets_each_block_go_before_the_next():
+    """The dense float zonal near search on gc75 at T=40 (d_max 1e-5, 112
+    triads) lets the scan's and the search's names of a block go before
+    the next block is built, so tracemalloc's peak stays under 8 MB (6.59
+    MB measured with numpy 2.4.6; 10.06 MB while they were held)."""
+    query = (GC75, SpectralDomain(40), 1e-5, "sum", "zonal")
+    find_near_triads(*query)  # lazy set-up first
+    tracemalloc.start()
+    try:
+        n = len(find_near_triads(*query))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 112
+    assert peak < 8_000_000
 
 
 def test_search_lets_its_blocks_go_before_the_build():
@@ -2319,6 +2338,120 @@ def test_passive_pass_drops_hits_with_a_resonant_pair(pair):
         touched.tolist(), least[touched].tolist())] == [
         (WaveVector(1, 4), 0.5), (WaveVector(2, 5), 0.5),
         (WaveVector(3, 6), 0.5)]
+
+
+def reference_passive_minima(domain, seeds, hits) -> np.ndarray:
+    """classify._passive_minima as it was before it marked the seeds'
+    members: the seed-pair lookup runs on every hit."""
+    m1, n1, m2, n2, n3, a = hits
+    T1 = domain.truncation + 1  # mode key m T1 + n, pair key lo T1^2 + hi
+    resonant = np.array(sorted(
+        (ka.m * T1 + ka.n) * T1 ** 2 + kb.m * T1 + kb.n
+        for t in seeds for ka, kb in map(sorted, classify._triad_pairs(t)))
+        or [-1])
+    ks = (m1 * T1 + n1, m2 * T1 + n2, (m1 + m2) * T1 + n3)
+    keep = np.ones(a.size, dtype=bool)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        p = np.minimum(ks[i], ks[j]) * T1 ** 2 + np.maximum(ks[i], ks[j])
+        keep &= resonant[np.searchsorted(resonant, p) % resonant.size] != p
+    least = np.full(T1 * T1, np.nan)
+    for k in ks:
+        np.fmin.at(least, k[keep], a[keep])
+    return least
+
+
+PLANE = DispersionSpec("bve_plane", plane_form="squared")
+#: Drawn seeds (m1, n1, m2, n2, n3, self_pair); self_pair makes k2 = k1.
+DRAWN_SEEDS = st.lists(st.tuples(*[st.integers(1, 12)] * 5, st.booleans()),
+                       max_size=4)
+#: Drawn hits (form, a, b, n, |Omega|, repeat) on the pool of seed members
+#: then domain modes, a and b taken modulo its size.  Form 0: k1 = pool[a],
+#: k2 = pool[b] (pool[a] if repeat), k3 = (m1 + m2, n); form 1: k3 =
+#: pool[a], k1 = pool[b], k2 = (m3 - m1, n); form 2: k3 = pool[a], k2 =
+#: pool[b], k1 = (m3 - m2, n).  Hits outside the m, n <= T square go.
+DRAWN_HITS = st.lists(st.tuples(
+    st.integers(0, 2), st.integers(0, 60), st.integers(0, 60),
+    st.integers(1, 12), st.floats(1e-9, 1.0), st.booleans()), max_size=12)
+
+
+def drawn_seeds_and_hits(domain, seeds, hits, drawn_seeds, drawn_hits):
+    """The drawn seeds (see DRAWN_SEEDS) and the walk's ``seeds``, and
+    the walk's ``hits`` with the drawn ones (see DRAWN_HITS) appended."""
+    T, made, rows = domain.truncation, [], []
+    for m1, n1, m2, n2, n3, self_pair in drawn_seeds:
+        if self_pair:
+            m2, n2 = m1, n1
+        if m1 + m2 <= T and max(n1, n2, n3) <= T:
+            made.append(Triad(WaveVector(m1, n1), WaveVector(m2, n2),
+                              WaveVector(m1 + m2, n3), (0.0, 0.0, 0.0),
+                              0.0, 0.0))
+    seeds = made + seeds
+    pool = [k for t in seeds for k in t.members()] + list(domain.modes())
+    for form, a, b, n, v, repeat in drawn_hits:
+        ka, kb = pool[a % len(pool)], pool[(a if repeat else b) % len(pool)]
+        if form == 0:
+            (m1, n1), (m2, n2), n3 = ka, kb, n
+        elif form == 1:
+            (m1, n1), (m2, n2), n3 = kb, (ka.m - kb.m, n), ka.n
+        else:
+            (m1, n1), (m2, n2), n3 = (ka.m - kb.m, n), kb, ka.n
+        if min(m1, m2) >= 1 and max(m1 + m2, n1, n2, n3) <= T:
+            rows.append((m1, n1, m2, n2, n3, v))
+    if rows:
+        hits = [np.concatenate((h, np.array(c, h.dtype)))
+                for h, c in zip(hits, zip(*rows))]
+    return seeds, hits
+
+
+@settings(max_examples=100)
+@given(spec=st.sampled_from([SPHERE, PLANE]) | pruning_specs(),
+       T=st.integers(1, 12), shape=st.sampled_from(["square", "triangular"]),
+       closure=st.sampled_from(["auto", "zonal", "box", "both"]),
+       patterns=st.sampled_from(["sum", "all"]), skip=st.booleans(),
+       omega_max=st.sampled_from([1e-3, 0.013, 0.1, 1.0]),
+       drawn_seeds=DRAWN_SEEDS, drawn_hits=DRAWN_HITS)
+# A float self-pair seed (1,2)+(1,2)->(2,5) and a seed (1,3)+(2,1)->(3,4):
+# the hits (1,2)+(1,2)->(2,7), a repeated member holding the self pair,
+# and (1,2)+(2,5)->(3,4), whose k1 k2 pair is the first seed's, go;
+# (1,2)+(1,3)->(2,6), two members of different seeds, stays.
+@example(spec=PLANE, T=8, shape="square", closure="box", patterns="all",
+         skip=True, omega_max=1e-3,
+         drawn_seeds=[(1, 2, 1, 2, 5, True), (1, 3, 2, 1, 4, False)],
+         drawn_hits=[(0, 0, 0, 7, 1e-9, True), (0, 0, 2, 4, 2e-9, False),
+                     (0, 0, 3, 6, 3e-9, False)])
+# A seed (1,3)+(2,4)->(3,5) met through k3: (1,3)+(2,1)->(3,5) holds its
+# k1 k3 pair and (1,1)+(2,4)->(3,5) its k2 k3 pair, so both go, each with
+# exactly two seed-member positions; (1,3)+(1,3)->(2,6), a repeated
+# member but no seed pair, stays.
+@example(spec=SPHERE, T=10, shape="triangular", closure="zonal",
+         patterns="sum", skip=True, omega_max=0.1,
+         drawn_seeds=[(1, 3, 2, 4, 5, False)],
+         drawn_hits=[(1, 2, 0, 1, 1e-9, False), (2, 2, 1, 1, 2e-9, False),
+                     (0, 0, 0, 6, 3e-9, True)])
+def test_passive_pass_matches_the_every_hit_lookup(spec, T, shape, closure,
+                                                   patterns, skip, omega_max,
+                                                   drawn_seeds, drawn_hits):
+    """The passive pass that looks seed pairs up only for hits with at
+    least two seed-member positions gives the least |Omega| of every mode,
+    bit for bit and NaN where no hit is kept, as the lookup on every hit,
+    on the walk's seeds and hits and on drawn ones: float self-pair seeds,
+    hits with a repeated member, hits whose two seed members come from
+    different seeds (no seed pair: the hit stays), and hits meeting seeds
+    through any two positions."""
+    domain = SpectralDomain(T, shape)
+    try:
+        rule = search._dispatch(spec, domain, closure, patterns)
+    except UsageError:  # a closure the spec, patterns or shape refuses
+        assume(False)
+    seeds, hits = classify._walk(search._table(spec, T), domain, rule,
+                                 classify._n_rule(rule, "none"), patterns,
+                                 skip, omega_max)
+    seeds, hits = drawn_seeds_and_hits(domain, seeds, hits, drawn_seeds,
+                                       drawn_hits)
+    got = classify._passive_minima(domain, seeds, hits)
+    want = reference_passive_minima(domain, seeds, hits)
+    assert list(map(float.hex, got.tolist())) == \
+        list(map(float.hex, want.tolist()))
 
 
 @pytest.mark.parametrize("T, rounding", [(8, "down"), (6, "up")])
