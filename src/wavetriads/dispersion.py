@@ -331,13 +331,23 @@ def eval_frequency(spec: DispersionSpec, k: WaveVector) -> Frequency:
     """Evaluate the dispersion relation at an integer wave vector.
 
     Returns an exact rational for ``rossby_sphere`` and a float for every
-    other kind.  Raises :class:`DomainError` for invalid wave vectors.
+    other kind.  Raises :class:`DomainError` for invalid wave vectors and
+    for a frequency with no finite float value (the float relation
+    overflows or divides by zero, or the exact value is past float range),
+    so that ``hz`` is always finite.
     """
     m, n = check_wavevector(k)
-    if spec.kind == "rossby_sphere":
-        # Exact path: big-integer rationals, never floats.
-        return Frequency(Fraction(-2 * m, n * (n + 1)))
-    return Frequency(_omega(spec, m, n, math))
+    try:
+        # Exact path: big-integer rationals, whose float() checks range only.
+        omega = (Fraction(-2 * m, n * (n + 1)) if spec.kind == "rossby_sphere"
+                 else _omega(spec, m, n, math))
+        finite = math.isfinite(float(omega))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise DomainError(f"{spec.kind} frequency at {WaveVector(m, n)} "
+                          "has no finite float value")
+    return Frequency(omega)
 
 
 def omega_grid(spec: DispersionSpec, M: int, N: int | None = None) -> np.ndarray:

@@ -227,12 +227,23 @@ def test_non_finite_threshold_exit_2(capsys, argv):
      "--format", "json"],
     ["plan", "--liquid", "water", "--T", "12", "--d-max", "0.1",
      "--d-min", "0.5", "--epsilon", "-0"],
+    ["eval", "--liquid", "water", "--m", str(10 ** 200), "--n", "1"],
+    ["eval", "--dispersion", "bve-plane", "--m", str(10 ** 400), "--n", "1"],
+    ["eval", "--dispersion", "gravity-tanh", "--alpha", "1", "--m",
+     str(10 ** 400), "--n", "1"],
+    ["eval", "--dispersion", "capillary", "--m", str(10 ** 160), "--n", "1"],
+    ["eval", "--liquid", "water", "--m", "3", "--n", "4", "--lx", "1e-300",
+     "--ly", "1e-300"],
+    ["eval", "--dispersion", "rossby-sphere", "--m", str(10 ** 400), "--n",
+     "3", "--format", "json"],
 ], ids=["sweep-lx", "find-lx", "find-mu-nu", "find-g", "plan-epsilon",
-        "plan-epsilon-negative-zero"])
+        "plan-epsilon-negative-zero", "eval-int-too-large", "eval-bve-plane",
+        "eval-gravity-tanh", "eval-range-error", "eval-area-underflow",
+        "eval-sphere-float-fields"])
 def test_non_finite_physical_parameter_exit_3(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
-    assert "domain error" in err and out == ""
+    assert err.startswith("domain error:") and out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -180,6 +180,21 @@ def test_invalid_wavevectors_raise():
                 (math.inf, 2), (2, -math.inf)):
         with pytest.raises(DomainError):
             eval_frequency(spec, WaveVector(*bad))
+    # A frequency with no finite float value (the float relation overflows
+    # or divides by zero, or the sphere's exact value is past float range)
+    # is a domain error naming the kind and the mode.
+    tiny = BasinGeometry("rectangle", 1e-300, 1e-300)
+    for spec, k in ((gc_spec(75), (10 ** 200, 1)),
+                    (DispersionSpec("bve_plane"), (10 ** 400, 1)),
+                    (DispersionSpec("gravity_tanh", alpha=1.0),
+                     (10 ** 400, 1)),
+                    (DispersionSpec("capillary"), (10 ** 160, 1)),
+                    (DispersionSpec("gravity_capillary", mu_over_nu=75.0,
+                                    basin=tiny), (3, 4)),
+                    (DispersionSpec("rossby_sphere"), (10 ** 400, 3))):
+        with pytest.raises(DomainError, match=f"{spec.kind} frequency at "
+                           rf"\[{k[0]},{k[1]}\]"):
+            eval_frequency(spec, WaveVector(*k))
 
 
 def test_spec_validation():
