@@ -29,11 +29,12 @@ per-mode table (:func:`_table`), which the scan, the bound and the bridge
 search read, and results once per mode (:meth:`.triad.TriadColumns.modes`).
 The scan reads the closure's candidates in blocks of consecutive k1 rows (as
 many as fit in ``_BLOCK`` candidates; one vectorised range expansion per
-block) and gives their members, k1 included, |Omega| and min |w| (where the
-test needs it) as arrays, with no :class:`Triad` built.  Its kernels read
-the table by flat offset m R + n (:func:`.triad._at`; the exact table from
-its one row) and select candidates by index (``take``).  The searches select
-on those arrays and keep what they return as columns
+block, over per-n1 templates of one k2 row's completions, made once a call,
+under ``box``) and gives their members, k1 included, |Omega| and min |w|
+(where the test needs it) as arrays, with no :class:`Triad` built.  Its
+kernels read the table by flat offset m R + n (:func:`.triad._at`; the exact
+table from its one row) and select candidates by index (``take``).  The
+searches select on those arrays and keep what they return as columns
 (:class:`.triad.TriadColumns`), sorted by a stable argsort of d_ratio; the
 public searches make their triads from the columns, and the CLI renders the
 columns themselves.  The classifier reads the scan's arrays.  The bound's
@@ -322,28 +323,27 @@ def _box_waves(ma, na, mb, nb, T, patterns):
 
 def _box_blocks(X, domain, skip_equal_n_pairs, test):
     """Box-closed candidates, with k3 in ascending (m3, n3) order, read
-    from X by flat offset and selected by index.
+    from X by flat offset and from per-n1 templates by index.
 
     Each unordered triple regenerates from any of its three pairs, so a
     candidate is emitted only from its two lexicographically smallest
     members: k1 < k2 < k3.  As k2 follows k1, m2 >= m1 and a completion
     with m3 = |m1 - m2| < m2 precedes k2; only m3 = m1 + m2 <= T remains,
-    with n3 = |n1 - n2| (n2 != n1) then n1 + n2 (n2 <= T - n1), offered
-    by pair p at 2p and 2p + 1, so a valid one's pair is its index >> 1."""
-    T = domain.truncation
-    m1, n1 = (g.ravel() for g in np.mgrid[1:T // 2 + 1, 1:T + 1])
-    # k2 runs over the modes after k1 (flat index i) with m2 <= T - m1:
-    # the rest of row m1, then T - 2 m1 full rows.
-    i, full = (m1 - 1) * T + n1 - 1, T - 2 * m1
-    counts = T - n1 + np.maximum(T - 2 * n1, 0) + full * (2 * T - 1 - n1)
-    for rows in _runs(counts):
-        j, a, b = _expand(i[rows] + 1, (full[rows] + 1) * T - n1[rows],
-                          m1[rows], n1[rows])
-        m2, n2 = (v + 1 for v in np.divmod(j, T))
-        n3 = np.stack((np.abs(b - n2), b + n2), axis=1).ravel()
-        at = np.flatnonzero((n3 >= 1) & (n3 <= T))
-        a, b, m2, n2 = (v.take(at >> 1) for v in (a, b, m2, n2))
-        n3 = n3.take(at)
+    with n3 = |n1 - n2| (n2 != n1) then n1 + n2 (n2 <= T - n1), a k2 row's
+    completions listed once a call in n1's template; k1's first (m2 = m1)
+    skips its n2 <= n1.  A range expansion reads a block's (k1, m2) rows."""
+    T, n = domain.truncation, np.arange(domain.truncation + 1)
+    n3 = np.stack((np.abs(n[:, None] - n), n[:, None] + n), axis=2)
+    live = (n3 >= 1) & (n3 <= T) & (np.outer(n, n) > 0)[..., None]
+    (t1, t2, _), t3 = np.nonzero(live), n3[live]  # templates in n1 order
+    size, skip = (np.bincount(v, minlength=T + 1) for v in (t1, t1[t2 <= t1]))
+    start = np.cumsum(size) - size
+    m1, n1 = np.indices((T // 2, T)).reshape(2, -1) + 1  # the k1
+    for rows in _runs((T + 1 - 2 * m1) * size[n1] - skip[n1]):
+        m2, a, b = _expand(m1[rows], T + 1 - 2 * m1[rows], m1[rows], n1[rows])
+        lo = start[b] + skip[b] * (m2 == a)  # k1's first k2 row skips
+        t, a, b, m2 = _expand(lo, start[b] + size[b] - lo, a, b, m2)
+        n2, n3 = t2.take(t), t3.take(t)
         yield a, b, _at(X, m2, n2), _at(X, a + m2, n3), m2, n2, n3
 
 

@@ -46,6 +46,10 @@ SMALL = {
                       r"_prefilter \d+\.\d{3} ms"]),
     "largest_block": (T16[:3], {}, [r"largest dense both block, gc75 T=16: "
                                     r"[1-9]\d*"]),
+    "box_scan": (("square T=8", bve_square_spec(), SpectralDomain(8), 2), {},
+                 [r"box scan square T=8: [1-9]\d* blocks, [1-9]\d* "
+                  r"candidates, best of 2 blocks \d+\.\d{3} ms, scan "
+                  r"\d+\.\d{3} ms"]),
     "cli_run": (("csv inventory", ["find-triads", "--liquid", "water", "--T",
                                    "6", "--d-min", "0.1", "--format", "csv",
                                    "--output", os.devnull]), {},

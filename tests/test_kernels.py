@@ -15,6 +15,7 @@ bridge ties on integer terms against the ``Fraction`` sums they replaced."""
 
 import contextlib
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -2955,6 +2956,33 @@ def test_flat_kernels_match_their_gather_references(spec, T, cap, patterns,
                 X, domain, skip, test)]
             assert got == [exact_arrays(b) for b in GATHER_BLOCKS[closure](
                 X, domain, skip, test)]
+
+
+def test_box_blocks_above_the_row_cap():
+    """At T=48 the default ``_BLOCK`` cuts box blocks at k1 rows of up to
+    4,417 candidates, past the hypothesis tests' T <= 24, where no box row
+    outgrows the default cap: the template blocks equal
+    :func:`mask_box_blocks` block by block, bit for bit, and
+    :func:`row_box_blocks` as flat columns, each block the whole rows it
+    holds, a row above the cap alone.  Compared as they stream, so no more
+    than one block is held."""
+    T = 48
+    domain, X = SpectralDomain(T), search._table(
+        DispersionSpec("bve_plane", plane_form="squared"), T)
+    rows, sizes = row_box_blocks(X, domain, True), []
+    for got, old in itertools.zip_longest(
+            search.CLOSURES["box"].blocks(X, domain, True, unpruned("all")),
+            mask_box_blocks(X, domain, True, unpruned("all"))):
+        assert got is not None and old is not None
+        assert exact_arrays(got) == exact_arrays(old)
+        want = [next(rows)]
+        while sum(r[4].size for r in want) < got[0].size:
+            want.append(next(rows))
+        assert same_columns(flat_blocks([got])[0], flat_blocks(want)[0])
+        assert got[0].size <= search._BLOCK or len(want) == 1
+        sizes.append(got[0].size)
+    assert next(rows, None) is None
+    assert max(sizes) == 4417 > search._BLOCK and sum(sizes) == 1908288
 
 
 @given(T=st.integers(1, 24), shape=st.sampled_from(["triangular", "square"]),

@@ -13,6 +13,7 @@ allocator keeps what an earlier figure freed, so compare a time only with
 the same line of an earlier run of this script.
 """
 
+import collections
 import contextlib
 import math
 import os
@@ -161,6 +162,21 @@ def largest_block(label, spec, domain):
           max(b[0].size for b in blocks))
 
 
+def box_scan(label, spec, domain, n):
+    """Blocks and candidates of the box scan (box closure prunes none), and
+    the best-of-n times of its blocks alone and of the scan that steps them
+    (``search._scan``), each block let go before the next."""
+    X = search._table(spec, domain.truncation)
+    box, test = search.CLOSURES["box"], ("all", math.inf, 0, None)
+    sizes = [b[0].size for b in box.blocks(X, domain, True, test)]
+    drain = lambda blocks: best(lambda: collections.deque(blocks(), 0), n)
+    t_blocks = drain(lambda: box.blocks(X, domain, True, test))
+    t_scan = drain(lambda: search._scan(X, domain, box, True, test))
+    print(f"box scan {label}: {len(sizes)} blocks, {sum(sizes)} candidates, "
+          f"best of {n} blocks {t_blocks * 1e3:.3f} ms, scan "
+          f"{t_scan * 1e3:.3f} ms")
+
+
 def cli_run(label, argv):
     """Exit status, tracemalloc peak and best-of-3 time of a CLI run; its
     output streams to ``--output``, chunk by chunk."""
@@ -284,6 +300,9 @@ def main():
                    skip_equal_n_pairs=False)
     # classify-exact's two largest kinds: the box and zonal kernels and
     # the walk.
+    for T in (15, 40):
+        box_scan(f"bve square T={T}", classify.bve_square_spec(),
+                 SpectralDomain(T), 20)
     classification("square T=15 box, table convention",
                    classify.bve_square_spec(), SpectralDomain(15),
                    classify.SQUARE_TABLE_OMEGA_MAX, 5,
