@@ -27,10 +27,11 @@ otherwise; ``box`` is never chosen automatically.
 One scan kernel serves both number systems.  Each public call builds one
 per-mode table (:func:`_table`), which the scan, the bound and the bridge
 search read, and results once per mode (:meth:`.triad.TriadColumns.modes`).
-The scan reads the closure's candidates in blocks of consecutive k1 rows (as
-many as fit in ``_BLOCK`` candidates; one vectorised range expansion per
-block, over per-n1 templates of one k2 row's completions, made once a call,
-under ``box``) and gives their members, k1 included, |Omega| and min |w|
+The scan reads the closure's candidates in blocks of at most ``_BLOCK``
+(or one k2 row; one k1 row under ``zonal``): ``both`` and ``box`` read a
+block's (k1, m2) rows in one range expansion over per-n1 templates of a k2
+row's completions, made once a call (:func:`_template_blocks`), and the
+scan gives their members, k1 included, |Omega| and min |w|
 (where the test needs it) as arrays, with no :class:`Triad` built.  Its
 kernels read the table by flat offset m R + n (:func:`.triad._at`; the exact
 table from its one row) and select candidates by index (``take``).  The
@@ -172,7 +173,7 @@ def _check_threshold(name: str, value, ceiling: bool = False) -> None:
 # ---------------------------------------------------------------------------
 
 #: Most candidates (tiles, in the near search's bound) in a block unless
-#: one k1 row (k2 row under ``both``; m tile) holds more: it bounds
+#: one k2 row (k1 row under ``zonal``; m tile) holds more: it bounds
 #: memory, spreads numpy calls.
 _BLOCK = 2 ** 12
 
@@ -208,43 +209,53 @@ def _both_window(T, m1, n1):
     return m1, T - m1, 1, T - n1
 
 
-def _both_blocks(X, domain, skip_equal_n_pairs, test):
-    """Pairs k1 <= k2 with k3 = k1 + k2 in the square: per k1 the box of
-    :func:`_both_window`, the rest of row m2 = m1 from k2 = k1 on, then
-    the rows m2 > m1, one k2 row per segment.  Blocks are cut between
-    segments as :func:`_runs` cuts rows, so only a k2 row outgrows
-    ``_BLOCK``: runs of k1 rows of at most ``_BLOCK`` segments are cut in
-    turn, the last block of each waiting for the next run's segments.  A
-    finite ceiling d_max on the float grid reads only the cells of
-    :func:`_tile_scan`."""
-    T, (patterns, _, _, d_max) = domain.truncation, test
-    if X.dtype == np.float64 and d_max and math.isfinite(d_max):
-        yield from _tile_scan(X, domain, patterns, d_max)
-        return
-    m1, n1 = (g.ravel() for g in np.mgrid[1:T // 2 + 1, 1:T])
-    m_lo, m_hi, _, n_hi = _both_window(T, m1, n1)
-    Xf, R = X.ravel(), T + 1
+def _template_blocks(X, T, completions, self_pair):
+    """Candidates pairing each k1 = (m1, n1) with whole k2 rows m1 <= m2 <=
+    T - m1, read from X by flat offset and from per-n1 templates (made once
+    a call) by index: a k2 row's completions (n2, n3) in scan order, n2
+    ascending, each with the n3 in 1..T of ``completions(n1, n2)``; k1's
+    own row skips its n2 < n1, and n2 = n1 without the ``self_pair``.  One
+    segment per (k1, m2), built for runs of k1 rows of at most ``_BLOCK``
+    segments and cut into blocks between segments as :func:`_runs` cuts
+    rows, the open block waiting for the next run's segments."""
+    n = np.arange(T + 1)
+    n3 = np.stack(completions(n[:, None], n), axis=2)
+    live = (n3 >= 1) & (n3 <= T) & (np.outer(n, n) > 0)[..., None]
+    (t1, t2, _), t3 = np.nonzero(live), n3[live]  # templates in n1 order
+    size, skip = (np.bincount(v, minlength=T + 1)
+                  for v in (t1, t1[t2 < t1 + (not self_pair)]))
+    start = np.cumsum(size) - size
+    m1, n1 = np.indices((T // 2, T)).reshape(2, -1) + 1  # the k1
 
-    def block(*segments):  # their candidates
-        n2, a, b, m2, o2, o3 = _expand(*segments)
-        return a, b, Xf[o2 + n2], Xf[o3 + n2], m2, n2, b + n2
+    def block(lo, count, a, b, m2):  # the segments' candidates
+        t, a, b, m2 = _expand(lo, count, a, b, m2)
+        n2, n3 = t2.take(t), t3.take(t)
+        return a, b, _at(X, m2, n2), _at(X, a + m2, n3), m2, n2, n3
 
-    held = [np.zeros(0, np.int64)] * 7  # the segments of the open block
-    for rows in _runs(m_hi - m_lo + 1):
-        # One segment per k2 row m2: its first n2 and size, k1, m2, and
-        # the flat offsets into X of its k2 and k3 rows.
-        m2, a, b, top = _expand(m_lo[rows], m_hi[rows] - m_lo[rows] + 1,
-                                m1[rows], n1[rows], n_hi[rows])
-        n2 = np.where(m2 == a, b, 1)
-        held = [np.concatenate(p) for p in zip(held, (
-            n2, np.maximum(top - n2 + 1, 0), a, b, m2, m2 * R,
-            (a + m2) * R + b))]
+    held = [np.zeros(0, np.int64)] * 5  # the segments of the open block
+    for rows in _runs(T + 1 - 2 * m1):
+        m2, a, b = _expand(m1[rows], T + 1 - 2 * m1[rows], m1[rows], n1[rows])
+        lo = start[b] + skip[b] * (m2 == a)  # each segment's first index
+        held = [np.concatenate(p) for p in zip(
+            held, (lo, start[b] + size[b] - lo, a, b, m2))]
         *full, last = _runs(held[1])
         for s in full:
             yield block(*(v[s] for v in held))
         held = [v[last] for v in held]
     if held[0].size:
         yield block(*held)
+
+
+def _both_blocks(X, domain, skip_equal_n_pairs, test):
+    """Pairs k1 <= k2 with k3 = k1 + k2 in the square: per k1 the box of
+    :func:`_both_window` (:func:`_template_blocks`, n3 = n1 + n2).  A
+    finite ceiling d_max on the float grid reads only the cells of
+    :func:`_tile_scan`."""
+    patterns, _, _, d_max = test
+    if X.dtype == np.float64 and d_max and math.isfinite(d_max):
+        return _tile_scan(X, domain, patterns, d_max)
+    return _template_blocks(X, domain.truncation, lambda n1, n2: (n1 + n2,),
+                            True)
 
 
 def _both_waves(ma, na, mb, nb, T, patterns):
@@ -322,29 +333,15 @@ def _box_waves(ma, na, mb, nb, T, patterns):
 
 
 def _box_blocks(X, domain, skip_equal_n_pairs, test):
-    """Box-closed candidates, with k3 in ascending (m3, n3) order, read
-    from X by flat offset and from per-n1 templates by index.
-
-    Each unordered triple regenerates from any of its three pairs, so a
+    """Box-closed candidates, k3 in ascending (m3, n3) order.  Each
+    unordered triple regenerates from any of its three pairs, so a
     candidate is emitted only from its two lexicographically smallest
     members: k1 < k2 < k3.  As k2 follows k1, m2 >= m1 and a completion
     with m3 = |m1 - m2| < m2 precedes k2; only m3 = m1 + m2 <= T remains,
-    with n3 = |n1 - n2| (n2 != n1) then n1 + n2 (n2 <= T - n1), a k2 row's
-    completions listed once a call in n1's template; k1's first (m2 = m1)
-    skips its n2 <= n1.  A range expansion reads a block's (k1, m2) rows."""
-    T, n = domain.truncation, np.arange(domain.truncation + 1)
-    n3 = np.stack((np.abs(n[:, None] - n), n[:, None] + n), axis=2)
-    live = (n3 >= 1) & (n3 <= T) & (np.outer(n, n) > 0)[..., None]
-    (t1, t2, _), t3 = np.nonzero(live), n3[live]  # templates in n1 order
-    size, skip = (np.bincount(v, minlength=T + 1) for v in (t1, t1[t2 <= t1]))
-    start = np.cumsum(size) - size
-    m1, n1 = np.indices((T // 2, T)).reshape(2, -1) + 1  # the k1
-    for rows in _runs((T + 1 - 2 * m1) * size[n1] - skip[n1]):
-        m2, a, b = _expand(m1[rows], T + 1 - 2 * m1[rows], m1[rows], n1[rows])
-        lo = start[b] + skip[b] * (m2 == a)  # k1's first k2 row skips
-        t, a, b, m2 = _expand(lo, start[b] + size[b] - lo, a, b, m2)
-        n2, n3 = t2.take(t), t3.take(t)
-        yield a, b, _at(X, m2, n2), _at(X, a + m2, n3), m2, n2, n3
+    with n3 = |n1 - n2| (n2 != n1) then n1 + n2 (:func:`_template_blocks`,
+    no self-pair)."""
+    return _template_blocks(X, domain.truncation,
+                            lambda n1, n2: (abs(n1 - n2), n1 + n2), False)
 
 
 @dataclass(frozen=True)
@@ -355,8 +352,8 @@ class _Closure:
     ``blocks(X, domain, skip_equal_n_pairs, test)`` yields the
     candidates in scan order as blocks (m1, n1, x2, x3, m2, n2, n3), one
     array element per candidate, each of at most ``_BLOCK`` candidates or
-    one k1 row (one k2 row under ``both``; :func:`_runs`), and never an
-    empty block: the coordinates
+    one k2 row under ``both`` and ``box``, one k1 row under ``zonal``
+    (:func:`_runs`), and never an empty block: the coordinates
     of k1, k2 and n3 (m3 = m1 + m2 under every closure) and the values at
     k2 and k3 of the per-mode table X.  ``test`` = (patterns, tau, widen,
     d_max) is the caller's (:func:`_scan`), and each closure leaves out

@@ -4,6 +4,7 @@ search fails loudly and cleans up."""
 
 import importlib.util
 import inspect
+import math
 import os
 import re
 from pathlib import Path
@@ -46,10 +47,11 @@ SMALL = {
                       r"_prefilter \d+\.\d{3} ms"]),
     "largest_block": (T16[:3], {}, [r"largest dense both block, gc75 T=16: "
                                     r"[1-9]\d*"]),
-    "box_scan": (("square T=8", bve_square_spec(), SpectralDomain(8), 2), {},
-                 [r"box scan square T=8: [1-9]\d* blocks, [1-9]\d* "
-                  r"candidates, best of 2 blocks \d+\.\d{3} ms, scan "
-                  r"\d+\.\d{3} ms"]),
+    "dense_scan": (("square T=8", bve_square_spec(), SpectralDomain(8), "box",
+                    2), {},
+                   [r"dense box scan square T=8: [1-9]\d* blocks, [1-9]\d* "
+                    r"candidates, largest [1-9]\d*, best of 2 blocks "
+                    r"\d+\.\d{3} ms, scan \d+\.\d{3} ms"]),
     "cli_run": (("csv inventory", ["find-triads", "--liquid", "water", "--T",
                                    "6", "--d-min", "0.1", "--format", "csv",
                                    "--output", os.devnull]), {},
@@ -96,6 +98,15 @@ def test_near_figure_counts_the_library_search(capsys):
     figures.near(*T16, patterns="all")
     n = len(search.find_near_triads(*T16[1:], patterns="all"))
     assert f": {n} triads," in capsys.readouterr().out
+
+
+def test_dense_scan_figure_counts_every_both_candidate(capsys):
+    """Under ``both`` the figure scans with no ceiling: as many candidates
+    as the near search at d_max = inf keeps triads."""
+    figures.dense_scan("gc75 T=8", GC75, SpectralDomain(8), "both", 1)
+    n = len(search.find_near_triads(GC75, SpectralDomain(8), math.inf))
+    assert re.fullmatch(rf"dense both scan gc75 T=8: [1-9]\d* blocks, {n} "
+                        r"candidates, .*", capsys.readouterr().out.strip())
 
 
 def test_spy_refuses_a_missing_name():

@@ -1230,28 +1230,36 @@ def test_sorted_search_sorts_one_column_at_a_time():
         assert getattr(got, k).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("T", [92, 128])
-def test_dense_both_blocks_hold_at_most_block_candidates(T):
-    """Above T = 65 one k1 row holds more than ``_BLOCK`` candidates,
-    (T - 1)^2 at k1 = (1, 1); the dense ``both`` blocks cut such a row
-    between its k2 rows, so none holds more (16,129 at T=128 when rows
-    were kept whole).  Their candidates are the per-row generator's in
-    scan order: strictly increasing keys (k1, k2), each in its k1's box
-    with n3 = n1 + n2 and the table's values at k2 and k3, as many as the
-    per-row generator's."""
-    X, domain, R = search._table(GC75, T), SpectralDomain(T), T + 1
-    last, count = -1, 0
-    for m1, n1, x2, x3, m2, n2, n3 in BOTH.blocks(X, domain, True,
-                                                    unpruned("sum")):
+@pytest.mark.parametrize("closure, spec, T", [
+    pytest.param("both", GC75, 92, id="92"),
+    pytest.param("both", GC75, 128, id="128"),
+    pytest.param("box", DispersionSpec("bve_plane", plane_form="squared"), 48,
+                 id="box-48")])
+def test_dense_both_blocks_hold_at_most_block_candidates(closure, spec, T):
+    """Above T = 65 one ``both`` k1 row holds more than ``_BLOCK``
+    candidates, (T - 1)^2 at k1 = (1, 1), and above T = 45 one ``box`` k1
+    row does, 4,417 at T=48; the template blocks of both closures cut such
+    a row between its k2 rows, so none holds more (16,129 at T=128 when
+    ``both`` rows were kept whole).  Their candidates are the per-row
+    generator's in scan order: strictly increasing keys (k1, k2, n3), each
+    in its k1's box with n3 = n1 + n2 (or |n1 - n2| under ``box``, which
+    leaves out k2 = k1) and the table's values at k2 and k3, as many as
+    the per-row generator's."""
+    X, domain, R = search._table(spec, T), SpectralDomain(T), T + 1
+    box, last, count = closure == "box", -1, 0
+    for m1, n1, x2, x3, m2, n2, n3 in search.CLOSURES[closure].blocks(
+            X, domain, True, unpruned("all" if box else "sum")):
         assert 0 < m2.size <= search._BLOCK
-        key = ((m1 * R + n1) * R + m2) * R + n2
+        key = (((m1 * R + n1) * R + m2) * R + n2) * R + n3
         assert key[0] > last and (np.diff(key) > 0).all()
         last, count = key[-1], count + m2.size
-        assert ((m1 <= m2) & (m2 <= T - m1) & ((m2 > m1) | (n2 >= n1))
-                & (n2 >= 1) & (n3 == n1 + n2) & (n3 <= T)).all()
+        assert ((m1 <= m2) & (m2 <= T - m1)
+                & ((m2 > m1) | (n2 > n1) | ((n2 == n1) & (not box)))
+                & (n2 >= 1) & ((n3 == n1 + n2) | (box & (n3 == abs(n1 - n2))))
+                & (n3 >= 1) & (n3 <= T)).all()
         assert x2.tobytes() == X[m2, n2].tobytes()
         assert x3.tobytes() == X[m1 + m2, n3].tobytes()
-    assert count == sum(x2.size for _, _, x2, *_ in row_both_blocks(
+    assert count == sum(b[4].size for b in ROW_BLOCKS[closure](
         X, domain, True))
 
 
@@ -1974,6 +1982,36 @@ def test_bridges_are_admitted_on_their_exact_omega():
                 WaveVector(7, 8)]
 
 
+def test_bridge_prefilter_decides_ties_on_the_exact_omega():
+    """``select_bridges`` passes omega_max to the bridge search, which
+    makes no step for a pair whose least float |Omega| exceeds it; the
+    check on the rational |Omega| follows.  On the sphere at T=10, with
+    omega_max the float of each bridge's rational |Omega| in turn, that
+    bridge is kept exactly when its rational is at most the float (6 round
+    up to it, 5 down), and the kept bridges are those of the unfiltered
+    search within omega_max."""
+    domain = SpectralDomain(10, "triangular")
+    rule = search._dispatch(SPHERE, domain, "zonal", "sum")
+    passes, X = classify._n_rule(rule, "none"), search._table(SPHERE, 10)
+    seeds = find_exact_triads(SPHERE, domain)
+    donors = [(t, *pair) for t in seeds for pair in classify._triad_pairs(t)]
+    bridges = lambda *omega_max: [s for s in classify._minimal_bridges(
+        X, domain, rule, passes, "sum", donors, *omega_max) if s is not None]
+    every, ups = bridges(), 0
+    for step in every:
+        omega_max = float(abs(step.bridge_discrepancy))
+        up = abs(step.bridge_discrepancy) <= omega_max
+        assert steps_fields(bridges(omega_max)) == steps_fields(
+            s for s in every if s.abs_discrepancy <= omega_max)
+        kept = classify.select_bridges(X, domain, seeds, omega_max, rule,
+                                       passes, "sum", "per_pair")
+        assert steps_fields(kept) == steps_fields(
+            s for s in every if abs(s.bridge_discrepancy) <= omega_max)
+        assert (_evidence(step) in steps_fields(kept)) == up
+        ups += up
+    assert (ups, len(every) - ups) == (6, 5)
+
+
 def check_every_donor_pair(spec, domain, closure, patterns, n_selection,
                            triads):
     """The array bridge search over every donor pair of ``triads`` in one
@@ -2663,12 +2701,12 @@ def check_block_sizes(keys, sizes, cap):
 def test_multi_row_blocks_match_per_row_blocks(spec, T, cap, patterns, skip,
                                                python_int, data):
     """The closures' blocks, with their size cut at ``cap`` candidates
-    (between k2 rows under ``both``, else between k1 rows), against the
-    per-row generators they replaced: the candidates and table values in
-    scan order (the self-pair as the number system has it), |Omega| and
-    min |w| of ``_scan`` bit for bit, and the discrepancy-bound witness and
-    the partition at a cap of 1 against the default cap.  On the sphere
-    also with the Python-int table."""
+    (between k2 rows under ``both`` and ``box``, between k1 rows under
+    ``zonal``), against the per-row generators they replaced: the
+    candidates and table values in scan order (the self-pair as the number
+    system has it), |Omega| and min |w| of ``_scan`` bit for bit, and the
+    discrepancy-bound witness and the partition at a cap of 1 against the
+    default cap.  On the sphere also with the Python-int table."""
     closure, shape = ("zonal", "triangular") if data is None else \
         data.draw(st.sampled_from(CLOSURE_SHAPES[1:3] if spec.exactness
                                   else CLOSURE_SHAPES), label="closure, shape")
@@ -2684,8 +2722,8 @@ def test_multi_row_blocks_match_per_row_blocks(spec, T, cap, patterns, skip,
             X, domain, skip, unpruned(patterns)))
         old, _ = flat_blocks(ROW_BLOCKS[closure](X, domain, skip))
         assert same_columns(got, old)
-        if got is not None:  # both closure cuts between k2 rows
-            check_block_sizes(got[:2] + (got[4:5] if closure == "both"
+        if got is not None:  # zonal closure cuts between k1 rows
+            check_block_sizes(got[:2] + (got[4:5] if closure != "zonal"
                                          else []), sizes, cap)
         assert same_columns(block_scan(spec, domain, closure, patterns, skip),
                             want)
@@ -2935,14 +2973,15 @@ def test_flat_kernels_match_their_gather_references(spec, T, cap, patterns,
                                                     skip, python_int, tau,
                                                     widen):
     """The box and zonal blocks, which read X by flat offset and select by
-    index, equal block by block, bit for bit, those of the kernels they
-    replaced (:func:`mask_box_blocks`, :func:`expand_zonal_blocks`): the
-    same blocks, so the same boundaries, each with the same candidates
-    and table values, whatever ``_BLOCK`` cuts them at (1, 7 or the
-    default).  Float kinds take box closure and zonal closure on both
-    shapes, the sphere zonal closure on both shapes, on the int64 and the
-    Python-int table, under a window of tau 0, finite or inf (no window),
-    widened by 0 or 1."""
+    index, equal bit for bit, dtypes included, those of the kernels they
+    replaced (:func:`mask_box_blocks`, :func:`expand_zonal_blocks`),
+    whatever ``_BLOCK`` cuts them at (1, 7 or the default): zonal blocks
+    block by block, so with the same boundaries; box blocks as flat
+    columns, cut between k2 rows (:func:`check_block_sizes`), where the
+    reference cuts between k1 rows.  Float kinds take box closure and
+    zonal closure on both shapes, the sphere zonal closure on both
+    shapes, on the int64 and the Python-int table, under a window of tau
+    0, finite or inf (no window), widened by 0 or 1."""
     with pytest.MonkeyPatch.context() as mp:
         if python_int and spec.exactness:
             mp.setattr(search, "_FLOAT_EXACT_LIMIT", 0)
@@ -2952,37 +2991,56 @@ def test_flat_kernels_match_their_gather_references(spec, T, cap, patterns,
         for closure, shape in (CLOSURE_SHAPES[1:3] if spec.exactness
                                else CLOSURE_SHAPES[1:]):
             domain = SpectralDomain(T, shape)
-            got = [exact_arrays(b) for b in search.CLOSURES[closure].blocks(
-                X, domain, skip, test)]
-            assert got == [exact_arrays(b) for b in GATHER_BLOCKS[closure](
-                X, domain, skip, test)]
+            blocks = search.CLOSURES[closure].blocks(X, domain, skip, test)
+            want = GATHER_BLOCKS[closure](X, domain, skip, test)
+            if closure == "zonal":
+                assert ([exact_arrays(b) for b in blocks]
+                        == [exact_arrays(b) for b in want])
+                continue
+            got, sizes = flat_blocks(blocks)
+            assert same_columns(got, flat_blocks(want)[0])
+            if got is not None:
+                check_block_sizes(got[:2] + got[4:5], sizes, cap)
+
+
+def same_streams(got, want):
+    """Two block streams equal as flat columns (:func:`flat_blocks`,
+    :func:`same_columns`), compared as they stream, so no more than one
+    block of each is held."""
+    streams = [(flat_blocks([b])[0] for b in s) for s in (got, want)]
+    held = [[], []]  # each stream's columns not yet compared
+    while True:
+        held = [h or next(s, []) for h, s in zip(held, streams)]
+        if not (held[0] and held[1]):
+            return not (held[0] or held[1])
+        k = min(h[0].size for h in held)
+        if not same_columns(*([c[:k] for c in h] for h in held)):
+            return False
+        held = [[c[k:] for c in h] if h[0].size > k else [] for h in held]
 
 
 def test_box_blocks_above_the_row_cap():
-    """At T=48 the default ``_BLOCK`` cuts box blocks at k1 rows of up to
-    4,417 candidates, past the hypothesis tests' T <= 24, where no box row
-    outgrows the default cap: the template blocks equal
-    :func:`mask_box_blocks` block by block, bit for bit, and
-    :func:`row_box_blocks` as flat columns, each block the whole rows it
-    holds, a row above the cap alone.  Compared as they stream, so no more
-    than one block is held."""
+    """At T=48 a box k1 row holds up to 4,417 candidates, more than the
+    default ``_BLOCK``, past the hypothesis tests' T <= 24, where none
+    does: the template blocks equal :func:`mask_box_blocks` and
+    :func:`row_box_blocks` as flat columns, bit for bit, compared as they
+    stream, and are cut between k2 rows (:func:`check_block_sizes`), none
+    above ``_BLOCK``."""
     T = 48
     domain, X = SpectralDomain(T), search._table(
         DispersionSpec("bve_plane", plane_form="squared"), T)
-    rows, sizes = row_box_blocks(X, domain, True), []
-    for got, old in itertools.zip_longest(
-            search.CLOSURES["box"].blocks(X, domain, True, unpruned("all")),
-            mask_box_blocks(X, domain, True, unpruned("all"))):
-        assert got is not None and old is not None
-        assert exact_arrays(got) == exact_arrays(old)
-        want = [next(rows)]
-        while sum(r[4].size for r in want) < got[0].size:
-            want.append(next(rows))
-        assert same_columns(flat_blocks([got])[0], flat_blocks(want)[0])
-        assert got[0].size <= search._BLOCK or len(want) == 1
-        sizes.append(got[0].size)
-    assert next(rows, None) is None
-    assert max(sizes) == 4417 > search._BLOCK and sum(sizes) == 1908288
+    blocks = lambda: search.CLOSURES["box"].blocks(X, domain, True,
+                                                   unpruned("all"))
+    assert same_streams(blocks(), mask_box_blocks(X, domain, True,
+                                                  unpruned("all")))
+    assert same_streams(blocks(), row_box_blocks(X, domain, True))
+    keys, sizes = [], []  # each candidate's k2 row, each block's size
+    for m1, n1, _, _, m2, *_ in blocks():
+        keys.append(((m1 * (T + 1) + n1) * (T + 1) + m2))
+        sizes.append(m2.size)
+    check_block_sizes([np.concatenate(keys)], sizes, search._BLOCK)
+    assert (len(sizes), max(sizes), sum(sizes)) == (
+        470, search._BLOCK, 1908288)
 
 
 @given(T=st.integers(1, 24), shape=st.sampled_from(["triangular", "square"]),

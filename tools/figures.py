@@ -162,19 +162,21 @@ def largest_block(label, spec, domain):
           max(b[0].size for b in blocks))
 
 
-def box_scan(label, spec, domain, n):
-    """Blocks and candidates of the box scan (box closure prunes none), and
-    the best-of-n times of its blocks alone and of the scan that steps them
-    (``search._scan``), each block let go before the next."""
-    X = search._table(spec, domain.truncation)
-    box, test = search.CLOSURES["box"], ("all", math.inf, 0, None)
-    sizes = [b[0].size for b in box.blocks(X, domain, True, test)]
+def dense_scan(label, spec, domain, closure, n):
+    """Blocks, candidates and largest block of the dense scan of a template
+    closure (``box``, or ``both`` with no ceiling) under its bound's sign
+    patterns, and the best-of-n times of its blocks alone and of the scan
+    that steps them (``search._scan``), each block let go before the
+    next."""
+    X, rule = search._table(spec, domain.truncation), search.CLOSURES[closure]
+    test = (rule.bound_patterns, math.inf, 0, None)
+    sizes = [b[0].size for b in rule.blocks(X, domain, True, test)]
     drain = lambda blocks: best(lambda: collections.deque(blocks(), 0), n)
-    t_blocks = drain(lambda: box.blocks(X, domain, True, test))
-    t_scan = drain(lambda: search._scan(X, domain, box, True, test))
-    print(f"box scan {label}: {len(sizes)} blocks, {sum(sizes)} candidates, "
-          f"best of {n} blocks {t_blocks * 1e3:.3f} ms, scan "
-          f"{t_scan * 1e3:.3f} ms")
+    t_blocks = drain(lambda: rule.blocks(X, domain, True, test))
+    t_scan = drain(lambda: search._scan(X, domain, rule, True, test))
+    print(f"dense {closure} scan {label}: {len(sizes)} blocks, {sum(sizes)} "
+          f"candidates, largest {max(sizes)}, best of {n} blocks "
+          f"{t_blocks * 1e3:.3f} ms, scan {t_scan * 1e3:.3f} ms")
 
 
 def cli_run(label, argv):
@@ -298,11 +300,15 @@ def main():
     classification("sphere T=30 square all, n1 = n2 kept", sphere,
                    SpectralDomain(30), 0.03, 3, patterns="all",
                    skip_equal_n_pairs=False)
+    # The dense scans of the two template closures: box, which
+    # classify-exact runs, and both with no ceiling, which
+    # inventory-render runs.
+    for label, spec, closure in (("bve square", classify.bve_square_spec(),
+                                  "box"), ("gc75", gc75, "both")):
+        for T in (15, 40):
+            dense_scan(f"{label} T={T}", spec, SpectralDomain(T), closure, 20)
     # classify-exact's two largest kinds: the box and zonal kernels and
     # the walk.
-    for T in (15, 40):
-        box_scan(f"bve square T={T}", classify.bve_square_spec(),
-                 SpectralDomain(T), 20)
     classification("square T=15 box, table convention",
                    classify.bve_square_spec(), SpectralDomain(15),
                    classify.SQUARE_TABLE_OMEGA_MAX, 5,
