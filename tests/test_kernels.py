@@ -15,7 +15,6 @@ bridge ties on integer terms against the ``Fraction`` sums they replaced."""
 
 import contextlib
 import dataclasses
-import itertools
 import math
 import tracemalloc
 from fractions import Fraction
