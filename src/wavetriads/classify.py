@@ -188,7 +188,7 @@ def _walk(X, domain, rule, passes, patterns, skip_equal_n_pairs, omega_max):
 # minimal near-resonant bridge waves
 # ---------------------------------------------------------------------------
 
-def _minimal_bridges(X, domain, rule, passes, patterns, donors, tau=np.inf):
+def _minimal_bridges(X, domain, rule, passes, patterns, donors):
     """The minimal near-resonant bridge (a CascadeStep, or None) of each
     donor pair (triad, ka, kb) under the resolved closure ``rule`` and
     n-selection ``passes``, unvalidated (cascades bridge from near-resonant
@@ -200,9 +200,7 @@ def _minimal_bridges(X, domain, rule, passes, patterns, donors, tau=np.inf):
     on the exact path.  So a pair's least (|Omega|, (m, n)) lies at its
     least float |Omega|, where its ties are ranked (:func:`_step_key`) on
     the Omega of :func:`.triad._signed`, formed as the build forms it.  A
-    NaN |Omega| (an inf or NaN cell) skips its completion, not its pair.
-    A pair gets None if its least float |Omega| exceeds ``tau``, and so
-    (rounding being monotone) its least |Omega| does."""
+    NaN |Omega| (an inf or NaN cell) skips its completion, not its pair."""
     T = domain.truncation
     D = np.array([(*ka, *kb, *t.k1, *t.k2, *t.k3) for t, ka, kb in donors],
                  dtype=np.int64).reshape(-1, 10)
@@ -222,7 +220,7 @@ def _minimal_bridges(X, domain, rule, passes, patterns, donors, tau=np.inf):
     low = np.full(len(donors), np.inf)
     np.fmin.at(low, p[keep], a[keep])  # NaN is no pair's least
     steps = [None] * len(donors)
-    at = np.flatnonzero(keep & (a == low[p]) & (a <= tau))
+    at = np.flatnonzero(keep & (a == low[p]))
     p, m3, n3, x = p[at], m3[at], n3[at], [v[at] for v in x]
     oms = _signed(X, patterns, (ma[p], mb[p], m3), x)[0].tolist()
     for i, m, n, om in zip(p.tolist(), m3.tolist(), n3.tolist(), oms):
@@ -272,7 +270,7 @@ def select_bridges(X, domain, seeds, omega_max, rule, passes, patterns,
     batch = 3 * (_BLOCK // (3 * domain.truncation) or 1)
     found = [s for i in range(0, len(donors), batch) for s in
              _minimal_bridges(X, domain, rule, passes, patterns,
-                              donors[i:i + batch], omega_max)]
+                              donors[i:i + batch])]
     kept = [[s for s in found[i:i + 3] if s is not None
              and abs(s.bridge_discrepancy) <= omega_max]
             for i in range(0, len(found), 3)]  # each seed's kept bridges

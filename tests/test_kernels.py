@@ -1981,36 +1981,6 @@ def test_bridges_are_admitted_on_their_exact_omega():
                 WaveVector(7, 8)]
 
 
-def test_bridge_prefilter_decides_ties_on_the_exact_omega():
-    """``select_bridges`` passes omega_max to the bridge search, which
-    makes no step for a pair whose least float |Omega| exceeds it; the
-    check on the rational |Omega| follows.  On the sphere at T=10, with
-    omega_max the float of each bridge's rational |Omega| in turn, that
-    bridge is kept exactly when its rational is at most the float (6 round
-    up to it, 5 down), and the kept bridges are those of the unfiltered
-    search within omega_max."""
-    domain = SpectralDomain(10, "triangular")
-    rule = search._dispatch(SPHERE, domain, "zonal", "sum")
-    passes, X = classify._n_rule(rule, "none"), search._table(SPHERE, 10)
-    seeds = find_exact_triads(SPHERE, domain)
-    donors = [(t, *pair) for t in seeds for pair in classify._triad_pairs(t)]
-    bridges = lambda *omega_max: [s for s in classify._minimal_bridges(
-        X, domain, rule, passes, "sum", donors, *omega_max) if s is not None]
-    every, ups = bridges(), 0
-    for step in every:
-        omega_max = float(abs(step.bridge_discrepancy))
-        up = abs(step.bridge_discrepancy) <= omega_max
-        assert steps_fields(bridges(omega_max)) == steps_fields(
-            s for s in every if s.abs_discrepancy <= omega_max)
-        kept = classify.select_bridges(X, domain, seeds, omega_max, rule,
-                                       passes, "sum", "per_pair")
-        assert steps_fields(kept) == steps_fields(
-            s for s in every if abs(s.bridge_discrepancy) <= omega_max)
-        assert (_evidence(step) in steps_fields(kept)) == up
-        ups += up
-    assert (ups, len(every) - ups) == (6, 5)
-
-
 def check_every_donor_pair(spec, domain, closure, patterns, n_selection,
                            triads):
     """The array bridge search over every donor pair of ``triads`` in one
